@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,14 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONSTRUCTION = 3
 EXIT_CERTIFICATION = 4
-
-THREADS_ENV = "GEOGASKET_THREADS"
-
-
-def _apply_threads(args) -> None:
-    if getattr(args, "threads", None):
-        os.environ[THREADS_ENV] = str(args.threads)
-
 
 def cmd_moran(args) -> int:
     try:
@@ -112,7 +103,6 @@ def cmd_verify(args) -> int:
     except SceneValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _apply_threads(args)
     failures = []
     checks = []
 
@@ -246,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="geogasket",
         description="Geodesic gaskets on surfaces: build, certify, estimate dimension.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (overrides env)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_moran = sub.add_parser("moran", help="solve the similarity-dimension equation")
@@ -284,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args)
     return args.func(args)
 
 

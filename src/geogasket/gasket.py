@@ -26,11 +26,20 @@ from .errors import DomainError, InversionError, NondegeneracyError
 from .surfaces import SPHERE, SurfaceModel, SurfacePoint, _as_point_array, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
+    _chart_coords,
+    _frames,
+    _invert_rows,
+    _phi_rows,
     planar_angles_batch,
     planar_comparison_angles,
 )
 
 RATIOS = (0.5, 0.5, 0.5)
+
+# Rows of one stacked parametrization or inversion pass.  Cells are grouped
+# to stay below it, which bounds the solver's working memory; results do not
+# depend on it, since every row is solved independently.
+_STACK_ROWS = 7000
 
 # -- multi-indices ------------------------------------------------------
 
@@ -250,28 +259,44 @@ def apply_f(system: TriangleSystem, index, x, tol_factor: float = 1e-7) -> Surfa
     digits = mi_validate(index)
     if not digits:
         raise DomainError("apply_f needs a nonempty multi-index")
-    parent = system.cell(digits[:-1])
-    digit = digits[-1]
-    x_arr = _as_point_array(x)
-    apex = parent.vertex_array()[digit - 1]
-    if np.allclose(x_arr, apex, atol=1e-15):
-        return SurfacePoint(float(apex[0]), float(apex[1]))
+    out = _apply_f_many(system, [digits], _as_point_array(x)[None, :], tol_factor)[0, 0]
+    return SurfacePoint(float(out[0]), float(out[1]))
+
+
+def _apply_f_many(system: TriangleSystem, cells, xs, tol_factor: float = 1e-7) -> np.ndarray:
+    """Images of the parent points ``xs`` under the map onto each of ``cells``.
+
+    Returns an array of shape (len(cells), len(xs), 2).  The images come
+    out of the inversion passes themselves, one pass per group of rows.
+    Raises InversionError naming the cell when a recovery residual exceeds
+    ``tol_factor`` times the parent diameter.
+    """
+    parents = [system.cell(digits[:-1]) for digits in cells]
+    # each parent's table holds its three apex frames; row 3 p + d - 1 is the
+    # frame of apex d of parent p
+    frames = tuple(np.concatenate(f) for f in zip(*(p._frame_table() for p in parents)))
+    n = len(xs)
+    x = np.tile(xs, (len(cells), 1))
+    rows = np.repeat([3 * p + d[-1] - 1 for p, d in enumerate(cells)], n)
+    apex = frames[0][rows]
     if system.surface.flat:
-        out = apex + 0.5 * (x_arr - apex)
-        return SurfacePoint(float(out[0]), float(out[1]))
-    tol = tol_factor * parent.diam
-    try:
-        t, s, resid = parent.invert_phi(digit, x_arr, tol=tol)
-    except InversionError as exc:
-        raise InversionError(
-            f"apply_f parameter recovery failed on cell {mi_str(digits)}: {exc}"
-        ) from exc
-    if resid > tol:
-        raise InversionError(
-            f"apply_f recovery residual {resid:.3e} exceeds {tol:.3e} "
-            f"on cell {mi_str(digits)}"
+        return (apex + 0.5 * (x - apex)).reshape(len(cells), n, 2)
+    tol = np.repeat([tol_factor * p.diam for p in parents], n)
+    out = apex.copy()
+    rest = np.flatnonzero(~np.all(np.isclose(x, apex, atol=1e-15), axis=1))
+    for lo in range(0, len(rest), _STACK_ROWS):
+        r = rest[lo:lo + _STACK_ROWS]
+        _, _, resid, out[r] = _invert_rows(
+            system.surface, frames, rows[r], x[r], tol[r], image_scale=0.5
         )
-    return parent.phi(digit, t, s / 2.0)
+        bad = np.flatnonzero(resid > tol[r])
+        if len(bad):
+            row = bad[0]
+            raise InversionError(
+                f"apply_f recovery residual {resid[row]:.3e} exceeds {tol[r][row]:.3e} "
+                f"on cell {mi_str(cells[r[row] // n])}"
+            )
+    return out.reshape(len(cells), n, 2)
 
 
 # -- similarity audits ----------------------------------------------------
@@ -329,63 +354,116 @@ class SimilarityAudit:
     parent_diam: float
 
 
-def _audit_pairs(system, digits, n_pairs, seed):
-    parent = system.cell(digits[:-1])
-    digit = digits[-1]
-    pts = _audit_parameter_grid(n_pairs, seed)
-    t1, s1, t2, s2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    cutoff = 1e-6 * parent.diam
-    if system.surface.flat:
-        apex, p_j, p_k = parent._apex_frame(digit)
-        e_k = p_k - apex
-        e_j = p_j - apex
+def _parent_arrays(system: TriangleSystem, cells):
+    """Vertices (C, 3, 2) and diameters (C,) of the parents of ``cells``."""
+    verts = np.empty((len(cells), 3, 2))
+    diams = np.empty(len(cells))
+    for r, digits in enumerate(cells):
+        lv = system.level(len(digits) - 1)
+        code = mi_code(digits[:-1])
+        verts[r] = lv.vertices[code]
+        diams[r] = np.max(lv.side_lengths[code])
+    return verts, diams
+
+
+def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
+    """Pair-dilation ratios d(f x, f y) / d(x, y) of the maps onto ``cells``.
+
+    Returns one ratio array per cell and the parent diameters.  On curved
+    charts the cells go out in stacked groups: one side-direction solve for
+    their apexes, one parametrization pass for the points x, y, f x and f y
+    of every pair, and one distance solve for both distance sets.
+    """
+    if n_pairs < 100:
+        raise DomainError("the sampling budget must be at least 100 pairs")
+    grid = _audit_parameter_grid(n_pairs, seed)
+    t1, s1, t2, s2 = grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3]
+    verts, diams = _parent_arrays(system, cells)
+    rows = np.arange(len(cells))
+    i = np.array([digits[-1] - 1 for digits in cells])
+    apex, p_j, p_k = verts[rows, i], verts[rows, (i + 1) % 3], verts[rows, (i + 2) % 3]
+    surface = system.surface
+    if surface.flat:
+        e_k = (p_k - apex)[:, None, :]
+        e_j = (p_j - apex)[:, None, :]
         # displacement of phi(t1,s1) - phi(t2,s2) in the apex frame; the
         # halved-parameter displacement is exactly half of it in floating
         # point, so flat deviations vanish identically.
-        ca = s1 * (1 - t1) - s2 * (1 - t2)
-        cb = s1 * t1 - s2 * t2
-        dx = ca[:, None] * e_k[None, :] + cb[:, None] * e_j[None, :]
-        d = np.hypot(dx[:, 0], dx[:, 1])
-        mask = d >= cutoff
+        ca = (s1 * (1 - t1) - s2 * (1 - t2))[None, :, None]
+        cb = (s1 * t1 - s2 * t2)[None, :, None]
+        dx = ca * e_k + cb * e_j
+        ca_h = ((s1 / 2) * (1 - t1) - (s2 / 2) * (1 - t2))[None, :, None]
+        cb_h = ((s1 / 2) * t1 - (s2 / 2) * t2)[None, :, None]
+        dxh = ca_h * e_k + cb_h * e_j
+        d = np.hypot(dx[..., 0], dx[..., 1])
+        df = np.hypot(dxh[..., 0], dxh[..., 1])
+    else:
+        n = len(grid)
+        ts = np.concatenate([t1, t2, t1, t2])
+        ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
+        # fewest groups under the cap, with the cells spread evenly over them
+        groups = -(-len(cells) // max(1, _STACK_ROWS // (4 * n)))
+        group = -(-len(cells) // groups)
+        frames = _frames(surface, apex, p_j, p_k)
+        d = np.empty((len(cells), n))
+        df = np.empty((len(cells), n))
+        for lo in range(0, len(cells), group):
+            g = rows[lo:lo + group]
+            d[g], df[g] = _pair_distances(surface, frames, g, ts, ss)
+    ratios = []
+    for row, diam in enumerate(diams):
+        mask = d[row] >= 1e-6 * diam
         if not np.any(mask):
             raise DomainError("all sampled audit pairs are degenerate")
-        ca_h = (s1 / 2) * (1 - t1) - (s2 / 2) * (1 - t2)
-        cb_h = (s1 / 2) * t1 - (s2 / 2) * t2
-        dxh = ca_h[:, None] * e_k[None, :] + cb_h[:, None] * e_j[None, :]
-        dh = np.hypot(dxh[:, 0], dxh[:, 1])
-        return dh[mask] / d[mask], parent
-    xs = parent.phi_many(digit, t1, s1)
-    ys = parent.phi_many(digit, t2, s2)
-    d = system.surface.distance_many(xs, ys)
-    mask = d >= cutoff
-    if not np.any(mask):
-        raise DomainError("all sampled audit pairs are degenerate")
-    fxs = parent.phi_many(digit, t1[mask], s1[mask] / 2)
-    fys = parent.phi_many(digit, t2[mask], s2[mask] / 2)
-    df = system.surface.distance_many(fxs, fys)
-    return df / d[mask], parent
+        ratios.append(df[row][mask] / d[row][mask])
+    return ratios, diams
+
+
+def _pair_distances(surface, frames, cells, ts, ss):
+    """Distances d(x, y) and d(f x, f y), as an array (2, len(cells), pairs).
+
+    ``cells`` are rows of the frame table; ``ts`` and ``ss`` list the
+    parameters of x, y, f x and f y of every pair.  All points of all cells
+    go through one parametrization pass, and both distance sets through
+    one shooting solve.
+    """
+    m, n = len(cells), len(ts) // 4
+    pts = _phi_rows(surface, frames, np.repeat(cells, 4 * n), np.tile(ts, m), np.tile(ss, m))
+    pts = pts.reshape(m, 4, n, 2)
+    starts = np.concatenate([pts[:, 0], pts[:, 2]]).reshape(-1, 2)
+    ends = np.concatenate([pts[:, 1], pts[:, 3]]).reshape(-1, 2)
+    return surface.distance_many(starts, ends).reshape(2, m, n)
+
+
+def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
+    """Audits of the maps onto ``cells`` against the current gauge."""
+    ratios, diams = _audit_ratios(system, cells, n_pairs, seed)
+    c = system.gauge_c if system.gauge_c is not None else 0.0
+    audits = []
+    for digits, r, diam in zip(cells, ratios, diams):
+        dev = float(np.max(np.abs(r - 0.5)))
+        diam = float(diam)
+        envelope = 0.5 * c * diam**2
+        audits.append(
+            SimilarityAudit(
+                index=digits,
+                lam=0.5,
+                max_ratio_deviation=dev,
+                envelope=envelope,
+                passed=dev <= envelope,
+                pairs_used=int(len(r)),
+                parent_diam=diam,
+            )
+        )
+    return audits
 
 
 def audit_similarity(system: TriangleSystem, index, n_pairs: int = 100, seed: int = 0) -> SimilarityAudit:
     """Sample pair dilations of the map onto cell ``index``."""
-    if n_pairs < 100:
-        raise DomainError("the sampling budget must be at least 100 pairs")
     digits = mi_validate(index)
     if not digits:
         raise DomainError("audit needs a nonempty multi-index")
-    ratios, parent = _audit_pairs(system, digits, n_pairs, seed)
-    dev = float(np.max(np.abs(ratios - 0.5)))
-    c = system.gauge_c if system.gauge_c is not None else 0.0
-    envelope = 0.5 * c * parent.diam**2
-    return SimilarityAudit(
-        index=digits,
-        lam=0.5,
-        max_ratio_deviation=dev,
-        envelope=envelope,
-        passed=dev <= envelope,
-        pairs_used=int(len(ratios)),
-        parent_diam=parent.diam,
-    )
+    return _similarity_audits(system, [digits], n_pairs, seed)[0]
 
 
 def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: int = 100, seed: int = 0) -> float:
@@ -395,31 +473,21 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
     whose parent sits at depth <= max_parent_depth; deeper audits then test
     the frozen value.
     """
+    cells = [
+        index
+        for n in range(1, min(max_parent_depth + 1, system.depth) + 1)
+        for index in system.indices(n)
+    ]
     worst = 0.0
-    for n in range(1, min(max_parent_depth + 1, system.depth) + 1):
-        for index in system.indices(n):
-            audit = audit_similarity(system, index, n_pairs=n_pairs, seed=seed)
-            slope = audit.max_ratio_deviation / (0.5 * audit.parent_diam**2)
-            worst = max(worst, slope)
+    for audit in _similarity_audits(system, cells, n_pairs, seed):
+        slope = audit.max_ratio_deviation / (0.5 * audit.parent_diam**2)
+        worst = max(worst, slope)
     system.gauge_c = 1.5 * worst
     return system.gauge_c
 
 
-def _worker_count(threads=None) -> int:
-    import os
-
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("GEOGASKET_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0, threads=None):
-    """Audit a deterministic sample of cells at every level.
-
-    Audits are independent per cell; with more than one worker they run on
-    a thread pool (the numeric kernels release the GIL).
-    """
+def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
+    """Audit a deterministic sample of cells at every level."""
     indices = []
     for n in range(1, system.depth + 1):
         total = 3**n
@@ -430,15 +498,7 @@ def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int
                 np.linspace(0, total - 1, cells_per_level).astype(int)
             )
         indices.extend(mi_from_code(int(code), n) for code in codes)
-    workers = _worker_count(threads)
-    if workers == 1:
-        return [audit_similarity(system, i, n_pairs=n_pairs, seed=seed) for i in indices]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda i: audit_similarity(system, i, n_pairs=n_pairs, seed=seed), indices)
-        )
+    return _similarity_audits(system, indices, n_pairs, seed)
 
 
 # -- quotient drift and diameter products ---------------------------------
@@ -572,33 +632,39 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor:
     Membership is tested through the inverse parametrization; residuals
     are reported relative to the parent diameter.
     """
-    checked = 0
-    worst = 0.0
-    all_inside = True
     rng = np.random.default_rng(seed)
+    cells = []
     for n in range(1, system.depth + 1):
         total = 3**n
         if total <= cells_per_level:
             codes = np.arange(total)
         else:
             codes = rng.choice(total, size=cells_per_level, replace=False)
-        for code in codes:
-            digits = mi_from_code(int(code), n)
-            parent = system.cell(digits[:-1])
-            child = system.cell(digits)
-            tol = tol_factor * parent.diam
-            verts = child.vertex_array()
-            if system.surface.flat:
-                inside_all = bool(np.all(parent.contains_many(verts, tol=1e-12)))
-                resid_max = 0.0
-            else:
-                _, ss, resid = parent.invert_phi_many(1, verts, tol=0.05 * tol)
-                inside_all = bool(np.all((ss <= 1 + 1e-9) & (resid <= tol)))
-                resid_max = float(np.max(resid))
-            checked += len(verts)
-            worst = max(worst, resid_max / max(parent.diam, 1e-300))
-            all_inside = all_inside and inside_all
-    return NestingReport(checked=checked, max_residual_factor=worst, all_inside=all_inside)
+        cells.extend(mi_from_code(int(code), n) for code in codes)
+    verts, diams = _parent_arrays(system, cells)
+    xs = np.concatenate([system.level(len(d)).vertices[mi_code(d)] for d in cells])
+    # one row per child vertex, in the frame of its parent's vertex 1
+    rows = np.repeat(np.arange(len(cells)), 3)
+    diam_rows = diams[rows]
+    tol = tol_factor * diam_rows
+    if system.surface.flat:
+        a, b = _chart_coords(*(verts[rows, i] for i in range(3)), xs)
+        inside = (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12)
+        resid = np.zeros(len(xs))
+    else:
+        frames = _frames(system.surface, verts[:, 0], verts[:, 1], verts[:, 2])
+        ss = np.empty(len(xs))
+        resid = np.empty(len(xs))
+        for lo in range(0, len(xs), _STACK_ROWS):
+            g = slice(lo, lo + _STACK_ROWS)
+            _, ss[g], resid[g], _ = _invert_rows(
+                system.surface, frames, rows[g], xs[g], 0.05 * tol[g]
+            )
+        inside = (ss <= 1 + 1e-9) & (resid <= tol)
+    worst = float(np.max(resid / np.maximum(diam_rows, 1e-300)))
+    return NestingReport(
+        checked=len(xs), max_residual_factor=max(worst, 0.0), all_inside=bool(np.all(inside))
+    )
 
 
 @dataclass

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
-from .gasket import TriangleSystem, apply_f, mi_validate
+from .gasket import TriangleSystem, _apply_f_many, mi_validate
 from .surfaces import SurfacePoint, _as_point_array
 
 WEIGHT_TOL = 1e-12
@@ -218,17 +218,6 @@ def kr_distance_bounded(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
 # -- push-forward fixed point -------------------------------------------------
 
 
-def _apply_digit_batch(system: TriangleSystem, digit: int, pts: np.ndarray) -> np.ndarray:
-    """Apply the first-level map toward vertex ``digit`` to many points."""
-    if system.surface.flat:
-        apex = system.base.vertex_array()[digit - 1]
-        return apex + 0.5 * (pts - apex)
-    out = np.empty_like(pts)
-    for i, p in enumerate(pts):
-        out[i] = apply_f(system, (digit,), p).as_array()
-    return out
-
-
 def _descend_cells(system: TriangleSystem, pts: np.ndarray, depth: int) -> np.ndarray:
     """Depth-d cell code of each point by barycentric digit descent.
 
@@ -315,13 +304,10 @@ def pushforward_fixpoint(
     trace = []
     resampled_at = []
     for m in range(iterations):
-        parts = []
-        ws = []
-        for a, digit in zip(weights, digits):
-            parts.append(_apply_digit_batch(system, digit, current.points))
-            ws.append(a * current.weights)
+        images = _apply_f_many(system, [(digit,) for digit in digits], current.points)
+        ws = [a * current.weights for a in weights]
         nxt = DiscreteMeasure(
-            system.surface, np.vstack(parts), np.concatenate(ws)
+            system.surface, images.reshape(-1, 2), np.concatenate(ws)
         ).deduped()
         if len(nxt) > atom_budget:
             if not resampling:

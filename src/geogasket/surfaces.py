@@ -77,6 +77,20 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = _DP_B5 - _DP_B4
+
+
+def _combine(coeffs, k):
+    """Stage combination sum_i coeffs[i] k[i], evaluated row-wise.
+
+    Spelled out term by term rather than as a matrix product, whose
+    summation order may depend on the batch size.
+    """
+    acc = coeffs[0] * k[0]
+    for c, ki in zip(coeffs[1:], k[1:]):
+        if c:
+            acc += c * ki
+    return acc
 
 
 class SurfaceModel:
@@ -222,43 +236,54 @@ class SurfaceModel:
         out[:, 3] = -(g2_11 * p * p + 2 * g2_12 * p * q + g2_22 * q * q)
         return out
 
-    def _integrate(self, y0, t_end=1.0, check_escape=True):
-        """Adaptive embedded RK4(5) over t in [0, t_end] for a batch.
+    def _integrate(self, y):
+        """Adaptive embedded RK4(5) over t in [0, 1] for a batch, in place.
 
-        Step acceptance uses the max scaled-error over the batch, which is
-        conservative for mixed batches but keeps every trajectory at
-        tolerance.
+        Every row carries its own time and step size and accepts or rejects
+        its own step (Hairer, Norsett & Wanner, Solving ODEs I, II.4); only
+        unfinished rows are evaluated.  All arithmetic is row-wise, so a
+        trajectory gives bitwise the same result alone as in any batch.
         """
-        y = np.array(y0, dtype=float)
-        if y.ndim == 1:
-            y = y[None, :]
-        t = 0.0
-        if t_end == 0.0:
-            return y
-        h = min(0.1, t_end)
-        k = [None] * 7
-        while t < t_end:
-            h = min(h, t_end - t)
-            k[0] = self._ode_rhs(y)
-            for i in range(1, 7):
-                yi = y + h * np.tensordot(_DP_A[i], np.stack(k[:i]), axes=(0, 0))
-                k[i] = self._ode_rhs(yi)
-            kk = np.stack(k)
-            y5 = y + h * np.tensordot(_DP_B5, kk, axes=(0, 0))
-            y4 = y + h * np.tensordot(_DP_B4, kk, axes=(0, 0))
-            scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2, axis=1))
-            err_max = float(np.max(err)) if err.size else 0.0
-            if err_max <= 1.0:
-                t += h
-                y = y5
-                if check_escape and not np.all(self.contains(y[:, :2])):
-                    raise ChartEscapeError(t)
-            factor = 0.9 * (err_max ** -0.2) if err_max > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            if h < 1e-14:
-                raise DomainError("geodesic integrator step size underflow")
+        t = np.zeros(len(y))
+        h = np.full(len(y), 0.1)
+        live = np.arange(len(y))
+        while len(live):
+            live = self._step(y, t, h, live)
         return y
+
+    def _step(self, y, t, h, live):
+        """One step of the unfinished rows ``live``; returns those still unfinished.
+
+        A function of its own, so that the stages of a step are freed
+        before the next step allocates its own.
+        """
+        yl = y if len(live) == len(y) else y[live]
+        rest = 1.0 - t[live]
+        last = h[live] >= rest
+        hl = np.where(last, rest, h[live])[:, None]
+        k = [self._ode_rhs(yl)]
+        for i in range(1, 7):
+            stage = _combine(_DP_A[i], k)
+            stage *= hl
+            stage += yl
+            k.append(self._ode_rhs(stage))
+        y5 = yl + hl * _combine(_DP_B5, k)
+        scale = self.atol + self.rtol * np.maximum(np.abs(yl), np.abs(y5))
+        e = hl * _combine(_DP_E, k) / scale
+        err = np.sqrt((e[:, 0] ** 2 + e[:, 1] ** 2 + e[:, 2] ** 2 + e[:, 3] ** 2) / 4)
+        ok = err <= 1.0
+        acc = live[ok]
+        t[acc] = np.where(last[ok], 1.0, t[acc] + hl[ok, 0])
+        y[acc] = y5[ok]
+        out = ~self.contains(y5[ok, :2])
+        if np.any(out):
+            raise ChartEscapeError(float(t[acc[out][0]]))
+        factor = np.where(err > 0, 0.9 * np.maximum(err, 1e-300) ** -0.2, 5.0)
+        h[live] = hl[:, 0] * np.clip(factor, 0.2, 5.0)
+        live = live[t[live] < 1.0]
+        if np.any(h[live] < 1e-14):
+            raise DomainError("geodesic integrator step size underflow")
+        return live
 
     def _flat_exit_parameter(self, pts, disp) -> float:
         """Earliest boundary-crossing fraction of straight chart segments."""
@@ -287,11 +312,10 @@ class SurfaceModel:
             if with_velocity:
                 return out, vels.copy()
             return out
-        y0 = np.concatenate([pts, t * vels], axis=1)
-        y = self._integrate(y0)
+        y = self._integrate(np.concatenate([pts, t * vels], axis=1))
         if with_velocity:
-            return y[:, :2], y[:, 2:] / t
-        return y[:, :2]
+            return y[:, :2].copy(), y[:, 2:] / t
+        return y[:, :2].copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
         """Initial velocities w with exp_p(w) = q, batched Newton shooting.
@@ -305,37 +329,39 @@ class SurfaceModel:
         pts, targets = np.broadcast_arrays(pts, targets)
         if self.flat:
             return targets - pts
-        w = (targets - pts).astype(float).copy()
+        w = targets - pts
         res = self.exp_many(pts, w) - targets
         res_norm = np.hypot(res[:, 0], res[:, 1])
         active = res_norm > tol
         for iteration in range(max_iter):
             if not np.any(active):
                 return w
-            idx = np.where(active)[0]
-            p_a, w_a, r_a = pts[idx], w[idx], res[idx]
-            eps = 1e-7 * (np.hypot(w_a[:, 0], w_a[:, 1]) + 1e-3)
-            e1 = np.zeros_like(w_a)
-            e1[:, 0] = eps
-            e2 = np.zeros_like(w_a)
-            e2[:, 1] = eps
-            x1 = self.exp_many(p_a, w_a + e1)
-            x2 = self.exp_many(p_a, w_a + e2)
-            base = r_a + targets[idx]
-            j11 = (x1[:, 0] - base[:, 0]) / eps
-            j21 = (x1[:, 1] - base[:, 1]) / eps
-            j12 = (x2[:, 0] - base[:, 0]) / eps
-            j22 = (x2[:, 1] - base[:, 1]) / eps
-            det = j11 * j22 - j12 * j21
-            det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-            dw1 = (j22 * r_a[:, 0] - j12 * r_a[:, 1]) / det
-            dw2 = (-j21 * r_a[:, 0] + j11 * r_a[:, 1]) / det
-            w[idx, 0] -= dw1
-            w[idx, 1] -= dw2
+            idx = slice(None) if np.all(active) else np.flatnonzero(active)
+            w[idx] -= self._newton_step(pts[idx], w[idx], res[idx], targets[idx])
             res[idx] = self.exp_many(pts[idx], w[idx]) - targets[idx]
             res_norm = np.hypot(res[:, 0], res[:, 1])
             active = res_norm > tol
         raise ShootingConvergenceError(float(np.max(res_norm)), max_iter)
+
+    def _newton_step(self, pts, w, res, targets):
+        """Shooting update for velocities w with residuals res = exp(w) - q.
+
+        The 2x2 Jacobian of exp is finite-differenced row by row.
+        """
+        eps = 1e-7 * (np.hypot(w[:, 0], w[:, 1]) + 1e-3)
+        base = res + targets
+        cols = []
+        for axis in (0, 1):
+            w_eps = w.copy()
+            w_eps[:, axis] += eps
+            x = self.exp_many(pts, w_eps)
+            cols.append(((x[:, 0] - base[:, 0]) / eps, (x[:, 1] - base[:, 1]) / eps))
+        (j11, j21), (j12, j22) = cols
+        det = j11 * j22 - j12 * j21
+        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+        dw1 = (j22 * res[:, 0] - j12 * res[:, 1]) / det
+        dw2 = (-j21 * res[:, 0] + j11 * res[:, 1]) / det
+        return np.column_stack([dw1, dw2])
 
     def distance_many(self, pts, targets, **kwargs):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -423,12 +449,6 @@ class GeodesicSegment:
     def point_at(self, t: float) -> SurfacePoint:
         p = self.surface.exp_map(self.start, self.initial_velocity, t)
         return p
-
-    def points_at(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        p = self.start.as_array()[None, :]
-        w = self.initial_velocity[None, :]
-        return np.vstack([self.surface.exp_many(p, w, float(t))[0] for t in ts])
 
     def speed_at(self, t: float) -> float:
         p = self.start.as_array()[None, :]

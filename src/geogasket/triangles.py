@@ -178,6 +178,126 @@ def perturbation_epsilon(delta: float) -> float:
     return eps / 2.0
 
 
+# Iteration limit of the parameter recovery behind invert_phi.
+INVERT_MAXITER = 60
+
+
+def _chart_coords(apex, p_j, p_k, xs):
+    """Chart-barycentric coordinates (a, b) with
+    xs = apex + a (p_k - apex) + b (p_j - apex).
+
+    The frame points are either single (2,) points or (N, 2) rows matching xs.
+    """
+    e_k = p_k - apex
+    e_j = p_j - apex
+    det = e_k[..., 0] * e_j[..., 1] - e_k[..., 1] * e_j[..., 0]
+    rhs = xs - apex
+    a = (rhs[:, 0] * e_j[..., 1] - rhs[:, 1] * e_j[..., 0]) / det
+    b = (e_k[..., 0] * rhs[:, 1] - e_k[..., 1] * rhs[:, 0]) / det
+    return a, b
+
+
+def _frames(surface, apex, p_j, p_k):
+    """Apex frame table (apex, p_j, p_k, w_to_k, w_to_j), one frame per row.
+
+    The side directions w_to_k = log(apex, p_k) and w_to_j = log(apex, p_j)
+    of all frames come out of one solve.
+    """
+    n = len(apex)
+    w = surface.log_many(np.vstack([apex, apex]), np.vstack([p_k, p_j]))
+    return apex, p_j, p_k, w[:n], w[n:]
+
+
+def _side_points(surface, frames, rows, ss):
+    """exp(apex, s w_to_k) and exp(apex, s w_to_j) for frames[rows] and ss.
+
+    Rows with the same frame and s share both points and are solved once.
+    """
+    apex, _, _, w_to_k, w_to_j = frames
+    key, inv = np.unique(np.column_stack([rows, ss]), axis=0, return_inverse=True)
+    r = key[:, 0].astype(int)
+    s = key[:, 1:]
+    n = len(key)
+    sides = surface.exp_many(
+        np.vstack([apex[r], apex[r]]), np.vstack([w_to_k[r] * s, w_to_j[r] * s])
+    )
+    return sides[:n][inv], sides[n:][inv]
+
+
+def _phi_rows(surface, frames, rows, ts, ss):
+    """Parametrization points, point i in the apex frame frames[rows[i]].
+
+    Point i is the one at parameter ts[i] on the cross geodesic between
+    exp(apex, ss[i] w_to_k) and exp(apex, ss[i] w_to_j).  Every point is
+    solved independently, so the points of many cells can share one pass.
+    """
+    side_a, side_b = _side_points(surface, frames, rows, ss)
+    w_cross = surface.log_many(side_a, side_b)
+    return surface.exp_many(side_a, w_cross * ts[:, None])
+
+
+def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_scale=None):
+    """Recover (t, s) with _phi_rows(surface, frames, rows, t, s) = xs.
+
+    Seeded from chart-barycentric coordinates, then a damped quasi-Newton
+    iteration with the chart-chord Jacobian: the parametrization is a mild
+    distortion of affine coordinates on the working domains, so the fixed
+    flat Jacobian contracts.  A point whose residual did not decrease takes
+    a half step.  Only unconverged points are evaluated; ``tol`` may be one
+    value or one per point.  Returns (T, S, residuals, images): the images
+    are the points at (T, image_scale * S), evaluated in the same passes,
+    or None without ``image_scale``.  The flat model is exact.
+    """
+    apex, p_j, p_k = frames[:3]
+    a, b = _chart_coords(apex[rows], p_j[rows], p_k[rows], xs)
+    ss = a + b
+    safe = np.where(np.abs(ss) < 1e-300, 1.0, ss)
+    ts = np.where(np.abs(ss) < 1e-300, 0.0, b / safe)
+    if surface.flat:
+        images = None if image_scale is None else apex[rows] + image_scale * (xs - apex[rows])
+        return ts, ss, np.zeros(len(xs)), images
+    ts = np.clip(ts, 0.0, 1.0)
+    ss = np.clip(ss, 1e-12, 1.0)
+    tol = np.broadcast_to(tol, (len(xs),))
+    e_k = (p_k - apex)[rows]
+    e_j = (p_j - apex)[rows]
+    resid = np.full(len(xs), np.inf)
+    images = None if image_scale is None else np.empty_like(xs)
+    live = np.arange(len(xs))
+    for _ in range(max_iter):
+        if image_scale is None:
+            cur = _phi_rows(surface, frames, rows[live], ts[live], ss[live])
+        else:
+            m = len(live)
+            both = _phi_rows(
+                surface,
+                frames,
+                np.concatenate([rows[live], rows[live]]),
+                np.concatenate([ts[live], ts[live]]),
+                np.concatenate([ss[live], image_scale * ss[live]]),
+            )
+            cur, images[live] = both[:m], both[m:]
+        r = cur - xs[live]
+        res = np.hypot(r[:, 0], r[:, 1])
+        prev = resid[live]
+        resid[live] = res
+        keep = res > tol[live]
+        live, r, res, prev = live[keep], r[keep], res[keep], prev[keep]
+        if not len(live):
+            break
+        t, s = ts[live], ss[live]
+        d_dt = s[:, None] * (e_j[live] - e_k[live])
+        d_ds = (1 - t)[:, None] * e_k[live] + t[:, None] * e_j[live]
+        jdet = d_dt[:, 0] * d_ds[:, 1] - d_dt[:, 1] * d_ds[:, 0]
+        jdet = np.where(np.abs(jdet) < 1e-300, 1e-300, jdet)
+        dt = (r[:, 0] * d_ds[:, 1] - r[:, 1] * d_ds[:, 0]) / jdet
+        ds = (d_dt[:, 0] * r[:, 1] - d_dt[:, 1] * r[:, 0]) / jdet
+        damp = np.where(res < prev, 1.0, 0.5)
+        ts[live] = np.clip(t - damp * dt, 0.0, 1.0)
+        ss[live] = np.clip(s - damp * ds, 1e-12, 1.0)
+    return ts, ss, resid, images
+
+
 class GeodesicTriangleRegion:
     """A triangle region bounded by three minimal geodesics.
 
@@ -199,8 +319,7 @@ class GeodesicTriangleRegion:
                 f"triangle diameter {self.diam:.4g} exceeds the curved-surface "
                 f"guard {CONVEXITY_GUARD}"
             )
-        self._segments = {}
-        self._apex_log_cache = {}
+        self._frame_cache = None
 
     @classmethod
     def from_vertices(cls, surface, p1, p2, p3) -> "GeodesicTriangleRegion":
@@ -217,17 +336,6 @@ class GeodesicTriangleRegion:
     def vertex_array(self) -> np.ndarray:
         return np.vstack([p.as_array() for p in self.vertices])
 
-    def side_segment(self, i: int):
-        """GeodesicSegment of side i (1-based), oriented per the convention."""
-        if i not in (1, 2, 3):
-            raise DomainError("side index must be 1, 2 or 3")
-        if i not in self._segments:
-            order = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[i]
-            self._segments[i] = self.surface.geodesic_between(
-                self.vertices[order[0]], self.vertices[order[1]]
-            )
-        return self._segments[i]
-
     # -- parametrization ----------------------------------------------
 
     def _apex_frame(self, vertex_index: int):
@@ -239,14 +347,12 @@ class GeodesicTriangleRegion:
         pts = self.vertex_array()
         return pts[i], pts[j], pts[k]
 
-    def _apex_logs(self, vertex_index: int):
-        """Cached side directions (toward p_k, toward p_j) at the apex."""
-        if vertex_index not in self._apex_log_cache:
-            apex, p_j, p_k = self._apex_frame(vertex_index)
-            w_to_k = self.surface.log_many(apex[None, :], p_k[None, :])[0]
-            w_to_j = self.surface.log_many(apex[None, :], p_j[None, :])[0]
-            self._apex_log_cache[vertex_index] = (w_to_k, w_to_j)
-        return self._apex_log_cache[vertex_index]
+    def _frame_table(self):
+        """Cached frame table of apexes 1, 2, 3 (rows 0, 1, 2), see _frames."""
+        if self._frame_cache is None:
+            pts = self.vertex_array()
+            self._frame_cache = _frames(self.surface, pts, pts[[1, 2, 0]], pts[[2, 0, 1]])
+        return self._frame_cache
 
     def phi_many(self, vertex_index: int, ts, ss) -> np.ndarray:
         """Batched parametrization points for arrays of (t, s)."""
@@ -254,137 +360,51 @@ class GeodesicTriangleRegion:
         ss = np.asarray(ss, dtype=float)
         if np.any((ts < 0) | (ts > 1)) or np.any((ss < 0) | (ss > 1)):
             raise DomainError("parameters must satisfy t in [0,1], s in [0,1]")
-        apex, p_j, p_k = self._apex_frame(vertex_index)
-        surface = self.surface
+        self._apex_frame(vertex_index)
         n = max(len(np.atleast_1d(ts)), len(np.atleast_1d(ss)))
         ts = np.broadcast_to(np.atleast_1d(ts), (n,))
         ss = np.broadcast_to(np.atleast_1d(ss), (n,))
-        w_to_k, w_to_j = self._apex_logs(vertex_index)
-        base = np.broadcast_to(apex, (n, 2))
-        side_a = surface.exp_many(base, w_to_k[None, :] * ss[:, None])
-        side_b = surface.exp_many(base, w_to_j[None, :] * ss[:, None])
-        w_cross = surface.log_many(side_a, side_b)
-        return surface.exp_many(side_a, w_cross * ts[:, None])
+        rows = np.full(n, vertex_index - 1)
+        return _phi_rows(self.surface, self._frame_table(), rows, ts, ss)
 
     def phi(self, vertex_index: int, t: float, s: float) -> SurfacePoint:
         """Point on the cross geodesic at parameters (t, s) from the apex."""
         out = self.phi_many(vertex_index, [t], [s])[0]
         return SurfacePoint(float(out[0]), float(out[1]))
 
-    def invert_phi(self, vertex_index: int, x, tol=1e-9, max_iter=60):
+    def invert_phi(self, vertex_index: int, x, tol=1e-9, max_iter=INVERT_MAXITER):
         """Recover (t, s) with phi(t, s) = x; returns (t, s, residual).
 
-        Damped quasi-Newton iteration using the chart-chord Jacobian; the
-        parametrization is a mild distortion of affine coordinates on the
-        working domains, so the fixed flat Jacobian contracts.
+        Raises InversionError when the recovery stalls above ``tol``.
         """
         x = _as_point_array(x)
-        apex, p_j, p_k = self._apex_frame(vertex_index)
-        e_k = p_k - apex
-        e_j = p_j - apex
-        det = e_k[0] * e_j[1] - e_k[1] * e_j[0]
-        if abs(det) < 1e-300:
-            raise InversionError("degenerate chart frame")
+        ts, ss, resid = self.invert_phi_many(vertex_index, x[None, :], tol, max_iter)
+        if resid[0] > tol:
+            raise InversionError(
+                f"parameter recovery stalled at residual {resid[0]:.3e} for x={tuple(x.tolist())}"
+            )
+        return float(ts[0]), float(ss[0]), float(resid[0])
 
-        def chord_params(target):
-            rhs = target - apex
-            a = (rhs[0] * e_j[1] - rhs[1] * e_j[0]) / det
-            b = (e_k[0] * rhs[1] - e_k[1] * rhs[0]) / det
-            s = a + b
-            t = b / s if abs(s) > 1e-300 else 0.0
-            return t, s
-
-        t, s = chord_params(x)
-        if self.surface.flat:
-            resid = float(np.linalg.norm(self.phi_many(vertex_index, [t], [max(s, 0.0)])[0] - x)) if 0 <= s else float("inf")
-            return t, s, resid
-        t = min(max(t, 0.0), 1.0)
-        s = min(max(s, 1e-9), 1.0)
-        prev = float("inf")
-        for _ in range(max_iter):
-            cur = self.phi_many(vertex_index, [t], [s])[0]
-            r = cur - x
-            resid = float(np.hypot(r[0], r[1]))
-            if resid <= tol:
-                return t, s, resid
-            # chart-chord Jacobian of phi at (t, s)
-            d_dt = s * (e_j - e_k)
-            d_ds = (1 - t) * e_k + t * e_j
-            jdet = d_dt[0] * d_ds[1] - d_dt[1] * d_ds[0]
-            if abs(jdet) < 1e-300:
-                raise InversionError("singular parametrization Jacobian")
-            dt = (r[0] * d_ds[1] - r[1] * d_ds[0]) / jdet
-            ds = (d_dt[0] * r[1] - d_dt[1] * r[0]) / jdet
-            damp = 1.0 if resid < prev else 0.5
-            t = min(max(t - damp * dt, 0.0), 1.0)
-            s = min(max(s - damp * ds, 1e-12), 1.0)
-            prev = resid
-        raise InversionError(
-            f"parameter recovery stalled at residual {prev:.3e} for x={tuple(x)}"
-        )
-
-    def invert_phi_many(self, vertex_index: int, xs, tol=1e-9, max_iter=40):
+    def invert_phi_many(self, vertex_index: int, xs, tol=1e-9, max_iter=INVERT_MAXITER):
         """Vectorized parameter recovery; returns (T, S, residuals).
 
         Parameters are clamped to the closed square, so points outside the
         region end with a nonzero residual rather than an error.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        apex, p_j, p_k = self._apex_frame(vertex_index)
-        e_k = p_k - apex
-        e_j = p_j - apex
-        det = e_k[0] * e_j[1] - e_k[1] * e_j[0]
-        rhs = xs - apex
-        a = (rhs[:, 0] * e_j[1] - rhs[:, 1] * e_j[0]) / det
-        b = (e_k[0] * rhs[:, 1] - e_k[1] * rhs[:, 0]) / det
-        ss = a + b
-        safe = np.where(np.abs(ss) < 1e-300, 1.0, ss)
-        ts = np.where(np.abs(ss) < 1e-300, 0.0, b / safe)
-        if self.surface.flat:
-            resid = np.zeros(len(xs))
-            return ts, ss, resid
-        ts = np.clip(ts, 0.0, 1.0)
-        ss = np.clip(ss, 1e-12, 1.0)
-        resid = np.full(len(xs), np.inf)
-        for _ in range(max_iter):
-            cur = self.phi_many(vertex_index, ts, ss)
-            r = cur - xs
-            resid = np.hypot(r[:, 0], r[:, 1])
-            active = resid > tol
-            if not np.any(active):
-                break
-            d_dt = ss[:, None] * (e_j - e_k)[None, :]
-            d_ds = (1 - ts)[:, None] * e_k[None, :] + ts[:, None] * e_j[None, :]
-            jdet = d_dt[:, 0] * d_ds[:, 1] - d_dt[:, 1] * d_ds[:, 0]
-            jdet = np.where(np.abs(jdet) < 1e-300, 1e-300, jdet)
-            dt = (r[:, 0] * d_ds[:, 1] - r[:, 1] * d_ds[:, 0]) / jdet
-            ds = (d_dt[:, 0] * r[:, 1] - d_dt[:, 1] * r[:, 0]) / jdet
-            ts = np.clip(ts - np.where(active, dt, 0.0), 0.0, 1.0)
-            ss = np.clip(ss - np.where(active, ds, 0.0), 1e-12, 1.0)
-        return ts, ss, resid
+        self._apex_frame(vertex_index)
+        rows = np.full(len(xs), vertex_index - 1)
+        return _invert_rows(self.surface, self._frame_table(), rows, xs, tol, max_iter)[:3]
 
     def contains_many(self, xs, tol=1e-9) -> np.ndarray:
         """Vectorized closed-region membership."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        a, b = _chart_coords(*self._apex_frame(1), xs)
         if self.surface.flat:
-            apex, p_j, p_k = self._apex_frame(1)
-            e_k = p_k - apex
-            e_j = p_j - apex
-            det = e_k[0] * e_j[1] - e_k[1] * e_j[0]
-            rhs = xs - apex
-            a = (rhs[:, 0] * e_j[1] - rhs[:, 1] * e_j[0]) / det
-            b = (e_k[0] * rhs[:, 1] - e_k[1] * rhs[:, 0]) / det
             return (a >= -tol) & (b >= -tol) & (a + b <= 1 + tol)
         # chart-barycentric prefilter: curvature distorts barycentric
         # coordinates by O(r^2), far below the 0.05 rejection margin on the
         # guarded working domains
-        apex, p_j, p_k = self._apex_frame(1)
-        e_k = p_k - apex
-        e_j = p_j - apex
-        det = e_k[0] * e_j[1] - e_k[1] * e_j[0]
-        rhs = xs - apex
-        a = (rhs[:, 0] * e_j[1] - rhs[:, 1] * e_j[0]) / det
-        b = (e_k[0] * rhs[:, 1] - e_k[1] * rhs[:, 0]) / det
         margin = 0.05
         near = (a >= -margin) & (b >= -margin) & (a + b <= 1 + margin)
         out = np.zeros(len(xs), dtype=bool)

@@ -5,6 +5,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from geogasket import gasket
 from geogasket.errors import DomainError, InversionError, NondegeneracyError
 from geogasket.gasket import (
     TriangleSystem,
@@ -165,7 +166,7 @@ class TestApplyF:
 
     def test_outside_point_inversion_error(self, sphere_system):
         far = np.array([0.5, 0.5])
-        with pytest.raises(InversionError):
+        with pytest.raises(InversionError, match="on cell 1"):
             apply_f(sphere_system, (1,), far)
 
 
@@ -192,6 +193,23 @@ class TestAudits:
         (d1, v1), (d5, v5) = devs[1], devs[5]
         slope = math.log(v1 / v5) / math.log(d1 / d5)
         assert slope >= 1.8
+
+    def test_single_audit_matches_sweep(self, sphere_system):
+        audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=2, seed=3)
+        for audit in audits[::3]:
+            assert audit_similarity(sphere_system, audit.index, n_pairs=100, seed=3) == audit
+
+    def test_row_cap_does_not_change_results(self, sphere_base, monkeypatch):
+        def run():
+            system = build_system(sphere_base, 3, delta=0.4)
+            c = calibrate_gauge(system, max_parent_depth=1, n_pairs=100, seed=4)
+            sweep = audit_sweep(system, n_pairs=100, cells_per_level=3, seed=4)
+            nest = nesting_check(system, cells_per_level=3, seed=4)
+            return c, sweep, nest
+
+        wide = run()
+        monkeypatch.setattr(gasket, "_STACK_ROWS", 5)
+        assert run() == wide
 
     def test_gauge_calibration_margin(self, sphere_system):
         audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=4, seed=9)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geogasket.errors import CapacityError, DomainError
+from geogasket.gasket import apply_f
 from geogasket.measures import (
     DiscreteMeasure,
     cell_masses,
@@ -185,6 +186,16 @@ class TestPushforward:
             cell_masses(mu, flat_system, 2), cell_masses(snapped, flat_system, 2),
             atol=1e-12,
         )
+
+    def test_curved_batch_matches_apply_f(self, sphere_system):
+        base = sphere_system.base
+        pts = base.phi_many(1, [0.2, 0.5, 0.9], [0.3, 0.6, 0.95])
+        seed = DiscreteMeasure(sphere_system.surface, pts, np.full(3, 1 / 3))
+        report = pushforward_fixpoint(sphere_system, (0.2, 0.3, 0.5), 1, seed)
+        expected = np.array(
+            [apply_f(sphere_system, (d,), p).as_array() for d in (1, 2, 3) for p in pts]
+        )
+        assert np.array_equal(report.final.points, np.unique(expected, axis=0))
 
     def test_curved_small_pushforward(self, sphere_system):
         centroid = sphere_system.base.vertex_array().mean(axis=0)

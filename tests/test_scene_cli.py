@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -208,12 +207,3 @@ class TestMeasureCommand:
         main(["build", flat_scene_path, "--out", out])
         assert main(["measure", out, "--weights", "0.5", "0.5", "0.5"]) == 2
 
-
-def test_threads_flag_sets_env(flat_scene_path, tmp_path, monkeypatch):
-    monkeypatch.delenv("GEOGASKET_THREADS", raising=False)
-    out = str(tmp_path / "sys.json")
-    try:
-        main(["--threads", "2", "build", flat_scene_path, "--depth", "2", "--out", out])
-        assert os.environ.get("GEOGASKET_THREADS") == "2"
-    finally:
-        os.environ.pop("GEOGASKET_THREADS", None)

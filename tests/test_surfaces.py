@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from geogasket.errors import ChartEscapeError, DomainError
+from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
 from geogasket.surfaces import (
     SurfacePoint,
     euclidean_surface,
@@ -33,6 +33,48 @@ class TestExpMap:
     def test_escape_raises(self, eu):
         with pytest.raises(ChartEscapeError):
             eu.exp_map((0.0, 0.0), np.array([200.0, 0.0]), 1.0)
+
+
+class TestBatchIndependence:
+    """A geodesic's result must not depend on the batch that solves it."""
+
+    BUMP = {
+        "chart": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
+        "metric": {
+            "E": "exp(-(u*u + v*v)/8)",
+            "F": "0",
+            "G": "exp(-(u*u + v*v)/8)",
+        },
+    }
+
+    @staticmethod
+    def mixed_batch():
+        # short and long geodesics together, so step sizes differ per row
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-0.3, 0.3, size=(24, 2))
+        vels = rng.uniform(-0.5, 0.5, size=(24, 2))
+        vels *= np.geomspace(1e-4, 1.0, 24)[:, None]
+        return pts, vels
+
+    @pytest.mark.parametrize("kind", ["sphere", "bump"])
+    def test_exp_many_rows_equal_alone(self, kind, request):
+        surface = (
+            surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
+        pts, vels = self.mixed_batch()
+        batch = surface.exp_many(pts, vels)
+        alone = np.vstack([surface.exp_many(p[None], w[None]) for p, w in zip(pts, vels)])
+        assert np.array_equal(batch, alone)
+
+    def test_escape_inside_mixed_batch(self, sphere):
+        pts, vels = self.mixed_batch()
+        vels[7] = (3.0, 0.0)  # runs past the chart edge toward the south pole
+        with pytest.raises(ChartEscapeError):
+            sphere.exp_many(pts, vels)
+
+    def test_shooting_stall_raises(self, sphere):
+        with pytest.raises(ShootingConvergenceError):
+            sphere.log_many([[0.0, 0.0], [0.1, 0.1]], [[0.5, 0.3], [0.12, 0.1]], max_iter=1)
 
 
 class TestLogMap:
