@@ -18,14 +18,7 @@ import numpy as np
 
 from . import gasket
 from .dimension import box_dimension_estimate, dimension_report_csv, solve_moran
-from .errors import (
-    ConvexityGuardError,
-    DegenerateTriangleError,
-    DomainError,
-    GeogasketError,
-    NondegeneracyError,
-    SceneValidationError,
-)
+from .errors import CapacityError, DomainError, GeogasketError, SceneValidationError
 from .measures import (
     DiscreteMeasure,
     cell_masses,
@@ -56,11 +49,10 @@ def cmd_moran(args) -> int:
 def _load_system(path):
     try:
         with open(path) as fh:
-            text = fh.read()
-        doc = json.loads(text)
+            doc = json.load(fh)
         validate_system_doc(doc)
-        return gasket.system_from_json(text)
-    except (OSError, json.JSONDecodeError, SceneValidationError, KeyError) as exc:
+        return gasket._system_from_doc(doc)
+    except (OSError, KeyError, ValueError, GeogasketError) as exc:
         raise SceneValidationError(f"cannot load system {path}: {exc}") from exc
 
 
@@ -75,19 +67,16 @@ def cmd_build(args) -> int:
         surface = scene.surface()
         base = scene.base_triangle(surface)
         system = gasket.build_system(base, depth, scene.delta)
-    except NondegeneracyError as exc:
+        gasket.calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)
+        audits = gasket.audit_sweep(
+            system,
+            n_pairs=scene.audit_pairs,
+            cells_per_level=scene.cells_per_level,
+            seed=scene.seed,
+        )
+    except GeogasketError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except (ConvexityGuardError, DegenerateTriangleError, GeogasketError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    gasket.calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)
-    audits = gasket.audit_sweep(
-        system,
-        n_pairs=scene.audit_pairs,
-        cells_per_level=scene.cells_per_level,
-        seed=scene.seed,
-    )
     surface_doc = scene.surface_spec
     text = gasket.system_to_json(system, audits=audits, surface_doc=surface_doc)
     with open(args.out, "w") as fh:
@@ -207,9 +196,13 @@ def cmd_measure(args) -> int:
         return EXIT_INPUT
     centroid = system.base.vertex_array().mean(axis=0)
     seed = DiscreteMeasure.point_mass(system.surface, centroid)
-    report = pushforward_fixpoint(
-        system, weights, args.iters, seed, atom_budget=args.atom_budget
-    )
+    try:
+        report = pushforward_fixpoint(
+            system, weights, args.iters, seed, atom_budget=args.atom_budget
+        )
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     print("kr trace:", " ".join(f"{v:.6e}" for v in report.trace_values))
     ratios = trace_ratios(report.trace_values)
     if ratios:

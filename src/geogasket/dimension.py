@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from .errors import DepthExhaustedError, DomainError
 from .metric_core import CoverRecord
 from .gasket import TriangleSystem, mi_from_code, mi_str
+from .triangles import _chart_coords
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class RatioList:
     @property
     def lambda_max(self) -> float:
         return max(self.lambdas)
-
-    @property
-    def lambda_min(self) -> float:
-        return min(self.lambdas)
 
 
 @dataclass(frozen=True)
@@ -539,12 +536,7 @@ def disjoint_ball_intersection_count(
 
 def _point_triangle_distance_flat(p: np.ndarray, tri: np.ndarray) -> float:
     """Exact Euclidean distance from a point to a closed triangle."""
-    e1 = tri[1] - tri[0]
-    e2 = tri[2] - tri[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    rhs = p - tri[0]
-    a = (rhs[0] * e2[1] - rhs[1] * e2[0]) / det
-    b = (e1[0] * rhs[1] - e1[1] * rhs[0]) / det
+    (a,), (b,) = _chart_coords(tri[0], tri[2], tri[1], p[None, :])
     if a >= 0 and b >= 0 and a + b <= 1:
         return 0.0
     best = math.inf

@@ -1,23 +1,24 @@
-"""Tiny arithmetic expression grammar for user-supplied metric components.
+"""Arithmetic expressions for user-supplied metric components.
 
 Accepted syntax (documented in the README):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := unary ('**' factor)?          # right associative
-    unary   := '-' unary | atom
-    atom    := NUMBER | 'u' | 'v' | 'pi' | 'e'
-             | FUNC '(' expr ')'
-             | 'pow' '(' expr ',' expr ')'
-             | '(' expr ')'
+    factor  := '-' factor | atom ('**' factor)?      # right associative
+    atom    := NUMBER | 'u' | 'v' | 'pi' | 'e' | FUNC '(' expr ')'
+             | 'pow' '(' expr ',' expr ')' | '(' expr ')'
     FUNC    := exp | log | sin | cos | sinh | cosh | sqrt | tanh
 
-Parse errors raise :class:`ExpressionError` citing line and column.
-Compiled expressions evaluate on numpy arrays.
+NUMBER is a decimal literal (``2``, ``007``, ``0.5``, ``.5``, ``1e-3``) and
+newlines are whitespace.  :func:`ast.parse` reads the source, which compiles
+only if every node is in the grammar; numbers become ``np.float64`` and
+``**`` and ``pow`` call ``np.power``, so ``1/0`` is ``inf``.  Other input
+raises :class:`ExpressionError` citing a line and column of the source.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 
@@ -25,175 +26,95 @@ import numpy as np
 
 from .errors import ExpressionError
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/(),]))"
-)
+_NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?", re.ASCII)
+# leading zeros of a decimal integer (007), which Python rejects: blanked
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=[1-9]\d*(?![\w.]))", re.ASCII)
 
-_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "sqrt": np.sqrt,
-}
-
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_FUNCS = {f: getattr(np, f) for f in ("exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")}
+_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(source: str, index: int):
+    """1-based (line, column) of character ``index`` of ``source``."""
+    return source.count("\n", 0, index) + 1, index - source.rfind("\n", 0, index)
 
 
-def _tokenize(source: str):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None or match.group(match.lastgroup) is None:
-            raise ExpressionError(
-                f"unexpected character {ch!r}", line, pos - line_start + 1
-            )
-        text = match.group(match.lastgroup)
-        col = (match.end() - len(text)) - line_start + 1
-        tokens.append(_Token(match.lastgroup, text, line, col))
-        pos = match.end()
-    tokens.append(_Token("end", "", line, n - line_start + 1))
-    return tokens
+class _Compiler(ast.NodeTransformer):
+    """Reject every node outside the grammar; bind numbers to float64 names."""
 
+    def __init__(self, source: str, offset: int, text: str):
+        self.source, self.offset, self.text = source, offset, text
+        self.namespace = {"__builtins__": {}, "pow": np.power, **_FUNCS}
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+    def fail(self, message, node):
+        raise ExpressionError(message, *_position(self.source, self.offset + node.col_offset))
 
-    def peek(self):
-        return self.tokens[self.i]
+    def bind(self, value, node):
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = np.float64(value)
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def visit_Constant(self, node):
+        literal = self.text[node.col_offset:node.end_col_offset]
+        if not _NUMBER.fullmatch(literal):
+            self.fail(f"unsupported literal {literal!r}", node)
+        return self.bind(float(literal), node)
 
-    def expect(self, text):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
-        raise ExpressionError(f"expected {text!r}", tok.line, tok.column)
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+    def visit_Name(self, node):
+        if node.id in ("pi", "e"):
+            return self.bind(getattr(math, node.id), node)
+        if node.id not in ("u", "v"):
+            self.fail(f"unknown name {node.id!r}", node)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = (np.add if op == "+" else np.subtract, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            node = (np.multiply if op == "*" else np.divide, node, rhs)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return (np.negative, self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "**":
-            self.advance()
-            rhs = self.factor()
-            node = (np.power, node, rhs)
-        return node
-
-    def atom(self):
-        tok = self.advance()
-        if tok.kind == "num":
-            return ("const", float(tok.text))
-        if tok.kind == "name":
-            name = tok.text
-            if name in ("u", "v"):
-                return ("var", name)
-            if name in _CONSTANTS:
-                return ("const", _CONSTANTS[name])
-            if name == "pow":
-                self.expect("(")
-                a = self.expr()
-                self.expect(",")
-                b = self.expr()
-                self.expect(")")
-                return (np.power, a, b)
-            if name in _FUNCS:
-                self.expect("(")
-                a = self.expr()
-                self.expect(")")
-                return (_FUNCS[name], a)
-            raise ExpressionError(f"unknown name {name!r}", tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect(")")
+    def generic_visit(self, node):
+        # operators pass, as do BinOp and UnaryOp nodes using one; all else fails
+        if isinstance(node, _OPS):
             return node
-        raise ExpressionError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+        op = getattr(node, "op", None)
+        if not isinstance(op, _OPS):
+            self.fail(f"unsupported syntax ({type(op or node).__name__})", node)
+        node = super().generic_visit(node)
+        if isinstance(op, ast.Pow):  # ndarray ** 2 would take numpy's np.square shortcut
+            return ast.copy_location(ast.Call(ast.Name("pow", ast.Load()), [node.left, node.right], []), node)
+        return node
 
-
-def _evaluate(node, u, v):
-    tag = node[0]
-    if tag == "const":
-        return node[1]
-    if tag == "var":
-        return u if node[1] == "u" else v
-    if len(node) == 2:
-        return tag(_evaluate(node[1], u, v))
-    return tag(_evaluate(node[1], u, v), _evaluate(node[2], u, v))
+    def visit_Call(self, node):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        arity = 2 if name == "pow" else 1 if name in _FUNCS else None
+        tail = self.text[node.args[-1].end_col_offset:node.end_col_offset] if node.args else ""
+        if arity is None or node.keywords or len(node.args) != arity or "," in tail:
+            self.fail(f"{name}() takes {arity} argument(s)" if arity else "unknown function", node)
+        node.args = [self.visit(arg) for arg in node.args]
+        return node
 
 
 def compile_expression(source: str):
     """Parse ``source`` and return a vectorized callable ``f(u, v)``."""
-    tree = _Parser(_tokenize(source)).parse()
+    # one character for one, so positions carry over (float() reads any digit)
+    text = "".join(" " if c.isspace() else str(int(c)) if c.isdecimal() else c for c in source)
+    for i, c in enumerate(text):
+        if c in "#\\" or not " " <= c <= "~":
+            raise ExpressionError(f"unexpected character {c!r}", *_position(source, i))
+    body = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), text).lstrip()
+    offset = len(text) - len(body)
+    compiler = _Compiler(source, offset, body)
+    args = ast.arguments([], [ast.arg("u"), ast.arg("v")], None, [], [], None, [])
+    try:
+        lam = ast.Lambda(args, compiler.visit(ast.parse(body, mode="eval").body))
+        code = compile(ast.fix_missing_locations(ast.Expression(lam)), "<expression>", "eval")
+    except SyntaxError as exc:  # offset 0 or None: at the end of the input
+        index = offset + (exc.offset or len(body) + 1) - 1
+        raise ExpressionError(exc.msg, *_position(source, index)) from None
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", 1, 1) from None
+    fn = eval(code, compiler.namespace)
 
     def evaluate(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.asarray(_evaluate(tree, u, v), dtype=float)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.asarray(fn(u, v), dtype=float)
         shape = np.broadcast_shapes(u.shape, v.shape)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
-        return out
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     evaluate.source = source
     return evaluate

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError, NondegeneracyError
+from .errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
 from .surfaces import SPHERE, SurfaceModel, SurfacePoint, _as_point_array, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
@@ -65,13 +65,6 @@ def mi_from_code(code: int, length: int) -> tuple:
         digits.append(code % 3 + 1)
         code //= 3
     return tuple(reversed(digits))
-
-
-def mi_parent(index) -> tuple:
-    digits = mi_validate(index)
-    if not digits:
-        raise DomainError("the empty index has no parent")
-    return digits[:-1]
 
 
 def mi_str(index) -> str:
@@ -204,7 +197,6 @@ def build_system(
     base: GeodesicTriangleRegion,
     depth: int,
     delta: float,
-    check_nondegeneracy: bool = True,
 ) -> TriangleSystem:
     """Build all cells to the requested depth.
 
@@ -233,15 +225,14 @@ def build_system(
         cv, cs, _, _ = _subdivide_arrays(surface, lv.vertices, lv.side_lengths)
         new_verts = cv.reshape(len(lv) * 3, 3, 2)
         new_sides = cs.reshape(len(lv) * 3, 3)
-        if check_nondegeneracy:
-            bad = _nondegeneracy_sweep_level(new_sides, delta / 2.0)
-            if len(bad):
-                cell = mi_from_code(int(bad[0]), n + 1)
-                raise NondegeneracyError(
-                    cell,
-                    f"cell {mi_str(cell)} fails {delta / 2}-non-degeneracy "
-                    f"(sides {new_sides[bad[0]]})",
-                )
+        bad = _nondegeneracy_sweep_level(new_sides, delta / 2.0)
+        if len(bad):
+            cell = mi_from_code(int(bad[0]), n + 1)
+            raise NondegeneracyError(
+                cell,
+                f"cell {mi_str(cell)} fails {delta / 2}-non-degeneracy "
+                f"(sides {new_sides[bad[0]]})",
+            )
         levels.append(LevelArrays(vertices=new_verts, side_lengths=new_sides))
     return TriangleSystem(base, depth, delta, levels)
 
@@ -914,8 +905,15 @@ def system_to_json(system: TriangleSystem, audits=None, surface_doc=None) -> str
 
 
 def system_from_json(text: str) -> TriangleSystem:
-    doc = json.loads(text)
+    return _system_from_doc(json.loads(text))
+
+
+def _system_from_doc(doc: dict) -> TriangleSystem:
+    """System of a parsed export; the levels must hold every cell to the depth."""
     meta = doc["meta"]
+    depth = meta["depth"]
+    if len(doc["levels"]) != depth:
+        raise SceneValidationError(f"system has {len(doc['levels'])} levels, meta.depth is {depth}")
     surface = make_surface(meta["surface"])
     base = GeodesicTriangleRegion(
         surface, meta["base_vertices"], meta["base_side_lengths"]
@@ -926,13 +924,16 @@ def system_from_json(text: str) -> TriangleSystem:
             side_lengths=np.asarray(base.side_lengths)[None, :],
         )
     ]
-    for entry in doc["levels"]:
+    for n, entry in enumerate(doc["levels"], start=1):
         verts = np.array([c["vertices"] for c in entry["cells"]], dtype=float)
         sides = np.array([c["side_lengths"] for c in entry["cells"]], dtype=float)
+        if entry["depth"] != n or verts.shape != (3**n, 3, 2) or sides.shape != (3**n, 3):
+            raise SceneValidationError(
+                f"level {n} must have depth {n} and {3**n} cells "
+                f"(has depth {entry['depth']} and {len(entry['cells'])} cells)"
+            )
         levels.append(LevelArrays(vertices=verts, side_lengths=sides))
-    system = TriangleSystem(
-        base, meta["depth"], meta["delta"], levels, gauge_c=meta.get("gauge_c")
-    )
+    system = TriangleSystem(base, depth, meta["delta"], levels, gauge_c=meta.get("gauge_c"))
     system.surface_spec = meta["surface"]
     return system
 

@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 from .errors import CapacityError, DomainError
 from .gasket import TriangleSystem, _apply_f_many, mi_validate
 from .surfaces import SurfacePoint, _as_point_array
+from .triangles import _chart_coords
 
 WEIGHT_TOL = 1e-12
 
@@ -229,12 +230,7 @@ def _descend_cells(system: TriangleSystem, pts: np.ndarray, depth: int) -> np.nd
     codes = np.zeros(n, dtype=np.int64)
     for level in range(depth):
         verts = system.level(level).vertices[codes]
-        e1 = verts[:, 1, :] - verts[:, 0, :]
-        e2 = verts[:, 2, :] - verts[:, 0, :]
-        rhs = pts - verts[:, 0, :]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        b2 = (rhs[:, 0] * e2[:, 1] - rhs[:, 1] * e2[:, 0]) / det
-        b3 = (e1[:, 0] * rhs[:, 1] - e1[:, 1] * rhs[:, 0]) / det
+        b2, b3 = _chart_coords(verts[:, 0], verts[:, 2], verts[:, 1], pts)
         b1 = 1.0 - b2 - b3
         bary = np.stack([b1, b2, b3], axis=1)
         digit = np.argmax(bary, axis=1)

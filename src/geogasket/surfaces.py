@@ -446,10 +446,6 @@ class GeodesicSegment:
     length: float
     degenerate: bool = False
 
-    def point_at(self, t: float) -> SurfacePoint:
-        p = self.surface.exp_map(self.start, self.initial_velocity, t)
-        return p
-
     def speed_at(self, t: float) -> float:
         p = self.start.as_array()[None, :]
         w = self.initial_velocity[None, :]

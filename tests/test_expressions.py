@@ -57,3 +57,59 @@ def test_stray_character():
     with pytest.raises(ExpressionError) as err:
         compile_expression("u + $")
     assert err.value.column == 5
+
+
+def test_power_is_np_power_bitwise():
+    u = np.random.default_rng(0).uniform(0.1, 3.0, 1000)
+    expected = np.power(u, 2.0).tobytes()
+    assert compile_expression("u**2")(u, 0.0).tobytes() == expected
+    assert compile_expression("pow(u, 2)")(u, 0.0).tobytes() == expected
+
+
+def test_division_by_zero_is_inf():
+    with np.errstate(divide="ignore"):
+        assert compile_expression("1/0")(0.0, 0.0) == np.inf
+
+
+@pytest.mark.parametrize("source", ["u +\n v", "  u + v", "u + v  ", "\n\tu + v\n"])
+def test_newlines_and_outer_whitespace(source):
+    assert compile_expression(source)(1.0, 2.0) == 3.0
+
+
+REJECTED = [
+    "u # comment",
+    "u + \\\n v",
+    "1_000",
+    "0x10",
+    "1j",
+    "True",
+    "'u'",
+    "u.real",
+    "u[0]",
+    "(u, v)",
+    "exp(x=u)",
+    "+u",
+    "u % v",
+    "u ^ v",
+    "u < v",
+    "abs(u)",
+    "__import__('os')",
+    "exp(u, v)",
+    "pow(u)",
+    "(" * 1200 + "u" + ")" * 1200,
+]
+
+
+@pytest.mark.parametrize("source", REJECTED, ids=lambda s: s if len(s) < 20 else "1200 parentheses")
+def test_rejected_syntax_cites_position_inside_input(source):
+    with pytest.raises(ExpressionError) as err:
+        compile_expression(source)
+    lines = source.split("\n")
+    assert 1 <= err.value.line <= len(lines)
+    assert 1 <= err.value.column <= len(lines[err.value.line - 1])
+
+
+def test_position_counts_from_original_source():
+    with pytest.raises(ExpressionError) as err:
+        compile_expression("\n  u +\n   abs(v)")
+    assert (err.value.line, err.value.column) == (3, 4)

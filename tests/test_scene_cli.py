@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from geogasket import gasket, measures
 from geogasket.cli import main
-from geogasket.errors import SceneValidationError
+from geogasket.errors import CapacityError, SceneValidationError, ShootingConvergenceError
 from geogasket.scene import SceneConfig, validate_scene_doc, validate_system_doc
 
 FLAT_SCENE = {
@@ -207,3 +208,72 @@ class TestMeasureCommand:
         main(["build", flat_scene_path, "--out", out])
         assert main(["measure", out, "--weights", "0.5", "0.5", "0.5"]) == 2
 
+
+
+THIRDS = [repr(1 / 3), repr(1 / 3), repr(1 - 2 / 3)]
+SYSTEM_ARGS = {
+    "verify": [],
+    "dim": ["--levels", "1..3"],
+    "measure": ["--weights", *THIRDS, "--iters", "2"],
+}
+
+
+def _built_flat_system(scene_path, tmp_path):
+    out = tmp_path / "sys.json"
+    assert main(["build", scene_path, "--depth", "3", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestMalformedSystem:
+    """Stored systems that pass the schema but cannot be used: exit 2."""
+
+    @staticmethod
+    def short_levels(doc):
+        doc["levels"].pop()
+
+    @staticmethod
+    def missing_cell(doc):
+        doc["levels"][1]["cells"].pop()
+
+    @staticmethod
+    def degenerate_base(doc):
+        doc["meta"]["base_side_lengths"] = [1.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("command", sorted(SYSTEM_ARGS))
+    @pytest.mark.parametrize("damage", ["short_levels", "missing_cell", "degenerate_base"])
+    def test_exit2(self, flat_scene_path, tmp_path, capsys, command, damage):
+        doc = _built_flat_system(flat_scene_path, tmp_path)
+        getattr(self, damage)(doc)
+        validate_system_doc(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(path), *SYSTEM_ARGS[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load system")
+        if damage != "degenerate_base":
+            assert "level" in err
+
+
+class TestSolverErrors:
+    def test_build_audit_failure_exit3(self, flat_scene_path, tmp_path, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise ShootingConvergenceError(1e-3, 50)
+
+        monkeypatch.setattr(gasket, "calibrate_gauge", stall)
+        out = tmp_path / "sys.json"
+        assert main(["build", flat_scene_path, "--depth", "3", "--out", str(out)]) == 3
+        assert "construction failed: log-map shooting stalled" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_measure_capacity_exit2(self, flat_scene_path, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sys.json"
+        out.write_text(json.dumps(_built_flat_system(flat_scene_path, tmp_path)))
+
+        def over_limit(*args, **kwargs):
+            raise CapacityError("exact transport limited to 1000 atoms a side on curved surfaces")
+
+        monkeypatch.setattr(measures, "kr_distance", over_limit)
+        capsys.readouterr()
+        assert main(["measure", str(out), *SYSTEM_ARGS["measure"]]) == 2
+        assert "error: exact transport limited" in capsys.readouterr().err

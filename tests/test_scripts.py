@@ -1,0 +1,39 @@
+"""Smoke runs of the experiment scripts, each in its own interpreter."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_certification():
+    out = run_script("run_certification.py", "scenes/flat_unit.json", "--depth", "3")
+    checks = [line for line in out.splitlines() if line.startswith("  ")]
+    assert len(checks) == 6
+    assert all(" PASS " in line for line in checks)
+
+
+def test_dimension_sweep():
+    out = run_script("dimension_sweep.py", "scenes/flat_unit.json", "--depth", "6", "--levels", "2..6")
+    slope = float(out.split("slope = ")[1].split()[0])
+    assert abs(slope - math.log(3) / math.log(2)) < 1e-10
+
+
+def test_rauch_envelope_sweep():
+    out = run_script("rauch_envelope_sweep.py", "--triangles", "2")
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["sphere_unit", "hyperbolic_poincare"]
+    assert all("-> 0 violations" in line for line in lines)
