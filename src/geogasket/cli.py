@@ -25,7 +25,7 @@ from .measures import (
     pushforward_fixpoint,
     trace_ratios,
 )
-from .scene import SceneConfig, validate_system_doc
+from .scene import SceneConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,22 +49,20 @@ def cmd_moran(args) -> int:
 def _load_system(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-        validate_system_doc(doc)
-        return gasket._system_from_doc(doc)
-    except (OSError, KeyError, ValueError, GeogasketError) as exc:
+            return gasket.system_from_json(fh.read())
+    except (OSError, ValueError, GeogasketError) as exc:
         raise SceneValidationError(f"cannot load system {path}: {exc}") from exc
 
 
 def cmd_build(args) -> int:
     try:
         scene = SceneConfig.from_path(args.scene)
-    except SceneValidationError as exc:
+        surface = scene.surface()
+    except GeogasketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     depth = args.depth if args.depth is not None else scene.depth
     try:
-        surface = scene.surface()
         base = scene.base_triangle(surface)
         system = gasket.build_system(base, depth, scene.delta)
         gasket.calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)

@@ -79,4 +79,4 @@ class ExpressionError(GeogasketError, ValueError):
 
 
 class SceneValidationError(GeogasketError, ValueError):
-    """A scene or system document failed schema validation."""
+    """A scene document failed schema validation, or a stored system failed its checks."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
+from .errors import DomainError, GeogasketError, InversionError, NondegeneracyError, SceneValidationError
 from .surfaces import SPHERE, SurfaceModel, SurfacePoint, _as_point_array, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
@@ -904,36 +904,76 @@ def system_to_json(system: TriangleSystem, audits=None, surface_doc=None) -> str
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _is_int(x) -> bool:
+    # an integer as JSON Schema counts one: 3 and 3.0, but not true
+    return type(x) is int or (type(x) is float and x.is_integer())
+
+
+def _object(doc, keys, field: str) -> dict:
+    """``doc`` if it is a JSON object holding every key of ``keys``."""
+    if not isinstance(doc, dict):
+        raise SceneValidationError(f"{field} must be an object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise SceneValidationError(f"{field} lacks {', '.join(missing)}")
+    return doc
+
+
+def _numbers(value, shape: tuple, field: str) -> np.ndarray:
+    """``value`` as a float array: finite JSON numbers (no bools) of exactly ``shape``."""
+    try:
+        arr = np.array(value, dtype=object)
+        if arr.shape == shape and all(type(x) in (int, float) for x in arr.flat):
+            out = arr.astype(float)
+            if np.isfinite(out).all():
+                return out
+    except (ValueError, OverflowError):
+        pass
+    raise SceneValidationError(f"{field} must hold finite numbers of shape {shape}")
+
+
 def system_from_json(text: str) -> TriangleSystem:
-    return _system_from_doc(json.loads(text))
-
-
-def _system_from_doc(doc: dict) -> TriangleSystem:
-    """System of a parsed export; the levels must hold every cell to the depth."""
-    meta = doc["meta"]
-    depth = meta["depth"]
-    if len(doc["levels"]) != depth:
-        raise SceneValidationError(f"system has {len(doc['levels'])} levels, meta.depth is {depth}")
-    surface = make_surface(meta["surface"])
-    base = GeodesicTriangleRegion(
-        surface, meta["base_vertices"], meta["base_side_lengths"]
-    )
-    levels = [
-        LevelArrays(
-            vertices=base.vertex_array()[None, :, :],
-            side_lengths=np.asarray(base.side_lengths)[None, :],
-        )
-    ]
-    for n, entry in enumerate(doc["levels"], start=1):
-        verts = np.array([c["vertices"] for c in entry["cells"]], dtype=float)
-        sides = np.array([c["side_lengths"] for c in entry["cells"]], dtype=float)
-        if entry["depth"] != n or verts.shape != (3**n, 3, 2) or sides.shape != (3**n, 3):
-            raise SceneValidationError(
-                f"level {n} must have depth {n} and {3**n} cells "
-                f"(has depth {entry['depth']} and {len(entry['cells'])} cells)"
-            )
-        levels.append(LevelArrays(vertices=verts, side_lengths=sides))
-    system = TriangleSystem(base, depth, meta["delta"], levels, gauge_c=meta.get("gauge_c"))
+    """System of an export, checked as it is read; ``SceneValidationError`` names the field at fault."""
+    doc = json.loads(text)
+    extra = _object(doc, ("meta", "levels"), "system").keys() - {"meta", "levels", "audits"}
+    if extra:
+        raise SceneValidationError(f"system has unknown keys {sorted(extra)}")
+    keys = ("surface", "depth", "delta", "nu", "ratios", "base_vertices", "base_side_lengths")
+    meta, levels, depth = _object(doc["meta"], keys, "meta"), doc["levels"], doc["meta"]["depth"]
+    if not (isinstance(levels, list) and _is_int(depth) and depth == len(levels) and depth >= 1):
+        raise SceneValidationError("levels must be a list of meta.depth levels, meta.depth a positive integer")
+    delta = float(_numbers(meta["delta"], (), "meta.delta"))
+    _numbers(meta["nu"], (), "meta.nu")
+    _numbers(meta["ratios"], (3,), "meta.ratios")
+    gauge_c = None if meta.get("gauge_c") is None else float(_numbers(meta["gauge_c"], (), "meta.gauge_c"))
+    base_vertices = _numbers(meta["base_vertices"], (3, 2), "meta.base_vertices")
+    base_sides = _numbers(meta["base_side_lengths"], (3,), "meta.base_side_lengths")
+    try:
+        surface = make_surface(meta["surface"])
+        base = GeodesicTriangleRegion(surface, base_vertices, base_sides)
+    except GeogasketError as exc:
+        raise SceneValidationError(f"meta: {exc}") from exc
+    arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None])]
+    for n, entry in enumerate(levels, start=1):
+        cells = _object(entry, ("depth", "cells"), f"level {n}")["cells"]
+        depth_ok = _is_int(entry["depth"]) and entry["depth"] == n
+        if not (depth_ok and isinstance(cells, list) and len(cells) == 3**n):
+            raise SceneValidationError(f"level {n} must have depth {n} and a list of {3**n} cells")
+        for i, cell in enumerate(cells):
+            _object(cell, ("vertices", "side_lengths"), f"level {n} cell {i}")
+        verts = _numbers([c["vertices"] for c in cells], (3**n, 3, 2), f"level {n} vertices")
+        sides = _numbers([c["side_lengths"] for c in cells], (3**n, 3), f"level {n} side_lengths")
+        arrays.append(LevelArrays(vertices=verts, side_lengths=sides))
+    audits = doc.get("audits", [])
+    if not isinstance(audits, list):
+        raise SceneValidationError("audits must be a list")
+    for i, audit in enumerate(audits):
+        index = _object(audit, ("index", "max_ratio_deviation", "envelope", "passed"), f"audit {i}")["index"]
+        digits = isinstance(index, list) and all(_is_int(d) and 1 <= d <= 3 for d in index)
+        if not digits or type(audit["passed"]) is not bool:
+            raise SceneValidationError(f"audit {i} needs an index of digits 1-3 and a boolean 'passed'")
+        _numbers([audit["max_ratio_deviation"], audit["envelope"]], (2,), f"audit {i} deviation and envelope")
+    system = TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
     system.surface_spec = meta["surface"]
     return system
 

@@ -14,27 +14,14 @@ from .surfaces import SurfaceModel, make_surface
 from .triangles import GeodesicTriangleRegion
 
 
-def _load_schema(name: str) -> dict:
-    with resources.files("geogasket.schemas").joinpath(name).open() as fh:
-        return json.load(fh)
-
-
 def validate_scene_doc(doc: dict) -> None:
-    schema = _load_schema("scene.schema.json")
+    with resources.files("geogasket.schemas").joinpath("scene.schema.json").open() as fh:
+        schema = json.load(fh)
     try:
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise SceneValidationError(f"scene invalid at {path}: {exc.message}") from exc
-
-
-def validate_system_doc(doc: dict) -> None:
-    schema = _load_schema("system.schema.json")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise SceneValidationError(f"system invalid at {path}: {exc.message}") from exc
 
 
 @dataclass

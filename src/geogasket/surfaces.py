@@ -644,14 +644,18 @@ def surface_from_json(doc) -> SurfaceModel:
     if isinstance(doc, str):
         doc = _json.loads(doc)
     try:
-        chart = doc["chart"]
+        chart, exprs = doc["chart"], doc["metric"]
+        if not (isinstance(chart, dict) and isinstance(exprs, dict)):
+            raise DomainError("custom surface 'chart' and 'metric' must be objects")
         rect = (chart["u_min"], chart["u_max"], chart["v_min"], chart["v_max"])
-        exprs = doc["metric"]
-        e_fn = compile_expression(exprs["E"])
-        f_fn = compile_expression(exprs["F"])
-        g_fn = compile_expression(exprs["G"])
+        sources = [exprs["E"], exprs["F"], exprs["G"], doc.get("curvature", "")]
     except KeyError as exc:
         raise DomainError(f"custom surface document missing key: {exc}") from exc
+    if not all(type(x) in (int, float) and math.isfinite(x) for x in rect):
+        raise DomainError(f"custom surface chart bounds must be finite numbers: {rect}")
+    if not all(isinstance(x, str) for x in sources):
+        raise DomainError("custom surface metric and curvature expressions must be strings")
+    e_fn, f_fn, g_fn = (compile_expression(x) for x in sources[:3])
 
     def metric(u, v):
         return e_fn(u, v), f_fn(u, v), g_fn(u, v)
@@ -690,7 +694,7 @@ def make_surface(spec) -> SurfaceModel:
     if isinstance(spec, str) and spec in _BUILTIN_FACTORIES:
         return _BUILTIN_FACTORIES[spec]()
     if isinstance(spec, dict):
-        if spec.get("kind", CUSTOM) in _BUILTIN_FACTORIES:
+        if isinstance(spec.get("kind"), str) and spec["kind"] in _BUILTIN_FACTORIES:
             return _BUILTIN_FACTORIES[spec["kind"]]()
         return surface_from_json(spec)
     raise DomainError(f"unknown surface spec: {spec!r}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geogasket import gasket
-from geogasket.errors import DomainError, InversionError, NondegeneracyError
+from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
 from geogasket.gasket import (
     TriangleSystem,
     apply_f,
@@ -308,6 +308,28 @@ class TestSerialization:
         np.testing.assert_allclose(
             back.level(3).side_lengths, sphere_system.level(3).side_lengths
         )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("meta", "delta"), "meta.delta"),
+            (("meta", "gauge_c"), "meta.gauge_c"),
+            (("meta", "base_vertices", 1, 0), "meta.base_vertices"),
+            (("levels", 1, "cells", 4, "side_lengths", 2), "level 2 side_lengths"),
+            (("audits", 0, "envelope"), "audit 0"),
+        ],
+    )
+    def test_nonfinite_rejected(self, flat_base, path, field, value):
+        doc = json.loads(system_to_json(build_system(flat_base, 2, delta=0.5)))
+        doc["audits"] = [{"index": [1], "max_ratio_deviation": 0.0, "envelope": 1.0, "passed": True}]
+        system_from_json(json.dumps(doc))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SceneValidationError, match=field):
+            system_from_json(json.dumps(doc))
 
     def test_deterministic(self, sphere_base):
         s1 = build_system(sphere_base, 3, delta=0.4)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from geogasket import gasket, measures
 from geogasket.cli import main
 from geogasket.errors import CapacityError, SceneValidationError, ShootingConvergenceError
-from geogasket.scene import SceneConfig, validate_scene_doc, validate_system_doc
+from geogasket.scene import SceneConfig, validate_scene_doc
 
 FLAT_SCENE = {
     "surface": "euclidean",
@@ -96,9 +97,12 @@ class TestBuildCommand:
     def test_flat_depth3(self, flat_scene_path, tmp_path, capsys):
         out = str(tmp_path / "sys.json")
         assert main(["build", flat_scene_path, "--depth", "3", "--out", out]) == 0
-        doc = json.loads(open(out).read())
-        validate_system_doc(doc)
+        text = open(out).read()
+        doc = json.loads(text)
         assert len(doc["levels"][-1]["cells"]) == 27
+        back = gasket.system_from_json(text)
+        del doc["audits"]
+        assert gasket.system_to_json(back) == json.dumps(doc, sort_keys=True, indent=1)
 
     def test_deterministic_bytes(self, flat_scene_path, tmp_path):
         out1 = str(tmp_path / "a.json")
@@ -225,7 +229,7 @@ def _built_flat_system(scene_path, tmp_path):
 
 
 class TestMalformedSystem:
-    """Stored systems that pass the schema but cannot be used: exit 2."""
+    """Stored systems that cannot be used: exit 2, naming the field at fault."""
 
     @staticmethod
     def short_levels(doc):
@@ -239,20 +243,142 @@ class TestMalformedSystem:
     def degenerate_base(doc):
         doc["meta"]["base_side_lengths"] = [1.0, 1.0, 3.0]
 
+    @staticmethod
+    def inf_vertex(doc):
+        doc["levels"][2]["cells"][7]["vertices"][0][0] = math.inf
+
+    @staticmethod
+    def nan_side(doc):
+        doc["levels"][2]["cells"][7]["side_lengths"][0] = math.nan
+
+    @staticmethod
+    def string_side(doc):
+        doc["levels"][2]["cells"][7]["side_lengths"][0] = "0.125"
+
+    @staticmethod
+    def true_coordinate(doc):
+        doc["levels"][2]["cells"][7]["vertices"][1][1] = True
+
+    @staticmethod
+    def top_level_list(doc):
+        return [doc]
+
+    @staticmethod
+    def missing_nu(doc):
+        del doc["meta"]["nu"]
+
+    @staticmethod
+    def extra_top_key(doc):
+        doc["extra"] = 1
+
+    @staticmethod
+    def ragged_cell(doc):
+        doc["levels"][1]["cells"][4]["vertices"][2] = [0.5]
+
+    @staticmethod
+    def levels_not_list(doc):
+        doc["levels"] = {"1": doc["levels"][0]}
+
+    @staticmethod
+    def audit_index_4(doc):
+        doc["audits"][0]["index"] = [1, 4]
+
+    NAMED = {
+        "short_levels": "levels",
+        "missing_cell": "level 2",
+        "degenerate_base": "meta",
+        "inf_vertex": "level 3 vertices",
+        "nan_side": "level 3 side_lengths",
+        "string_side": "level 3 side_lengths",
+        "true_coordinate": "level 3 vertices",
+        "top_level_list": "system must be an object",
+        "missing_nu": "meta lacks nu",
+        "extra_top_key": "unknown keys ['extra']",
+        "ragged_cell": "level 2 vertices",
+        "levels_not_list": "levels must be a list",
+        "audit_index_4": "audit 0 needs an index",
+    }
+
     @pytest.mark.parametrize("command", sorted(SYSTEM_ARGS))
-    @pytest.mark.parametrize("damage", ["short_levels", "missing_cell", "degenerate_base"])
+    @pytest.mark.parametrize("damage", list(NAMED))
     def test_exit2(self, flat_scene_path, tmp_path, capsys, command, damage):
         doc = _built_flat_system(flat_scene_path, tmp_path)
-        getattr(self, damage)(doc)
-        validate_system_doc(doc)
+        doc = getattr(self, damage)(doc) or doc
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main([command, str(path), *SYSTEM_ARGS[command]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load system")
-        if damage != "degenerate_base":
-            assert "level" in err
+        assert self.NAMED[damage] in err
+        assert "Traceback" not in err
+
+
+BUMP_SURFACE = {
+    "chart": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
+    "metric": {"E": "exp(-(u*u + v*v)/8)", "F": "0", "G": "exp(-(u*u + v*v)/8)"},
+    "curvature": "0.25 * exp((u*u + v*v)/8)",
+}
+BUMP_SCENE = {
+    "surface": BUMP_SURFACE,
+    "vertices": [[0.0, 0.0868], [-0.0752, -0.0434], [0.0752, -0.0434]],
+    "depth": 2,
+    "delta": 0.4,
+    "seed": 7,
+}
+
+
+@pytest.fixture(scope="module")
+def bump_system_doc():
+    scene = SceneConfig.from_doc(BUMP_SCENE)
+    system = gasket.build_system(scene.base_triangle(), 2, scene.delta)
+    return json.loads(gasket.system_to_json(system, surface_doc=BUMP_SURFACE))
+
+
+class TestCustomSurfaceErrors:
+    """A malformed custom surface is an input error, in a scene or a stored system."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("chart",), 5), (("metric",), [1]), (("metric", "E"), 1.0)],
+        ids=["chart", "metric", "E"],
+    )
+    def test_stored_surface_exit2(self, bump_system_doc, tmp_path, capsys, path, value):
+        gasket.system_from_json(json.dumps(bump_system_doc))
+        doc = copy.deepcopy(bump_system_doc)
+        node = doc["meta"]["surface"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load system")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("metric", "E"), "exp(-(u*u + v*v)/8", "was never closed"),
+            (("curvature",), "3.0", "|K| exceeds 1"),
+            (("chart", "u_min"), 2.0, "chart rectangle is empty"),
+        ],
+        ids=["unclosed", "curvature", "empty_chart"],
+    )
+    def test_build_scene_surface_exit2(self, tmp_path, capsys, path, value, message):
+        doc = copy.deepcopy(BUMP_SCENE)
+        node = doc["surface"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        out = tmp_path / "sys.json"
+        capsys.readouterr()
+        assert main(["build", str(scene), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
 
 class TestSolverErrors:

@@ -230,6 +230,21 @@ class TestCustomSurface:
         q = surface.exp_map((0.1, 0.0), w, 1.0)
         assert (q.u, q.v) == pytest.approx((0.3, 0.2), abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("chart", 5),
+            ("metric", [1]),
+            ("metric", {"E": 1.0, "F": "0", "G": "1"}),
+            ("chart", {"u_min": "-1", "u_max": 1.0, "v_min": -1.0, "v_max": 1.0}),
+            ("curvature", 0.25),
+        ],
+        ids=["chart", "metric", "E", "u_min", "curvature"],
+    )
+    def test_malformed_document(self, key, value):
+        with pytest.raises(DomainError):
+            surface_from_json(dict(self.DOC, **{key: value}))
+
     def test_curvature_bound_enforced(self):
         doc = {
             "chart": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
