@@ -81,6 +81,11 @@ class LevelArrays:
     vertices: np.ndarray  # (N, 3, 2)
     side_lengths: np.ndarray  # (N, 3)
 
+    def __post_init__(self):
+        # stored cells never change, which the per-system audit memo relies on
+        self.vertices.flags.writeable = False
+        self.side_lengths.flags.writeable = False
+
     @property
     def diams(self) -> np.ndarray:
         return np.max(self.side_lengths, axis=1)
@@ -153,6 +158,8 @@ class TriangleSystem:
         # the quadratic correction term is curvature-driven
         self.nu = 0.5 if base.surface.flat else 0.5 * (1.0 + r * r)
         self.surface_spec = base.surface.kind
+        # (index, n_pairs, seed) -> (max deviation, pairs used, parent diameter)
+        self._audits = {}
 
     def level(self, n: int) -> LevelArrays:
         if not (0 <= n <= self.depth):
@@ -216,7 +223,7 @@ def build_system(
     levels = [
         LevelArrays(
             vertices=base.vertex_array()[None, :, :],
-            side_lengths=np.asarray(base.side_lengths, dtype=float)[None, :],
+            side_lengths=np.array(base.side_lengths, dtype=float)[None, :],
         )
     ]
     surface = base.surface
@@ -427,13 +434,25 @@ def _pair_distances(surface, frames, cells, ts, ss):
 
 
 def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
-    """Audits of the maps onto ``cells`` against the current gauge."""
-    ratios, diams = _audit_ratios(system, cells, n_pairs, seed)
+    """Audits of the maps onto ``cells`` against the current gauge.
+
+    Each cell is measured once per system: its deviation, pairs used and
+    parent diameter are memoized under (index, n_pairs, seed), and only
+    cells missing from the memo go through ``_audit_ratios``.  A cell's
+    measurement does not depend on the cells audited with it, and the level
+    arrays are read-only, so a memoized entry is what a new measurement
+    would give.  Envelopes and verdicts use the gauge of this call.
+    """
+    memo = system._audits
+    todo = [d for d in cells if (d, n_pairs, seed) not in memo]
+    if todo:
+        ratios, diams = _audit_ratios(system, todo, n_pairs, seed)
+        for digits, r, diam in zip(todo, ratios, diams):
+            memo[digits, n_pairs, seed] = (float(np.max(np.abs(r - 0.5))), int(len(r)), float(diam))
     c = system.gauge_c if system.gauge_c is not None else 0.0
     audits = []
-    for digits, r, diam in zip(cells, ratios, diams):
-        dev = float(np.max(np.abs(r - 0.5)))
-        diam = float(diam)
+    for digits in cells:
+        dev, pairs, diam = memo[digits, n_pairs, seed]
         envelope = 0.5 * c * diam**2
         audits.append(
             SimilarityAudit(
@@ -442,7 +461,7 @@ def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
                 max_ratio_deviation=dev,
                 envelope=envelope,
                 passed=dev <= envelope,
-                pairs_used=int(len(r)),
+                pairs_used=pairs,
                 parent_diam=diam,
             )
         )
@@ -943,6 +962,8 @@ def system_from_json(text: str) -> TriangleSystem:
     if not (isinstance(levels, list) and _is_int(depth) and depth == len(levels) and depth >= 1):
         raise SceneValidationError("levels must be a list of meta.depth levels, meta.depth a positive integer")
     delta = float(_numbers(meta["delta"], (), "meta.delta"))
+    if not 0 < delta < math.pi / 2:
+        raise SceneValidationError(f"meta.delta must lie in (0, pi/2), not {delta}")
     _numbers(meta["nu"], (), "meta.nu")
     _numbers(meta["ratios"], (3,), "meta.ratios")
     gauge_c = None if meta.get("gauge_c") is None else float(_numbers(meta["gauge_c"], (), "meta.gauge_c"))
@@ -953,7 +974,7 @@ def system_from_json(text: str) -> TriangleSystem:
         base = GeodesicTriangleRegion(surface, base_vertices, base_sides)
     except GeogasketError as exc:
         raise SceneValidationError(f"meta: {exc}") from exc
-    arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None])]
+    arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
         cells = _object(entry, ("depth", "cells"), f"level {n}")["cells"]
         depth_ok = _is_int(entry["depth"]) and entry["depth"] == n
@@ -963,6 +984,8 @@ def system_from_json(text: str) -> TriangleSystem:
             _object(cell, ("vertices", "side_lengths"), f"level {n} cell {i}")
         verts = _numbers([c["vertices"] for c in cells], (3**n, 3, 2), f"level {n} vertices")
         sides = _numbers([c["side_lengths"] for c in cells], (3**n, 3), f"level {n} side_lengths")
+        if np.any(sides <= 0):
+            raise SceneValidationError(f"level {n} side_lengths must be positive")
         arrays.append(LevelArrays(vertices=verts, side_lengths=sides))
     audits = doc.get("audits", [])
     if not isinstance(audits, list):

@@ -196,8 +196,38 @@ class TestAudits:
 
     def test_single_audit_matches_sweep(self, sphere_system):
         audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=2, seed=3)
+        # a copy that was never audited measures each cell alone
+        fresh = system_from_json(system_to_json(sphere_system))
         for audit in audits[::3]:
-            assert audit_similarity(sphere_system, audit.index, n_pairs=100, seed=3) == audit
+            assert audit_similarity(fresh, audit.index, n_pairs=100, seed=3) == audit
+
+    def test_each_cell_audited_once(self, sphere_base, monkeypatch):
+        system = build_system(sphere_base, 5, delta=0.4)
+        fresh = system_from_json(system_to_json(system))
+        audited = []
+        measure = gasket._audit_ratios
+
+        def counting(system, cells, n_pairs, seed):
+            audited.extend((digits, n_pairs, seed) for digits in cells)
+            return measure(system, cells, n_pairs, seed)
+
+        monkeypatch.setattr(gasket, "_audit_ratios", counting)
+        calibrate_gauge(system, n_pairs=100, seed=0)
+        sweep = audit_sweep(system, n_pairs=100, seed=0)
+        # levels 1-3 (39 cells), then 3 + 9 + 3 * 12 cells, 24 of them already measured
+        assert len(audited) == len(set(audited)) == 63
+        fresh.gauge_c = system.gauge_c
+        assert audit_sweep(fresh, n_pairs=100, seed=0) == sweep
+
+    def test_envelope_follows_gauge(self, sphere_base):
+        system = build_system(sphere_base, 2, delta=0.4)
+        system.gauge_c = 1.0
+        first = audit_similarity(system, (2, 1), n_pairs=100, seed=5)
+        system.gauge_c = 1e-9
+        second = audit_similarity(system, (2, 1), n_pairs=100, seed=5)
+        assert second.max_ratio_deviation == first.max_ratio_deviation > 0
+        assert second.envelope == 0.5 * 1e-9 * second.parent_diam**2 < first.envelope
+        assert first.passed and not second.passed
 
     def test_row_cap_does_not_change_results(self, sphere_base, monkeypatch):
         def run():
@@ -330,6 +360,14 @@ class TestSerialization:
         node[path[-1]] = value
         with pytest.raises(SceneValidationError, match=field):
             system_from_json(json.dumps(doc))
+
+    def test_levels_read_only(self, flat_base):
+        system = build_system(flat_base, 2, delta=0.5)
+        for stored in (system, system_from_json(system_to_json(system))):
+            for lv in stored.levels:
+                for arr in (lv.vertices, lv.side_lengths):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] *= 2
 
     def test_deterministic(self, sphere_base):
         s1 = build_system(sphere_base, 3, delta=0.4)

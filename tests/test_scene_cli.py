@@ -283,6 +283,22 @@ class TestMalformedSystem:
     def audit_index_4(doc):
         doc["audits"][0]["index"] = [1, 4]
 
+    @staticmethod
+    def zero_side(doc):
+        doc["levels"][1]["cells"][4]["side_lengths"][2] = 0
+
+    @staticmethod
+    def delta_negative(doc):
+        doc["meta"]["delta"] = -1.5
+
+    @staticmethod
+    def delta_zero(doc):
+        doc["meta"]["delta"] = 0
+
+    @staticmethod
+    def delta_half_pi(doc):
+        doc["meta"]["delta"] = math.pi / 2
+
     NAMED = {
         "short_levels": "levels",
         "missing_cell": "level 2",
@@ -297,6 +313,10 @@ class TestMalformedSystem:
         "ragged_cell": "level 2 vertices",
         "levels_not_list": "levels must be a list",
         "audit_index_4": "audit 0 needs an index",
+        "zero_side": "level 2 side_lengths must be positive",
+        "delta_negative": "meta.delta must lie in (0, pi/2)",
+        "delta_zero": "meta.delta must lie in (0, pi/2)",
+        "delta_half_pi": "meta.delta must lie in (0, pi/2)",
     }
 
     @pytest.mark.parametrize("command", sorted(SYSTEM_ARGS))

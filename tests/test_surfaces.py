@@ -66,6 +66,40 @@ class TestBatchIndependence:
         alone = np.vstack([surface.exp_many(p[None], w[None]) for p, w in zip(pts, vels)])
         assert np.array_equal(batch, alone)
 
+    @pytest.mark.parametrize("kind", ["sphere", "bump"])
+    def test_reused_stage_equals_fresh_evaluation(self, kind, request):
+        surface = (
+            surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
+        pts, vels = self.mixed_batch()
+        y = np.concatenate([pts, vels], axis=1)
+        # reference: every step evaluates its first stage afresh
+        t, h, live = np.zeros(len(y)), np.full(len(y), 0.1), np.arange(len(y))
+        fresh = y.copy()
+        while len(live):
+            k1 = np.zeros_like(fresh)
+            k1[live] = surface._ode_rhs(fresh[live])
+            live = surface._step(fresh, t, h, k1, live)
+        assert np.array_equal(surface._integrate(y), fresh)
+
+    def test_rhs_evaluations_per_step(self, sphere, monkeypatch):
+        counts = {"rhs": 0, "steps": 0}
+        rhs, step = sphere._ode_rhs, sphere._step
+
+        def counting_rhs(y):
+            counts["rhs"] += 1
+            return rhs(y)
+
+        def counting_step(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(sphere, "_ode_rhs", counting_rhs)
+        monkeypatch.setattr(sphere, "_step", counting_step)
+        sphere.exp_many([[0.1, -0.2]], [[0.9, 0.7]])
+        assert counts["steps"] > 5
+        assert counts["rhs"] == 1 + 6 * counts["steps"]
+
     def test_escape_inside_mixed_batch(self, sphere):
         pts, vels = self.mixed_batch()
         vels[7] = (3.0, 0.0)  # runs past the chart edge toward the south pole
