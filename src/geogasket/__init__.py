@@ -39,21 +39,11 @@ from .measures import (
     DiscreteMeasure,
     cell_masses,
     kr_distance,
-    kr_distance_bounded,
     pushforward_fixpoint,
 )
-from .metric_core import (
-    CoverRecord,
-    PackingReport,
-    PointCloud,
-    box_count,
-    cover_records_to_csv,
-    diameter,
-    greedy_pack,
-)
+from .metric_core import CoverRecord
 from .scene import SceneConfig
 from .surfaces import (
-    GeodesicSegment,
     SurfaceModel,
     SurfacePoint,
     euclidean_surface,
@@ -66,15 +56,8 @@ from .surfaces import (
 from .triangles import (
     ComparisonAngles,
     GeodesicTriangleRegion,
-    SubtriangleSlice,
-    angle_stability,
-    edge_quotient_bound,
-    hyperbolic_comparison_angles,
     is_delta_nondegenerate,
-    perturbation_epsilon,
     planar_comparison_angles,
-    spherical_comparison_angles,
-    subtriangle_slice,
 )
 
 __version__ = "0.1.0"

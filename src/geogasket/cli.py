@@ -222,6 +222,20 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi, or at least lo without hi."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geogasket",
@@ -235,14 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a system from a scene JSON")
     p_build.add_argument("scene")
-    p_build.add_argument("--depth", type=int, default=None)
+    # the scene schema's depth range
+    p_build.add_argument("--depth", type=_int_in(1, 14), default=None)
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run the certification checks")
     p_verify.add_argument("system")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cells-per-level", type=int, default=12)
+    p_verify.add_argument("--cells-per-level", type=_int_in(1), default=12)
     p_verify.set_defaults(func=cmd_verify)
 
     p_dim = sub.add_parser("dim", help="box-dimension regression and artifacts")
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("system")
     p_meas.add_argument("--weights", nargs=3, required=True)
     p_meas.add_argument("--iters", type=int, default=12)
-    p_meas.add_argument("--atom-budget", type=int, default=2000)
+    p_meas.add_argument("--atom-budget", type=_int_in(1), default=2000)
     p_meas.set_defaults(func=cmd_measure)
     return parser
 

@@ -8,7 +8,6 @@ the limit set from stored cell data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,8 +16,7 @@ from scipy.integrate import quad
 
 from .errors import DepthExhaustedError, DomainError
 from .metric_core import CoverRecord
-from .gasket import TriangleSystem, mi_from_code, mi_str
-from .triangles import _chart_coords
+from .gasket import TriangleSystem, mi_str
 
 
 @dataclass(frozen=True)
@@ -342,28 +340,6 @@ def enumerate_simple_family(system: TriangleSystem, threshold: float) -> SimpleF
     return SimpleFamily(members=tuple(sorted(members)))
 
 
-def simple_family_is_valid(family: SimpleFamily, alphabet: int = 3) -> bool:
-    """Independent validity check by recursive sibling collapse.
-
-    A prefix-free exhaustive family collapses to the root by repeatedly
-    replacing complete sibling triples with their parent.
-    """
-    current = set(family.members)
-    if not current:
-        return False
-    while current != {()}:
-        deepest = max(current, key=len)
-        if len(deepest) == 0:
-            return False
-        parent = deepest[:-1]
-        siblings = {parent + (d,) for d in range(1, alphabet + 1)}
-        if not siblings <= current:
-            return False
-        current -= siblings
-        current.add(parent)
-    return True
-
-
 def simple_family_sum(family: SimpleFamily, ratios, s: float) -> float:
     """Sum over members of (product of digit ratios)^s."""
     if not isinstance(ratios, RatioList):
@@ -450,129 +426,7 @@ def box_dimension_estimate(system: TriangleSystem, n1: int, n2: int) -> BoxDimen
     )
 
 
-# -- ball-intersection probe ---------------------------------------------------
-
-
-@dataclass
-class IntersectionCountReport:
-    count: int
-    indices: list
-    c1: float
-    c2: float
-    delta_stated: float
-    delta_chain: float
-
-
-def _planar_radii(sides: np.ndarray):
-    a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
-    s = 0.5 * (a + b + c)
-    area_sq = s * (s - a) * (s - b) * (s - c)
-    if np.any(area_sq <= 0):
-        raise DomainError("degenerate cell: no inradius/circumradius witness")
-    area = np.sqrt(area_sq)
-    inradius = area / s
-    circumradius = a * b * c / (4.0 * area)
-    return inradius, circumradius
-
-
-def disjoint_ball_intersection_count(
-    system: TriangleSystem,
-    level: int,
-    center,
-    rho: float,
-    boundary_samples: int = 16,
-) -> IntersectionCountReport:
-    """Count closed cells at a level meeting a closed ball.
-
-    Cells carry measured inradius/circumradius witnesses (planar formulas
-    on the side lengths); the report carries both candidate packing
-    fractions derived from the witness constants.
-    """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    center = np.asarray(center, dtype=float)
-    lv = system.level(level)
-    inr, circ = _planar_radii(lv.side_lengths)
-    c1 = float(np.min(inr)) / rho
-    c2 = float(np.max(circ)) / rho
-
-    surface = system.surface
-    n = len(lv)
-    ts = np.linspace(0.0, 1.0, boundary_samples)
-    hits = []
-    verts = lv.vertices
-    if surface.flat:
-        for code in range(n):
-            tri = verts[code]
-            d = _point_triangle_distance_flat(center, tri)
-            if d <= rho:
-                hits.append(mi_from_code(code, level))
-    else:
-        for code in range(n):
-            tri = verts[code]
-            cell = system.cell(mi_from_code(code, level))
-            if cell.contains(center):
-                hits.append(mi_from_code(code, level))
-                continue
-            pts = []
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                w = surface.log_many(tri[i][None, :], tri[j][None, :])[0]
-                pts.append(surface.exp_many(np.tile(tri[i], (len(ts), 1)), w[None, :] * ts[:, None]))
-            samples = np.vstack(pts)
-            d = float(np.min(surface.distance_many(np.tile(center, (len(samples), 1)), samples)))
-            if d <= rho:
-                hits.append(mi_from_code(code, level))
-    delta_stated = c1 / (c1 + 4.0 * c2 + 2.0)
-    delta_chain = c1 / (c1 + 2.0 * c2 + 1.0)
-    return IntersectionCountReport(
-        count=len(hits),
-        indices=hits,
-        c1=c1,
-        c2=c2,
-        delta_stated=delta_stated,
-        delta_chain=delta_chain,
-    )
-
-
-def _point_triangle_distance_flat(p: np.ndarray, tri: np.ndarray) -> float:
-    """Exact Euclidean distance from a point to a closed triangle."""
-    (a,), (b,) = _chart_coords(tri[0], tri[2], tri[1], p[None, :])
-    if a >= 0 and b >= 0 and a + b <= 1:
-        return 0.0
-    best = math.inf
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        seg = tri[j] - tri[i]
-        t = float(np.dot(p - tri[i], seg) / np.dot(seg, seg))
-        t = min(1.0, max(0.0, t))
-        closest = tri[i] + t * seg
-        best = min(best, float(np.hypot(*(p - closest))))
-    return best
-
-
 # -- report serialization -------------------------------------------------------
-
-
-def dimension_report_json(system: TriangleSystem, estimate: BoxDimensionEstimate) -> str:
-    s = estimate.slope
-    rows = []
-    for n, rec in zip(estimate.levels_used, estimate.records):
-        rows.append(
-            {
-                "depth": n,
-                "epsilon": rec.epsilon,
-                "count": rec.count,
-                "sum": hausdorff_upper_sum(system, s, n),
-            }
-        )
-    doc = {
-        "rows": rows,
-        "slope": estimate.slope,
-        "stderr": estimate.stderr,
-        "confidence_band": list(estimate.confidence_band),
-        "dropped_levels": estimate.dropped_levels,
-        "reference_slope": math.log(3) / math.log(2),
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def dimension_report_csv(system: TriangleSystem, estimate: BoxDimensionEstimate) -> str:

@@ -59,16 +59,6 @@ class CapacityError(GeogasketError):
     """An atom or cell budget was exceeded with resampling disabled."""
 
 
-class CellRejectionError(GeogasketError, ValueError):
-    """A cover cell does not satisfy the diameter precondition."""
-
-    def __init__(self, cell_index: int, diameter: float, epsilon: float):
-        self.cell_index = cell_index
-        super().__init__(
-            f"cell {cell_index} has diameter {diameter:.6g} > epsilon {epsilon:.6g}"
-        )
-
-
 class ExpressionError(GeogasketError, ValueError):
     """A metric expression failed to parse; carries line/column info."""
 

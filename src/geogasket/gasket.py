@@ -30,8 +30,8 @@ from .triangles import (
     _frames,
     _invert_rows,
     _phi_rows,
+    is_delta_nondegenerate,
     planar_angles_batch,
-    planar_comparison_angles,
 )
 
 RATIOS = (0.5, 0.5, 0.5)
@@ -213,10 +213,8 @@ def build_system(
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    angles = planar_comparison_angles(*base.side_lengths)
-    if not (
-        np.all(angles.alphas > delta) and np.all(angles.alphas < math.pi - delta)
-    ):
+    ok, angles = is_delta_nondegenerate(base.side_lengths, delta)
+    if not ok:
         raise NondegeneracyError(
             (), f"base triangle is not {delta}-non-degenerate (angles {angles.alphas})"
         )
@@ -281,7 +279,7 @@ def _apply_f_many(system: TriangleSystem, cells, xs, tol_factor: float = 1e-7) -
         return (apex + 0.5 * (x - apex)).reshape(len(cells), n, 2)
     tol = np.repeat([tol_factor * p.diam for p in parents], n)
     out = apex.copy()
-    rest = np.flatnonzero(~np.all(np.isclose(x, apex, atol=1e-15), axis=1))
+    rest = np.flatnonzero(~np.all(x == apex, axis=1))
     for lo in range(0, len(rest), _STACK_ROWS):
         r = rest[lo:lo + _STACK_ROWS]
         _, _, resid, out[r] = _invert_rows(
@@ -695,39 +693,6 @@ def contraction_check(system: TriangleSystem) -> ContractionReport:
         worst = max(worst, margin)
         ok = ok and worst_level <= cap * (1 + 1e-12)
     return ContractionReport(passed=ok, worst_margin=worst)
-
-
-@dataclass
-class DisjointnessReport:
-    pairs_checked: int
-    violations: int
-
-
-def sibling_disjointness_check(system: TriangleSystem, max_depth: int = 4, samples: int = 1000, seed: int = 0, margin: float = 0.02) -> DisjointnessReport:
-    """Interior samples of one child must stay outside its siblings."""
-    pts = _low_discrepancy(samples, seed)[:, :2]
-    ts = margin + (1 - 2 * margin) * pts[:, 0]
-    ss = margin + (1 - 2 * margin) * pts[:, 1]
-    pairs_checked = 0
-    violations = 0
-    top = min(max_depth, system.depth)
-    for n in range(1, top + 1):
-        parent_level = n - 1
-        total = 3**parent_level
-        codes = range(min(total, 9))
-        for code in codes:
-            parent_digits = mi_from_code(int(code), parent_level)
-            children = [system.cell(parent_digits + (d,)) for d in (1, 2, 3)]
-            for a in range(3):
-                interior = children[a].phi_many(1, ts, ss)
-                for b in range(3):
-                    if a == b:
-                        continue
-                    pairs_checked += 1
-                    tol = -1e-9 if system.surface.flat else 1e-12
-                    inside = children[b].contains_many(interior, tol=tol)
-                    violations += int(np.sum(inside))
-    return DisjointnessReport(pairs_checked=pairs_checked, violations=violations)
 
 
 @dataclass

@@ -179,43 +179,6 @@ def kr_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure, exact_limit: int = 1
     return KRResult(value=upper, exact=False, duality_gap=upper - lower)
 
 
-def kr_distance_bounded(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
-    """The variant with test functions bounded by 1 as well as 1-Lipschitz.
-
-    Solved as the dual LP on the union support; satisfies
-    bounded <= unbounded <= max(diam, 1) * bounded.
-    """
-    mu1 = mu1.deduped()
-    mu2 = mu2.deduped()
-    pts = np.vstack([mu1.points, mu2.points])
-    signed = np.concatenate([mu1.weights, -mu2.weights])
-    n = len(pts)
-    if n > 400:
-        raise CapacityError("bounded-variant dual LP limited to 400 atoms total")
-    cost = _ground_costs(mu1.surface, pts, pts)
-    rows = []
-    cols = []
-    vals = []
-    rhs = []
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rows += [r, r]
-            cols += [i, j]
-            vals += [1.0, -1.0]
-            rhs.append(cost[i, j])
-            r += 1
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(r, n))
-    res = linprog(
-        -signed, A_ub=a_ub, b_ub=np.array(rhs), bounds=(-1, 1), method="highs"
-    )
-    if not res.success:
-        raise DomainError(f"dual LP failed: {res.message}")
-    return float(-res.fun)
-
-
 # -- push-forward fixed point -------------------------------------------------
 
 

@@ -1,68 +1,10 @@
-"""Surface-agnostic metric-space primitives.
-
-Point clouds carry their pairwise distance table, supplied by the surface
-oracle at construction; nothing here recomputes geodesic distances.  On top
-of the clouds sit diameters, greedy ball packings (the doubling-constant
-probe) and cover-count witnesses for box dimension.
-"""
+"""Cover-count witnesses for the box-dimension regression."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import CellRejectionError, DomainError
-
-
-@dataclass
-class PointCloud:
-    """Finite point set with a symmetric pairwise distance table."""
-
-    points: list
-    dist: np.ndarray
-
-    @classmethod
-    def from_points(cls, surface, pts) -> "PointCloud":
-        """Build a cloud with distances from the surface oracle."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = len(pts)
-        dist = np.zeros((n, n))
-        if n > 1:
-            ii, jj = np.triu_indices(n, k=1)
-            d = surface.distance_many(pts[ii], pts[jj])
-            dist[ii, jj] = d
-            dist[jj, ii] = d
-        return cls(points=[tuple(p) for p in pts], dist=dist)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def validate(self, tol: float = 1e-9, triple_budget: int = 2000, seed: int = 0):
-        """Audit the distance table: symmetry, zero diagonal, nonnegativity,
-        and the triangle inequality on sampled triples (tolerance relative
-        to the diameter)."""
-        d = self.dist
-        n = len(self)
-        if d.shape != (n, n):
-            raise DomainError("distance table shape does not match point count")
-        if np.any(np.abs(np.diag(d)) > 0):
-            raise DomainError("nonzero diagonal in distance table")
-        if np.any(d < 0):
-            raise DomainError("negative distance")
-        if np.max(np.abs(d - d.T)) > tol * max(1.0, float(np.max(d))):
-            raise DomainError("asymmetric distance table")
-        if n < 3:
-            return
-        rng = np.random.default_rng(seed)
-        m = min(triple_budget, n * (n - 1) * (n - 2))
-        slack = tol * max(float(np.max(d)), 1e-300)
-        for _ in range(m):
-            i, j, k = rng.choice(n, size=3, replace=False)
-            if d[i, k] > d[i, j] + d[j, k] + slack:
-                raise DomainError(
-                    f"triangle inequality violated on triple ({i}, {j}, {k})"
-                )
+from .errors import DomainError
 
 
 @dataclass
@@ -77,89 +19,3 @@ class CoverRecord:
             raise DomainError("epsilon must be positive")
         if self.count < 1:
             raise DomainError("count must be at least 1")
-
-
-@dataclass
-class PackingReport:
-    """Result of a greedy disjoint-ball packing probe."""
-
-    delta: float
-    achieved: int
-    bound_constant: int
-
-
-def diameter(cloud: PointCloud) -> float:
-    """Largest pairwise distance; zero for a singleton."""
-    if len(cloud) == 0:
-        raise DomainError("diameter of an empty cloud is undefined")
-    if len(cloud) == 1:
-        return 0.0
-    return float(np.max(cloud.dist))
-
-
-def greedy_pack(center, r, delta, candidates: PointCloud, bound_constant=None) -> PackingReport:
-    """Greedy maximal set of centers of disjoint delta*r balls inside B(center, r).
-
-    ``center`` is the index of a cloud point (or a point equal to one).
-    Candidates whose delta*r ball would poke out of B(center, r) are
-    skipped; the chosen centers are pairwise more than 2*delta*r apart, by
-    farthest-point insertion.  Greedy rather than optimal: the downstream
-    bound check only needs an achievable count.
-    """
-    if not (0.0 < delta < 1.0):
-        raise DomainError("delta must lie in (0, 1)")
-    if r <= 0:
-        raise DomainError("r must be positive")
-    n = len(candidates)
-    if n == 0:
-        return PackingReport(delta=delta, achieved=0, bound_constant=int(bound_constant or 0))
-    if isinstance(center, (int, np.integer)):
-        c_idx = int(center)
-        if not (0 <= c_idx < n):
-            raise DomainError("center index out of range")
-    else:
-        matches = [i for i, p in enumerate(candidates.points) if tuple(p) == tuple(center)]
-        if not matches:
-            raise DomainError("center point not present in candidate cloud")
-        c_idx = matches[0]
-
-    d = candidates.dist
-    inside = np.where(d[c_idx] <= r * (1.0 - delta) + 1e-15)[0]
-    chosen: list[int] = []
-    min_sep = 2.0 * delta * r
-    # farthest-point insertion, seeded with the candidate closest to center
-    if len(inside):
-        order_seed = inside[np.argmin(d[c_idx, inside])]
-        chosen.append(int(order_seed))
-        while True:
-            remaining = [i for i in inside if i not in chosen]
-            if not remaining:
-                break
-            gaps = np.array([min(d[i, j] for j in chosen) for i in remaining])
-            best = int(np.argmax(gaps))
-            if gaps[best] > min_sep:
-                chosen.append(int(remaining[best]))
-            else:
-                break
-    achieved = len(chosen)
-    bound = int(bound_constant) if bound_constant is not None else achieved
-    return PackingReport(delta=delta, achieved=achieved, bound_constant=bound)
-
-
-def box_count(cells, epsilon) -> CoverRecord:
-    """Cover-count witness: the cells must each have diameter <= epsilon."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    for index, cell in enumerate(cells):
-        d = diameter(cell)
-        if d > epsilon:
-            raise CellRejectionError(index, d, epsilon)
-    return CoverRecord(epsilon=float(epsilon), count=len(cells))
-
-
-def cover_records_to_csv(records) -> str:
-    """Serialize cover records as ``epsilon,count`` CSV rows."""
-    lines = ["epsilon,count"]
-    for rec in records:
-        lines.append(f"{rec.epsilon:.17g},{rec.count}")
-    return "\n".join(lines) + "\n"

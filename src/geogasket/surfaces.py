@@ -310,7 +310,7 @@ class SurfaceModel:
 
     # -- batched geodesic operations ------------------------------------
 
-    def exp_many(self, pts, vels, t=1.0, with_velocity=False):
+    def exp_many(self, pts, vels, t=1.0):
         """Geodesic endpoints exp_p(t w) for a batch of (p, w)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vels = np.atleast_2d(np.asarray(vels, dtype=float))
@@ -320,12 +320,8 @@ class SurfaceModel:
             bad = ~self.contains(out)
             if np.any(bad):
                 raise ChartEscapeError(self._flat_exit_parameter(pts[bad], t * vels[bad]))
-            if with_velocity:
-                return out, vels.copy()
             return out
         y = self._integrate(np.concatenate([pts, t * vels], axis=1))
-        if with_velocity:
-            return y[:, :2].copy(), y[:, 2:] / t
         return y[:, :2].copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
@@ -427,44 +423,6 @@ class SurfaceModel:
         q = _as_point_array(q)
         out = self.midpoint_many(p[None, :], q[None, :], **kwargs)[0]
         return SurfacePoint(float(out[0]), float(out[1]))
-
-    def geodesic_between(self, p, q, **kwargs) -> "GeodesicSegment":
-        p_arr = _as_point_array(p)
-        q_arr = _as_point_array(q)
-        start = SurfacePoint(float(p_arr[0]), float(p_arr[1]))
-        end = SurfacePoint(float(q_arr[0]), float(q_arr[1]))
-        if np.array_equal(p_arr, q_arr):
-            return GeodesicSegment(
-                surface=self,
-                start=start,
-                end=end,
-                initial_velocity=np.zeros(2),
-                length=0.0,
-                degenerate=True,
-            )
-        w = self.log_many(p_arr[None, :], q_arr[None, :], **kwargs)[0]
-        length = float(self.norm(p_arr[None, :], w[None, :])[0])
-        return GeodesicSegment(
-            surface=self, start=start, end=end, initial_velocity=w, length=length
-        )
-
-
-@dataclass
-class GeodesicSegment:
-    """A constant-speed geodesic on [0, 1] between two chart points."""
-
-    surface: SurfaceModel
-    start: SurfacePoint
-    end: SurfacePoint
-    initial_velocity: np.ndarray
-    length: float
-    degenerate: bool = False
-
-    def speed_at(self, t: float) -> float:
-        p = self.start.as_array()[None, :]
-        w = self.initial_velocity[None, :]
-        pos, vel = self.surface.exp_many(p, w, float(t), with_velocity=True)
-        return float(self.surface.norm(pos, vel)[0])
 
 
 def jacobi_field(phi, t, s, h, surface):

@@ -6,14 +6,12 @@ the region by cross geodesics between points at fractional arclength s on
 the two sides leaving a chosen apex; ``t`` is the affine parameter along
 each cross geodesic.
 
-Comparison angles are computed in the plane, the unit sphere and the
-hyperbolic plane from the side lengths alone, and drive the
+Planar comparison angles, computed from the side lengths alone, drive the
 delta-non-degeneracy tests used throughout subdivision certification.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +23,7 @@ from .errors import (
     DomainError,
     InversionError,
 )
-from .surfaces import EUCLIDEAN, SurfaceModel, SurfacePoint, _as_point_array
+from .surfaces import SurfaceModel, SurfacePoint, _as_point_array
 
 # Curved-surface working-domain guard.  |K| <= 1 puts the conjugate-point
 # scale at pi; triangles are kept an order of magnitude below it so the
@@ -33,8 +31,6 @@ from .surfaces import EUCLIDEAN, SurfaceModel, SurfacePoint, _as_point_array
 CONVEXITY_GUARD = 0.4
 
 PLANE = "plane"
-SPHERE_SPACE = "sphere"
-HYPERBOLIC_SPACE = "hyperbolic"
 
 
 def _check_sides(a1, a2, a3):
@@ -81,40 +77,6 @@ def planar_comparison_angles(a1, a2, a3) -> ComparisonAngles:
     return ComparisonAngles(PLANE, al1, al2, al3)
 
 
-def spherical_comparison_angles(a1, a2, a3) -> ComparisonAngles:
-    """Angles of the comparison triangle on the unit sphere."""
-    sides = _check_sides(a1, a2, a3)
-    if np.any(sides >= math.pi):
-        raise DomainError("each side must be shorter than pi on the unit sphere")
-    if float(np.sum(sides)) >= 2 * math.pi:
-        raise DomainError("perimeter must be below 2*pi on the unit sphere")
-
-    def angle(a, b, c):
-        return _clamped_arccos(
-            (math.cos(a) - math.cos(b) * math.cos(c))
-            / (math.sin(b) * math.sin(c))
-        )
-
-    a, b, c = sides
-    return ComparisonAngles(SPHERE_SPACE, angle(a, b, c), angle(b, a, c), angle(c, a, b))
-
-
-def hyperbolic_comparison_angles(a1, a2, a3) -> ComparisonAngles:
-    """Angles of the comparison triangle in the hyperbolic plane."""
-    sides = _check_sides(a1, a2, a3)
-
-    def angle(a, b, c):
-        return _clamped_arccos(
-            (math.cosh(b) * math.cosh(c) - math.cosh(a))
-            / (math.sinh(b) * math.sinh(c))
-        )
-
-    a, b, c = sides
-    return ComparisonAngles(
-        HYPERBOLIC_SPACE, angle(a, b, c), angle(b, a, c), angle(c, a, b)
-    )
-
-
 def planar_angles_batch(sides: np.ndarray) -> np.ndarray:
     """Vectorized planar comparison angles for an (N, 3) side-length array."""
     a = sides[:, 0]
@@ -139,43 +101,6 @@ def is_delta_nondegenerate(sides, delta):
         np.all(angles.alphas > delta) and np.all(angles.alphas < math.pi - delta)
     )
     return flag, angles
-
-
-@dataclass(frozen=True)
-class EdgeQuotientReport:
-    max_quotient: float
-    bound: float
-    ok: bool
-
-
-def edge_quotient_bound(sides, delta) -> EdgeQuotientReport:
-    """Check the side-quotient bound 1/sin(delta) of non-degenerate triangles."""
-    flag, _ = is_delta_nondegenerate(sides, delta)
-    if not flag:
-        raise DegenerateTriangleError(
-            f"sides {tuple(sides)} are not {delta}-non-degenerate"
-        )
-    arr = np.array(sides, dtype=float)
-    quotient = float(np.max(arr) / np.min(arr))
-    bound = 1.0 / math.sin(delta)
-    return EdgeQuotientReport(max_quotient=quotient, bound=bound, ok=quotient <= bound)
-
-
-def perturbation_epsilon(delta: float) -> float:
-    """Side-quotient perturbation budget preserving delta/2-non-degeneracy.
-
-    Derived by chaining the half-angle identity
-    sin^2(alpha/2) = (s-b)(s-c)/(bc) through the side-quotient bound
-    C = 1/sin(delta): a quotient perturbation within (1 +/- eps) moves each
-    comparison angle by at most ~4 eps C^2 / (sin(delta/2) sin(delta/4)) per
-    perturbed side.  Requiring a total angle drift below delta/4 and halving
-    for safety gives the budget below; it is deliberately conservative.
-    """
-    if not (0 < delta < math.pi / 2):
-        raise DomainError("delta must lie in (0, pi/2)")
-    c2 = math.sin(delta) ** 2
-    eps = delta * math.sin(delta / 2) * math.sin(delta / 4) * c2 / 64.0
-    return eps / 2.0
 
 
 # Iteration limit of the parameter recovery behind invert_phi.
@@ -395,133 +320,3 @@ class GeodesicTriangleRegion:
         self._apex_frame(vertex_index)
         rows = np.full(len(xs), vertex_index - 1)
         return _invert_rows(self.surface, self._frame_table(), rows, xs, tol, max_iter)[:3]
-
-    def contains_many(self, xs, tol=1e-9) -> np.ndarray:
-        """Vectorized closed-region membership."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        a, b = _chart_coords(*self._apex_frame(1), xs)
-        if self.surface.flat:
-            return (a >= -tol) & (b >= -tol) & (a + b <= 1 + tol)
-        # chart-barycentric prefilter: curvature distorts barycentric
-        # coordinates by O(r^2), far below the 0.05 rejection margin on the
-        # guarded working domains
-        margin = 0.05
-        near = (a >= -margin) & (b >= -margin) & (a + b <= 1 + margin)
-        out = np.zeros(len(xs), dtype=bool)
-        if np.any(near):
-            scale = max(self.diam, 1e-12)
-            _, ss, resid = self.invert_phi_many(
-                1, xs[near], tol=max(tol * scale, 1e-13), max_iter=25
-            )
-            out[near] = (ss <= 1 + tol) & (resid <= 10 * max(tol, 1e-12) * scale)
-        return out
-
-    def contains(self, x, tol=1e-9) -> bool:
-        """Closed-region membership via inverse parametrization."""
-        return bool(self.contains_many(_as_point_array(x)[None, :], tol=tol)[0])
-
-    def vertex_angle(self, vertex_index: int) -> float:
-        """Angle at a vertex measured from tangent vectors of the two
-        incident sides (inner product in the surface metric)."""
-        i = vertex_index - 1
-        pts = self.vertex_array()
-        p = pts[i]
-        others = [pts[(i + 1) % 3], pts[(i + 2) % 3]]
-        w1 = self.surface.log_many(p[None, :], others[0][None, :])[0]
-        w2 = self.surface.log_many(p[None, :], others[1][None, :])[0]
-        ip = float(self.surface.inner(p[None, :], w1[None, :], w2[None, :])[0])
-        n1 = float(self.surface.norm(p[None, :], w1[None, :])[0])
-        n2 = float(self.surface.norm(p[None, :], w2[None, :])[0])
-        return _clamped_arccos(ip / (n1 * n2))
-
-
-@dataclass
-class SubtriangleSlice:
-    """The sub-triangle cut at fractional arclength s from an apex.
-
-    The region is expressed in the apex frame: vertex 1 is the apex, vertex
-    2 sits on the side toward the next vertex (cyclically), vertex 3 on the
-    side toward the previous one.  At s = 1 the side lengths reproduce the
-    base triangle's (in the apex-frame ordering).
-    """
-
-    base: GeodesicTriangleRegion
-    vertex_index: int
-    s: float
-    region: GeodesicTriangleRegion
-
-
-def subtriangle_slice(base: GeodesicTriangleRegion, vertex_index: int, s: float) -> SubtriangleSlice:
-    if not (0 < s <= 1):
-        raise DomainError("s must lie in (0, 1]")
-    apex, p_j, p_k = base._apex_frame(vertex_index)
-    surface = base.surface
-    w_j = surface.log_many(apex[None, :], p_j[None, :])[0]
-    w_k = surface.log_many(apex[None, :], p_k[None, :])[0]
-    v2 = surface.exp_many(apex[None, :], (s * w_j)[None, :])[0]
-    v3 = surface.exp_many(apex[None, :], (s * w_k)[None, :])[0]
-    cross_len = float(surface.distance_many(v3[None, :], v2[None, :])[0])
-    i = vertex_index - 1
-    a_apex_frame_2 = base.side_lengths[(i + 1) % 3]  # apex -> p_k side
-    a_apex_frame_3 = base.side_lengths[(i + 2) % 3]  # apex -> p_j side
-    region = GeodesicTriangleRegion(
-        surface,
-        [apex, v2, v3],
-        [cross_len, s * a_apex_frame_2, s * a_apex_frame_3],
-    )
-    return SubtriangleSlice(base=base, vertex_index=vertex_index, s=s, region=region)
-
-
-@dataclass(frozen=True)
-class AngleStabilityReport:
-    vertex_index: int
-    s: float
-    t: float
-    alpha_gap: float
-    beta_gap: float
-    angles_s: ComparisonAngles
-    angles_t: ComparisonAngles
-
-
-def angle_stability(base: GeodesicTriangleRegion, vertex_index: int, s: float, t: float) -> AngleStabilityReport:
-    """Comparison-angle drift at the moving vertices between two slices.
-
-    Angles are taken from planar comparison triangles of the slice side
-    lengths; the apex angle is excluded (it is common to all slices).
-    """
-    if not (0 < s <= 1 and 0 < t <= 1):
-        raise DomainError("slice parameters must lie in (0, 1]")
-    slice_s = subtriangle_slice(base, vertex_index, s)
-    slice_t = subtriangle_slice(base, vertex_index, t)
-    ang_s = planar_comparison_angles(*slice_s.region.side_lengths)
-    ang_t = planar_comparison_angles(*slice_t.region.side_lengths)
-    return AngleStabilityReport(
-        vertex_index=vertex_index,
-        s=s,
-        t=t,
-        alpha_gap=abs(ang_s.alpha2 - ang_t.alpha2),
-        beta_gap=abs(ang_s.alpha3 - ang_t.alpha3),
-        angles_s=ang_s,
-        angles_t=ang_t,
-    )
-
-
-# -- serialization -----------------------------------------------------
-
-
-def triangle_to_json(region: GeodesicTriangleRegion) -> str:
-    doc = {
-        "surface": region.surface.kind,
-        "vertices": [[p.u, p.v] for p in region.vertices],
-        "side_lengths": list(map(float, region.side_lengths)),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def triangle_from_json(surface: SurfaceModel, text: str) -> GeodesicTriangleRegion:
-    doc = json.loads(text)
-    if doc.get("surface") != surface.kind:
-        raise DomainError(
-            f"triangle was serialized on {doc.get('surface')!r}, not {surface.kind!r}"
-        )
-    return GeodesicTriangleRegion(surface, doc["vertices"], doc["side_lengths"])

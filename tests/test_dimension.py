@@ -10,20 +10,16 @@ from geogasket.dimension import (
     RatioList,
     box_dimension_estimate,
     dimension_report_csv,
-    dimension_report_json,
-    disjoint_ball_intersection_count,
     enumerate_simple_family,
     gauge_admissible,
     hausdorff_upper_sum,
     product_bounds,
-    simple_family_is_valid,
     simple_family_sum,
     solve_moran,
     uniform_moran_exponent,
 )
 from geogasket.errors import DepthExhaustedError, DomainError
 from geogasket.gasket import build_system, subdivide
-from geogasket.metric_core import PointCloud, greedy_pack
 
 
 def bisect_moran_oracle(lams, lo=0.0, hi=50.0, iters=200):
@@ -37,6 +33,13 @@ def bisect_moran_oracle(lams, lo=0.0, hi=50.0, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def assert_complete_prefix_code(members):
+    """No member is a prefix of another, and the Kraft sum of 3^-|I| is 1,
+    so the family is prefix-free and exhaustive."""
+    assert all(a[: len(b)] != b for a in members for b in members if a != b)
+    assert sum(3.0 ** -len(m) for m in members) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSolveMoran:
@@ -142,7 +145,7 @@ class TestSimpleFamilies:
 
     def test_sphere_family_valid(self, sphere_system):
         family = enumerate_simple_family(sphere_system, 0.21 * sphere_system.base.diam)
-        assert simple_family_is_valid(family)
+        assert_complete_prefix_code(family.members)
         lengths = {len(m) for m in family.members}
         assert len(lengths) >= 1
 
@@ -164,17 +167,9 @@ class TestSimpleFamilies:
         from geogasket.dimension import SimpleFamily
 
         family = SimpleFamily(members=((1,), (2,), (3, 1), (3, 2), (3, 3)))
-        assert simple_family_is_valid(family)
+        assert_complete_prefix_code(family.members)
         s = solve_moran((0.5, 0.5, 0.5)).s
         assert simple_family_sum(family, (0.5, 0.5, 0.5), s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_families_detected(self):
-        from geogasket.dimension import SimpleFamily
-
-        assert not simple_family_is_valid(SimpleFamily(members=((1,), (2,))))
-        assert not simple_family_is_valid(
-            SimpleFamily(members=((1,), (2,), (3,), (3, 1)))
-        )
 
     def test_random_ratio_sums(self, flat_system):
         rng = np.random.default_rng(31)
@@ -238,50 +233,3 @@ class TestBoxDimension:
         est = box_dimension_estimate(flat_system, 2, 8)
         csv_text = dimension_report_csv(flat_system, est)
         assert csv_text.startswith("epsilon,count,sum")
-        json_text = dimension_report_json(flat_system, est)
-        assert '"slope"' in json_text
-
-
-class TestBallIntersection:
-    def test_far_ball_empty(self, flat_system):
-        rep = disjoint_ball_intersection_count(flat_system, 3, (10.0, 10.0), 0.01)
-        assert rep.count == 0
-
-    def test_flat_cell_scale_counts(self, eu, flat_system):
-        # frozen from the exhaustive probe: with rho equal to the cell
-        # diameter a closed ball touches at most 7 closed cells (adversarial
-        # centers near a removed hole reach all three siblings plus
-        # neighbors), and at most 3 at half that radius
-        level = 4
-        rho = float(np.max(flat_system.level_diams(level)))
-        rng = np.random.default_rng(3)
-        worst = 0
-        worst_half = 0
-        for _ in range(1000):
-            center = rng.uniform(0, 1, size=2)
-            worst = max(
-                worst,
-                disjoint_ball_intersection_count(flat_system, level, center, rho).count,
-            )
-            worst_half = max(
-                worst_half,
-                disjoint_ball_intersection_count(flat_system, level, center, rho / 2).count,
-            )
-        assert worst <= 7
-        assert worst_half <= 3
-
-    def test_count_vs_packing_bound(self, eu, flat_system):
-        level = 3
-        rho = float(np.max(flat_system.level_diams(level)))
-        rep = disjoint_ball_intersection_count(flat_system, level, (0.5, 0.3), rho)
-        # doubling probe: greedy packing of delta*r balls inside an r-ball
-        # on a dense grid, at the witness-derived packing fraction
-        delta = max(rep.delta_stated, 0.05)
-        xs = np.linspace(-1, 1, 41)
-        grid = np.array([(x, y) for x in xs for y in xs])
-        keep = np.hypot(grid[:, 0], grid[:, 1]) <= 1.0
-        cloud = PointCloud.from_points(eu, grid[keep])
-        center_idx = int(np.argmin(np.hypot(*np.array(cloud.points).T)))
-        c_delta = greedy_pack(center_idx, 1.0, delta, cloud).achieved
-        assert rep.count <= max(c_delta, 1)
-        assert 0 < rep.delta_stated <= rep.delta_chain < 1

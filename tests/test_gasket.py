@@ -1,6 +1,7 @@
 import json
 import math
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,11 @@ from geogasket.gasket import (
     nesting_check,
     nondegeneracy_sweep,
     render_svg,
-    sibling_disjointness_check,
     subdivide,
     system_from_json,
     system_to_json,
 )
+from geogasket.scene import SceneConfig
 from geogasket.triangles import GeodesicTriangleRegion
 
 
@@ -116,14 +117,6 @@ class TestBuildSystem:
             assert rep.all_inside
             assert rep.max_residual_factor <= 1e-7
 
-    def test_sibling_disjointness(self, flat_system):
-        rep = sibling_disjointness_check(flat_system, max_depth=4, samples=1000, seed=5)
-        assert rep.violations == 0
-
-    def test_sibling_disjointness_curved(self, sphere_system):
-        rep = sibling_disjointness_check(sphere_system, max_depth=2, samples=100, seed=5)
-        assert rep.violations == 0
-
 
 class TestApplyF:
     def test_fixed_vertex(self, sphere_system):
@@ -163,6 +156,21 @@ class TestApplyF:
             fy = apply_f(system, (1,), y).as_array()
             ratio = sphere.distance(fx, fy) / sphere.distance(x, y)
             assert abs(ratio - 0.5) <= 0.5 * max(c, 1e-6) * r2 * 1.5
+
+    @pytest.mark.parametrize("vertex", [1, 2, 3])
+    def test_near_apex_point_moves(self, vertex):
+        # a point close to the apex is mapped, not snapped onto the apex
+        scene = SceneConfig.from_path(Path(__file__).parents[1] / "scenes" / "sphere_small.json")
+        system = build_system(scene.base_triangle(), 3, scene.delta)
+        verts = system.base.vertex_array()
+        apex = verts[vertex - 1]
+        inward = verts.mean(axis=0) - apex
+        inward /= np.hypot(*inward)
+        for offset in (1e-9, 1e-7, 3e-7, 1e-6):
+            x = apex + offset * inward
+            fx = apply_f(system, (vertex,), x).as_array()
+            ratio = system.surface.distance(fx, apex) / system.surface.distance(x, apex)
+            assert 0.49 < ratio < 0.51, (offset, ratio)
 
     def test_outside_point_inversion_error(self, sphere_system):
         far = np.array([0.5, 0.5])

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from geogasket.measures import (
     DiscreteMeasure,
     cell_masses,
     kr_distance,
-    kr_distance_bounded,
     pushforward_fixpoint,
     resample_to_centroids,
     trace_ratios,
@@ -97,24 +95,6 @@ class TestKRDistance:
         assert exact.exact and not approx.exact
         assert approx.duality_gap is not None
         assert approx.value >= exact.value - 1e-9
-
-    def test_bounded_variant_inequalities(self, eu):
-        rng = np.random.default_rng(21)
-        # small support: spread below 1, so both variants coincide
-        a = uniform_measure(eu, rng.uniform(0, 0.4, size=(4, 2)))
-        b = uniform_measure(eu, rng.uniform(0, 0.4, size=(4, 2)))
-        d_star = kr_distance(a, b).value
-        d_bounded = kr_distance_bounded(a, b)
-        assert d_bounded <= d_star + 1e-9
-        assert d_star <= max(1.0, 0.6) * d_bounded + 1e-9
-        # wide support: the unbounded value may exceed the bounded one by
-        # at most the support diameter
-        c = uniform_measure(eu, rng.uniform(0, 3.0, size=(4, 2)))
-        e = uniform_measure(eu, rng.uniform(0, 3.0, size=(4, 2)))
-        d_star = kr_distance(c, e).value
-        d_bounded = kr_distance_bounded(c, e)
-        diam = 3.0 * math.sqrt(2.0)
-        assert d_bounded <= d_star + 1e-9 <= max(diam, 1.0) * d_bounded + 1e-8
 
 
 class TestPushforward:

@@ -423,3 +423,36 @@ class TestSolverErrors:
         capsys.readouterr()
         assert main(["measure", str(out), *SYSTEM_ARGS["measure"]]) == 2
         assert "error: exact transport limited" in capsys.readouterr().err
+
+
+class TestOptionBounds:
+    """Out-of-range integer options exit 2 before any work is done."""
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("build", "--depth", "0"),
+            ("build", "--depth", "15"),
+            ("verify", "--cells-per-level", "0"),
+            ("verify", "--cells-per-level", "-1"),
+            ("measure", "--atom-budget", "0"),
+        ],
+    )
+    def test_exit2(self, flat_scene_path, tmp_path, capsys, command, option, value):
+        if command == "build":
+            # a needle base, so that a depth that got past the parser fails
+            # fast with exit 3 instead of building 3^15 cells
+            target = tmp_path / "needle.json"
+            target.write_text(json.dumps(dict(FLAT_SCENE, vertices=[[0, 0], [1, 0], [0.5, 0.01]])))
+            extra = ["--out", str(tmp_path / "o.json")]
+        else:
+            _built_flat_system(flat_scene_path, tmp_path)
+            target, extra = tmp_path / "sys.json", SYSTEM_ARGS[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(target), *extra, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()

@@ -1,5 +1,8 @@
-"""Smoke runs of the experiment scripts, each in its own interpreter."""
+"""Smoke runs of the experiment scripts, each in its own interpreter, and a
+guard on the modules the benchmark tracer wraps."""
 
+import ast
+import importlib
 import math
 import os
 import subprocess
@@ -37,3 +40,17 @@ def test_rauch_envelope_sweep():
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["sphere_unit", "hyperbolic_poincare"]
     assert all("-> 0 violations" in line for line in lines)
+
+
+def test_benchmark_traced_modules_import():
+    # `perfbench/run.py --trace 1` imports every module named here; a module
+    # deleted or renamed without updating the tracer would break it
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    names = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED_MODULES"
+    )
+    assert names
+    for name in names:
+        importlib.import_module(f"geogasket.{name}")

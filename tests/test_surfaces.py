@@ -129,25 +129,6 @@ class TestLogMap:
         assert abs(norm - 0.5) <= 1e-8
 
 
-class TestGeodesicBetween:
-    def test_degenerate_flagged(self, eu):
-        seg = eu.geodesic_between((1.0, 1.0), (1.0, 1.0))
-        assert seg.degenerate and seg.length == 0.0
-
-    def test_euclidean_three_four_five(self, eu):
-        seg = eu.geodesic_between((0.0, 0.0), (3.0, 4.0))
-        assert seg.length == pytest.approx(5.0, abs=1e-12)
-
-    def test_hyperbolic_closed_form(self, hyperbolic):
-        seg = hyperbolic.geodesic_between((0.0, 0.0), (0.5, 0.0))
-        assert seg.length == pytest.approx(2.0 * math.atanh(0.5), abs=1e-8)
-
-    def test_constant_speed(self, sphere):
-        seg = sphere.geodesic_between((0.01, 0.02), (0.25, -0.1))
-        speeds = [seg.speed_at(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        assert max(speeds) - min(speeds) <= 1e-8 * seg.length
-
-
 class TestMidpoint:
     def test_euclidean_mean(self, eu):
         m = eu.midpoint((0.0, 0.0), (2.0, 4.0))
@@ -164,6 +145,8 @@ class TestMidpoint:
         m = hyperbolic.midpoint((0.0, 0.0), (0.5, 0.0))
         assert m.u == pytest.approx(math.tanh(math.atanh(0.5) / 2.0), abs=1e-8)
         assert m.v == pytest.approx(0.0, abs=1e-10)
+        d = hyperbolic.distance((0.0, 0.0), (0.5, 0.0))
+        assert d == pytest.approx(2.0 * math.atanh(0.5), abs=1e-8)
 
 
 class TestRoundTripAndSymmetry:
@@ -188,6 +171,13 @@ class TestRoundTripAndSymmetry:
         d1 = surface.distance_many(pts, qts)
         d2 = surface.distance_many(qts, pts)
         assert np.all(np.abs(d1 - d2) <= 1e-9 * np.maximum(d1, 1e-12))
+        # the full table of 12 points: symmetric, and the triangle inequality
+        # holds on every triple
+        ii, jj = np.divmod(np.arange(144), 12)
+        table = surface.distance_many(pts[ii], pts[jj]).reshape(12, 12)
+        assert np.max(np.abs(table - table.T)) <= 1e-9 * np.max(table)
+        slack = 1e-9 * np.max(table)
+        assert np.all(table[:, None, :] <= table[:, :, None] + table[None, :, :] + slack)
 
 
 class TestJacobiField:
