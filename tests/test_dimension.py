@@ -171,6 +171,20 @@ class TestSimpleFamilies:
         s = solve_moran((0.5, 0.5, 0.5)).s
         assert simple_family_sum(family, (0.5, 0.5, 0.5), s) == pytest.approx(1.0, abs=1e-12)
 
+    def test_invalid_families_detected(self):
+        from geogasket.dimension import SimpleFamily
+
+        # on the classical gasket a complete prefix code sums to 1; a family
+        # that misses a branch sums below 1, one with a nested member above
+        s = solve_moran((0.5, 0.5, 0.5)).s
+        incomplete = SimpleFamily(members=((1,), (2,)))
+        nested = SimpleFamily(members=((1,), (2,), (3,), (3, 1)))
+        assert simple_family_sum(incomplete, (0.5, 0.5, 0.5), s) == pytest.approx(2 / 3, abs=1e-12)
+        assert simple_family_sum(nested, (0.5, 0.5, 0.5), s) == pytest.approx(10 / 9, abs=1e-12)
+        for family in (incomplete, nested):
+            with pytest.raises(AssertionError):
+                assert_complete_prefix_code(family.members)
+
     def test_random_ratio_sums(self, flat_system):
         rng = np.random.default_rng(31)
         thresholds = [0.4, 0.21, 0.1, 0.06]

@@ -1,169 +1,79 @@
-import itertools
+"""Metric properties of the geodesic distance, and the cover witnesses
+(``CoverRecord``) the box-dimension regression builds from cell diameters."""
+
 import math
 
 import numpy as np
 import pytest
 
-from geogasket.errors import CellRejectionError, DomainError
-from geogasket.metric_core import (
-    CoverRecord,
-    PointCloud,
-    box_count,
-    cover_records_to_csv,
-    diameter,
-    greedy_pack,
-)
+from geogasket.dimension import box_dimension_estimate, dimension_report_csv
+from geogasket.errors import DomainError
+from geogasket.metric_core import CoverRecord
+from geogasket.triangles import GeodesicTriangleRegion
 
 
-def flat_cloud(eu, pts):
-    return PointCloud.from_points(eu, np.asarray(pts, dtype=float))
+def distance_table(surface, pts):
+    n = len(pts)
+    ii, jj = np.divmod(np.arange(n * n), n)
+    return surface.distance_many(pts[ii], pts[jj]).reshape(n, n)
 
 
 class TestDiameter:
-    def test_singleton(self, eu):
-        assert diameter(flat_cloud(eu, [(0.3, 0.4)])) == 0.0
-
     def test_unit_square_corners(self, eu):
-        cloud = flat_cloud(eu, [(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert diameter(cloud) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_empty_rejected(self, eu):
-        with pytest.raises(DomainError):
-            diameter(PointCloud(points=[], dist=np.zeros((0, 0))))
+        tri = GeodesicTriangleRegion.from_vertices(eu, (0, 0), (1, 0), (0, 1))
+        assert tri.diam == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_spherical_triangle_samples(self, sphere, sphere_base):
-        # 200 parametrization samples of a triangle with vertices within 0.3
         rng = np.random.default_rng(11)
-        ts = rng.uniform(0, 1, 200)
-        ss = rng.uniform(0, 1, 200)
-        pts = sphere_base.phi_many(1, ts, ss)
-        cloud = PointCloud.from_points(sphere, pts)
-        d = diameter(cloud)
-        # independent oracle: brute-force max over closed-form pair distances
-        oracle = max(
-            sphere.closed_form_distance(pts[i], pts[j])
-            for i in range(0, 200, 5)
-            for j in range(i + 1, 200, 5)
-        )
-        assert 0.0 < d <= 0.3 + 1e-9
-        assert d >= oracle - 1e-9
+        pts = sphere_base.phi_many(1, rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))
+        ii, jj = np.triu_indices(len(pts), k=1)
+        solver = sphere.distance_many(pts[ii], pts[jj])
+        # independent oracle: closed-form pair distances
+        closed = np.array([sphere.closed_form_distance(pts[i], pts[j]) for i, j in zip(ii, jj)])
+        # a geodesic triangle in a convex domain is as wide as its longest side
+        assert 0.0 < np.max(solver) <= sphere_base.diam + 1e-9
+        np.testing.assert_allclose(solver, closed, atol=1e-9)
 
-    def test_union_dominates_parts(self, eu):
-        a = [(0, 0), (1, 0)]
-        b = [(0.2, 0.9), (0.4, 0.1)]
-        da = diameter(flat_cloud(eu, a))
-        db = diameter(flat_cloud(eu, b))
-        du = diameter(flat_cloud(eu, a + b))
-        assert du >= max(da, db)
-
-    def test_validate_catches_bad_table(self):
-        dist = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        cloud = PointCloud(points=[(0, 0), (1, 0), (2, 0)], dist=dist)
-        with pytest.raises(DomainError):
-            cloud.validate()
-
-    def test_validate_accepts_geodesic_table(self, sphere):
+    def test_validate_accepts_geodesic_table(self, sphere, hyperbolic):
+        # a table of 12 points: symmetric, and the triangle inequality holds
+        # on every triple
         rng = np.random.default_rng(2)
-        pts = rng.uniform(-0.2, 0.2, size=(12, 2))
-        PointCloud.from_points(sphere, pts).validate()
-
-
-def _exact_max_packing(dist, eligible, min_sep):
-    """Branch-and-bound maximum independent set of the conflict graph."""
-    order = list(eligible)
-    best = 0
-
-    def grow(chosen, rest):
-        nonlocal best
-        if len(chosen) + len(rest) <= best:
-            return
-        if not rest:
-            best = max(best, len(chosen))
-            return
-        head, *tail = rest
-        grow(chosen, tail)
-        if all(dist[head, c] > min_sep for c in chosen):
-            grow(chosen + [head], tail)
-
-    grow([], order)
-    return best
-
-
-class TestGreedyPack:
-    def test_large_delta_single_ball(self, eu):
-        rng = np.random.default_rng(4)
-        pts = np.vstack([[0.0, 0.0], rng.uniform(-1, 1, size=(30, 2))])
-        cloud = flat_cloud(eu, pts)
-        report = greedy_pack(0, 1.0, 0.9, cloud)
-        assert report.achieved == 1
-
-    def test_empty_candidates(self, eu):
-        cloud = PointCloud(points=[], dist=np.zeros((0, 0)))
-        assert greedy_pack(0, 1.0, 0.5, cloud).achieved == 0
-
-    def test_delta_quarter_grid_against_area_bound(self, eu):
-        xs = np.arange(-1, 1.0001, 0.2)
-        grid = np.array([(x, y) for x in xs for y in xs] + [(0.0, 0.0)])
-        keep = np.hypot(grid[:, 0], grid[:, 1]) <= 1.0
-        cloud = flat_cloud(eu, grid[keep])
-        center = int(np.argmin(np.hypot(*(cloud_pts := np.array(cloud.points)).T)))
-        report = greedy_pack(center, 1.0, 0.25, cloud)
-        assert report.achieved <= 25
-        # exhaustive oracle on the same grid
-        d = cloud.dist
-        eligible = [i for i in range(len(cloud)) if d[center, i] <= 0.75 + 1e-12]
-        exact = _exact_max_packing(d, eligible, 0.5)
-        assert report.achieved <= exact <= 25
-
-    def test_monotone_in_delta(self, eu):
-        rng = np.random.default_rng(9)
-        pts = np.vstack([[0.0, 0.0], rng.uniform(-1, 1, size=(60, 2))])
-        cloud = flat_cloud(eu, pts)
-        counts = [greedy_pack(0, 1.0, d, cloud).achieved for d in (0.5, 0.35, 0.2, 0.1)]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-
-    def test_delta_domain(self, eu):
-        cloud = flat_cloud(eu, [(0, 0)])
-        with pytest.raises(DomainError):
-            greedy_pack(0, 1.0, 1.5, cloud)
+        for surface in (sphere, hyperbolic):
+            table = distance_table(surface, rng.uniform(-0.2, 0.2, size=(12, 2)))
+            assert np.max(np.abs(table - table.T)) <= 1e-9 * np.max(table)
+            slack = 1e-9 * np.max(table)
+            assert np.all(table[:, None, :] <= table[:, :, None] + table[None, :, :] + slack)
 
 
 class TestBoxCount:
-    def test_single_cell(self, eu):
-        cell = flat_cloud(eu, [(0, 0), (0.5, 0)])
-        rec = box_count([cell], 0.5)
-        assert rec == CoverRecord(epsilon=0.5, count=1)
+    def test_single_cell(self, flat_system):
+        est = box_dimension_estimate(flat_system, 0, 4)
+        assert est.levels_used[0] == 0
+        assert est.records[0] == CoverRecord(epsilon=flat_system.base.diam, count=1)
+        for eps, count in ((0.0, 1), (-0.5, 1), (0.5, 0)):
+            with pytest.raises(DomainError):
+                CoverRecord(epsilon=eps, count=count)
 
-    def test_gasket_cells(self, eu, flat_system):
-        n = 4
-        lv = flat_system.level(n)
-        cells = [flat_cloud(eu, lv.vertices[i]) for i in range(len(lv))]
-        eps = max(diameter(c) for c in cells)
-        assert eps == pytest.approx(2.0**-n * flat_system.base.diam, rel=1e-12)
-        rec = box_count(cells, eps)
-        assert rec.count == 3**n
+    def test_gasket_cells(self, flat_system):
+        est = box_dimension_estimate(flat_system, 2, 8)
+        for n, rec in zip(est.levels_used, est.records):
+            assert rec.epsilon == pytest.approx(2.0**-n * flat_system.base.diam, rel=1e-12)
+            assert rec.count == 3**n
 
-    def test_oversized_cell_named(self, eu):
-        good = flat_cloud(eu, [(0, 0), (0.4, 0)])
-        bad = flat_cloud(eu, [(0, 0), (0.6, 0)])
-        with pytest.raises(CellRejectionError) as err:
-            box_count([good, bad], 0.5)
-        assert err.value.cell_index == 1
-
-    def test_count_nonincreasing_in_epsilon(self, eu, flat_system):
-        counts = []
-        for n in (5, 4, 3):
-            lv = flat_system.level(n)
-            cells = [flat_cloud(eu, lv.vertices[i]) for i in range(len(lv))]
-            eps = max(diameter(c) for c in cells)
-            counts.append(box_count(cells, eps).count)
-        assert counts[0] >= counts[1] >= counts[2]
+    def test_count_nonincreasing_in_epsilon(self, sphere_system):
+        records = box_dimension_estimate(sphere_system, 2, 6).records
+        by_eps = sorted(records, key=lambda r: r.epsilon)
+        assert all(a.count >= b.count for a, b in zip(by_eps, by_eps[1:]))
+        assert len({r.epsilon for r in records}) == len(records)
 
 
-def test_cover_csv_format():
-    records = [CoverRecord(epsilon=0.125, count=27), CoverRecord(epsilon=1 / 3, count=9)]
-    text = cover_records_to_csv(records)
-    lines = text.strip().split("\n")
-    assert lines[0] == "epsilon,count"
-    assert lines[1] == "0.125,27"
-    assert lines[2] == f"{1/3:.17g},9"
+def test_cover_csv_format(flat_system):
+    est = box_dimension_estimate(flat_system, 2, 8)
+    lines = dimension_report_csv(flat_system, est).strip().split("\n")
+    assert lines[0] == "epsilon,count,sum"
+    assert len(lines) == len(est.records) + 1
+    for line, rec in zip(lines[1:], est.records):
+        eps, count, _ = line.split(",")
+        # 17 significant digits: the epsilon reads back exactly
+        assert eps == f"{rec.epsilon:.17g}" and float(eps) == rec.epsilon
+        assert int(count) == rec.count

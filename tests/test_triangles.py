@@ -18,6 +18,18 @@ valid_sides = st.tuples(
 ).filter(lambda s: 2 * max(s) < sum(s) * 0.999)
 
 
+def edge_quotient(sides):
+    return float(np.max(sides) / np.min(sides))
+
+
+def vertex_angle(tri, i):
+    """Angle at vertex i between the log-map directions to the other two."""
+    p = tri.vertex_array()[i]
+    wj, wk = (tri.surface.log_map(p, tri.vertex_array()[j]) for j in ((i + 1) % 3, (i + 2) % 3))
+    cos = tri.surface.inner(p, wj, wk)[0] / (tri.surface.norm(p, wj)[0] * tri.surface.norm(p, wk)[0])
+    return math.acos(min(1.0, max(-1.0, cos)))
+
+
 class TestPlanarAngles:
     def test_equilateral(self):
         angles = planar_comparison_angles(1, 1, 1)
@@ -63,6 +75,49 @@ class TestNondegeneracy:
         ok, _ = is_delta_nondegenerate((1, 1, 1), math.pi / 3 + 1e-9)
         assert not ok
 
+    def test_edge_quotient_examples(self):
+        ok, _ = is_delta_nondegenerate((1, 1, 1), 0.5)
+        assert ok and edge_quotient((1, 1, 1)) == 1.0
+        delta = math.pi / 4 - 0.01
+        ok, _ = is_delta_nondegenerate((1, 1, math.sqrt(2)), delta)
+        assert ok
+        assert edge_quotient((1, 1, math.sqrt(2))) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert edge_quotient((1, 1, math.sqrt(2))) <= 1 / math.sin(delta)
+
+    def test_edge_quotient_requires_nondegenerate(self):
+        # a needle has a quotient within 1/sin(delta) and is still rejected
+        ok, _ = is_delta_nondegenerate((1.99, 1, 1), 0.5)
+        assert not ok and edge_quotient((1.99, 1, 1)) <= 1 / math.sin(0.5)
+
+    @given(valid_sides, st.floats(0.05, 0.6))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_quotient_property(self, sides, delta):
+        # law of sines: every angle in (delta, pi - delta) bounds the side
+        # quotient by 1/sin(delta)
+        ok, _ = is_delta_nondegenerate(sides, delta)
+        if ok:
+            assert edge_quotient(sides) <= 1 / math.sin(delta)
+
+    def test_perturbation_stability_sweep(self):
+        # side factors within 1 +/- eps keep a delta-non-degenerate triangle
+        # delta/2-non-degenerate, at the conservative budget
+        # eps = delta sin(delta/2) sin(delta/4) sin(delta)^2 / 128
+        delta = 0.5
+        eps = delta * math.sin(delta / 2) * math.sin(delta / 4) * math.sin(delta) ** 2 / 128.0
+        rng = np.random.default_rng(17)
+        count = 0
+        while count < 1000:
+            sides = rng.uniform(0.2, 1.0, 3)
+            if 2 * np.max(sides) >= np.sum(sides):
+                continue
+            ok, _ = is_delta_nondegenerate(sides, delta)
+            if not ok:
+                continue
+            count += 1
+            perturbed = sides * rng.uniform(1 - eps, 1 + eps, 3)
+            ok_half, _ = is_delta_nondegenerate(perturbed, delta / 2)
+            assert ok_half, (sides, perturbed)
+
 
 class TestRegionAndPhi:
     def test_guard_on_curved(self, sphere):
@@ -99,6 +154,13 @@ class TestRegionAndPhi:
             ratio = cross / (s * a1)
             assert 1 - r * r < ratio < 1 + r * r
 
+    def test_slice_unit_parameter_reproduces_base(self, sphere, sphere_base):
+        # at s = 1 the apex-1 parametrization runs along the opposite side
+        ends = sphere_base.phi_many(1, [0.0, 1.0], [1.0, 1.0])
+        np.testing.assert_allclose(ends, sphere_base.vertex_array()[[2, 1]], atol=1e-8)
+        side = sphere.distance(ends[0], ends[1])
+        assert side == pytest.approx(sphere_base.side_lengths[0], abs=1e-8)
+
     def test_invert_phi_roundtrip(self, sphere_base):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -108,12 +170,10 @@ class TestRegionAndPhi:
             assert resid <= 1e-11
             assert (t2, s2) == pytest.approx((t, s), abs=1e-7)
 
-    def test_phi_samples_within_diameter(self, sphere, sphere_base):
-        rng = np.random.default_rng(11)
-        pts = sphere_base.phi_many(1, rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))
-        ii, jj = np.triu_indices(len(pts), k=1)
-        solver = sphere.distance_many(pts[ii], pts[jj])
-        closed = np.array([sphere.closed_form_distance(pts[i], pts[j]) for i, j in zip(ii, jj)])
-        # a geodesic triangle in a convex domain is as wide as its longest side
-        assert 0.0 < np.max(solver) <= sphere_base.diam + 1e-9
-        np.testing.assert_allclose(solver, closed, atol=1e-9)
+    def test_vertex_angles_sum_flat(self, flat_base):
+        total = sum(vertex_angle(flat_base, i) for i in (0, 1, 2))
+        assert total == pytest.approx(math.pi, abs=1e-9)
+
+    def test_vertex_angles_sphere_excess(self, sphere_base):
+        total = sum(vertex_angle(sphere_base, i) for i in (0, 1, 2))
+        assert total > math.pi
