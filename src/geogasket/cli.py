@@ -187,7 +187,8 @@ def cmd_measure(args) -> int:
     try:
         system = _load_system(args.system)
         weights = tuple(float(w) for w in args.weights)
-        if len(weights) != 3 or any(w <= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        # `not w > 0`, so that NaN fails too
+        if len(weights) != 3 or any(not w > 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             raise DomainError(f"weights must be three positives summing to 1: {weights}")
     except (SceneValidationError, ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the certification checks")
     p_verify.add_argument("system")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_in(0), default=0)
     p_verify.add_argument("--cells-per-level", type=_int_in(1), default=12)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas = sub.add_parser("measure", help="push-forward fixed-point trace")
     p_meas.add_argument("system")
     p_meas.add_argument("--weights", nargs=3, required=True)
-    p_meas.add_argument("--iters", type=int, default=12)
+    p_meas.add_argument("--iters", type=_int_in(1), default=12)
     p_meas.add_argument("--atom-budget", type=_int_in(1), default=2000)
     p_meas.set_defaults(func=cmd_measure)
     return parser

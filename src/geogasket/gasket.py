@@ -26,10 +26,9 @@ from .errors import DomainError, GeogasketError, InversionError, NondegeneracyEr
 from .surfaces import SPHERE, SurfaceModel, SurfacePoint, _as_point_array, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
-    _chart_coords,
     _frames,
     _invert_rows,
-    _phi_rows,
+    _pair_distances,
     is_delta_nondegenerate,
     planar_angles_batch,
 )
@@ -190,14 +189,13 @@ class TriangleSystem:
             yield mi_from_code(code, n)
 
 
-def _nondegeneracy_sweep_level(sides: np.ndarray, delta_half: float):
-    """Indices of cells whose planar comparison angles leave the open band
-    (delta/2, pi - delta/2)."""
+def _band_failures(sides: np.ndarray, delta: float):
+    """Planar comparison angles of an (N, 3) side array, and the indices of
+    the cells whose angles leave the open band (delta/2, pi - delta/2)."""
+    half = delta / 2.0
     angles = planar_angles_batch(sides)
-    bad = np.any(
-        (angles <= delta_half) | (angles >= math.pi - delta_half), axis=1
-    )
-    return np.where(bad)[0]
+    bad = np.any((angles <= half) | (angles >= math.pi - half), axis=1)
+    return angles, np.flatnonzero(bad)
 
 
 def build_system(
@@ -230,7 +228,7 @@ def build_system(
         cv, cs, _, _ = _subdivide_arrays(surface, lv.vertices, lv.side_lengths)
         new_verts = cv.reshape(len(lv) * 3, 3, 2)
         new_sides = cs.reshape(len(lv) * 3, 3)
-        bad = _nondegeneracy_sweep_level(new_sides, delta / 2.0)
+        _, bad = _band_failures(new_sides, delta)
         if len(bad):
             cell = mi_from_code(int(bad[0]), n + 1)
             raise NondegeneracyError(
@@ -275,8 +273,6 @@ def _apply_f_many(system: TriangleSystem, cells, xs, tol_factor: float = 1e-7) -
     x = np.tile(xs, (len(cells), 1))
     rows = np.repeat([3 * p + d[-1] - 1 for p, d in enumerate(cells)], n)
     apex = frames[0][rows]
-    if system.surface.flat:
-        return (apex + 0.5 * (x - apex)).reshape(len(cells), n, 2)
     tol = np.repeat([tol_factor * p.diam for p in parents], n)
     out = apex.copy()
     rest = np.flatnonzero(~np.all(x == apex, axis=1))
@@ -365,10 +361,9 @@ def _parent_arrays(system: TriangleSystem, cells):
 def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
     """Pair-dilation ratios d(f x, f y) / d(x, y) of the maps onto ``cells``.
 
-    Returns one ratio array per cell and the parent diameters.  On curved
-    charts the cells go out in stacked groups: one side-direction solve for
-    their apexes, one parametrization pass for the points x, y, f x and f y
-    of every pair, and one distance solve for both distance sets.
+    Returns one ratio array per cell and the parent diameters.  One
+    side-direction solve serves the apexes of all cells, which then go
+    through ``_pair_distances`` in stacked groups.
     """
     if n_pairs < 100:
         raise DomainError("the sampling budget must be at least 100 pairs")
@@ -379,33 +374,18 @@ def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
     i = np.array([digits[-1] - 1 for digits in cells])
     apex, p_j, p_k = verts[rows, i], verts[rows, (i + 1) % 3], verts[rows, (i + 2) % 3]
     surface = system.surface
-    if surface.flat:
-        e_k = (p_k - apex)[:, None, :]
-        e_j = (p_j - apex)[:, None, :]
-        # displacement of phi(t1,s1) - phi(t2,s2) in the apex frame; the
-        # halved-parameter displacement is exactly half of it in floating
-        # point, so flat deviations vanish identically.
-        ca = (s1 * (1 - t1) - s2 * (1 - t2))[None, :, None]
-        cb = (s1 * t1 - s2 * t2)[None, :, None]
-        dx = ca * e_k + cb * e_j
-        ca_h = ((s1 / 2) * (1 - t1) - (s2 / 2) * (1 - t2))[None, :, None]
-        cb_h = ((s1 / 2) * t1 - (s2 / 2) * t2)[None, :, None]
-        dxh = ca_h * e_k + cb_h * e_j
-        d = np.hypot(dx[..., 0], dx[..., 1])
-        df = np.hypot(dxh[..., 0], dxh[..., 1])
-    else:
-        n = len(grid)
-        ts = np.concatenate([t1, t2, t1, t2])
-        ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
-        # fewest groups under the cap, with the cells spread evenly over them
-        groups = -(-len(cells) // max(1, _STACK_ROWS // (4 * n)))
-        group = -(-len(cells) // groups)
-        frames = _frames(surface, apex, p_j, p_k)
-        d = np.empty((len(cells), n))
-        df = np.empty((len(cells), n))
-        for lo in range(0, len(cells), group):
-            g = rows[lo:lo + group]
-            d[g], df[g] = _pair_distances(surface, frames, g, ts, ss)
+    n = len(grid)
+    ts = np.concatenate([t1, t2, t1, t2])
+    ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
+    # fewest groups under the cap, with the cells spread evenly over them
+    groups = -(-len(cells) // max(1, _STACK_ROWS // (4 * n)))
+    group = -(-len(cells) // groups)
+    frames = _frames(surface, apex, p_j, p_k)
+    d = np.empty((len(cells), n))
+    df = np.empty((len(cells), n))
+    for lo in range(0, len(cells), group):
+        g = rows[lo:lo + group]
+        d[g], df[g] = _pair_distances(surface, frames, g, ts, ss)
     ratios = []
     for row, diam in enumerate(diams):
         mask = d[row] >= 1e-6 * diam
@@ -413,22 +393,6 @@ def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
             raise DomainError("all sampled audit pairs are degenerate")
         ratios.append(df[row][mask] / d[row][mask])
     return ratios, diams
-
-
-def _pair_distances(surface, frames, cells, ts, ss):
-    """Distances d(x, y) and d(f x, f y), as an array (2, len(cells), pairs).
-
-    ``cells`` are rows of the frame table; ``ts`` and ``ss`` list the
-    parameters of x, y, f x and f y of every pair.  All points of all cells
-    go through one parametrization pass, and both distance sets through
-    one shooting solve.
-    """
-    m, n = len(cells), len(ts) // 4
-    pts = _phi_rows(surface, frames, np.repeat(cells, 4 * n), np.tile(ts, m), np.tile(ss, m))
-    pts = pts.reshape(m, 4, n, 2)
-    starts = np.concatenate([pts[:, 0], pts[:, 2]]).reshape(-1, 2)
-    ends = np.concatenate([pts[:, 1], pts[:, 3]]).reshape(-1, 2)
-    return surface.distance_many(starts, ends).reshape(2, m, n)
 
 
 def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
@@ -655,23 +619,14 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor:
     rows = np.repeat(np.arange(len(cells)), 3)
     diam_rows = diams[rows]
     tol = tol_factor * diam_rows
-    if system.surface.flat:
-        a, b = _chart_coords(*(verts[rows, i] for i in range(3)), xs)
-        inside = (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12)
-        resid = np.zeros(len(xs))
-    else:
-        frames = _frames(system.surface, verts[:, 0], verts[:, 1], verts[:, 2])
-        ss = np.empty(len(xs))
-        resid = np.empty(len(xs))
-        for lo in range(0, len(xs), _STACK_ROWS):
-            g = slice(lo, lo + _STACK_ROWS)
-            _, ss[g], resid[g], _ = _invert_rows(
-                system.surface, frames, rows[g], xs[g], 0.05 * tol[g]
-            )
-        inside = (ss <= 1 + 1e-9) & (resid <= tol)
+    frames = _frames(system.surface, verts[:, 0], verts[:, 1], verts[:, 2])
+    resid = np.empty(len(xs))
+    for lo in range(0, len(xs), _STACK_ROWS):
+        g = slice(lo, lo + _STACK_ROWS)
+        _, _, resid[g], _ = _invert_rows(system.surface, frames, rows[g], xs[g], 0.05 * tol[g])
     worst = float(np.max(resid / np.maximum(diam_rows, 1e-300)))
     return NestingReport(
-        checked=len(xs), max_residual_factor=max(worst, 0.0), all_inside=bool(np.all(inside))
+        checked=len(xs), max_residual_factor=max(worst, 0.0), all_inside=bool(np.all(resid <= tol))
     )
 
 
@@ -706,18 +661,13 @@ class NondegeneracySweepReport:
 def nondegeneracy_sweep(system: TriangleSystem, delta: float | None = None) -> NondegeneracySweepReport:
     """Check every stored cell against delta/2-non-degeneracy."""
     delta = system.delta if delta is None else delta
-    half = delta / 2.0
     failures = []
     mn = math.inf
     mx = -math.inf
     for n in range(1, system.depth + 1):
-        sides = system.level(n).side_lengths
-        angles = planar_angles_batch(sides)
+        angles, bad = _band_failures(system.level(n).side_lengths, delta)
         mn = min(mn, float(np.min(angles)))
         mx = max(mx, float(np.max(angles)))
-        bad = np.where(
-            np.any((angles <= half) | (angles >= math.pi - half), axis=1)
-        )[0]
         failures.extend(mi_from_code(int(c), n) for c in bad)
     return NondegeneracySweepReport(
         passed=not failures, failures=failures, min_angle=mn, max_angle=mx
@@ -937,6 +887,8 @@ def system_from_json(text: str) -> TriangleSystem:
     try:
         surface = make_surface(meta["surface"])
         base = GeodesicTriangleRegion(surface, base_vertices, base_sides)
+        if not surface.contains(base_vertices).all():
+            raise DomainError(f"base vertices must lie inside the chart {surface.chart}")
     except GeogasketError as exc:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
@@ -949,6 +901,8 @@ def system_from_json(text: str) -> TriangleSystem:
             _object(cell, ("vertices", "side_lengths"), f"level {n} cell {i}")
         verts = _numbers([c["vertices"] for c in cells], (3**n, 3, 2), f"level {n} vertices")
         sides = _numbers([c["side_lengths"] for c in cells], (3**n, 3), f"level {n} side_lengths")
+        if not surface.contains(verts.reshape(-1, 2)).all():
+            raise SceneValidationError(f"level {n} vertices must lie inside the chart {surface.chart}")
         if np.any(sides <= 0):
             raise SceneValidationError(f"level {n} side_lengths must be positive")
         arrays.append(LevelArrays(vertices=verts, side_lengths=sides))

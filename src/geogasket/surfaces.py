@@ -7,9 +7,10 @@ shooting, distances, midpoints and finite-difference variation fields.
 
 All geodesic solvers are vectorized: the batched entry points
 (``exp_many``, ``log_many``, ...) operate on ``(N, 2)`` arrays of chart
-coordinates, and the scalar API wraps them.  The flat model short-circuits
-to exact affine arithmetic; the ODE/shooting path is reserved for curved
-charts so that curved results can be checked against closed forms.
+coordinates, and the scalar API wraps them.  On the flat model exp and
+midpoints are exact affine arithmetic and the shooting seed is already the
+log map; the ODE path is reserved for curved charts so that curved results
+can be checked against closed forms.
 """
 
 from __future__ import annotations
@@ -327,15 +328,13 @@ class SurfaceModel:
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
         """Initial velocities w with exp_p(w) = q, batched Newton shooting.
 
-        Seeded from the chart chord; the 2x2 Jacobian is finite-differenced
-        and refreshed each iteration (the problems are tiny and well
-        conditioned on convex working domains).
+        Seeded from the chart chord, which is exact on the flat model; the
+        2x2 Jacobian is finite-differenced and refreshed each iteration (the
+        problems are tiny and well conditioned on convex working domains).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         pts, targets = np.broadcast_arrays(pts, targets)
-        if self.flat:
-            return targets - pts
         w = targets - pts
         res = self.exp_many(pts, w) - targets
         res_norm = np.hypot(res[:, 0], res[:, 1])

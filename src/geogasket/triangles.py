@@ -161,6 +161,35 @@ def _phi_rows(surface, frames, rows, ts, ss):
     return surface.exp_many(side_a, w_cross * ts[:, None])
 
 
+def _pair_distances(surface, frames, cells, ts, ss):
+    """Distances d(x, y) and d(f x, f y), as an array (2, len(cells), pairs).
+
+    ``cells`` are rows of the frame table; ``ts`` and ``ss`` list the
+    parameters of x, y, f x and f y of every pair.  On curved charts all
+    points of all cells go through one parametrization pass, and both
+    distance sets through one shooting solve.  On the flat model each
+    distance is the norm of the displacement phi(x) - phi(y) in the apex
+    frame; the halved-parameter displacement is then exactly half of the
+    other in floating point, so flat deviations vanish identically.
+    """
+    m, n = len(cells), len(ts) // 4
+    if surface.flat:
+        apex, p_j, p_k = frames[:3]
+        e_k = (p_k - apex)[cells][:, None, None, :]
+        e_j = (p_j - apex)[cells][:, None, None, :]
+        # [x, y] parameters of the pair sets [(x, y), (f x, f y)]
+        t, s = ts.reshape(2, 2, n), ss.reshape(2, 2, n)
+        ca = s[:, 0] * (1 - t[:, 0]) - s[:, 1] * (1 - t[:, 1])
+        cb = s[:, 0] * t[:, 0] - s[:, 1] * t[:, 1]
+        dx = ca[..., None] * e_k + cb[..., None] * e_j
+        return np.hypot(dx[..., 0], dx[..., 1]).transpose(1, 0, 2)
+    pts = _phi_rows(surface, frames, np.repeat(cells, 4 * n), np.tile(ts, m), np.tile(ss, m))
+    pts = pts.reshape(m, 4, n, 2)
+    starts = np.concatenate([pts[:, 0], pts[:, 2]]).reshape(-1, 2)
+    ends = np.concatenate([pts[:, 1], pts[:, 3]]).reshape(-1, 2)
+    return surface.distance_many(starts, ends).reshape(2, m, n)
+
+
 def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_scale=None):
     """Recover (t, s) with _phi_rows(surface, frames, rows, t, s) = xs.
 
@@ -171,18 +200,24 @@ def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_
     a half step.  Only unconverged points are evaluated; ``tol`` may be one
     value or one per point.  Returns (T, S, residuals, images): the images
     are the points at (T, image_scale * S), evaluated in the same passes,
-    or None without ``image_scale``.  The flat model is exact.
+    or None without ``image_scale``.
+
+    The flat model is exact: a point whose chart-barycentric coordinates
+    lie in [-1e-12, 1 + 1e-12] has residual 0 and its image is the exact
+    homothety; any other point has residual inf, since its distance from
+    the region can fall below any tolerance a caller applies, where flat
+    containment allows rounding slack only.
     """
     apex, p_j, p_k = frames[:3]
     a, b = _chart_coords(apex[rows], p_j[rows], p_k[rows], xs)
     ss = a + b
     safe = np.where(np.abs(ss) < 1e-300, 1.0, ss)
-    ts = np.where(np.abs(ss) < 1e-300, 0.0, b / safe)
-    if surface.flat:
-        images = None if image_scale is None else apex[rows] + image_scale * (xs - apex[rows])
-        return ts, ss, np.zeros(len(xs)), images
-    ts = np.clip(ts, 0.0, 1.0)
+    ts = np.clip(np.where(np.abs(ss) < 1e-300, 0.0, b / safe), 0.0, 1.0)
     ss = np.clip(ss, 1e-12, 1.0)
+    if surface.flat:
+        inside = (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12)
+        images = None if image_scale is None else apex[rows] + image_scale * (xs - apex[rows])
+        return ts, ss, np.where(inside, 0.0, np.inf), images
     tol = np.broadcast_to(tol, (len(xs),))
     e_k = (p_k - apex)[rows]
     e_j = (p_j - apex)[rows]

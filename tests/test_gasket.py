@@ -172,10 +172,15 @@ class TestApplyF:
             ratio = system.surface.distance(fx, apex) / system.surface.distance(x, apex)
             assert 0.49 < ratio < 0.51, (offset, ratio)
 
-    def test_outside_point_inversion_error(self, sphere_system):
-        far = np.array([0.5, 0.5])
+    @pytest.mark.parametrize(
+        "system_name, far",
+        [("sphere_system", [0.5, 0.5]), ("flat_system", [2.0, 2.0])],
+        ids=["sphere_system", "flat_system"],
+    )
+    def test_outside_point_inversion_error(self, request, system_name, far):
+        system = request.getfixturevalue(system_name)
         with pytest.raises(InversionError, match="on cell 1"):
-            apply_f(sphere_system, (1,), far)
+            apply_f(system, (1,), np.array(far))
 
 
 class TestAudits:

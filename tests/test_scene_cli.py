@@ -129,6 +129,24 @@ class TestBuildCommand:
         path.write_text(json.dumps(doc))
         assert main(["build", str(path), "--out", str(tmp_path / "o.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "surface, vertices",
+        [
+            ("euclidean", [[40.0, 0.0], [60.0, 0.0], [50.0, 17.32]]),
+            ("sphere_unit", [[1.7, 0.0], [1.82, 0.0], [1.76, 0.1]]),
+        ],
+        ids=["euclidean", "sphere_unit"],
+    )
+    def test_vertex_outside_chart_exit3(self, tmp_path, capsys, surface, vertices):
+        doc = dict(FLAT_SCENE, surface=surface, vertices=vertices, depth=2, delta=0.4)
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        capsys.readouterr()
+        assert main(["build", str(path), "--out", str(out)]) == 3
+        assert "construction failed: geodesic left the chart" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_scene_exit2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"surface\": \"euclidean\"}")
@@ -229,7 +247,8 @@ def _built_flat_system(scene_path, tmp_path):
 
 
 class TestMalformedSystem:
-    """Stored systems that cannot be used: exit 2, naming the field at fault."""
+    """Stored systems that cannot be used: exit 2, naming the field at fault.
+    Readable systems with a vertex outside its parent: exit 4."""
 
     @staticmethod
     def short_levels(doc):
@@ -299,6 +318,14 @@ class TestMalformedSystem:
     def delta_half_pi(doc):
         doc["meta"]["delta"] = math.pi / 2
 
+    @staticmethod
+    def base_outside_chart(doc):
+        doc["meta"]["base_vertices"][1] = [60.0, 0.0]
+
+    @staticmethod
+    def vertex_outside_chart(doc):
+        doc["levels"][2]["cells"][7]["vertices"][0] = [0.25, -50.0]
+
     NAMED = {
         "short_levels": "levels",
         "missing_cell": "level 2",
@@ -317,7 +344,26 @@ class TestMalformedSystem:
         "delta_negative": "meta.delta must lie in (0, pi/2)",
         "delta_zero": "meta.delta must lie in (0, pi/2)",
         "delta_half_pi": "meta.delta must lie in (0, pi/2)",
+        "base_outside_chart": "meta: base vertices must lie inside the chart",
+        "vertex_outside_chart": "level 3 vertices must lie inside the chart",
     }
+
+    @pytest.mark.parametrize("offset", [0.2, 1e-11])
+    def test_vertex_outside_parent_exit4(self, flat_scene_path, tmp_path, capsys, offset):
+        # level-3 cell 9 (digits 2, 1, 1) is child 1 of level-2 cell 3; its
+        # vertex 3 is the midpoint of the parent's side from vertex 1 to 3,
+        # moved outside by ``offset`` in the parent's chart-barycentric
+        # coordinates
+        doc = _built_flat_system(flat_scene_path, tmp_path)
+        p1, p2, p3 = np.array(doc["levels"][1]["cells"][3]["vertices"])
+        doc["levels"][2]["cells"][9]["vertices"][2] = (p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)).tolist()
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path), "--cells-per-level", "27"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL nesting")
+        assert all(line.startswith("PASS") for line in lines[1:6])
 
     @pytest.mark.parametrize("command", sorted(SYSTEM_ARGS))
     @pytest.mark.parametrize("damage", list(NAMED))
@@ -436,6 +482,10 @@ class TestOptionBounds:
             ("verify", "--cells-per-level", "0"),
             ("verify", "--cells-per-level", "-1"),
             ("measure", "--atom-budget", "0"),
+            ("verify", "--seed", "-1"),
+            ("measure", "--iters", "-2"),
+            ("measure", "--iters", "0"),
+            ("measure", "--weights", "nan 0.5 0.5"),
         ],
     )
     def test_exit2(self, flat_scene_path, tmp_path, capsys, command, option, value):
@@ -449,8 +499,14 @@ class TestOptionBounds:
             _built_flat_system(flat_scene_path, tmp_path)
             target, extra = tmp_path / "sys.json", SYSTEM_ARGS[command]
         capsys.readouterr()
+        argv = [command, str(target), *extra, option, *value.split()]
+        if option == "--weights":
+            # the three weights are checked together, after parsing
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: weights must be three positives")
+            return
         with pytest.raises(SystemExit) as exc:
-            main([command, str(target), *extra, option, value])
+            main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {option}: must be" in err

@@ -43,14 +43,20 @@ def test_rauch_envelope_sweep():
 
 
 def test_benchmark_traced_modules_import():
-    # `perfbench/run.py --trace 1` imports every module named here; a module
-    # deleted or renamed without updating the tracer would break it
+    # `perfbench/run.py --trace 1` imports every module named in
+    # TRACED_MODULES and looks up every private name in EXTRA with getattr;
+    # a module or name deleted or renamed without updating the tracer would
+    # break it
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    names = next(
-        ast.literal_eval(node.value)
+    consts = {
+        ast.unparse(node.targets[0]): ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED_MODULES"
-    )
-    assert names
-    for name in names:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("TRACED_MODULES", "EXTRA")
+    }
+    assert consts["TRACED_MODULES"] and consts["EXTRA"]
+    for name in consts["TRACED_MODULES"]:
         importlib.import_module(f"geogasket.{name}")
+    for name, attrs in consts["EXTRA"].items():
+        module = importlib.import_module(f"geogasket.{name}")
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), f"geogasket.{name}.{attr}"

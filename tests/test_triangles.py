@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geogasket.errors import ConvexityGuardError, DegenerateTriangleError
+from geogasket.errors import ConvexityGuardError, DegenerateTriangleError, InversionError
 from geogasket.triangles import (
     GeodesicTriangleRegion,
     is_delta_nondegenerate,
@@ -169,6 +169,20 @@ class TestRegionAndPhi:
             t2, s2, resid = sphere_base.invert_phi(1, x.as_array(), tol=1e-11)
             assert resid <= 1e-11
             assert (t2, s2) == pytest.approx((t, s), abs=1e-7)
+
+    def test_invert_phi_flat_containment(self, flat_base):
+        # points outside the closed triangle, one of them by 1e-11 in
+        # chart-barycentric coordinates, keep parameters in the closed square
+        # and end above any tolerance; a point inside is recovered exactly
+        apex, p_j, p_k = flat_base.vertex_array()
+        inside = flat_base.phi(1, 0.3, 0.6).as_array()
+        xs = [[2.0, 2.0], [-1.0, 0.2], apex + 0.5 * (p_k - apex) - 1e-11 * (p_j - apex), inside]
+        ts, ss, resid = flat_base.invert_phi_many(1, xs)
+        assert np.all((ts >= 0) & (ts <= 1) & (ss >= 0) & (ss <= 1))
+        assert np.all(resid[:3] > 1e-9)
+        assert resid[3] == 0 and (ts[3], ss[3]) == pytest.approx((0.3, 0.6), abs=1e-12)
+        with pytest.raises(InversionError):
+            flat_base.invert_phi(1, xs[0])
 
     def test_vertex_angles_sum_flat(self, flat_base):
         total = sum(vertex_angle(flat_base, i) for i in (0, 1, 2))
