@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a system from a scene JSON")
     p_build.add_argument("scene")
-    # the scene schema's depth range
+    # the scene reader's depth range
     p_build.add_argument("--depth", type=_int_in(1, 14), default=None)
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)

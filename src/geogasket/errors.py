@@ -69,4 +69,4 @@ class ExpressionError(GeogasketError, ValueError):
 
 
 class SceneValidationError(GeogasketError, ValueError):
-    """A scene document failed schema validation, or a stored system failed its checks."""
+    """A scene document or a stored system failed the checks of its reader."""

@@ -857,7 +857,7 @@ def _numbers(value, shape: tuple, field: str) -> np.ndarray:
     """``value`` as a float array: finite JSON numbers (no bools) of exactly ``shape``."""
     try:
         arr = np.array(value, dtype=object)
-        if arr.shape == shape and all(type(x) in (int, float) for x in arr.flat):
+        if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
             out = arr.astype(float)
             if np.isfinite(out).all():
                 return out

@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
 from .gasket import TriangleSystem, _apply_f_many, mi_validate
-from .surfaces import SurfacePoint, _as_point_array
+from .surfaces import _as_point_array
 from .triangles import _chart_coords
 
 WEIGHT_TOL = 1e-12
@@ -45,13 +45,6 @@ class DiscreteMeasure:
     @classmethod
     def point_mass(cls, surface, p) -> "DiscreteMeasure":
         return cls(surface, _as_point_array(p)[None, :], np.array([1.0]))
-
-    @property
-    def atoms(self):
-        return [
-            (SurfacePoint(float(p[0]), float(p[1])), float(w))
-            for p, w in zip(self.points, self.weights)
-        ]
 
     def __len__(self) -> int:
         return len(self.points)

@@ -16,6 +16,7 @@ can be checked against closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +151,12 @@ class SurfaceModel:
         vs = np.linspace(v_min, v_max, grid)
         uu, vv = np.meshgrid(us, vs)
         e, f, g = self.metric(uu.ravel(), vv.ravel())
-        if np.any(e <= 0) or np.any(e * g - f * f <= 0):
+        # accepting comparisons, so that NaN fails them
+        if not (np.all(e > 0) and np.all(e * g - f * f > 0)):
             raise DomainError("metric is not positive definite on the chart grid")
         k = self.curvature(uu.ravel(), vv.ravel())
         tol = 1e-9 if self._metric_partials is not None else 1e-4
-        if np.any(np.abs(k) > 1.0 + tol):
+        if not np.all(np.abs(k) <= 1.0 + tol):
             raise DomainError(
                 f"|K| exceeds 1 on the chart grid (max {np.max(np.abs(k)):.6g})"
             )
@@ -282,6 +284,12 @@ class SurfaceModel:
         scale = self.atol + self.rtol * np.maximum(np.abs(yl), np.abs(y5))
         e = hl * _combine(_DP_E, k) / scale
         err = np.sqrt((e[:, 0] ** 2 + e[:, 1] ** 2 + e[:, 2] ** 2 + e[:, 3] ** 2) / 4)
+        if not np.all(np.isfinite(err)):
+            # a NaN estimate would reject the step forever, and h never shrinks
+            bad = live[~np.isfinite(err)][0]
+            raise DomainError(
+                f"geodesic integrator step size underflow: non-finite state from {y[bad].tolist()} at t = {t[bad]:.6g}"
+            )
         ok = err <= 1.0
         acc = live[ok]
         t[acc] = np.where(last[ok], 1.0, t[acc] + hl[ok, 0])
@@ -622,8 +630,12 @@ def surface_from_json(doc) -> SurfaceModel:
         sources = [exprs["E"], exprs["F"], exprs["G"], doc.get("curvature", "")]
     except KeyError as exc:
         raise DomainError(f"custom surface document missing key: {exc}") from exc
-    if not all(type(x) in (int, float) and math.isfinite(x) for x in rect):
+    # abs(x) compares an int exactly, so 10**400 fails as Infinity does
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in rect):
         raise DomainError(f"custom surface chart bounds must be finite numbers: {rect}")
+    name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise DomainError("custom surface name must be a string")
     if not all(isinstance(x, str) for x in sources):
         raise DomainError("custom surface metric and curvature expressions must be strings")
     e_fn, f_fn, g_fn = (compile_expression(x) for x in sources[:3])
@@ -647,7 +659,7 @@ def surface_from_json(doc) -> SurfaceModel:
         curvature,
         metric_partials=None,
         closed_form_distance=None,
-        name=doc.get("name", "custom"),
+        name=name,
     )
 
 

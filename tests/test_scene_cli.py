@@ -8,7 +8,7 @@ import pytest
 from geogasket import gasket, measures
 from geogasket.cli import main
 from geogasket.errors import CapacityError, SceneValidationError, ShootingConvergenceError
-from geogasket.scene import SceneConfig, validate_scene_doc
+from geogasket.scene import SceneConfig
 
 FLAT_SCENE = {
     "surface": "euclidean",
@@ -43,19 +43,30 @@ def sphere_scene_path(tmp_path, sphere_base):
 
 class TestSceneValidation:
     def test_valid_scene(self):
-        validate_scene_doc(FLAT_SCENE)
         cfg = SceneConfig.from_doc(FLAT_SCENE)
         assert cfg.depth == 4 and cfg.seed == 7
+        assert (cfg.audit_pairs, cfg.cells_per_level) == (100, 12)
+        assert cfg.vertices.tolist() == FLAT_SCENE["vertices"]
 
     def test_missing_field(self):
         doc = {k: v for k, v in FLAT_SCENE.items() if k != "delta"}
-        with pytest.raises(SceneValidationError):
-            validate_scene_doc(doc)
+        with pytest.raises(SceneValidationError, match="scene lacks delta"):
+            SceneConfig.from_doc(doc)
 
     def test_bad_vertex_shape(self):
         doc = dict(FLAT_SCENE, vertices=[[0, 0], [1, 0]])
-        with pytest.raises(SceneValidationError):
-            validate_scene_doc(doc)
+        with pytest.raises(SceneValidationError, match="vertices must hold finite numbers"):
+            SceneConfig.from_doc(doc)
+
+    def test_integers_as_json_counts_them(self):
+        # 4.0 is an integer, as it was under JSON Schema; true is not
+        doc = dict(FLAT_SCENE, depth=4.0, seed=7.0, tolerances={"audit_pairs": 120.0, "cells_per_level": 3})
+        cfg = SceneConfig.from_doc(doc)
+        assert (cfg.depth, cfg.seed, cfg.audit_pairs, cfg.cells_per_level) == (4, 7, 120, 3)
+        assert type(cfg.depth) is int and type(cfg.seed) is int
+        for bad in (dict(doc, depth=4.5), dict(doc, seed=True), dict(doc, gauge={"form": "logpower", "n": 1.5})):
+            with pytest.raises(SceneValidationError, match="must be an integer|must hold finite numbers"):
+                SceneConfig.from_doc(bad)
 
     def test_custom_surface_scene(self):
         doc = dict(
@@ -66,7 +77,6 @@ class TestSceneValidation:
             },
             vertices=[[0.0, 0.0], [0.2, 0.0], [0.1, 0.17]],
         )
-        validate_scene_doc(doc)
         cfg = SceneConfig.from_doc(doc)
         assert cfg.surface().kind == "custom"
 
@@ -401,6 +411,87 @@ def bump_system_doc():
     return json.loads(gasket.system_to_json(system, surface_doc=BUMP_SURFACE))
 
 
+class TestMalformedScene:
+    """Scenes that cannot be built: exit 2 from ``build``, naming the field at fault."""
+
+    @staticmethod
+    def nan_vertex(doc):
+        doc["vertices"][1][0] = math.nan
+
+    @staticmethod
+    def inf_vertex_sphere(doc):
+        doc["surface"] = "sphere_unit"
+        doc["vertices"][0][1] = math.inf
+
+    @staticmethod
+    def nan_delta(doc):
+        doc["delta"] = math.nan
+
+    @staticmethod
+    def huge_seed(doc):
+        doc["seed"] = 10**400
+
+    @staticmethod
+    def kind_surface(doc):
+        doc["surface"] = {"kind": "sphere_unit"}
+
+    @staticmethod
+    def name_not_string(doc):
+        doc["surface"]["name"] = 5
+
+    @staticmethod
+    def extra_top_key(doc):
+        doc["extra"] = 1
+
+    @staticmethod
+    def extra_tolerance(doc):
+        doc["tolerances"] = {"audit_pairs": 100, "extra": 1}
+
+    @staticmethod
+    def depth_true(doc):
+        doc["depth"] = True
+
+    @staticmethod
+    def audit_pairs_99(doc):
+        doc["tolerances"] = {"audit_pairs": 99}
+
+    NAMED = {
+        "nan_vertex": "vertices must hold finite numbers",
+        "inf_vertex_sphere": "vertices must hold finite numbers",
+        "nan_delta": "delta must hold finite numbers",
+        "huge_seed": "seed must hold finite numbers",
+        "kind_surface": "surface lacks chart, metric",
+        "name_not_string": "custom surface name must be a string",
+        "extra_top_key": "scene has unknown keys ['extra']",
+        "extra_tolerance": "tolerances has unknown keys ['extra']",
+        "depth_true": "depth must hold finite numbers",
+        "audit_pairs_99": "tolerances.audit_pairs must be an integer in [100, inf]",
+    }
+
+    @pytest.mark.parametrize("damage", list(NAMED))
+    def test_exit2(self, tmp_path, capsys, damage):
+        doc = copy.deepcopy(BUMP_SCENE)
+        getattr(self, damage)(doc)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        out = tmp_path / "sys.json"
+        capsys.readouterr()
+        assert main(["build", str(scene), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and self.NAMED[damage] in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_undecodable_exit2(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "sys.json"
+        capsys.readouterr()
+        assert main(["build", str(scene), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read scene")
+        assert not out.exists()
+
+
 class TestCustomSurfaceErrors:
     """A malformed custom surface is an input error, in a scene or a stored system."""
 
@@ -428,8 +519,10 @@ class TestCustomSurfaceErrors:
             (("metric", "E"), "exp(-(u*u + v*v)/8", "was never closed"),
             (("curvature",), "3.0", "|K| exceeds 1"),
             (("chart", "u_min"), 2.0, "chart rectangle is empty"),
+            # NaN on the chart grid where u < 2, which every comparison rejects
+            (("metric", "E"), "1 + sqrt(u - 2)", "not positive definite"),
         ],
-        ids=["unclosed", "curvature", "empty_chart"],
+        ids=["unclosed", "curvature", "empty_chart", "nan_metric"],
     )
     def test_build_scene_surface_exit2(self, tmp_path, capsys, path, value, message):
         doc = copy.deepcopy(BUMP_SCENE)

@@ -60,3 +60,12 @@ def test_benchmark_traced_modules_import():
         module = importlib.import_module(f"geogasket.{name}")
         for attr in attrs:
             assert callable(getattr(module, attr, None)), f"geogasket.{name}.{attr}"
+
+
+def test_cli_import_loads_no_jsonschema():
+    # scenes and stored systems are checked by the package's own readers
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, geogasket.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

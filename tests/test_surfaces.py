@@ -34,6 +34,14 @@ class TestExpMap:
         with pytest.raises(ChartEscapeError):
             eu.exp_map((0.0, 0.0), np.array([200.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize(
+        "pt, vel", [((0.0, 0.0), (math.nan, 0.0)), ((math.inf, 0.0), (0.1, 0.0))], ids=["nan_velocity", "inf_point"]
+    )
+    def test_non_finite_state_raises(self, sphere, pt, vel):
+        # a NaN error estimate rejects every step, so without the check t never advances
+        with pytest.raises(DomainError, match="step size underflow: non-finite state"):
+            sphere.exp_many([pt], [vel])
+
 
 class TestBatchIndependence:
     """A geodesic's result must not depend on the batch that solves it."""
@@ -279,8 +287,10 @@ class TestCustomSurface:
             ("metric", {"E": 1.0, "F": "0", "G": "1"}),
             ("chart", {"u_min": "-1", "u_max": 1.0, "v_min": -1.0, "v_max": 1.0}),
             ("curvature", 0.25),
+            ("chart", {"u_min": -1.0, "u_max": 10**400, "v_min": -1.0, "v_max": 1.0}),
+            ("name", 5),
         ],
-        ids=["chart", "metric", "E", "u_min", "curvature"],
+        ids=["chart", "metric", "E", "u_min", "curvature", "u_max_huge", "name"],
     )
     def test_malformed_document(self, key, value):
         with pytest.raises(DomainError):
