@@ -5,6 +5,11 @@ Gaussian curvature, and geodesic operations: exponential map by adaptive
 Dormand-Prince integration of the geodesic ODE, logarithm map by Newton
 shooting, distances, midpoints and finite-difference variation fields.
 
+The geodesic ODE reads the Christoffel symbols once per right-hand-side
+evaluation.  The built-in models are conformal and supply them in closed
+form from the conformal factor and its gradient; a custom metric gets them
+from central differences of its expressions.
+
 All geodesic solvers are vectorized: the batched entry points
 (``exp_many``, ``log_many``, ...) operate on ``(N, 2)`` arrays of chart
 coordinates, and the scalar API wraps them.  On the flat model exp and
@@ -107,9 +112,10 @@ class SurfaceModel:
         ``(u_min, u_max, v_min, v_max)`` open rectangle.
     metric : callable
         ``metric(u, v) -> (E, F, G)`` vectorized over arrays.
-    metric_partials : callable or None
-        ``(u, v) -> (E_u, E_v, F_u, F_v, G_u, G_v)``; finite differences
-        are used when None.
+    christoffels : callable or None
+        ``(u, v) -> (G1_11, G1_12, G1_22, G2_11, G2_12, G2_22)`` in closed
+        form; when None they come from central differences of the metric,
+        and the curvature bound is checked with a looser tolerance.
     curvature : callable
         ``(u, v) -> K`` vectorized.
     closed_form_distance : callable or None
@@ -122,7 +128,7 @@ class SurfaceModel:
         chart,
         metric,
         curvature,
-        metric_partials=None,
+        christoffels=None,
         closed_form_distance=None,
         name=None,
         atol=DEFAULT_ATOL,
@@ -134,7 +140,7 @@ class SurfaceModel:
         if not (self.chart[0] < self.chart[1] and self.chart[2] < self.chart[3]):
             raise DomainError("chart rectangle is empty")
         self._metric = metric
-        self._metric_partials = metric_partials
+        self._christoffels = christoffels
         self._curvature = curvature
         self._closed_form_distance = closed_form_distance
         self.name = name or kind
@@ -150,12 +156,14 @@ class SurfaceModel:
         us = np.linspace(u_min, u_max, grid)
         vs = np.linspace(v_min, v_max, grid)
         uu, vv = np.meshgrid(us, vs)
-        e, f, g = self.metric(uu.ravel(), vv.ravel())
-        # accepting comparisons, so that NaN fails them
-        if not (np.all(e > 0) and np.all(e * g - f * f > 0)):
-            raise DomainError("metric is not positive definite on the chart grid")
-        k = self.curvature(uu.ravel(), vv.ravel())
-        tol = 1e-9 if self._metric_partials is not None else 1e-4
+        # the checks below reject non-finite values, so numpy need not warn of them
+        with np.errstate(all="ignore"):
+            e, f, g = self.metric(uu.ravel(), vv.ravel())
+            # accepting comparisons, so that NaN fails them
+            if not (np.all(e > 0) and np.all(e * g - f * f > 0)):
+                raise DomainError("metric is not positive definite on the chart grid")
+            k = self.curvature(uu.ravel(), vv.ravel())
+        tol = 1e-9 if self._christoffels is not None else 1e-4
         if not np.all(np.abs(k) <= 1.0 + tol):
             raise DomainError(
                 f"|K| exceeds 1 on the chart grid (max {np.max(np.abs(k)):.6g})"
@@ -179,31 +187,25 @@ class SurfaceModel:
     def curvature(self, u, v):
         return self._curvature(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
-    def metric_partials(self, u, v):
-        if self._metric_partials is not None:
-            return self._metric_partials(u, v)
+    def christoffels(self, u, v):
+        """Second-kind Christoffel symbols, six arrays.
+
+        Order: G1_11, G1_12, G1_22, G2_11, G2_12, G2_22.  The model's closed
+        form when it has one; otherwise the general formula on central
+        differences of the metric.
+        """
+        if self._christoffels is not None:
+            return self._christoffels(u, v)
+        e, f, g = self.metric(u, v)
         h = _FD_METRIC_STEP
         eu1, fu1, gu1 = self.metric(u + h, v)
         eu0, fu0, gu0 = self.metric(u - h, v)
         ev1, fv1, gv1 = self.metric(u, v + h)
         ev0, fv0, gv0 = self.metric(u, v - h)
         inv = 0.5 / h
-        return (
-            (eu1 - eu0) * inv,
-            (ev1 - ev0) * inv,
-            (fu1 - fu0) * inv,
-            (fv1 - fv0) * inv,
-            (gu1 - gu0) * inv,
-            (gv1 - gv0) * inv,
-        )
-
-    def christoffels(self, u, v):
-        """Second-kind Christoffel symbols, six arrays.
-
-        Order: G1_11, G1_12, G1_22, G2_11, G2_12, G2_22.
-        """
-        e, f, g = self.metric(u, v)
-        e_u, e_v, f_u, f_v, g_u, g_v = self.metric_partials(u, v)
+        e_u, e_v = (eu1 - eu0) * inv, (ev1 - ev0) * inv
+        f_u, f_v = (fu1 - fu0) * inv, (fv1 - fv0) * inv
+        g_u, g_v = (gu1 - gu0) * inv, (gv1 - gv0) * inv
         w2 = 2.0 * (e * g - f * f)
         g1_11 = (g * e_u - 2 * f * f_u + f * e_v) / w2
         g2_11 = (2 * e * f_u - e * e_v - f * e_u) / w2
@@ -457,38 +459,43 @@ def jacobi_field(phi, t, s, h, surface):
 # -- built-in models ---------------------------------------------------
 
 
-def _conformal_metric(lam_sq):
-    def metric(u, v):
-        lam2 = lam_sq(u, v)
-        zeros = np.zeros_like(lam2)
-        return lam2, zeros, lam2
+def _conformal_surface(kind, half_width, factor, k, dist) -> SurfaceModel:
+    """Model of ds^2 = lam^2 (du^2 + dv^2), curvature k, on a square chart.
 
-    return metric
+    ``factor(u, v)`` returns lam^2 and its partials in u and v.  With
+    E = G = lam^2 and F = 0 the general Christoffel formula reduces to the
+    symbols a, b, -a, -b, a, b below, the same floats for nonzero partials.
+    """
+
+    def metric(u, v):
+        e = factor(u, v)[0]
+        return e, np.zeros_like(e), e
+
+    def christoffels(u, v):
+        e, e_u, e_v = factor(u, v)
+        w2 = 2.0 * (e * e)
+        a = (e * e_u) / w2
+        b = (e * e_v) / w2
+        return a, b, -a, -b, a, b
+
+    def curvature(u, v):
+        return np.full_like(u, k)
+
+    chart = (-half_width, half_width, -half_width, half_width)
+    return SurfaceModel(
+        kind, chart, metric, curvature, christoffels=christoffels, closed_form_distance=dist
+    )
 
 
 def euclidean_surface(half_width=50.0) -> SurfaceModel:
-    def metric(u, v):
-        one = np.ones_like(np.asarray(u, dtype=float))
-        return one, np.zeros_like(one), one
-
-    def partials(u, v):
+    def factor(u, v):
         z = np.zeros_like(np.asarray(u, dtype=float))
-        return z, z, z, z, z, z
-
-    def curvature(u, v):
-        return np.zeros_like(np.asarray(u, dtype=float))
+        return z + 1.0, z, z
 
     def dist(p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])
 
-    return SurfaceModel(
-        EUCLIDEAN,
-        (-half_width, half_width, -half_width, half_width),
-        metric,
-        curvature,
-        metric_partials=partials,
-        closed_form_distance=dist,
-    )
+    return _conformal_surface(EUCLIDEAN, half_width, factor, 0.0, dist)
 
 
 def _sphere_embed(p):
@@ -504,33 +511,16 @@ def unit_sphere_surface(half_width=1.8) -> SurfaceModel:
     equator.  ds^2 = 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2, K = +1.
     """
 
-    def lam_sq(u, v):
-        d = 1.0 + u * u + v * v
-        return 4.0 / (d * d)
-
-    def partials(u, v):
+    def factor(u, v):
         d = 1.0 + u * u + v * v
         base = -16.0 / (d * d * d)
-        e_u = base * u
-        e_v = base * v
-        z = np.zeros_like(d)
-        return e_u, e_v, z, z, e_u, e_v
-
-    def curvature(u, v):
-        return np.ones_like(np.asarray(u, dtype=float))
+        return 4.0 / (d * d), base * u, base * v
 
     def dist(p, q):
         chord = np.linalg.norm(_sphere_embed(p) - _sphere_embed(q))
         return 2.0 * math.asin(min(1.0, chord / 2.0))
 
-    return SurfaceModel(
-        SPHERE,
-        (-half_width, half_width, -half_width, half_width),
-        _conformal_metric(lam_sq),
-        curvature,
-        metric_partials=partials,
-        closed_form_distance=dist,
-    )
+    return _conformal_surface(SPHERE, half_width, factor, 1.0, dist)
 
 
 def poincare_disk_surface(half_width=0.7) -> SurfaceModel:
@@ -541,20 +531,10 @@ def poincare_disk_surface(half_width=0.7) -> SurfaceModel:
     if half_width * math.sqrt(2.0) >= 1.0:
         raise DomainError("chart square must stay inside the unit disk")
 
-    def lam_sq(u, v):
-        d = 1.0 - u * u - v * v
-        return 4.0 / (d * d)
-
-    def partials(u, v):
+    def factor(u, v):
         d = 1.0 - u * u - v * v
         base = 16.0 / (d * d * d)
-        e_u = base * u
-        e_v = base * v
-        z = np.zeros_like(d)
-        return e_u, e_v, z, z, e_u, e_v
-
-    def curvature(u, v):
-        return -np.ones_like(np.asarray(u, dtype=float))
+        return 4.0 / (d * d), base * u, base * v
 
     def dist(p, q):
         dp = 1.0 - p[0] * p[0] - p[1] * p[1]
@@ -562,14 +542,7 @@ def poincare_disk_surface(half_width=0.7) -> SurfaceModel:
         delta2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
         return 2.0 * math.asinh(math.sqrt(delta2 / (dp * dq)))
 
-    return SurfaceModel(
-        HYPERBOLIC,
-        (-half_width, half_width, -half_width, half_width),
-        _conformal_metric(lam_sq),
-        curvature,
-        metric_partials=partials,
-        closed_form_distance=dist,
-    )
+    return _conformal_surface(HYPERBOLIC, half_width, factor, -1.0, dist)
 
 
 def _brioschi_curvature(metric, step=1e-4):
@@ -616,12 +589,18 @@ def surface_from_json(doc) -> SurfaceModel:
 
     Expected keys: ``chart`` with u_min/u_max/v_min/v_max, ``metric`` with
     expression strings E, F, G, and optionally ``curvature`` as an
-    expression (finite-difference Brioschi curvature is used otherwise).
+    expression (finite-difference Brioschi curvature is used otherwise) and
+    ``name``.  Any other key is an error.
     """
     import json as _json
 
     if isinstance(doc, str):
         doc = _json.loads(doc)
+    if not isinstance(doc, dict):
+        raise DomainError("custom surface document must be an object")
+    extra = doc.keys() - {"chart", "metric", "curvature", "name"}
+    if extra:
+        raise DomainError(f"custom surface has unknown keys {sorted(extra)}")
     try:
         chart, exprs = doc["chart"], doc["metric"]
         if not (isinstance(chart, dict) and isinstance(exprs, dict)):
@@ -657,8 +636,6 @@ def surface_from_json(doc) -> SurfaceModel:
         rect,
         metric,
         curvature,
-        metric_partials=None,
-        closed_form_distance=None,
         name=name,
     )
 
@@ -671,13 +648,11 @@ _BUILTIN_FACTORIES = {
 
 
 def make_surface(spec) -> SurfaceModel:
-    """Surface from a kind name or a custom-metric JSON document."""
+    """Surface from a built-in kind name or a custom-metric JSON document."""
     if isinstance(spec, SurfaceModel):
         return spec
     if isinstance(spec, str) and spec in _BUILTIN_FACTORIES:
         return _BUILTIN_FACTORIES[spec]()
     if isinstance(spec, dict):
-        if isinstance(spec.get("kind"), str) and spec["kind"] in _BUILTIN_FACTORIES:
-            return _BUILTIN_FACTORIES[spec["kind"]]()
         return surface_from_json(spec)
     raise DomainError(f"unknown surface spec: {spec!r}")

@@ -134,31 +134,38 @@ def _frames(surface, apex, p_j, p_k):
 
 
 def _side_points(surface, frames, rows, ss):
-    """exp(apex, s w_to_k) and exp(apex, s w_to_j) for frames[rows] and ss.
+    """exp(apex, s w_to_k) and exp(apex, s w_to_j) for the distinct (frames[rows], ss).
 
-    Rows with the same frame and s share both points and are solved once.
+    Returns the two point arrays, one row per distinct (frame, s) pair in
+    sorted order, and each input row's index into them.
     """
     apex, _, _, w_to_k, w_to_j = frames
-    key, inv = np.unique(np.column_stack([rows, ss]), axis=0, return_inverse=True)
-    r = key[:, 0].astype(int)
-    s = key[:, 1:]
-    n = len(key)
+    order = np.lexsort((ss, rows))
+    r, s = rows[order], ss[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (s[1:] != s[:-1])
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    r, s = r[first], s[first, None]
+    n = len(r)
     sides = surface.exp_many(
         np.vstack([apex[r], apex[r]]), np.vstack([w_to_k[r] * s, w_to_j[r] * s])
     )
-    return sides[:n][inv], sides[n:][inv]
+    return sides[:n], sides[n:], inv
 
 
 def _phi_rows(surface, frames, rows, ts, ss):
     """Parametrization points, point i in the apex frame frames[rows[i]].
 
     Point i is the one at parameter ts[i] on the cross geodesic between
-    exp(apex, ss[i] w_to_k) and exp(apex, ss[i] w_to_j).  Every point is
-    solved independently, so the points of many cells can share one pass.
+    exp(apex, ss[i] w_to_k) and exp(apex, ss[i] w_to_j).  Points with the
+    same frame and s share that geodesic, which is shot once.  Every
+    geodesic is solved independently, so the points of many cells can share
+    one pass.
     """
-    side_a, side_b = _side_points(surface, frames, rows, ss)
+    side_a, side_b, inv = _side_points(surface, frames, rows, ss)
     w_cross = surface.log_many(side_a, side_b)
-    return surface.exp_many(side_a, w_cross * ts[:, None])
+    return surface.exp_many(side_a[inv], w_cross[inv] * ts[:, None])
 
 
 def _pair_distances(surface, frames, cells, ts, ss):

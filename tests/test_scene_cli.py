@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,11 @@ class TestMalformedSystem:
     def vertex_outside_chart(doc):
         doc["levels"][2]["cells"][7]["vertices"][0] = [0.25, -50.0]
 
+    @staticmethod
+    def kind_in_custom_surface(doc):
+        # a kind name next to a custom metric is an unknown key, not a surface switch
+        doc["meta"]["surface"] = dict(BUMP_SURFACE, kind="euclidean")
+
     NAMED = {
         "short_levels": "levels",
         "missing_cell": "level 2",
@@ -356,6 +362,7 @@ class TestMalformedSystem:
         "delta_half_pi": "meta.delta must lie in (0, pi/2)",
         "base_outside_chart": "meta: base vertices must lie inside the chart",
         "vertex_outside_chart": "level 3 vertices must lie inside the chart",
+        "kind_in_custom_surface": "meta: custom surface has unknown keys ['kind']",
     }
 
     @pytest.mark.parametrize("offset", [0.2, 1e-11])
@@ -436,6 +443,10 @@ class TestMalformedScene:
         doc["surface"] = {"kind": "sphere_unit"}
 
     @staticmethod
+    def kind_in_custom_surface(doc):
+        doc["surface"]["kind"] = "sphere_unit"
+
+    @staticmethod
     def name_not_string(doc):
         doc["surface"]["name"] = 5
 
@@ -461,6 +472,7 @@ class TestMalformedScene:
         "nan_delta": "delta must hold finite numbers",
         "huge_seed": "seed must hold finite numbers",
         "kind_surface": "surface lacks chart, metric",
+        "kind_in_custom_surface": "custom surface has unknown keys ['kind']",
         "name_not_string": "custom surface name must be a string",
         "extra_top_key": "scene has unknown keys ['extra']",
         "extra_tolerance": "tolerances has unknown keys ['extra']",
@@ -534,7 +546,10 @@ class TestCustomSurfaceErrors:
         scene.write_text(json.dumps(doc))
         out = tmp_path / "sys.json"
         capsys.readouterr()
-        assert main(["build", str(scene), "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["build", str(scene), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()

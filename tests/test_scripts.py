@@ -3,6 +3,7 @@ guard on the modules the benchmark tracer wraps."""
 
 import ast
 import importlib
+import inspect
 import math
 import os
 import subprocess
@@ -46,20 +47,44 @@ def test_benchmark_traced_modules_import():
     # `perfbench/run.py --trace 1` imports every module named in
     # TRACED_MODULES and looks up every private name in EXTRA with getattr;
     # a module or name deleted or renamed without updating the tracer would
-    # break it
+    # break it.  The layers in ROWS count the rows of the batched kernels:
+    # each must still name a public function or method (or an EXTRA label),
+    # or its counters would silently read 0
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    consts = {
-        ast.unparse(node.targets[0]): ast.literal_eval(node.value)
+    nodes = {
+        ast.unparse(node.targets[0]): node.value
         for node in tree.body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("TRACED_MODULES", "EXTRA")
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("TRACED_MODULES", "EXTRA", "ROWS")
     }
+    consts = {name: ast.literal_eval(nodes[name]) for name in ("TRACED_MODULES", "EXTRA")}
     assert consts["TRACED_MODULES"] and consts["EXTRA"]
     for name in consts["TRACED_MODULES"]:
         importlib.import_module(f"geogasket.{name}")
+    extra_labels = set()
     for name, attrs in consts["EXTRA"].items():
         module = importlib.import_module(f"geogasket.{name}")
-        for attr in attrs:
+        for attr, label in attrs.items():
             assert callable(getattr(module, attr, None)), f"geogasket.{name}.{attr}"
+            extra_labels.add(label)
+    rows = [ast.literal_eval(key) for key in nodes["ROWS"].keys]
+    assert rows
+    for label in rows:
+        assert label in extra_labels or public_callable(*label.split(".")), (
+            f"traced layer {label} names no public function or method"
+        )
+
+
+def public_callable(short, attr):
+    """True when geogasket.<short> defines a public function or class method named attr."""
+    if attr.startswith("_"):
+        return False
+    module = importlib.import_module(f"geogasket.{short}")
+    owners = [
+        obj for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__ and not obj.__name__.startswith("_")
+    ]
+    fn = vars(module).get(attr)
+    return (inspect.isfunction(fn) and fn.__module__ == module.__name__) or any(attr in vars(c) for c in owners)
 
 
 def test_cli_import_loads_no_jsonschema():

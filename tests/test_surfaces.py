@@ -75,6 +75,17 @@ class TestBatchIndependence:
         assert np.array_equal(batch, alone)
 
     @pytest.mark.parametrize("kind", ["sphere", "bump"])
+    def test_log_many_rows_equal_alone(self, kind, request):
+        surface = (
+            surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
+        pts, vels = self.mixed_batch()
+        targets = surface.exp_many(pts, vels)
+        batch = surface.log_many(pts, targets)
+        alone = np.vstack([surface.log_many(p[None], q[None]) for p, q in zip(pts, targets)])
+        assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("kind", ["sphere", "bump"])
     def test_reused_stage_equals_fresh_evaluation(self, kind, request):
         surface = (
             surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
@@ -248,6 +259,67 @@ class TestJacobiField:
             jacobi_field(phi, 0.3, 1.0, 1e-5, eu)
 
 
+def general_christoffels(e, f, g, e_u, e_v, f_u, f_v, g_u, g_v):
+    """Second-kind symbols of a metric (E, F, G) from its first partials."""
+    w2 = 2.0 * (e * g - f * f)
+    return (
+        (g * e_u - 2 * f * f_u + f * e_v) / w2,
+        (g * e_v - f * g_u) / w2,
+        (2 * g * f_v - g * g_u - f * g_v) / w2,
+        (2 * e * f_u - e * e_v - f * e_u) / w2,
+        (e * g_u - f * e_v) / w2,
+        (e * g_v - 2 * f * f_v + f * g_u) / w2,
+    )
+
+
+class TestChristoffels:
+    @staticmethod
+    def sphere_factor(u, v):
+        # E = G = 4 / d^2 with d = 1 + u^2 + v^2
+        d = 1.0 + u * u + v * v
+        base = -16.0 / (d * d * d)
+        return 4.0 / (d * d), base * u, base * v
+
+    @staticmethod
+    def disk_factor(u, v):
+        # E = G = 4 / d^2 with d = 1 - u^2 - v^2
+        d = 1.0 - u * u - v * v
+        base = 16.0 / (d * d * d)
+        return 4.0 / (d * d), base * u, base * v
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+    def test_closed_form_equals_general_formula(self, kind, request):
+        surface = request.getfixturevalue(kind)
+        factor = self.sphere_factor if kind == "sphere" else self.disk_factor
+        u_min, u_max, v_min, v_max = surface.chart
+        rng = np.random.default_rng(5)
+        u = rng.uniform(u_min, u_max, 10**4)
+        v = rng.uniform(v_min, v_max, 10**4)
+        e, e_u, e_v = factor(u, v)
+        zero = np.zeros_like(e)
+        expected = general_christoffels(e, zero, e, e_u, e_v, zero, zero, e_u, e_v)
+        got = surface.christoffels(u, v)
+        assert len(got) == 6
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(surface.metric(u, v), (e, zero, e)))
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+    def test_rhs_reads_closed_form_only(self, kind, request, monkeypatch):
+        surface = request.getfixturevalue(kind)
+        counts = {"christoffels": 0, "metric": 0}
+        for name in counts:
+            method = getattr(surface, name)
+
+            def counting(*args, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(surface, name, counting)
+        surface._ode_rhs(np.array([[0.1, -0.2, 0.3, 0.4], [0.0, 0.05, -0.2, 0.1]]))
+        assert counts == {"christoffels": 1, "metric": 0}
+
+
 class TestCustomSurface:
     DOC = {
         "name": "gentle-bump",
@@ -289,8 +361,10 @@ class TestCustomSurface:
             ("curvature", 0.25),
             ("chart", {"u_min": -1.0, "u_max": 10**400, "v_min": -1.0, "v_max": 1.0}),
             ("name", 5),
+            # a built-in kind name must not turn a custom metric into that surface
+            ("kind", "sphere_unit"),
         ],
-        ids=["chart", "metric", "E", "u_min", "curvature", "u_max_huge", "name"],
+        ids=["chart", "metric", "E", "u_min", "curvature", "u_max_huge", "name", "kind"],
     )
     def test_malformed_document(self, key, value):
         with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geogasket.errors import ConvexityGuardError, DegenerateTriangleError, InversionError
 from geogasket.triangles import (
     GeodesicTriangleRegion,
+    _phi_rows,
     is_delta_nondegenerate,
     planar_comparison_angles,
 )
@@ -183,6 +184,27 @@ class TestRegionAndPhi:
         assert resid[3] == 0 and (ts[3], ss[3]) == pytest.approx((0.3, 0.6), abs=1e-12)
         with pytest.raises(InversionError):
             flat_base.invert_phi(1, xs[0])
+
+    def test_repeated_cross_geodesics_shot_once(self, sphere_base, monkeypatch):
+        # rows with the same apex frame and s lie on one cross geodesic
+        frames = sphere_base._frame_table()
+        rows = np.array([0, 0, 1, 2, 0, 1, 0])
+        ts = np.array([0.1, 0.8, 0.5, 0.3, 0.4, 0.9, 0.6])
+        ss = np.array([0.3, 0.3, 0.5, 0.3, 0.7, 0.5, 0.3])
+        alone = np.vstack([
+            _phi_rows(sphere_base.surface, frames, rows[[i]], ts[[i]], ss[[i]]) for i in range(len(rows))
+        ])
+        shot = []
+        log_many = sphere_base.surface.log_many
+
+        def counting(pts, targets, **kwargs):
+            shot.append(len(pts))
+            return log_many(pts, targets, **kwargs)
+
+        monkeypatch.setattr(sphere_base.surface, "log_many", counting)
+        pts = _phi_rows(sphere_base.surface, frames, rows, ts, ss)
+        assert shot == [4]
+        assert np.array_equal(pts, alone)
 
     def test_vertex_angles_sum_flat(self, flat_base):
         total = sum(vertex_angle(flat_base, i) for i in (0, 1, 2))
