@@ -31,7 +31,6 @@ from .gasket import (
     controlled_moran_check,
     gnomonic_crosscheck,
     render_svg,
-    subdivide,
     system_from_json,
     system_to_json,
 )
@@ -45,7 +44,6 @@ from .metric_core import CoverRecord
 from .scene import SceneConfig
 from .surfaces import (
     SurfaceModel,
-    SurfacePoint,
     euclidean_surface,
     jacobi_field,
     make_surface,
@@ -54,10 +52,8 @@ from .surfaces import (
     unit_sphere_surface,
 )
 from .triangles import (
-    ComparisonAngles,
     GeodesicTriangleRegion,
     is_delta_nondegenerate,
-    planar_comparison_angles,
 )
 
 __version__ = "0.1.0"

@@ -193,7 +193,7 @@ def cmd_measure(args) -> int:
     except (SceneValidationError, ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    centroid = system.base.vertex_array().mean(axis=0)
+    centroid = system.base.vertices.mean(axis=0)
     seed = DiscreteMeasure.point_mass(system.surface, centroid)
     try:
         report = pushforward_fixpoint(

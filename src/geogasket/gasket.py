@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeogasketError, InversionError, NondegeneracyError, SceneValidationError
-from .surfaces import SPHERE, SurfaceModel, SurfacePoint, _as_point_array, make_surface
+from .surfaces import SPHERE, SurfaceModel, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
     _frames,
@@ -70,6 +70,14 @@ def mi_str(index) -> str:
     return "".join(str(d) for d in index) or "(base)"
 
 
+def _nonempty_indices(cells, what: str) -> list:
+    """``cells`` as validated digit tuples, none of them empty."""
+    cells = [mi_validate(index) for index in cells]
+    if not all(cells):
+        raise DomainError(f"{what} needs a nonempty multi-index")
+    return cells
+
+
 # -- level storage -------------------------------------------------------
 
 
@@ -96,9 +104,9 @@ class LevelArrays:
 def _subdivide_arrays(surface: SurfaceModel, verts: np.ndarray, sides: np.ndarray):
     """One subdivision step for a whole level.
 
-    Returns (children_vertices (N,3,3,2) by digit, children_sides (N,3,3),
-    center_vertices (N,3,2), center_sides (N,3)).  The side midpoints are
-    the center triangle's vertices and the new midlines its sides.
+    Returns (children_vertices (N,3,3,2) by digit, children_sides (N,3,3)).
+    Child d keeps vertex d of its parent; its other two vertices are side
+    midpoints, and its side opposite vertex d is the midline joining them.
     """
     n = len(verts)
     starts = verts[:, [1, 2, 0], :].reshape(3 * n, 2)
@@ -119,23 +127,7 @@ def _subdivide_arrays(surface: SurfaceModel, verts: np.ndarray, sides: np.ndarra
                 child_verts[:, d, slot, :] = mids[:, third, :]
         child_sides[:, d, :] = sides / 2.0
         child_sides[:, d, d] = midline[:, d]
-    return child_verts, child_sides, mids, midline
-
-
-def subdivide(region: GeodesicTriangleRegion):
-    """Split a region into its three corner cells and the center cell.
-
-    Child i keeps vertex i of the parent; the center triangle has the three
-    side midpoints as vertices.
-    """
-    verts = region.vertex_array()[None, :, :]
-    sides = region.side_lengths[None, :]
-    cv, cs, center_v, center_s = _subdivide_arrays(region.surface, verts, sides)
-    children = tuple(
-        GeodesicTriangleRegion(region.surface, cv[0, d], cs[0, d]) for d in range(3)
-    )
-    center = GeodesicTriangleRegion(region.surface, center_v[0], center_s[0])
-    return children[0], children[1], children[2], center
+    return child_verts, child_sides
 
 
 # -- the system ----------------------------------------------------------
@@ -214,18 +206,18 @@ def build_system(
     ok, angles = is_delta_nondegenerate(base.side_lengths, delta)
     if not ok:
         raise NondegeneracyError(
-            (), f"base triangle is not {delta}-non-degenerate (angles {angles.alphas})"
+            (), f"base triangle is not {delta}-non-degenerate (angles {angles})"
         )
     levels = [
         LevelArrays(
-            vertices=base.vertex_array()[None, :, :],
+            vertices=base.vertices[None, :, :],
             side_lengths=np.array(base.side_lengths, dtype=float)[None, :],
         )
     ]
     surface = base.surface
     for n in range(depth):
         lv = levels[-1]
-        cv, cs, _, _ = _subdivide_arrays(surface, lv.vertices, lv.side_lengths)
+        cv, cs = _subdivide_arrays(surface, lv.vertices, lv.side_lengths)
         new_verts = cv.reshape(len(lv) * 3, 3, 2)
         new_sides = cs.reshape(len(lv) * 3, 3)
         _, bad = _band_failures(new_sides, delta)
@@ -243,28 +235,18 @@ def build_system(
 # -- subdivision maps ----------------------------------------------------
 
 
-def apply_f(system: TriangleSystem, index, x, tol_factor: float = 1e-7) -> SurfacePoint:
-    """The subdivision map of cell ``index`` applied to a parent point.
-
-    Recovers the parametrization coordinates (t, s) of x in the parent cell
-    (apex chosen by the last digit) and returns the point at (t, s/2).  On
-    the flat model this is exactly the half-ratio homothety at the apex.
-    """
-    digits = mi_validate(index)
-    if not digits:
-        raise DomainError("apply_f needs a nonempty multi-index")
-    out = _apply_f_many(system, [digits], _as_point_array(x)[None, :], tol_factor)[0, 0]
-    return SurfacePoint(float(out[0]), float(out[1]))
-
-
-def _apply_f_many(system: TriangleSystem, cells, xs, tol_factor: float = 1e-7) -> np.ndarray:
+def apply_f(system: TriangleSystem, cells, xs, tol_factor: float = 1e-7) -> np.ndarray:
     """Images of the parent points ``xs`` under the map onto each of ``cells``.
 
-    Returns an array of shape (len(cells), len(xs), 2).  The images come
-    out of the inversion passes themselves, one pass per group of rows.
-    Raises InversionError naming the cell when a recovery residual exceeds
-    ``tol_factor`` times the parent diameter.
+    The map onto a cell recovers the parametrization coordinates (t, s) of
+    a point in the parent (apex chosen by the last digit) and returns the
+    point at (t, s/2); on the flat model this is exactly the half-ratio
+    homothety at the apex.  Returns an array of shape (len(cells),
+    len(xs), 2).  The images come out of the inversion passes themselves,
+    one pass per group of rows.  Raises InversionError naming the cell when
+    a recovery residual exceeds ``tol_factor`` times the parent diameter.
     """
+    cells = _nonempty_indices(cells, "apply_f")
     parents = [system.cell(digits[:-1]) for digits in cells]
     # each parent's table holds its three apex frames; row 3 p + d - 1 is the
     # frame of apex d of parent p
@@ -395,7 +377,7 @@ def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
     return ratios, diams
 
 
-def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
+def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: int = 0) -> list:
     """Audits of the maps onto ``cells`` against the current gauge.
 
     Each cell is measured once per system: its deviation, pairs used and
@@ -405,6 +387,7 @@ def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
     arrays are read-only, so a memoized entry is what a new measurement
     would give.  Envelopes and verdicts use the gauge of this call.
     """
+    cells = _nonempty_indices(cells, "audit")
     memo = system._audits
     todo = [d for d in cells if (d, n_pairs, seed) not in memo]
     if todo:
@@ -430,14 +413,6 @@ def _similarity_audits(system: TriangleSystem, cells, n_pairs, seed):
     return audits
 
 
-def audit_similarity(system: TriangleSystem, index, n_pairs: int = 100, seed: int = 0) -> SimilarityAudit:
-    """Sample pair dilations of the map onto cell ``index``."""
-    digits = mi_validate(index)
-    if not digits:
-        raise DomainError("audit needs a nonempty multi-index")
-    return _similarity_audits(system, [digits], n_pairs, seed)[0]
-
-
 def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: int = 100, seed: int = 0) -> float:
     """Fit the quadratic gauge constant on the shallow levels and freeze it.
 
@@ -451,7 +426,7 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
         for index in system.indices(n)
     ]
     worst = 0.0
-    for audit in _similarity_audits(system, cells, n_pairs, seed):
+    for audit in audit_similarity(system, cells, n_pairs, seed):
         slope = audit.max_ratio_deviation / (0.5 * audit.parent_diam**2)
         worst = max(worst, slope)
     system.gauge_c = 1.5 * worst
@@ -470,7 +445,7 @@ def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int
                 np.linspace(0, total - 1, cells_per_level).astype(int)
             )
         indices.extend(mi_from_code(int(code), n) for code in codes)
-    return _similarity_audits(system, indices, n_pairs, seed)
+    return audit_similarity(system, indices, n_pairs, seed)
 
 
 # -- quotient drift and diameter products ---------------------------------
@@ -712,7 +687,7 @@ def gnomonic_crosscheck(system: TriangleSystem, pair_budget: int = 10**4, seed: 
     if float(np.sum(system.base.side_lengths)) >= 2 * math.pi:
         raise DomainError("base perimeter must be below 2*pi")
 
-    base3 = _embed_sphere(system.base.vertex_array())
+    base3 = _embed_sphere(system.base.vertices)
     normal = np.cross(base3[1] - base3[0], base3[2] - base3[0])
     normal = normal / np.linalg.norm(normal)
     offset = float(base3[0] @ normal)
@@ -809,7 +784,7 @@ def system_to_json(system: TriangleSystem, audits=None, surface_doc=None) -> str
         "nu": system.nu,
         "ratios": list(system.ratios),
         "gauge_c": system.gauge_c,
-        "base_vertices": [[p.u, p.v] for p in system.base.vertices],
+        "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
     }
     levels = []

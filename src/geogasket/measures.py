@@ -17,8 +17,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
-from .gasket import TriangleSystem, _apply_f_many, mi_validate
-from .surfaces import _as_point_array
+from .gasket import TriangleSystem, apply_f, mi_validate
 from .triangles import _chart_coords
 
 WEIGHT_TOL = 1e-12
@@ -35,16 +34,19 @@ class DiscreteMeasure:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
+        if self.points.shape[1:] != (2,):
+            raise DomainError(f"points must be an (N, 2) array of chart points, not {self.points.shape}")
         if len(self.points) != len(self.weights):
             raise DomainError("points and weights must have matching lengths")
-        if np.any(self.weights < -WEIGHT_TOL):
+        # accepting comparisons, so that NaN fails them
+        if not np.all(self.weights >= -WEIGHT_TOL):
             raise DomainError("weights must be nonnegative")
-        if abs(float(np.sum(self.weights)) - 1.0) > WEIGHT_TOL:
+        if not abs(float(np.sum(self.weights)) - 1.0) <= WEIGHT_TOL:
             raise DomainError("weights must sum to 1")
 
     @classmethod
     def point_mass(cls, surface, p) -> "DiscreteMeasure":
-        return cls(surface, _as_point_array(p)[None, :], np.array([1.0]))
+        return cls(surface, [p], [1.0])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -246,7 +248,7 @@ def pushforward_fixpoint(
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(digits):
         raise DomainError("one weight per map is required")
-    if np.any(weights <= 0) or abs(float(np.sum(weights)) - 1.0) > WEIGHT_TOL:
+    if not (np.all(weights > 0) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_TOL):
         raise DomainError("weights must be positive and sum to 1")
     merge_depth = min(system.depth, max(1, math.ceil(math.log2(1.0 / merge_tol))))
     while 3**merge_depth > atom_budget and merge_depth > 1:
@@ -256,7 +258,7 @@ def pushforward_fixpoint(
     trace = []
     resampled_at = []
     for m in range(iterations):
-        images = _apply_f_many(system, [(digit,) for digit in digits], current.points)
+        images = apply_f(system, [(digit,) for digit in digits], current.points)
         ws = [a * current.weights for a in weights]
         nxt = DiscreteMeasure(
             system.surface, images.reshape(-1, 2), np.concatenate(ws)

@@ -10,19 +10,18 @@ evaluation.  The built-in models are conformal and supply them in closed
 form from the conformal factor and its gradient; a custom metric gets them
 from central differences of its expressions.
 
-All geodesic solvers are vectorized: the batched entry points
-(``exp_many``, ``log_many``, ...) operate on ``(N, 2)`` arrays of chart
-coordinates, and the scalar API wraps them.  On the flat model exp and
-midpoints are exact affine arithmetic and the shooting seed is already the
-log map; the ODE path is reserved for curved charts so that curved results
-can be checked against closed forms.
+All geodesic solvers are vectorized: every entry point (``exp_many``,
+``log_many``, ...) operates on ``(N, 2)`` arrays of chart coordinates, one
+geodesic per row.  On the flat model exp and midpoints are exact affine
+arithmetic and the shooting seed is already the log map; the ODE path is
+reserved for curved charts so that curved results can be checked against
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,26 +46,6 @@ DEFAULT_SHOOT_TOL = 1e-11
 DEFAULT_SHOOT_MAXITER = 60
 
 _FD_METRIC_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point in chart coordinates."""
-
-    u: float
-    v: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=float)
-
-
-def _as_point_array(p) -> np.ndarray:
-    if isinstance(p, SurfacePoint):
-        return p.as_array()
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (2,):
-        raise DomainError(f"expected a chart point of shape (2,), got {arr.shape}")
-    return arr
 
 
 # Dormand-Prince RK45 tableau.
@@ -395,43 +374,13 @@ class SurfaceModel:
         w = self.log_many(pts, targets, **kwargs)
         return self.exp_many(pts, w, 0.5)
 
-    # -- scalar API ------------------------------------------------------
-
-    def exp_map(self, p, w, t=1.0) -> SurfacePoint:
-        """Solve the geodesic ODE from p with initial velocity w to time t."""
-        p = _as_point_array(p)
-        w = np.asarray(w, dtype=float)
-        if not self.contains(p[None, :])[0]:
-            raise DomainError("base point lies outside the chart rectangle")
-        out = self.exp_many(p[None, :], w[None, :], t)[0]
-        return SurfacePoint(float(out[0]), float(out[1]))
-
-    def log_map(self, p, q, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
-        """Tangent vector w with exp_map(p, w, 1) = q."""
-        p = _as_point_array(p)
-        q = _as_point_array(q)
-        return self.log_many(p[None, :], q[None, :], tol=tol, max_iter=max_iter)[0]
-
-    def distance(self, p, q, **kwargs) -> float:
-        p = _as_point_array(p)
-        q = _as_point_array(q)
-        if np.array_equal(p, q):
-            return 0.0
-        return float(self.distance_many(p[None, :], q[None, :], **kwargs)[0])
-
     def closed_form_distance(self, p, q):
         """Exact distance for built-in models; None when unavailable."""
         if self._closed_form_distance is None:
             return None
         return float(
-            self._closed_form_distance(_as_point_array(p), _as_point_array(q))
+            self._closed_form_distance(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
         )
-
-    def midpoint(self, p, q, **kwargs) -> SurfacePoint:
-        p = _as_point_array(p)
-        q = _as_point_array(q)
-        out = self.midpoint_many(p[None, :], q[None, :], **kwargs)[0]
-        return SurfacePoint(float(out[0]), float(out[1]))
 
 
 def jacobi_field(phi, t, s, h, surface):
@@ -448,10 +397,10 @@ def jacobi_field(phi, t, s, h, surface):
         raise DomainError("s +/- h must stay inside (0, 1]")
     if not (0.0 <= t <= 1.0):
         raise DomainError("t must lie in [0, 1]")
-    hi = _as_point_array(phi(t, s + h))
-    lo = _as_point_array(phi(t, s - h))
+    hi = np.asarray(phi(t, s + h), dtype=float)
+    lo = np.asarray(phi(t, s - h), dtype=float)
     vec = (hi - lo) / (2.0 * h)
-    at = _as_point_array(phi(t, s))
+    at = np.asarray(phi(t, s), dtype=float)
     norm = float(surface.norm(at[None, :], vec[None, :])[0])
     return vec, norm
 
@@ -584,13 +533,18 @@ def _brioschi_curvature(metric, step=1e-4):
     return curvature
 
 
+_CHART_KEYS = ("u_min", "u_max", "v_min", "v_max")
+_METRIC_KEYS = ("E", "F", "G")
+
+
 def surface_from_json(doc) -> SurfaceModel:
     """Build a custom surface from a JSON document (dict or JSON text).
 
     Expected keys: ``chart`` with u_min/u_max/v_min/v_max, ``metric`` with
     expression strings E, F, G, and optionally ``curvature`` as an
     expression (finite-difference Brioschi curvature is used otherwise) and
-    ``name``.  Any other key is an error.
+    ``name``.  Any other key, at the top level or inside ``chart`` or
+    ``metric``, is an error.
     """
     import json as _json
 
@@ -605,8 +559,12 @@ def surface_from_json(doc) -> SurfaceModel:
         chart, exprs = doc["chart"], doc["metric"]
         if not (isinstance(chart, dict) and isinstance(exprs, dict)):
             raise DomainError("custom surface 'chart' and 'metric' must be objects")
-        rect = (chart["u_min"], chart["u_max"], chart["v_min"], chart["v_max"])
-        sources = [exprs["E"], exprs["F"], exprs["G"], doc.get("curvature", "")]
+        for field, obj, keys in (("chart", chart, _CHART_KEYS), ("metric", exprs, _METRIC_KEYS)):
+            extra = obj.keys() - keys
+            if extra:
+                raise DomainError(f"custom surface {field} has unknown keys {sorted(extra)}")
+        rect = tuple(chart[k] for k in _CHART_KEYS)
+        sources = [*(exprs[k] for k in _METRIC_KEYS), doc.get("curvature", "")]
     except KeyError as exc:
         raise DomainError(f"custom surface document missing key: {exc}") from exc
     # abs(x) compares an int exactly, so 10**400 fails as Infinity does

@@ -1,4 +1,4 @@
-"""Geodesic triangle regions and comparison-triangle geometry.
+"""Geodesic triangle regions, their parametrization and its inversion.
 
 A triangle region is three chart vertices joined by minimal geodesics,
 with cached side lengths.  The family parametrization ``phi(t, s)`` sweeps
@@ -13,24 +13,16 @@ delta-non-degeneracy tests used throughout subdivision certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvexityGuardError,
-    DegenerateTriangleError,
-    DomainError,
-    InversionError,
-)
-from .surfaces import SurfaceModel, SurfacePoint, _as_point_array
+from .errors import ConvexityGuardError, DegenerateTriangleError, DomainError
+from .surfaces import SurfaceModel
 
 # Curved-surface working-domain guard.  |K| <= 1 puts the conjugate-point
 # scale at pi; triangles are kept an order of magnitude below it so the
 # convexity hypothesis holds with margin.
 CONVEXITY_GUARD = 0.4
-
-PLANE = "plane"
 
 
 def _check_sides(a1, a2, a3):
@@ -43,38 +35,6 @@ def _check_sides(a1, a2, a3):
             f"strict triangle inequality fails for sides {tuple(sides)}"
         )
     return sides
-
-
-def _clamped_arccos(x, slack=1e-9):
-    if x > 1.0 + slack or x < -1.0 - slack:
-        raise DomainError(f"law-of-cosines value {x!r} outside [-1, 1]")
-    return math.acos(min(1.0, max(-1.0, x)))
-
-
-@dataclass(frozen=True)
-class ComparisonAngles:
-    """Angles of the comparison triangle with the same side lengths.
-
-    ``alpha_i`` sits opposite side ``a_i``; all angles in radians.
-    """
-
-    space: str
-    alpha1: float
-    alpha2: float
-    alpha3: float
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([self.alpha1, self.alpha2, self.alpha3])
-
-
-def planar_comparison_angles(a1, a2, a3) -> ComparisonAngles:
-    """Law-of-cosines angles of the Euclidean comparison triangle."""
-    a, b, c = _check_sides(a1, a2, a3)
-    al1 = _clamped_arccos((b * b + c * c - a * a) / (2 * b * c))
-    al2 = _clamped_arccos((a * a + c * c - b * b) / (2 * a * c))
-    al3 = _clamped_arccos((a * a + b * b - c * c) / (2 * a * b))
-    return ComparisonAngles(PLANE, al1, al2, al3)
 
 
 def planar_angles_batch(sides: np.ndarray) -> np.ndarray:
@@ -92,18 +52,17 @@ def planar_angles_batch(sides: np.ndarray) -> np.ndarray:
 def is_delta_nondegenerate(sides, delta):
     """True when every planar comparison angle lies in (delta, pi - delta).
 
-    Returns ``(flag, ComparisonAngles)``.
+    Returns ``(flag, angles)``, angle i opposite side i, from the same law
+    of cosines as every cell's test.
     """
     if not (0 < delta < math.pi / 2):
         raise DomainError("delta must lie in (0, pi/2)")
-    angles = planar_comparison_angles(*sides)
-    flag = bool(
-        np.all(angles.alphas > delta) and np.all(angles.alphas < math.pi - delta)
-    )
+    angles = planar_angles_batch(_check_sides(*sides)[None, :])[0]
+    flag = bool(np.all(angles > delta) and np.all(angles < math.pi - delta))
     return flag, angles
 
 
-# Iteration limit of the parameter recovery behind invert_phi.
+# Iteration limit of the parameter recovery behind invert_phi_many.
 INVERT_MAXITER = 60
 
 
@@ -265,6 +224,25 @@ def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_
     return ts, ss, resid, images
 
 
+def _triangle_vertices(vertices) -> np.ndarray:
+    """Three chart points as a read-only (3, 2) float array."""
+    try:
+        verts = np.array(vertices, dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"a triangle needs three chart points: {exc}") from exc
+    if verts.shape != (3, 2):
+        raise DomainError(f"a triangle needs three chart points, shape (3, 2), not {verts.shape}")
+    verts.flags.writeable = False
+    return verts
+
+
+def _apex_row(vertex_index) -> int:
+    """Row of apex ``vertex_index`` in a region's frame table."""
+    if vertex_index not in (1, 2, 3):
+        raise DomainError("vertex index must be 1, 2 or 3")
+    return vertex_index - 1
+
+
 class GeodesicTriangleRegion:
     """A triangle region bounded by three minimal geodesics.
 
@@ -275,10 +253,7 @@ class GeodesicTriangleRegion:
 
     def __init__(self, surface: SurfaceModel, vertices, side_lengths):
         self.surface = surface
-        self.vertices = tuple(
-            SurfacePoint(float(p[0]), float(p[1]))
-            for p in (_as_point_array(v) for v in vertices)
-        )
+        self.vertices = _triangle_vertices(vertices)
         self.side_lengths = np.asarray(side_lengths, dtype=float)
         _check_sides(*self.side_lengths)
         if not surface.flat and self.diam > CONVEXITY_GUARD:
@@ -290,35 +265,20 @@ class GeodesicTriangleRegion:
 
     @classmethod
     def from_vertices(cls, surface, p1, p2, p3) -> "GeodesicTriangleRegion":
-        pts = np.vstack([_as_point_array(p) for p in (p1, p2, p3)])
-        starts = pts[[1, 2, 0]]
-        ends = pts[[2, 0, 1]]
-        lengths = surface.distance_many(starts, ends)
-        return cls(surface, pts, lengths)
+        pts = _triangle_vertices((p1, p2, p3))
+        return cls(surface, pts, surface.distance_many(pts[[1, 2, 0]], pts[[2, 0, 1]]))
 
     @property
     def diam(self) -> float:
         return float(np.max(self.side_lengths))
 
-    def vertex_array(self) -> np.ndarray:
-        return np.vstack([p.as_array() for p in self.vertices])
-
     # -- parametrization ----------------------------------------------
-
-    def _apex_frame(self, vertex_index: int):
-        if vertex_index not in (1, 2, 3):
-            raise DomainError("vertex index must be 1, 2 or 3")
-        i = vertex_index - 1
-        j = (i + 1) % 3  # plays p2 of the apex frame
-        k = (i + 2) % 3  # plays p3 of the apex frame
-        pts = self.vertex_array()
-        return pts[i], pts[j], pts[k]
 
     def _frame_table(self):
         """Cached frame table of apexes 1, 2, 3 (rows 0, 1, 2), see _frames."""
         if self._frame_cache is None:
-            pts = self.vertex_array()
-            self._frame_cache = _frames(self.surface, pts, pts[[1, 2, 0]], pts[[2, 0, 1]])
+            v = self.vertices
+            self._frame_cache = _frames(self.surface, v, v[[1, 2, 0]], v[[2, 0, 1]])
         return self._frame_cache
 
     def phi_many(self, vertex_index: int, ts, ss) -> np.ndarray:
@@ -327,30 +287,12 @@ class GeodesicTriangleRegion:
         ss = np.asarray(ss, dtype=float)
         if np.any((ts < 0) | (ts > 1)) or np.any((ss < 0) | (ss > 1)):
             raise DomainError("parameters must satisfy t in [0,1], s in [0,1]")
-        self._apex_frame(vertex_index)
+        row = _apex_row(vertex_index)
         n = max(len(np.atleast_1d(ts)), len(np.atleast_1d(ss)))
         ts = np.broadcast_to(np.atleast_1d(ts), (n,))
         ss = np.broadcast_to(np.atleast_1d(ss), (n,))
-        rows = np.full(n, vertex_index - 1)
+        rows = np.full(n, row)
         return _phi_rows(self.surface, self._frame_table(), rows, ts, ss)
-
-    def phi(self, vertex_index: int, t: float, s: float) -> SurfacePoint:
-        """Point on the cross geodesic at parameters (t, s) from the apex."""
-        out = self.phi_many(vertex_index, [t], [s])[0]
-        return SurfacePoint(float(out[0]), float(out[1]))
-
-    def invert_phi(self, vertex_index: int, x, tol=1e-9, max_iter=INVERT_MAXITER):
-        """Recover (t, s) with phi(t, s) = x; returns (t, s, residual).
-
-        Raises InversionError when the recovery stalls above ``tol``.
-        """
-        x = _as_point_array(x)
-        ts, ss, resid = self.invert_phi_many(vertex_index, x[None, :], tol, max_iter)
-        if resid[0] > tol:
-            raise InversionError(
-                f"parameter recovery stalled at residual {resid[0]:.3e} for x={tuple(x.tolist())}"
-            )
-        return float(ts[0]), float(ss[0]), float(resid[0])
 
     def invert_phi_many(self, vertex_index: int, xs, tol=1e-9, max_iter=INVERT_MAXITER):
         """Vectorized parameter recovery; returns (T, S, residuals).
@@ -359,6 +301,5 @@ class GeodesicTriangleRegion:
         region end with a nonzero residual rather than an error.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self._apex_frame(vertex_index)
-        rows = np.full(len(xs), vertex_index - 1)
+        rows = np.full(len(xs), _apex_row(vertex_index))
         return _invert_rows(self.surface, self._frame_table(), rows, xs, tol, max_iter)[:3]

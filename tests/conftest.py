@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geogasket.gasket import build_system, calibrate_gauge
+from geogasket.gasket import _subdivide_arrays, build_system, calibrate_gauge
 from geogasket.surfaces import (
     euclidean_surface,
     poincare_disk_surface,
@@ -33,9 +33,23 @@ def equilateral_base(surface, diam, chart_metric_scale):
     for ang in (90, 210, 330):
         a = math.radians(ang)
         w = np.array([math.cos(a), math.sin(a)]) * chart_metric_scale
-        p = surface.exp_map((0.0, 0.0), w, diam / math.sqrt(3))
-        verts.append(p.as_array())
+        verts.append(surface.exp_many([(0.0, 0.0)], [w], diam / math.sqrt(3))[0])
     return GeodesicTriangleRegion.from_vertices(surface, *verts)
+
+
+@pytest.fixture(scope="session")
+def split_cells():
+    """Splits a region into its three corner cells and the center cell."""
+
+    def split(region):
+        cv, cs = _subdivide_arrays(region.surface, region.vertices[None], region.side_lengths[None])
+        corners = [GeodesicTriangleRegion(region.surface, v, s) for v, s in zip(cv[0], cs[0])]
+        # the center's vertices are the side midpoints the corners share
+        # (midpoint k is vertex 3 - d - slot of corner d), its sides the midlines
+        center = GeodesicTriangleRegion(region.surface, cv[0, [1, 0, 0], [2, 2, 1]], cs[0, [0, 1, 2], [0, 1, 2]])
+        return (*corners, center)
+
+    return split
 
 
 @pytest.fixture(scope="session")

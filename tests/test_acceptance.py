@@ -51,7 +51,7 @@ def equilateral_base(surface, diam):
     for ang in (90, 210, 330):
         a = math.radians(ang)
         w = np.array([math.cos(a), math.sin(a)]) * 0.5
-        verts.append(surface.exp_map((0.0, 0.0), w, diam / math.sqrt(3)).as_array())
+        verts.append(surface.exp_many([(0.0, 0.0)], [w], diam / math.sqrt(3))[0])
     return GeodesicTriangleRegion.from_vertices(surface, *verts)
 
 
@@ -111,10 +111,8 @@ def test_criterion_2_flat_gasket_oracle(flat12):
         diam_ok &= bool(np.all(np.abs(diams / (base_diam * 2.0**-n) - 1.0) <= 1e-12))
     est = box_dimension_estimate(system, 4, 12)
     slope_err = abs(est.slope - LOG3_OVER_LOG2)
-    audits = []
-    for n in (1, 2, 3, 4):
-        for code in range(3**n):
-            audits.append(audit_similarity(system, mi_from_code(code, n), n_pairs=100))
+    cells = [mi_from_code(code, n) for n in (1, 2, 3, 4) for code in range(3**n)]
+    audits = audit_similarity(system, cells, n_pairs=100)
     audits.extend(audit_sweep(system, n_pairs=100, cells_per_level=12, seed=0))
     worst_dev = max(a.max_ratio_deviation for a in audits)
     elapsed = build_time + (time.perf_counter() - start)
@@ -206,7 +204,7 @@ def test_criterion_5_quadratic_dilation_rate(sphere):
     for d in diams:
         base = equilateral_base(sphere, d)
         system = build_system(base, 1, delta=0.4)
-        audit = audit_similarity(system, (1,), n_pairs=400, seed=0)
+        (audit,) = audit_similarity(system, [(1,)], n_pairs=400, seed=0)
         devs.append(audit.max_ratio_deviation)
     slope = np.polyfit(np.log(diams), np.log(devs), 1)[0]
     report(
@@ -257,7 +255,7 @@ def test_criterion_8_controlled_moran(flat12, sphere8, hyperbolic8):
 
 def test_criterion_9_measure_fixed_point(flat12):
     system, _ = flat12
-    centroid = system.base.vertex_array().mean(axis=0)
+    centroid = system.base.vertices.mean(axis=0)
     seed = DiscreteMeasure.point_mass(system.surface, centroid)
     out = pushforward_fixpoint(
         system, (1 / 3, 1 / 3, 1 / 3), 12, seed, atom_budget=2000

@@ -19,7 +19,7 @@ from geogasket.dimension import (
     uniform_moran_exponent,
 )
 from geogasket.errors import DepthExhaustedError, DomainError
-from geogasket.gasket import build_system, subdivide
+from geogasket.gasket import build_system
 
 
 def bisect_moran_oracle(lams, lo=0.0, hi=50.0, iters=200):
@@ -226,13 +226,13 @@ class TestBoxDimension:
         with pytest.raises(DomainError):
             box_dimension_estimate(flat_system, 3, 5)
 
-    def test_full_subdivision_harness_fills_area(self, flat_base):
+    def test_full_subdivision_harness_fills_area(self, flat_base, split_cells):
         # keep all four children: counts 4^n with halved diameters -> slope 2
         levels = [[flat_base]]
         for _ in range(6):
             nxt = []
             for tri in levels[-1]:
-                c1, c2, c3, center = subdivide(tri)
+                c1, c2, c3, center = split_cells(tri)
                 nxt.extend([c1, c2, c3, center])
             levels.append(nxt)
         xs = []

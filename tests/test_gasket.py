@@ -24,7 +24,6 @@ from geogasket.gasket import (
     nesting_check,
     nondegeneracy_sweep,
     render_svg,
-    subdivide,
     system_from_json,
     system_to_json,
 )
@@ -49,29 +48,29 @@ class TestMultiIndex:
 
 
 class TestSubdivide:
-    def test_flat_halves_sides(self, flat_base):
-        c1, c2, c3, center = subdivide(flat_base)
+    def test_flat_halves_sides(self, flat_base, split_cells):
+        c1, c2, c3, center = split_cells(flat_base)
         for idx, child in enumerate((c1, c2, c3)):
             np.testing.assert_allclose(
                 child.side_lengths, flat_base.side_lengths / 2.0, rtol=1e-12
             )
             # child keeps its namesake vertex
             np.testing.assert_allclose(
-                child.vertex_array()[idx], flat_base.vertex_array()[idx]
+                child.vertices[idx], flat_base.vertices[idx]
             )
         np.testing.assert_allclose(center.side_lengths, flat_base.side_lengths / 2.0, rtol=1e-12)
 
-    def test_flat_area_additivity(self, flat_base):
-        c1, c2, c3, center = subdivide(flat_base)
-        total = sum(shoelace(t.vertex_array()) for t in (c1, c2, c3, center))
-        assert total == pytest.approx(shoelace(flat_base.vertex_array()), abs=1e-10)
+    def test_flat_area_additivity(self, flat_base, split_cells):
+        c1, c2, c3, center = split_cells(flat_base)
+        total = sum(shoelace(t.vertices) for t in (c1, c2, c3, center))
+        assert total == pytest.approx(shoelace(flat_base.vertices), abs=1e-10)
 
-    def test_sphere_midline_rauch(self, sphere):
+    def test_sphere_midline_rauch(self, sphere, split_cells):
         tri = GeodesicTriangleRegion.from_vertices(
             sphere, (0.01, 0.0), (0.12, 0.02), (0.05, 0.1)
         )
         r = tri.diam
-        c1, c2, c3, center = subdivide(tri)
+        c1, c2, c3, center = split_cells(tri)
         for i, child in enumerate((c1, c2, c3)):
             midline = child.side_lengths[i]
             opposite = tri.side_lengths[i]
@@ -104,7 +103,7 @@ class TestBuildSystem:
         cell = sphere_system.cell(index)
         lv = sphere_system.level(3)
         np.testing.assert_allclose(
-            cell.vertex_array(), lv.vertices[mi_code(index)]
+            cell.vertices, lv.vertices[mi_code(index)]
         )
 
     def test_contraction(self, sphere_system, hyperbolic_system, flat_system):
@@ -121,18 +120,16 @@ class TestBuildSystem:
 class TestApplyF:
     def test_fixed_vertex(self, sphere_system):
         apex = sphere_system.base.vertices[1]
-        out = apply_f(sphere_system, (2,), apex)
-        assert (out.u, out.v) == (apex.u, apex.v)
+        out = apply_f(sphere_system, [(2,)], [apex])[0, 0]
+        assert tuple(out) == tuple(apex)
 
     def test_flat_homothety_exact(self, flat_system):
         rng = np.random.default_rng(0)
-        apex = flat_system.base.vertex_array()[0]
+        apex = flat_system.base.vertices[0]
         for _ in range(25):
             t, s = rng.uniform(0.1, 0.9), rng.uniform(0.1, 1.0)
-            x = flat_system.base.phi(1, t, s).as_array()
-            y = flat_system.base.phi(1, t * 0.7, s * 0.9).as_array()
-            fx = apply_f(flat_system, (1,), x).as_array()
-            fy = apply_f(flat_system, (1,), y).as_array()
+            x, y = flat_system.base.phi_many(1, [t, t * 0.7], [s, s * 0.9])
+            fx, fy = apply_f(flat_system, [(1,)], [x, y])[0]
             num = np.hypot(*(fx - fy))
             den = np.hypot(*(x - y))
             assert num / den == 0.5
@@ -148,13 +145,12 @@ class TestApplyF:
         for _ in range(10):
             t1, s1 = rng.uniform(0.1, 0.9), rng.uniform(0.3, 1.0)
             t2, s2 = rng.uniform(0.1, 0.9), rng.uniform(0.3, 1.0)
-            x = tri.phi(1, t1, s1).as_array()
-            y = tri.phi(1, t2, s2).as_array()
-            if sphere.distance(x, y) < 1e-4:
+            x, y = tri.phi_many(1, [t1, t2], [s1, s2])
+            d = sphere.distance_many([x], [y])[0]
+            if d < 1e-4:
                 continue
-            fx = apply_f(system, (1,), x).as_array()
-            fy = apply_f(system, (1,), y).as_array()
-            ratio = sphere.distance(fx, fy) / sphere.distance(x, y)
+            fx, fy = apply_f(system, [(1,)], [x, y])[0]
+            ratio = sphere.distance_many([fx], [fy])[0] / d
             assert abs(ratio - 0.5) <= 0.5 * max(c, 1e-6) * r2 * 1.5
 
     @pytest.mark.parametrize("vertex", [1, 2, 3])
@@ -162,14 +158,15 @@ class TestApplyF:
         # a point close to the apex is mapped, not snapped onto the apex
         scene = SceneConfig.from_path(Path(__file__).parents[1] / "scenes" / "sphere_small.json")
         system = build_system(scene.base_triangle(), 3, scene.delta)
-        verts = system.base.vertex_array()
+        verts = system.base.vertices
         apex = verts[vertex - 1]
         inward = verts.mean(axis=0) - apex
         inward /= np.hypot(*inward)
         for offset in (1e-9, 1e-7, 3e-7, 1e-6):
             x = apex + offset * inward
-            fx = apply_f(system, (vertex,), x).as_array()
-            ratio = system.surface.distance(fx, apex) / system.surface.distance(x, apex)
+            fx = apply_f(system, [(vertex,)], [x])[0, 0]
+            ratio = system.surface.distance_many([fx, x], [apex, apex])
+            ratio = ratio[0] / ratio[1]
             assert 0.49 < ratio < 0.51, (offset, ratio)
 
     @pytest.mark.parametrize(
@@ -180,18 +177,18 @@ class TestApplyF:
     def test_outside_point_inversion_error(self, request, system_name, far):
         system = request.getfixturevalue(system_name)
         with pytest.raises(InversionError, match="on cell 1"):
-            apply_f(system, (1,), np.array(far))
+            apply_f(system, [(1,)], [far])
 
 
 class TestAudits:
     def test_flat_zero_deviation(self, flat_system):
-        audit = audit_similarity(flat_system, (1, 3, 2), n_pairs=150, seed=4)
+        audit = audit_similarity(flat_system, [(1, 3, 2)], n_pairs=150, seed=4)[0]
         assert audit.max_ratio_deviation == 0.0
         assert audit.passed  # envelope 0 with c = 0
 
     def test_budget_enforced(self, flat_system):
         with pytest.raises(DomainError):
-            audit_similarity(flat_system, (1,), n_pairs=50)
+            audit_similarity(flat_system, [(1,)], n_pairs=50)
 
     def test_sphere_all_levels_pass(self, sphere_system):
         audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=6, seed=2)
@@ -201,7 +198,7 @@ class TestAudits:
         # deviations shrink with the parent diameter, roughly quadratically
         devs = {}
         for n in (1, 3, 5):
-            audit = audit_similarity(sphere_system, tuple([1] * n), n_pairs=200, seed=6)
+            audit = audit_similarity(sphere_system, [(1,) * n], n_pairs=200, seed=6)[0]
             devs[n] = (audit.parent_diam, audit.max_ratio_deviation)
         (d1, v1), (d5, v5) = devs[1], devs[5]
         slope = math.log(v1 / v5) / math.log(d1 / d5)
@@ -212,7 +209,7 @@ class TestAudits:
         # a copy that was never audited measures each cell alone
         fresh = system_from_json(system_to_json(sphere_system))
         for audit in audits[::3]:
-            assert audit_similarity(fresh, audit.index, n_pairs=100, seed=3) == audit
+            assert audit_similarity(fresh, [audit.index], n_pairs=100, seed=3) == [audit]
 
     def test_each_cell_audited_once(self, sphere_base, monkeypatch):
         system = build_system(sphere_base, 5, delta=0.4)
@@ -235,9 +232,9 @@ class TestAudits:
     def test_envelope_follows_gauge(self, sphere_base):
         system = build_system(sphere_base, 2, delta=0.4)
         system.gauge_c = 1.0
-        first = audit_similarity(system, (2, 1), n_pairs=100, seed=5)
+        (first,) = audit_similarity(system, [(2, 1)], n_pairs=100, seed=5)
         system.gauge_c = 1e-9
-        second = audit_similarity(system, (2, 1), n_pairs=100, seed=5)
+        (second,) = audit_similarity(system, [(2, 1)], n_pairs=100, seed=5)
         assert second.max_ratio_deviation == first.max_ratio_deviation > 0
         assert second.envelope == 0.5 * 1e-9 * second.parent_diam**2 < first.envelope
         assert first.passed and not second.passed
@@ -325,10 +322,8 @@ class _FakePerimeter:
     def __init__(self, base):
         self.surface = base.surface
         self.side_lengths = np.array([2.5, 2.5, 2.0])
+        self.vertices = base.vertices
         self._base = base
-
-    def vertex_array(self):
-        return self._base.vertex_array()
 
     @property
     def diam(self):

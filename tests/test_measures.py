@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ class TestPushforward:
         report = pushforward_fixpoint(
             flat_system, (1.0,), 14, seed, digits=(1,), atom_budget=100
         )
-        vertex = flat_system.base.vertex_array()[0]
+        vertex = flat_system.base.vertices[0]
         final_pt = report.final.points[0]
         assert np.hypot(*(final_pt - vertex)) <= 2.0**-13
         assert report.trace_values[-1] <= 2.0**-12
@@ -115,7 +116,7 @@ class TestPushforward:
         np.testing.assert_allclose(report.final.points, seed.points)
 
     def test_flat_trace_halves(self, flat_system):
-        centroid = flat_system.base.vertex_array().mean(axis=0)
+        centroid = flat_system.base.vertices.mean(axis=0)
         seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
         report = pushforward_fixpoint(
             flat_system, (1 / 3, 1 / 3, 1 / 3), 6, seed, atom_budget=2000
@@ -124,7 +125,7 @@ class TestPushforward:
         assert ratios and all(r <= 0.55 for r in ratios)
 
     def test_trace_monotone_after_first(self, flat_system):
-        centroid = flat_system.base.vertex_array().mean(axis=0)
+        centroid = flat_system.base.vertices.mean(axis=0)
         seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
         report = pushforward_fixpoint(
             flat_system, (0.5, 0.3, 0.2), 8, seed, atom_budget=2000
@@ -145,9 +146,17 @@ class TestPushforward:
         with pytest.raises(DomainError):
             pushforward_fixpoint(flat_system, (0.5, 0.5, 0.5), 2, seed)
 
+    def test_nan_weights_rejected(self, eu, flat_system):
+        # every comparison with NaN is false, so the checks must be accepting ones
+        with pytest.raises(DomainError, match="nonnegative"):
+            DiscreteMeasure(eu, [[0, 0], [1, 0]], [math.nan, 0.5])
+        seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
+        with pytest.raises(DomainError, match="positive"):
+            pushforward_fixpoint(flat_system, (math.nan, 0.5, 0.5), 2, seed)
+
     def test_invariant_masses_weighted(self, flat_system):
         weights = (0.5, 0.25, 0.25)
-        centroid = flat_system.base.vertex_array().mean(axis=0)
+        centroid = flat_system.base.vertices.mean(axis=0)
         seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
         report = pushforward_fixpoint(flat_system, weights, 8, seed, atom_budget=7000)
         masses = cell_masses(report.final, flat_system, 2)
@@ -173,12 +182,12 @@ class TestPushforward:
         seed = DiscreteMeasure(sphere_system.surface, pts, np.full(3, 1 / 3))
         report = pushforward_fixpoint(sphere_system, (0.2, 0.3, 0.5), 1, seed)
         expected = np.array(
-            [apply_f(sphere_system, (d,), p).as_array() for d in (1, 2, 3) for p in pts]
+            [apply_f(sphere_system, [(d,)], [p])[0, 0] for d in (1, 2, 3) for p in pts]
         )
         assert np.array_equal(report.final.points, np.unique(expected, axis=0))
 
     def test_curved_small_pushforward(self, sphere_system):
-        centroid = sphere_system.base.vertex_array().mean(axis=0)
+        centroid = sphere_system.base.vertices.mean(axis=0)
         seed = DiscreteMeasure.point_mass(sphere_system.surface, centroid)
         report = pushforward_fixpoint(
             sphere_system, (1 / 3, 1 / 3, 1 / 3), 3, seed, atom_budget=100

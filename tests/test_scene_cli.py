@@ -32,7 +32,7 @@ def flat_scene_path(tmp_path):
 def sphere_scene_path(tmp_path, sphere_base):
     doc = {
         "surface": "sphere_unit",
-        "vertices": [[p.u, p.v] for p in sphere_base.vertices],
+        "vertices": sphere_base.vertices.tolist(),
         "depth": 4,
         "delta": 0.4,
         "seed": 3,
@@ -127,8 +127,7 @@ class TestBuildCommand:
         for ang in (90, 210, 330):
             a = math.radians(ang)
             w = np.array([math.cos(a), math.sin(a)]) * 0.5
-            p = sphere.exp_map((0.0, 0.0), w, 0.5 / math.sqrt(3))
-            verts.append([p.u, p.v])
+            verts.append(sphere.exp_many([(0.0, 0.0)], [w], 0.5 / math.sqrt(3))[0].tolist())
         doc = {"surface": "sphere_unit", "vertices": verts, "depth": 2, "delta": 0.4}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -524,6 +523,28 @@ class TestCustomSurfaceErrors:
         capsys.readouterr()
         assert main(["verify", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot load system")
+
+    @pytest.mark.parametrize("command", ["build", "verify", "dim", "measure"])
+    @pytest.mark.parametrize(
+        "field, key, value", [("metric", "K", "7"), ("chart", "w_max", 3)], ids=["metric_K", "chart_w_max"]
+    )
+    def test_nested_unknown_key_exit2(self, bump_system_doc, tmp_path, capsys, command, field, key, value):
+        # a misplaced entry, such as a curvature K inside the metric, is named, not ignored
+        if command == "build":
+            doc = copy.deepcopy(BUMP_SCENE)
+            surface = doc["surface"]
+            target, extra = tmp_path / "scene.json", ["--out", str(tmp_path / "o.json")]
+        else:
+            doc = copy.deepcopy(bump_system_doc)
+            surface = doc["meta"]["surface"]
+            target, extra = tmp_path / "sys.json", SYSTEM_ARGS[command]
+        surface[field][key] = value
+        target.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(target), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"custom surface {field} has unknown keys ['{key}']" in err
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize(
         "path, value, message",

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,24 @@ def test_run_certification():
     assert all(" PASS " in line for line in checks)
 
 
+def test_run_certification_sphere():
+    # the sphere adds the planar cross-check, which reads the base vertices
+    out = run_script("run_certification.py", "scenes/sphere_small.json", "--depth", "3")
+    checks = [line for line in out.splitlines() if line.startswith("  ")]
+    assert len(checks) == 7
+    assert all(" PASS " in line for line in checks)
+
+
+def test_readme_library_sketch():
+    # the README's python block runs as written and recovers log 3 / log 2
+    text = (ROOT / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(float(proc.stdout.split()[-1]) - math.log(3) / math.log(2)) < 1e-2
+
+
 def test_dimension_sweep():
     out = run_script("dimension_sweep.py", "scenes/flat_unit.json", "--depth", "6", "--levels", "2..6")
     slope = float(out.split("slope = ")[1].split()[0])
@@ -49,7 +68,8 @@ def test_benchmark_traced_modules_import():
     # a module or name deleted or renamed without updating the tracer would
     # break it.  The layers in ROWS count the rows of the batched kernels:
     # each must still name a public function or method (or an EXTRA label),
-    # or its counters would silently read 0
+    # or its counters would silently read 0.  So must every layer label
+    # "gasket.<name>" the tracer reads
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     nodes = {
         ast.unparse(node.targets[0]): node.value
@@ -71,6 +91,17 @@ def test_benchmark_traced_modules_import():
     for label in rows:
         assert label in extra_labels or public_callable(*label.split(".")), (
             f"traced layer {label} names no public function or method"
+        )
+    gasket_labels = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"gasket\.\w+", node.value)
+    }
+    assert "gasket.apply_f" in gasket_labels and "gasket.audit_similarity" in gasket_labels
+    for label in gasket_labels:
+        short, attr = label.split(".")
+        fn = vars(importlib.import_module("geogasket.gasket")).get(attr)
+        assert not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == "geogasket.gasket", (
+            f"traced layer {label} names no public function of geogasket.gasket"
         )
 
 

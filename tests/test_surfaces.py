@@ -6,7 +6,6 @@ import pytest
 
 from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
 from geogasket.surfaces import (
-    SurfacePoint,
     euclidean_surface,
     jacobi_field,
     surface_from_json,
@@ -16,23 +15,23 @@ from geogasket.triangles import GeodesicTriangleRegion
 
 class TestExpMap:
     def test_euclidean_straight_line(self, eu):
-        q = eu.exp_map((0.0, 0.0), np.array([1.0, 0.0]), 0.7)
-        assert (q.u, q.v) == pytest.approx((0.7, 0.0), abs=1e-15)
+        q = eu.exp_many([(0.0, 0.0)], [(1.0, 0.0)], 0.7)[0]
+        assert tuple(q) == pytest.approx((0.7, 0.0), abs=1e-15)
 
     def test_t_zero_identity(self, sphere):
-        p = SurfacePoint(0.11, -0.07)
-        q = sphere.exp_map(p, np.array([0.4, 0.3]), 0.0)
-        assert (q.u, q.v) == (p.u, p.v)
+        p = (0.11, -0.07)
+        q = sphere.exp_many([p], [(0.4, 0.3)], 0.0)[0]
+        assert tuple(q) == p
 
     def test_sphere_quarter_turn_from_pole(self, sphere):
         # metric norm 1 at the chart origin means chart components 0.5
-        q = sphere.exp_map((0.0, 0.0), np.array([0.5, 0.0]), math.pi / 2)
+        q = sphere.exp_many([(0.0, 0.0)], [(0.5, 0.0)], math.pi / 2)[0]
         d = sphere.closed_form_distance((0.0, 0.0), q)
         assert abs(d - math.pi / 2) <= 1e-8
 
     def test_escape_raises(self, eu):
         with pytest.raises(ChartEscapeError):
-            eu.exp_map((0.0, 0.0), np.array([200.0, 0.0]), 1.0)
+            eu.exp_many([(0.0, 0.0)], [(200.0, 0.0)], 1.0)
 
     @pytest.mark.parametrize(
         "pt, vel", [((0.0, 0.0), (math.nan, 0.0)), ((math.inf, 0.0), (0.1, 0.0))], ids=["nan_velocity", "inf_point"]
@@ -132,18 +131,18 @@ class TestBatchIndependence:
 
 class TestLogMap:
     def test_same_point_zero(self, sphere):
-        w = sphere.log_map((0.2, 0.1), (0.2, 0.1))
+        w = sphere.log_many([(0.2, 0.1)], [(0.2, 0.1)])[0]
         assert np.allclose(w, 0.0)
 
     def test_euclidean_difference(self, eu):
-        w = eu.log_map((1.0, 2.0), (4.0, 6.0))
+        w = eu.log_many([(1.0, 2.0)], [(4.0, 6.0)])[0]
         np.testing.assert_allclose(w, [3.0, 4.0])
 
     def test_sphere_equator_points(self, sphere):
         # chart points (cos t, sin t) sit on the equator at longitude t
         p = (1.0, 0.0)
         q = (math.cos(0.5), math.sin(0.5))
-        w = sphere.log_map(p, q)
+        w = sphere.log_many([p], [q])[0]
         norm = float(sphere.norm(np.array([p]), w[None, :])[0])
         assert abs(norm - 0.5) <= 1e-8
 
@@ -151,45 +150,45 @@ class TestLogMap:
 class TestGeodesicBetween:
     def test_degenerate_flagged(self, eu, sphere):
         for surface in (eu, sphere):
-            assert surface.distance((0.1, 0.1), (0.1, 0.1)) == 0.0
-            w = surface.log_map((0.1, 0.1), (0.1, 0.1))
+            assert surface.distance_many([(0.1, 0.1)], [(0.1, 0.1)])[0] == 0.0
+            w = surface.log_many([(0.1, 0.1)], [(0.1, 0.1)])[0]
             assert np.all(w == 0.0)
 
     def test_euclidean_three_four_five(self, eu):
-        assert eu.distance((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0, abs=1e-12)
+        assert eu.distance_many([(0.0, 0.0)], [(3.0, 4.0)])[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_hyperbolic_closed_form(self, hyperbolic):
-        d = hyperbolic.distance((0.0, 0.0), (0.5, 0.0))
+        d = hyperbolic.distance_many([(0.0, 0.0)], [(0.5, 0.0)])[0]
         assert d == pytest.approx(2.0 * math.atanh(0.5), abs=1e-8)
 
     def test_constant_speed(self, sphere):
         # the geodesic exp(p, t w), w = log(p, q), covers t of the length by time t
         p, q = (0.01, 0.02), (0.25, -0.1)
-        length = sphere.distance(p, q)
-        w = sphere.log_map(p, q)
+        length = sphere.distance_many([p], [q])[0]
+        w = sphere.log_many([p], [q])[0]
         assert float(sphere.norm(p, w)[0]) == pytest.approx(length, abs=1e-8 * length)
         for t in (0.25, 0.5, 0.75):
-            x = sphere.exp_map(p, w, t)
-            assert sphere.distance(p, x) == pytest.approx(t * length, abs=1e-8 * length)
-            assert sphere.distance(x, q) == pytest.approx((1 - t) * length, abs=1e-8 * length)
+            x = sphere.exp_many([p], [w], t)[0]
+            assert sphere.distance_many([p], [x])[0] == pytest.approx(t * length, abs=1e-8 * length)
+            assert sphere.distance_many([x], [q])[0] == pytest.approx((1 - t) * length, abs=1e-8 * length)
 
 
 class TestMidpoint:
     def test_euclidean_mean(self, eu):
-        m = eu.midpoint((0.0, 0.0), (2.0, 4.0))
-        assert (m.u, m.v) == (1.0, 2.0)
+        m = eu.midpoint_many([(0.0, 0.0)], [(2.0, 4.0)])[0]
+        assert tuple(m) == (1.0, 2.0)
 
     def test_sphere_equator_symmetry(self, sphere):
         p = (1.0, 0.0)
         q = (math.cos(0.8), math.sin(0.8))
-        m = sphere.midpoint(p, q)
+        m = sphere.midpoint_many([p], [q])[0]
         expected = (math.cos(0.4), math.sin(0.4))
-        assert (m.u, m.v) == pytest.approx(expected, abs=1e-8)
+        assert tuple(m) == pytest.approx(expected, abs=1e-8)
 
     def test_hyperbolic_closed_form(self, hyperbolic):
-        m = hyperbolic.midpoint((0.0, 0.0), (0.5, 0.0))
-        assert m.u == pytest.approx(math.tanh(math.atanh(0.5) / 2.0), abs=1e-8)
-        assert m.v == pytest.approx(0.0, abs=1e-10)
+        m = hyperbolic.midpoint_many([(0.0, 0.0)], [(0.5, 0.0)])[0]
+        assert m[0] == pytest.approx(math.tanh(math.atanh(0.5) / 2.0), abs=1e-8)
+        assert m[1] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestRoundTripAndSymmetry:
@@ -219,7 +218,7 @@ class TestRoundTripAndSymmetry:
 class TestJacobiField:
     def test_flat_norm_independent_of_s(self, eu):
         tri = GeodesicTriangleRegion.from_vertices(eu, (0, 0), (1, 0), (0.4, 0.8))
-        phi = lambda t, s: tri.phi(1, t, s)
+        phi = lambda t, s: tri.phi_many(1, [t], [s])[0]
         _, n1 = jacobi_field(phi, 0.3, 0.4, 1e-5, eu)
         _, n2 = jacobi_field(phi, 0.3, 0.8, 1e-5, eu)
         assert n1 / n2 == pytest.approx(1.0, abs=1e-7)
@@ -229,7 +228,7 @@ class TestJacobiField:
             sphere, (0.01, 0.0), (0.1, 0.01), (0.05, 0.08)
         )
         r = tri.diam
-        phi = lambda t, s: tri.phi(1, t, s)
+        phi = lambda t, s: tri.phi_many(1, [t], [s])[0]
         _, n1 = jacobi_field(phi, 0.4, 0.5, 1e-5, sphere)
         _, n2 = jacobi_field(phi, 0.4, 0.9, 1e-5, sphere)
         dev = abs(n1 / n2 - 1.0)
@@ -241,7 +240,7 @@ class TestJacobiField:
         tri = GeodesicTriangleRegion.from_vertices(
             sphere, (0.01, 0.0), (0.15, 0.02), (0.06, 0.12)
         )
-        phi = lambda t, s: tri.phi(1, t, s)
+        phi = lambda t, s: tri.phi_many(1, [t], [s])[0]
         _, n_h = jacobi_field(phi, 0.5, 0.5, 8e-5, sphere)
         _, n_h2 = jacobi_field(phi, 0.5, 0.5, 4e-5, sphere)
         _, n_h4 = jacobi_field(phi, 0.5, 0.5, 2e-5, sphere)
@@ -252,7 +251,7 @@ class TestJacobiField:
 
     def test_parameter_domain(self, eu):
         tri = GeodesicTriangleRegion.from_vertices(eu, (0, 0), (1, 0), (0.4, 0.8))
-        phi = lambda t, s: tri.phi(1, t, s)
+        phi = lambda t, s: tri.phi_many(1, [t], [s])[0]
         with pytest.raises(DomainError):
             jacobi_field(phi, 0.3, 0.5, 1e-3, eu)
         with pytest.raises(DomainError):
@@ -334,7 +333,7 @@ class TestCustomSurface:
     def test_loads_and_measures(self):
         surface = surface_from_json(json.dumps(self.DOC))
         assert surface.kind == "custom"
-        d = surface.distance((0.0, 0.0), (0.2, 0.0))
+        d = surface.distance_many([(0.0, 0.0)], [(0.2, 0.0)])[0]
         # conformal factor ~1 near the origin
         assert d == pytest.approx(0.2, rel=2e-3)
 
@@ -347,9 +346,9 @@ class TestCustomSurface:
 
     def test_round_trip(self):
         surface = surface_from_json(self.DOC)
-        w = surface.log_map((0.1, 0.0), (0.3, 0.2))
-        q = surface.exp_map((0.1, 0.0), w, 1.0)
-        assert (q.u, q.v) == pytest.approx((0.3, 0.2), abs=1e-8)
+        w = surface.log_many([(0.1, 0.0)], [(0.3, 0.2)])[0]
+        q = surface.exp_many([(0.1, 0.0)], [w], 1.0)[0]
+        assert tuple(q) == pytest.approx((0.3, 0.2), abs=1e-8)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -363,8 +362,11 @@ class TestCustomSurface:
             ("name", 5),
             # a built-in kind name must not turn a custom metric into that surface
             ("kind", "sphere_unit"),
+            # a misplaced entry inside chart or metric is not ignored
+            ("metric", {"E": "1", "F": "0", "G": "1", "K": "7"}),
+            ("chart", {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0, "w_max": 3}),
         ],
-        ids=["chart", "metric", "E", "u_min", "curvature", "u_max_huge", "name", "kind"],
+        ids=["chart", "metric", "E", "u_min", "curvature", "u_max_huge", "name", "kind", "metric_K", "chart_w_max"],
     )
     def test_malformed_document(self, key, value):
         with pytest.raises(DomainError):
