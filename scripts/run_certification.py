@@ -49,10 +49,6 @@ def main() -> int:
     moran = gasket.controlled_moran_check(system)
     rows.append(("diameter products", moran.band_factor <= 4.0,
                  f"band {moran.band_factor:.4f}, D >= {moran.d_required:.4f}"))
-    if surface.kind == "sphere_unit":
-        g = gasket.gnomonic_crosscheck(system, seed=args.seed)
-        rows.append(("planar cross-check", g.depth1_deviation <= 1e-9 and g.area_comparison_ok,
-                     f"depth-1 dev {g.depth1_deviation:.2e}, L = {g.bilipschitz_constant:.4f}"))
 
     width = max(len(name) for name, _, _ in rows)
     failures = 0

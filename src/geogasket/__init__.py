@@ -29,7 +29,6 @@ from .gasket import (
     calibrate_gauge,
     check_ratio_products,
     controlled_moran_check,
-    gnomonic_crosscheck,
     render_svg,
     system_from_json,
     system_to_json,

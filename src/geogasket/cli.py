@@ -66,17 +66,10 @@ def cmd_build(args) -> int:
         base = scene.base_triangle(surface)
         system = gasket.build_system(base, depth, scene.delta)
         gasket.calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)
-        audits = gasket.audit_sweep(
-            system,
-            n_pairs=scene.audit_pairs,
-            cells_per_level=scene.cells_per_level,
-            seed=scene.seed,
-        )
     except GeogasketError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    surface_doc = scene.surface_spec
-    text = gasket.system_to_json(system, audits=audits, surface_doc=surface_doc)
+    text = gasket.system_to_json(system, surface_doc=scene.surface_spec)
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"built {3**depth} cells at depth {depth}; gauge c = {system.gauge_c:.6g}")

@@ -9,9 +9,8 @@ lengths), so deep flat systems stay cheap and curved levels are built with
 batched geodesic solves.
 
 The audits measure how far each subdivision map is from a strict
-half-ratio similarity, check side-quotient drift, diameter products over
-index concatenation, and the planar cross-check via central projection of
-spherical systems.
+half-ratio similarity, check side-quotient drift and diameter products over
+index concatenation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeogasketError, InversionError, NondegeneracyError, SceneValidationError
-from .surfaces import SPHERE, SurfaceModel, make_surface
+from .surfaces import SurfaceModel, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
     _frames,
@@ -32,8 +31,6 @@ from .triangles import (
     is_delta_nondegenerate,
     planar_angles_batch,
 )
-
-RATIOS = (0.5, 0.5, 0.5)
 
 # Rows of one stacked parametrization or inversion pass.  Cells are grouped
 # to stay below it, which bounds the solver's working memory; results do not
@@ -143,7 +140,6 @@ class TriangleSystem:
         self.delta = float(delta)
         self.levels = levels
         self.gauge_c = gauge_c
-        self.ratios = RATIOS
         r = base.diam
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the quadratic correction term is curvature-driven
@@ -649,140 +645,15 @@ def nondegeneracy_sweep(system: TriangleSystem, delta: float | None = None) -> N
     )
 
 
-# -- gnomonic cross-check ---------------------------------------------------
-
-
-def _embed_sphere(pts: np.ndarray) -> np.ndarray:
-    rho2 = np.sum(pts * pts, axis=-1, keepdims=True)
-    denom = 1.0 + rho2
-    out = np.concatenate([2 * pts / denom, (1 - rho2) / denom], axis=-1)
-    return out
-
-
-@dataclass
-class GnomonicReport:
-    depth1_deviation: float
-    max_similarity_deviation: float
-    max_relative_deviation: float
-    per_level_relative: list
-    bilipschitz_constant: float
-    area_comparison_ok: bool
-    levels_checked: int
-    pairs_sampled: int
-
-
-def gnomonic_crosscheck(system: TriangleSystem, pair_budget: int = 10**4, seed: int = 0) -> GnomonicReport:
-    """Project a spherical system to the plane of its base vertices.
-
-    Central projection along rays from the sphere center fixes the base
-    vertices and maps first-level geodesic midpoints to exact segment
-    midpoints, so depth-1 projected cells are exactly halved copies of the
-    projected base.  Deeper arc endpoints leave the base plane and the
-    projected cells deviate from exact 2^-n similarity by O(r^2) relative;
-    the measured drift is reported per level.  The projection's
-    bi-Lipschitz constant and the area comparison are estimated on samples.
-    """
-    if system.surface.kind != SPHERE:
-        raise DomainError("the planar cross-check applies to unit-sphere systems")
-    if float(np.sum(system.base.side_lengths)) >= 2 * math.pi:
-        raise DomainError("base perimeter must be below 2*pi")
-
-    base3 = _embed_sphere(system.base.vertices)
-    normal = np.cross(base3[1] - base3[0], base3[2] - base3[0])
-    normal = normal / np.linalg.norm(normal)
-    offset = float(base3[0] @ normal)
-    if abs(offset) < 1e-12:
-        raise DomainError("base plane passes through the sphere center")
-
-    def project(pts3):
-        scale = offset / (pts3 @ normal)
-        return pts3 * scale[..., None]
-
-    base_proj = project(base3)
-    base_lens = np.array(
-        [
-            np.linalg.norm(base_proj[2] - base_proj[1]),
-            np.linalg.norm(base_proj[0] - base_proj[2]),
-            np.linalg.norm(base_proj[1] - base_proj[0]),
-        ]
-    )
-    max_dev = 0.0
-    max_rel = 0.0
-    depth1_dev = 0.0
-    per_level = []
-    for n in range(1, system.depth + 1):
-        verts3 = _embed_sphere(system.level(n).vertices)
-        proj = project(verts3)
-        seg = proj[:, [2, 0, 1], :] - proj[:, [1, 2, 0], :]
-        lens = np.linalg.norm(seg, axis=2)
-        expected = base_lens[None, :] * (0.5**n)
-        dev = float(np.max(np.abs(lens - expected)))
-        rel = float(np.max(np.abs(lens / expected - 1.0)))
-        per_level.append(rel)
-        max_dev = max(max_dev, dev)
-        max_rel = max(max_rel, rel)
-        if n == 1:
-            depth1_dev = dev
-
-    # bi-Lipschitz estimate on sampled vertex pairs at the deepest level
-    verts = system.level(system.depth).vertices.reshape(-1, 2)
-    verts = np.unique(verts, axis=0)
-    rng = np.random.default_rng(seed)
-    m = min(pair_budget, len(verts) * (len(verts) - 1) // 2)
-    ii = rng.integers(0, len(verts), size=m)
-    jj = rng.integers(0, len(verts), size=m)
-    keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    sphere_d = system.surface.distance_many(verts[ii], verts[jj])
-    p3 = project(_embed_sphere(verts))
-    plane_d = np.linalg.norm(p3[ii] - p3[jj], axis=1)
-    ratio = sphere_d / plane_d
-    bilip = float(max(np.max(ratio), np.max(1.0 / ratio)))
-
-    # area comparison on the deepest level
-    area_ok = True
-    lv = system.level(system.depth)
-    verts3 = _embed_sphere(lv.vertices)
-    proj = project(verts3)
-    for idx in range(len(lv)):
-        a, b, c = np.sort(lv.side_lengths[idx])[::-1]
-        s = 0.5 * (a + b + c)
-        tanprod = (
-            math.tan(s / 2)
-            * math.tan((s - a) / 2)
-            * math.tan((s - b) / 2)
-            * math.tan((s - c) / 2)
-        )
-        sph_area = 4.0 * math.atan(math.sqrt(max(tanprod, 0.0)))
-        e1 = proj[idx, 1] - proj[idx, 0]
-        e2 = proj[idx, 2] - proj[idx, 0]
-        plane_area = 0.5 * np.linalg.norm(np.cross(e1, e2))
-        if sph_area < plane_area / (bilip**2) * (1 - 1e-9):
-            area_ok = False
-            break
-    return GnomonicReport(
-        depth1_deviation=depth1_dev,
-        max_similarity_deviation=max_dev,
-        max_relative_deviation=max_rel,
-        per_level_relative=per_level,
-        bilipschitz_constant=bilip,
-        area_comparison_ok=area_ok,
-        levels_checked=system.depth,
-        pairs_sampled=int(len(ii)),
-    )
-
-
 # -- serialization and rendering -------------------------------------------
 
 
-def system_to_json(system: TriangleSystem, audits=None, surface_doc=None) -> str:
-    """Deterministic JSON export of a system (and optional audit summary)."""
+def system_to_json(system: TriangleSystem, surface_doc=None) -> str:
+    """Deterministic JSON export of a system."""
     meta = {
         "surface": surface_doc if surface_doc is not None else system.surface_spec,
         "depth": system.depth,
         "delta": system.delta,
-        "nu": system.nu,
-        "ratios": list(system.ratios),
         "gauge_c": system.gauge_c,
         "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
@@ -799,18 +670,7 @@ def system_to_json(system: TriangleSystem, audits=None, surface_doc=None) -> str
                 }
             )
         levels.append({"depth": n, "cells": cells})
-    doc = {"meta": meta, "levels": levels}
-    if audits is not None:
-        doc["audits"] = [
-            {
-                "index": list(a.index),
-                "max_ratio_deviation": a.max_ratio_deviation,
-                "envelope": a.envelope,
-                "passed": a.passed,
-            }
-            for a in audits
-        ]
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json.dumps({"meta": meta, "levels": levels}, sort_keys=True, indent=1)
 
 
 def _is_int(x) -> bool:
@@ -818,13 +678,17 @@ def _is_int(x) -> bool:
     return type(x) is int or (type(x) is float and x.is_integer())
 
 
-def _object(doc, keys, field: str) -> dict:
-    """``doc`` if it is a JSON object holding every key of ``keys``."""
+def _object(doc, keys, field: str, optional=None) -> dict:
+    """``doc`` if it is a JSON object holding every key of ``keys``; given
+    ``optional``, also one holding no key outside ``keys`` and ``optional``."""
     if not isinstance(doc, dict):
         raise SceneValidationError(f"{field} must be an object")
     missing = [k for k in keys if k not in doc]
     if missing:
         raise SceneValidationError(f"{field} lacks {', '.join(missing)}")
+    extra = set() if optional is None else doc.keys() - {*keys, *optional}
+    if extra:
+        raise SceneValidationError(f"{field} has unknown keys {sorted(extra)}")
     return doc
 
 
@@ -843,19 +707,15 @@ def _numbers(value, shape: tuple, field: str) -> np.ndarray:
 
 def system_from_json(text: str) -> TriangleSystem:
     """System of an export, checked as it is read; ``SceneValidationError`` names the field at fault."""
-    doc = json.loads(text)
-    extra = _object(doc, ("meta", "levels"), "system").keys() - {"meta", "levels", "audits"}
-    if extra:
-        raise SceneValidationError(f"system has unknown keys {sorted(extra)}")
-    keys = ("surface", "depth", "delta", "nu", "ratios", "base_vertices", "base_side_lengths")
-    meta, levels, depth = _object(doc["meta"], keys, "meta"), doc["levels"], doc["meta"]["depth"]
+    doc = _object(json.loads(text), ("meta", "levels"), "system", optional=())
+    keys = ("surface", "depth", "delta", "base_vertices", "base_side_lengths")
+    meta = _object(doc["meta"], keys, "meta", optional=("gauge_c",))
+    levels, depth = doc["levels"], meta["depth"]
     if not (isinstance(levels, list) and _is_int(depth) and depth == len(levels) and depth >= 1):
         raise SceneValidationError("levels must be a list of meta.depth levels, meta.depth a positive integer")
     delta = float(_numbers(meta["delta"], (), "meta.delta"))
     if not 0 < delta < math.pi / 2:
         raise SceneValidationError(f"meta.delta must lie in (0, pi/2), not {delta}")
-    _numbers(meta["nu"], (), "meta.nu")
-    _numbers(meta["ratios"], (3,), "meta.ratios")
     gauge_c = None if meta.get("gauge_c") is None else float(_numbers(meta["gauge_c"], (), "meta.gauge_c"))
     base_vertices = _numbers(meta["base_vertices"], (3, 2), "meta.base_vertices")
     base_sides = _numbers(meta["base_side_lengths"], (3,), "meta.base_side_lengths")
@@ -881,15 +741,6 @@ def system_from_json(text: str) -> TriangleSystem:
         if np.any(sides <= 0):
             raise SceneValidationError(f"level {n} side_lengths must be positive")
         arrays.append(LevelArrays(vertices=verts, side_lengths=sides))
-    audits = doc.get("audits", [])
-    if not isinstance(audits, list):
-        raise SceneValidationError("audits must be a list")
-    for i, audit in enumerate(audits):
-        index = _object(audit, ("index", "max_ratio_deviation", "envelope", "passed"), f"audit {i}")["index"]
-        digits = isinstance(index, list) and all(_is_int(d) and 1 <= d <= 3 for d in index)
-        if not digits or type(audit["passed"]) is not bool:
-            raise SceneValidationError(f"audit {i} needs an index of digits 1-3 and a boolean 'passed'")
-        _numbers([audit["max_ratio_deviation"], audit["envelope"]], (2,), f"audit {i} deviation and envelope")
     system = TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
     system.surface_spec = meta["surface"]
     return system

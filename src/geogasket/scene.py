@@ -47,9 +47,7 @@ class SceneConfig:
         ``chart`` and ``metric`` here; ``surface_from_json`` checks the rest
         when ``surface()`` builds it.
         """
-        extra = _object(doc, SCENE_KEYS[:4], "scene").keys() - set(SCENE_KEYS)
-        if extra:
-            raise SceneValidationError(f"scene has unknown keys {sorted(extra)}")
+        _object(doc, SCENE_KEYS[:4], "scene", optional=SCENE_KEYS[4:])
         surface = doc["surface"]
         if isinstance(surface, dict):
             _object(surface, ("chart", "metric"), "surface")
@@ -71,10 +69,7 @@ class SceneConfig:
         if "n" in gauge:
             _integer(gauge["n"], "gauge.n")
         seed = _integer(doc.get("seed", 0), "seed", 0)
-        tol = _object(doc.get("tolerances", {}), (), "tolerances")
-        extra = tol.keys() - {"audit_pairs", "cells_per_level"}
-        if extra:
-            raise SceneValidationError(f"tolerances has unknown keys {sorted(extra)}")
+        tol = _object(doc.get("tolerances", {}), (), "tolerances", optional=("audit_pairs", "cells_per_level"))
         return cls(
             surface_spec=surface,
             vertices=vertices,

@@ -66,6 +66,12 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 
+def _non_finite_state(state, t) -> DomainError:
+    return DomainError(
+        f"geodesic integrator step size underflow: non-finite state from {state.tolist()} at t = {t:.6g}"
+    )
+
+
 def _combine(coeffs, k):
     """Stage combination sum_i coeffs[i] k[i], evaluated row-wise.
 
@@ -231,6 +237,10 @@ class SurfaceModel:
         last stage of the row's previous accepted step (FSAL, Dormand & Prince
         1980), so a trajectory of n steps costs 1 + 6 n evaluations.
         """
+        finite = np.isfinite(y).all(axis=1)
+        if not finite.all():
+            # checked before the first RHS call, which would warn on such a state
+            raise _non_finite_state(y[~finite][0], 0.0)
         t = np.zeros(len(y))
         h = np.full(len(y), 0.1)
         k1 = self._ode_rhs(y)
@@ -268,9 +278,7 @@ class SurfaceModel:
         if not np.all(np.isfinite(err)):
             # a NaN estimate would reject the step forever, and h never shrinks
             bad = live[~np.isfinite(err)][0]
-            raise DomainError(
-                f"geodesic integrator step size underflow: non-finite state from {y[bad].tolist()} at t = {t[bad]:.6g}"
-            )
+            raise _non_finite_state(y[bad], t[bad])
         ok = err <= 1.0
         acc = live[ok]
         t[acc] = np.where(last[ok], 1.0, t[acc] + hl[ok, 0])

@@ -27,10 +27,11 @@ CONVEXITY_GUARD = 0.4
 
 def _check_sides(a1, a2, a3):
     sides = np.array([a1, a2, a3], dtype=float)
-    if np.any(sides <= 0):
+    # accepting comparisons, so that NaN fails them
+    if not np.all(sides > 0):
         raise DegenerateTriangleError(f"side lengths must be positive: {sides}")
     s = np.sort(sides)
-    if s[2] >= s[0] + s[1]:
+    if not s[2] < s[0] + s[1]:
         raise DegenerateTriangleError(
             f"strict triangle inequality fails for sides {tuple(sides)}"
         )

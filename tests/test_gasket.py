@@ -9,7 +9,6 @@ import pytest
 from geogasket import gasket
 from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
 from geogasket.gasket import (
-    TriangleSystem,
     apply_f,
     audit_similarity,
     audit_sweep,
@@ -18,7 +17,6 @@ from geogasket.gasket import (
     check_ratio_products,
     contraction_check,
     controlled_moran_check,
-    gnomonic_crosscheck,
     mi_code,
     mi_from_code,
     nesting_check,
@@ -290,44 +288,67 @@ class TestControlledMoran:
             assert rep2.d_sufficient
 
 
-class TestGnomonic:
-    def test_depth1_exact_and_bilipschitz(self, sphere_system):
-        rep = gnomonic_crosscheck(sphere_system, pair_budget=2000, seed=3)
-        assert rep.depth1_deviation <= 1e-9
-        assert rep.bilipschitz_constant <= 1.05
-        assert rep.area_comparison_ok
-        # deeper levels drift by O(r^2) relative, no worse
-        r2 = sphere_system.base.diam ** 2
-        assert rep.max_relative_deviation <= r2
-
-    def test_requires_sphere(self, flat_system):
-        with pytest.raises(DomainError):
-            gnomonic_crosscheck(flat_system)
-
-    def test_perimeter_guard(self, sphere_system):
-        hacked = TriangleSystem(
-            sphere_system.base,
-            sphere_system.depth,
-            sphere_system.delta,
-            sphere_system.levels,
-        )
-        hacked.base = _FakePerimeter(sphere_system.base)
-        with pytest.raises(DomainError):
-            gnomonic_crosscheck(hacked)
+def _sphere_lift(p):
+    """Stereographic chart -> unit vectors in R^3 (chart origin at the north pole)."""
+    r2 = np.sum(p * p, axis=-1, keepdims=True)
+    return np.concatenate([2 * p, 1 - r2], axis=-1) / (1 + r2)
 
 
-class _FakePerimeter:
-    """Stand-in exposing an oversized perimeter to exercise the guard."""
+def _hyperboloid_lift(p):
+    """Poincare disk -> the hyperboloid -x0^2 + x1^2 + x2^2 = -1, x0 > 0."""
+    r2 = np.sum(p * p, axis=-1, keepdims=True)
+    return np.concatenate([1 + r2, 2 * p], axis=-1) / (1 - r2)
 
-    def __init__(self, base):
-        self.surface = base.surface
-        self.side_lengths = np.array([2.5, 2.5, 2.0])
-        self.vertices = base.vertices
-        self._base = base
 
-    @property
-    def diam(self):
-        return self._base.diam
+def _minkowski(x, y):
+    return -x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+# name -> (scene, lift to the model space, geodesic midpoint there, chart of a lifted point)
+CLOSED_FORM_MODELS = {
+    "sphere": (
+        "sphere_small.json",
+        _sphere_lift,
+        lambda p, q: (p + q) / np.linalg.norm(p + q, axis=-1, keepdims=True),
+        lambda x: x[..., :2] / (1 + x[..., 2:]),
+    ),
+    "hyperbolic": (
+        "hyperbolic_small.json",
+        _hyperboloid_lift,
+        lambda p, q: (p + q) / np.sqrt(-_minkowski(p + q, p + q))[..., None],
+        lambda x: x[..., 1:] / (1 + x[..., :1]),
+    ),
+}
+
+
+class TestClosedFormReference:
+    """Whole-gasket oracle: the scene gaskets at depth 6, rebuilt without the
+    ODE path from exact midpoints in the sphere's and the disk's model space."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_MODELS))
+    def test_every_cell_matches(self, name):
+        scene_file, lift, midpoint, chart = CLOSED_FORM_MODELS[name]
+        scene = SceneConfig.from_path(Path(__file__).parents[1] / "scenes" / scene_file)
+        surface = scene.surface()
+        system = build_system(scene.base_triangle(surface), 6, scene.delta)
+        cells = lift(system.base.vertices)[None]
+        for n in range(1, 7):
+            # the digit convention of _subdivide_arrays: child d keeps vertex d,
+            # and midpoint k, of the side opposite vertex k, fills slot 3 - d - k
+            mids = midpoint(cells[:, [1, 2, 0]], cells[:, [2, 0, 1]])
+            children = np.empty((len(cells), 3, 3, 3))
+            for d in range(3):
+                for slot in range(3):
+                    children[:, d, slot] = cells[:, d] if slot == d else mids[:, 3 - d - slot]
+            cells = children.reshape(-1, 3, 3)
+            verts = chart(cells)
+            lv = system.level(n)
+            assert np.max(np.abs(lv.vertices - verts)) <= 1e-10, (name, n)
+            exact = [
+                [surface.closed_form_distance(tri[(k + 1) % 3], tri[(k + 2) % 3]) for k in range(3)]
+                for tri in verts
+            ]
+            assert np.max(np.abs(lv.side_lengths - exact)) <= 1e-10, (name, n)
 
 
 class TestNondegeneracySweep:
@@ -355,12 +376,11 @@ class TestSerialization:
             (("meta", "gauge_c"), "meta.gauge_c"),
             (("meta", "base_vertices", 1, 0), "meta.base_vertices"),
             (("levels", 1, "cells", 4, "side_lengths", 2), "level 2 side_lengths"),
-            (("audits", 0, "envelope"), "audit 0"),
+            (("meta", "base_side_lengths", 2), "meta.base_side_lengths"),
         ],
     )
     def test_nonfinite_rejected(self, flat_base, path, field, value):
         doc = json.loads(system_to_json(build_system(flat_base, 2, delta=0.5)))
-        doc["audits"] = [{"index": [1], "max_ratio_deviation": 0.0, "envelope": 1.0, "passed": True}]
         system_from_json(json.dumps(doc))
         node = doc
         for key in path[:-1]:

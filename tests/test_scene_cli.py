@@ -106,21 +106,20 @@ class TestMoranCommand:
 
 class TestBuildCommand:
     def test_flat_depth3(self, flat_scene_path, tmp_path, capsys):
-        out = str(tmp_path / "sys.json")
-        assert main(["build", flat_scene_path, "--depth", "3", "--out", out]) == 0
-        text = open(out).read()
+        out = tmp_path / "sys.json"
+        assert main(["build", flat_scene_path, "--depth", "3", "--out", str(out)]) == 0
+        text = out.read_text()
         doc = json.loads(text)
         assert len(doc["levels"][-1]["cells"]) == 27
         back = gasket.system_from_json(text)
-        del doc["audits"]
         assert gasket.system_to_json(back) == json.dumps(doc, sort_keys=True, indent=1)
 
     def test_deterministic_bytes(self, flat_scene_path, tmp_path):
-        out1 = str(tmp_path / "a.json")
-        out2 = str(tmp_path / "b.json")
-        main(["build", flat_scene_path, "--depth", "3", "--out", out1])
-        main(["build", flat_scene_path, "--depth", "3", "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        out1 = tmp_path / "a.json"
+        out2 = tmp_path / "b.json"
+        main(["build", flat_scene_path, "--depth", "3", "--out", str(out1)])
+        main(["build", flat_scene_path, "--depth", "3", "--out", str(out2)])
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_convexity_guard_exit3(self, tmp_path, sphere):
         verts = []
@@ -186,9 +185,9 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 2
 
     def test_corrupted_system_exit4(self, flat_scene_path, tmp_path, capsys):
-        out = str(tmp_path / "sys.json")
-        main(["build", flat_scene_path, "--out", out])
-        doc = json.loads(open(out).read())
+        out = tmp_path / "sys.json"
+        main(["build", flat_scene_path, "--out", str(out)])
+        doc = json.loads(out.read_text())
         # corrupt one stored side length so the contraction check fails
         doc["levels"][2]["cells"][5]["side_lengths"][0] *= 3.0
         path = tmp_path / "corrupt.json"
@@ -211,7 +210,8 @@ class TestDimCommand:
         text = capsys.readouterr().out
         slope = float(text.split("slope = ")[1].split()[0])
         assert slope == pytest.approx(math.log(3) / math.log(2), abs=1e-10)
-        assert open(csv_path).readline().strip() == "epsilon,count,sum"
+        with open(csv_path) as fh:
+            assert fh.readline().strip() == "epsilon,count,sum"
         import xml.dom.minidom
 
         xml.dom.minidom.parse(svg_path)
@@ -293,8 +293,9 @@ class TestMalformedSystem:
         return [doc]
 
     @staticmethod
-    def missing_nu(doc):
-        del doc["meta"]["nu"]
+    def extra_nu(doc):
+        # a file written before meta.nu was dropped
+        doc["meta"]["nu"] = 0.5
 
     @staticmethod
     def extra_top_key(doc):
@@ -309,8 +310,13 @@ class TestMalformedSystem:
         doc["levels"] = {"1": doc["levels"][0]}
 
     @staticmethod
-    def audit_index_4(doc):
-        doc["audits"][0]["index"] = [1, 4]
+    def audits_key(doc):
+        # a file written when build stored its audit sweep
+        doc["audits"] = []
+
+    @staticmethod
+    def gauge_c_typo(doc):
+        doc["meta"]["gauge_C"] = doc["meta"].pop("gauge_c")
 
     @staticmethod
     def zero_side(doc):
@@ -350,11 +356,12 @@ class TestMalformedSystem:
         "string_side": "level 3 side_lengths",
         "true_coordinate": "level 3 vertices",
         "top_level_list": "system must be an object",
-        "missing_nu": "meta lacks nu",
+        "extra_nu": "meta has unknown keys ['nu']",
         "extra_top_key": "unknown keys ['extra']",
         "ragged_cell": "level 2 vertices",
         "levels_not_list": "levels must be a list",
-        "audit_index_4": "audit 0 needs an index",
+        "audits_key": "system has unknown keys ['audits']",
+        "gauge_c_typo": "meta has unknown keys ['gauge_C']",
         "zero_side": "level 2 side_lengths must be positive",
         "delta_negative": "meta.delta must lie in (0, pi/2)",
         "delta_zero": "meta.delta must lie in (0, pi/2)",

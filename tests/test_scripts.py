@@ -32,10 +32,9 @@ def test_run_certification():
 
 
 def test_run_certification_sphere():
-    # the sphere adds the planar cross-check, which reads the base vertices
     out = run_script("run_certification.py", "scenes/sphere_small.json", "--depth", "3")
     checks = [line for line in out.splitlines() if line.startswith("  ")]
-    assert len(checks) == 7
+    assert len(checks) == 6
     assert all(" PASS " in line for line in checks)
 
 

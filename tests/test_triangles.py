@@ -130,6 +130,16 @@ class TestRegionAndPhi:
         with pytest.raises(ConvexityGuardError):
             GeodesicTriangleRegion.from_vertices(sphere, (0, 0), (0.3, 0), (0.15, 0.26))
 
+    @pytest.mark.parametrize("slot", [0, 2])
+    def test_nan_side_rejected(self, eu, sphere, slot):
+        # NaN fails every comparison, so only accepting ones reject it; a NaN
+        # diameter would also pass the curved chart's convexity guard
+        sides = [0.1, 0.1, 0.1]
+        sides[slot] = math.nan
+        for surface in (eu, sphere):
+            with pytest.raises(DegenerateTriangleError):
+                GeodesicTriangleRegion(surface, [[0.0, 0.0], [0.1, 0.0], [0.05, 0.0866]], sides)
+
     def test_phi_endpoints(self, sphere_base):
         s = 0.37
         apex, p_j, p_k = sphere_base.vertices
