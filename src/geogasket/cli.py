@@ -54,6 +54,17 @@ def _load_system(path):
         raise SceneValidationError(f"cannot load system {path}: {exc}") from exc
 
 
+def _write(path, text) -> bool:
+    """Write ``text`` to ``path``; False, after an error line, when it cannot."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_build(args) -> int:
     try:
         scene = SceneConfig.from_path(args.scene)
@@ -69,9 +80,8 @@ def cmd_build(args) -> int:
     except GeogasketError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    text = gasket.system_to_json(system, surface_doc=scene.surface_spec)
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    if not _write(args.out, gasket.system_to_json(system)):
+        return EXIT_INPUT
     print(f"built {3**depth} cells at depth {depth}; gauge c = {system.gauge_c:.6g}")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -162,12 +172,10 @@ def cmd_dim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     reference = math.log(3) / math.log(2)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(dimension_report_csv(system, est))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(gasket.render_svg(system, n2))
+    if args.csv and not _write(args.csv, dimension_report_csv(system, est)):
+        return EXIT_INPUT
+    if args.svg and not _write(args.svg, gasket.render_svg(system, n2)):
+        return EXIT_INPUT
     print(f"slope = {est.slope:.12f}")
     print(f"deviation from log3/log2 = {abs(est.slope - reference):.3e}")
     print(f"confidence band = [{est.confidence_band[0]:.6f}, {est.confidence_band[1]:.6f}]")

@@ -144,7 +144,6 @@ class TriangleSystem:
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the quadratic correction term is curvature-driven
         self.nu = 0.5 if base.surface.flat else 0.5 * (1.0 + r * r)
-        self.surface_spec = base.surface.kind
         # (index, n_pairs, seed) -> (max deviation, pairs used, parent diameter)
         self._audits = {}
 
@@ -648,10 +647,12 @@ def nondegeneracy_sweep(system: TriangleSystem, delta: float | None = None) -> N
 # -- serialization and rendering -------------------------------------------
 
 
-def system_to_json(system: TriangleSystem, surface_doc=None) -> str:
-    """Deterministic JSON export of a system."""
+def system_to_json(system: TriangleSystem) -> str:
+    """Deterministic JSON export of a system; its surface must carry a spec."""
+    if system.surface.spec is None:
+        raise DomainError("the system's surface has no spec to store")
     meta = {
-        "surface": surface_doc if surface_doc is not None else system.surface_spec,
+        "surface": system.surface.spec,
         "depth": system.depth,
         "delta": system.delta,
         "gauge_c": system.gauge_c,
@@ -728,12 +729,13 @@ def system_from_json(text: str) -> TriangleSystem:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
-        cells = _object(entry, ("depth", "cells"), f"level {n}")["cells"]
+        cells = _object(entry, ("depth", "cells"), f"level {n}", optional=())["cells"]
         depth_ok = _is_int(entry["depth"]) and entry["depth"] == n
         if not (depth_ok and isinstance(cells, list) and len(cells) == 3**n):
             raise SceneValidationError(f"level {n} must have depth {n} and a list of {3**n} cells")
         for i, cell in enumerate(cells):
-            _object(cell, ("vertices", "side_lengths"), f"level {n} cell {i}")
+            if not (isinstance(cell, dict) and cell.keys() == {"vertices", "side_lengths"}):
+                _object(cell, ("vertices", "side_lengths"), f"level {n} cell {i}", optional=())
         verts = _numbers([c["vertices"] for c in cells], (3**n, 3, 2), f"level {n} vertices")
         sides = _numbers([c["side_lengths"] for c in cells], (3**n, 3), f"level {n} side_lengths")
         if not surface.contains(verts.reshape(-1, 2)).all():
@@ -741,9 +743,7 @@ def system_from_json(text: str) -> TriangleSystem:
         if np.any(sides <= 0):
             raise SceneValidationError(f"level {n} side_lengths must be positive")
         arrays.append(LevelArrays(vertices=verts, side_lengths=sides))
-    system = TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
-    system.surface_spec = meta["surface"]
-    return system
+    return TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
 
 
 def render_svg(system: TriangleSystem, level: int, size: int = 1024) -> str:

@@ -2,14 +2,14 @@
 fixed point of the subdivision maps.
 
 The Lipschitz-dual distance is computed as the optimal-transport primal
-with geodesic ground costs: an exact LP (HiGHS) for small supports, and a
-nearest-atom greedy transport (upper bound, flagged, with a dual lower
-bound for the gap) beyond the exact limit on the flat model.
+with geodesic ground costs, solved exactly as a linear program (HiGHS).
+The dense cost matrix bounds the support: over ``EXACT_LIMIT`` atoms a
+side raises ``CapacityError`` on every model.  The push-forward keeps its
+iterates under its atom budget by snapping atoms to cell centroids.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +17,14 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
-from .gasket import TriangleSystem, apply_f, mi_validate
+from .gasket import TriangleSystem, apply_f
 from .triangles import _chart_coords
 
 WEIGHT_TOL = 1e-12
+# atoms per side of the dense transport LP
+EXACT_LIMIT = 1000
+# resampling snaps atoms to depth-10 cells, about 1e-3 of the base's diameter
+MERGE_DEPTH = 10
 
 
 @dataclass
@@ -62,8 +66,6 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class KRResult:
     value: float
-    exact: bool
-    duality_gap: float | None = None
 
 
 def _ground_costs(surface, pts1, pts2):
@@ -94,84 +96,23 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _dual_lower_bound(surface, mu1, mu2, anchors):
-    """Best anchor-distance test function: a valid 1-Lipschitz lower bound."""
-    best = 0.0
-    for anchor in anchors:
-        f1 = surface.distance_many(np.tile(anchor, (len(mu1.points), 1)), mu1.points)
-        f2 = surface.distance_many(np.tile(anchor, (len(mu2.points), 1)), mu2.points)
-        best = max(best, abs(float(f1 @ mu1.weights) - float(f2 @ mu2.weights)))
-    return best
-
-
-def _greedy_transport_flat(mu1, mu2) -> float:
-    """Nearest-atom greedy transport plan cost (an upper bound on the LP)."""
-    from scipy.spatial import cKDTree
-
-    supply = mu1.weights.copy()
-    demand = mu2.weights.copy()
-    tree = cKDTree(mu2.points)
-    cost = 0.0
-    order = np.argsort(-supply)
-    k = min(len(mu2), 8)
-    for i in order:
-        s = supply[i]
-        if s <= 0:
-            continue
-        dists, idxs = tree.query(mu1.points[i], k=k)
-        dists = np.atleast_1d(dists)
-        idxs = np.atleast_1d(idxs)
-        for d, j in zip(dists, idxs):
-            if s <= 0:
-                break
-            take = min(s, demand[j])
-            if take > 0:
-                cost += take * d
-                demand[j] -= take
-                s -= take
-        supply[i] = s
-    # whatever remains is matched by global nearest available atoms
-    rem_i = np.where(supply > 1e-15)[0]
-    rem_j = np.where(demand > 1e-15)[0]
-    for i in rem_i:
-        s = supply[i]
-        for j in rem_j:
-            if s <= 0:
-                break
-            take = min(s, demand[j])
-            if take > 0:
-                cost += take * float(np.hypot(*(mu1.points[i] - mu2.points[j])))
-                demand[j] -= take
-                s -= take
-    return cost
-
-
-def kr_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure, exact_limit: int = 1000) -> KRResult:
+def kr_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> KRResult:
     """Lipschitz-dual distance between finitely supported measures.
 
-    Computed as the optimal-transport primal with geodesic ground costs:
-    exact LP for supports up to ``exact_limit`` atoms a side; beyond that a
-    greedy upper bound with an anchor-dual lower bound is returned with the
-    approximation flag set.
+    Computed as the optimal-transport primal with geodesic ground costs, by
+    an exact LP; a support over ``EXACT_LIMIT`` distinct atoms on either
+    side raises ``CapacityError``.
     """
-    if mu1.surface is not mu2.surface and getattr(mu1.surface, "kind", None) != getattr(
-        mu2.surface, "kind", None
-    ):
+    if getattr(mu1.surface, "kind", None) != getattr(mu2.surface, "kind", None):
         raise DomainError("measures live on different surfaces")
     mu1 = mu1.deduped()
     mu2 = mu2.deduped()
-    if len(mu1) <= exact_limit and len(mu2) <= exact_limit:
-        cost = _ground_costs(mu1.surface, mu1.points, mu2.points)
-        return KRResult(value=_transport_lp(cost, mu1.weights, mu2.weights), exact=True)
-    if not mu1.surface.flat:
+    if max(len(mu1), len(mu2)) > EXACT_LIMIT:
         raise CapacityError(
-            "exact transport limited to "
-            f"{exact_limit} atoms a side on curved surfaces ({len(mu1)}x{len(mu2)})"
+            f"exact transport limited to {EXACT_LIMIT} atoms a side ({len(mu1)}x{len(mu2)})"
         )
-    upper = _greedy_transport_flat(mu1, mu2)
-    anchors = [mu1.points[0], mu1.points.mean(axis=0), mu2.points.mean(axis=0)]
-    lower = _dual_lower_bound(mu1.surface, mu1, mu2, anchors)
-    return KRResult(value=upper, exact=False, duality_gap=upper - lower)
+    cost = _ground_costs(mu1.surface, mu1.points, mu2.points)
+    return KRResult(value=_transport_lp(cost, mu1.weights, mu2.weights))
 
 
 # -- push-forward fixed point -------------------------------------------------
@@ -218,10 +159,7 @@ def resample_to_centroids(measure: DiscreteMeasure, system: TriangleSystem, dept
 @dataclass
 class PushforwardReport:
     final: DiscreteMeasure
-    trace: list
     trace_values: list
-    iterations: int
-    resampled_at: list
     converged: bool
 
 
@@ -230,59 +168,33 @@ def pushforward_fixpoint(
     weights,
     iterations: int,
     seed: DiscreteMeasure,
-    digits=(1, 2, 3),
-    atom_budget: int = 20000,
-    merge_tol: float = 1e-3,
-    resampling: bool = True,
-    exact_limit: int = 1000,
+    atom_budget: int = 2000,
 ) -> PushforwardReport:
-    """Iterate mu -> sum_i a_i (f_i)_* mu and trace successive distances.
+    """Iterate mu -> sum_i a_i (f_i)_* mu over maps 1, 2, 3 and trace
+    the transport distance between successive iterates.
 
-    When the atom count would exceed the budget, atoms snap to
-    depth-ceil(log2(1/merge_tol)) cell centroids with weights summed
-    (capped by the stored depth); with resampling disabled this raises
-    instead.  The trace records the transport distance between successive
-    iterates.
+    An iterate over the atom budget snaps to the centroids of depth-MERGE_DEPTH
+    cells (fewer if the stored depth or the budget is smaller), weights summed.
     """
-    digits = tuple(mi_validate(digits))
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(digits):
-        raise DomainError("one weight per map is required")
-    if not (np.all(weights > 0) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_TOL):
-        raise DomainError("weights must be positive and sum to 1")
-    merge_depth = min(system.depth, max(1, math.ceil(math.log2(1.0 / merge_tol))))
+    if not (weights.shape == (3,) and np.all(weights > 0) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_TOL):
+        raise DomainError("weights must be three positives summing to 1")
+    merge_depth = min(system.depth, MERGE_DEPTH)
     while 3**merge_depth > atom_budget and merge_depth > 1:
         merge_depth -= 1
 
     current = seed.deduped()
-    trace = []
-    resampled_at = []
-    for m in range(iterations):
-        images = apply_f(system, [(digit,) for digit in digits], current.points)
-        ws = [a * current.weights for a in weights]
-        nxt = DiscreteMeasure(
-            system.surface, images.reshape(-1, 2), np.concatenate(ws)
-        ).deduped()
+    values = []
+    for _ in range(iterations):
+        images = apply_f(system, [(1,), (2,), (3,)], current.points).reshape(-1, 2)
+        ws = np.concatenate([a * current.weights for a in weights])
+        nxt = DiscreteMeasure(system.surface, images, ws).deduped()
         if len(nxt) > atom_budget:
-            if not resampling:
-                raise CapacityError(
-                    f"iterate {m + 1} has {len(nxt)} atoms over the budget "
-                    f"{atom_budget} and resampling is disabled"
-                )
             nxt = resample_to_centroids(nxt, system, merge_depth)
-            resampled_at.append(m + 1)
-        trace.append(kr_distance(current, nxt, exact_limit=exact_limit))
+        values.append(kr_distance(current, nxt).value)
         current = nxt
-    values = [t.value for t in trace]
     converged = bool(values and values[-1] <= 1e-12)
-    return PushforwardReport(
-        final=current,
-        trace=trace,
-        trace_values=values,
-        iterations=iterations,
-        resampled_at=resampled_at,
-        converged=converged,
-    )
+    return PushforwardReport(final=current, trace_values=values, converged=converged)
 
 
 def trace_ratios(values) -> list:

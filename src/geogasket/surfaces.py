@@ -20,6 +20,7 @@ closed forms.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 
@@ -105,6 +106,8 @@ class SurfaceModel:
         ``(u, v) -> K`` vectorized.
     closed_form_distance : callable or None
         Exact geodesic distance for built-ins, used as an oracle.
+    spec : str, dict or None
+        The built-in name or custom document ``make_surface`` builds it from.
     """
 
     def __init__(
@@ -116,6 +119,7 @@ class SurfaceModel:
         christoffels=None,
         closed_form_distance=None,
         name=None,
+        spec=None,
         atol=DEFAULT_ATOL,
         rtol=DEFAULT_RTOL,
         check_grid=21,
@@ -129,6 +133,7 @@ class SurfaceModel:
         self._curvature = curvature
         self._closed_form_distance = closed_form_distance
         self.name = name or kind
+        self.spec = spec
         self.atol = atol
         self.rtol = rtol
         self.flat = kind == EUCLIDEAN
@@ -440,11 +445,11 @@ def _conformal_surface(kind, half_width, factor, k, dist) -> SurfaceModel:
 
     chart = (-half_width, half_width, -half_width, half_width)
     return SurfaceModel(
-        kind, chart, metric, curvature, christoffels=christoffels, closed_form_distance=dist
+        kind, chart, metric, curvature, christoffels=christoffels, closed_form_distance=dist, spec=kind
     )
 
 
-def euclidean_surface(half_width=50.0) -> SurfaceModel:
+def euclidean_surface() -> SurfaceModel:
     def factor(u, v):
         z = np.zeros_like(np.asarray(u, dtype=float))
         return z + 1.0, z, z
@@ -452,7 +457,7 @@ def euclidean_surface(half_width=50.0) -> SurfaceModel:
     def dist(p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])
 
-    return _conformal_surface(EUCLIDEAN, half_width, factor, 0.0, dist)
+    return _conformal_surface(EUCLIDEAN, 50.0, factor, 0.0, dist)
 
 
 def _sphere_embed(p):
@@ -461,7 +466,7 @@ def _sphere_embed(p):
     return np.array([2 * p[0] / denom, 2 * p[1] / denom, (1 - rho2) / denom])
 
 
-def unit_sphere_surface(half_width=1.8) -> SurfaceModel:
+def unit_sphere_surface() -> SurfaceModel:
     """Unit sphere under stereographic projection from the south pole.
 
     The chart origin is the north pole; the unit chart circle is the
@@ -477,16 +482,15 @@ def unit_sphere_surface(half_width=1.8) -> SurfaceModel:
         chord = np.linalg.norm(_sphere_embed(p) - _sphere_embed(q))
         return 2.0 * math.asin(min(1.0, chord / 2.0))
 
-    return _conformal_surface(SPHERE, half_width, factor, 1.0, dist)
+    return _conformal_surface(SPHERE, 1.8, factor, 1.0, dist)
 
 
-def poincare_disk_surface(half_width=0.7) -> SurfaceModel:
-    """Poincare disk, chart restricted to a square inside the unit disk.
+def poincare_disk_surface() -> SurfaceModel:
+    """Poincare disk, chart restricted to the square of half width 0.7
+    inside the unit disk.
 
     ds^2 = 4 (du^2 + dv^2) / (1 - u^2 - v^2)^2, K = -1.
     """
-    if half_width * math.sqrt(2.0) >= 1.0:
-        raise DomainError("chart square must stay inside the unit disk")
 
     def factor(u, v):
         d = 1.0 - u * u - v * v
@@ -499,7 +503,7 @@ def poincare_disk_surface(half_width=0.7) -> SurfaceModel:
         delta2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
         return 2.0 * math.asinh(math.sqrt(delta2 / (dp * dq)))
 
-    return _conformal_surface(HYPERBOLIC, half_width, factor, -1.0, dist)
+    return _conformal_surface(HYPERBOLIC, 0.7, factor, -1.0, dist)
 
 
 def _brioschi_curvature(metric, step=1e-4):
@@ -597,13 +601,7 @@ def surface_from_json(doc) -> SurfaceModel:
     else:
         curvature = _brioschi_curvature(metric)
 
-    return SurfaceModel(
-        CUSTOM,
-        rect,
-        metric,
-        curvature,
-        name=name,
-    )
+    return SurfaceModel(CUSTOM, rect, metric, curvature, name=name, spec=copy.deepcopy(doc))
 
 
 _BUILTIN_FACTORIES = {

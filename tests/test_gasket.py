@@ -26,6 +26,7 @@ from geogasket.gasket import (
     system_to_json,
 )
 from geogasket.scene import SceneConfig
+from geogasket.surfaces import EUCLIDEAN, SurfaceModel
 from geogasket.triangles import GeodesicTriangleRegion
 
 
@@ -396,6 +397,21 @@ class TestSerialization:
                 for arr in (lv.vertices, lv.side_lengths):
                     with pytest.raises(ValueError, match="read-only"):
                         arr[0] *= 2
+
+    def test_custom_surface_roundtrip(self):
+        # the stored surface is the custom metric document, not the kind name
+        scene = SceneConfig.from_path(Path(__file__).parents[1] / "perfbench" / "scenes" / "custom_bump.json")
+        text = system_to_json(build_system(scene.base_triangle(), 2, scene.delta))
+        assert json.loads(text)["meta"]["surface"] == scene.surface_spec
+        assert system_to_json(system_from_json(text)) == text
+
+    def test_surface_without_spec_refused(self, flat_base):
+        # a model built directly, not from a name or a document, cannot be stored
+        eu = flat_base.surface
+        surface = SurfaceModel(EUCLIDEAN, eu.chart, eu.metric, eu.curvature)
+        base = GeodesicTriangleRegion(surface, flat_base.vertices, flat_base.side_lengths)
+        with pytest.raises(DomainError, match="no spec"):
+            system_to_json(build_system(base, 1, delta=0.5))
 
     def test_deterministic(self, sphere_base):
         s1 = build_system(sphere_base, 3, delta=0.4)

@@ -7,6 +7,7 @@ import pytest
 from geogasket.errors import CapacityError, DomainError
 from geogasket.gasket import apply_f
 from geogasket.measures import (
+    EXACT_LIMIT,
     DiscreteMeasure,
     cell_masses,
     kr_distance,
@@ -87,32 +88,28 @@ class TestKRDistance:
         expected = sphere.closed_form_distance((0.0, 0.0), (0.1, 0.05))
         assert kr_distance(m1, m2).value == pytest.approx(expected, abs=1e-8)
 
-    def test_approximate_path_flags(self, eu):
+    def test_over_exact_limit_raises(self, eu):
+        # the dense LP is the only path, on the flat model too
         rng = np.random.default_rng(9)
-        big1 = uniform_measure(eu, rng.uniform(0, 1, size=(60, 2)))
-        big2 = uniform_measure(eu, rng.uniform(0, 1, size=(60, 2)))
-        exact = kr_distance(big1, big2, exact_limit=1000)
-        approx = kr_distance(big1, big2, exact_limit=10)
-        assert exact.exact and not approx.exact
-        assert approx.duality_gap is not None
-        assert approx.value >= exact.value - 1e-9
+        big = uniform_measure(eu, rng.uniform(0, 1, size=(EXACT_LIMIT + 1, 2)))
+        small = uniform_measure(eu, [(0.5, 0.5)])
+        for mu, nu in ((big, small), (small, big)):
+            with pytest.raises(CapacityError, match=f"{EXACT_LIMIT} atoms a side"):
+                kr_distance(mu, nu)
 
 
 class TestPushforward:
     def test_single_map_contracts_to_vertex(self, flat_system):
-        seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
-        report = pushforward_fixpoint(
-            flat_system, (1.0,), 14, seed, digits=(1,), atom_budget=100
-        )
+        point = np.array([0.4, 0.3])
+        for _ in range(14):
+            point = apply_f(flat_system, [(1,)], [point])[0, 0]
         vertex = flat_system.base.vertices[0]
-        final_pt = report.final.points[0]
-        assert np.hypot(*(final_pt - vertex)) <= 2.0**-13
-        assert report.trace_values[-1] <= 2.0**-12
+        assert np.hypot(*(point - vertex)) <= 2.0**-13
 
     def test_zero_iterations_echoes_seed(self, flat_system):
         seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
         report = pushforward_fixpoint(flat_system, (1 / 3, 1 / 3, 1 / 3), 0, seed)
-        assert report.trace == []
+        assert report.trace_values == []
         np.testing.assert_allclose(report.final.points, seed.points)
 
     def test_flat_trace_halves(self, flat_system):
@@ -133,14 +130,6 @@ class TestPushforward:
         vals = report.trace_values
         assert all(a >= b - 1e-12 for a, b in zip(vals[1:], vals[2:]))
 
-    def test_budget_without_resampling_raises(self, flat_system):
-        seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
-        with pytest.raises(CapacityError):
-            pushforward_fixpoint(
-                flat_system, (1 / 3, 1 / 3, 1 / 3), 8, seed,
-                atom_budget=50, resampling=False,
-            )
-
     def test_weights_validated(self, flat_system):
         seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
         with pytest.raises(DomainError):
@@ -158,7 +147,7 @@ class TestPushforward:
         weights = (0.5, 0.25, 0.25)
         centroid = flat_system.base.vertices.mean(axis=0)
         seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
-        report = pushforward_fixpoint(flat_system, weights, 8, seed, atom_budget=7000)
+        report = pushforward_fixpoint(flat_system, weights, 8, seed, atom_budget=2000)
         masses = cell_masses(report.final, flat_system, 2)
         for code in range(9):
             expected = weights[code // 3] * weights[code % 3]

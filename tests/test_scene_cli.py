@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from geogasket import gasket, measures
+from geogasket import gasket
 from geogasket.cli import main
-from geogasket.errors import CapacityError, SceneValidationError, ShootingConvergenceError
+from geogasket.errors import SceneValidationError, ShootingConvergenceError
 from geogasket.scene import SceneConfig
 
 FLAT_SCENE = {
@@ -343,6 +343,15 @@ class TestMalformedSystem:
         doc["levels"][2]["cells"][7]["vertices"][0] = [0.25, -50.0]
 
     @staticmethod
+    def level_note(doc):
+        doc["levels"][1]["note"] = 1
+
+    @staticmethod
+    def side_length_typo(doc):
+        # a misspelt key next to the real one is not silently dropped
+        doc["levels"][1]["cells"][4]["side_length"] = [9, 9, 9]
+
+    @staticmethod
     def kind_in_custom_surface(doc):
         # a kind name next to a custom metric is an unknown key, not a surface switch
         doc["meta"]["surface"] = dict(BUMP_SURFACE, kind="euclidean")
@@ -369,6 +378,8 @@ class TestMalformedSystem:
         "base_outside_chart": "meta: base vertices must lie inside the chart",
         "vertex_outside_chart": "level 3 vertices must lie inside the chart",
         "kind_in_custom_surface": "meta: custom surface has unknown keys ['kind']",
+        "level_note": "level 2 has unknown keys ['note']",
+        "side_length_typo": "level 2 cell 4 has unknown keys ['side_length']",
     }
 
     @pytest.mark.parametrize("offset", [0.2, 1e-11])
@@ -421,7 +432,7 @@ BUMP_SCENE = {
 def bump_system_doc():
     scene = SceneConfig.from_doc(BUMP_SCENE)
     system = gasket.build_system(scene.base_triangle(), 2, scene.delta)
-    return json.loads(gasket.system_to_json(system, surface_doc=BUMP_SURFACE))
+    return json.loads(gasket.system_to_json(system))
 
 
 class TestMalformedScene:
@@ -594,17 +605,34 @@ class TestSolverErrors:
         assert "construction failed: log-map shooting stalled" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_measure_capacity_exit2(self, flat_scene_path, tmp_path, capsys, monkeypatch):
+    def test_measure_capacity_exit2(self, flat_scene_path, tmp_path, capsys):
+        # a budget of 3,000 keeps the 2,187-atom seventh iterate, and the
+        # exact transport from 729 atoms to it is over the limit on every model
         out = tmp_path / "sys.json"
         out.write_text(json.dumps(_built_flat_system(flat_scene_path, tmp_path)))
-
-        def over_limit(*args, **kwargs):
-            raise CapacityError("exact transport limited to 1000 atoms a side on curved surfaces")
-
-        monkeypatch.setattr(measures, "kr_distance", over_limit)
         capsys.readouterr()
-        assert main(["measure", str(out), *SYSTEM_ARGS["measure"]]) == 2
-        assert "error: exact transport limited" in capsys.readouterr().err
+        argv = ["measure", str(out), "--weights", *THIRDS, "--iters", "7", "--atom-budget", "3000"]
+        assert main(argv) == 2
+        assert "error: exact transport limited to 1000 atoms a side (729x2187)" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2, naming the path."""
+
+    def test_build_out(self, flat_scene_path, tmp_path, capsys):
+        bad = tmp_path / "missing" / "sys.json"
+        assert main(["build", flat_scene_path, "--depth", "2", "--out", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--csv", "--svg"])
+    def test_dim_artifact(self, flat_scene_path, tmp_path, capsys, option):
+        _built_flat_system(flat_scene_path, tmp_path)
+        bad = tmp_path / "missing" / "artifact"
+        capsys.readouterr()
+        assert main(["dim", str(tmp_path / "sys.json"), "--levels", "0..3", option, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ") and "Traceback" not in err
 
 
 class TestOptionBounds:
