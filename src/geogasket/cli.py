@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -65,6 +66,22 @@ def _write(path, text) -> bool:
     return True
 
 
+def _writable(path) -> bool:
+    """Whether ``path`` can be opened for writing; False, after an error line, when not.
+
+    Leaves no file behind where there was none.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    if not existed:
+        os.remove(path)
+    return True
+
+
 def cmd_build(args) -> int:
     try:
         scene = SceneConfig.from_path(args.scene)
@@ -73,6 +90,9 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     depth = args.depth if args.depth is not None else scene.depth
+    # before the build, so that an unwritable path fails at once
+    if not _writable(args.out):
+        return EXIT_INPUT
     try:
         base = scene.base_triangle(surface)
         system = gasket.build_system(base, depth, scene.delta)
@@ -161,11 +181,10 @@ def cmd_verify(args) -> int:
 def cmd_dim(args) -> int:
     try:
         system = _load_system(args.system)
-        n1_s, n2_s = args.levels.split("..")
-        n1, n2 = int(n1_s), int(n2_s)
-    except (SceneValidationError, ValueError) as exc:
+    except SceneValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    n1, n2 = args.levels
     try:
         est = box_dimension_estimate(system, n1, n2)
     except DomainError as exc:
@@ -238,6 +257,15 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _level_range(text):
+    """argparse type: a level range ``n1..n2``, as two integers."""
+    try:
+        n1, n2 = map(int, text.split(".."))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be n1..n2 with integers n1 and n2, not {text!r}") from None
+    return n1, n2
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geogasket",
@@ -264,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dim", help="box-dimension regression and artifacts")
     p_dim.add_argument("system")
-    p_dim.add_argument("--levels", required=True, help="range n1..n2")
+    p_dim.add_argument("--levels", type=_level_range, required=True, help="range n1..n2")
     p_dim.add_argument("--csv", default=None)
     p_dim.add_argument("--svg", default=None)
     p_dim.set_defaults(func=cmd_dim)

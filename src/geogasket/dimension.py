@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DepthExhaustedError, DomainError
 from .metric_core import CoverRecord
@@ -209,6 +208,8 @@ def gauge_admissible(gauge: GaugeSpec, a: float, nu: float, tail_tol: float = 1e
     partial sums growing across the budget (ratio ~ 1 or above) mean
     divergence.
     """
+    from scipy.integrate import quad  # here, so that importing the CLI does not load scipy
+
     if a <= 0 or not (0.0 < nu < 1.0):
         raise DomainError("need a > 0 and nu in (0, 1)")
     gauge.check_valid(a * nu)
@@ -261,6 +262,8 @@ def product_bounds(gauge: GaugeSpec, nu: float, diam: float, max_terms: int = 20
     reported values bracket the true products (log(1+x) <= x and
     log(1-x) >= -2x for x <= 1/2).
     """
+    from scipy.integrate import quad  # here, so that importing the CLI does not load scipy
+
     if not (0.0 < nu < 1.0) or diam <= 0:
         raise DomainError("need nu in (0, 1) and a positive diameter")
     first = float(gauge(diam))

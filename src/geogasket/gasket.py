@@ -671,7 +671,8 @@ def system_to_json(system: TriangleSystem) -> str:
                 }
             )
         levels.append({"depth": n, "cells": cells})
-    return json.dumps({"meta": meta, "levels": levels}, sort_keys=True, indent=1)
+    # no indent, so that json uses its C encoder
+    return json.dumps({"meta": meta, "levels": levels}, sort_keys=True)
 
 
 def _is_int(x) -> bool:
@@ -756,18 +757,15 @@ def render_svg(system: TriangleSystem, level: int, size: int = 1024) -> str:
     pad = 0.05 * span
     scale = size / (span + 2 * pad)
 
-    def to_px(p):
-        x = (p[0] - lo[0] + pad) * scale
-        y = size - (p[1] - lo[1] + pad) * scale
-        return f"{x:.3f},{y:.3f}"
-
-    polys = []
-    for tri in lv.vertices:
-        polys.append(
-            f'<polygon points="{to_px(tri[0])} {to_px(tri[1])} {to_px(tri[2])}" '
-            f'fill="none" stroke="black" stroke-width="0.5"/>'
-        )
-    body = "\n".join(polys)
+    # pixel coordinates x0, y0, x1, y1, x2, y2 of each cell
+    px = np.empty((len(lv.vertices), 6))
+    px[:, 0::2] = (lv.vertices[:, :, 0] - lo[0] + pad) * scale
+    px[:, 1::2] = size - (lv.vertices[:, :, 1] - lo[1] + pad) * scale
+    polygon = (
+        '<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" '
+        'fill="none" stroke="black" stroke-width="0.5"/>'
+    )
+    body = "\n".join([polygon % tuple(row) for row in px.tolist()])
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

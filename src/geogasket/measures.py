@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError
 from .gasket import TriangleSystem, apply_f
@@ -77,6 +75,10 @@ def _ground_costs(surface, pts1, pts2):
 
 
 def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
+    # scipy loads here, not at import, so that commands without a transport LP skip it
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n1, n2 = cost.shape
     row_idx = np.repeat(np.arange(n1), n2)
     col_idx = np.tile(np.arange(n2), n1)

@@ -73,17 +73,62 @@ def _non_finite_state(state, t) -> DomainError:
     )
 
 
-def _combine(coeffs, k):
-    """Stage combination sum_i coeffs[i] k[i], evaluated row-wise.
+def _combine(coeffs, k, out, scratch):
+    """Stage combination sum_i coeffs[i] k[i] into ``out``, column-wise.
 
     Spelled out term by term rather than as a matrix product, whose
-    summation order may depend on the batch size.
+    summation order may depend on the batch size; each product goes
+    through ``scratch`` before it is added.
     """
-    acc = coeffs[0] * k[0]
+    np.multiply(coeffs[0], k[0], out=out)
     for c, ki in zip(coeffs[1:], k[1:]):
         if c:
-            acc += c * ki
-    return acc
+            np.multiply(c, ki, out=scratch)
+            out += scratch
+
+
+class _Batch:
+    """Storage of one ``_integrate`` call, allocated once for its batch.
+
+    States are columns of ``(4, N)`` arrays, rows u, v, p, q, so the states
+    of the first n columns are the view ``[:, :n]``.  The first ``n`` columns
+    hold the unfinished geodesics and ``rows`` the input row of each column.
+    A finished column is copied to ``out`` and its place refilled from the
+    unfinished tail, so no step gathers its live columns.
+    """
+
+    def __init__(self, y):
+        size = y.shape[1]
+        self.y = y  # current states, overwritten
+        self.t = np.zeros(size)
+        self.h = np.full(size, 0.1)
+        self.rows = np.arange(size)
+        self.n = size
+        # one block, so that the allocator's adaptive thresholds keep its
+        # pages for the next call of the same size instead of returning them
+        block = np.empty((12, 4, size))
+        self.k = block[:7]  # stages; k[0] is the RHS at the current state
+        self.trial = block[7]  # stage argument; after the 7th, the new state
+        self.scratch = block[8:11]
+        self.out = block[11]  # end states, in input row order
+
+    def first(self, mask):
+        """The column, of those in ``mask``, with the earliest input row."""
+        cols = np.flatnonzero(mask)
+        return cols[np.argmin(self.rows[cols])]
+
+    def retire(self, done):
+        """Store the columns ``done`` (a mask over the first n) and compact the rest."""
+        n = self.n
+        self.out[:, self.rows[:n][done]] = self.y[:, :n][:, done]
+        m = n - np.count_nonzero(done)
+        holes = np.flatnonzero(done[:m])
+        movers = m + np.flatnonzero(~done[m:])
+        for a in (self.y, self.k[0]):
+            a[:, holes] = a[:, movers]
+        for a in (self.t, self.h, self.rows):
+            a[holes] = a[movers]
+        self.n = m
 
 
 class SurfaceModel:
@@ -221,83 +266,103 @@ class SurfaceModel:
 
     # -- geodesic ODE --------------------------------------------------
 
-    def _ode_rhs(self, y):
-        u, v, p, q = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-        g1_11, g1_12, g1_22, g2_11, g2_12, g2_22 = self.christoffels(u, v)
-        out = np.empty_like(y)
-        out[:, 0] = p
-        out[:, 1] = q
-        out[:, 2] = -(g1_11 * p * p + 2 * g1_12 * p * q + g1_22 * q * q)
-        out[:, 3] = -(g2_11 * p * p + 2 * g2_12 * p * q + g2_22 * q * q)
-        return out
+    def _ode_rhs(self, y, out):
+        """Geodesic ODE right-hand side of the ``(4, n)`` states ``y``, into ``out``.
+
+        Each acceleration is -((c11 p) p + ((2 c12) p) q + (c22 q) q), summed
+        in that order; rows 0 and 1 of ``out`` serve as scratch before they
+        receive p and q.
+        """
+        u, v, p, q = y
+        c = self.christoffels(u, v)
+        for acc, tmp, (c11, c12, c22) in ((out[2], out[0], c[:3]), (out[3], out[1], c[3:])):
+            np.multiply(c11, p, out=acc)
+            acc *= p
+            np.multiply(2, c12, out=tmp)
+            tmp *= p
+            tmp *= q
+            acc += tmp
+            np.multiply(c22, q, out=tmp)
+            tmp *= q
+            acc += tmp
+            np.negative(acc, out=acc)
+        out[0] = p
+        out[1] = q
 
     def _integrate(self, y):
-        """Adaptive embedded RK4(5) over t in [0, 1] for a batch, in place.
+        """Adaptive embedded RK4(5) over t in [0, 1] for ``(4, N)`` states ``y``.
 
-        Every row carries its own time and step size and accepts or rejects
-        its own step (Hairer, Norsett & Wanner, Solving ODEs I, II.4); only
-        unfinished rows are evaluated.  All arithmetic is row-wise, so a
-        trajectory gives bitwise the same result alone as in any batch.
+        Returns the end states in the same layout; ``y`` is overwritten.
+        Every geodesic carries its own time and step size and accepts or
+        rejects its own step (Hairer, Norsett & Wanner, Solving ODEs I, II.4);
+        only unfinished ones are evaluated.  All arithmetic is column-wise, so
+        a trajectory gives bitwise the same result alone as in any batch.
         The first stage is evaluated once; after that each step reuses the
-        last stage of the row's previous accepted step (FSAL, Dormand & Prince
-        1980), so a trajectory of n steps costs 1 + 6 n evaluations.
+        last stage of the geodesic's previous accepted step (FSAL, Dormand &
+        Prince 1980), so a trajectory of n steps costs 1 + 6 n evaluations.
         """
-        finite = np.isfinite(y).all(axis=1)
+        finite = np.isfinite(y).all(axis=0)
         if not finite.all():
             # checked before the first RHS call, which would warn on such a state
-            raise _non_finite_state(y[~finite][0], 0.0)
-        t = np.zeros(len(y))
-        h = np.full(len(y), 0.1)
-        k1 = self._ode_rhs(y)
-        live = np.arange(len(y))
-        while len(live):
-            live = self._step(y, t, h, k1, live)
-        return y
+            raise _non_finite_state(y[:, np.argmin(finite)], 0.0)
+        batch = _Batch(y)
+        self._ode_rhs(batch.y, batch.k[0])
+        while batch.n:
+            self._step(batch)
+        return batch.out
 
-    def _step(self, y, t, h, k1, live):
-        """One step of the unfinished rows ``live``; returns those still unfinished.
+    def _step(self, b):
+        """One step of the ``b.n`` unfinished columns of batch ``b``.
 
-        ``k1`` holds every row's first stage, the RHS at its current state;
-        accepted rows replace theirs with the seventh stage.  That stage is
-        exactly the RHS at the new state: its coefficients are the 5th-order
-        weights, ``_combine`` skips their zero terms, and the stage is summed
-        and added to ``yl`` in the same order as ``y5``, so both are the same
-        floats.  A function of its own, so that the stages of a step are freed
-        before the next step allocates its own.
+        ``k[0]`` holds every column's first stage, the RHS at its current
+        state; accepted columns replace theirs with the seventh stage.  The
+        seventh stage's argument is the 5th-order solution: its coefficients
+        are the 5th-order weights, and ``_combine`` skips their zero terms.
+        So that stage is exactly the RHS at the new state.
         """
-        full = len(live) == len(y)
-        yl = y if full else y[live]
-        rest = 1.0 - t[live]
-        last = h[live] >= rest
-        hl = np.where(last, rest, h[live])[:, None]
-        k = [k1 if full else k1[live]]
+        n = b.n
+        y, t, h, k, trial = b.y[:, :n], b.t[:n], b.h[:n], b.k[:, :, :n], b.trial[:, :n]
+        e, w1, w2 = b.scratch[:, :, :n]
+        rest = 1.0 - t
+        last = h >= rest
+        hl = np.where(last, rest, h)
         for i in range(1, 7):
-            stage = _combine(_DP_A[i], k)
-            stage *= hl
-            stage += yl
-            k.append(self._ode_rhs(stage))
-        y5 = yl + hl * _combine(_DP_B5, k)
-        scale = self.atol + self.rtol * np.maximum(np.abs(yl), np.abs(y5))
-        e = hl * _combine(_DP_E, k) / scale
-        err = np.sqrt((e[:, 0] ** 2 + e[:, 1] ** 2 + e[:, 2] ** 2 + e[:, 3] ** 2) / 4)
+            _combine(_DP_A[i], k, trial, w1)
+            trial *= hl
+            trial += y
+            self._ode_rhs(trial, k[i])
+        _combine(_DP_E, k, e, w1)
+        e *= hl
+        np.abs(y, out=w1)
+        np.abs(trial, out=w2)
+        scale = np.maximum(w1, w2, out=w1)
+        scale *= self.rtol
+        scale += self.atol
+        e /= scale
+        np.square(e, out=e)
+        err = e[0] + e[1]
+        err += e[2]
+        err += e[3]
+        err /= 4
+        np.sqrt(err, out=err)
         if not np.all(np.isfinite(err)):
             # a NaN estimate would reject the step forever, and h never shrinks
-            bad = live[~np.isfinite(err)][0]
-            raise _non_finite_state(y[bad], t[bad])
+            bad = b.first(~np.isfinite(err))
+            raise _non_finite_state(y[:, bad], t[bad])
         ok = err <= 1.0
-        acc = live[ok]
-        t[acc] = np.where(last[ok], 1.0, t[acc] + hl[ok, 0])
-        y[acc] = y5[ok]
-        k1[acc] = k[6][ok]
-        out = ~self.contains(y5[ok, :2])
+        np.copyto(t, np.where(last, 1.0, t + hl), where=ok)
+        np.copyto(y, trial, where=ok)
+        np.copyto(k[0], k[6], where=ok)
+        out = ok & ~self.contains(trial[:2].T)
         if np.any(out):
-            raise ChartEscapeError(float(t[acc[out][0]]))
+            raise ChartEscapeError(float(t[b.first(out)]))
         factor = np.where(err > 0, 0.9 * np.maximum(err, 1e-300) ** -0.2, 5.0)
-        h[live] = hl[:, 0] * np.clip(factor, 0.2, 5.0)
-        live = live[t[live] < 1.0]
-        if np.any(h[live] < 1e-14):
+        h[:] = hl * np.clip(factor, 0.2, 5.0)
+        live = t < 1.0
+        if not live.all():
+            b.retire(~live)
+        if np.any(b.h[:b.n] < 1e-14):
             raise DomainError("geodesic integrator step size underflow")
-        return live
 
     def _flat_exit_parameter(self, pts, disp) -> float:
         """Earliest boundary-crossing fraction of straight chart segments."""
@@ -324,8 +389,10 @@ class SurfaceModel:
             if np.any(bad):
                 raise ChartEscapeError(self._flat_exit_parameter(pts[bad], t * vels[bad]))
             return out
-        y = self._integrate(np.concatenate([pts, t * vels], axis=1))
-        return y[:, :2].copy()
+        y = np.empty((4, len(pts)))
+        y[:2] = pts.T
+        np.multiply(t, vels.T, out=y[2:])
+        return self._integrate(y)[:2].T.copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
         """Initial velocities w with exp_p(w) = q, batched Newton shooting.

@@ -112,7 +112,19 @@ class TestBuildCommand:
         doc = json.loads(text)
         assert len(doc["levels"][-1]["cells"]) == 27
         back = gasket.system_from_json(text)
-        assert gasket.system_to_json(back) == json.dumps(doc, sort_keys=True, indent=1)
+        assert gasket.system_to_json(back) == text
+
+    def test_indented_file_reads(self, flat_scene_path, tmp_path):
+        # files written with indentation, as before the one-line format, still load
+        out = tmp_path / "sys.json"
+        assert main(["build", flat_scene_path, "--depth", "3", "--out", str(out)]) == 0
+        text = out.read_text()
+        indented = json.dumps(json.loads(text), sort_keys=True, indent=1)
+        a, b = gasket.system_from_json(text), gasket.system_from_json(indented)
+        assert (a.depth, a.delta, a.gauge_c) == (b.depth, b.delta, b.gauge_c)
+        for n in range(a.depth + 1):
+            assert np.array_equal(a.level(n).vertices, b.level(n).vertices)
+            assert np.array_equal(a.level(n).side_lengths, b.level(n).side_lengths)
 
     def test_deterministic_bytes(self, flat_scene_path, tmp_path):
         out1 = tmp_path / "a.json"
@@ -619,7 +631,11 @@ class TestSolverErrors:
 class TestUnwritableOutput:
     """An output path that cannot be written exits 2, naming the path."""
 
-    def test_build_out(self, flat_scene_path, tmp_path, capsys):
+    def test_build_out(self, flat_scene_path, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the output path is checked before the build")
+
+        monkeypatch.setattr(gasket, "build_system", unreachable)
         bad = tmp_path / "missing" / "sys.json"
         assert main(["build", flat_scene_path, "--depth", "2", "--out", str(bad)]) == 2
         err = capsys.readouterr().err
@@ -636,7 +652,7 @@ class TestUnwritableOutput:
 
 
 class TestOptionBounds:
-    """Out-of-range integer options exit 2 before any work is done."""
+    """Out-of-range or malformed options exit 2 before any work is done."""
 
     @pytest.mark.parametrize(
         "command, option, value",
@@ -650,6 +666,8 @@ class TestOptionBounds:
             ("measure", "--iters", "-2"),
             ("measure", "--iters", "0"),
             ("measure", "--weights", "nan 0.5 0.5"),
+            ("dim", "--levels", "1..3..4"),
+            ("dim", "--levels", "2..x"),
         ],
     )
     def test_exit2(self, flat_scene_path, tmp_path, capsys, command, option, value):

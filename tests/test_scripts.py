@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -117,10 +119,12 @@ def public_callable(short, attr):
     return (inspect.isfunction(fn) and fn.__module__ == module.__name__) or any(attr in vars(c) for c in owners)
 
 
-def test_cli_import_loads_no_jsonschema():
-    # scenes and stored systems are checked by the package's own readers
+@pytest.mark.parametrize("package", ["jsonschema", "scipy"])
+def test_cli_import_skips(package):
+    # scenes and stored systems are checked by the package's own readers, and
+    # scipy loads only where the transport LP or a gauge integral runs
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, geogasket.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+    code = f"import sys, geogasket.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

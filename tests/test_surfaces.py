@@ -6,6 +6,7 @@ import pytest
 
 from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
 from geogasket.surfaces import (
+    _Batch,
     euclidean_surface,
     jacobi_field,
     surface_from_json,
@@ -90,23 +91,21 @@ class TestBatchIndependence:
             surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
         )
         pts, vels = self.mixed_batch()
-        y = np.concatenate([pts, vels], axis=1)
+        y = np.concatenate([pts, vels], axis=1).T.copy()
         # reference: every step evaluates its first stage afresh
-        t, h, live = np.zeros(len(y)), np.full(len(y), 0.1), np.arange(len(y))
-        fresh = y.copy()
-        while len(live):
-            k1 = np.zeros_like(fresh)
-            k1[live] = surface._ode_rhs(fresh[live])
-            live = surface._step(fresh, t, h, k1, live)
-        assert np.array_equal(surface._integrate(y), fresh)
+        fresh = _Batch(y.copy())
+        while fresh.n:
+            surface._ode_rhs(fresh.y[:, :fresh.n], fresh.k[0, :, :fresh.n])
+            surface._step(fresh)
+        assert np.array_equal(surface._integrate(y), fresh.out)
 
     def test_rhs_evaluations_per_step(self, sphere, monkeypatch):
         counts = {"rhs": 0, "steps": 0}
         rhs, step = sphere._ode_rhs, sphere._step
 
-        def counting_rhs(y):
+        def counting_rhs(*args):
             counts["rhs"] += 1
-            return rhs(y)
+            return rhs(*args)
 
         def counting_step(*args):
             counts["steps"] += 1
@@ -315,7 +314,8 @@ class TestChristoffels:
                 return _method(*args)
 
             monkeypatch.setattr(surface, name, counting)
-        surface._ode_rhs(np.array([[0.1, -0.2, 0.3, 0.4], [0.0, 0.05, -0.2, 0.1]]))
+        states = np.array([[0.1, -0.2, 0.3, 0.4], [0.0, 0.05, -0.2, 0.1]]).T.copy()
+        surface._ode_rhs(states, np.empty_like(states))
         assert counts == {"christoffels": 1, "metric": 0}
 
 
