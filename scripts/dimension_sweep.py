@@ -8,8 +8,7 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
+from geogasket.cli import _level_range
 from geogasket.dimension import box_dimension_estimate, hausdorff_upper_sum
 from geogasket.gasket import build_system
 from geogasket.scene import SceneConfig
@@ -19,17 +18,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scene")
     parser.add_argument("--depth", type=int, default=None)
-    parser.add_argument("--levels", default=None, help="range n1..n2")
+    parser.add_argument("--levels", type=_level_range, default=None, help="range n1..n2")
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
 
     scene = SceneConfig.from_path(args.scene)
     depth = args.depth or scene.depth
     system = build_system(scene.base_triangle(), depth, scene.delta)
-    if args.levels:
-        n1, n2 = (int(x) for x in args.levels.split(".."))
-    else:
-        n1, n2 = max(1, depth - 6), depth
+    n1, n2 = args.levels or (max(1, depth - 6), depth)
     est = box_dimension_estimate(system, n1, n2)
     s = est.slope
     print(f"{'level':>5} {'epsilon':>24} {'count':>9} {'upper sum':>22}")

@@ -144,7 +144,7 @@ class TriangleSystem:
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the quadratic correction term is curvature-driven
         self.nu = 0.5 if base.surface.flat else 0.5 * (1.0 + r * r)
-        # (index, n_pairs, seed) -> (max deviation, pairs used, parent diameter)
+        # (index, n_pairs, seed) -> (max deviation, parent diameter)
         self._audits = {}
 
     def level(self, n: int) -> LevelArrays:
@@ -311,15 +311,13 @@ class SimilarityAudit:
 
     ``max_ratio_deviation`` is the worst |d(f x, f y)/d(x, y) - 1/2| over
     the sampled pairs; the audit passes when it stays within the quadratic
-    envelope lam * c * diam(parent)^2.
+    envelope c * diam(parent)^2 / 2.
     """
 
     index: tuple
-    lam: float
     max_ratio_deviation: float
     envelope: float
     passed: bool
-    pairs_used: int
     parent_diam: float
 
 
@@ -375,8 +373,8 @@ def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
 def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: int = 0) -> list:
     """Audits of the maps onto ``cells`` against the current gauge.
 
-    Each cell is measured once per system: its deviation, pairs used and
-    parent diameter are memoized under (index, n_pairs, seed), and only
+    Each cell is measured once per system: its deviation and parent
+    diameter are memoized under (index, n_pairs, seed), and only
     cells missing from the memo go through ``_audit_ratios``.  A cell's
     measurement does not depend on the cells audited with it, and the level
     arrays are read-only, so a memoized entry is what a new measurement
@@ -388,20 +386,18 @@ def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: in
     if todo:
         ratios, diams = _audit_ratios(system, todo, n_pairs, seed)
         for digits, r, diam in zip(todo, ratios, diams):
-            memo[digits, n_pairs, seed] = (float(np.max(np.abs(r - 0.5))), int(len(r)), float(diam))
+            memo[digits, n_pairs, seed] = (float(np.max(np.abs(r - 0.5))), float(diam))
     c = system.gauge_c if system.gauge_c is not None else 0.0
     audits = []
     for digits in cells:
-        dev, pairs, diam = memo[digits, n_pairs, seed]
+        dev, diam = memo[digits, n_pairs, seed]
         envelope = 0.5 * c * diam**2
         audits.append(
             SimilarityAudit(
                 index=digits,
-                lam=0.5,
                 max_ratio_deviation=dev,
                 envelope=envelope,
                 passed=dev <= envelope,
-                pairs_used=pairs,
                 parent_diam=diam,
             )
         )
@@ -563,7 +559,6 @@ def controlled_moran_check(system: TriangleSystem, D: float | None = None, max_t
 
 @dataclass
 class NestingReport:
-    checked: int
     max_residual_factor: float
     all_inside: bool
 
@@ -595,9 +590,7 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor:
         g = slice(lo, lo + _STACK_ROWS)
         _, _, resid[g], _ = _invert_rows(system.surface, frames, rows[g], xs[g], 0.05 * tol[g])
     worst = float(np.max(resid / np.maximum(diam_rows, 1e-300)))
-    return NestingReport(
-        checked=len(xs), max_residual_factor=max(worst, 0.0), all_inside=bool(np.all(resid <= tol))
-    )
+    return NestingReport(max_residual_factor=max(worst, 0.0), all_inside=bool(np.all(resid <= tol)))
 
 
 @dataclass
@@ -659,18 +652,11 @@ def system_to_json(system: TriangleSystem) -> str:
         "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
     }
-    levels = []
-    for n in range(1, system.depth + 1):
-        lv = system.level(n)
-        cells = []
-        for code in range(len(lv)):
-            cells.append(
-                {
-                    "vertices": lv.vertices[code].tolist(),
-                    "side_lengths": lv.side_lengths[code].tolist(),
-                }
-            )
-        levels.append({"depth": n, "cells": cells})
+    # entry n - 1 holds level n as its two arrays
+    levels = [
+        {"side_lengths": lv.side_lengths.tolist(), "vertices": lv.vertices.tolist()}
+        for lv in system.levels[1:]
+    ]
     # no indent, so that json uses its C encoder
     return json.dumps({"meta": meta, "levels": levels}, sort_keys=True)
 
@@ -730,15 +716,9 @@ def system_from_json(text: str) -> TriangleSystem:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
-        cells = _object(entry, ("depth", "cells"), f"level {n}", optional=())["cells"]
-        depth_ok = _is_int(entry["depth"]) and entry["depth"] == n
-        if not (depth_ok and isinstance(cells, list) and len(cells) == 3**n):
-            raise SceneValidationError(f"level {n} must have depth {n} and a list of {3**n} cells")
-        for i, cell in enumerate(cells):
-            if not (isinstance(cell, dict) and cell.keys() == {"vertices", "side_lengths"}):
-                _object(cell, ("vertices", "side_lengths"), f"level {n} cell {i}", optional=())
-        verts = _numbers([c["vertices"] for c in cells], (3**n, 3, 2), f"level {n} vertices")
-        sides = _numbers([c["side_lengths"] for c in cells], (3**n, 3), f"level {n} side_lengths")
+        entry = _object(entry, ("side_lengths", "vertices"), f"level {n}", optional=())
+        verts = _numbers(entry["vertices"], (3**n, 3, 2), f"level {n} vertices")
+        sides = _numbers(entry["side_lengths"], (3**n, 3), f"level {n} side_lengths")
         if not surface.contains(verts.reshape(-1, 2)).all():
             raise SceneValidationError(f"level {n} vertices must lie inside the chart {surface.chart}")
         if np.any(sides <= 0):

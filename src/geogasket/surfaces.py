@@ -163,11 +163,7 @@ class SurfaceModel:
         curvature,
         christoffels=None,
         closed_form_distance=None,
-        name=None,
         spec=None,
-        atol=DEFAULT_ATOL,
-        rtol=DEFAULT_RTOL,
-        check_grid=21,
     ):
         self.kind = kind
         self.chart = tuple(float(x) for x in chart)
@@ -177,19 +173,16 @@ class SurfaceModel:
         self._christoffels = christoffels
         self._curvature = curvature
         self._closed_form_distance = closed_form_distance
-        self.name = name or kind
         self.spec = spec
-        self.atol = atol
-        self.rtol = rtol
         self.flat = kind == EUCLIDEAN
-        self._check_admissible(check_grid)
+        self._check_admissible()
 
     # -- validation ----------------------------------------------------
 
-    def _check_admissible(self, grid):
+    def _check_admissible(self):
         u_min, u_max, v_min, v_max = self.chart
-        us = np.linspace(u_min, u_max, grid)
-        vs = np.linspace(v_min, v_max, grid)
+        us = np.linspace(u_min, u_max, 21)
+        vs = np.linspace(v_min, v_max, 21)
         uu, vv = np.meshgrid(us, vs)
         # the checks below reject non-finite values, so numpy need not warn of them
         with np.errstate(all="ignore"):
@@ -336,8 +329,8 @@ class SurfaceModel:
         np.abs(y, out=w1)
         np.abs(trial, out=w2)
         scale = np.maximum(w1, w2, out=w1)
-        scale *= self.rtol
-        scale += self.atol
+        scale *= DEFAULT_RTOL
+        scale += DEFAULT_ATOL
         e /= scale
         np.square(e, out=e)
         err = e[0] + e[1]
@@ -441,17 +434,17 @@ class SurfaceModel:
         dw2 = (-j21 * res[:, 0] + j11 * res[:, 1]) / det
         return np.column_stack([dw1, dw2])
 
-    def distance_many(self, pts, targets, **kwargs):
+    def distance_many(self, pts, targets):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = self.log_many(pts, targets, **kwargs)
+        w = self.log_many(pts, targets)
         return self.norm(pts, w)
 
-    def midpoint_many(self, pts, targets, **kwargs):
+    def midpoint_many(self, pts, targets):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if self.flat:
             return 0.5 * (pts + targets)
-        w = self.log_many(pts, targets, **kwargs)
+        w = self.log_many(pts, targets)
         return self.exp_many(pts, w, 0.5)
 
     def closed_form_distance(self, p, q):
@@ -649,15 +642,16 @@ def surface_from_json(doc) -> SurfaceModel:
     # abs(x) compares an int exactly, so 10**400 fails as Infinity does
     if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in rect):
         raise DomainError(f"custom surface chart bounds must be finite numbers: {rect}")
-    name = doc.get("name", "custom")
-    if not isinstance(name, str):
+    if not isinstance(doc.get("name", ""), str):
         raise DomainError("custom surface name must be a string")
     if not all(isinstance(x, str) for x in sources):
         raise DomainError("custom surface metric and curvature expressions must be strings")
-    e_fn, f_fn, g_fn = (compile_expression(x) for x in sources[:3])
+    # one evaluator per distinct text, so that E == G is evaluated once
+    evaluators = {x: compile_expression(x) for x in sources[:3]}
 
     def metric(u, v):
-        return e_fn(u, v), f_fn(u, v), g_fn(u, v)
+        values = {x: fn(u, v) for x, fn in evaluators.items()}
+        return tuple(values[x] for x in sources[:3])
 
     if "curvature" in doc:
         k_fn = compile_expression(doc["curvature"])
@@ -668,7 +662,7 @@ def surface_from_json(doc) -> SurfaceModel:
     else:
         curvature = _brioschi_curvature(metric)
 
-    return SurfaceModel(CUSTOM, rect, metric, curvature, name=name, spec=copy.deepcopy(doc))
+    return SurfaceModel(CUSTOM, rect, metric, curvature, spec=copy.deepcopy(doc))
 
 
 _BUILTIN_FACTORIES = {
@@ -680,8 +674,6 @@ _BUILTIN_FACTORIES = {
 
 def make_surface(spec) -> SurfaceModel:
     """Surface from a built-in kind name or a custom-metric JSON document."""
-    if isinstance(spec, SurfaceModel):
-        return spec
     if isinstance(spec, str) and spec in _BUILTIN_FACTORIES:
         return _BUILTIN_FACTORIES[spec]()
     if isinstance(spec, dict):

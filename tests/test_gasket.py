@@ -376,7 +376,7 @@ class TestSerialization:
             (("meta", "delta"), "meta.delta"),
             (("meta", "gauge_c"), "meta.gauge_c"),
             (("meta", "base_vertices", 1, 0), "meta.base_vertices"),
-            (("levels", 1, "cells", 4, "side_lengths", 2), "level 2 side_lengths"),
+            (("levels", 1, "side_lengths", 4, 2), "level 2 side_lengths"),
             (("meta", "base_side_lengths", 2), "meta.base_side_lengths"),
         ],
     )

@@ -110,7 +110,10 @@ class TestBuildCommand:
         assert main(["build", flat_scene_path, "--depth", "3", "--out", str(out)]) == 0
         text = out.read_text()
         doc = json.loads(text)
-        assert len(doc["levels"][-1]["cells"]) == 27
+        # each level is its two arrays, with no per-cell object and no depth key
+        assert [sorted(level) for level in doc["levels"]] == [["side_lengths", "vertices"]] * 3
+        assert np.shape(doc["levels"][-1]["vertices"]) == (27, 3, 2)
+        assert np.shape(doc["levels"][-1]["side_lengths"]) == (27, 3)
         back = gasket.system_from_json(text)
         assert gasket.system_to_json(back) == text
 
@@ -201,7 +204,7 @@ class TestVerifyCommand:
         main(["build", flat_scene_path, "--out", str(out)])
         doc = json.loads(out.read_text())
         # corrupt one stored side length so the contraction check fails
-        doc["levels"][2]["cells"][5]["side_lengths"][0] *= 3.0
+        doc["levels"][2]["side_lengths"][5][0] *= 3.0
         path = tmp_path / "corrupt.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -278,7 +281,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def missing_cell(doc):
-        doc["levels"][1]["cells"].pop()
+        doc["levels"][1]["vertices"].pop()
 
     @staticmethod
     def degenerate_base(doc):
@@ -286,19 +289,19 @@ class TestMalformedSystem:
 
     @staticmethod
     def inf_vertex(doc):
-        doc["levels"][2]["cells"][7]["vertices"][0][0] = math.inf
+        doc["levels"][2]["vertices"][7][0][0] = math.inf
 
     @staticmethod
     def nan_side(doc):
-        doc["levels"][2]["cells"][7]["side_lengths"][0] = math.nan
+        doc["levels"][2]["side_lengths"][7][0] = math.nan
 
     @staticmethod
     def string_side(doc):
-        doc["levels"][2]["cells"][7]["side_lengths"][0] = "0.125"
+        doc["levels"][2]["side_lengths"][7][0] = "0.125"
 
     @staticmethod
     def true_coordinate(doc):
-        doc["levels"][2]["cells"][7]["vertices"][1][1] = True
+        doc["levels"][2]["vertices"][7][1][1] = True
 
     @staticmethod
     def top_level_list(doc):
@@ -315,7 +318,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def ragged_cell(doc):
-        doc["levels"][1]["cells"][4]["vertices"][2] = [0.5]
+        doc["levels"][1]["vertices"][4][2] = [0.5]
 
     @staticmethod
     def levels_not_list(doc):
@@ -332,7 +335,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def zero_side(doc):
-        doc["levels"][1]["cells"][4]["side_lengths"][2] = 0
+        doc["levels"][1]["side_lengths"][4][2] = 0
 
     @staticmethod
     def delta_negative(doc):
@@ -352,7 +355,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def vertex_outside_chart(doc):
-        doc["levels"][2]["cells"][7]["vertices"][0] = [0.25, -50.0]
+        doc["levels"][2]["vertices"][7][0] = [0.25, -50.0]
 
     @staticmethod
     def level_note(doc):
@@ -361,7 +364,20 @@ class TestMalformedSystem:
     @staticmethod
     def side_length_typo(doc):
         # a misspelt key next to the real one is not silently dropped
-        doc["levels"][1]["cells"][4]["side_length"] = [9, 9, 9]
+        doc["levels"][1]["side_length"] = [[9, 9, 9]] * 9
+
+    @staticmethod
+    def level_depth_key(doc):
+        # list position gives the depth, so a level stores none
+        doc["levels"][1]["depth"] = 2
+
+    @staticmethod
+    def cell_objects(doc):
+        # the older layout: each level a depth and a list of cell objects
+        doc["levels"] = [
+            {"depth": n, "cells": [{"side_lengths": s, "vertices": v} for s, v in zip(lv["side_lengths"], lv["vertices"])]}
+            for n, lv in enumerate(doc["levels"], start=1)
+        ]
 
     @staticmethod
     def kind_in_custom_surface(doc):
@@ -370,7 +386,7 @@ class TestMalformedSystem:
 
     NAMED = {
         "short_levels": "levels",
-        "missing_cell": "level 2",
+        "missing_cell": "level 2 vertices must hold finite numbers of shape (9, 3, 2)",
         "degenerate_base": "meta",
         "inf_vertex": "level 3 vertices",
         "nan_side": "level 3 side_lengths",
@@ -391,7 +407,9 @@ class TestMalformedSystem:
         "vertex_outside_chart": "level 3 vertices must lie inside the chart",
         "kind_in_custom_surface": "meta: custom surface has unknown keys ['kind']",
         "level_note": "level 2 has unknown keys ['note']",
-        "side_length_typo": "level 2 cell 4 has unknown keys ['side_length']",
+        "side_length_typo": "level 2 has unknown keys ['side_length']",
+        "level_depth_key": "level 2 has unknown keys ['depth']",
+        "cell_objects": "level 1 lacks side_lengths, vertices",
     }
 
     @pytest.mark.parametrize("offset", [0.2, 1e-11])
@@ -401,8 +419,8 @@ class TestMalformedSystem:
         # moved outside by ``offset`` in the parent's chart-barycentric
         # coordinates
         doc = _built_flat_system(flat_scene_path, tmp_path)
-        p1, p2, p3 = np.array(doc["levels"][1]["cells"][3]["vertices"])
-        doc["levels"][2]["cells"][9]["vertices"][2] = (p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)).tolist()
+        p1, p2, p3 = np.array(doc["levels"][1]["vertices"][3])
+        doc["levels"][2]["vertices"][9][2] = (p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)).tolist()
         path = tmp_path / "outside.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()

@@ -16,28 +16,33 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(*args):
+def run_script(*args, code=0):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout if code == 0 else proc.stderr
+
+
+VERIFY_CHECKS = [
+    "nesting", "nu-contraction", "non-degeneracy", "similarity-audits", "ratio-products", "controlled-moran",
+]
+
+
+def certification_checks(scene):
+    # the script is the CLI's build and verify: verify's six check lines
+    out = run_script("run_certification.py", scene, "--depth", "3")
+    return [line.split(":")[0] for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
 
 
 def test_run_certification():
-    out = run_script("run_certification.py", "scenes/flat_unit.json", "--depth", "3")
-    checks = [line for line in out.splitlines() if line.startswith("  ")]
-    assert len(checks) == 6
-    assert all(" PASS " in line for line in checks)
+    assert certification_checks("scenes/flat_unit.json") == [f"PASS {name}" for name in VERIFY_CHECKS]
 
 
 def test_run_certification_sphere():
-    out = run_script("run_certification.py", "scenes/sphere_small.json", "--depth", "3")
-    checks = [line for line in out.splitlines() if line.startswith("  ")]
-    assert len(checks) == 6
-    assert all(" PASS " in line for line in checks)
+    assert certification_checks("scenes/sphere_small.json") == [f"PASS {name}" for name in VERIFY_CHECKS]
 
 
 def test_readme_library_sketch():
@@ -54,6 +59,13 @@ def test_dimension_sweep():
     out = run_script("dimension_sweep.py", "scenes/flat_unit.json", "--depth", "6", "--levels", "2..6")
     slope = float(out.split("slope = ")[1].split()[0])
     assert abs(slope - math.log(3) / math.log(2)) < 1e-10
+
+
+@pytest.mark.parametrize("levels", ["1..3..4", "2..x"])
+def test_dimension_sweep_bad_levels(levels):
+    err = run_script("dimension_sweep.py", "scenes/flat_unit.json", "--depth", "4", "--levels", levels, code=2)
+    assert f"argument --levels: must be n1..n2 with integers n1 and n2, not {levels!r}" in err
+    assert "Traceback" not in err
 
 
 def test_rauch_envelope_sweep():

@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from geogasket import surfaces
 from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
+from geogasket.expressions import compile_expression
 from geogasket.surfaces import (
+    CUSTOM,
+    SurfaceModel,
     _Batch,
     euclidean_surface,
     jacobi_field,
@@ -349,6 +353,37 @@ class TestCustomSurface:
         w = surface.log_many([(0.1, 0.0)], [(0.3, 0.2)])[0]
         q = surface.exp_many([(0.1, 0.0)], [w], 1.0)[0]
         assert tuple(q) == pytest.approx((0.3, 0.2), abs=1e-8)
+
+    def test_equal_texts_evaluated_once(self, monkeypatch):
+        # E and G are the same text, so one metric call runs two evaluators
+        runs = []
+
+        def counting(source):
+            fn = compile_expression(source)
+
+            def evaluate(u, v):
+                runs.append(source)
+                return fn(u, v)
+
+            return evaluate
+
+        monkeypatch.setattr(surfaces, "compile_expression", counting)
+        surface = surface_from_json(self.DOC)
+        runs.clear()
+        surface.metric(np.array([0.1, 0.3]), np.array([0.2, -0.1]))
+        assert sorted(runs) == sorted([self.DOC["metric"]["E"], "0"])
+
+    def test_shared_evaluator_keeps_geodesics(self):
+        # bitwise the geodesics of the same metric with one evaluator per entry
+        surface = surface_from_json(self.DOC)
+        e_fn, f_fn, g_fn = (compile_expression(self.DOC["metric"][k]) for k in "EFG")
+
+        def metric(u, v):
+            return e_fn(u, v), f_fn(u, v), g_fn(u, v)
+
+        separate = SurfaceModel(CUSTOM, surface.chart, metric, surface.curvature)
+        pts, vels = TestBatchIndependence.mixed_batch()
+        assert np.array_equal(surface.exp_many(pts, vels), separate.exp_many(pts, vels))
 
     @pytest.mark.parametrize(
         "key, value",
