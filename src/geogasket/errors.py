@@ -20,14 +20,20 @@ class ChartEscapeError(GeogasketError):
 
 
 class ShootingConvergenceError(GeogasketError):
-    """The boundary-value shooting solver failed to reach its residual target."""
+    """The boundary-value shooting solver failed to reach its residual target.
 
-    def __init__(self, residual: float, iterations: int):
+    ``point`` and ``target`` are the chart points of the row with the
+    largest residual.
+    """
+
+    def __init__(self, residual: float, iterations: int, point, target):
         self.residual = residual
         self.iterations = iterations
+        self.point = point
+        self.target = target
         super().__init__(
             f"log-map shooting stalled at residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"after {iterations} iterations, shooting from {tuple(point)} to {tuple(target)}"
         )
 
 

@@ -67,9 +67,9 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 
-def _non_finite_state(state, t) -> DomainError:
+def _step_underflow(reason, state, t) -> DomainError:
     return DomainError(
-        f"geodesic integrator step size underflow: non-finite state from {state.tolist()} at t = {t:.6g}"
+        f"geodesic integrator step size underflow: {reason} {state.tolist()} at t = {t:.6g}"
     )
 
 
@@ -87,6 +87,16 @@ def _combine(coeffs, k, out, scratch):
             out += scratch
 
 
+def _solve_2x2(jac, res):
+    """Solutions d of jac d = res for ``(N, 2, 2)`` matrices and ``(N, 2)`` vectors."""
+    (j11, j12), (j21, j22) = jac.transpose(1, 2, 0)
+    det = j11 * j22 - j12 * j21
+    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+    d1 = (j22 * res[:, 0] - j12 * res[:, 1]) / det
+    d2 = (-j21 * res[:, 0] + j11 * res[:, 1]) / det
+    return np.column_stack([d1, d2])
+
+
 class _Batch:
     """Storage of one ``_integrate`` call, allocated once for its batch.
 
@@ -94,14 +104,17 @@ class _Batch:
     of the first n columns are the view ``[:, :n]``.  The first ``n`` columns
     hold the unfinished geodesics and ``rows`` the input row of each column.
     A finished column is copied to ``out`` and its place refilled from the
-    unfinished tail, so no step gathers its live columns.
+    unfinished tail, so no step gathers its live columns.  Every geodesic's
+    first trial step spans the whole interval, h = 1: the step controller
+    shrinks it where the error estimate asks, and a short geodesic finishes
+    in one step.
     """
 
     def __init__(self, y):
         size = y.shape[1]
         self.y = y  # current states, overwritten
         self.t = np.zeros(size)
-        self.h = np.full(size, 0.1)
+        self.h = np.ones(size)
         self.rows = np.arange(size)
         self.n = size
         # one block, so that the allocator's adaptive thresholds keep its
@@ -292,16 +305,18 @@ class SurfaceModel:
         a trajectory gives bitwise the same result alone as in any batch.
         The first stage is evaluated once; after that each step reuses the
         last stage of the geodesic's previous accepted step (FSAL, Dormand &
-        Prince 1980), so a trajectory of n steps costs 1 + 6 n evaluations.
+        Prince 1980), so a trajectory of n steps costs 1 + 6 n evaluations;
+        the first trial step spans the whole interval (see ``_Batch``).
+        Numpy stays silent in the stage evaluations: a trial step may reach
+        further than the geodesic's own steps, and a non-finite error
+        estimate, from such a step or from a non-finite starting state,
+        raises ``DomainError`` naming the state it came from.
         """
-        finite = np.isfinite(y).all(axis=0)
-        if not finite.all():
-            # checked before the first RHS call, which would warn on such a state
-            raise _non_finite_state(y[:, np.argmin(finite)], 0.0)
         batch = _Batch(y)
-        self._ode_rhs(batch.y, batch.k[0])
-        while batch.n:
-            self._step(batch)
+        with np.errstate(all="ignore"):
+            self._ode_rhs(batch.y, batch.k[0])
+            while batch.n:
+                self._step(batch)
         return batch.out
 
     def _step(self, b):
@@ -341,7 +356,7 @@ class SurfaceModel:
         if not np.all(np.isfinite(err)):
             # a NaN estimate would reject the step forever, and h never shrinks
             bad = b.first(~np.isfinite(err))
-            raise _non_finite_state(y[:, bad], t[bad])
+            raise _step_underflow("non-finite state from", y[:, bad], t[bad])
         ok = err <= 1.0
         np.copyto(t, np.where(last, 1.0, t + hl), where=ok)
         np.copyto(y, trial, where=ok)
@@ -354,8 +369,10 @@ class SurfaceModel:
         live = t < 1.0
         if not live.all():
             b.retire(~live)
-        if np.any(b.h[:b.n] < 1e-14):
-            raise DomainError("geodesic integrator step size underflow")
+        stalled = b.h[:b.n] < 1e-14
+        if np.any(stalled):
+            col = b.first(stalled)
+            raise _step_underflow("stalled at", b.y[:, col], b.t[col])
 
     def _flat_exit_parameter(self, pts, disp) -> float:
         """Earliest boundary-crossing fraction of straight chart segments."""
@@ -388,51 +405,57 @@ class SurfaceModel:
         return self._integrate(y)[:2].T.copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
-        """Initial velocities w with exp_p(w) = q, batched Newton shooting.
+        """Initial velocities w with exp_p(w) = q, batched chord-Newton shooting.
 
-        Seeded from the chart chord, which is exact on the flat model; the
-        2x2 Jacobian is finite-differenced and refreshed each iteration (the
-        problems are tiny and well conditioned on convex working domains).
+        Seeded from the chart chord, which is exact on the flat model.  The
+        2x2 Jacobian of exp is finite-differenced once, at the seed, and
+        every iteration reuses it (chord Newton; Hairer & Wanner, Solving
+        ODEs II, IV.8): the first iteration is a full Newton step, and on the
+        short geodesics of a gasket's cells the stale Jacobian still
+        contracts the residual quickly.  Rows stop once their residual is
+        within ``tol``; a row still above it after ``max_iter`` iterations
+        raises ``ShootingConvergenceError`` naming the worst one.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         pts, targets = np.broadcast_arrays(pts, targets)
         w = targets - pts
-        res = self.exp_many(pts, w) - targets
+        x = self.exp_many(pts, w)
+        res = x - targets
         res_norm = np.hypot(res[:, 0], res[:, 1])
         active = res_norm > tol
-        for iteration in range(max_iter):
-            if not np.any(active):
-                return w
+        if not np.any(active):
+            return w
+        jac = np.empty((len(w), 2, 2))
+        jac[active] = self._shooting_jacobian(pts[active], w[active], x[active])
+        for _ in range(max_iter):
             idx = slice(None) if np.all(active) else np.flatnonzero(active)
-            w[idx] -= self._newton_step(pts[idx], w[idx], res[idx], targets[idx])
+            w[idx] -= _solve_2x2(jac[idx], res[idx])
             res[idx] = self.exp_many(pts[idx], w[idx]) - targets[idx]
             res_norm = np.hypot(res[:, 0], res[:, 1])
             active = res_norm > tol
-        raise ShootingConvergenceError(float(np.max(res_norm)), max_iter)
+            if not np.any(active):
+                return w
+        worst = np.argmax(res_norm)
+        point, target = tuple(pts[worst].tolist()), tuple(targets[worst].tolist())
+        raise ShootingConvergenceError(float(res_norm[worst]), max_iter, point, target)
 
-    def _newton_step(self, pts, w, res, targets):
-        """Shooting update for velocities w with residuals res = exp(w) - q.
+    def _shooting_jacobian(self, pts, w, x):
+        """Jacobians of exp at velocities w, whose endpoints are x, shape ``(N, 2, 2)``.
 
-        The 2x2 Jacobian of exp is finite-differenced row by row; both
-        perturbed velocity sets go through one ``exp_many`` pass of 2N rows,
-        which gives the same columns as two passes, since rows are solved
-        independently.
+        Finite-differenced row by row; both perturbed velocity sets go
+        through one ``exp_many`` pass of 2N rows, which gives the same
+        columns as two passes, since rows are solved independently.
         """
         n = len(w)
         eps = 1e-7 * (np.hypot(w[:, 0], w[:, 1]) + 1e-3)
-        base = res + targets
         w_eps = np.vstack([w, w])
         w_eps[:n, 0] += eps
         w_eps[n:, 1] += eps
-        x = self.exp_many(np.vstack([pts, pts]), w_eps)
-        cols = (x - np.vstack([base, base])) / np.concatenate([eps, eps])[:, None]
-        (j11, j21), (j12, j22) = cols[:n].T, cols[n:].T
-        det = j11 * j22 - j12 * j21
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        dw1 = (j22 * res[:, 0] - j12 * res[:, 1]) / det
-        dw2 = (-j21 * res[:, 0] + j11 * res[:, 1]) / det
-        return np.column_stack([dw1, dw2])
+        moved = self.exp_many(np.vstack([pts, pts]), w_eps)
+        moved -= np.vstack([x, x])
+        moved /= np.concatenate([eps, eps])[:, None]
+        return np.stack([moved[:n], moved[n:]], axis=2)
 
     def distance_many(self, pts, targets):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

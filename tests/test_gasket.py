@@ -352,6 +352,27 @@ class TestClosedFormReference:
             assert np.max(np.abs(lv.side_lengths - exact)) <= 1e-10, (name, n)
 
 
+class TestKernelWork:
+    def test_build_and_calibrate_rhs_rows(self, monkeypatch):
+        # RHS rows (geodesic ODE states evaluated) of build plus calibration,
+        # counted without timing anything.  The fixed 0.1 first step and a
+        # Jacobian per Newton iteration took 4,485,813 rows here; the
+        # whole-interval first step and one Jacobian per solve take about
+        # 2.29 M.  The bar is 60% of the former.
+        rows = []
+        rhs = SurfaceModel._ode_rhs
+
+        def counting(self, y, out):
+            rows.append(y.shape[1])
+            return rhs(self, y, out)
+
+        monkeypatch.setattr(SurfaceModel, "_ode_rhs", counting)
+        scene = SceneConfig.from_path(Path(__file__).parents[1] / "scenes" / "sphere_small.json")
+        system = build_system(scene.base_triangle(), 3, scene.delta)
+        calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)
+        assert sum(rows) <= 0.6 * 4_485_813
+
+
 class TestNondegeneracySweep:
     def test_curved_systems(self, sphere_system, hyperbolic_system):
         for system in (sphere_system, hyperbolic_system):

@@ -627,7 +627,7 @@ class TestCustomSurfaceErrors:
 class TestSolverErrors:
     def test_build_audit_failure_exit3(self, flat_scene_path, tmp_path, capsys, monkeypatch):
         def stall(*args, **kwargs):
-            raise ShootingConvergenceError(1e-3, 50)
+            raise ShootingConvergenceError(1e-3, 50, (0.0, 0.0), (0.1, 0.0))
 
         monkeypatch.setattr(gasket, "calibrate_gauge", stall)
         out = tmp_path / "sys.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceE
 from geogasket.expressions import compile_expression
 from geogasket.surfaces import (
     CUSTOM,
+    DEFAULT_SHOOT_TOL,
     SurfaceModel,
     _Batch,
     euclidean_surface,
@@ -128,8 +130,54 @@ class TestBatchIndependence:
             sphere.exp_many(pts, vels)
 
     def test_shooting_stall_raises(self, sphere):
-        with pytest.raises(ShootingConvergenceError):
+        # the long first row is the worst one after a single iteration
+        worst = "after 1 iterations, shooting from (0.0, 0.0) to (0.5, 0.3)"
+        with pytest.raises(ShootingConvergenceError, match=re.escape(worst)) as info:
             sphere.log_many([[0.0, 0.0], [0.1, 0.1]], [[0.5, 0.3], [0.12, 0.1]], max_iter=1)
+        err = info.value
+        assert (err.point, err.target, err.iterations) == ((0.0, 0.0), (0.5, 0.3), 1)
+        assert err.residual > DEFAULT_SHOOT_TOL
+        assert f"residual {err.residual:.3e}" in str(err)
+
+    def test_step_underflow_names_state(self, sphere, monkeypatch):
+        # an error target no step can meet shrinks h from the start, at t = 0
+        monkeypatch.setattr(surfaces, "DEFAULT_ATOL", 1e-100)
+        monkeypatch.setattr(surfaces, "DEFAULT_RTOL", 0.0)
+        stalled = "step size underflow: stalled at [0.1, -0.2, 0.9, 0.7] at t = 0"
+        with pytest.raises(DomainError, match=re.escape(stalled)):
+            sphere.exp_many([[0.1, -0.2]], [[0.9, 0.7]])
+
+
+class TestKernelWork:
+    """How many RHS evaluations and exp passes a geodesic solve costs."""
+
+    @staticmethod
+    def count_calls(monkeypatch, surface, name):
+        """The length of the first argument of each call of ``surface.name``."""
+        lengths = []
+        method = getattr(surface, name)
+
+        def counting(*args):
+            lengths.append(len(args[0]))
+            return method(*args)
+
+        monkeypatch.setattr(surface, name, counting)
+        return lengths
+
+    def test_short_geodesic_one_step(self, sphere, monkeypatch):
+        # the whole-interval first step is accepted: 1 + 6 evaluations.  A
+        # geodesic five times as long needs four steps at this tolerance.
+        calls = self.count_calls(monkeypatch, sphere, "_ode_rhs")
+        sphere.exp_many([[0.01, 0.02]], [[0.01, 0.006]])
+        assert len(calls) == 7
+
+    def test_one_jacobian_per_shooting_solve(self, sphere, monkeypatch):
+        pts, targets = [[0.01, 0.02], [0.1, 0.1]], [[0.05, 0.03], [0.12, 0.1]]
+        rows = self.count_calls(monkeypatch, sphere, "exp_many")
+        sphere.log_many(pts, targets)
+        # the seed pass, the one stacked Jacobian pass, then two or more iterations
+        assert rows[:2] == [2, 4]
+        assert len(rows) >= 4 and max(rows[2:]) <= 2
 
 
 class TestLogMap:
