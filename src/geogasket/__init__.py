@@ -20,6 +20,7 @@ from .dimension import (
     uniform_moran_exponent,
 )
 from .gasket import (
+    Check,
     SimilarityAudit,
     TriangleSystem,
     apply_f,
@@ -27,8 +28,7 @@ from .gasket import (
     audit_sweep,
     build_system,
     calibrate_gauge,
-    check_ratio_products,
-    controlled_moran_check,
+    certify,
     render_svg,
     system_from_json,
     system_to_json,

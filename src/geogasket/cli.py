@@ -113,65 +113,10 @@ def cmd_verify(args) -> int:
     except SceneValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    failures = []
-    checks = []
-
-    def run_check(name, fn):
-        try:
-            ok, detail = fn()
-        except GeogasketError as exc:
-            ok, detail = False, f"error: {exc}"
-        checks.append((name, ok, detail))
-
-    def check_nesting():
-        nest = gasket.nesting_check(system, cells_per_level=args.cells_per_level, seed=args.seed)
-        return nest.all_inside, f"max residual factor {nest.max_residual_factor:.3e}"
-
-    def check_contraction():
-        contract = gasket.contraction_check(system)
-        return contract.passed, f"nu = {system.nu:.6g}, worst margin {contract.worst_margin:.6g}"
-
-    def check_nondegeneracy():
-        nondeg = gasket.nondegeneracy_sweep(system)
-        return nondeg.passed, (
-            f"angles in [{nondeg.min_angle:.4f}, {nondeg.max_angle:.4f}], "
-            f"delta/2 = {system.delta / 2:.4f}"
-        )
-
-    def check_audits():
-        if system.gauge_c is None:
-            gasket.calibrate_gauge(system, seed=args.seed)
-        audits = gasket.audit_sweep(system, cells_per_level=args.cells_per_level, seed=args.seed)
-        ok = all(a.passed for a in audits)
-        worst = max(
-            (a.max_ratio_deviation / a.envelope if a.envelope > 0 else 0.0)
-            for a in audits
-        )
-        return ok, f"c = {system.gauge_c:.6g}, worst dev/envelope = {worst:.3f}"
-
-    def check_ratio():
-        ratio = gasket.check_ratio_products(system)
-        return ratio.passed, f"max drift {ratio.max_drift:.6g} vs L(r) = {ratio.bound:.6g}"
-
-    def check_moran():
-        moran = gasket.controlled_moran_check(system)
-        return moran.band_factor <= 4.0, (
-            f"band factor {moran.band_factor:.4f} around 1/diam = "
-            f"{moran.center:.4f}, D >= {moran.d_required:.4f}"
-        )
-
-    run_check("nesting", check_nesting)
-    run_check("nu-contraction", check_contraction)
-    run_check("non-degeneracy", check_nondegeneracy)
-    run_check("similarity-audits", check_audits)
-    run_check("ratio-products", check_ratio)
-    run_check("controlled-moran", check_moran)
-
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        if not ok:
-            failures.append(name)
+    checks = gasket.certify(system, seed=args.seed, cells_per_level=args.cells_per_level)
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    failures = [check.name for check in checks if not check.passed]
     if failures:
         print(json.dumps({"failures": failures}))
         return EXIT_CERTIFICATION

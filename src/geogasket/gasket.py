@@ -9,8 +9,10 @@ lengths), so deep flat systems stay cheap and curved levels are built with
 batched geodesic solves.
 
 The audits measure how far each subdivision map is from a strict
-half-ratio similarity, check side-quotient drift and diameter products over
-index concatenation.
+half-ratio similarity.  ``certify`` runs the six checks of the certificate
+(nesting, contraction, non-degeneracy, the audits, side-quotient drift and
+diameter products over index concatenation) and returns them as ``Check``
+records.
 """
 
 from __future__ import annotations
@@ -439,135 +441,32 @@ def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int
     return audit_similarity(system, indices, n_pairs, seed)
 
 
-# -- quotient drift and diameter products ---------------------------------
+# -- the certificate ------------------------------------------------------
 
 
-@dataclass
-class RatioProductReport:
-    max_drift: float
-    bound: float
-    violations: list
+@dataclass(frozen=True)
+class Check:
+    """One certificate check: its verdict, the measured value and its bound.
+
+    Each check's docstring says how ``value`` compares with ``bound`` when
+    it passes, so ``bound - value`` is its margin in that direction.
+    ``detail`` is the text ``verify`` prints after the name.
+    """
+
+    name: str
     passed: bool
+    value: float
+    bound: float
+    detail: str
 
 
-def check_ratio_products(system: TriangleSystem) -> RatioProductReport:
-    """Side-quotient drift of every cell against the product bound.
-
-    The bound is L(r) = exp(2 r^2 / (1 - nu^2)) with r the base diameter
-    and nu the diameter contraction factor; base quotients a_i/a_j may
-    drift by at most this factor under repeated subdivision.
-    """
-    r = system.base.diam
-    nu = system.nu
-    bound = math.exp(2.0 * r * r / (1.0 - nu * nu))
-    base_sides = np.asarray(system.base.side_lengths)
-    violations = []
-    max_drift = 1.0
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    for n in range(1, system.depth + 1):
-        sides = system.level(n).side_lengths
-        for i, j in pairs:
-            drift = (sides[:, i] / sides[:, j]) / (base_sides[i] / base_sides[j])
-            drift = np.maximum(drift, 1.0 / drift)
-            worst = float(np.max(drift))
-            max_drift = max(max_drift, worst)
-            bad = np.where(drift > bound)[0]
-            for code in bad:
-                violations.append((mi_from_code(int(code), n), (i + 1, j + 1)))
-    return RatioProductReport(
-        max_drift=max_drift, bound=bound, violations=violations, passed=not violations
-    )
-
-
-@dataclass
-class ControlledMoranReport:
-    min_ratio: float
-    max_ratio: float
-    center: float
-    band_factor: float
-    d_required: float
-    d_supplied: float | None
-    d_sufficient: bool | None
-    small_cell_level: int | None
-    pairs_checked: int
-
-
-def controlled_moran_check(system: TriangleSystem, D: float | None = None, max_total: int | None = None) -> ControlledMoranReport:
-    """Diameter-product control over concatenated indices.
-
-    For index pairs (I, J) with |I| + |J| within the stored depth, the
-    ratio diam(IJ) / (diam(I) diam(J)) must stay in a uniform band; on the
-    flat model it is the constant 1/diam(base).
-    """
-    limit = system.depth if max_total is None else min(max_total, system.depth)
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    pairs_checked = 0
-    diams = [system.level_diams(n) for n in range(system.depth + 1)]
-    for m in range(1, limit):
-        for k in range(1, limit - m + 1):
-            dm = diams[m]
-            dk = diams[k]
-            dmk = diams[m + k]
-            concat = dmk.reshape(3**m, 3**k)
-            ratio = concat / (dm[:, None] * dk[None, :])
-            min_ratio = min(min_ratio, float(np.min(ratio)))
-            max_ratio = max(max_ratio, float(np.max(ratio)))
-            pairs_checked += ratio.size
-    if pairs_checked == 0:
-        center = 1.0 / system.base.diam
-        return ControlledMoranReport(
-            min_ratio=math.nan,
-            max_ratio=math.nan,
-            center=center,
-            band_factor=1.0,
-            d_required=max(1.0, 1.0 / system.base.diam),
-            d_supplied=D,
-            d_sufficient=True if D is not None else None,
-            small_cell_level=None,
-            pairs_checked=0,
-        )
-    center = 1.0 / system.base.diam
-    band_factor = max(max_ratio / center, center / min_ratio)
-    d_required = max(max_ratio, 1.0 / min_ratio, 1.0)
-    small_cell_level = None
-    d_gate = D if D is not None else d_required
-    for n in range(system.depth + 1):
-        if float(np.max(diams[n])) < 1.0 / d_gate:
-            small_cell_level = n
-            break
-    d_sufficient = None
-    if D is not None:
-        d_sufficient = bool(
-            min_ratio >= 1.0 / D and max_ratio <= D and small_cell_level is not None
-        )
-    return ControlledMoranReport(
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
-        center=center,
-        band_factor=band_factor,
-        d_required=d_required,
-        d_supplied=D,
-        d_sufficient=d_sufficient,
-        small_cell_level=small_cell_level,
-        pairs_checked=pairs_checked,
-    )
-
-
-# -- structural checks -----------------------------------------------------
-
-
-@dataclass
-class NestingReport:
-    max_residual_factor: float
-    all_inside: bool
-
-
-def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor: float = 1e-7, seed: int = 0) -> NestingReport:
+def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor: float = 1e-7, seed: int = 0) -> Check:
     """Child vertices must lie in the closed parent region.
 
-    Membership is tested through the inverse parametrization; residuals
-    are reported relative to the parent diameter.
+    Membership is tested through the inverse parametrization on a seeded
+    sample of cells per level.  ``value`` is the worst residual relative to
+    the parent diameter and ``bound`` is ``tol_factor``: passes when
+    value <= bound.
     """
     rng = np.random.default_rng(seed)
     cells = []
@@ -589,52 +488,144 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor:
     for lo in range(0, len(xs), _STACK_ROWS):
         g = slice(lo, lo + _STACK_ROWS)
         _, _, resid[g], _ = _invert_rows(system.surface, frames, rows[g], xs[g], 0.05 * tol[g])
-    worst = float(np.max(resid / np.maximum(diam_rows, 1e-300)))
-    return NestingReport(max_residual_factor=max(worst, 0.0), all_inside=bool(np.all(resid <= tol)))
+    worst = max(float(np.max(resid / np.maximum(diam_rows, 1e-300))), 0.0)
+    return Check("nesting", bool(np.all(resid <= tol)), worst, tol_factor, f"max residual factor {worst:.3e}")
 
 
-@dataclass
-class ContractionReport:
-    passed: bool
-    worst_margin: float
+def contraction_check(system: TriangleSystem) -> Check:
+    """Every level-n cell diameter must be at most nu^n times the base's.
 
-
-def contraction_check(system: TriangleSystem) -> ContractionReport:
-    """Every level-n cell diameter must be at most nu^n times the base's."""
+    ``value`` is the worst diameter over nu^n diam(base) and ``bound`` is
+    1 + 1e-12, which allows rounding: passes when value <= bound.
+    """
     base = system.base.diam
-    worst = 0.0
-    ok = True
-    for n in range(1, system.depth + 1):
-        cap = system.nu**n * base
-        worst_level = float(np.max(system.level_diams(n)))
-        margin = worst_level / cap
-        worst = max(worst, margin)
-        ok = ok and worst_level <= cap * (1 + 1e-12)
-    return ContractionReport(passed=ok, worst_margin=worst)
+    worst = max(float(np.max(system.level_diams(n))) / (system.nu**n * base) for n in range(1, system.depth + 1))
+    bound = 1 + 1e-12
+    return Check("nu-contraction", worst <= bound, worst, bound, f"nu = {system.nu:.6g}, worst margin {worst:.6g}")
 
 
-@dataclass
-class NondegeneracySweepReport:
-    passed: bool
-    failures: list
-    min_angle: float
-    max_angle: float
+def nondegeneracy_sweep(system: TriangleSystem, delta: float | None = None) -> Check:
+    """Every stored cell must be delta/2-non-degenerate.
 
-
-def nondegeneracy_sweep(system: TriangleSystem, delta: float | None = None) -> NondegeneracySweepReport:
-    """Check every stored cell against delta/2-non-degeneracy."""
+    ``value`` is the smallest distance of a planar comparison angle from 0
+    or pi, and ``bound`` is delta/2: passes when value > bound.
+    """
     delta = system.delta if delta is None else delta
-    failures = []
+    passed = True
     mn = math.inf
     mx = -math.inf
     for n in range(1, system.depth + 1):
         angles, bad = _band_failures(system.level(n).side_lengths, delta)
         mn = min(mn, float(np.min(angles)))
         mx = max(mx, float(np.max(angles)))
-        failures.extend(mi_from_code(int(c), n) for c in bad)
-    return NondegeneracySweepReport(
-        passed=not failures, failures=failures, min_angle=mn, max_angle=mx
+        passed = passed and not len(bad)
+    return Check(
+        "non-degeneracy", passed, min(mn, math.pi - mx), delta / 2,
+        f"angles in [{mn:.4f}, {mx:.4f}], delta/2 = {delta / 2:.4f}",
     )
+
+
+def _audit_check(system: TriangleSystem, cells_per_level: int, seed: int) -> Check:
+    """Every sampled subdivision map must stay within its gauge envelope.
+
+    A system with no gauge constant is calibrated first.  ``value`` is the
+    worst deviation over envelope of ``audit_sweep`` (inf for a deviation
+    over a zero envelope) and ``bound`` is 1: passes when value <= bound.
+    """
+    if system.gauge_c is None:
+        calibrate_gauge(system, seed=seed)
+    audits = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
+    worst = max(
+        a.max_ratio_deviation / a.envelope if a.envelope > 0 else (math.inf if a.max_ratio_deviation > 0 else 0.0)
+        for a in audits
+    )
+    return Check(
+        "similarity-audits", all(a.passed for a in audits), worst, 1.0,
+        f"c = {system.gauge_c:.6g}, worst dev/envelope = {worst:.3f}",
+    )
+
+
+def check_ratio_products(system: TriangleSystem) -> Check:
+    """Side-quotient drift of every cell against the product bound.
+
+    The bound is L(r) = exp(2 r^2 / (1 - nu^2)) with r the base diameter
+    and nu the diameter contraction factor; base quotients a_i/a_j may
+    drift by at most this factor under repeated subdivision.  ``value`` is
+    the worst drift, at least 1, and ``bound`` is L(r): passes when
+    value <= bound.
+    """
+    r = system.base.diam
+    nu = system.nu
+    bound = math.exp(2.0 * r * r / (1.0 - nu * nu))
+    base_sides = np.asarray(system.base.side_lengths)
+    worst = 1.0
+    # quotients a_1/a_2, a_2/a_3 and a_3/a_1
+    base_quotients = base_sides / np.roll(base_sides, -1)
+    for n in range(1, system.depth + 1):
+        sides = system.level(n).side_lengths
+        drift = (sides / np.roll(sides, -1, axis=1)) / base_quotients
+        worst = max(worst, float(np.max(np.maximum(drift, 1.0 / drift))))
+    return Check("ratio-products", worst <= bound, worst, bound, f"max drift {worst:.6g} vs L(r) = {bound:.6g}")
+
+
+# The proof-level slack of the controlled Moran structure: diameter
+# products may stray from 1/diam(base) by this factor either way.
+MORAN_BAND = 4.0
+
+
+def controlled_moran_check(system: TriangleSystem, max_total: int | None = None) -> Check:
+    """Diameter-product control over concatenated indices.
+
+    For index pairs (I, J) with |I| + |J| within the stored depth (or
+    ``max_total``), the ratio diam(IJ) / (diam(I) diam(J)) must stay in a
+    uniform band around 1/diam(base); on the flat model it is that
+    constant.  ``value`` is the band factor, the largest factor by which a
+    ratio strays from 1/diam(base) (1 when no pair fits the depth), and
+    ``bound`` is ``MORAN_BAND``: passes when value <= bound.
+    """
+    limit = system.depth if max_total is None else min(max_total, system.depth)
+    center = 1.0 / system.base.diam
+    lo = math.inf
+    hi = -math.inf
+    diams = [system.level_diams(n) for n in range(system.depth + 1)]
+    for m in range(1, limit):
+        for k in range(1, limit - m + 1):
+            ratio = diams[m + k].reshape(3**m, 3**k) / (diams[m][:, None] * diams[k][None, :])
+            lo = min(lo, float(np.min(ratio)))
+            hi = max(hi, float(np.max(ratio)))
+    if limit < 2:  # no pair fits the depth
+        band, d_required = 1.0, max(1.0, center)
+    else:
+        band, d_required = max(hi / center, center / lo), max(hi, 1.0 / lo, 1.0)
+    return Check(
+        "controlled-moran", band <= MORAN_BAND, band, MORAN_BAND,
+        f"band factor {band:.4f} around 1/diam = {center:.4f}, D >= {d_required:.4f}",
+    )
+
+
+def certify(system: TriangleSystem, seed: int = 0, cells_per_level: int = 12) -> list:
+    """The six checks of the certificate, in ``verify``'s order.
+
+    ``seed`` and ``cells_per_level`` set the sampled cells of the nesting
+    check and the audit sweep.  A check that raises a ``GeogasketError``
+    becomes a failing ``Check`` whose detail is ``error: <message>``, with
+    NaN value and bound.
+    """
+    checks = (
+        ("nesting", lambda: nesting_check(system, cells_per_level=cells_per_level, seed=seed)),
+        ("nu-contraction", lambda: contraction_check(system)),
+        ("non-degeneracy", lambda: nondegeneracy_sweep(system)),
+        ("similarity-audits", lambda: _audit_check(system, cells_per_level, seed)),
+        ("ratio-products", lambda: check_ratio_products(system)),
+        ("controlled-moran", lambda: controlled_moran_check(system)),
+    )
+    results = []
+    for name, run in checks:
+        try:
+            results.append(run())
+        except GeogasketError as exc:
+            results.append(Check(name, False, math.nan, math.nan, f"error: {exc}"))
+    return results
 
 
 # -- serialization and rendering -------------------------------------------

@@ -216,13 +216,13 @@ def test_criterion_5_quadratic_dilation_rate(sphere):
 
 def test_criterion_6_nondegeneracy_propagation(sphere8):
     system, _ = sphere8
-    rep = nondegeneracy_sweep(system, delta=0.4)
+    check = nondegeneracy_sweep(system, delta=0.4)
     total = sum(3**n for n in range(1, 9))
     report(
         6,
-        rep.passed,
-        f"sphere depth 8 (delta = 0.4): {len(rep.failures)} of {total} cells fail "
-        f"delta/2; angle range [{rep.min_angle:.3f}, {rep.max_angle:.3f}]",
+        check.passed and check.value > check.bound,
+        f"sphere depth 8 (delta = 0.4), {total} cells: {check.detail}; "
+        f"closest angle to 0 or pi {check.value:.3f}",
     )
 
 
@@ -241,15 +241,13 @@ def test_criterion_7_simple_family_sums(flat12):
 
 def test_criterion_8_controlled_moran(flat12, sphere8, hyperbolic8):
     flat_sys, _ = flat12
-    rep = controlled_moran_check(flat_sys, max_total=8)
-    center = rep.center
-    flat_spread = max(rep.max_ratio / center, center / rep.min_ratio) - 1.0
+    flat_spread = controlled_moran_check(flat_sys, max_total=8).value - 1.0
     curved_ok = True
     details = [f"flat spread {flat_spread:.2e}"]
     for system, _ in (sphere8, hyperbolic8):
-        crep = controlled_moran_check(system, max_total=8)
-        curved_ok &= crep.band_factor <= 4.0
-        details.append(f"{system.surface.kind} band factor {crep.band_factor:.4f}")
+        check = controlled_moran_check(system, max_total=8)
+        curved_ok &= check.passed
+        details.append(f"{system.surface.kind} band factor {check.value:.4f}")
     report(8, flat_spread <= 1e-12 and curved_ok, "; ".join(details))
 
 

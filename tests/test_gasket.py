@@ -111,9 +111,9 @@ class TestBuildSystem:
 
     def test_nesting(self, sphere_system, flat_system):
         for system in (sphere_system, flat_system):
-            rep = nesting_check(system, cells_per_level=6, seed=3)
-            assert rep.all_inside
-            assert rep.max_residual_factor <= 1e-7
+            check = nesting_check(system, cells_per_level=6, seed=3)
+            assert check.passed
+            assert check.value <= 1e-7 == check.bound
 
 
 class TestApplyF:
@@ -258,35 +258,36 @@ class TestAudits:
 
 class TestRatioProducts:
     def test_flat_exact(self, flat_system):
-        rep = check_ratio_products(flat_system)
-        assert rep.passed
-        assert rep.max_drift == pytest.approx(1.0, abs=1e-12)
+        check = check_ratio_products(flat_system)
+        assert check.passed
+        assert check.value == pytest.approx(1.0, abs=1e-12)
 
     def test_curved_within_bound(self, sphere_system, hyperbolic_system):
         for system in (sphere_system, hyperbolic_system):
-            rep = check_ratio_products(system)
-            assert rep.passed
-            assert rep.max_drift <= rep.bound
+            check = check_ratio_products(system)
+            assert check.passed
+            assert check.value <= check.bound
 
 
 class TestControlledMoran:
     def test_flat_constant(self, flat_system):
-        rep = controlled_moran_check(flat_system, max_total=8)
-        center = 1.0 / flat_system.base.diam
-        assert rep.max_ratio - rep.min_ratio <= 1e-12 * center
+        check = controlled_moran_check(flat_system, max_total=8)
+        # the spread (max - min) * diam(base) of the ratios is at most
+        # twice the band factor's excess over 1
+        assert check.value - 1.0 <= 0.5e-12
 
-    def test_depth_one_vacuous(self, flat_base):
+    def test_depth_one_vacuous(self, flat_base, sphere_system):
         system = build_system(flat_base, 1, delta=0.5)
-        rep = controlled_moran_check(system)
-        assert rep.pairs_checked == 0
+        check = controlled_moran_check(system)
+        assert check.passed and check.value == 1.0
+        # on a curved system the factor is exactly 1 only when no pair fits
+        assert controlled_moran_check(sphere_system, max_total=1).value == 1.0
+        assert controlled_moran_check(sphere_system, max_total=2).value > 1.0
 
     def test_sphere_band(self, sphere_system):
-        rep = controlled_moran_check(sphere_system)
-        # the proof-level slack allows a factor 4 around 1/diam
-        assert rep.band_factor <= 4.0
-        if rep.d_required:
-            rep2 = controlled_moran_check(sphere_system, D=rep.d_required * 1.01)
-            assert rep2.d_sufficient
+        check = controlled_moran_check(sphere_system)
+        assert check.passed
+        assert check.value <= check.bound == gasket.MORAN_BAND
 
 
 def _sphere_lift(p):

@@ -2,13 +2,14 @@ import copy
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geogasket import gasket
 from geogasket.cli import main
-from geogasket.errors import SceneValidationError, ShootingConvergenceError
+from geogasket.errors import InversionError, SceneValidationError, ShootingConvergenceError
 from geogasket.scene import SceneConfig
 
 FLAT_SCENE = {
@@ -177,6 +178,52 @@ class TestBuildCommand:
         assert main(["build", str(path), "--out", str(tmp_path / "o.json")]) == 2
 
 
+VERIFY_ORDER = [
+    "nesting", "nu-contraction", "non-degeneracy",
+    "similarity-audits", "ratio-products", "controlled-moran",
+]
+# the check that passes above its bound; every other passes at or below it
+PASS_ABOVE_BOUND = {"non-degeneracy"}
+COMMITTED_SCENES = ["flat_unit", "hyperbolic_small", "sphere_small"]
+EXPECTED_FAILURES = {
+    "corrupt": ["nu-contraction", "non-degeneracy"],
+    # a nonzero deviation over a zero envelope reads inf, not 0
+    "zero_gauge": ["similarity-audits"],
+}
+
+
+def _corrupted_flat_system(scene_path, out_dir):
+    """A built flat system with one level-3 side tripled, which fails the
+    contraction and non-degeneracy checks."""
+    out = out_dir / "sys.json"
+    main(["build", scene_path, "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["levels"][2]["side_lengths"][5][0] *= 3.0
+    path = out_dir / "corrupt.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def certified_files(tmp_path_factory):
+    """The committed scenes built at depth 3, the corrupted flat system, and
+    the sphere system with its gauge constant set to 0."""
+    root = tmp_path_factory.mktemp("certified")
+    scenes = Path(__file__).parents[1] / "scenes"
+    paths = {}
+    for name in COMMITTED_SCENES:
+        paths[name] = root / f"{name}.json"
+        assert main(["build", str(scenes / f"{name}.json"), "--depth", "3", "--out", str(paths[name])]) == 0
+    scene = root / "flat_scene.json"
+    scene.write_text(json.dumps(FLAT_SCENE))
+    paths["corrupt"] = _corrupted_flat_system(str(scene), root)
+    doc = json.loads(paths["sphere_small"].read_text())
+    doc["meta"]["gauge_c"] = 0.0
+    paths["zero_gauge"] = root / "zero_gauge.json"
+    paths["zero_gauge"].write_text(json.dumps(doc))
+    return paths
+
+
 class TestVerifyCommand:
     def test_flat_all_pass(self, flat_scene_path, tmp_path, capsys):
         out = str(tmp_path / "sys.json")
@@ -200,17 +247,51 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 2
 
     def test_corrupted_system_exit4(self, flat_scene_path, tmp_path, capsys):
-        out = tmp_path / "sys.json"
-        main(["build", flat_scene_path, "--out", str(out)])
-        doc = json.loads(out.read_text())
-        # corrupt one stored side length so the contraction check fails
-        doc["levels"][2]["side_lengths"][5][0] *= 3.0
-        path = tmp_path / "corrupt.json"
-        path.write_text(json.dumps(doc))
+        path = _corrupted_flat_system(flat_scene_path, tmp_path)
         capsys.readouterr()
         assert main(["verify", str(path)]) == 4
         text = capsys.readouterr().out
         assert "FAIL" in text and '"failures"' in text
+
+    def test_raising_check_fails_by_name(self, flat_scene_path, tmp_path, capsys, monkeypatch):
+        _built_flat_system(flat_scene_path, tmp_path)
+
+        def stalled(*args, **kwargs):
+            raise InversionError("inversion stalled in cell 2.1")
+
+        monkeypatch.setattr(gasket, "nesting_check", stalled)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "sys.json")]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL nesting: error: inversion stalled in cell 2.1"
+        assert [line.split(":")[0] for line in lines[1:6]] == [f"PASS {name}" for name in VERIFY_ORDER[1:]]
+        assert lines[6:] == ['{"failures": ["nesting"]}']
+
+    def test_null_gauge_calibrates(self, flat_scene_path, tmp_path, capsys):
+        doc = _built_flat_system(flat_scene_path, tmp_path)
+        doc["meta"]["gauge_c"] = None
+        path = tmp_path / "null_gauge.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in VERIFY_ORDER]
+        assert lines[3].startswith("PASS similarity-audits: c = 0,")
+
+    @pytest.mark.parametrize("name", [*COMMITTED_SCENES, "corrupt", "zero_gauge"])
+    def test_records_match_output(self, certified_files, name, capsys):
+        path = certified_files[name]
+        checks = gasket.certify(gasket.system_from_json(path.read_text()))
+        assert [check.name for check in checks] == VERIFY_ORDER
+        for check in checks:
+            above = check.name in PASS_ABOVE_BOUND
+            assert check.passed == (check.value > check.bound if above else check.value <= check.bound), check
+        failures = [check.name for check in checks if not check.passed]
+        assert failures == EXPECTED_FAILURES.get(name, [])
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == (4 if failures else 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:6] == [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
 
 
 class TestDimCommand:
