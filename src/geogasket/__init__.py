@@ -17,11 +17,9 @@ from .dimension import (
     product_bounds,
     simple_family_sum,
     solve_moran,
-    uniform_moran_exponent,
 )
 from .gasket import (
     Check,
-    SimilarityAudit,
     TriangleSystem,
     apply_f,
     audit_similarity,

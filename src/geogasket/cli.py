@@ -35,10 +35,7 @@ EXIT_CERTIFICATION = 4
 
 def cmd_moran(args) -> int:
     try:
-        ratios = tuple(float(r) for r in args.ratios)
-        if any(not (0.0 < r < 1.0) for r in ratios):
-            raise DomainError(f"ratios must lie in (0, 1): {ratios}")
-        sol = solve_moran(ratios)
+        sol = solve_moran(float(r) for r in args.ratios)
     except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -46,11 +46,6 @@ class MoranSolution:
     residual: float
 
 
-def uniform_moran_exponent(k: int, lam: float) -> float:
-    """Closed form log k / log(1/lam) for k equal ratios."""
-    return math.log(k) / math.log(1.0 / lam)
-
-
 def solve_moran(ratios) -> MoranSolution:
     """Unique s >= 0 with sum(lambda_i^s) = 1.
 
@@ -371,13 +366,11 @@ def hausdorff_upper_sum(system: TriangleSystem, s: float, depth: int) -> float:
 @dataclass
 class BoxDimensionEstimate:
     slope: float
-    intercept: float
     stderr: float
     confidence_band: tuple
     levels_used: list
     dropped_levels: list
     records: list
-    residuals: list
 
 
 def _fit_loglog(xs, ys):
@@ -388,7 +381,7 @@ def _fit_loglog(xs, ys):
     sigma2 = float(np.sum(residuals**2)) / dof
     sxx = float(np.sum((xs - np.mean(xs)) ** 2))
     stderr = math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
-    return slope, intercept, stderr, residuals
+    return slope, stderr, residuals
 
 
 def box_dimension_estimate(system: TriangleSystem, n1: int, n2: int) -> BoxDimensionEstimate:
@@ -408,24 +401,22 @@ def box_dimension_estimate(system: TriangleSystem, n1: int, n2: int) -> BoxDimen
     xs = -np.log(eps)
     ys = np.log(counts)
 
-    slope, intercept, stderr, residuals = _fit_loglog(xs, ys)
+    slope, stderr, residuals = _fit_loglog(xs, ys)
     dropped = []
     med = float(np.median(np.abs(residuals)))
     if med > 0 and abs(residuals[0]) > 3.0 * med:
         dropped = [ns[0]]
         ns = ns[1:]
         xs, ys, eps, counts = xs[1:], ys[1:], eps[1:], counts[1:]
-        slope, intercept, stderr, residuals = _fit_loglog(xs, ys)
+        slope, stderr, _ = _fit_loglog(xs, ys)
     records = [CoverRecord(epsilon=float(e), count=int(c)) for e, c in zip(eps, counts)]
     return BoxDimensionEstimate(
         slope=slope,
-        intercept=intercept,
         stderr=stderr,
         confidence_band=(slope - 2 * stderr, slope + 2 * stderr),
         levels_used=ns,
         dropped_levels=dropped,
         records=records,
-        residuals=[float(r) for r in residuals],
     )
 
 

@@ -39,6 +39,10 @@ from .triangles import (
 # depend on it, since every row is solved independently.
 _STACK_ROWS = 7000
 
+# Largest parameter-recovery residual, relative to the parent diameter, that
+# apply_f accepts and the nesting check passes.
+_INVERT_TOL = 1e-7
+
 # -- multi-indices ------------------------------------------------------
 
 
@@ -70,10 +74,10 @@ def mi_str(index) -> str:
 
 
 def _nonempty_indices(cells, what: str) -> list:
-    """``cells`` as validated digit tuples, none of them empty."""
+    """``cells`` as validated digit tuples: at least one, none of them empty."""
     cells = [mi_validate(index) for index in cells]
-    if not all(cells):
-        raise DomainError(f"{what} needs a nonempty multi-index")
+    if not cells or not all(cells):
+        raise DomainError(f"{what} needs at least one cell, each a nonempty multi-index")
     return cells
 
 
@@ -88,7 +92,6 @@ class LevelArrays:
     side_lengths: np.ndarray  # (N, 3)
 
     def __post_init__(self):
-        # stored cells never change, which the per-system audit memo relies on
         self.vertices.flags.writeable = False
         self.side_lengths.flags.writeable = False
 
@@ -146,8 +149,6 @@ class TriangleSystem:
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the quadratic correction term is curvature-driven
         self.nu = 0.5 if base.surface.flat else 0.5 * (1.0 + r * r)
-        # (index, n_pairs, seed) -> (max deviation, parent diameter)
-        self._audits = {}
 
     def level(self, n: int) -> LevelArrays:
         if not (0 <= n <= self.depth):
@@ -157,25 +158,9 @@ class TriangleSystem:
     def level_diams(self, n: int) -> np.ndarray:
         return self.level(n).diams
 
-    def cell(self, index) -> GeodesicTriangleRegion:
-        digits = mi_validate(index)
-        if not digits:
-            return self.base
-        lv = self.level(len(digits))
-        code = mi_code(digits)
-        return GeodesicTriangleRegion(
-            self.surface, lv.vertices[code], lv.side_lengths[code]
-        )
-
     def cell_diam(self, index) -> float:
         digits = mi_validate(index)
-        if not digits:
-            return self.base.diam
         return float(self.level(len(digits)).diams[mi_code(digits)])
-
-    def indices(self, n: int):
-        for code in range(3**n):
-            yield mi_from_code(code, n)
 
 
 def _band_failures(sides: np.ndarray, delta: float):
@@ -232,41 +217,76 @@ def build_system(
 # -- subdivision maps ----------------------------------------------------
 
 
-def apply_f(system: TriangleSystem, cells, xs, tol_factor: float = 1e-7) -> np.ndarray:
+def _parent_frames(system: TriangleSystem, cells, at_vertex1: bool = False):
+    """Frame table of the parents of ``cells``, one frame per cell, and the
+    parent diameters, read from the level arrays (the frames of depth-1
+    cells from the base region's table).
+
+    Frame r has its apex at the vertex of the parent of ``cells[r]`` named
+    by the cell's last digit, or at vertex 1 given ``at_vertex1``; its rows
+    are those of ``triangles._frames``.
+    """
+    verts = np.empty((len(cells), 3, 2))
+    diams = np.empty(len(cells))
+    for r, digits in enumerate(cells):
+        lv = system.level(len(digits) - 1)
+        code = mi_code(digits[:-1])
+        verts[r] = lv.vertices[code]
+        diams[r] = np.max(lv.side_lengths[code])
+    apexes = np.zeros(len(cells), dtype=int) if at_vertex1 else np.array([digits[-1] - 1 for digits in cells])
+    if all(len(digits) == 1 for digits in cells):
+        # the base region keeps its frame table, so that measure, which maps
+        # through the base on every iteration, solves it once per system
+        return tuple(f[apexes] for f in system.base._frame_table()), diams
+    rows = np.arange(len(cells))
+    frames = _frames(
+        system.surface, verts[rows, apexes], verts[rows, (apexes + 1) % 3], verts[rows, (apexes + 2) % 3]
+    )
+    return frames, diams
+
+
+def _invert_stacked(surface, frames, rows, xs, tol, image_scale=None):
+    """``_invert_rows`` in passes of at most ``_STACK_ROWS`` rows.
+
+    Returns the residuals and, given ``image_scale``, the images.
+    """
+    resid = np.empty(len(xs))
+    images = None if image_scale is None else np.empty_like(xs)
+    for lo in range(0, len(xs), _STACK_ROWS):
+        g = slice(lo, lo + _STACK_ROWS)
+        _, _, resid[g], pass_images = _invert_rows(surface, frames, rows[g], xs[g], tol[g], image_scale=image_scale)
+        if images is not None:
+            images[g] = pass_images
+    return resid, images
+
+
+def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
     """Images of the parent points ``xs`` under the map onto each of ``cells``.
 
     The map onto a cell recovers the parametrization coordinates (t, s) of
     a point in the parent (apex chosen by the last digit) and returns the
     point at (t, s/2); on the flat model this is exactly the half-ratio
     homothety at the apex.  Returns an array of shape (len(cells),
-    len(xs), 2).  The images come out of the inversion passes themselves,
-    one pass per group of rows.  Raises InversionError naming the cell when
-    a recovery residual exceeds ``tol_factor`` times the parent diameter.
+    len(xs), 2).  The images come out of the inversion passes themselves.
+    Raises InversionError naming the cell when a recovery residual exceeds
+    ``_INVERT_TOL`` times the parent diameter.
     """
     cells = _nonempty_indices(cells, "apply_f")
-    parents = [system.cell(digits[:-1]) for digits in cells]
-    # each parent's table holds its three apex frames; row 3 p + d - 1 is the
-    # frame of apex d of parent p
-    frames = tuple(np.concatenate(f) for f in zip(*(p._frame_table() for p in parents)))
+    frames, diams = _parent_frames(system, cells)
     n = len(xs)
     x = np.tile(xs, (len(cells), 1))
-    rows = np.repeat([3 * p + d[-1] - 1 for p, d in enumerate(cells)], n)
-    apex = frames[0][rows]
-    tol = np.repeat([tol_factor * p.diam for p in parents], n)
-    out = apex.copy()
-    rest = np.flatnonzero(~np.all(x == apex, axis=1))
-    for lo in range(0, len(rest), _STACK_ROWS):
-        r = rest[lo:lo + _STACK_ROWS]
-        _, _, resid, out[r] = _invert_rows(
-            system.surface, frames, rows[r], x[r], tol[r], image_scale=0.5
+    rows = np.repeat(np.arange(len(cells)), n)
+    tol = _INVERT_TOL * diams[rows]
+    out = frames[0][rows]
+    rest = np.flatnonzero(~np.all(x == out, axis=1))
+    resid, out[rest] = _invert_stacked(system.surface, frames, rows[rest], x[rest], tol[rest], image_scale=0.5)
+    bad = np.flatnonzero(resid > tol[rest])
+    if len(bad):
+        row = rest[bad[0]]
+        raise InversionError(
+            f"apply_f recovery residual {resid[bad[0]]:.3e} exceeds {tol[row]:.3e} "
+            f"on cell {mi_str(cells[row // n])}"
         )
-        bad = np.flatnonzero(resid > tol[r])
-        if len(bad):
-            row = bad[0]
-            raise InversionError(
-                f"apply_f recovery residual {resid[row]:.3e} exceeds {tol[r][row]:.3e} "
-                f"on cell {mi_str(cells[r[row] // n])}"
-            )
     return out.reshape(len(cells), n, 2)
 
 
@@ -307,103 +327,40 @@ def _audit_parameter_grid(n_pairs: int, seed: int) -> np.ndarray:
     return np.vstack([anchors, np.array(local), _low_discrepancy(n_pairs, seed)])
 
 
-@dataclass
-class SimilarityAudit:
-    """Measured dilation deviation of one subdivision map.
+def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: int = 0):
+    """Dilation deviations of the maps onto ``cells``.
 
-    ``max_ratio_deviation`` is the worst |d(f x, f y)/d(x, y) - 1/2| over
-    the sampled pairs; the audit passes when it stays within the quadratic
-    envelope c * diam(parent)^2 / 2.
+    Returns two arrays over ``cells``: the worst |d(f x, f y)/d(x, y) - 1/2|
+    over the sampled pairs, and the parent diameter.  Pairs closer than
+    1e-6 parent diameters are left out.  One side-direction solve serves
+    the apexes of all cells, which then go through ``_pair_distances`` in
+    stacked groups; a cell's result does not depend on the cells audited
+    with it.
     """
-
-    index: tuple
-    max_ratio_deviation: float
-    envelope: float
-    passed: bool
-    parent_diam: float
-
-
-def _parent_arrays(system: TriangleSystem, cells):
-    """Vertices (C, 3, 2) and diameters (C,) of the parents of ``cells``."""
-    verts = np.empty((len(cells), 3, 2))
-    diams = np.empty(len(cells))
-    for r, digits in enumerate(cells):
-        lv = system.level(len(digits) - 1)
-        code = mi_code(digits[:-1])
-        verts[r] = lv.vertices[code]
-        diams[r] = np.max(lv.side_lengths[code])
-    return verts, diams
-
-
-def _audit_ratios(system: TriangleSystem, cells, n_pairs, seed):
-    """Pair-dilation ratios d(f x, f y) / d(x, y) of the maps onto ``cells``.
-
-    Returns one ratio array per cell and the parent diameters.  One
-    side-direction solve serves the apexes of all cells, which then go
-    through ``_pair_distances`` in stacked groups.
-    """
+    cells = _nonempty_indices(cells, "audit")
     if n_pairs < 100:
         raise DomainError("the sampling budget must be at least 100 pairs")
     grid = _audit_parameter_grid(n_pairs, seed)
     t1, s1, t2, s2 = grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3]
-    verts, diams = _parent_arrays(system, cells)
+    frames, diams = _parent_frames(system, cells)
     rows = np.arange(len(cells))
-    i = np.array([digits[-1] - 1 for digits in cells])
-    apex, p_j, p_k = verts[rows, i], verts[rows, (i + 1) % 3], verts[rows, (i + 2) % 3]
-    surface = system.surface
     n = len(grid)
     ts = np.concatenate([t1, t2, t1, t2])
     ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
     # fewest groups under the cap, with the cells spread evenly over them
     groups = -(-len(cells) // max(1, _STACK_ROWS // (4 * n)))
     group = -(-len(cells) // groups)
-    frames = _frames(surface, apex, p_j, p_k)
     d = np.empty((len(cells), n))
     df = np.empty((len(cells), n))
     for lo in range(0, len(cells), group):
         g = rows[lo:lo + group]
-        d[g], df[g] = _pair_distances(surface, frames, g, ts, ss)
-    ratios = []
-    for row, diam in enumerate(diams):
-        mask = d[row] >= 1e-6 * diam
-        if not np.any(mask):
-            raise DomainError("all sampled audit pairs are degenerate")
-        ratios.append(df[row][mask] / d[row][mask])
-    return ratios, diams
-
-
-def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: int = 0) -> list:
-    """Audits of the maps onto ``cells`` against the current gauge.
-
-    Each cell is measured once per system: its deviation and parent
-    diameter are memoized under (index, n_pairs, seed), and only
-    cells missing from the memo go through ``_audit_ratios``.  A cell's
-    measurement does not depend on the cells audited with it, and the level
-    arrays are read-only, so a memoized entry is what a new measurement
-    would give.  Envelopes and verdicts use the gauge of this call.
-    """
-    cells = _nonempty_indices(cells, "audit")
-    memo = system._audits
-    todo = [d for d in cells if (d, n_pairs, seed) not in memo]
-    if todo:
-        ratios, diams = _audit_ratios(system, todo, n_pairs, seed)
-        for digits, r, diam in zip(todo, ratios, diams):
-            memo[digits, n_pairs, seed] = (float(np.max(np.abs(r - 0.5))), float(diam))
-    c = system.gauge_c if system.gauge_c is not None else 0.0
-    audits = []
-    for digits in cells:
-        dev, diam = memo[digits, n_pairs, seed]
-        envelope = 0.5 * c * diam**2
-        audits.append(
-            SimilarityAudit(
-                index=digits,
-                max_ratio_deviation=dev,
-                envelope=envelope,
-                passed=dev <= envelope,
-                parent_diam=diam,
-            )
-        )
-    return audits
+        d[g], df[g] = _pair_distances(system.surface, frames, g, ts, ss)
+    kept = d >= 1e-6 * diams[:, None]
+    if not np.all(np.any(kept, axis=1)):
+        raise DomainError("all sampled audit pairs are degenerate")
+    # a left-out pair reads as ratio 1/2, deviation 0
+    ratios = np.divide(df, d, out=np.full_like(d, 0.5), where=kept)
+    return np.max(np.abs(ratios - 0.5), axis=1), diams
 
 
 def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: int = 100, seed: int = 0) -> float:
@@ -414,20 +371,18 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
     the frozen value.
     """
     cells = [
-        index
+        mi_from_code(code, n)
         for n in range(1, min(max_parent_depth + 1, system.depth) + 1)
-        for index in system.indices(n)
+        for code in range(3**n)
     ]
-    worst = 0.0
-    for audit in audit_similarity(system, cells, n_pairs, seed):
-        slope = audit.max_ratio_deviation / (0.5 * audit.parent_diam**2)
-        worst = max(worst, slope)
-    system.gauge_c = 1.5 * worst
+    dev, diam = audit_similarity(system, cells, n_pairs, seed)
+    system.gauge_c = 1.5 * max(0.0, float(np.max(dev / (0.5 * diam**2))))
     return system.gauge_c
 
 
 def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
-    """Audit a deterministic sample of cells at every level."""
+    """``audit_similarity`` of a deterministic sample of cells at every
+    level: up to ``cells_per_level`` codes evenly spaced over each level."""
     indices = []
     for n in range(1, system.depth + 1):
         total = 3**n
@@ -460,12 +415,12 @@ class Check:
     detail: str
 
 
-def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor: float = 1e-7, seed: int = 0) -> Check:
+def nesting_check(system: TriangleSystem, cells_per_level: int = 12, seed: int = 0) -> Check:
     """Child vertices must lie in the closed parent region.
 
     Membership is tested through the inverse parametrization on a seeded
     sample of cells per level.  ``value`` is the worst residual relative to
-    the parent diameter and ``bound`` is ``tol_factor``: passes when
+    the parent diameter and ``bound`` is ``_INVERT_TOL``: passes when
     value <= bound.
     """
     rng = np.random.default_rng(seed)
@@ -477,19 +432,15 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, tol_factor:
         else:
             codes = rng.choice(total, size=cells_per_level, replace=False)
         cells.extend(mi_from_code(int(code), n) for code in codes)
-    verts, diams = _parent_arrays(system, cells)
-    xs = np.concatenate([system.level(len(d)).vertices[mi_code(d)] for d in cells])
     # one row per child vertex, in the frame of its parent's vertex 1
+    frames, diams = _parent_frames(system, cells, at_vertex1=True)
+    xs = np.concatenate([system.level(len(d)).vertices[mi_code(d)] for d in cells])
     rows = np.repeat(np.arange(len(cells)), 3)
     diam_rows = diams[rows]
-    tol = tol_factor * diam_rows
-    frames = _frames(system.surface, verts[:, 0], verts[:, 1], verts[:, 2])
-    resid = np.empty(len(xs))
-    for lo in range(0, len(xs), _STACK_ROWS):
-        g = slice(lo, lo + _STACK_ROWS)
-        _, _, resid[g], _ = _invert_rows(system.surface, frames, rows[g], xs[g], 0.05 * tol[g])
+    tol = _INVERT_TOL * diam_rows
+    resid, _ = _invert_stacked(system.surface, frames, rows, xs, 0.05 * tol)
     worst = max(float(np.max(resid / np.maximum(diam_rows, 1e-300))), 0.0)
-    return Check("nesting", bool(np.all(resid <= tol)), worst, tol_factor, f"max residual factor {worst:.3e}")
+    return Check("nesting", bool(np.all(resid <= tol)), worst, _INVERT_TOL, f"max residual factor {worst:.3e}")
 
 
 def contraction_check(system: TriangleSystem) -> Check:
@@ -504,13 +455,13 @@ def contraction_check(system: TriangleSystem) -> Check:
     return Check("nu-contraction", worst <= bound, worst, bound, f"nu = {system.nu:.6g}, worst margin {worst:.6g}")
 
 
-def nondegeneracy_sweep(system: TriangleSystem, delta: float | None = None) -> Check:
-    """Every stored cell must be delta/2-non-degenerate.
+def nondegeneracy_sweep(system: TriangleSystem) -> Check:
+    """Every stored cell must be delta/2-non-degenerate, for the system's delta.
 
     ``value`` is the smallest distance of a planar comparison angle from 0
     or pi, and ``bound`` is delta/2: passes when value > bound.
     """
-    delta = system.delta if delta is None else delta
+    delta = system.delta
     passed = True
     mn = math.inf
     mx = -math.inf
@@ -534,13 +485,12 @@ def _audit_check(system: TriangleSystem, cells_per_level: int, seed: int) -> Che
     """
     if system.gauge_c is None:
         calibrate_gauge(system, seed=seed)
-    audits = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
-    worst = max(
-        a.max_ratio_deviation / a.envelope if a.envelope > 0 else (math.inf if a.max_ratio_deviation > 0 else 0.0)
-        for a in audits
-    )
+    dev, diam = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
+    envelope = 0.5 * system.gauge_c * diam**2
+    over = np.divide(dev, envelope, out=np.where(dev > 0, math.inf, 0.0), where=envelope > 0)
+    worst = float(np.max(over))
     return Check(
-        "similarity-audits", all(a.passed for a in audits), worst, 1.0,
+        "similarity-audits", bool(np.all(dev <= envelope)), worst, 1.0,
         f"c = {system.gauge_c:.6g}, worst dev/envelope = {worst:.3f}",
     )
 
@@ -718,8 +668,13 @@ def system_from_json(text: str) -> TriangleSystem:
     return TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
 
 
-def render_svg(system: TriangleSystem, level: int, size: int = 1024) -> str:
+# Width and height of a rendered SVG, in pixels.
+_SVG_SIZE = 1024
+
+
+def render_svg(system: TriangleSystem, level: int) -> str:
     """Stroke-only SVG of the cells at a level, in chart coordinates."""
+    size = _SVG_SIZE
     lv = system.level(level)
     pts = lv.vertices.reshape(-1, 2)
     lo = pts.min(axis=0)

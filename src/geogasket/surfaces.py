@@ -377,14 +377,13 @@ class SurfaceModel:
     def _flat_exit_parameter(self, pts, disp) -> float:
         """Earliest boundary-crossing fraction of straight chart segments."""
         u_min, u_max, v_min, v_max = self.chart
-        best = 1.0
-        for p, d in zip(pts, disp):
-            for coord, lo, hi in ((0, u_min, u_max), (1, v_min, v_max)):
-                if d[coord] > 0 and p[coord] + d[coord] > hi:
-                    best = min(best, (hi - p[coord]) / d[coord])
-                elif d[coord] < 0 and p[coord] + d[coord] < lo:
-                    best = min(best, (lo - p[coord]) / d[coord])
-        return best
+        lo, hi = np.array([u_min, v_min]), np.array([u_max, v_max])
+        ends = pts + disp
+        # per coordinate, the bound the segment heads for, if it passes it
+        crosses = np.where(disp > 0, ends > hi, (disp < 0) & (ends < lo))
+        bound = np.where(disp > 0, hi, lo)
+        fractions = np.divide(bound - pts, disp, out=np.ones_like(disp), where=crosses)
+        return float(np.min(fractions, initial=1.0))
 
     # -- batched geodesic operations ------------------------------------
 

@@ -16,7 +16,6 @@ from geogasket.dimension import (
     product_bounds,
     simple_family_sum,
     solve_moran,
-    uniform_moran_exponent,
 )
 from geogasket.errors import DepthExhaustedError, DomainError
 from geogasket.gasket import build_system
@@ -85,7 +84,7 @@ class TestSolveMoran:
     @settings(max_examples=100, deadline=None)
     def test_uniform_closed_form(self, k, lam):
         sol = solve_moran((lam,) * k)
-        assert sol.s == pytest.approx(uniform_moran_exponent(k, lam), abs=1e-12)
+        assert sol.s == pytest.approx(math.log(k) / math.log(1 / lam), abs=1e-12)
 
 
 class TestGauges:

@@ -97,14 +97,6 @@ class TestBuildSystem:
         with pytest.raises(NondegeneracyError):
             build_system(needle, 2, delta=0.5)
 
-    def test_cell_lookup_matches_levels(self, sphere_system):
-        index = (2, 1, 3)
-        cell = sphere_system.cell(index)
-        lv = sphere_system.level(3)
-        np.testing.assert_allclose(
-            cell.vertices, lv.vertices[mi_code(index)]
-        )
-
     def test_contraction(self, sphere_system, hyperbolic_system, flat_system):
         for system in (sphere_system, hyperbolic_system, flat_system):
             assert contraction_check(system).passed
@@ -168,6 +160,23 @@ class TestApplyF:
             ratio = ratio[0] / ratio[1]
             assert 0.49 < ratio < 0.51, (offset, ratio)
 
+    @pytest.mark.parametrize("parent", [(), (2,), (3, 3)], ids=["base", "2", "33"])
+    def test_deep_cells_match_region_maps(self, sphere_system, parent):
+        # the frames read from the level arrays (or, for depth-1 cells, the
+        # base region's table) give the maps of the parent built as a
+        # region from the same arrays
+        lv = sphere_system.level(len(parent))
+        code = mi_code(parent)
+        region = GeodesicTriangleRegion(sphere_system.surface, lv.vertices[code], lv.side_lengths[code])
+        rng = np.random.default_rng(5)
+        xs = region.phi_many(1, rng.uniform(0.05, 0.95, 12), rng.uniform(0.05, 1.0, 12))
+        cells = [parent + (d,) for d in (1, 2, 3)]
+        images = apply_f(sphere_system, cells, xs)
+        for d, got in zip((1, 2, 3), images):
+            ts, ss, _ = region.invert_phi_many(d, xs, tol=1e-7 * region.diam)
+            expected = region.phi_many(d, ts, ss / 2)
+            assert np.max(np.hypot(*(got - expected).T)) <= 1e-12 * region.diam
+
     @pytest.mark.parametrize(
         "system_name, far",
         [("sphere_system", [0.5, 0.5]), ("flat_system", [2.0, 2.0])],
@@ -179,80 +188,83 @@ class TestApplyF:
             apply_f(system, [(1,)], [far])
 
 
+def sweep_cells(depth, cells_per_level):
+    """The cells ``audit_sweep`` samples when each level has more than
+    ``cells_per_level`` cells."""
+    return [
+        mi_from_code(int(code), n)
+        for n in range(1, depth + 1)
+        for code in np.unique(np.linspace(0, 3**n - 1, cells_per_level).astype(int))
+    ]
+
+
 class TestAudits:
     def test_flat_zero_deviation(self, flat_system):
-        audit = audit_similarity(flat_system, [(1, 3, 2)], n_pairs=150, seed=4)[0]
-        assert audit.max_ratio_deviation == 0.0
-        assert audit.passed  # envelope 0 with c = 0
+        dev, diam = audit_similarity(flat_system, [(1, 3, 2)], n_pairs=150, seed=4)
+        assert dev.tolist() == [0.0]
+        assert diam.tolist() == [flat_system.cell_diam((1, 3))]
 
     def test_budget_enforced(self, flat_system):
         with pytest.raises(DomainError):
             audit_similarity(flat_system, [(1,)], n_pairs=50)
 
+    @pytest.mark.parametrize("call", [audit_similarity, lambda system, cells: apply_f(system, cells, [(0.0, 0.0)])])
+    @pytest.mark.parametrize("cells", [[], [(1,), ()]], ids=["no_cells", "empty_index"])
+    def test_cells_required(self, flat_system, call, cells):
+        with pytest.raises(DomainError, match="needs at least one cell, each a nonempty multi-index"):
+            call(flat_system, cells)
+
     def test_sphere_all_levels_pass(self, sphere_system):
-        audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=6, seed=2)
-        assert audits and all(a.passed for a in audits)
+        dev, diam = audit_sweep(sphere_system, n_pairs=100, cells_per_level=6, seed=2)
+        assert len(dev) and np.all(dev <= 0.5 * sphere_system.gauge_c * diam**2)
 
     def test_quadratic_decay_across_depths(self, sphere_system):
         # deviations shrink with the parent diameter, roughly quadratically
         devs = {}
         for n in (1, 3, 5):
-            audit = audit_similarity(sphere_system, [(1,) * n], n_pairs=200, seed=6)[0]
-            devs[n] = (audit.parent_diam, audit.max_ratio_deviation)
+            (dev,), (diam,) = audit_similarity(sphere_system, [(1,) * n], n_pairs=200, seed=6)
+            devs[n] = (diam, dev)
         (d1, v1), (d5, v5) = devs[1], devs[5]
         slope = math.log(v1 / v5) / math.log(d1 / d5)
         assert slope >= 1.8
 
     def test_single_audit_matches_sweep(self, sphere_system):
-        audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=2, seed=3)
+        dev, diam = audit_sweep(sphere_system, n_pairs=100, cells_per_level=2, seed=3)
+        cells = sweep_cells(sphere_system.depth, 2)
         # a copy that was never audited measures each cell alone
         fresh = system_from_json(system_to_json(sphere_system))
-        for audit in audits[::3]:
-            assert audit_similarity(fresh, [audit.index], n_pairs=100, seed=3) == [audit]
-
-    def test_each_cell_audited_once(self, sphere_base, monkeypatch):
-        system = build_system(sphere_base, 5, delta=0.4)
-        fresh = system_from_json(system_to_json(system))
-        audited = []
-        measure = gasket._audit_ratios
-
-        def counting(system, cells, n_pairs, seed):
-            audited.extend((digits, n_pairs, seed) for digits in cells)
-            return measure(system, cells, n_pairs, seed)
-
-        monkeypatch.setattr(gasket, "_audit_ratios", counting)
-        calibrate_gauge(system, n_pairs=100, seed=0)
-        sweep = audit_sweep(system, n_pairs=100, seed=0)
-        # levels 1-3 (39 cells), then 3 + 9 + 3 * 12 cells, 24 of them already measured
-        assert len(audited) == len(set(audited)) == 63
-        fresh.gauge_c = system.gauge_c
-        assert audit_sweep(fresh, n_pairs=100, seed=0) == sweep
+        for row in range(0, len(cells), 3):
+            alone = audit_similarity(fresh, [cells[row]], n_pairs=100, seed=3)
+            assert (alone[0].tolist(), alone[1].tolist()) == ([dev[row]], [diam[row]])
 
     def test_envelope_follows_gauge(self, sphere_base):
         system = build_system(sphere_base, 2, delta=0.4)
+        dev, diam = audit_sweep(system, n_pairs=100, cells_per_level=2, seed=5)
         system.gauge_c = 1.0
-        (first,) = audit_similarity(system, [(2, 1)], n_pairs=100, seed=5)
+        first = gasket._audit_check(system, cells_per_level=2, seed=5)
         system.gauge_c = 1e-9
-        (second,) = audit_similarity(system, [(2, 1)], n_pairs=100, seed=5)
-        assert second.max_ratio_deviation == first.max_ratio_deviation > 0
-        assert second.envelope == 0.5 * 1e-9 * second.parent_diam**2 < first.envelope
+        second = gasket._audit_check(system, cells_per_level=2, seed=5)
+        # the same deviations, measured against envelopes 1e9 times smaller
+        assert np.all(dev > 0)
+        assert first.value == float(np.max(dev / (0.5 * 1.0 * diam**2)))
+        assert second.value == float(np.max(dev / (0.5 * 1e-9 * diam**2))) > first.value
         assert first.passed and not second.passed
 
     def test_row_cap_does_not_change_results(self, sphere_base, monkeypatch):
         def run():
             system = build_system(sphere_base, 3, delta=0.4)
             c = calibrate_gauge(system, max_parent_depth=1, n_pairs=100, seed=4)
-            sweep = audit_sweep(system, n_pairs=100, cells_per_level=3, seed=4)
+            dev, diam = audit_sweep(system, n_pairs=100, cells_per_level=3, seed=4)
             nest = nesting_check(system, cells_per_level=3, seed=4)
-            return c, sweep, nest
+            return c, dev.tolist(), diam.tolist(), nest
 
         wide = run()
         monkeypatch.setattr(gasket, "_STACK_ROWS", 5)
         assert run() == wide
 
     def test_gauge_calibration_margin(self, sphere_system):
-        audits = audit_sweep(sphere_system, n_pairs=100, cells_per_level=4, seed=9)
-        worst = max(a.max_ratio_deviation / a.envelope for a in audits)
+        dev, diam = audit_sweep(sphere_system, n_pairs=100, cells_per_level=4, seed=9)
+        worst = np.max(dev / (0.5 * sphere_system.gauge_c * diam**2))
         assert worst <= 1.0
 
 

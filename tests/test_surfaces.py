@@ -41,6 +41,26 @@ class TestExpMap:
             eu.exp_many([(0.0, 0.0)], [(200.0, 0.0)], 1.0)
 
     @pytest.mark.parametrize(
+        "pts, vels, expected",
+        [
+            ([(49.0, 0.0)], [(2.0, 0.0)], 0.5),
+            # crosses u = -50 at 1/4 and v = 50 at 1/2
+            ([(-49.0, 45.0)], [(-4.0, 10.0)], 0.25),
+            # crosses u = 50 at 1/2 and v = -50 at 1/4
+            ([(45.0, -49.0)], [(10.0, -4.0)], 0.25),
+            # the earliest crossing over the rows; the row that stays inside has none
+            ([(0.0, 0.0), (49.0, 0.0), (0.0, -48.0)], [(1.0, 1.0), (2.0, 0.0), (0.0, -8.0)], 0.25),
+        ],
+        ids=["one_bound", "u_first", "v_first", "rows"],
+    )
+    def test_flat_exit_parameter(self, eu, pts, vels, expected):
+        # the flat chart is [-50, 50]^2
+        with pytest.raises(ChartEscapeError) as info:
+            eu.exp_many(pts, vels)
+        assert info.value.exit_parameter == expected
+        assert f"t={expected:.6g}" in str(info.value)
+
+    @pytest.mark.parametrize(
         "pt, vel", [((0.0, 0.0), (math.nan, 0.0)), ((math.inf, 0.0), (0.1, 0.0))], ids=["nan_velocity", "inf_point"]
     )
     def test_non_finite_state_raises(self, sphere, pt, vel):
