@@ -2,7 +2,7 @@
 
 A surface is a chart rectangle with a first fundamental form (E, F, G),
 Gaussian curvature, and geodesic operations: exponential map by adaptive
-Dormand-Prince integration of the geodesic ODE, logarithm map by Newton
+Dormand-Prince integration of the geodesic ODE, logarithm map by secant
 shooting, distances, midpoints and finite-difference variation fields.
 
 The geodesic ODE reads the Christoffel symbols once per right-hand-side
@@ -88,8 +88,8 @@ def _combine(coeffs, k, out, scratch):
 
 
 def _solve_2x2(jac, res):
-    """Solutions d of jac d = res for ``(N, 2, 2)`` matrices and ``(N, 2)`` vectors."""
-    (j11, j12), (j21, j22) = jac.transpose(1, 2, 0)
+    """Solutions d of jac d = res for ``(2, 2, N)`` matrices and ``(N, 2)`` vectors."""
+    (j11, j12), (j21, j22) = jac
     det = j11 * j22 - j12 * j21
     det = np.where(np.abs(det) < 1e-300, 1e-300, det)
     d1 = (j22 * res[:, 0] - j12 * res[:, 1]) / det
@@ -404,33 +404,48 @@ class SurfaceModel:
         return self._integrate(y)[:2].T.copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
-        """Initial velocities w with exp_p(w) = q, batched chord-Newton shooting.
+        """Initial velocities w with exp_p(w) = q, batched secant shooting.
 
-        Seeded from the chart chord, which is exact on the flat model.  The
-        2x2 Jacobian of exp is finite-differenced once, at the seed, and
-        every iteration reuses it (chord Newton; Hairer & Wanner, Solving
-        ODEs II, IV.8): the first iteration is a full Newton step, and on the
-        short geodesics of a gasket's cells the stale Jacobian still
-        contracts the residual quickly.  Rows stop once their residual is
-        within ``tol``; a row still above it after ``max_iter`` iterations
+        With d = q - p and the Christoffel symbols Gamma read once per row at
+        m = p + d/3, the normal-coordinate expansion exp_p(w) = p + w
+        - Gamma_p(w, w)/2 + O(|w|^3) (do Carmo, Riemannian Geometry, ch. 3)
+        gives the seed w0 = d + Gamma_m(d, d)/2 (at m, Gamma also cancels the
+        third-order term's derivative part) and the Jacobian J = I - Gamma_m(w0, .), so no exp
+        pass is spent on a Jacobian.  Each iteration corrects J by Broyden's
+        secant update (Dennis & Schnabel, Numerical Methods for Unconstrained
+        Optimization, 8.1), so long geodesics do not stall.  On the flat model
+        Gamma is 0 and the seed q - p is exact.  Rows stop once their residual
+        is within ``tol``; a row still above it after ``max_iter`` iterations
         raises ``ShootingConvergenceError`` naming the worst one.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         pts, targets = np.broadcast_arrays(pts, targets)
-        w = targets - pts
-        x = self.exp_many(pts, w)
-        res = x - targets
+        # silent, as the integrator is: it names a non-finite seed's state
+        with np.errstate(all="ignore"):
+            d = targets - pts
+            m = pts + d / 3
+            # gamma[i] holds (G^i_11, G^i_12, G^i_22); gamma_dot(w)[i, j] = G^i_jk w^k
+            gamma = np.array(self.christoffels(m[:, 0], m[:, 1])).reshape(2, 3, -1)
+
+            def gamma_dot(w):
+                return gamma[:, :2] * w[:, 0] + gamma[:, 1:] * w[:, 1]
+
+            g = gamma_dot(d)
+            w = d + 0.5 * (g[:, 0] * d[:, 0] + g[:, 1] * d[:, 1]).T
+            jac = np.eye(2)[:, :, None] - gamma_dot(w)
+        res = self.exp_many(pts, w) - targets
         res_norm = np.hypot(res[:, 0], res[:, 1])
         active = res_norm > tol
         if not np.any(active):
             return w
-        jac = np.empty((len(w), 2, 2))
-        jac[active] = self._shooting_jacobian(pts[active], w[active], x[active])
         for _ in range(max_iter):
             idx = slice(None) if np.all(active) else np.flatnonzero(active)
-            w[idx] -= _solve_2x2(jac[idx], res[idx])
+            step = _solve_2x2(jac[:, :, idx], res[idx])
+            w[idx] -= step
             res[idx] = self.exp_many(pts[idx], w[idx]) - targets[idx]
+            # Broyden: J step was the old residual, so J += r (-step)^T / |step|^2
+            jac[:, :, idx] -= res[idx].T[:, None] * (step.T / np.sum(step * step, axis=1))
             res_norm = np.hypot(res[:, 0], res[:, 1])
             active = res_norm > tol
             if not np.any(active):
@@ -438,23 +453,6 @@ class SurfaceModel:
         worst = np.argmax(res_norm)
         point, target = tuple(pts[worst].tolist()), tuple(targets[worst].tolist())
         raise ShootingConvergenceError(float(res_norm[worst]), max_iter, point, target)
-
-    def _shooting_jacobian(self, pts, w, x):
-        """Jacobians of exp at velocities w, whose endpoints are x, shape ``(N, 2, 2)``.
-
-        Finite-differenced row by row; both perturbed velocity sets go
-        through one ``exp_many`` pass of 2N rows, which gives the same
-        columns as two passes, since rows are solved independently.
-        """
-        n = len(w)
-        eps = 1e-7 * (np.hypot(w[:, 0], w[:, 1]) + 1e-3)
-        w_eps = np.vstack([w, w])
-        w_eps[:n, 0] += eps
-        w_eps[n:, 1] += eps
-        moved = self.exp_many(np.vstack([pts, pts]), w_eps)
-        moved -= np.vstack([x, x])
-        moved /= np.concatenate([eps, eps])[:, None]
-        return np.stack([moved[:n], moved[n:]], axis=2)
 
     def distance_many(self, pts, targets):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

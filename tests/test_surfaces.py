@@ -17,7 +17,7 @@ from geogasket.surfaces import (
     jacobi_field,
     surface_from_json,
 )
-from geogasket.triangles import GeodesicTriangleRegion
+from geogasket.triangles import CONVEXITY_GUARD, GeodesicTriangleRegion
 
 
 class TestExpMap:
@@ -100,7 +100,8 @@ class TestBatchIndependence:
         alone = np.vstack([surface.exp_many(p[None], w[None]) for p, w in zip(pts, vels)])
         assert np.array_equal(batch, alone)
 
-    @pytest.mark.parametrize("kind", ["sphere", "bump"])
+    # the seed reads Christoffel symbols per row, so every model is checked
+    @pytest.mark.parametrize("kind", ["sphere", "bump", "hyperbolic", "eu"])
     def test_log_many_rows_equal_alone(self, kind, request):
         surface = (
             surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
@@ -191,13 +192,49 @@ class TestKernelWork:
         sphere.exp_many([[0.01, 0.02]], [[0.01, 0.006]])
         assert len(calls) == 7
 
-    def test_one_jacobian_per_shooting_solve(self, sphere, monkeypatch):
+    def test_no_jacobian_pass(self, sphere, monkeypatch):
         pts, targets = [[0.01, 0.02], [0.1, 0.1]], [[0.05, 0.03], [0.12, 0.1]]
         rows = self.count_calls(monkeypatch, sphere, "exp_many")
         sphere.log_many(pts, targets)
-        # the seed pass, the one stacked Jacobian pass, then two or more iterations
-        assert rows[:2] == [2, 4]
-        assert len(rows) >= 4 and max(rows[2:]) <= 2
+        # the seed pass, then one pass per iteration; the Jacobian costs none
+        assert rows[0] == 2
+        assert max(rows) <= 2
+        assert len(rows) <= 3
+
+    # exp_many passes and RHS calls of the same solves when shooting began
+    # from the chart chord with a finite-difference Jacobian pass at the seed
+    GUARD_WORK = {"sphere": (15, 2_103), "hyperbolic": (8, 626), "bump": (5, 275)}
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "bump"])
+    def test_shooting_cost_at_convexity_guard(self, kind, request, monkeypatch):
+        surface = (
+            surface_from_json(TestBatchIndependence.BUMP)
+            if kind == "bump"
+            else request.getfixturevalue(kind)
+        )
+        # 200 geodesics of metric length CONVEXITY_GUARD, starting anywhere in
+        # the middle half of the chart, in every direction
+        rng = np.random.default_rng(0)
+        half = surface.chart[1] / 2
+        pts = rng.uniform(-half, half, size=(200, 2))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 200)
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        vels = CONVEXITY_GUARD * dirs / surface.norm(pts, dirs)[:, None]
+        targets = surface.exp_many(pts, vels)
+        passes = self.count_calls(monkeypatch, surface, "exp_many")
+        calls = self.count_calls(monkeypatch, surface, "_ode_rhs")
+        back = surface.log_many(pts, targets)
+        assert np.max(np.abs(back - vels)) <= 2e-11
+        assert len(passes) <= self.GUARD_WORK[kind][0]
+        assert len(calls) <= self.GUARD_WORK[kind][1]
+
+    def test_long_geodesics_do_not_stall(self, sphere, hyperbolic, monkeypatch):
+        # past the guard the starting Jacobian is furthest off: held fixed, it
+        # takes 11 (sphere) and 12 (disk) passes here, with the secant update 5 and 6
+        for surface, p, q in ((sphere, (0.0, 0.0), (0.5, 0.3)), (hyperbolic, (-0.3, 0.2), (0.1, -0.2))):
+            passes = self.count_calls(monkeypatch, surface, "exp_many")
+            surface.log_many([p], [q])
+            assert len(passes) <= 6
 
 
 class TestLogMap:
@@ -208,6 +245,23 @@ class TestLogMap:
     def test_euclidean_difference(self, eu):
         w = eu.log_many([(1.0, 2.0)], [(4.0, 6.0)])[0]
         np.testing.assert_allclose(w, [3.0, 4.0])
+
+    def test_flat_seed_exact(self, eu):
+        # the Christoffel symbols vanish, so the seed is the chord bit for bit
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-20.0, 20.0, size=(500, 2))
+        targets = rng.uniform(-20.0, 20.0, size=(500, 2))
+        assert np.array_equal(eu.log_many(pts, targets), targets - pts)
+
+    @pytest.mark.parametrize(
+        "pt, target",
+        [((math.inf, 0.0), (0.1, 0.0)), ((math.nan, 0.0), (0.1, 0.0)), ((0.0, 0.0), (math.inf, 0.0))],
+        ids=["inf_point", "nan_point", "inf_target"],
+    )
+    def test_non_finite_input_raises(self, sphere, pt, target):
+        # the seed's Christoffel symbols are NaN; numpy must not warn before the integrator names it
+        with pytest.raises(DomainError, match="non-finite state"):
+            sphere.log_many([pt], [target])
 
     def test_sphere_equator_points(self, sphere):
         # chart points (cos t, sin t) sit on the equator at longitude t
