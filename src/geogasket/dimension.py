@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthExhaustedError, DomainError
+from .errors import DepthExhaustedError, DomainError, json_integer, json_numbers, json_object
 from .metric_core import CoverRecord
 from .gasket import TriangleSystem, mi_str
 
@@ -94,6 +94,10 @@ def solve_moran(ratios) -> MoranSolution:
 # -- gauges ----------------------------------------------------------------
 
 
+# The parameters of each gauge form, all required.
+_GAUGE_PARAMS = {"power": ("alpha",), "neglog_power": ("beta",), "logpower": ("n",), "table": ("ys", "values")}
+
+
 class GaugeSpec:
     """A gauge function phi controlling deviation from strict similarity.
 
@@ -103,14 +107,22 @@ class GaugeSpec:
       - ``logpower(n)``: neglog_power with beta = 1 + 2/(2n + 1)
       - ``table(ys, values)``: increasing piecewise-linear interpolant with
         power-law extrapolation below the smallest node
+
+    The parameters are read as a scene's ``gauge`` object is: the form's
+    parameters, each a JSON number (``n`` an integer, ``ys`` and ``values``
+    lists of one length), and no other key.  ``DomainError`` names the
+    parameter at fault.
     """
 
-    def __init__(self, form: str, **params):
+    def __init__(self, /, form: str, **params):
+        if not (isinstance(form, str) and form in _GAUGE_PARAMS):
+            raise DomainError(f"gauge.form must be one of {', '.join(_GAUGE_PARAMS)}, not {form!r}")
+        json_object(params, _GAUGE_PARAMS[form], f"{form} gauge", optional=())
         self.form = form
         self.params = dict(params)
         if form == "power":
-            alpha = float(params["alpha"])
-            if alpha <= 0:
+            alpha = float(json_numbers(params["alpha"], (), "gauge.alpha"))
+            if not alpha > 0:
                 raise DomainError("power gauge needs alpha > 0")
             self._fn = lambda y: np.power(y, alpha)
             # exp(-alpha * L) evaluated stably for huge L
@@ -118,13 +130,11 @@ class GaugeSpec:
             self.domain_hi = math.inf
         elif form in ("neglog_power", "logpower"):
             if form == "logpower":
-                n = int(params["n"])
-                if n < 1:
-                    raise DomainError("logpower gauge needs n >= 1")
+                n = json_integer(params["n"], "gauge.n", 1)
                 beta = 1.0 + 2.0 / (2 * n + 1)
             else:
-                beta = float(params["beta"])
-                if beta <= 0:
+                beta = float(json_numbers(params["beta"], (), "gauge.beta"))
+                if not beta > 0:
                     raise DomainError("neglog_power gauge needs beta > 0")
             self.params["beta"] = beta
 
@@ -139,8 +149,8 @@ class GaugeSpec:
             self._fn_neglog = lambda L: L ** (-beta) if L > 0 else math.inf
             self.domain_hi = 1.0
         elif form == "table":
-            ys = np.asarray(params["ys"], dtype=float)
-            vals = np.asarray(params["values"], dtype=float)
+            ys = json_numbers(params["ys"], (None,), "gauge.ys")
+            vals = json_numbers(params["values"], ys.shape, "gauge.values")
             if len(ys) < 2 or np.any(np.diff(ys) <= 0):
                 raise DomainError("table gauge needs at least two increasing nodes")
             if np.any(np.diff(vals) < 0) or np.any(vals <= 0):
@@ -159,8 +169,6 @@ class GaugeSpec:
             self._fn_neglog = lambda L: float(fn(np.array([math.exp(-L) if L < 745 else 0.0]))[0])
             # interp extends with the last value above the final node
             self.domain_hi = math.inf
-        else:
-            raise DomainError(f"unknown gauge form {form!r}")
 
     def __call__(self, y):
         scalar = np.isscalar(y)

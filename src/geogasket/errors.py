@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON reader rules.
+
+Every reader of user input (scenes, stored systems, custom surfaces,
+gauges) checks its document with the rules at the end of this module, so
+that one field is held to the same rule wherever it is read.
+"""
+
+import math
+
+import numpy as np
 
 
 class GeogasketError(Exception):
@@ -74,5 +83,51 @@ class ExpressionError(GeogasketError, ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
-class SceneValidationError(GeogasketError, ValueError):
+class SceneValidationError(DomainError):
     """A scene document or a stored system failed the checks of its reader."""
+
+
+# -- JSON reader rules -----------------------------------------------------
+
+
+def is_json_int(x) -> bool:
+    # an integer as JSON Schema counts one: 3 and 3.0, but not true
+    return type(x) is int or (type(x) is float and x.is_integer())
+
+
+def json_object(doc, keys, field: str, optional=None) -> dict:
+    """``doc`` if it is a JSON object holding every key of ``keys``; given
+    ``optional``, also one holding no key outside ``keys`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise SceneValidationError(f"{field} must be an object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise SceneValidationError(f"{field} lacks {', '.join(missing)}")
+    extra = set() if optional is None else doc.keys() - {*keys, *optional}
+    if extra:
+        raise SceneValidationError(f"{field} has unknown keys {sorted(extra)}")
+    return doc
+
+
+def json_numbers(value, shape: tuple, field: str) -> np.ndarray:
+    """``value`` as a float array: finite JSON numbers (no bools) of exactly
+    ``shape``, where a ``None`` entry allows any length n."""
+    try:
+        arr = np.array(value, dtype=object)
+        fits = arr.ndim == len(shape) and all(s in (None, n) for s, n in zip(shape, arr.shape))
+        if fits and set(map(type, arr.flat)) <= {int, float}:
+            out = arr.astype(float)
+            if np.isfinite(out).all():
+                return out
+    except (ValueError, OverflowError):
+        pass
+    shape = str(shape).replace("None", "n")
+    raise SceneValidationError(f"{field} must hold finite numbers of shape {shape}")
+
+
+def json_integer(value, field: str, lo=-math.inf, hi=math.inf) -> int:
+    """``value`` as an int: a JSON integer (3 or 3.0, not true) in [lo, hi] that a float holds."""
+    number = float(json_numbers(value, (), field))
+    if not (is_json_int(value) and lo <= number <= hi):
+        raise SceneValidationError(f"{field} must be an integer in [{lo}, {hi}], not {value!r}")
+    return int(value)

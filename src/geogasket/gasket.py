@@ -23,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeogasketError, InversionError, NondegeneracyError, SceneValidationError
+from .errors import (
+    DomainError,
+    GeogasketError,
+    InversionError,
+    NondegeneracyError,
+    SceneValidationError,
+    is_json_int,
+    json_numbers,
+    json_object,
+)
 from .surfaces import SurfaceModel, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
@@ -602,64 +611,30 @@ def system_to_json(system: TriangleSystem) -> str:
     return json.dumps({"meta": meta, "levels": levels}, sort_keys=True)
 
 
-def _is_int(x) -> bool:
-    # an integer as JSON Schema counts one: 3 and 3.0, but not true
-    return type(x) is int or (type(x) is float and x.is_integer())
-
-
-def _object(doc, keys, field: str, optional=None) -> dict:
-    """``doc`` if it is a JSON object holding every key of ``keys``; given
-    ``optional``, also one holding no key outside ``keys`` and ``optional``."""
-    if not isinstance(doc, dict):
-        raise SceneValidationError(f"{field} must be an object")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise SceneValidationError(f"{field} lacks {', '.join(missing)}")
-    extra = set() if optional is None else doc.keys() - {*keys, *optional}
-    if extra:
-        raise SceneValidationError(f"{field} has unknown keys {sorted(extra)}")
-    return doc
-
-
-def _numbers(value, shape: tuple, field: str) -> np.ndarray:
-    """``value`` as a float array: finite JSON numbers (no bools) of exactly ``shape``."""
-    try:
-        arr = np.array(value, dtype=object)
-        if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
-            out = arr.astype(float)
-            if np.isfinite(out).all():
-                return out
-    except (ValueError, OverflowError):
-        pass
-    raise SceneValidationError(f"{field} must hold finite numbers of shape {shape}")
-
-
 def system_from_json(text: str) -> TriangleSystem:
     """System of an export, checked as it is read; ``SceneValidationError`` names the field at fault."""
-    doc = _object(json.loads(text), ("meta", "levels"), "system", optional=())
+    doc = json_object(json.loads(text), ("meta", "levels"), "system", optional=())
     keys = ("surface", "depth", "delta", "base_vertices", "base_side_lengths")
-    meta = _object(doc["meta"], keys, "meta", optional=("gauge_c",))
+    meta = json_object(doc["meta"], keys, "meta", optional=("gauge_c",))
     levels, depth = doc["levels"], meta["depth"]
-    if not (isinstance(levels, list) and _is_int(depth) and depth == len(levels) and depth >= 1):
+    if not (isinstance(levels, list) and is_json_int(depth) and depth == len(levels) and depth >= 1):
         raise SceneValidationError("levels must be a list of meta.depth levels, meta.depth a positive integer")
-    delta = float(_numbers(meta["delta"], (), "meta.delta"))
+    delta = float(json_numbers(meta["delta"], (), "meta.delta"))
     if not 0 < delta < math.pi / 2:
         raise SceneValidationError(f"meta.delta must lie in (0, pi/2), not {delta}")
-    gauge_c = None if meta.get("gauge_c") is None else float(_numbers(meta["gauge_c"], (), "meta.gauge_c"))
-    base_vertices = _numbers(meta["base_vertices"], (3, 2), "meta.base_vertices")
-    base_sides = _numbers(meta["base_side_lengths"], (3,), "meta.base_side_lengths")
+    gauge_c = None if meta.get("gauge_c") is None else float(json_numbers(meta["gauge_c"], (), "meta.gauge_c"))
+    base_vertices = json_numbers(meta["base_vertices"], (3, 2), "meta.base_vertices")
+    base_sides = json_numbers(meta["base_side_lengths"], (3,), "meta.base_side_lengths")
     try:
         surface = make_surface(meta["surface"])
         base = GeodesicTriangleRegion(surface, base_vertices, base_sides)
-        if not surface.contains(base_vertices).all():
-            raise DomainError(f"base vertices must lie inside the chart {surface.chart}")
     except GeogasketError as exc:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
-        entry = _object(entry, ("side_lengths", "vertices"), f"level {n}", optional=())
-        verts = _numbers(entry["vertices"], (3**n, 3, 2), f"level {n} vertices")
-        sides = _numbers(entry["side_lengths"], (3**n, 3), f"level {n} side_lengths")
+        entry = json_object(entry, ("side_lengths", "vertices"), f"level {n}", optional=())
+        verts = json_numbers(entry["vertices"], (3**n, 3, 2), f"level {n} vertices")
+        sides = json_numbers(entry["side_lengths"], (3**n, 3), f"level {n} side_lengths")
         if not surface.contains(verts.reshape(-1, 2)).all():
             raise SceneValidationError(f"level {n} vertices must lie inside the chart {surface.chart}")
         if np.any(sides <= 0):

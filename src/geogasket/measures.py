@@ -180,7 +180,7 @@ def pushforward_fixpoint(
     """
     weights = np.asarray(weights, dtype=float)
     if not (weights.shape == (3,) and np.all(weights > 0) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_TOL):
-        raise DomainError("weights must be three positives summing to 1")
+        raise DomainError(f"weights must be three positives summing to 1 within {WEIGHT_TOL:g}, not {weights.tolist()}")
     merge_depth = min(system.depth, MERGE_DEPTH)
     while 3**merge_depth > atom_budget and merge_depth > 1:
         merge_depth -= 1

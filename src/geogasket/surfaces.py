@@ -21,12 +21,11 @@ closed forms.
 from __future__ import annotations
 
 import copy
-import math
-import sys
+import json
 
 import numpy as np
 
-from .errors import ChartEscapeError, DomainError, ShootingConvergenceError
+from .errors import ChartEscapeError, DomainError, ShootingConvergenceError, json_numbers, json_object
 from .expressions import compile_expression
 
 EUCLIDEAN = "euclidean"
@@ -162,8 +161,6 @@ class SurfaceModel:
         and the curvature bound is checked with a looser tolerance.
     curvature : callable
         ``(u, v) -> K`` vectorized.
-    closed_form_distance : callable or None
-        Exact geodesic distance for built-ins, used as an oracle.
     spec : str, dict or None
         The built-in name or custom document ``make_surface`` builds it from.
     """
@@ -175,7 +172,6 @@ class SurfaceModel:
         metric,
         curvature,
         christoffels=None,
-        closed_form_distance=None,
         spec=None,
     ):
         self.kind = kind
@@ -185,7 +181,6 @@ class SurfaceModel:
         self._metric = metric
         self._christoffels = christoffels
         self._curvature = curvature
-        self._closed_form_distance = closed_form_distance
         self.spec = spec
         self.flat = kind == EUCLIDEAN
         self._check_admissible()
@@ -387,20 +382,20 @@ class SurfaceModel:
 
     # -- batched geodesic operations ------------------------------------
 
-    def exp_many(self, pts, vels, t=1.0):
-        """Geodesic endpoints exp_p(t w) for a batch of (p, w)."""
+    def exp_many(self, pts, vels):
+        """Geodesic endpoints exp_p(w) for a batch of (p, w)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vels = np.atleast_2d(np.asarray(vels, dtype=float))
         pts, vels = np.broadcast_arrays(pts, vels)
-        if self.flat or t == 0.0:
-            out = pts + t * vels
+        if self.flat:
+            out = pts + vels
             bad = ~self.contains(out)
             if np.any(bad):
-                raise ChartEscapeError(self._flat_exit_parameter(pts[bad], t * vels[bad]))
+                raise ChartEscapeError(self._flat_exit_parameter(pts[bad], vels[bad]))
             return out
         y = np.empty((4, len(pts)))
         y[:2] = pts.T
-        np.multiply(t, vels.T, out=y[2:])
+        y[2:] = vels.T
         return self._integrate(y)[:2].T.copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
@@ -465,15 +460,7 @@ class SurfaceModel:
         if self.flat:
             return 0.5 * (pts + targets)
         w = self.log_many(pts, targets)
-        return self.exp_many(pts, w, 0.5)
-
-    def closed_form_distance(self, p, q):
-        """Exact distance for built-in models; None when unavailable."""
-        if self._closed_form_distance is None:
-            return None
-        return float(
-            self._closed_form_distance(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-        )
+        return self.exp_many(pts, 0.5 * w)
 
 
 def jacobi_field(phi, t, s, h, surface):
@@ -501,7 +488,7 @@ def jacobi_field(phi, t, s, h, surface):
 # -- built-in models ---------------------------------------------------
 
 
-def _conformal_surface(kind, half_width, factor, k, dist) -> SurfaceModel:
+def _conformal_surface(kind, half_width, factor, k) -> SurfaceModel:
     """Model of ds^2 = lam^2 (du^2 + dv^2), curvature k, on a square chart.
 
     ``factor(u, v)`` returns lam^2 and its partials in u and v.  With
@@ -524,9 +511,7 @@ def _conformal_surface(kind, half_width, factor, k, dist) -> SurfaceModel:
         return np.full_like(u, k)
 
     chart = (-half_width, half_width, -half_width, half_width)
-    return SurfaceModel(
-        kind, chart, metric, curvature, christoffels=christoffels, closed_form_distance=dist, spec=kind
-    )
+    return SurfaceModel(kind, chart, metric, curvature, christoffels=christoffels, spec=kind)
 
 
 def euclidean_surface() -> SurfaceModel:
@@ -534,16 +519,7 @@ def euclidean_surface() -> SurfaceModel:
         z = np.zeros_like(np.asarray(u, dtype=float))
         return z + 1.0, z, z
 
-    def dist(p, q):
-        return math.hypot(q[0] - p[0], q[1] - p[1])
-
-    return _conformal_surface(EUCLIDEAN, 50.0, factor, 0.0, dist)
-
-
-def _sphere_embed(p):
-    rho2 = p[0] * p[0] + p[1] * p[1]
-    denom = 1.0 + rho2
-    return np.array([2 * p[0] / denom, 2 * p[1] / denom, (1 - rho2) / denom])
+    return _conformal_surface(EUCLIDEAN, 50.0, factor, 0.0)
 
 
 def unit_sphere_surface() -> SurfaceModel:
@@ -558,11 +534,7 @@ def unit_sphere_surface() -> SurfaceModel:
         base = -16.0 / (d * d * d)
         return 4.0 / (d * d), base * u, base * v
 
-    def dist(p, q):
-        chord = np.linalg.norm(_sphere_embed(p) - _sphere_embed(q))
-        return 2.0 * math.asin(min(1.0, chord / 2.0))
-
-    return _conformal_surface(SPHERE, 1.8, factor, 1.0, dist)
+    return _conformal_surface(SPHERE, 1.8, factor, 1.0)
 
 
 def poincare_disk_surface() -> SurfaceModel:
@@ -577,13 +549,7 @@ def poincare_disk_surface() -> SurfaceModel:
         base = 16.0 / (d * d * d)
         return 4.0 / (d * d), base * u, base * v
 
-    def dist(p, q):
-        dp = 1.0 - p[0] * p[0] - p[1] * p[1]
-        dq = 1.0 - q[0] * q[0] - q[1] * q[1]
-        delta2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-        return 2.0 * math.asinh(math.sqrt(delta2 / (dp * dq)))
-
-    return _conformal_surface(HYPERBOLIC, 0.7, factor, -1.0, dist)
+    return _conformal_surface(HYPERBOLIC, 0.7, factor, -1.0)
 
 
 def _brioschi_curvature(metric, step=1e-4):
@@ -638,30 +604,13 @@ def surface_from_json(doc) -> SurfaceModel:
     ``name``.  Any other key, at the top level or inside ``chart`` or
     ``metric``, is an error.
     """
-    import json as _json
-
     if isinstance(doc, str):
-        doc = _json.loads(doc)
-    if not isinstance(doc, dict):
-        raise DomainError("custom surface document must be an object")
-    extra = doc.keys() - {"chart", "metric", "curvature", "name"}
-    if extra:
-        raise DomainError(f"custom surface has unknown keys {sorted(extra)}")
-    try:
-        chart, exprs = doc["chart"], doc["metric"]
-        if not (isinstance(chart, dict) and isinstance(exprs, dict)):
-            raise DomainError("custom surface 'chart' and 'metric' must be objects")
-        for field, obj, keys in (("chart", chart, _CHART_KEYS), ("metric", exprs, _METRIC_KEYS)):
-            extra = obj.keys() - keys
-            if extra:
-                raise DomainError(f"custom surface {field} has unknown keys {sorted(extra)}")
-        rect = tuple(chart[k] for k in _CHART_KEYS)
-        sources = [*(exprs[k] for k in _METRIC_KEYS), doc.get("curvature", "")]
-    except KeyError as exc:
-        raise DomainError(f"custom surface document missing key: {exc}") from exc
-    # abs(x) compares an int exactly, so 10**400 fails as Infinity does
-    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in rect):
-        raise DomainError(f"custom surface chart bounds must be finite numbers: {rect}")
+        doc = json.loads(doc)
+    json_object(doc, ("chart", "metric"), "custom surface", optional=("curvature", "name"))
+    chart = json_object(doc["chart"], _CHART_KEYS, "custom surface chart", optional=())
+    exprs = json_object(doc["metric"], _METRIC_KEYS, "custom surface metric", optional=())
+    rect = json_numbers([chart[k] for k in _CHART_KEYS], (4,), "custom surface chart bounds")
+    sources = [*(exprs[k] for k in _METRIC_KEYS), doc.get("curvature", "")]
     if not isinstance(doc.get("name", ""), str):
         raise DomainError("custom surface name must be a string")
     if not all(isinstance(x, str) for x in sources):
@@ -698,4 +647,4 @@ def make_surface(spec) -> SurfaceModel:
         return _BUILTIN_FACTORIES[spec]()
     if isinstance(spec, dict):
         return surface_from_json(spec)
-    raise DomainError(f"unknown surface spec: {spec!r}")
+    raise DomainError(f"surface must be one of {', '.join(_BUILTIN_FACTORIES)} or a custom surface object, not {spec!r}")

@@ -225,14 +225,16 @@ def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_
     return ts, ss, resid, images
 
 
-def _triangle_vertices(vertices) -> np.ndarray:
-    """Three chart points as a read-only (3, 2) float array."""
+def _triangle_vertices(surface, vertices) -> np.ndarray:
+    """Three points inside the chart of ``surface``, as a read-only (3, 2) float array."""
     try:
         verts = np.array(vertices, dtype=float)
     except ValueError as exc:
         raise DomainError(f"a triangle needs three chart points: {exc}") from exc
     if verts.shape != (3, 2):
         raise DomainError(f"a triangle needs three chart points, shape (3, 2), not {verts.shape}")
+    if not surface.contains(verts).all():
+        raise DomainError(f"base vertices must lie inside the chart {surface.chart}, not {verts.tolist()}")
     verts.flags.writeable = False
     return verts
 
@@ -254,7 +256,7 @@ class GeodesicTriangleRegion:
 
     def __init__(self, surface: SurfaceModel, vertices, side_lengths):
         self.surface = surface
-        self.vertices = _triangle_vertices(vertices)
+        self.vertices = _triangle_vertices(surface, vertices)
         self.side_lengths = np.asarray(side_lengths, dtype=float)
         _check_sides(*self.side_lengths)
         if not surface.flat and self.diam > CONVEXITY_GUARD:
@@ -266,7 +268,7 @@ class GeodesicTriangleRegion:
 
     @classmethod
     def from_vertices(cls, surface, p1, p2, p3) -> "GeodesicTriangleRegion":
-        pts = _triangle_vertices((p1, p2, p3))
+        pts = _triangle_vertices(surface, (p1, p2, p3))
         return cls(surface, pts, surface.distance_many(pts[[1, 2, 0]], pts[[2, 0, 1]]))
 
     @property

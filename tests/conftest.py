@@ -5,11 +5,51 @@ import pytest
 
 from geogasket.gasket import _subdivide_arrays, build_system, calibrate_gauge
 from geogasket.surfaces import (
+    EUCLIDEAN,
+    HYPERBOLIC,
+    SPHERE,
     euclidean_surface,
     poincare_disk_surface,
     unit_sphere_surface,
 )
 from geogasket.triangles import GeodesicTriangleRegion
+
+
+def _sphere_embed(p):
+    # inverse stereographic projection from the south pole, onto the unit sphere in R^3
+    rho2 = p[0] * p[0] + p[1] * p[1]
+    denom = 1.0 + rho2
+    return np.array([2 * p[0] / denom, 2 * p[1] / denom, (1 - rho2) / denom])
+
+
+def _euclidean_dist(p, q):
+    return math.hypot(q[0] - p[0], q[1] - p[1])
+
+
+def _sphere_dist(p, q):
+    chord = np.linalg.norm(_sphere_embed(p) - _sphere_embed(q))
+    return 2.0 * math.asin(min(1.0, chord / 2.0))
+
+
+def _hyperbolic_dist(p, q):
+    dp = 1.0 - p[0] * p[0] - p[1] * p[1]
+    dq = 1.0 - q[0] * q[0] - q[1] * q[1]
+    delta2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+    return 2.0 * math.asinh(math.sqrt(delta2 / (dp * dq)))
+
+
+_CLOSED_FORM_DISTANCES = {EUCLIDEAN: _euclidean_dist, SPHERE: _sphere_dist, HYPERBOLIC: _hyperbolic_dist}
+
+
+@pytest.fixture(scope="session")
+def closed_form_distance():
+    """The oracle ``(surface, p, q) -> d(p, q)``: the exact geodesic distance
+    of a built-in model, independent of the ODE solver."""
+
+    def dist(surface, p, q):
+        return float(_CLOSED_FORM_DISTANCES[surface.kind](np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
+
+    return dist
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +73,7 @@ def equilateral_base(surface, diam, chart_metric_scale):
     for ang in (90, 210, 330):
         a = math.radians(ang)
         w = np.array([math.cos(a), math.sin(a)]) * chart_metric_scale
-        verts.append(surface.exp_many([(0.0, 0.0)], [w], diam / math.sqrt(3))[0])
+        verts.append(surface.exp_many([(0.0, 0.0)], [w * (diam / math.sqrt(3))])[0])
     return GeodesicTriangleRegion.from_vertices(surface, *verts)
 
 

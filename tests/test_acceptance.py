@@ -50,7 +50,7 @@ def equilateral_base(surface, diam):
     for ang in (90, 210, 330):
         a = math.radians(ang)
         w = np.array([math.cos(a), math.sin(a)]) * 0.5
-        verts.append(surface.exp_many([(0.0, 0.0)], [w], diam / math.sqrt(3))[0])
+        verts.append(surface.exp_many([(0.0, 0.0)], [w * (diam / math.sqrt(3))])[0])
     return GeodesicTriangleRegion.from_vertices(surface, *verts)
 
 
@@ -288,14 +288,14 @@ def test_criterion_10_gauge_admissibility():
 
 
 @pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
-def test_criterion_11_geodesic_oracle_fidelity(kind, request):
+def test_criterion_11_geodesic_oracle_fidelity(kind, request, closed_form_distance):
     surface = request.getfixturevalue(kind)
     rng = np.random.default_rng(13)
     n = 10**4
     pts = rng.uniform(-0.15, 0.15, size=(n, 2))
     qts = rng.uniform(-0.15, 0.15, size=(n, 2))
     solver = surface.distance_many(pts, qts)
-    closed = np.array([surface.closed_form_distance(pts[i], qts[i]) for i in range(n)])
+    closed = np.array([closed_form_distance(surface, pts[i], qts[i]) for i in range(n)])
     dist_err = float(np.max(np.abs(solver - closed)))
     vels = rng.uniform(-0.2, 0.2, size=(n, 2))
     targets = surface.exp_many(pts, vels)

@@ -84,7 +84,7 @@ class TestSceneValidation:
 
     def test_gauge_spec_from_scene(self):
         cfg = SceneConfig.from_doc(FLAT_SCENE)
-        gauge = cfg.gauge_spec()
+        gauge = cfg.gauge
         assert gauge(0.5) == pytest.approx(0.25)
 
 
@@ -142,7 +142,7 @@ class TestBuildCommand:
         for ang in (90, 210, 330):
             a = math.radians(ang)
             w = np.array([math.cos(a), math.sin(a)]) * 0.5
-            verts.append(sphere.exp_many([(0.0, 0.0)], [w], 0.5 / math.sqrt(3))[0].tolist())
+            verts.append(sphere.exp_many([(0.0, 0.0)], [w * (0.5 / math.sqrt(3))])[0].tolist())
         doc = {"surface": "sphere_unit", "vertices": verts, "depth": 2, "delta": 0.4}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -169,7 +169,8 @@ class TestBuildCommand:
         out = tmp_path / "o.json"
         capsys.readouterr()
         assert main(["build", str(path), "--out", str(out)]) == 3
-        assert "construction failed: geodesic left the chart" in capsys.readouterr().err
+        # the base triangle checks its vertices before any geodesic is shot
+        assert "construction failed: base vertices must lie inside the chart" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_scene_exit2(self, tmp_path):
@@ -703,6 +704,41 @@ class TestCustomSurfaceErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+
+class TestNoTraceback:
+    """Input that a reader rejects ends in exit 2 and an error naming its field
+    or its rule, never in a traceback or a success."""
+
+    CASES = {
+        # sums to 1 within the 1e-9 a second, looser check once allowed
+        "weights_sum": (None, "weights must be three positives summing to 1 within 1e-12"),
+        "gauge_no_alpha": ({"form": "power"}, "power gauge lacks alpha"),
+        "gauge_negative_alpha": ({"form": "power", "alpha": -1}, "power gauge needs alpha > 0"),
+        "gauge_extra_beta": ({"form": "power", "alpha": 2, "beta": 1}, "power gauge has unknown keys ['beta']"),
+        "gauge_table_string": ({"form": "table", "ys": "x"}, "table gauge lacks values"),
+        "gauge_table_ys": ({"form": "table", "ys": "x", "values": [1, 2]}, "gauge.ys must hold finite numbers of shape (n,)"),
+        "gauge_table_lengths": ({"form": "table", "ys": [0.1, 0.2], "values": [1]}, "gauge.values must hold finite numbers of shape (2,)"),
+        "gauge_form_list": ({"form": ["power"], "alpha": 2}, "gauge.form must be one of"),
+        "gauge_n_half": ({"form": "logpower", "n": 0.5}, "gauge.n must be an integer in [1, inf]"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit2(self, flat_scene_path, tmp_path, capsys, case):
+        gauge, message = self.CASES[case]
+        if gauge is None:
+            _built_flat_system(flat_scene_path, tmp_path)
+            argv = ["measure", str(tmp_path / "sys.json"), "--weights", "0.5", "0.3", "0.2000000005"]
+        else:
+            scene = tmp_path / "gauge.json"
+            scene.write_text(json.dumps(dict(FLAT_SCENE, gauge=gauge)))
+            argv = ["build", str(scene), "--out", str(tmp_path / "o.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestSolverErrors:

@@ -3,7 +3,9 @@ guard on the modules the benchmark tracer wraps."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 import math
 import os
 import re
@@ -129,6 +131,31 @@ def public_callable(short, attr):
     ]
     fn = vars(module).get(attr)
     return (inspect.isfunction(fn) and fn.__module__ == module.__name__) or any(attr in vars(c) for c in owners)
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = _bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS.WORKLOADS))
+def test_benchmark_setup_reads_scene(name, tmp_path):
+    # the benchmark times `SceneConfig.from_path(scene).surface()` as its
+    # set-up, on the seeded scene it writes; it must keep working on every
+    # workload's scene
+    from geogasket.scene import SceneConfig
+
+    doc = BENCH_WORKLOADS.seeded_scene(BENCH_WORKLOADS.WORKLOADS[name], ROOT, 1)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert SceneConfig.from_path(scene).surface().contains(doc["vertices"]).all()
 
 
 @pytest.mark.parametrize("package", ["jsonschema", "scipy"])
