@@ -8,7 +8,8 @@ shooting, distances, midpoints and finite-difference variation fields.
 The geodesic ODE reads the Christoffel symbols once per right-hand-side
 evaluation.  The built-in models are conformal and supply them in closed
 form from the conformal factor and its gradient; a custom metric gets them
-from central differences of its expressions.
+exactly, from one function that ``expressions.compile_christoffels``
+compiles from its E, F and G when the surface is built.
 
 All geodesic solvers are vectorized: every entry point (``exp_many``,
 ``log_many``, ...) operates on ``(N, 2)`` arrays of chart coordinates, one
@@ -26,7 +27,7 @@ import json
 import numpy as np
 
 from .errors import ChartEscapeError, DomainError, ShootingConvergenceError, json_numbers, json_object
-from .expressions import compile_expression
+from .expressions import compile_christoffels, compile_expression
 
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere_unit"
@@ -44,8 +45,6 @@ DEFAULT_RTOL = 1e-10
 # the 1e-9 projection cross-checks.
 DEFAULT_SHOOT_TOL = 1e-11
 DEFAULT_SHOOT_MAXITER = 60
-
-_FD_METRIC_STEP = 1e-6
 
 
 # Dormand-Prince RK45 tableau.
@@ -155,25 +154,20 @@ class SurfaceModel:
         ``(u_min, u_max, v_min, v_max)`` open rectangle.
     metric : callable
         ``metric(u, v) -> (E, F, G)`` vectorized over arrays.
-    christoffels : callable or None
-        ``(u, v) -> (G1_11, G1_12, G1_22, G2_11, G2_12, G2_22)`` in closed
-        form; when None they come from central differences of the metric,
-        and the curvature bound is checked with a looser tolerance.
     curvature : callable
         ``(u, v) -> K`` vectorized.
+    christoffels : callable
+        ``(u, v) -> (G1_11, G1_12, G1_22, G2_11, G2_12, G2_22)``, six arrays
+        of the shape of u and v: a built-in model's closed form, or the
+        function compiled from a custom metric's expressions.
     spec : str, dict or None
         The built-in name or custom document ``make_surface`` builds it from.
+
+    The metric must be positive definite, |K| at most 1 and the symbols
+    finite on a 21 x 21 grid over the chart, or ``DomainError`` is raised.
     """
 
-    def __init__(
-        self,
-        kind,
-        chart,
-        metric,
-        curvature,
-        christoffels=None,
-        spec=None,
-    ):
+    def __init__(self, kind, chart, metric, curvature, christoffels, spec=None):
         self.kind = kind
         self.chart = tuple(float(x) for x in chart)
         if not (self.chart[0] < self.chart[1] and self.chart[2] < self.chart[3]):
@@ -191,18 +185,26 @@ class SurfaceModel:
         u_min, u_max, v_min, v_max = self.chart
         us = np.linspace(u_min, u_max, 21)
         vs = np.linspace(v_min, v_max, 21)
-        uu, vv = np.meshgrid(us, vs)
+        uu, vv = (x.ravel() for x in np.meshgrid(us, vs))
         # the checks below reject non-finite values, so numpy need not warn of them
         with np.errstate(all="ignore"):
-            e, f, g = self.metric(uu.ravel(), vv.ravel())
+            e, f, g = self.metric(uu, vv)
             # accepting comparisons, so that NaN fails them
             if not (np.all(e > 0) and np.all(e * g - f * f > 0)):
                 raise DomainError("metric is not positive definite on the chart grid")
-            k = self.curvature(uu.ravel(), vv.ravel())
-        tol = 1e-9 if self._christoffels is not None else 1e-4
+            k = self.curvature(uu, vv)
+            finite = np.isfinite(self.christoffels(uu, vv)).all(axis=0)
+        # a custom curvature may be the Brioschi finite-difference estimate,
+        # off by about 1e-7 where the built-in ones are exact
+        tol = 1e-4 if self.kind == CUSTOM else 1e-9
         if not np.all(np.abs(k) <= 1.0 + tol):
             raise DomainError(
                 f"|K| exceeds 1 on the chart grid (max {np.max(np.abs(k)):.6g})"
+            )
+        if not finite.all():
+            i = np.argmin(finite)
+            raise DomainError(
+                f"Christoffel symbols are not finite on the chart grid at ({uu[i]:.6g}, {vv[i]:.6g})"
             )
 
     def contains(self, pts) -> np.ndarray:
@@ -226,30 +228,10 @@ class SurfaceModel:
     def christoffels(self, u, v):
         """Second-kind Christoffel symbols, six arrays.
 
-        Order: G1_11, G1_12, G1_22, G2_11, G2_12, G2_22.  The model's closed
-        form when it has one; otherwise the general formula on central
-        differences of the metric.
+        Order: G1_11, G1_12, G1_22, G2_11, G2_12, G2_22.  A built-in
+        model's closed form, or a custom metric's exact symbols.
         """
-        if self._christoffels is not None:
-            return self._christoffels(u, v)
-        e, f, g = self.metric(u, v)
-        h = _FD_METRIC_STEP
-        eu1, fu1, gu1 = self.metric(u + h, v)
-        eu0, fu0, gu0 = self.metric(u - h, v)
-        ev1, fv1, gv1 = self.metric(u, v + h)
-        ev0, fv0, gv0 = self.metric(u, v - h)
-        inv = 0.5 / h
-        e_u, e_v = (eu1 - eu0) * inv, (ev1 - ev0) * inv
-        f_u, f_v = (fu1 - fu0) * inv, (fv1 - fv0) * inv
-        g_u, g_v = (gu1 - gu0) * inv, (gv1 - gv0) * inv
-        w2 = 2.0 * (e * g - f * f)
-        g1_11 = (g * e_u - 2 * f * f_u + f * e_v) / w2
-        g2_11 = (2 * e * f_u - e * e_v - f * e_u) / w2
-        g1_12 = (g * e_v - f * g_u) / w2
-        g2_12 = (e * g_u - f * e_v) / w2
-        g1_22 = (2 * g * f_v - g * g_u - f * g_v) / w2
-        g2_22 = (e * g_v - 2 * f * f_v + f * g_u) / w2
-        return g1_11, g1_12, g1_22, g2_11, g2_12, g2_22
+        return self._christoffels(u, v)
 
     def inner(self, pts, w1, w2):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -602,7 +584,8 @@ def surface_from_json(doc) -> SurfaceModel:
     expression strings E, F, G, and optionally ``curvature`` as an
     expression (finite-difference Brioschi curvature is used otherwise) and
     ``name``.  Any other key, at the top level or inside ``chart`` or
-    ``metric``, is an error.
+    ``metric``, is an error.  The Christoffel symbols are compiled from E,
+    F and G once, here.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -631,7 +614,8 @@ def surface_from_json(doc) -> SurfaceModel:
     else:
         curvature = _brioschi_curvature(metric)
 
-    return SurfaceModel(CUSTOM, rect, metric, curvature, spec=copy.deepcopy(doc))
+    christoffels = compile_christoffels(*sources[:3])
+    return SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, spec=copy.deepcopy(doc))
 
 
 _BUILTIN_FACTORIES = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geogasket.errors import ExpressionError
-from geogasket.expressions import compile_expression
+from geogasket.expressions import _Jets, compile_expression
 
 
 def test_arithmetic():
@@ -113,3 +113,55 @@ def test_position_counts_from_original_source():
     with pytest.raises(ExpressionError) as err:
         compile_expression("\n  u +\n   abs(v)")
     assert (err.value.line, err.value.column) == (3, 4)
+
+
+def jet_function(source):
+    """``f(u, v) -> (value, d/du, d/dv)`` from the derivative compiler."""
+    jets = _Jets()
+    return jets.function(jets.source(source))
+
+
+# every grammar node: each function, pow with a constant and a variable
+# exponent, right-associative **, unary minus chains, pi and e, the literal forms
+DIFFERENTIATED = [
+    "1 + 2*u - v/4",
+    "exp(u) * cos(v) + pi",
+    "log(u + 2) - sin(v)",
+    "sinh(u) / cosh(v) + tanh(u*v)",
+    "sqrt(u*u + v*v + 1)",
+    "pow(u, 3) + pow(2, v)",
+    "u**v + pow(u + 1, v - u)",
+    "2 ** u ** 2",
+    "u ** 2 ** -1",
+    "- - -u * v",
+    "-(-u) - -v / -(u + 2)",
+    "e ** v - pi * u",
+    "007 * u + 0.5 * v - .5 + 1e-3 * u * v + 2.5E+1 / (u + 3) + 4.",
+    "u / v / 2",
+    "cos(sin(exp(u * v)))",
+    "v",
+    "3",
+]
+
+
+@pytest.mark.parametrize("source", DIFFERENTIATED)
+def test_jets_match_evaluator_and_central_differences(source):
+    rng = np.random.default_rng(3)
+    u, v = rng.uniform(0.2, 0.9, 500), rng.uniform(0.2, 0.9, 500)
+    value, du, dv = jet_function(source)(u, v)
+    f = compile_expression(source)
+    assert value.tobytes() == f(u, v).tobytes()
+    h = 1e-5
+    assert du.shape == dv.shape == u.shape
+    np.testing.assert_allclose(du, (f(u + h, v) - f(u - h, v)) / (2 * h), rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(dv, (f(u, v + h) - f(u, v - h)) / (2 * h), rtol=1e-8, atol=1e-8)
+
+
+def test_constant_exponent_takes_no_log():
+    # the base is negative, so a log of it would be invalid
+    u = np.array([0.5, -1.0])
+    with np.errstate(all="raise"):
+        value, du, dv = jet_function("(u - 1) ** 3 + pow(u - 1, 2)")(u, u)
+    assert value.tolist() == [-0.125 + 0.25, -8.0 + 4.0]
+    assert du.tolist() == [3 * 0.25 + 2 * -0.5, 3 * 4.0 + 2 * -2.0]
+    assert dv.tolist() == [0.0, 0.0]

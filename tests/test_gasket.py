@@ -443,7 +443,7 @@ class TestSerialization:
     def test_surface_without_spec_refused(self, flat_base):
         # a model built directly, not from a name or a document, cannot be stored
         eu = flat_base.surface
-        surface = SurfaceModel(EUCLIDEAN, eu.chart, eu.metric, eu.curvature)
+        surface = SurfaceModel(EUCLIDEAN, eu.chart, eu.metric, eu.curvature, eu.christoffels)
         base = GeodesicTriangleRegion(surface, flat_base.vertices, flat_base.side_lengths)
         with pytest.raises(DomainError, match="no spec"):
             system_to_json(build_system(base, 1, delta=0.5))

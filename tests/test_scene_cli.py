@@ -684,8 +684,10 @@ class TestCustomSurfaceErrors:
             (("chart", "u_min"), 2.0, "chart rectangle is empty"),
             # NaN on the chart grid where u < 2, which every comparison rejects
             (("metric", "E"), "1 + sqrt(u - 2)", "not positive definite"),
+            # E_u is 0/0 at the chart origin, a grid point
+            (("metric", "E"), "1 + sqrt(u*u + v*v)", "Christoffel symbols are not finite on the chart grid at (0, 0)"),
         ],
-        ids=["unclosed", "curvature", "empty_chart", "nan_metric"],
+        ids=["unclosed", "curvature", "empty_chart", "nan_metric", "nan_symbols"],
     )
     def test_build_scene_surface_exit2(self, tmp_path, capsys, path, value, message):
         doc = copy.deepcopy(BUMP_SCENE)

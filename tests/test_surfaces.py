@@ -9,9 +9,7 @@ from geogasket import surfaces
 from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
 from geogasket.expressions import compile_expression
 from geogasket.surfaces import (
-    CUSTOM,
     DEFAULT_SHOOT_TOL,
-    SurfaceModel,
     _Batch,
     euclidean_surface,
     jacobi_field,
@@ -428,9 +426,29 @@ class TestChristoffels:
             assert np.array_equal(a, b)
         assert all(np.array_equal(a, b) for a, b in zip(surface.metric(u, v), (e, zero, e)))
 
-    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+    def test_compiled_equals_general_formula(self):
+        # a metric with every entry varying, F included, against the general
+        # formula on central differences of the evaluated expressions
+        texts = {"E": "2 + sin(u*v)", "F": "u*v/4 - 0.1*exp(v)", "G": "1 + u**2 + cosh(v)/3"}
+        surface = surface_from_json({"chart": TestBatchIndependence.BUMP["chart"], "metric": texts})
+        e_fn, f_fn, g_fn = (compile_expression(texts[k]) for k in "EFG")
+        rng = np.random.default_rng(2)
+        u, v = rng.uniform(-0.9, 0.9, 1000), rng.uniform(-0.9, 0.9, 1000)
+        h = 1e-5
+
+        def partials(fn):
+            return (fn(u + h, v) - fn(u - h, v)) / (2 * h), (fn(u, v + h) - fn(u, v - h)) / (2 * h)
+
+        expected = general_christoffels(e_fn(u, v), f_fn(u, v), g_fn(u, v), *partials(e_fn), *partials(f_fn), *partials(g_fn))
+        for a, b in zip(surface.christoffels(u, v), expected):
+            np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "bump"])
     def test_rhs_reads_closed_form_only(self, kind, request, monkeypatch):
-        surface = request.getfixturevalue(kind)
+        # a custom metric's symbols are compiled from its expressions once, at load
+        surface = (
+            surface_from_json(TestBatchIndependence.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
         counts = {"christoffels": 0, "metric": 0}
         for name in counts:
             method = getattr(surface, name)
@@ -496,16 +514,14 @@ class TestCustomSurface:
         assert sorted(runs) == sorted([self.DOC["metric"]["E"], "0"])
 
     def test_shared_evaluator_keeps_geodesics(self):
-        # bitwise the geodesics of the same metric with one evaluator per entry
+        # bitwise the geodesics and distances of the same metric with G spelled
+        # as another tree than E, so that the two share only u*u and v*v
         surface = surface_from_json(self.DOC)
-        e_fn, f_fn, g_fn = (compile_expression(self.DOC["metric"][k]) for k in "EFG")
-
-        def metric(u, v):
-            return e_fn(u, v), f_fn(u, v), g_fn(u, v)
-
-        separate = SurfaceModel(CUSTOM, surface.chart, metric, surface.curvature)
+        apart = surface_from_json(dict(self.DOC, metric=dict(self.DOC["metric"], G="exp(-(v*v + u*u)/8)")))
         pts, vels = TestBatchIndependence.mixed_batch()
-        assert np.array_equal(surface.exp_many(pts, vels), separate.exp_many(pts, vels))
+        targets = surface.exp_many(pts, vels)
+        assert np.array_equal(targets, apart.exp_many(pts, vels))
+        assert np.array_equal(surface.distance_many(pts, targets), apart.distance_many(pts, targets))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -536,3 +552,35 @@ class TestCustomSurface:
         }
         with pytest.raises(DomainError):
             surface_from_json(doc)
+
+
+class TestCustomSphere:
+    """The unit sphere's stereographic metric entered as a custom surface."""
+
+    TEXT = "4/(1+u*u+v*v)**2"
+    DOC = {
+        "chart": {"u_min": -1.8, "u_max": 1.8, "v_min": -1.8, "v_max": 1.8},
+        "metric": {"E": TEXT, "F": "0", "G": TEXT},
+    }
+
+    def test_loads_on_brioschi_curvature(self):
+        # no curvature given: the finite-difference estimate misses K = 1 by
+        # more than the built-in models' 1e-9 and stays within the custom 1e-4
+        surface = surface_from_json(self.DOC)
+        uu, vv = np.meshgrid(np.linspace(-1.8, 1.8, 21), np.linspace(-1.8, 1.8, 21))
+        assert 1e-9 < np.max(np.abs(surface.curvature(uu.ravel(), vv.ravel()))) - 1.0 < 1e-4
+
+    def test_symbols_equal_closed_form(self, sphere):
+        surface = surface_from_json(self.DOC)
+        rng = np.random.default_rng(5)
+        u, v = rng.uniform(-1.8, 1.8, 10**4), rng.uniform(-1.8, 1.8, 10**4)
+        for a, b in zip(surface.christoffels(u, v), sphere.christoffels(u, v)):
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+
+    def test_distances_equal_closed_form(self, sphere, closed_form_distance):
+        surface = surface_from_json(self.DOC)
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-0.8, 0.8, size=(40, 2))
+        targets = pts + rng.uniform(-0.2, 0.2, size=(40, 2))
+        expected = [closed_form_distance(sphere, p, q) for p, q in zip(pts, targets)]
+        np.testing.assert_allclose(surface.distance_many(pts, targets), expected, rtol=0, atol=1e-10)
