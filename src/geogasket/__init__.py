@@ -9,13 +9,10 @@ from .dimension import (
     GaugeSpec,
     MoranSolution,
     RatioList,
-    SimpleFamily,
     box_dimension_estimate,
-    enumerate_simple_family,
     gauge_admissible,
     hausdorff_upper_sum,
     product_bounds,
-    simple_family_sum,
     solve_moran,
 )
 from .gasket import (
@@ -42,7 +39,6 @@ from .scene import SceneConfig
 from .surfaces import (
     SurfaceModel,
     euclidean_surface,
-    jacobi_field,
     make_surface,
     poincare_disk_surface,
     surface_from_json,

@@ -1,9 +1,9 @@
 """Similarity dimension machinery over triangle systems.
 
 The root of sum(lambda_i^s) = 1 gives the similarity dimension; admissible
-gauges quantify the allowed deviation from strict similarity; simple
-families, upper sums, and box-count regressions estimate the dimension of
-the limit set from stored cell data.
+gauges quantify the allowed deviation from strict similarity; upper sums
+and box-count regressions estimate the dimension of the limit set from
+stored cell data.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthExhaustedError, DomainError, json_integer, json_numbers, json_object
+from .errors import DomainError, json_integer, json_numbers, json_object
 from .metric_core import CoverRecord
-from .gasket import TriangleSystem, mi_str
+from .gasket import TriangleSystem
 
 
 @dataclass(frozen=True)
@@ -303,61 +303,6 @@ def product_bounds(gauge: GaugeSpec, nu: float, diam: float, max_terms: int = 20
     upper = math.exp(log_upper + tail)
     lower = math.exp(log_lower - 2.0 * tail)
     return ProductBounds(upper=upper, lower=lower, terms_used=i, tail_bound=tail)
-
-
-# -- simple families ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimpleFamily:
-    """A finite prefix-free, exhaustive set of multi-indices."""
-
-    members: tuple
-
-
-def enumerate_simple_family(system: TriangleSystem, threshold: float) -> SimpleFamily:
-    """First-crossing family: for each digit string, the first prefix whose
-    cell diameter drops to the threshold.
-
-    The comparison carries a 1e-12 relative slack so that thresholds placed
-    exactly at a subdivision scale select that whole level despite rounding
-    in the stored diameters.
-    """
-    if threshold >= system.base.diam:
-        raise DomainError("threshold must be below the base diameter")
-    if threshold <= 0:
-        raise DomainError("threshold must be positive")
-    cutoff = threshold * (1.0 + 1e-12)
-    members = []
-    stack = [()]
-    while stack:
-        index = stack.pop()
-        n = len(index)
-        diam = system.cell_diam(index)
-        if n > 0 and diam <= cutoff:
-            members.append(index)
-            continue
-        if n == system.depth:
-            raise DepthExhaustedError(
-                f"branch {mi_str(index)} never crossed the threshold within "
-                f"depth {system.depth}"
-            )
-        stack.extend(index + (d,) for d in (3, 2, 1))
-    return SimpleFamily(members=tuple(sorted(members)))
-
-
-def simple_family_sum(family: SimpleFamily, ratios, s: float) -> float:
-    """Sum over members of (product of digit ratios)^s."""
-    if not isinstance(ratios, RatioList):
-        ratios = RatioList(tuple(ratios))
-    lams = ratios.lambdas
-    total = 0.0
-    for index in family.members:
-        lam = 1.0
-        for d in index:
-            lam *= lams[d - 1]
-        total += lam**s
-    return total
 
 
 # -- estimators ---------------------------------------------------------------

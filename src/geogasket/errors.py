@@ -66,10 +66,6 @@ class InversionError(GeogasketError):
     """Parameter recovery for a subdivision map did not meet its residual bound."""
 
 
-class DepthExhaustedError(GeogasketError):
-    """A stored system is too shallow for the requested enumeration."""
-
-
 class CapacityError(GeogasketError):
     """An atom or cell budget was exceeded with resampling disabled."""
 

@@ -140,7 +140,7 @@ def _parse(source: str, namespace):
     except SyntaxError as exc:  # offset 0 or None: at the end of the input
         index = offset + (exc.offset or len(body) + 1) - 1
         raise ExpressionError(exc.msg, *_position(source, index)) from None
-    except RecursionError:
+    except (RecursionError, MemoryError):  # the parser's stack overflows as MemoryError
         raise ExpressionError("expression nested too deeply", 1, 1) from None
 
 

@@ -4,9 +4,11 @@ Subdividing a geodesic triangle by joining the midpoints of its sides with
 minimal geodesics and discarding the middle triangle yields three corner
 cells; repeating this produces the cell family indexed by digit strings
 over {1, 2, 3}.  Digit i always names the child containing vertex i of its
-parent.  Cells are stored per level as flat arrays (vertices, side
-lengths), so deep flat systems stay cheap and curved levels are built with
-batched geodesic solves.
+parent.  Cells are held per level as flat arrays (vertices, side lengths),
+so deep flat systems stay cheap and curved levels are built with batched
+geodesic solves.  A level is the solver's side midpoints and midlines of
+its parents put together by ``_children``; a stored system keeps only
+those, and its reader rebuilds the levels with the same assembly.
 
 The audits measure how far each subdivision map is from a strict
 half-ratio similarity.  ``certify`` runs the six checks of the certificate
@@ -112,12 +114,12 @@ class LevelArrays:
         return len(self.vertices)
 
 
-def _subdivide_arrays(surface: SurfaceModel, verts: np.ndarray, sides: np.ndarray):
-    """One subdivision step for a whole level.
+def _solve_level(surface: SurfaceModel, verts: np.ndarray):
+    """The geodesic solves of one subdivision step for a whole level.
 
-    Returns (children_vertices (N,3,3,2) by digit, children_sides (N,3,3)).
-    Child d keeps vertex d of its parent; its other two vertices are side
-    midpoints, and its side opposite vertex d is the midline joining them.
+    Returns the side midpoints (N, 3, 2), midpoint k on the side opposite
+    vertex k, and the midlines (N, 3), midline k joining the two midpoints
+    other than midpoint k.
     """
     n = len(verts)
     starts = verts[:, [1, 2, 0], :].reshape(3 * n, 2)
@@ -125,20 +127,35 @@ def _subdivide_arrays(surface: SurfaceModel, verts: np.ndarray, sides: np.ndarra
     mids = surface.midpoint_many(starts, ends).reshape(n, 3, 2)
     m_starts = mids[:, [1, 2, 0], :].reshape(3 * n, 2)
     m_ends = mids[:, [2, 0, 1], :].reshape(3 * n, 2)
-    midline = surface.distance_many(m_starts, m_ends).reshape(n, 3)
+    midlines = surface.distance_many(m_starts, m_ends).reshape(n, 3)
+    return mids, midlines
 
-    child_verts = np.empty((n, 3, 3, 2))
-    child_sides = np.empty((n, 3, 3))
-    for d in range(3):
-        for slot in range(3):
-            if slot == d:
-                child_verts[:, d, slot, :] = verts[:, d, :]
-            else:
-                third = 3 - d - slot
-                child_verts[:, d, slot, :] = mids[:, third, :]
-        child_sides[:, d, :] = sides / 2.0
-        child_sides[:, d, d] = midline[:, d]
-    return child_verts, child_sides
+
+# Child d of a parent keeps the parent's vertex d; its other two vertices are
+# the midpoints of the sides at d, its side opposite vertex d is midline d,
+# and its other two sides are halves of the parent's.  Row d of each table
+# picks child d's three entries from a parent's vertices followed by its
+# midpoints, and from its halved sides followed by its midlines.
+_CHILD_VERTICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+_CHILD_SIDES = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5]])
+# (child, vertex slot) of midpoints 0, 1 and 2 in the tables above
+_MIDPOINT_CHILDREN = ([1, 0, 0], [2, 2, 1])
+
+
+def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: np.ndarray) -> LevelArrays:
+    """The level below parents (verts, sides) with the given midpoints and
+    midlines: child 3p + d - 1 of parent p is the one with digit d.
+
+    Vertices are copies and sides exact halves or midlines, so the level
+    carries no number beyond its parents' and the solved ones.
+    """
+    n = len(verts)
+    points = np.concatenate([verts, mids], axis=1)
+    lengths = np.concatenate([sides / 2.0, midlines], axis=1)
+    return LevelArrays(
+        vertices=points[:, _CHILD_VERTICES].reshape(3 * n, 3, 2),
+        side_lengths=lengths[:, _CHILD_SIDES].reshape(3 * n, 3),
+    )
 
 
 # -- the system ----------------------------------------------------------
@@ -166,10 +183,6 @@ class TriangleSystem:
 
     def level_diams(self, n: int) -> np.ndarray:
         return self.level(n).diams
-
-    def cell_diam(self, index) -> float:
-        digits = mi_validate(index)
-        return float(self.level(len(digits)).diams[mi_code(digits)])
 
 
 def _band_failures(sides: np.ndarray, delta: float):
@@ -208,18 +221,16 @@ def build_system(
     surface = base.surface
     for n in range(depth):
         lv = levels[-1]
-        cv, cs = _subdivide_arrays(surface, lv.vertices, lv.side_lengths)
-        new_verts = cv.reshape(len(lv) * 3, 3, 2)
-        new_sides = cs.reshape(len(lv) * 3, 3)
-        _, bad = _band_failures(new_sides, delta)
+        child = _children(lv.vertices, lv.side_lengths, *_solve_level(surface, lv.vertices))
+        _, bad = _band_failures(child.side_lengths, delta)
         if len(bad):
             cell = mi_from_code(int(bad[0]), n + 1)
             raise NondegeneracyError(
                 cell,
                 f"cell {mi_str(cell)} fails {delta / 2}-non-degeneracy "
-                f"(sides {new_sides[bad[0]]})",
+                f"(sides {child.side_lengths[bad[0]]})",
             )
-        levels.append(LevelArrays(vertices=new_verts, side_lengths=new_sides))
+        levels.append(child)
     return TriangleSystem(base, depth, delta, levels)
 
 
@@ -602,11 +613,16 @@ def system_to_json(system: TriangleSystem) -> str:
         "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
     }
-    # entry n - 1 holds level n as its two arrays
-    levels = [
-        {"side_lengths": lv.side_lengths.tolist(), "vertices": lv.vertices.tolist()}
-        for lv in system.levels[1:]
-    ]
+    # entry n - 1 holds what the solver produced for level n: each parent's
+    # midpoints and midlines, read back out of its children
+    levels = []
+    for lv in system.levels[1:]:
+        verts = lv.vertices.reshape(-1, 3, 3, 2)
+        sides = lv.side_lengths.reshape(-1, 3, 3)
+        levels.append({
+            "midlines": np.diagonal(sides, axis1=1, axis2=2).tolist(),
+            "midpoints": verts[:, _MIDPOINT_CHILDREN[0], _MIDPOINT_CHILDREN[1]].tolist(),
+        })
     # no indent, so that json uses its C encoder
     return json.dumps({"meta": meta, "levels": levels}, sort_keys=True)
 
@@ -632,14 +648,15 @@ def system_from_json(text: str) -> TriangleSystem:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
-        entry = json_object(entry, ("side_lengths", "vertices"), f"level {n}", optional=())
-        verts = json_numbers(entry["vertices"], (3**n, 3, 2), f"level {n} vertices")
-        sides = json_numbers(entry["side_lengths"], (3**n, 3), f"level {n} side_lengths")
-        if not surface.contains(verts.reshape(-1, 2)).all():
-            raise SceneValidationError(f"level {n} vertices must lie inside the chart {surface.chart}")
-        if np.any(sides <= 0):
-            raise SceneValidationError(f"level {n} side_lengths must be positive")
-        arrays.append(LevelArrays(vertices=verts, side_lengths=sides))
+        entry = json_object(entry, ("midlines", "midpoints"), f"level {n}", optional=())
+        mids = json_numbers(entry["midpoints"], (3 ** (n - 1), 3, 2), f"level {n} midpoints")
+        midlines = json_numbers(entry["midlines"], (3 ** (n - 1), 3), f"level {n} midlines")
+        if not surface.contains(mids.reshape(-1, 2)).all():
+            raise SceneValidationError(f"level {n} midpoints must lie inside the chart {surface.chart}")
+        if np.any(midlines <= 0):
+            raise SceneValidationError(f"level {n} midlines must be positive")
+        parents = arrays[-1]
+        arrays.append(_children(parents.vertices, parents.side_lengths, mids, midlines))
     return TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
 
 

@@ -445,28 +445,6 @@ class SurfaceModel:
         return self.exp_many(pts, 0.5 * w)
 
 
-def jacobi_field(phi, t, s, h, surface):
-    """Central-difference variation field of a triangle parametrization.
-
-    ``phi(t, s)`` must return a chart point; the derivative with respect to
-    the family parameter s is estimated with step h and its norm is taken in
-    the surface metric at phi(t, s).
-    Returns ``(vector, norm)``.
-    """
-    if h <= 0 or h > 1e-4:
-        raise DomainError("step h must lie in (0, 1e-4]")
-    if not (0 < s - h and s + h <= 1.0):
-        raise DomainError("s +/- h must stay inside (0, 1]")
-    if not (0.0 <= t <= 1.0):
-        raise DomainError("t must lie in [0, 1]")
-    hi = np.asarray(phi(t, s + h), dtype=float)
-    lo = np.asarray(phi(t, s - h), dtype=float)
-    vec = (hi - lo) / (2.0 * h)
-    at = np.asarray(phi(t, s), dtype=float)
-    norm = float(surface.norm(at[None, :], vec[None, :])[0])
-    return vec, norm
-
-
 # -- built-in models ---------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geogasket.gasket import _subdivide_arrays, build_system, calibrate_gauge
+from geogasket.gasket import _children, _solve_level, build_system, calibrate_gauge, mi_code
 from geogasket.surfaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -82,11 +82,13 @@ def split_cells():
     """Splits a region into its three corner cells and the center cell."""
 
     def split(region):
-        cv, cs = _subdivide_arrays(region.surface, region.vertices[None], region.side_lengths[None])
-        corners = [GeodesicTriangleRegion(region.surface, v, s) for v, s in zip(cv[0], cs[0])]
-        # the center's vertices are the side midpoints the corners share
-        # (midpoint k is vertex 3 - d - slot of corner d), its sides the midlines
-        center = GeodesicTriangleRegion(region.surface, cv[0, [1, 0, 0], [2, 2, 1]], cs[0, [0, 1, 2], [0, 1, 2]])
+        verts, sides = region.vertices[None], np.asarray(region.side_lengths)[None]
+        mids, midlines = _solve_level(region.surface, verts)
+        level = _children(verts, sides, mids, midlines)
+        corners = [GeodesicTriangleRegion(region.surface, v, s) for v, s in zip(level.vertices, level.side_lengths)]
+        # the center's vertices are the side midpoints the corners share, its
+        # sides the midlines (midline k opposite midpoint k)
+        center = GeodesicTriangleRegion(region.surface, mids[0], midlines[0])
         return (*corners, center)
 
     return split
@@ -126,3 +128,27 @@ def hyperbolic_system(hyperbolic_base):
     system = build_system(hyperbolic_base, 6, delta=0.4)
     calibrate_gauge(system, n_pairs=100, seed=1)
     return system
+
+
+@pytest.fixture(scope="session")
+def first_crossing():
+    """The first-crossing simple family of a system below a threshold: for
+    each digit string, its first prefix whose stored cell diameter drops to
+    the threshold, with a 1e-12 relative slack so that a threshold placed
+    exactly at a subdivision scale selects that whole level.  A branch that
+    never crosses within the stored depth raises the system's DomainError."""
+
+    def family(system, threshold):
+        cutoff = threshold * (1.0 + 1e-12)
+        members = []
+        stack = [()]
+        while stack:
+            index = stack.pop()
+            if index and system.level_diams(len(index))[mi_code(index)] <= cutoff:
+                members.append(index)
+            else:
+                stack.extend(index + (d,) for d in (3, 2, 1))
+        return sorted(members)
+
+    return family
+

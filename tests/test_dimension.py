@@ -10,14 +10,12 @@ from geogasket.dimension import (
     RatioList,
     box_dimension_estimate,
     dimension_report_csv,
-    enumerate_simple_family,
     gauge_admissible,
     hausdorff_upper_sum,
     product_bounds,
-    simple_family_sum,
     solve_moran,
 )
-from geogasket.errors import DepthExhaustedError, DomainError
+from geogasket.errors import DomainError
 from geogasket.gasket import build_system
 
 
@@ -132,68 +130,69 @@ class TestProductBounds:
             product_bounds(gauge, 0.5, 0.3)
 
 
+def moran_sum(members, ratios, s):
+    """Sum over digit strings of the product of their digits' ratios, to the power s."""
+    return sum(math.prod(ratios[d - 1] for d in index) ** s for index in members)
+
+
 class TestSimpleFamilies:
-    def test_flat_uniform_threshold(self, flat_system):
-        family = enumerate_simple_family(flat_system, 2.0**-3 * flat_system.base.diam)
-        assert len(family.members) == 27
-        assert all(len(m) == 3 for m in family.members)
+    """Moran sums over simple families: first-crossing families read from
+    the stored cell diameters, and hand-written prefix codes."""
 
-    def test_flat_intermediate_threshold(self, flat_system):
-        family = enumerate_simple_family(flat_system, 0.3 * flat_system.base.diam)
-        assert len(family.members) == 9
+    def test_flat_uniform_threshold(self, flat_system, first_crossing):
+        family = first_crossing(flat_system, 2.0**-3 * flat_system.base.diam)
+        assert len(family) == 27
+        assert all(len(m) == 3 for m in family)
 
-    def test_sphere_family_valid(self, sphere_system):
-        family = enumerate_simple_family(sphere_system, 0.21 * sphere_system.base.diam)
-        assert_complete_prefix_code(family.members)
-        lengths = {len(m) for m in family.members}
+    def test_flat_intermediate_threshold(self, flat_system, first_crossing):
+        family = first_crossing(flat_system, 0.3 * flat_system.base.diam)
+        assert len(family) == 9
+
+    def test_sphere_family_valid(self, sphere_system, first_crossing):
+        family = first_crossing(sphere_system, 0.21 * sphere_system.base.diam)
+        assert_complete_prefix_code(family)
+        lengths = {len(m) for m in family}
         assert len(lengths) >= 1
 
-    def test_depth_exhausted(self, flat_system):
-        with pytest.raises(DepthExhaustedError):
-            enumerate_simple_family(flat_system, 2.0**-12 * flat_system.base.diam)
+    def test_depth_exhausted(self, flat_system, first_crossing):
+        # a threshold below the stored depth's diameters reads past the last level
+        with pytest.raises(DomainError, match="level 9 outside stored depth 8"):
+            first_crossing(flat_system, 2.0**-12 * flat_system.base.diam)
 
     def test_uniform_family_sum_exact(self):
         members = tuple(
             (a, b) for a in (1, 2, 3) for b in (1, 2, 3)
         )
-        from geogasket.dimension import SimpleFamily
-
-        family = SimpleFamily(members=members)
         s = solve_moran((0.5, 0.5, 0.5)).s
-        assert simple_family_sum(family, (0.5, 0.5, 0.5), s) == pytest.approx(1.0, abs=1e-12)
+        assert moran_sum(members, (0.5, 0.5, 0.5), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_family_sum(self):
-        from geogasket.dimension import SimpleFamily
-
-        family = SimpleFamily(members=((1,), (2,), (3, 1), (3, 2), (3, 3)))
-        assert_complete_prefix_code(family.members)
+        members = ((1,), (2,), (3, 1), (3, 2), (3, 3))
+        assert_complete_prefix_code(members)
         s = solve_moran((0.5, 0.5, 0.5)).s
-        assert simple_family_sum(family, (0.5, 0.5, 0.5), s) == pytest.approx(1.0, abs=1e-12)
+        assert moran_sum(members, (0.5, 0.5, 0.5), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_families_detected(self):
-        from geogasket.dimension import SimpleFamily
-
         # on the classical gasket a complete prefix code sums to 1; a family
         # that misses a branch sums below 1, one with a nested member above
         s = solve_moran((0.5, 0.5, 0.5)).s
-        incomplete = SimpleFamily(members=((1,), (2,)))
-        nested = SimpleFamily(members=((1,), (2,), (3,), (3, 1)))
-        assert simple_family_sum(incomplete, (0.5, 0.5, 0.5), s) == pytest.approx(2 / 3, abs=1e-12)
-        assert simple_family_sum(nested, (0.5, 0.5, 0.5), s) == pytest.approx(10 / 9, abs=1e-12)
+        incomplete = ((1,), (2,))
+        nested = ((1,), (2,), (3,), (3, 1))
+        assert moran_sum(incomplete, (0.5, 0.5, 0.5), s) == pytest.approx(2 / 3, abs=1e-12)
+        assert moran_sum(nested, (0.5, 0.5, 0.5), s) == pytest.approx(10 / 9, abs=1e-12)
         for family in (incomplete, nested):
             with pytest.raises(AssertionError):
-                assert_complete_prefix_code(family.members)
+                assert_complete_prefix_code(family)
 
-    def test_random_ratio_sums(self, flat_system):
+    def test_random_ratio_sums(self, flat_system, first_crossing):
         rng = np.random.default_rng(31)
         thresholds = [0.4, 0.21, 0.1, 0.06]
         for _ in range(50):
             lams = tuple(rng.uniform(0.2, 0.8, size=3))
             s = solve_moran(lams).s
             threshold = flat_system.base.diam * thresholds[int(rng.integers(0, 4))]
-            family = enumerate_simple_family(flat_system, threshold)
-            total = simple_family_sum(family, lams, s)
-            assert abs(total - 1.0) <= 1e-10
+            family = first_crossing(flat_system, threshold)
+            assert abs(moran_sum(family, lams, s) - 1.0) <= 1e-10
 
 
 class TestHausdorffUpperSum:

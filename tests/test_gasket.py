@@ -202,7 +202,7 @@ class TestAudits:
     def test_flat_zero_deviation(self, flat_system):
         dev, diam = audit_similarity(flat_system, [(1, 3, 2)], n_pairs=150, seed=4)
         assert dev.tolist() == [0.0]
-        assert diam.tolist() == [flat_system.cell_diam((1, 3))]
+        assert diam.tolist() == [flat_system.level_diams(2)[mi_code((1, 3))]]
 
     def test_budget_enforced(self, flat_system):
         with pytest.raises(DomainError):
@@ -347,7 +347,7 @@ class TestClosedFormReference:
         system = build_system(scene.base_triangle(surface), 6, scene.delta)
         cells = lift(system.base.vertices)[None]
         for n in range(1, 7):
-            # the digit convention of _subdivide_arrays: child d keeps vertex d,
+            # the digit convention of _children: child d keeps vertex d,
             # and midpoint k, of the side opposite vertex k, fills slot 3 - d - k
             mids = midpoint(cells[:, [1, 2, 0]], cells[:, [2, 0, 1]])
             children = np.empty((len(cells), 3, 3, 3))
@@ -411,8 +411,9 @@ class TestSerialization:
             (("meta", "delta"), "meta.delta"),
             (("meta", "gauge_c"), "meta.gauge_c"),
             (("meta", "base_vertices", 1, 0), "meta.base_vertices"),
-            (("levels", 1, "side_lengths", 4, 2), "level 2 side_lengths"),
+            (("levels", 1, "midlines", 2, 2), "level 2 midlines"),
             (("meta", "base_side_lengths", 2), "meta.base_side_lengths"),
+            (("levels", 1, "midpoints", 2, 1, 0), "level 2 midpoints"),
         ],
     )
     def test_nonfinite_rejected(self, flat_base, path, field, value):
@@ -424,6 +425,25 @@ class TestSerialization:
         node[path[-1]] = value
         with pytest.raises(SceneValidationError, match=field):
             system_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "scene", ["scenes/flat_unit.json", "scenes/sphere_small.json", "scenes/hyperbolic_small.json", "perfbench/scenes/custom_bump.json"]
+    )
+    def test_reread_levels_bitwise(self, scene):
+        # a stored level holds only its parents' solved midpoints and
+        # midlines, 9 numbers a parent, and the reader's assembly rebuilds
+        # the very arrays build_system made
+        config = SceneConfig.from_path(Path(__file__).parents[1] / scene)
+        system = build_system(config.base_triangle(), 3, config.delta)
+        text = system_to_json(system)
+        for n, entry in enumerate(json.loads(text)["levels"], start=1):
+            assert np.size(entry["midpoints"]) + np.size(entry["midlines"]) == 9 * 3 ** (n - 1)
+        back = system_from_json(text)
+        assert len(back.levels) == len(system.levels) == 4
+        for built, read in zip(system.levels, back.levels):
+            for a, b in ((built.vertices, read.vertices), (built.side_lengths, read.side_lengths)):
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert system_to_json(back) == text
 
     def test_levels_read_only(self, flat_base):
         system = build_system(flat_base, 2, delta=0.5)

@@ -111,10 +111,11 @@ class TestBuildCommand:
         assert main(["build", flat_scene_path, "--depth", "3", "--out", str(out)]) == 0
         text = out.read_text()
         doc = json.loads(text)
-        # each level is its two arrays, with no per-cell object and no depth key
-        assert [sorted(level) for level in doc["levels"]] == [["side_lengths", "vertices"]] * 3
-        assert np.shape(doc["levels"][-1]["vertices"]) == (27, 3, 2)
-        assert np.shape(doc["levels"][-1]["side_lengths"]) == (27, 3)
+        # each level is its parents' solved midpoints and midlines, with no
+        # per-cell object and no depth key
+        assert [sorted(level) for level in doc["levels"]] == [["midlines", "midpoints"]] * 3
+        assert np.shape(doc["levels"][-1]["midpoints"]) == (9, 3, 2)
+        assert np.shape(doc["levels"][-1]["midlines"]) == (9, 3)
         back = gasket.system_from_json(text)
         assert gasket.system_to_json(back) == text
 
@@ -194,12 +195,13 @@ EXPECTED_FAILURES = {
 
 
 def _corrupted_flat_system(scene_path, out_dir):
-    """A built flat system with one level-3 side tripled, which fails the
-    contraction and non-degeneracy checks."""
+    """A built flat system with one level-3 side tripled (the midline of
+    cell 5, child 3 of level-2 cell 1), which fails the contraction and
+    non-degeneracy checks."""
     out = out_dir / "sys.json"
     main(["build", scene_path, "--out", str(out)])
     doc = json.loads(out.read_text())
-    doc["levels"][2]["side_lengths"][5][0] *= 3.0
+    doc["levels"][2]["midlines"][1][2] *= 3.0
     path = out_dir / "corrupt.json"
     path.write_text(json.dumps(doc))
     return path
@@ -353,6 +355,15 @@ def _built_flat_system(scene_path, tmp_path):
     return json.loads(out.read_text())
 
 
+def _level_arrays(doc):
+    """The levels of a stored system as all their cells' sides and vertices."""
+    system = gasket.system_from_json(json.dumps(doc))
+    return [
+        {"side_lengths": lv.side_lengths.tolist(), "vertices": lv.vertices.tolist()}
+        for lv in system.levels[1:]
+    ]
+
+
 class TestMalformedSystem:
     """Stored systems that cannot be used: exit 2, naming the field at fault.
     Readable systems with a vertex outside its parent: exit 4."""
@@ -363,7 +374,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def missing_cell(doc):
-        doc["levels"][1]["vertices"].pop()
+        doc["levels"][1]["midpoints"].pop()
 
     @staticmethod
     def degenerate_base(doc):
@@ -371,19 +382,19 @@ class TestMalformedSystem:
 
     @staticmethod
     def inf_vertex(doc):
-        doc["levels"][2]["vertices"][7][0][0] = math.inf
+        doc["levels"][2]["midpoints"][7][0][0] = math.inf
 
     @staticmethod
     def nan_side(doc):
-        doc["levels"][2]["side_lengths"][7][0] = math.nan
+        doc["levels"][2]["midlines"][7][0] = math.nan
 
     @staticmethod
     def string_side(doc):
-        doc["levels"][2]["side_lengths"][7][0] = "0.125"
+        doc["levels"][2]["midlines"][7][0] = "0.125"
 
     @staticmethod
     def true_coordinate(doc):
-        doc["levels"][2]["vertices"][7][1][1] = True
+        doc["levels"][2]["midpoints"][7][1][1] = True
 
     @staticmethod
     def top_level_list(doc):
@@ -400,7 +411,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def ragged_cell(doc):
-        doc["levels"][1]["vertices"][4][2] = [0.5]
+        doc["levels"][1]["midpoints"][1][2] = [0.5]
 
     @staticmethod
     def levels_not_list(doc):
@@ -417,7 +428,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def zero_side(doc):
-        doc["levels"][1]["side_lengths"][4][2] = 0
+        doc["levels"][1]["midlines"][1][2] = 0
 
     @staticmethod
     def delta_negative(doc):
@@ -437,7 +448,7 @@ class TestMalformedSystem:
 
     @staticmethod
     def vertex_outside_chart(doc):
-        doc["levels"][2]["vertices"][7][0] = [0.25, -50.0]
+        doc["levels"][2]["midpoints"][7][0] = [0.25, -50.0]
 
     @staticmethod
     def level_note(doc):
@@ -455,11 +466,16 @@ class TestMalformedSystem:
 
     @staticmethod
     def cell_objects(doc):
-        # the older layout: each level a depth and a list of cell objects
+        # an older layout: each level a depth and a list of cell objects
         doc["levels"] = [
             {"depth": n, "cells": [{"side_lengths": s, "vertices": v} for s, v in zip(lv["side_lengths"], lv["vertices"])]}
-            for n, lv in enumerate(doc["levels"], start=1)
+            for n, lv in enumerate(_level_arrays(doc), start=1)
         ]
+
+    @staticmethod
+    def level_arrays(doc):
+        # the layout before this one: each level all its cells' vertices and sides
+        doc["levels"] = _level_arrays(doc)
 
     @staticmethod
     def kind_in_custom_surface(doc):
@@ -468,41 +484,42 @@ class TestMalformedSystem:
 
     NAMED = {
         "short_levels": "levels",
-        "missing_cell": "level 2 vertices must hold finite numbers of shape (9, 3, 2)",
+        "missing_cell": "level 2 midpoints must hold finite numbers of shape (3, 3, 2)",
         "degenerate_base": "meta",
-        "inf_vertex": "level 3 vertices",
-        "nan_side": "level 3 side_lengths",
-        "string_side": "level 3 side_lengths",
-        "true_coordinate": "level 3 vertices",
+        "inf_vertex": "level 3 midpoints",
+        "nan_side": "level 3 midlines",
+        "string_side": "level 3 midlines",
+        "true_coordinate": "level 3 midpoints",
         "top_level_list": "system must be an object",
         "extra_nu": "meta has unknown keys ['nu']",
         "extra_top_key": "unknown keys ['extra']",
-        "ragged_cell": "level 2 vertices",
+        "ragged_cell": "level 2 midpoints",
         "levels_not_list": "levels must be a list",
         "audits_key": "system has unknown keys ['audits']",
         "gauge_c_typo": "meta has unknown keys ['gauge_C']",
-        "zero_side": "level 2 side_lengths must be positive",
+        "zero_side": "level 2 midlines must be positive",
         "delta_negative": "meta.delta must lie in (0, pi/2)",
         "delta_zero": "meta.delta must lie in (0, pi/2)",
         "delta_half_pi": "meta.delta must lie in (0, pi/2)",
         "base_outside_chart": "meta: base vertices must lie inside the chart",
-        "vertex_outside_chart": "level 3 vertices must lie inside the chart",
+        "vertex_outside_chart": "level 3 midpoints must lie inside the chart",
         "kind_in_custom_surface": "meta: custom surface has unknown keys ['kind']",
         "level_note": "level 2 has unknown keys ['note']",
         "side_length_typo": "level 2 has unknown keys ['side_length']",
         "level_depth_key": "level 2 has unknown keys ['depth']",
-        "cell_objects": "level 1 lacks side_lengths, vertices",
+        "cell_objects": "level 1 lacks midlines, midpoints",
+        "level_arrays": "level 1 lacks midlines, midpoints",
     }
 
     @pytest.mark.parametrize("offset", [0.2, 1e-11])
     def test_vertex_outside_parent_exit4(self, flat_scene_path, tmp_path, capsys, offset):
         # level-3 cell 9 (digits 2, 1, 1) is child 1 of level-2 cell 3; its
-        # vertex 3 is the midpoint of the parent's side from vertex 1 to 3,
-        # moved outside by ``offset`` in the parent's chart-barycentric
-        # coordinates
+        # vertex 3 is the parent's stored midpoint on the side from vertex 1
+        # to 3 (index 1, opposite vertex 2), here moved outside by ``offset``
+        # in the parent's chart-barycentric coordinates
         doc = _built_flat_system(flat_scene_path, tmp_path)
-        p1, p2, p3 = np.array(doc["levels"][1]["vertices"][3])
-        doc["levels"][2]["vertices"][9][2] = (p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)).tolist()
+        p1, p2, p3 = gasket.system_from_json(json.dumps(doc)).level(2).vertices[3]
+        doc["levels"][2]["midpoints"][3][1] = (p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)).tolist()
         path = tmp_path / "outside.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -686,8 +703,10 @@ class TestCustomSurfaceErrors:
             (("metric", "E"), "1 + sqrt(u - 2)", "not positive definite"),
             # E_u is 0/0 at the chart origin, a grid point
             (("metric", "E"), "1 + sqrt(u*u + v*v)", "Christoffel symbols are not finite on the chart grid at (0, 0)"),
+            # the parser's stack overflows before Python's recursion limit
+            (("metric", "E"), "u" + "**u" * 3000, "expression nested too deeply"),
         ],
-        ids=["unclosed", "curvature", "empty_chart", "nan_metric", "nan_symbols"],
+        ids=["unclosed", "curvature", "empty_chart", "nan_metric", "nan_symbols", "deep_nesting"],
     )
     def test_build_scene_surface_exit2(self, tmp_path, capsys, path, value, message):
         doc = copy.deepcopy(BUMP_SCENE)

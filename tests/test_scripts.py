@@ -167,3 +167,53 @@ def test_cli_import_skips(package):
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _bench_snapshot():
+    spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_snapshot_helpers(tmp_path):
+    snapshot = _bench_snapshot()
+    assert snapshot.next_bench_path(tmp_path).name == "BENCH_1.json"
+    for name in ("BENCH_2.json", "BENCH_10.json", "BENCH_x.json", "BENCH_3.json.bak"):
+        (tmp_path / name).write_text("{}")
+    assert snapshot.next_bench_path(tmp_path).name == "BENCH_11.json"
+    assert snapshot.tier1_counts("2 failed, 462 passed, 3 warnings in 79.12s (0:01:19)") == {"failed": 2, "passed": 462}
+
+
+def test_bench_snapshot_src_tree(tmp_path):
+    # the recorded tree id is git's own for src/, committed or not
+    snapshot = _bench_snapshot()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-qm", "a"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD:src"], capture_output=True, text=True, check=True).stdout.strip()
+    clean = snapshot.git_state(tmp_path)
+    assert not clean["git_dirty"] and clean["src_tree"] == head
+    (tmp_path / "src" / "b.py").write_text("y = 2\n")
+    dirty = snapshot.git_state(tmp_path)
+    assert dirty["git_dirty"] and dirty["src_tree"] != head
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-qm", "b"], check=True)
+    assert subprocess.run(git + ["rev-parse", "HEAD:src"], capture_output=True, text=True).stdout.strip() == dirty["src_tree"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_snapshots(path):
+    # every committed snapshot names its code and covers every workload
+    doc = json.loads(path.read_text())
+    assert re.fullmatch(r"[0-9a-f]{40}", doc["git_sha"]) and doc["src_lines"] > 0
+    assert re.fullmatch(r"[0-9a-f]{40}", doc["src_tree"])
+    assert doc["tier1"]["wall_s"] > 0 and doc["tier1"]["passed"] > 0
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(doc["workloads"]) == sorted(workloads)
+    for entry in doc["workloads"].values():
+        assert [run["seed"] for run in entry["runs"]] == doc["seeds"]
+        assert {"setup_s", "pipeline_s", "peak_rss_mb"} <= entry["median"].keys()
