@@ -101,12 +101,20 @@ _GAUGE_PARAMS = {"power": ("alpha",), "neglog_power": ("beta",), "logpower": ("n
 class GaugeSpec:
     """A gauge function phi controlling deviation from strict similarity.
 
-    Forms:
-      - ``power(alpha)``: phi(y) = y**alpha, alpha > 0
-      - ``neglog_power(beta)``: phi(y) = (-log y)**(-beta) on (0, 1)
+    Forms, each with its decay integral T(c) = integral over [X, inf) of
+    phi(a nu^x) dx, where L = |log nu| and c = X L - log a = -log(a nu^X):
+      - ``power(alpha)``: phi(y) = y**alpha, alpha > 0;
+        T = exp(-alpha c) / (alpha L)
+      - ``neglog_power(beta)``: phi(y) = (-log y)**(-beta) on (0, 1);
+        T = c**(1 - beta) / ((beta - 1) L) for beta > 1, divergent for
+        beta <= 1, and a ``DomainError`` unless c > 0
       - ``logpower(n)``: neglog_power with beta = 1 + 2/(2n + 1)
-      - ``table(ys, values)``: increasing piecewise-linear interpolant with
-        power-law extrapolation below the smallest node
+      - ``table(ys, values)``: nondecreasing piecewise-linear interpolant,
+        constant above the last node, with the power law
+        v0 (y/y0)**e through the first two nodes below the first node.
+        T integrates phi(y) / (y L) over y <= a nu^X: a linear piece
+        v + s (y - yk) gives (v - s yk) log(hi/lo) + s (hi - lo), and the
+        power law gives v0 (y/y0)**e / e, divergent when e = 0
 
     The parameters are read as a scene's ``gauge`` object is: the form's
     parameters, each a JSON number (``n`` an integer, ``ys`` and ``values``
@@ -125,9 +133,7 @@ class GaugeSpec:
             if not alpha > 0:
                 raise DomainError("power gauge needs alpha > 0")
             self._fn = lambda y: np.power(y, alpha)
-            # exp(-alpha * L) evaluated stably for huge L
-            self._fn_neglog = lambda L: math.exp(-alpha * L) if alpha * L < 745 else 0.0
-            self.domain_hi = math.inf
+            self._tail = lambda c, L: math.exp(-alpha * c) / (alpha * L)
         elif form in ("neglog_power", "logpower"):
             if form == "logpower":
                 n = json_integer(params["n"], "gauge.n", 1)
@@ -145,9 +151,13 @@ class GaugeSpec:
                 out[pos] = np.power(-np.log(y[pos]), -beta)
                 return out
 
+            def tail(c, L):
+                if not c > 0:
+                    raise DomainError(f"gauge of form {form!r} is only defined below 1")
+                return c ** (1.0 - beta) / ((beta - 1.0) * L) if beta > 1 else math.inf
+
             self._fn = fn
-            self._fn_neglog = lambda L: L ** (-beta) if L > 0 else math.inf
-            self.domain_hi = 1.0
+            self._tail = tail
         elif form == "table":
             ys = json_numbers(params["ys"], (None,), "gauge.ys")
             vals = json_numbers(params["values"], ys.shape, "gauge.values")
@@ -157,6 +167,11 @@ class GaugeSpec:
                 raise DomainError("table gauge values must be positive nondecreasing")
             # power-law extrapolation below the smallest node
             expo = math.log(vals[1] / vals[0]) / math.log(ys[1] / ys[0]) if vals[1] > vals[0] else 0.0
+            # each piece [ys[k], ys[k+1]) as intercept + slope * y; constant past the last node
+            slopes = np.append(np.diff(vals) / np.diff(ys), 0.0)
+            intercepts = vals - slopes * ys
+            his = np.append(ys[1:], math.inf)
+            log_y0 = math.log(ys[0])
 
             def fn(y):
                 y = np.asarray(y, dtype=float)
@@ -165,88 +180,41 @@ class GaugeSpec:
                 out = np.where(below, vals[0] * np.power(y / ys[0], expo), out)
                 return np.where(y <= 0, 0.0, out)
 
+            def tail(c, L):
+                # the power law up to min(a nu^X, ys[0]), then each linear piece up to a nu^X
+                low = vals[0] * math.exp(expo * min(-c - log_y0, 0.0)) / expo if expo > 0 else math.inf
+                if -c <= log_y0:
+                    return low / L
+                y = math.exp(-c)
+                lo, hi = np.minimum(ys, y), np.minimum(his, y)
+                return (low + float(np.sum(intercepts * np.log(hi / lo) + slopes * (hi - lo)))) / L
+
             self._fn = fn
-            self._fn_neglog = lambda L: float(fn(np.array([math.exp(-L) if L < 745 else 0.0]))[0])
-            # interp extends with the last value above the final node
-            self.domain_hi = math.inf
+            self._tail = tail
 
     def __call__(self, y):
         scalar = np.isscalar(y)
         out = self._fn(np.atleast_1d(np.asarray(y, dtype=float)))
         return float(out[0]) if scalar else out
 
-    def eval_neglog(self, L: float) -> float:
-        """phi(exp(-L)); stable for arguments far below the underflow line."""
-        return float(self._fn_neglog(L))
-
-    def check_valid(self, y_max: float, grid: int = 64):
-        """Probe monotonicity and the vanishing limit at 0+ on a grid."""
-        if y_max >= self.domain_hi:
-            raise DomainError(
-                f"gauge of form {self.form!r} is only defined below {self.domain_hi}"
-            )
-        ys = np.geomspace(1e-12, y_max, grid)
-        vals = self(ys)
-        if np.any(np.diff(vals) < -1e-15):
-            raise DomainError("gauge is not increasing on the probe grid")
-        if not vals[0] < vals[-1]:
-            raise DomainError("gauge does not decrease toward 0 on the probe grid")
+    def tail(self, a: float, nu: float, x: float) -> float:
+        """The decay integral over [x, inf) of phi(a nu^t) dt, in closed form."""
+        L = -math.log(nu)
+        return float(self._tail(x * L - math.log(a), L))
 
 
 @dataclass(frozen=True)
 class GaugeAdmissibility:
     admissible: bool
     integral: float
-    doublings: int
-    extrapolated: bool = False
 
 
-def gauge_admissible(gauge: GaugeSpec, a: float, nu: float, tail_tol: float = 1e-10, max_doublings: int = 40) -> GaugeAdmissibility:
-    """Numerically decide whether the gauge's decay integral converges.
-
-    Integrates x -> phi(a nu^x) on [1, X] with X doubling.  The integral is
-    admissible when the doubling increments fall below ``tail_tol``, or
-    when after the doubling budget they still decay geometrically (the tail
-    is then summed by geometric extrapolation).  Increments that keep the
-    partial sums growing across the budget (ratio ~ 1 or above) mean
-    divergence.
-    """
-    from scipy.integrate import quad  # here, so that importing the CLI does not load scipy
-
+def gauge_admissible(gauge: GaugeSpec, a: float, nu: float) -> GaugeAdmissibility:
+    """The gauge's decay integral over x >= 1 of phi(a nu^x); admissible when finite."""
     if a <= 0 or not (0.0 < nu < 1.0):
         raise DomainError("need a > 0 and nu in (0, 1)")
-    gauge.check_valid(a * nu)
-
-    abs_log_nu = -math.log(nu)
-    log_a = math.log(a)
-
-    def integrand(x):
-        # phi(a nu^x) without underflow: the argument's -log is affine in x
-        return gauge.eval_neglog(x * abs_log_nu - log_a)
-
-    total, _ = quad(integrand, 1.0, 2.0, limit=200)
-    x_hi = 2.0
-    piece_prev = total
-    ratios = []
-    for doubling in range(1, max_doublings + 1):
-        piece, _ = quad(integrand, x_hi, 2 * x_hi, limit=200)
-        total += piece
-        x_hi *= 2
-        if piece < tail_tol:
-            return GaugeAdmissibility(admissible=True, integral=total, doublings=doubling)
-        if piece_prev > 0:
-            ratios.append(piece / piece_prev)
-        piece_prev = piece
-    recent = float(np.median(ratios[-5:])) if ratios else math.inf
-    if recent < 0.995:
-        tail = piece_prev * recent / (1.0 - recent)
-        return GaugeAdmissibility(
-            admissible=True,
-            integral=total + tail,
-            doublings=max_doublings,
-            extrapolated=True,
-        )
-    return GaugeAdmissibility(admissible=False, integral=total, doublings=max_doublings)
+    integral = gauge.tail(a, nu, 1.0)
+    return GaugeAdmissibility(admissible=math.isfinite(integral), integral=integral)
 
 
 @dataclass(frozen=True)
@@ -257,16 +225,18 @@ class ProductBounds:
     tail_bound: float
 
 
-def product_bounds(gauge: GaugeSpec, nu: float, diam: float, max_terms: int = 200000) -> ProductBounds:
+# Most factors product_bounds multiplies before the decay integral takes over.
+MAX_TERMS = 200000
+
+
+def product_bounds(gauge: GaugeSpec, nu: float, diam: float) -> ProductBounds:
     """Convergent bounds for prod(1 +/- phi(nu^i diam)).
 
-    Terms are multiplied until they fall below 1e-16 or the budget runs
+    Terms are multiplied until they fall below 1e-16 or ``MAX_TERMS`` run
     out; the remaining tail is bounded through the decay integral, and the
     reported values bracket the true products (log(1+x) <= x and
     log(1-x) >= -2x for x <= 1/2).
     """
-    from scipy.integrate import quad  # here, so that importing the CLI does not load scipy
-
     if not (0.0 < nu < 1.0) or diam <= 0:
         raise DomainError("need nu in (0, 1) and a positive diameter")
     first = float(gauge(diam))
@@ -278,28 +248,13 @@ def product_bounds(gauge: GaugeSpec, nu: float, diam: float, max_terms: int = 20
     log_lower = 0.0
     i = 0
     term = first
-    while i < max_terms and term >= 1e-16:
+    while i < MAX_TERMS and term >= 1e-16:
         log_upper += math.log1p(term)
         log_lower += math.log1p(-term)
         i += 1
         term = float(gauge(diam * nu**i))
-    # tail: sum_{j >= i} phi(diam nu^j) <= integral_{i-1}^inf phi(diam nu^x) dx
-    abs_log_nu = -math.log(nu)
-    log_diam = math.log(diam)
-
-    def integrand(x):
-        return gauge.eval_neglog(x * abs_log_nu - log_diam)
-
-    tail = 0.0
-    x_lo = max(i - 1, 1)
-    x_hi = 2.0 * x_lo
-    for _ in range(64):
-        piece, _ = quad(integrand, x_lo, x_hi, limit=200)
-        tail += piece
-        x_lo = x_hi
-        x_hi *= 2
-        if piece < 1e-16:
-            break
+    # phi(diam nu^x) decreases in x, so sum_{j >= i} phi(diam nu^j) <= integral_{i-1}^inf
+    tail = gauge.tail(diam, nu, i - 1)
     upper = math.exp(log_upper + tail)
     lower = math.exp(log_lower - 2.0 * tail)
     return ProductBounds(upper=upper, lower=lower, terms_used=i, tail_bound=tail)

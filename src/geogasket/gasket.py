@@ -173,7 +173,7 @@ class TriangleSystem:
         self.gauge_c = gauge_c
         r = base.diam
         # the flat model is the classical IFS: contraction is exactly 1/2;
-        # the quadratic correction term is curvature-driven
+        # the r² correction term is curvature-driven
         self.nu = 0.5 if base.surface.flat else 0.5 * (1.0 + r * r)
 
     def level(self, n: int) -> LevelArrays:
@@ -384,7 +384,7 @@ def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: in
 
 
 def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: int = 100, seed: int = 0) -> float:
-    """Fit the quadratic gauge constant on the shallow levels and freeze it.
+    """Fit the constant of the square gauge phi(y) = y² on the shallow levels and freeze it.
 
     c is 1.5 times the worst deviation-to-envelope slope over all cells
     whose parent sits at depth <= max_parent_depth; deeper audits then test

@@ -107,6 +107,61 @@ class TestGauges:
         report = gauge_admissible(gauge, 1.0, 0.5)
         assert report.admissible
 
+    @pytest.mark.parametrize("gauge, expected", [
+        (GaugeSpec("logpower", n=150), 250.758),
+        (GaugeSpec("logpower", n=200), 334.392),
+        (GaugeSpec("logpower", n=1000), 1672.549),
+        (GaugeSpec("neglog_power", beta=1.004), 417.190),
+    ], ids=["logpower-150", "logpower-200", "logpower-1000", "neglog-1.004"])
+    def test_slowly_convergent_admissible(self, gauge, expected):
+        # beta barely above 1 still converges: c^(1-beta) / ((beta-1) |log nu|)
+        a, nu = 0.3, 0.55
+        beta = gauge.params["beta"]
+        c = -math.log(nu) - math.log(a)
+        report = gauge_admissible(gauge, a, nu)
+        assert report.admissible
+        assert report.integral == pytest.approx(c ** (1 - beta) / ((beta - 1) * -math.log(nu)), rel=1e-12)
+        assert report.integral == pytest.approx(expected, abs=5e-4)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_beta_at_most_one_inadmissible(self, beta):
+        report = gauge_admissible(GaugeSpec("neglog_power", beta=beta), 0.3, 0.55)
+        assert not report.admissible
+        assert report.integral == math.inf
+
+    @pytest.mark.parametrize("ys, values", [([0.1, 0.5], [0.3, 0.3]), ([0.1, 0.2, 0.5], [0.3, 0.3, 0.4])],
+                             ids=["flat", "flat-then-rising"])
+    def test_flat_start_table_inadmissible(self, ys, values):
+        # phi is constant near 0, so the integral of phi(y)/y diverges
+        report = gauge_admissible(GaugeSpec("table", ys=ys, values=values), 1.0, 0.5)
+        assert not report.admissible
+        assert report.integral == math.inf
+
+    @pytest.mark.parametrize("form, param", [("neglog_power", {"beta": 2.0}), ("logpower", {"n": 1})])
+    def test_log_form_outside_domain(self, form, param):
+        # -log(a nu) <= 0 leaves the log forms undefined
+        with pytest.raises(DomainError, match="only defined below 1"):
+            gauge_admissible(GaugeSpec(form, **param), 2.0, 0.5)
+
+    @pytest.mark.parametrize("gauge", [
+        GaugeSpec("power", alpha=2.0),
+        GaugeSpec("power", alpha=0.7),
+        GaugeSpec("table", ys=[1e-6, 0.5], values=[1e-12, 0.26]),
+        GaugeSpec("table", ys=[0.01, 0.05, 0.1, 0.3], values=[1e-4, 0.004, 0.02, 0.1]),
+    ], ids=["power-2", "power-0.7", "table-2", "table-4"])
+    def test_tail_matches_quadrature(self, gauge):
+        from scipy.integrate import quad
+
+        a, nu = 0.8, 0.545
+        ys = gauge.params.get("ys", [])
+        # the x at which a nu^x crosses each table node, where phi has a kink
+        kinks = [math.log(y / a) / math.log(nu) for y in ys]
+        for x1, x2 in [(-1.0, 0.5), (0.5, 3.0), (1.0, 7.0), (2.5, 20.0), (0.0, 40.0)]:
+            cuts = sorted({x1, x2, *(k for k in kinks if x1 < k < x2)})
+            ref = sum(quad(lambda x: gauge(a * nu**x), lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+                      for lo, hi in zip(cuts, cuts[1:]))
+            assert gauge.tail(a, nu, x1) - gauge.tail(a, nu, x2) == pytest.approx(ref, rel=1e-9)
+
 
 class TestProductBounds:
     def test_square_gauge_vs_geometric_tail_oracle(self):
@@ -123,6 +178,29 @@ class TestProductBounds:
         bounds = product_bounds(gauge, 0.5, 0.3)
         assert bounds.upper == pytest.approx(1.0, abs=1e-12)
         assert bounds.lower == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gauge", [
+        GaugeSpec("power", alpha=2.0),
+        GaugeSpec("neglog_power", beta=2.0),
+        GaugeSpec("logpower", n=1),
+        GaugeSpec("table", ys=[0.01, 0.1, 0.3], values=[1e-4, 0.02, 0.1]),
+    ], ids=["power", "neglog_power", "logpower", "table"])
+    def test_bounds_bracket_partial_products(self, gauge):
+        nu, diam = 0.545, 0.3
+        bounds = product_bounds(gauge, nu, diam)
+        phis = [gauge(diam * nu**i) for i in range(1000)]
+        # the bounds are exact in real arithmetic; allow float rounding of the products
+        assert bounds.lower <= math.prod(1 - p for p in phis) * (1 + 1e-14)
+        assert math.prod(1 + p for p in phis) <= bounds.upper * (1 + 1e-14)
+        assert 0 < bounds.lower < 1 < bounds.upper < math.inf
+
+    @pytest.mark.parametrize("alpha, diam", [(0.05, 0.3), (20.0, 0.178)], ids=["slow", "one-term"])
+    def test_tail_bound_covers_remaining_terms(self, alpha, diam):
+        # the power gauge's terms past terms_used sum geometrically
+        nu = 0.5
+        bounds = product_bounds(GaugeSpec("power", alpha=alpha), nu, diam)
+        rest = (diam * nu**bounds.terms_used) ** alpha / (1 - nu**alpha)
+        assert bounds.tail_bound >= rest
 
     def test_unit_gauge_value_rejected(self):
         gauge = GaugeSpec("table", ys=[0.1, 1.0], values=[1.5, 2.0])
@@ -204,7 +282,6 @@ class TestHausdorffUpperSum:
 
     def test_sphere_bounded_by_product_envelope(self, sphere_system):
         s = math.log(3.0) / math.log(2.0)
-        gauge = GaugeSpec("power", alpha=2.0)
         c = sphere_system.gauge_c or 1.0
         scaled = GaugeSpec("table",
                            ys=[1e-9, sphere_system.base.diam * 1.1],

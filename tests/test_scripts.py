@@ -161,9 +161,27 @@ def test_benchmark_setup_reads_scene(name, tmp_path):
 @pytest.mark.parametrize("package", ["jsonschema", "scipy"])
 def test_cli_import_skips(package):
     # scenes and stored systems are checked by the package's own readers, and
-    # scipy loads only where the transport LP or a gauge integral runs
+    # scipy loads only for measure's transport LP
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = f"import sys, geogasket.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_gauge_layer_loads_no_scipy():
+    # every gauge form's decay integral is closed-form
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = """
+import sys
+from geogasket.dimension import GaugeSpec, gauge_admissible, product_bounds
+gauges = [GaugeSpec("power", alpha=2.0), GaugeSpec("neglog_power", beta=2.0), GaugeSpec("logpower", n=1),
+          GaugeSpec("table", ys=[0.01, 0.1, 0.3], values=[1e-4, 0.02, 0.1])]
+for gauge in gauges:
+    assert gauge_admissible(gauge, 0.3, 0.55).admissible
+    product_bounds(gauge, 0.545, 0.3)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
