@@ -167,14 +167,9 @@ def cmd_measure(args) -> int:
     depth = min(4, system.depth)
     masses = cell_masses(report.final, system, depth)
     # expected mass of cell I is the product of its digit weights
-    expected = np.ones(3**depth)
-    for code in range(3**depth):
-        c = code
-        m = 1.0
-        for _ in range(depth):
-            m *= args.weights[c % 3]
-            c //= 3
-        expected[code] = m
+    expected = np.ones(1)
+    for _ in range(depth):
+        expected = np.outer(args.weights, expected).ravel()
     resid = float(np.max(np.abs(masses - expected)))
     print(f"depth-{depth} invariance residual = {resid:.6e}")
     print(f"converged = {report.converged}")

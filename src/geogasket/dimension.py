@@ -105,7 +105,8 @@ class GaugeSpec:
     phi(a nu^x) dx, where L = |log nu| and c = X L - log a = -log(a nu^X):
       - ``power(alpha)``: phi(y) = y**alpha, alpha > 0;
         T = exp(-alpha c) / (alpha L)
-      - ``neglog_power(beta)``: phi(y) = (-log y)**(-beta) on (0, 1);
+      - ``neglog_power(beta)``: phi(y) = (-log y)**(-beta) on (0, 1), 0 at
+        y <= 0 and a ``DomainError`` at y >= 1;
         T = c**(1 - beta) / ((beta - 1) L) for beta > 1, divergent for
         beta <= 1, and a ``DomainError`` unless c > 0
       - ``logpower(n)``: neglog_power with beta = 1 + 2/(2n + 1)
@@ -146,6 +147,8 @@ class GaugeSpec:
 
             def fn(y):
                 y = np.asarray(y, dtype=float)
+                if np.any(y >= 1):
+                    raise DomainError(f"gauge of form {form!r} is only defined below 1, not at {np.max(y):.6g}")
                 out = np.zeros_like(y)
                 pos = y > 0
                 out[pos] = np.power(-np.log(y[pos]), -beta)
@@ -240,7 +243,8 @@ def product_bounds(gauge: GaugeSpec, nu: float, diam: float) -> ProductBounds:
     if not (0.0 < nu < 1.0) or diam <= 0:
         raise DomainError("need nu in (0, 1) and a positive diameter")
     first = float(gauge(diam))
-    if first >= 1.0:
+    # an accepting comparison, so that NaN fails it
+    if not first < 1.0:
         raise DomainError(
             f"phi(diam) = {first:.3g} >= 1: the lower product degenerates"
         )

@@ -15,11 +15,14 @@ only if every node is in the grammar; numbers become ``np.float64`` and
 ``**`` and ``pow`` call ``np.power``, so ``1/0`` is ``inf``.  Other input
 raises :class:`ExpressionError` citing a line and column of the source.
 
-:func:`compile_christoffels` differentiates the validated trees of a
-metric's E, F and G in forward mode (Griewank & Walther, Evaluating
+:func:`compile_metric` writes a metric's E, F and G into one straight-line
+table and differentiates it in forward mode (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., ch. 3): one rule per grammar node in ``_RULES`` gives
-each node's partials in u and v from its operands', and the six
-Christoffel symbols follow in the same straight-line function.
+a line's partials in u and v from its operands', and since each partial is
+a line of the same table, the second pass that Gauss's formula needs is the
+same rule.  The metric, its six Christoffel symbols and its curvature are
+functions of that table, and :func:`compile_expression` is its one-output
+case.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ _LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=[1-9]\d*(?![\w.])
 
 _FUNCS = {f: getattr(np, f) for f in ("exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")}
 _OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub)
+# the ufunc each operation of the compiled code calls, to fold constants with
+_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
+           ast.USub: np.negative, "pow": np.power, **_FUNCS}
 
 
 def _position(source: str, index: int):
@@ -60,18 +66,6 @@ def _bind(namespace, value) -> str:
     name = f"_k{len(namespace)}"
     namespace[name] = value
     return name
-
-
-def _arguments(u, v):
-    """``u`` and ``v`` as float arrays, and their broadcast shape."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    return u, v, u.shape if u.shape == v.shape else np.broadcast_shapes(u.shape, v.shape)
-
-
-def _full(x, shape):
-    """``x`` as a float array of ``shape``, broadcast and copied if it has another."""
-    x = np.asarray(x, dtype=float)
-    return x if x.shape == shape else np.broadcast_to(x, shape).copy()
 
 
 class _Compiler(ast.NodeTransformer):
@@ -144,69 +138,45 @@ def _parse(source: str, namespace):
         raise ExpressionError("expression nested too deeply", 1, 1) from None
 
 
-def compile_expression(source: str):
-    """Parse ``source`` and return a vectorized callable ``f(u, v)``."""
-    namespace = _namespace()
-    args = ast.arguments([], [ast.arg("u"), ast.arg("v")], None, [], [], None, [])
-    lam = ast.Lambda(args, _parse(source, namespace))
-    try:
-        code = compile(ast.fix_missing_locations(ast.Expression(lam)), "<expression>", "eval")
-    except RecursionError:
-        raise ExpressionError("expression nested too deeply", 1, 1) from None
-    fn = eval(code, namespace)
-
-    def evaluate(u, v):
-        u, v, shape = _arguments(u, v)
-        return _full(fn(u, v), shape)
-
-    evaluate.source = source
-    return evaluate
+_FORMATS = {ast.Add: "{} + {}", ast.Sub: "{} - {}", ast.Mult: "{} * {}", ast.Div: "{} / {}", ast.USub: "-{}"}
 
 
-# the position of every generated node, which compile() requires
-_AT = {"lineno": 1, "col_offset": 0}
-
-
-def _name(name, ctx=ast.Load):
-    return ast.Name(name, ctx(), **_AT)
-
-
-def _node(op, args):
-    """The expression applying ``op`` (an operator class or a function name) to named operands."""
-    names = [_name(a) for a in args]
-    if isinstance(op, str):
-        return ast.Call(_name(op), names, [], **_AT)
-    if op is ast.USub:
-        return ast.UnaryOp(ast.USub(), *names, **_AT)
-    return ast.BinOp(names[0], op(), names[1], **_AT)
+def _code(op, args) -> str:
+    """The Python expression applying ``op`` (an operator class or a function name) to named operands."""
+    return _FORMATS[op].format(*args) if op in _FORMATS else f"{op}({', '.join(args)})"
 
 
 class _Jets:
-    """Straight-line code for the values and first partials of validated trees.
+    """A straight-line table of validated trees and of their partials, to any order.
 
     Every quantity is a name: ``u``, ``v``, a float64 constant bound in
-    ``namespace``, or a local assigned once.  A partial that is None is a
-    structural zero, the partial of a constant, and every term with such a
-    factor is dropped, as is every factor 1.  An operation on constants
-    alone is evaluated now, as the compiled expression would evaluate it.
-    Any other operation gets one local per operator and operands, so a
-    subtree (or an E and G of the same text) is computed once.
+    ``namespace``, or a local assigned once.  ``value`` walks a tree and
+    emits its lines; ``partials`` applies the derivative rule of the line
+    that defines a name, so a partial is a name like any other and its own
+    partials are the same call.  A partial that is None is a structural
+    zero, the partial of a constant, and every term with such a factor is
+    dropped, as is every factor 1.  An operation on constants alone is
+    evaluated now, as the compiled expression would evaluate it.  Any other
+    operation gets one local per operator and operands, so a subtree (or an
+    E and G of the same text) is computed once.
     """
 
     def __init__(self):
         self.namespace = _namespace()
         self.one, self.two = _bind(self.namespace, 1.0), _bind(self.namespace, 2.0)
-        self.lines = {}  # (op, *operands) -> its name, in order of first use
+        self.lines = {}  # (op, *operands) -> its name
+        self.defs = {}  # local name -> (op, *operands), in order of assignment
+        self.grads = {"u": (self.one, None), "v": (None, self.one)}  # name -> (d/du, d/dv)
 
     def let(self, op, *args) -> str:
         key = (op, *args)
         if key not in self.lines:
             if all(a in self.namespace for a in args):
-                code = compile(ast.Expression(_node(op, args)), "<expression>", "eval")
                 with np.errstate(all="ignore"):
-                    self.lines[key] = _bind(self.namespace, eval(code, self.namespace))
+                    self.lines[key] = _bind(self.namespace, _UFUNCS[op](*(self.namespace[a] for a in args)))
             else:
                 self.lines[key] = f"_t{len(self.lines)}"
+                self.defs[self.lines[key]] = key
         return self.lines[key]
 
     def add(self, a, b):
@@ -229,44 +199,72 @@ class _Jets:
     def pow(self, a, b):
         return a if b == self.one else self.let("pow", a, b)
 
-    def jet(self, node):
-        """(value, d/du, d/dv) of the validated tree ``node``."""
+    def value(self, node) -> str:
+        """The name of the value of the validated tree ``node``."""
         if isinstance(node, ast.Name):
-            return node.id, *{"u": (self.one, None), "v": (None, self.one)}.get(node.id, (None, None))
+            return node.id
         if isinstance(node, ast.Call):
             op, operands = node.func.id, node.args
         else:
             op = type(node.op)
             operands = [node.operand] if op is ast.USub else [node.left, node.right]
-        jets = [self.jet(x) for x in operands]
-        y = self.let(op, *(j[0] for j in jets))
-        (a, *da), (b, *db) = (*jets, (None, None, None))[:2]
-        return (y, *(_RULES[op](self, y, a, b, da[k], db[k]) for k in (0, 1)))
+        return self.let(op, *(self.value(x) for x in operands))
 
-    def source(self, source: str):
-        """(value, d/du, d/dv) of the expression ``source``."""
-        return self.jet(_parse(source, self.namespace))
+    def source(self, source: str) -> str:
+        """The name of the value of the expression ``source``."""
+        return self.value(_parse(source, self.namespace))
 
-    def function(self, outputs):
-        """``f(u, v)``: the ``outputs`` as float arrays of the broadcast shape of u and v."""
-        outputs = [_bind(self.namespace, 0.0) if x is None else x for x in outputs]
-        # the assignments the outputs read, found backwards from them
-        needed, body = set(outputs), []
-        for (op, *args), name in reversed(self.lines.items()):
-            if name in needed and name not in self.namespace:
-                needed.update(args)
-                body.append(ast.Assign([_name(name, ast.Store)], _node(op, args), **_AT))
-        fn = ast.parse("def _jets(u, v): pass").body[0]
-        returned = ast.Tuple([_name(x) for x in outputs], ast.Load(), **_AT)
-        fn.body = [*reversed(body), ast.Return(returned, **_AT)]
-        exec(compile(ast.Module([fn], []), "<expression>", "exec"), self.namespace)
-        jets = self.namespace.pop("_jets")
+    def partials(self, name):
+        """(d/du, d/dv) of the quantity ``name`` (None, a constant or a local), each a name or None.
 
-        def evaluate(u, v):
-            u, v, shape = _arguments(u, v)
-            return tuple(_full(x, shape) for x in jets(u, v))
+        Memoised.  The locals up to ``name`` are differentiated in the order
+        they were assigned, so every operand's partials are known and no
+        chain of lines, however long, recurses.
+        """
+        for x, (op, a, *b) in list(self.defs.items()) if name in self.defs else ():
+            if x not in self.grads:
+                b = b[0] if b else None
+                da, db = (self.grads.get(y, (None, None)) for y in (a, b))
+                self.grads[x] = tuple(_RULES[op](self, x, a, b, da[k], db[k]) for k in (0, 1))
+            if x == name:
+                break
+        return self.grads.get(name, (None, None))
 
-        return evaluate
+    def functions(self, *outputs):
+        """One ``f(u, v)`` per output, all compiled in one module.
+
+        An output is a name, and its function returns that quantity, or a
+        list of names, and its function returns a tuple of them: float
+        arrays of the broadcast shape of u and v, None as zeros.  Each runs
+        only the lines its names read.
+        """
+        zero = _bind(self.namespace, 0.0)
+        module = []
+        for i, names in enumerate(outputs):
+            names = [zero if x is None else x for x in (names if isinstance(names, list) else [names])]
+            # the assignments the outputs read, found backwards from them
+            needed, body = set(names), []
+            for name, (op, *args) in reversed(self.defs.items()):
+                if name in needed:
+                    needed.update(args)
+                    body.append(f"    {name} = {_code(op, args)}")
+            module += [f"def _f{i}(u, v):", *reversed(body), f"    return ({', '.join(names)},)"]
+        exec(compile("\n".join(module), "<expression>", "exec"), self.namespace)
+        return tuple(_evaluator(self.namespace.pop(f"_f{i}"), isinstance(x, list)) for i, x in enumerate(outputs))
+
+
+def _evaluator(fn, many: bool):
+    """``fn`` on float arrays u and v, its outputs (a tuple if ``many``, else
+    the one) float arrays of their broadcast shape, copied where broadcast."""
+
+    def evaluate(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        shape = u.shape if u.shape == v.shape else np.broadcast_shapes(u.shape, v.shape)
+        out = [np.asarray(x, dtype=float) for x in fn(u, v)]
+        out = tuple(x if x.shape == shape else np.broadcast_to(x, shape).copy() for x in out)
+        return out if many else out[0]
+
+    return evaluate
 
 
 # The partial of each grammar node in one direction, from the node's value y,
@@ -303,22 +301,37 @@ _CHRISTOFFEL_TERMS = (
     ((1, "e", "g_v"), (-2, "f", "f_v"), (1, "f", "g_u")),
 )
 
+# The products of Gauss's formula after its two partials, as (sign, i, j)
+# over the symbols above: -E K = (G2_12)_u - (G2_11)_v + G1_12 G2_11
+# + G2_12 G2_12 - G2_11 G2_22 - G1_11 G2_12.
+_GAUSS_TERMS = ((1, 1, 3), (1, 4, 4), (-1, 3, 5), (-1, 0, 4))
 
-def compile_christoffels(e_source: str, f_source: str, g_source: str):
-    """Exact Christoffel symbols of the metric with entries E, F, G.
 
-    Returns ``f(u, v)`` giving (G1_11, G1_12, G1_22, G2_11, G2_12, G2_22),
-    six float arrays of the broadcast shape of u and v, from one compiled
-    straight-line function of the expressions and their partials.  Where F
-    is the constant 0 every F term is dropped.  All arithmetic is
-    elementwise, so a row's symbols do not depend on its batch.
+def compile_expression(source: str):
+    """Parse ``source`` and return a vectorized callable ``f(u, v)``."""
+    jets = _Jets()
+    (evaluate,) = jets.functions(jets.source(source))
+    return evaluate
+
+
+def compile_metric(e_source: str, f_source: str, g_source: str):
+    """The metric with entries E, F, G, its Christoffel symbols and its curvature.
+
+    Returns three functions of (u, v), compiled from one table: ``metric``
+    gives (E, F, G), ``christoffels`` gives (G1_11, G1_12, G1_22, G2_11,
+    G2_12, G2_22) and ``curvature`` gives the Gaussian curvature K, each a
+    float array of the broadcast shape of u and v.  K follows from the
+    symbols and their partials by Gauss's formula (do Carmo, Differential
+    Geometry of Curves and Surfaces, 4-3).  Where F is the constant 0
+    every F term is dropped.  All arithmetic is elementwise, so a row's
+    values do not depend on its batch.
     """
     jets = _Jets()
-    (e, e_u, e_v), (f, f_u, f_v), (g, g_u, g_v) = (jets.source(s) for s in (e_source, f_source, g_source))
-    if f in jets.namespace and jets.namespace[f] == 0:
-        f = None
-    entries = {"e": e, "f": f, "g": g, "e_u": e_u, "e_v": e_v, "f_u": f_u, "f_v": f_v, "g_u": g_u, "g_v": g_v}
-    w2 = jets.mul(jets.two, jets.sub(jets.mul(e, g), jets.mul(f, f)))
+    e, f, g = (jets.source(s) for s in (e_source, f_source, g_source))
+    (e_u, e_v), (f_u, f_v), (g_u, g_v) = (jets.partials(x) for x in (e, f, g))
+    f_sym = None if f in jets.namespace and jets.namespace[f] == 0 else f
+    entries = dict(e=e, f=f_sym, g=g, e_u=e_u, e_v=e_v, f_u=f_u, f_v=f_v, g_u=g_u, g_v=g_v)
+    w2 = jets.mul(jets.two, jets.sub(jets.mul(e, g), jets.mul(f_sym, f_sym)))
     symbols = []
     for terms in _CHRISTOFFEL_TERMS:
         num = None
@@ -326,4 +339,8 @@ def compile_christoffels(e_source: str, f_source: str, g_source: str):
             term = jets.mul(jets.mul(jets.two, entries[x]) if abs(c) == 2 else entries[x], entries[dx])
             num = jets.add(num, term) if c > 0 else jets.sub(num, term)
         symbols.append(jets.div(num, w2))
-    return jets.function(symbols)
+    rhs = jets.sub(jets.partials(symbols[4])[0], jets.partials(symbols[3])[1])
+    for sign, i, j in _GAUSS_TERMS:
+        term = jets.mul(symbols[i], symbols[j])
+        rhs = jets.add(rhs, term) if sign > 0 else jets.sub(rhs, term)
+    return jets.functions([e, f, g], symbols, jets.neg(jets.div(rhs, e)))

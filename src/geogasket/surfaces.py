@@ -3,13 +3,14 @@
 A surface is a chart rectangle with a first fundamental form (E, F, G),
 Gaussian curvature, and geodesic operations: exponential map by adaptive
 Dormand-Prince integration of the geodesic ODE, logarithm map by secant
-shooting, distances, midpoints and finite-difference variation fields.
+shooting, distances and midpoints.
 
 The geodesic ODE reads the Christoffel symbols once per right-hand-side
-evaluation.  The built-in models are conformal and supply them in closed
-form from the conformal factor and its gradient; a custom metric gets them
-exactly, from one function that ``expressions.compile_christoffels``
-compiles from its E, F and G when the surface is built.
+evaluation.  The built-in models are conformal and supply them and their
+constant curvature in closed form; a custom metric gets its entries,
+symbols and curvature exactly, from the functions that
+``expressions.compile_metric`` compiles from its E, F and G when the
+surface is built.
 
 All geodesic solvers are vectorized: every entry point (``exp_many``,
 ``log_many``, ...) operates on ``(N, 2)`` arrays of chart coordinates, one
@@ -27,7 +28,7 @@ import json
 import numpy as np
 
 from .errors import ChartEscapeError, DomainError, ShootingConvergenceError, json_numbers, json_object
-from .expressions import compile_christoffels, compile_expression
+from .expressions import compile_expression, compile_metric
 
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere_unit"
@@ -142,6 +143,13 @@ class _Batch:
         self.n = m
 
 
+def _chart_grid(chart):
+    """The 21 x 21 grid over the closed ``chart`` rectangle on which surfaces are checked, as two flat arrays."""
+    u_min, u_max, v_min, v_max = chart
+    uu, vv = np.meshgrid(np.linspace(u_min, u_max, 21), np.linspace(v_min, v_max, 21))
+    return uu.ravel(), vv.ravel()
+
+
 class SurfaceModel:
     """A 2D chart with metric, curvature and geodesic oracle.
 
@@ -163,8 +171,8 @@ class SurfaceModel:
     spec : str, dict or None
         The built-in name or custom document ``make_surface`` builds it from.
 
-    The metric must be positive definite, |K| at most 1 and the symbols
-    finite on a 21 x 21 grid over the chart, or ``DomainError`` is raised.
+    The metric must be positive definite, the symbols finite and |K| at
+    most 1 on ``_chart_grid``, or ``DomainError`` is raised.
     """
 
     def __init__(self, kind, chart, metric, curvature, christoffels, spec=None):
@@ -182,29 +190,23 @@ class SurfaceModel:
     # -- validation ----------------------------------------------------
 
     def _check_admissible(self):
-        u_min, u_max, v_min, v_max = self.chart
-        us = np.linspace(u_min, u_max, 21)
-        vs = np.linspace(v_min, v_max, 21)
-        uu, vv = (x.ravel() for x in np.meshgrid(us, vs))
+        uu, vv = _chart_grid(self.chart)
         # the checks below reject non-finite values, so numpy need not warn of them
         with np.errstate(all="ignore"):
             e, f, g = self.metric(uu, vv)
             # accepting comparisons, so that NaN fails them
             if not (np.all(e > 0) and np.all(e * g - f * f > 0)):
                 raise DomainError("metric is not positive definite on the chart grid")
-            k = self.curvature(uu, vv)
             finite = np.isfinite(self.christoffels(uu, vv)).all(axis=0)
-        # a custom curvature may be the Brioschi finite-difference estimate,
-        # off by about 1e-7 where the built-in ones are exact
-        tol = 1e-4 if self.kind == CUSTOM else 1e-9
-        if not np.all(np.abs(k) <= 1.0 + tol):
+            if not finite.all():
+                i = np.argmin(finite)
+                raise DomainError(
+                    f"Christoffel symbols are not finite on the chart grid at ({uu[i]:.6g}, {vv[i]:.6g})"
+                )
+            k = self.curvature(uu, vv)
+        if not np.all(np.abs(k) <= 1.0 + 1e-9):
             raise DomainError(
                 f"|K| exceeds 1 on the chart grid (max {np.max(np.abs(k)):.6g})"
-            )
-        if not finite.all():
-            i = np.argmin(finite)
-            raise DomainError(
-                f"Christoffel symbols are not finite on the chart grid at ({uu[i]:.6g}, {vv[i]:.6g})"
             )
 
     def contains(self, pts) -> np.ndarray:
@@ -512,45 +514,6 @@ def poincare_disk_surface() -> SurfaceModel:
     return _conformal_surface(HYPERBOLIC, 0.7, factor, -1.0)
 
 
-def _brioschi_curvature(metric, step=1e-4):
-    """Gaussian curvature from metric samples alone (finite differences)."""
-
-    def curvature(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h = step
-
-        def m(du, dv):
-            return metric(u + du * h, v + dv * h)
-
-        e0, f0, g0 = m(0, 0)
-        e_u = (m(1, 0)[0] - m(-1, 0)[0]) / (2 * h)
-        e_v = (m(0, 1)[0] - m(0, -1)[0]) / (2 * h)
-        g_u = (m(1, 0)[2] - m(-1, 0)[2]) / (2 * h)
-        g_v = (m(0, 1)[2] - m(0, -1)[2]) / (2 * h)
-        f_u = (m(1, 0)[1] - m(-1, 0)[1]) / (2 * h)
-        f_v = (m(0, 1)[1] - m(0, -1)[1]) / (2 * h)
-        e_vv = (m(0, 1)[0] - 2 * e0 + m(0, -1)[0]) / (h * h)
-        g_uu = (m(1, 0)[2] - 2 * g0 + m(-1, 0)[2]) / (h * h)
-        f_uv = (m(1, 1)[1] - m(1, -1)[1] - m(-1, 1)[1] + m(-1, -1)[1]) / (4 * h * h)
-
-        a = -0.5 * e_vv + f_uv - 0.5 * g_uu
-        det1 = (
-            a * (e0 * g0 - f0 * f0)
-            - 0.5 * e_u * ((f_v - 0.5 * g_u) * g0 - f0 * 0.5 * g_v)
-            + (f_u - 0.5 * e_v) * ((f_v - 0.5 * g_u) * f0 - e0 * 0.5 * g_v)
-        )
-        det2 = (
-            0.0 * (e0 * g0 - f0 * f0)
-            - 0.5 * e_v * (0.5 * e_v * g0 - f0 * 0.5 * g_u)
-            + 0.5 * g_u * (0.5 * e_v * f0 - e0 * 0.5 * g_u)
-        )
-        w = e0 * g0 - f0 * f0
-        return (det1 - det2) / (w * w)
-
-    return curvature
-
-
 _CHART_KEYS = ("u_min", "u_max", "v_min", "v_max")
 _METRIC_KEYS = ("E", "F", "G")
 
@@ -559,11 +522,12 @@ def surface_from_json(doc) -> SurfaceModel:
     """Build a custom surface from a JSON document (dict or JSON text).
 
     Expected keys: ``chart`` with u_min/u_max/v_min/v_max, ``metric`` with
-    expression strings E, F, G, and optionally ``curvature`` as an
-    expression (finite-difference Brioschi curvature is used otherwise) and
-    ``name``.  Any other key, at the top level or inside ``chart`` or
-    ``metric``, is an error.  The Christoffel symbols are compiled from E,
-    F and G once, here.
+    expression strings E, F, G, and optionally ``name`` and ``curvature``.
+    Any other key, at the top level or inside ``chart`` or ``metric``, is an
+    error.  The metric, its Christoffel symbols and its curvature are
+    compiled from E, F and G once, here.  A declared ``curvature``
+    expression is a cross-check: it must equal the compiled K within
+    1e-9 max(1, |K|) on ``_chart_grid``, or ``DomainError`` names the point.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -576,24 +540,21 @@ def surface_from_json(doc) -> SurfaceModel:
         raise DomainError("custom surface name must be a string")
     if not all(isinstance(x, str) for x in sources):
         raise DomainError("custom surface metric and curvature expressions must be strings")
-    # one evaluator per distinct text, so that E == G is evaluated once
-    evaluators = {x: compile_expression(x) for x in sources[:3]}
-
-    def metric(u, v):
-        values = {x: fn(u, v) for x, fn in evaluators.items()}
-        return tuple(values[x] for x in sources[:3])
-
-    if "curvature" in doc:
-        k_fn = compile_expression(doc["curvature"])
-
-        def curvature(u, v):
-            return k_fn(u, v)
-
-    else:
-        curvature = _brioschi_curvature(metric)
-
-    christoffels = compile_christoffels(*sources[:3])
-    return SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, spec=copy.deepcopy(doc))
+    declared = compile_expression(sources[3]) if "curvature" in doc else None
+    metric, christoffels, curvature = compile_metric(*sources[:3])
+    surface = SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, spec=copy.deepcopy(doc))
+    if declared is not None:
+        uu, vv = _chart_grid(surface.chart)
+        with np.errstate(all="ignore"):
+            k, stated = curvature(uu, vv), declared(uu, vv)
+            off = ~(np.abs(stated - k) <= 1e-9 * np.maximum(1.0, np.abs(k)))
+        if off.any():
+            i = np.argmax(off)
+            raise DomainError(
+                f"declared curvature {stated[i]:.10g} differs from the metric's {k[i]:.10g} "
+                f"at ({uu[i]:.6g}, {vv[i]:.6g})"
+            )
+    return surface
 
 
 _BUILTIN_FACTORIES = {

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConvexityGuardError, DegenerateTriangleError, DomainError
-from .surfaces import SurfaceModel
+from .surfaces import SurfaceModel, _solve_2x2
 
 # Curved-surface working-domain guard.  |K| <= 1 puts the conjugate-point
 # scale at pi; triangles are kept an order of magnitude below it so the
@@ -215,10 +215,8 @@ def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_
         t, s = ts[live], ss[live]
         d_dt = s[:, None] * (e_j[live] - e_k[live])
         d_ds = (1 - t)[:, None] * e_k[live] + t[:, None] * e_j[live]
-        jdet = d_dt[:, 0] * d_ds[:, 1] - d_dt[:, 1] * d_ds[:, 0]
-        jdet = np.where(np.abs(jdet) < 1e-300, 1e-300, jdet)
-        dt = (r[:, 0] * d_ds[:, 1] - r[:, 1] * d_ds[:, 0]) / jdet
-        ds = (d_dt[:, 0] * r[:, 1] - d_dt[:, 1] * r[:, 0]) / jdet
+        # the (2, 2, N) chord Jacobian, columns d/dt and d/ds
+        dt, ds = _solve_2x2(np.stack([d_dt.T, d_ds.T], axis=1), r).T
         damp = np.where(res < prev, 1.0, 0.5)
         ts[live] = np.clip(t - damp * dt, 0.0, 1.0)
         ss[live] = np.clip(s - damp * ds, 1e-12, 1.0)

@@ -144,6 +144,19 @@ class TestGauges:
             gauge_admissible(GaugeSpec(form, **param), 2.0, 0.5)
 
     @pytest.mark.parametrize("gauge", [
+        GaugeSpec("neglog_power", beta=2.0),
+        GaugeSpec("neglog_power", beta=2.5),
+        GaugeSpec("logpower", n=1),
+    ], ids=["neglog-2", "neglog-2.5", "logpower"])
+    @pytest.mark.parametrize("y", [1.0, 2.0])
+    def test_log_form_value_outside_domain(self, gauge, y):
+        # -log y <= 0: no even power of it, and no NaN, stands in for phi
+        with pytest.raises(DomainError, match="only defined below 1"):
+            gauge(y)
+        with pytest.raises(DomainError, match="only defined below 1"):
+            gauge(np.array([0.5, y]))
+
+    @pytest.mark.parametrize("gauge", [
         GaugeSpec("power", alpha=2.0),
         GaugeSpec("power", alpha=0.7),
         GaugeSpec("table", ys=[1e-6, 0.5], values=[1e-12, 0.26]),
@@ -201,6 +214,14 @@ class TestProductBounds:
         bounds = product_bounds(GaugeSpec("power", alpha=alpha), nu, diam)
         rest = (diam * nu**bounds.terms_used) ** alpha / (1 - nu**alpha)
         assert bounds.tail_bound >= rest
+
+    @pytest.mark.parametrize("gauge, diam", [
+        (GaugeSpec("power", alpha=2.0), math.nan),
+        (GaugeSpec("neglog_power", beta=2.5), 2.0),
+    ], ids=["nan_diam", "neglog_above_1"])
+    def test_undefined_first_value_rejected(self, gauge, diam):
+        with pytest.raises(DomainError):
+            product_bounds(gauge, 0.5, diam)
 
     def test_unit_gauge_value_rejected(self):
         gauge = GaugeSpec("table", ys=[0.1, 1.0], values=[1.5, 2.0])

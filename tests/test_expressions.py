@@ -118,7 +118,9 @@ def test_position_counts_from_original_source():
 def jet_function(source):
     """``f(u, v) -> (value, d/du, d/dv)`` from the derivative compiler."""
     jets = _Jets()
-    return jets.function(jets.source(source))
+    y = jets.source(source)
+    (fn,) = jets.functions([y, *jets.partials(y)])
+    return fn
 
 
 # every grammar node: each function, pow with a constant and a variable
@@ -155,6 +157,24 @@ def test_jets_match_evaluator_and_central_differences(source):
     assert du.shape == dv.shape == u.shape
     np.testing.assert_allclose(du, (f(u + h, v) - f(u - h, v)) / (2 * h), rtol=1e-8, atol=1e-8)
     np.testing.assert_allclose(dv, (f(u, v + h) - f(u, v - h)) / (2 * h), rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("source", DIFFERENTIATED)
+def test_second_partials_match_central_differences(source):
+    # a partial is a line of the table, so its partials are the same call
+    jets = _Jets()
+    y = jets.source(source)
+    du, dv = jets.partials(y)
+    (fn,) = jets.functions([du, dv, *jets.partials(du), *jets.partials(dv)])
+    rng = np.random.default_rng(4)
+    u, v = rng.uniform(0.2, 0.9, 500), rng.uniform(0.2, 0.9, 500)
+    _, _, duu, duv, dvu, dvv = fn(u, v)
+    h = 1e-5
+    up, um, vp, vm = fn(u + h, v), fn(u - h, v), fn(u, v + h), fn(u, v - h)
+    np.testing.assert_allclose(duu, (up[0] - um[0]) / (2 * h), rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(duv, (vp[0] - vm[0]) / (2 * h), rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(dvv, (vp[1] - vm[1]) / (2 * h), rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(dvu, duv, rtol=1e-12, atol=1e-12)
 
 
 def test_constant_exponent_takes_no_log():

@@ -334,6 +334,16 @@ class TestMeasureCommand:
         text = capsys.readouterr().out
         assert "kr trace:" in text and "invariance residual" in text
 
+    def test_unequal_weights_residual(self, flat_scene_path, tmp_path, capsys):
+        # three iterations put each depth-2 cell's exact product mass on it,
+        # so the expected masses must give digit i the weight of map i
+        out = str(tmp_path / "sys.json")
+        main(["build", flat_scene_path, "--depth", "2", "--out", out])
+        capsys.readouterr()
+        assert main(["measure", out, "--weights", "0.5", "0.3", "0.2", "--iters", "3"]) == 0
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if "invariance residual" in x]
+        assert line.startswith("depth-2 invariance residual") and float(line.split(" = ")[1]) < 1e-15
+
     def test_bad_weights_exit2(self, flat_scene_path, tmp_path):
         out = str(tmp_path / "sys.json")
         main(["build", flat_scene_path, "--out", out])
@@ -697,7 +707,8 @@ class TestCustomSurfaceErrors:
         "path, value, message",
         [
             (("metric", "E"), "exp(-(u*u + v*v)/8", "was never closed"),
-            (("curvature",), "3.0", "|K| exceeds 1"),
+            # a declared curvature is checked against the metric's, at the first grid point
+            (("curvature",), "3.0", "declared curvature 3 differs from the metric's 0.3210063542 at (-1, -1)"),
             (("chart", "u_min"), 2.0, "chart rectangle is empty"),
             # NaN on the chart grid where u < 2, which every comparison rejects
             (("metric", "E"), "1 + sqrt(u - 2)", "not positive definite"),
@@ -725,6 +736,54 @@ class TestCustomSurfaceErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+
+# Scaled sphere and disk metrics whose declared curvature is false, with the
+# |K| their metric implies: each breaks the |K| <= 1 hypothesis.
+FALSE_CURVATURE = {
+    "sphere_k4": ("1/(1+u*u+v*v)**2", "1", 4),
+    "sphere_k2": ("2/(1+u*u+v*v)**2", "1", 2),
+    "disk_k-4": ("1/(1-u*u-v*v)**2", "0", 4),
+}
+
+
+def _false_curvature_surface(name):
+    text, declared, _ = FALSE_CURVATURE[name]
+    return {
+        "chart": {"u_min": -0.7, "u_max": 0.7, "v_min": -0.7, "v_max": 0.7},
+        "metric": {"E": text, "F": "0", "G": text},
+        "curvature": declared,
+    }
+
+
+class TestFalseCurvature:
+    """A declared curvature is not trusted: the metric's own K decides."""
+
+    @pytest.mark.parametrize("name", list(FALSE_CURVATURE))
+    def test_build_exit2(self, tmp_path, capsys, name):
+        doc = json.loads((Path(__file__).parents[1] / "scenes" / "sphere_small.json").read_text())
+        doc["surface"] = _false_curvature_surface(name)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        out = tmp_path / "sys.json"
+        capsys.readouterr()
+        assert main(["build", str(scene), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: |K| exceeds 1 on the chart grid (max {FALSE_CURVATURE[name][2]})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SYSTEM_ARGS))
+    @pytest.mark.parametrize("name", list(FALSE_CURVATURE))
+    def test_stored_system_exit2(self, bump_system_doc, tmp_path, capsys, name, command):
+        # an honest stored system with its surface replaced
+        doc = copy.deepcopy(bump_system_doc)
+        doc["meta"]["surface"] = _false_curvature_surface(name)
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(path), *SYSTEM_ARGS[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load system") and "|K| exceeds 1 on the chart grid" in err
 
 
 class TestNoTraceback:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from geogasket import surfaces
+from geogasket import expressions, surfaces
 from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
 from geogasket.expressions import compile_expression
 from geogasket.surfaces import (
@@ -486,12 +486,21 @@ class TestCustomSurface:
         # conformal factor ~1 near the origin
         assert d == pytest.approx(0.2, rel=2e-3)
 
-    def test_finite_difference_curvature(self):
+    def test_compiled_curvature(self):
         surface = surface_from_json(self.DOC)
         # K = -lap(log lambda)/lambda^2 with log lambda = -(u^2+v^2)/16
-        k = float(surface.curvature(np.array([0.3]), np.array([0.1]))[0])
-        expected = 0.25 * math.exp((0.3**2 + 0.1**2) / 8.0)
-        assert k == pytest.approx(expected, abs=1e-4)
+        rng = np.random.default_rng(4)
+        u, v = rng.uniform(-1.0, 1.0, (2, 10**4))
+        expected = 0.25 * np.exp((u * u + v * v) / 8.0)
+        np.testing.assert_allclose(surface.curvature(u, v), expected, rtol=1e-12, atol=0)
+
+    def test_declared_curvature_cross_checked(self):
+        # the bump's own K passes; the same K off by 1e-6, still within
+        # |K| <= 1, fails at the first grid point
+        exact = "0.25 * exp((u*u + v*v)/8)"
+        assert surface_from_json(dict(self.DOC, curvature=exact)).kind == "custom"
+        with pytest.raises(DomainError, match=r"declared curvature 0\.3210066752 differs .* at \(-1, -1\)$"):
+            surface_from_json(dict(self.DOC, curvature=f"1.000001 * {exact}"))
 
     def test_round_trip(self):
         surface = surface_from_json(self.DOC)
@@ -500,23 +509,19 @@ class TestCustomSurface:
         assert tuple(q) == pytest.approx((0.3, 0.2), abs=1e-8)
 
     def test_equal_texts_evaluated_once(self, monkeypatch):
-        # E and G are the same text, so one metric call runs two evaluators
+        # E and G are the same text, so one metric call takes one exp
         runs = []
 
-        def counting(source):
-            fn = compile_expression(source)
+        def exp(x):
+            runs.append(x)
+            return np.exp(x)
 
-            def evaluate(u, v):
-                runs.append(source)
-                return fn(u, v)
-
-            return evaluate
-
-        monkeypatch.setattr(surfaces, "compile_expression", counting)
+        monkeypatch.setitem(expressions._FUNCS, "exp", exp)
         surface = surface_from_json(self.DOC)
         runs.clear()
-        surface.metric(np.array([0.1, 0.3]), np.array([0.2, -0.1]))
-        assert sorted(runs) == sorted([self.DOC["metric"]["E"], "0"])
+        e, f, g = surface.metric(np.array([0.1, 0.3]), np.array([0.2, -0.1]))
+        assert len(runs) == 1
+        assert np.array_equal(e, g) and f.tolist() == [0.0, 0.0]
 
     def test_shared_evaluator_keeps_geodesics(self):
         # bitwise the geodesics and distances of the same metric with G spelled
@@ -568,12 +573,22 @@ class TestCustomSphere:
         "metric": {"E": TEXT, "F": "0", "G": TEXT},
     }
 
-    def test_loads_on_brioschi_curvature(self):
-        # no curvature given: the finite-difference estimate misses K = 1 by
-        # more than the built-in models' 1e-9 and stays within the custom 1e-4
+    def test_compiled_curvature_is_one(self):
+        # Gauss's formula on the compiled symbols and their partials
         surface = surface_from_json(self.DOC)
-        uu, vv = np.meshgrid(np.linspace(-1.8, 1.8, 21), np.linspace(-1.8, 1.8, 21))
-        assert 1e-9 < np.max(np.abs(surface.curvature(uu.ravel(), vv.ravel()))) - 1.0 < 1e-4
+        rng = np.random.default_rng(8)
+        u, v = rng.uniform(-1.8, 1.8, (2, 10**4))
+        np.testing.assert_allclose(surface.curvature(u, v), 1.0, rtol=0, atol=1e-12)
+
+    def test_sheared_chart_curvature_is_one(self):
+        # the same sphere in the chart (u + 0.3 v, v): F is not 0, K still 1
+        text = "4/(1+(u+0.3*v)**2+v*v)**2"
+        doc = {"chart": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
+               "metric": {"E": text, "F": f"0.3*{text}", "G": f"1.09*{text}"}}
+        surface = surface_from_json(doc)
+        rng = np.random.default_rng(9)
+        u, v = rng.uniform(-1.0, 1.0, (2, 10**4))
+        np.testing.assert_allclose(surface.curvature(u, v), 1.0, rtol=0, atol=1e-12)
 
     def test_symbols_equal_closed_form(self, sphere):
         surface = surface_from_json(self.DOC)
