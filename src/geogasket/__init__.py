@@ -30,7 +30,6 @@ from .gasket import (
 )
 from .measures import (
     DiscreteMeasure,
-    cell_masses,
     kr_distance,
     pushforward_fixpoint,
 )

@@ -2,9 +2,9 @@
 
 Subcommands: ``moran`` (exponent solver), ``build`` (construct and export a
 system), ``verify`` (certification report), ``dim`` (box-dimension
-regression with CSV/SVG artifacts), ``measure`` (push-forward fixed-point
-trace).  Exit codes: 0 success, 2 input error, 3 construction failure,
-4 certification failure.
+regression with CSV/SVG artifacts), ``measure`` (push-forward fixed point
+and its transport bracket).  Exit codes: 0 success, 2 input error,
+3 construction failure, 4 certification failure.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ import numpy as np
 
 from . import gasket
 from .dimension import box_dimension_estimate, dimension_report_csv, solve_moran
-from .errors import CapacityError, DomainError, GeogasketError, SceneValidationError
-from .measures import (
-    DiscreteMeasure,
-    cell_masses,
-    pushforward_fixpoint,
-    trace_ratios,
-)
+from .errors import DomainError, GeogasketError, SceneValidationError
+from .measures import product_masses, pushforward_fixpoint, trace_ratios
 from .scene import SceneConfig
 
 EXIT_OK = 0
@@ -151,26 +146,20 @@ def cmd_measure(args) -> int:
     except SceneValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    centroid = system.base.vertices.mean(axis=0)
-    seed = DiscreteMeasure.point_mass(system.surface, centroid)
     try:
-        report = pushforward_fixpoint(
-            system, args.weights, args.iters, seed, atom_budget=args.atom_budget
-        )
-    except (CapacityError, DomainError) as exc:
+        report = pushforward_fixpoint(system, args.weights, args.iters)
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print("kr trace:", " ".join(f"{v:.6e}" for v in report.trace_values))
-    ratios = trace_ratios(report.trace_values)
+    print("kr trace:", " ".join(f"{v:.6e}" for v in report.upper))
+    print("kr lower:", " ".join(f"{v:.6e}" for v in report.lower))
+    ratios = trace_ratios(report.upper)
     if ratios:
         print("trace ratios:", " ".join(f"{r:.4f}" for r in ratios))
-    depth = min(4, system.depth)
-    masses = cell_masses(report.final, system, depth)
-    # expected mass of cell I is the product of its digit weights
-    expected = np.ones(1)
-    for _ in range(depth):
-        expected = np.outer(args.weights, expected).ravel()
-    resid = float(np.max(np.abs(masses - expected)))
+    depth = min(4, args.iters)
+    # each depth-d cell's mass, summed over its descendants in the last iterate
+    masses = report.masses.reshape(3**depth, -1).sum(axis=1)
+    resid = float(np.max(np.abs(masses - product_masses(args.weights, depth))))
     print(f"depth-{depth} invariance residual = {resid:.6e}")
     print(f"converged = {report.converged}")
     return EXIT_OK
@@ -234,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("system")
     p_meas.add_argument("--weights", type=float, nargs=3, required=True)
     p_meas.add_argument("--iters", type=_int_in(1), default=12)
-    p_meas.add_argument("--atom-budget", type=_int_in(1), default=2000)
+    p_meas.add_argument(
+        "--atom-budget", type=_int_in(1), default=2000,
+        help="unused: the iterates are held as cell masses, with no atom budget",
+    )
     p_meas.set_defaults(func=cmd_measure)
     return parser
 

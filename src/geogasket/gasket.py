@@ -239,8 +239,7 @@ def build_system(
 
 def _parent_frames(system: TriangleSystem, cells, at_vertex1: bool = False):
     """Frame table of the parents of ``cells``, one frame per cell, and the
-    parent diameters, read from the level arrays (the frames of depth-1
-    cells from the base region's table).
+    parent diameters, read from the level arrays.
 
     Frame r has its apex at the vertex of the parent of ``cells[r]`` named
     by the cell's last digit, or at vertex 1 given ``at_vertex1``; its rows
@@ -254,10 +253,6 @@ def _parent_frames(system: TriangleSystem, cells, at_vertex1: bool = False):
         verts[r] = lv.vertices[code]
         diams[r] = np.max(lv.side_lengths[code])
     apexes = np.zeros(len(cells), dtype=int) if at_vertex1 else np.array([digits[-1] - 1 for digits in cells])
-    if all(len(digits) == 1 for digits in cells):
-        # the base region keeps its frame table, so that measure, which maps
-        # through the base on every iteration, solves it once per system
-        return tuple(f[apexes] for f in system.base._frame_table()), diams
     rows = np.arange(len(cells))
     frames = _frames(
         system.surface, verts[rows, apexes], verts[rows, (apexes + 1) % 3], verts[rows, (apexes + 2) % 3]

@@ -1,11 +1,23 @@
-"""Finitely supported measures, transport distances, and the push-forward
-fixed point of the subdivision maps.
+"""Finitely supported measures, the transport distance between them, and
+the push-forward fixed point of the subdivision maps on the cell tree.
 
-The Lipschitz-dual distance is computed as the optimal-transport primal
-with geodesic ground costs, solved exactly as a linear program (HiGHS).
-The dense cost matrix bounds the support: over ``EXACT_LIMIT`` atoms a
-side raises ``CapacityError`` on every model.  The push-forward keeps its
-iterates under its atom budget by snapping atoms to cell centroids.
+``kr_distance`` is the Lipschitz-dual distance, computed as the
+optimal-transport primal with geodesic ground costs and solved exactly as a
+linear program (HiGHS).  The dense cost matrix bounds the support: over
+``EXACT_LIMIT`` atoms a side raises ``CapacityError`` on every model.
+
+``pushforward_fixpoint`` solves no LP.  Its seed is a point mass at base
+vertex 1, and f_I(v1) is vertex 1 of cell I, so iterate n of
+mu -> sum_i a_i (f_i)_* mu puts mass m(I) = a_(i_1) ... a_(i_n) on vertex 1
+of each depth-n cell I (Hutchinson 1981, Indiana Univ. Math. J. 30).  The
+iterates are held as those depth-n cell masses, and the transport distance
+between iterates n and n+1 is bracketed in O(3^n):
+
+- above by U_n = sum_I m(I) diam(I), the cost of moving each cell's mass
+  inside the cell: the tree bound sum_C diam(parent C) |dm(C)| (Le et al.
+  2019, "Tree-Sliced Variants of Wasserstein Distances", NeurIPS);
+- below by L_n = |int g dmu_n - int g dmu_(n+1)| for the 1-Lipschitz
+  g = d(., base vertex 2).
 """
 
 from __future__ import annotations
@@ -15,14 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .gasket import TriangleSystem, apply_f
-from .triangles import _chart_coords
+from .gasket import TriangleSystem
 
 WEIGHT_TOL = 1e-12
 # atoms per side of the dense transport LP
 EXACT_LIMIT = 1000
-# resampling snaps atoms to depth-10 cells, about 1e-3 of the base's diameter
-MERGE_DEPTH = 10
 
 
 @dataclass
@@ -120,89 +129,53 @@ def kr_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> KRResult:
 # -- push-forward fixed point -------------------------------------------------
 
 
-def _descend_cells(system: TriangleSystem, pts: np.ndarray, depth: int) -> np.ndarray:
-    """Depth-d cell code of each point by barycentric digit descent.
-
-    Ties on shared boundaries resolve to the lowest digit (closed cells).
-    Chart-coordinate barycentric tests are exact on the flat model and an
-    O(r^2)-accurate proxy on curved charts.
-    """
-    n = len(pts)
-    codes = np.zeros(n, dtype=np.int64)
-    for level in range(depth):
-        verts = system.level(level).vertices[codes]
-        b2, b3 = _chart_coords(verts[:, 0], verts[:, 2], verts[:, 1], pts)
-        b1 = 1.0 - b2 - b3
-        bary = np.stack([b1, b2, b3], axis=1)
-        digit = np.argmax(bary, axis=1)
-        codes = codes * 3 + digit
-    return codes
-
-
-def cell_masses(measure: DiscreteMeasure, system: TriangleSystem, depth: int) -> np.ndarray:
-    """Total weight landing in each depth-d cell (array of length 3^d)."""
-    codes = _descend_cells(system, measure.points, depth)
-    masses = np.zeros(3**depth)
-    np.add.at(masses, codes, measure.weights)
+def product_masses(weights, depth: int) -> np.ndarray:
+    """Depth-d cell masses m(iI) = a_i m(I), in cell-code order (first digit
+    most significant), from m = 1 on the base."""
+    masses = np.ones(1)
+    for _ in range(depth):
+        masses = np.outer(weights, masses).ravel()
     return masses
 
 
-def resample_to_centroids(measure: DiscreteMeasure, system: TriangleSystem, depth: int) -> DiscreteMeasure:
-    """Snap atoms to depth-d cell centroids, summing weights."""
-    codes = _descend_cells(system, measure.points, depth)
-    verts = system.level(depth).vertices
-    centroids = verts.mean(axis=1)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse, measure.weights)
-    return DiscreteMeasure(measure.surface, centroids[uniq], w)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PushforwardReport:
-    final: DiscreteMeasure
-    trace_values: list
+    """The last iterate's depth-n cell masses, and the transport bracket
+    lower[k] <= d(mu_k, mu_{k+1}) <= upper[k] for k < n."""
+
+    masses: np.ndarray
+    upper: list
+    lower: list
     converged: bool
 
 
-def pushforward_fixpoint(
-    system: TriangleSystem,
-    weights,
-    iterations: int,
-    seed: DiscreteMeasure,
-    atom_budget: int = 2000,
-) -> PushforwardReport:
-    """Iterate mu -> sum_i a_i (f_i)_* mu over maps 1, 2, 3 and trace
-    the transport distance between successive iterates.
+def pushforward_fixpoint(system: TriangleSystem, weights, iterations: int) -> PushforwardReport:
+    """Iterate mu -> sum_i a_i (f_i)_* mu from a point mass at base vertex 1
+    and bracket the transport distance between successive iterates.
 
-    An iterate over the atom budget snaps to the centroids of depth-MERGE_DEPTH
-    cells (fewer if the stored depth or the budget is smaller), weights summed.
+    Iterate n has mass ``product_masses(weights, n)[c]`` at vertex 1 of
+    depth-n cell c, so ``iterations`` may not exceed the stored depth.
+    ``converged`` means the last upper bound is at most 1e-12.
     """
     weights = np.asarray(weights, dtype=float)
     if not (weights.shape == (3,) and np.all(weights > 0) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_TOL):
         raise DomainError(f"weights must be three positives summing to 1 within {WEIGHT_TOL:g}, not {weights.tolist()}")
-    merge_depth = min(system.depth, MERGE_DEPTH)
-    while 3**merge_depth > atom_budget and merge_depth > 1:
-        merge_depth -= 1
-
-    current = seed.deduped()
-    values = []
-    for _ in range(iterations):
-        images = apply_f(system, [(1,), (2,), (3,)], current.points).reshape(-1, 2)
-        ws = np.concatenate([a * current.weights for a in weights])
-        nxt = DiscreteMeasure(system.surface, images, ws).deduped()
-        if len(nxt) > atom_budget:
-            nxt = resample_to_centroids(nxt, system, merge_depth)
-        values.append(kr_distance(current, nxt).value)
-        current = nxt
-    converged = bool(values and values[-1] <= 1e-12)
-    return PushforwardReport(final=current, trace_values=values, converged=converged)
+    if iterations > system.depth:
+        raise DomainError(
+            f"{iterations} iterations need cells of depth {iterations}, but the system is stored to depth {system.depth}"
+        )
+    # vertex 1 of cell I1 is vertex 1 of I, so the deepest iterate's atoms hold
+    # every iterate's: iterate n's are every 3^(iterations - n)-th of them
+    atoms = system.level(iterations).vertices[:, 0]
+    g = system.surface.distance_many(atoms, system.base.vertices[1])
+    masses = [product_masses(weights, n) for n in range(iterations + 1)]
+    integrals = [float(m @ g[:: 3 ** (iterations - n)]) for n, m in enumerate(masses)]
+    upper = [float(m @ system.level_diams(n)) for n, m in enumerate(masses[:-1])]
+    lower = [abs(a - b) for a, b in zip(integrals, integrals[1:])]
+    converged = bool(upper and upper[-1] <= 1e-12)
+    return PushforwardReport(masses=masses[-1], upper=upper, lower=lower, converged=converged)
 
 
 def trace_ratios(values) -> list:
-    """Ratios of successive positive trace entries (converged tail skipped)."""
-    out = []
-    for prev, nxt in zip(values, values[1:]):
-        if prev > 1e-15:
-            out.append(nxt / prev)
-    return out
+    """Ratios of successive trace entries."""
+    return [nxt / prev for prev, nxt in zip(values, values[1:])]

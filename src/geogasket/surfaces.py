@@ -204,6 +204,10 @@ class SurfaceModel:
                     f"Christoffel symbols are not finite on the chart grid at ({uu[i]:.6g}, {vv[i]:.6g})"
                 )
             k = self.curvature(uu, vv)
+        finite = np.isfinite(k)
+        if not finite.all():
+            i = np.argmin(finite)
+            raise DomainError(f"curvature is not finite on the chart grid at ({uu[i]:.6g}, {vv[i]:.6g})")
         if not np.all(np.abs(k) <= 1.0 + 1e-9):
             raise DomainError(
                 f"|K| exceeds 1 on the chart grid (max {np.max(np.abs(k)):.6g})"

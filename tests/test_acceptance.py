@@ -25,12 +25,7 @@ from geogasket.gasket import (
     mi_from_code,
     nondegeneracy_sweep,
 )
-from geogasket.measures import (
-    DiscreteMeasure,
-    cell_masses,
-    pushforward_fixpoint,
-    trace_ratios,
-)
+from geogasket.measures import pushforward_fixpoint, trace_ratios
 from geogasket.surfaces import unit_sphere_surface
 from geogasket.triangles import GeodesicTriangleRegion, planar_angles_batch
 
@@ -252,21 +247,20 @@ def test_criterion_8_controlled_moran(flat12, sphere8, hyperbolic8):
 
 
 def test_criterion_9_measure_fixed_point(flat12):
+    # on the flat model each upper bound is the Hutchinson rate max a_i = 1/2
+    # times the last, and the depth-4 masses are the product masses
     system, _ = flat12
-    centroid = system.base.vertices.mean(axis=0)
-    seed = DiscreteMeasure.point_mass(system.surface, centroid)
-    out = pushforward_fixpoint(
-        system, (1 / 3, 1 / 3, 1 / 3), 12, seed, atom_budget=2000
-    )
-    ratios = trace_ratios(out.trace_values)
-    ratios_ok = bool(ratios) and all(r <= 0.55 for r in ratios)
-    masses = cell_masses(out.final, system, 4)
+    out = pushforward_fixpoint(system, (1 / 3, 1 / 3, 1 / 3), 12)
+    ratios = trace_ratios(out.upper)
+    ratio_err = max(abs(r - 0.5) for r in ratios)
+    bracket_ok = all(lo <= up for lo, up in zip(out.lower, out.upper))
+    masses = out.masses.reshape(3**4, -1).sum(axis=1)
     mass_err = float(np.max(np.abs(masses - 3.0**-4)))
     report(
         9,
-        ratios_ok and mass_err <= 2e-3,
-        f"12 iterations, defined trace ratios max "
-        f"{max(ratios):.4f}; depth-4 mass error {mass_err:.2e}",
+        len(ratios) == 11 and ratio_err <= 1e-12 and bracket_ok and mass_err <= 1e-12,
+        f"12 iterations, trace ratios within {ratio_err:.2e} of 0.5; lower <= upper: "
+        f"{bracket_ok}; depth-4 mass error {mass_err:.2e}",
     )
 
 

@@ -9,10 +9,9 @@ from geogasket.gasket import apply_f
 from geogasket.measures import (
     EXACT_LIMIT,
     DiscreteMeasure,
-    cell_masses,
     kr_distance,
+    product_masses,
     pushforward_fixpoint,
-    resample_to_centroids,
     trace_ratios,
 )
 
@@ -98,6 +97,12 @@ class TestKRDistance:
                 kr_distance(mu, nu)
 
 
+def iterate(system, weights, n):
+    """Push-forward iterate n from a point mass at base vertex 1: mass
+    m(I) at vertex 1 of each depth-n cell I."""
+    return DiscreteMeasure(system.surface, system.level(n).vertices[:, 0], product_masses(weights, n))
+
+
 class TestPushforward:
     def test_single_map_contracts_to_vertex(self, flat_system):
         point = np.array([0.4, 0.3])
@@ -107,79 +112,66 @@ class TestPushforward:
         assert np.hypot(*(point - vertex)) <= 2.0**-13
 
     def test_zero_iterations_echoes_seed(self, flat_system):
-        seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
-        report = pushforward_fixpoint(flat_system, (1 / 3, 1 / 3, 1 / 3), 0, seed)
-        assert report.trace_values == []
-        np.testing.assert_allclose(report.final.points, seed.points)
+        report = pushforward_fixpoint(flat_system, (1 / 3, 1 / 3, 1 / 3), 0)
+        assert report.upper == [] and report.lower == [] and not report.converged
+        assert report.masses.tolist() == [1.0]
 
     def test_flat_trace_halves(self, flat_system):
-        centroid = flat_system.base.vertices.mean(axis=0)
-        seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
-        report = pushforward_fixpoint(
-            flat_system, (1 / 3, 1 / 3, 1 / 3), 6, seed, atom_budget=2000
-        )
-        ratios = trace_ratios(report.trace_values)
-        assert ratios and all(r <= 0.55 for r in ratios)
+        # U_n = sum_I m(I) diam(I) = 2^-n on the unit flat base
+        report = pushforward_fixpoint(flat_system, (1 / 3, 1 / 3, 1 / 3), 6)
+        np.testing.assert_allclose(report.upper, 0.5 ** np.arange(6), rtol=1e-14, atol=0)
+        ratios = trace_ratios(report.upper)
+        assert len(ratios) == 5 and all(abs(r - 0.5) <= 1e-12 for r in ratios)
 
     def test_trace_monotone_after_first(self, flat_system):
-        centroid = flat_system.base.vertices.mean(axis=0)
-        seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
-        report = pushforward_fixpoint(
-            flat_system, (0.5, 0.3, 0.2), 8, seed, atom_budget=2000
-        )
-        vals = report.trace_values
-        assert all(a >= b - 1e-12 for a, b in zip(vals[1:], vals[2:]))
+        report = pushforward_fixpoint(flat_system, (0.5, 0.3, 0.2), 8)
+        vals = report.upper
+        assert len(vals) == 8 and all(a > b for a, b in zip(vals, vals[1:]))
+        assert all(0 < lo <= up for lo, up in zip(report.lower, report.upper))
 
     def test_weights_validated(self, flat_system):
-        seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
         with pytest.raises(DomainError):
-            pushforward_fixpoint(flat_system, (0.5, 0.5, 0.5), 2, seed)
+            pushforward_fixpoint(flat_system, (0.5, 0.5, 0.5), 2)
 
     def test_nan_weights_rejected(self, eu, flat_system):
         # every comparison with NaN is false, so the checks must be accepting ones
         with pytest.raises(DomainError, match="nonnegative"):
             DiscreteMeasure(eu, [[0, 0], [1, 0]], [math.nan, 0.5])
-        seed = DiscreteMeasure.point_mass(flat_system.surface, (0.4, 0.3))
         with pytest.raises(DomainError, match="positive"):
-            pushforward_fixpoint(flat_system, (math.nan, 0.5, 0.5), 2, seed)
+            pushforward_fixpoint(flat_system, (math.nan, 0.5, 0.5), 2)
+
+    def test_iterations_above_depth_rejected(self, flat_system):
+        with pytest.raises(DomainError, match="9 iterations need cells of depth 9, but the system is stored to depth 8"):
+            pushforward_fixpoint(flat_system, (1 / 3, 1 / 3, 1 / 3), 9)
 
     def test_invariant_masses_weighted(self, flat_system):
+        # each depth-2 cell holds its product mass, summed up the tree
         weights = (0.5, 0.25, 0.25)
-        centroid = flat_system.base.vertices.mean(axis=0)
-        seed = DiscreteMeasure.point_mass(flat_system.surface, centroid)
-        report = pushforward_fixpoint(flat_system, weights, 8, seed, atom_budget=2000)
-        masses = cell_masses(report.final, flat_system, 2)
+        report = pushforward_fixpoint(flat_system, weights, 8)
+        masses = report.masses.reshape(9, -1).sum(axis=1)
         for code in range(9):
             expected = weights[code // 3] * weights[code % 3]
-            assert masses[code] == pytest.approx(expected, abs=2e-3)
-
-    def test_resample_preserves_cell_masses(self, flat_system):
-        rng = np.random.default_rng(2)
-        ts = rng.uniform(0.05, 0.95, 200)
-        ss = rng.uniform(0.05, 1.0, 200)
-        pts = flat_system.base.phi_many(1, ts, ss)
-        mu = uniform_measure(flat_system.surface, pts)
-        snapped = resample_to_centroids(mu, flat_system, 3)
-        np.testing.assert_allclose(
-            cell_masses(mu, flat_system, 2), cell_masses(snapped, flat_system, 2),
-            atol=1e-12,
-        )
+            assert masses[code] == pytest.approx(expected, abs=1e-15)
 
     def test_curved_batch_matches_apply_f(self, sphere_system):
-        base = sphere_system.base
-        pts = base.phi_many(1, [0.2, 0.5, 0.9], [0.3, 0.6, 0.95])
-        seed = DiscreteMeasure(sphere_system.surface, pts, np.full(3, 1 / 3))
-        report = pushforward_fixpoint(sphere_system, (0.2, 0.3, 0.5), 1, seed)
-        expected = np.array(
-            [apply_f(sphere_system, [(d,)], [p])[0, 0] for d in (1, 2, 3) for p in pts]
-        )
-        assert np.array_equal(report.final.points, np.unique(expected, axis=0))
+        # f_i(v1) is vertex 1 of cell i, so iterate 1's atoms are the maps'
+        # images of the seed
+        v1 = sphere_system.base.vertices[0]
+        images = apply_f(sphere_system, [(1,), (2,), (3,)], [v1])[:, 0]
+        np.testing.assert_allclose(images, sphere_system.level(1).vertices[:, 0], rtol=0, atol=1e-9)
 
     def test_curved_small_pushforward(self, sphere_system):
-        centroid = sphere_system.base.vertices.mean(axis=0)
-        seed = DiscreteMeasure.point_mass(sphere_system.surface, centroid)
-        report = pushforward_fixpoint(
-            sphere_system, (1 / 3, 1 / 3, 1 / 3), 3, seed, atom_budget=100
-        )
-        ratios = trace_ratios(report.trace_values)
-        assert ratios and all(r <= 0.6 for r in ratios)
+        report = pushforward_fixpoint(sphere_system, (1 / 3, 1 / 3, 1 / 3), 3)
+        ratios = trace_ratios(report.upper)
+        assert len(ratios) == 2 and all(0.45 <= r <= 0.55 for r in ratios)
+
+    @pytest.mark.parametrize("name", ["flat_system", "sphere_system"])
+    def test_bracket_contains_exact_transport(self, name, request):
+        # lower <= the exact LP transport distance <= upper, between
+        # successive iterates up to depth 3
+        system = request.getfixturevalue(name)
+        weights = (0.5, 0.3, 0.2)
+        report = pushforward_fixpoint(system, weights, 3)
+        for n in range(3):
+            exact = kr_distance(iterate(system, weights, n), iterate(system, weights, n + 1)).value
+            assert report.lower[n] - 1e-9 <= exact <= report.upper[n] + 1e-9

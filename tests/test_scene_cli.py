@@ -328,19 +328,21 @@ class TestMeasureCommand:
         capsys.readouterr()
         third = repr(1 / 3)
         code = main([
-            "measure", out, "--weights", third, third, repr(1 - 2 / 3), "--iters", "6",
+            "measure", out, "--weights", third, third, repr(1 - 2 / 3), "--iters", "4",
         ])
         assert code == 0
-        text = capsys.readouterr().out
-        assert "kr trace:" in text and "invariance residual" in text
+        lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines() if ":" in line)
+        upper = [float(x) for x in lines["kr trace"].split()]
+        lower = [float(x) for x in lines["kr lower"].split()]
+        assert len(upper) == len(lower) == 4 and all(lo <= up for lo, up in zip(lower, upper))
+        assert lines["trace ratios"].split() == ["0.5000"] * 3
 
     def test_unequal_weights_residual(self, flat_scene_path, tmp_path, capsys):
-        # three iterations put each depth-2 cell's exact product mass on it,
-        # so the expected masses must give digit i the weight of map i
+        # the held masses summed up the tree must give digit i the weight of map i
         out = str(tmp_path / "sys.json")
         main(["build", flat_scene_path, "--depth", "2", "--out", out])
         capsys.readouterr()
-        assert main(["measure", out, "--weights", "0.5", "0.3", "0.2", "--iters", "3"]) == 0
+        assert main(["measure", out, "--weights", "0.5", "0.3", "0.2", "--iters", "2"]) == 0
         (line,) = [x for x in capsys.readouterr().out.splitlines() if "invariance residual" in x]
         assert line.startswith("depth-2 invariance residual") and float(line.split(" = ")[1]) < 1e-15
 
@@ -714,10 +716,12 @@ class TestCustomSurfaceErrors:
             (("metric", "E"), "1 + sqrt(u - 2)", "not positive definite"),
             # E_u is 0/0 at the chart origin, a grid point
             (("metric", "E"), "1 + sqrt(u*u + v*v)", "Christoffel symbols are not finite on the chart grid at (0, 0)"),
+            # E_uu takes (r^2)^-0.5 (2u)^2 = inf * 0 at the chart origin
+            (("metric", "E"), "1 + 0.1*(u*u + v*v)**1.5", "curvature is not finite on the chart grid at (0, 0)"),
             # the parser's stack overflows before Python's recursion limit
             (("metric", "E"), "u" + "**u" * 3000, "expression nested too deeply"),
         ],
-        ids=["unclosed", "curvature", "empty_chart", "nan_metric", "nan_symbols", "deep_nesting"],
+        ids=["unclosed", "curvature", "empty_chart", "nan_metric", "nan_symbols", "nan_curvature", "deep_nesting"],
     )
     def test_build_scene_surface_exit2(self, tmp_path, capsys, path, value, message):
         doc = copy.deepcopy(BUMP_SCENE)
@@ -832,15 +836,16 @@ class TestSolverErrors:
         assert "construction failed: log-map shooting stalled" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_measure_capacity_exit2(self, flat_scene_path, tmp_path, capsys):
-        # a budget of 3,000 keeps the 2,187-atom seventh iterate, and the
-        # exact transport from 729 atoms to it is over the limit on every model
+    def test_measure_iters_above_depth_exit2(self, flat_scene_path, tmp_path, capsys):
+        # iterate n lives on the depth-n cells, so a depth-3 system holds three
         out = tmp_path / "sys.json"
         out.write_text(json.dumps(_built_flat_system(flat_scene_path, tmp_path)))
         capsys.readouterr()
-        argv = ["measure", str(out), "--weights", *THIRDS, "--iters", "7", "--atom-budget", "3000"]
+        argv = ["measure", str(out), "--weights", *THIRDS, "--iters", "4"]
         assert main(argv) == 2
-        assert "error: exact transport limited to 1000 atoms a side (729x2187)" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: 4 iterations need cells of depth 4, but the system is stored to depth 3\n"
+        )
 
 
 class TestUnwritableOutput:

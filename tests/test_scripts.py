@@ -161,12 +161,28 @@ def test_benchmark_setup_reads_scene(name, tmp_path):
 @pytest.mark.parametrize("package", ["jsonschema", "scipy"])
 def test_cli_import_skips(package):
     # scenes and stored systems are checked by the package's own readers, and
-    # scipy loads only for measure's transport LP
+    # scipy loads only for the exact transport LP, kr_distance
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = f"import sys, geogasket.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_measure_loads_no_scipy(tmp_path):
+    # the push-forward bracket solves no transport LP
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"""
+import sys
+from geogasket.cli import main
+system = {str(tmp_path / "sys.json")!r}
+assert main(["build", "scenes/flat_unit.json", "--depth", "3", "--out", system]) == 0
+assert main(["measure", system, "--weights", "0.5", "0.3", "0.2", "--iters", "3"]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_gauge_layer_loads_no_scipy():
