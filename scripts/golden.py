@@ -10,7 +10,8 @@ relative. The outputs are each command's exit code, stdout and stderr (one
 ``--write`` they are compared with ``tests/golden/`` and the script exits 1
 naming the files that differ. With ``--write`` they replace the corpus, and
 for each system file that changed the script prints the largest vertex,
-side and ``gauge_c`` drift against the old one.
+side and ``gauge_c`` drift against the old one, or the reader's message
+where the current reader cannot load either file (after a format change).
 """
 
 import argparse
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from geogasket.cli import main as cli
+from geogasket.errors import GeogasketError
 from geogasket.gasket import system_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,8 +77,12 @@ def read_corpus() -> dict:
 
 
 def drift(old: bytes, new: bytes) -> str:
-    """Largest vertex, side and gauge_c change between two system files."""
-    a, b = system_from_json(old.decode()), system_from_json(new.decode())
+    """Largest vertex, side and gauge_c change between two system files, or
+    the message of the reader on the first of them it cannot load."""
+    try:
+        a, b = system_from_json(old.decode()), system_from_json(new.decode())
+    except GeogasketError as exc:
+        return f"unreadable: {exc}"
     if a.depth != b.depth:
         return f"depth {a.depth} -> {b.depth}"
     vertex = max(float(np.max(np.abs(x.vertices - y.vertices))) for x, y in zip(a.levels, b.levels))

@@ -2,9 +2,11 @@
 
 Every reader of user input (scenes, stored systems, custom surfaces,
 gauges) checks its document with the rules at the end of this module, so
-that one field is held to the same rule wherever it is read.
+that one field is held to the same rule wherever it is read.  The encoding
+of stored float arrays lives here too, reader and writer together.
 """
 
+import binascii
 import math
 
 import numpy as np
@@ -127,3 +129,32 @@ def json_integer(value, field: str, lo=-math.inf, hi=math.inf) -> int:
     if not (is_json_int(value) and lo <= number <= hi):
         raise SceneValidationError(f"{field} must be an integer in [{lo}, {hi}], not {value!r}")
     return int(value)
+
+
+def json_binary64(value, shape: tuple, field: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``: a string of standard padded
+    base64 (RFC 4648 section 4) of finite little-endian IEEE-754 binary64
+    values in C order."""
+    count = math.prod(shape)
+    if not isinstance(value, str):
+        raise SceneValidationError(f"{field} must be a base64 string, not {type(value).__name__}")
+    try:
+        raw = binascii.a2b_base64(value)
+    except ValueError:
+        raw = None
+    # a2b_base64 skips characters outside the alphabet unless strict_mode
+    # (Python 3.11+) is given, so a decoding counts only if it encodes back
+    if raw is None or binascii.b2a_base64(raw, newline=False) != value.encode():
+        raise SceneValidationError(f"{field} must be standard padded base64 with no other character")
+    if len(raw) != 8 * count:
+        raise SceneValidationError(f"{field} must hold {count} binary64 values ({8 * count} bytes), not {len(raw)} bytes")
+    out = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if not np.isfinite(out).all():
+        raise SceneValidationError(f"{field} must hold finite numbers")
+    return out
+
+
+def binary64_text(values) -> str:
+    """The string ``json_binary64`` reads back as ``values``, bit for bit."""
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return binascii.b2a_base64(data, newline=False).decode("ascii")

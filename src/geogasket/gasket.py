@@ -31,7 +31,9 @@ from .errors import (
     InversionError,
     NondegeneracyError,
     SceneValidationError,
+    binary64_text,
     is_json_int,
+    json_binary64,
     json_numbers,
     json_object,
 )
@@ -140,6 +142,9 @@ _CHILD_VERTICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 _CHILD_SIDES = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5]])
 # (child, vertex slot) of midpoints 0, 1 and 2 in the tables above
 _MIDPOINT_CHILDREN = ([1, 0, 0], [2, 2, 1])
+# (t, s) of the parent's vertices and midpoints, in the order of the first
+# table, in the parametrization at the parent's vertex 1
+_SLOT_PARAMETERS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]])
 
 
 def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: np.ndarray) -> LevelArrays:
@@ -260,7 +265,7 @@ def _parent_frames(system: TriangleSystem, cells, at_vertex1: bool = False):
     return frames, diams
 
 
-def _invert_stacked(surface, frames, rows, xs, tol, image_scale=None):
+def _invert_stacked(surface, frames, rows, xs, tol, image_scale=None, start=None):
     """``_invert_rows`` in passes of at most ``_STACK_ROWS`` rows.
 
     Returns the residuals and, given ``image_scale``, the images.
@@ -269,7 +274,10 @@ def _invert_stacked(surface, frames, rows, xs, tol, image_scale=None):
     images = None if image_scale is None else np.empty_like(xs)
     for lo in range(0, len(xs), _STACK_ROWS):
         g = slice(lo, lo + _STACK_ROWS)
-        _, _, resid[g], pass_images = _invert_rows(surface, frames, rows[g], xs[g], tol[g], image_scale=image_scale)
+        _, _, resid[g], pass_images = _invert_rows(
+            surface, frames, rows[g], xs[g], tol[g], image_scale=image_scale,
+            start=None if start is None else start[g],
+        )
         if images is not None:
             images[g] = pass_images
     return resid, images
@@ -447,13 +455,15 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, seed: int =
         else:
             codes = rng.choice(total, size=cells_per_level, replace=False)
         cells.extend(mi_from_code(int(code), n) for code in codes)
-    # one row per child vertex, in the frame of its parent's vertex 1
+    # one row per child vertex, in the frame of its parent's vertex 1, seeded
+    # at the parameters the vertex was subdivided at
     frames, diams = _parent_frames(system, cells, at_vertex1=True)
     xs = np.concatenate([system.level(len(d)).vertices[mi_code(d)] for d in cells])
+    start = _SLOT_PARAMETERS[_CHILD_VERTICES[[d[-1] - 1 for d in cells]]].reshape(-1, 2)
     rows = np.repeat(np.arange(len(cells)), 3)
     diam_rows = diams[rows]
     tol = _INVERT_TOL * diam_rows
-    resid, _ = _invert_stacked(system.surface, frames, rows, xs, 0.05 * tol)
+    resid, _ = _invert_stacked(system.surface, frames, rows, xs, 0.05 * tol, start=start)
     worst = max(float(np.max(resid / np.maximum(diam_rows, 1e-300))), 0.0)
     return Check("nesting", bool(np.all(resid <= tol)), worst, _INVERT_TOL, f"max residual factor {worst:.3e}")
 
@@ -597,7 +607,15 @@ def certify(system: TriangleSystem, seed: int = 0, cells_per_level: int = 12) ->
 
 
 def system_to_json(system: TriangleSystem) -> str:
-    """Deterministic JSON export of a system; its surface must carry a spec."""
+    """Deterministic one-line JSON export of a system, keys sorted; its
+    surface must carry a spec.
+
+    ``meta`` is plain JSON.  Entry n - 1 of ``levels`` holds what the solver
+    produced for level n, each parent's ``midpoints`` (3^(n-1), 3, 2) and
+    ``midlines`` (3^(n-1), 3), read back out of its children; each array is
+    one string, the padded base64 of its little-endian binary64 values in C
+    order, so the reader gets every bit back.
+    """
     if system.surface.spec is None:
         raise DomainError("the system's surface has no spec to store")
     meta = {
@@ -608,22 +626,27 @@ def system_to_json(system: TriangleSystem) -> str:
         "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
     }
-    # entry n - 1 holds what the solver produced for level n: each parent's
-    # midpoints and midlines, read back out of its children
     levels = []
     for lv in system.levels[1:]:
         verts = lv.vertices.reshape(-1, 3, 3, 2)
         sides = lv.side_lengths.reshape(-1, 3, 3)
         levels.append({
-            "midlines": np.diagonal(sides, axis1=1, axis2=2).tolist(),
-            "midpoints": verts[:, _MIDPOINT_CHILDREN[0], _MIDPOINT_CHILDREN[1]].tolist(),
+            "midlines": binary64_text(np.diagonal(sides, axis1=1, axis2=2)),
+            "midpoints": binary64_text(verts[:, _MIDPOINT_CHILDREN[0], _MIDPOINT_CHILDREN[1]]),
         })
     # no indent, so that json uses its C encoder
     return json.dumps({"meta": meta, "levels": levels}, sort_keys=True)
 
 
 def system_from_json(text: str) -> TriangleSystem:
-    """System of an export, checked as it is read; ``SceneValidationError`` names the field at fault."""
+    """System of an export of ``system_to_json``, checked as it is read;
+    ``SceneValidationError`` names the field at fault.
+
+    Each level array must be a base64 string of exactly its shape's count of
+    finite binary64 values, every midpoint inside the chart and every
+    midline positive.  Files that store the arrays as JSON number lists, as
+    before this encoding, fail on ``level 1 midpoints``.
+    """
     doc = json_object(json.loads(text), ("meta", "levels"), "system", optional=())
     keys = ("surface", "depth", "delta", "base_vertices", "base_side_lengths")
     meta = json_object(doc["meta"], keys, "meta", optional=("gauge_c",))
@@ -644,8 +667,8 @@ def system_from_json(text: str) -> TriangleSystem:
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
         entry = json_object(entry, ("midlines", "midpoints"), f"level {n}", optional=())
-        mids = json_numbers(entry["midpoints"], (3 ** (n - 1), 3, 2), f"level {n} midpoints")
-        midlines = json_numbers(entry["midlines"], (3 ** (n - 1), 3), f"level {n} midlines")
+        mids = json_binary64(entry["midpoints"], (3 ** (n - 1), 3, 2), f"level {n} midpoints")
+        midlines = json_binary64(entry["midlines"], (3 ** (n - 1), 3), f"level {n} midlines")
         if not surface.contains(mids.reshape(-1, 2)).all():
             raise SceneValidationError(f"level {n} midpoints must lie inside the chart {surface.chart}")
         if np.any(midlines <= 0):

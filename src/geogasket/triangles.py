@@ -132,12 +132,12 @@ def _pair_distances(surface, frames, cells, ts, ss):
     """Distances d(x, y) and d(f x, f y), as an array (2, len(cells), pairs).
 
     ``cells`` are rows of the frame table; ``ts`` and ``ss`` list the
-    parameters of x, y, f x and f y of every pair.  On curved charts all
-    points of all cells go through one parametrization pass, and both
-    distance sets through one shooting solve.  On the flat model each
-    distance is the norm of the displacement phi(x) - phi(y) in the apex
-    frame; the halved-parameter displacement is then exactly half of the
-    other in floating point, so flat deviations vanish identically.
+    parameters of x, y, f x and f y of every pair.  On curved charts each
+    distinct (t, s) of every cell goes once through one parametrization
+    pass, and both distance sets through one shooting solve.  On the flat
+    model each distance is the norm of the displacement phi(x) - phi(y) in
+    the apex frame; the halved-parameter displacement is then exactly half
+    of the other in floating point, so flat deviations vanish identically.
     """
     m, n = len(cells), len(ts) // 4
     if surface.flat:
@@ -150,30 +150,32 @@ def _pair_distances(surface, frames, cells, ts, ss):
         cb = s[:, 0] * t[:, 0] - s[:, 1] * t[:, 1]
         dx = ca[..., None] * e_k + cb[..., None] * e_j
         return np.hypot(dx[..., 0], dx[..., 1]).transpose(1, 0, 2)
-    pts = _phi_rows(surface, frames, np.repeat(cells, 4 * n), np.tile(ts, m), np.tile(ss, m))
-    pts = pts.reshape(m, 4, n, 2)
+    uniq, inv = np.unique(np.column_stack([ts, ss]), axis=0, return_inverse=True)
+    pts = _phi_rows(surface, frames, np.repeat(cells, len(uniq)), np.tile(uniq[:, 0], m), np.tile(uniq[:, 1], m))
+    pts = pts.reshape(m, len(uniq), 2)[:, inv.ravel()].reshape(m, 4, n, 2)
     starts = np.concatenate([pts[:, 0], pts[:, 2]]).reshape(-1, 2)
     ends = np.concatenate([pts[:, 1], pts[:, 3]]).reshape(-1, 2)
     return surface.distance_many(starts, ends).reshape(2, m, n)
 
 
-def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_scale=None):
+def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_scale=None, start=None):
     """Recover (t, s) with _phi_rows(surface, frames, rows, t, s) = xs.
 
-    Seeded from chart-barycentric coordinates, then a damped quasi-Newton
-    iteration with the chart-chord Jacobian: the parametrization is a mild
-    distortion of affine coordinates on the working domains, so the fixed
-    flat Jacobian contracts.  A point whose residual did not decrease takes
-    a half step.  Only unconverged points are evaluated; ``tol`` may be one
-    value or one per point.  Returns (T, S, residuals, images): the images
-    are the points at (T, image_scale * S), evaluated in the same passes,
-    or None without ``image_scale``.
+    Seeded from ``start``, an (N, 2) array of (t, s), or by default from
+    chart-barycentric coordinates, then a damped quasi-Newton iteration with
+    the chart-chord Jacobian: the parametrization is a mild distortion of
+    affine coordinates on the working domains, so the fixed flat Jacobian
+    contracts.  A point whose residual did not decrease takes a half step.
+    Only unconverged points are evaluated; ``tol`` may be one value or one
+    per point.  Returns (T, S, residuals, images): the images are the points
+    at (T, image_scale * S), evaluated in the same passes, or None without
+    ``image_scale``.
 
-    The flat model is exact: a point whose chart-barycentric coordinates
-    lie in [-1e-12, 1 + 1e-12] has residual 0 and its image is the exact
-    homothety; any other point has residual inf, since its distance from
-    the region can fall below any tolerance a caller applies, where flat
-    containment allows rounding slack only.
+    The flat model is exact and ignores ``start``: a point whose
+    chart-barycentric coordinates lie in [-1e-12, 1 + 1e-12] has residual 0
+    and its image is the exact homothety; any other point has residual inf,
+    since its distance from the region can fall below any tolerance a
+    caller applies, where flat containment allows rounding slack only.
     """
     apex, p_j, p_k = frames[:3]
     a, b = _chart_coords(apex[rows], p_j[rows], p_k[rows], xs)
@@ -185,6 +187,9 @@ def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_
         inside = (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12)
         images = None if image_scale is None else apex[rows] + image_scale * (xs - apex[rows])
         return ts, ss, np.where(inside, 0.0, np.inf), images
+    if start is not None:
+        ts = start[:, 0].copy()
+        ss = np.clip(start[:, 1], 1e-12, 1.0)
     tol = np.broadcast_to(tol, (len(xs),))
     e_k = (p_k - apex)[rows]
     e_j = (p_j - apex)[rows]

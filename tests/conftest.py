@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -13,6 +14,26 @@ from geogasket.surfaces import (
     unit_sphere_surface,
 )
 from geogasket.triangles import GeodesicTriangleRegion
+
+
+def read_level(doc, n):
+    """Level n of a stored system document as writable arrays: midpoints
+    (3^(n-1), 3, 2) and midlines (3^(n-1), 3), decoded from padded base64
+    of little-endian binary64 in C order."""
+    entry = doc["levels"][n - 1]
+    mids, midlines = (
+        np.frombuffer(base64.b64decode(entry[key], validate=True), "<f8").copy()
+        for key in ("midpoints", "midlines")
+    )
+    return mids.reshape(-1, 3, 2), midlines.reshape(-1, 3)
+
+
+def write_level(doc, n, mids, midlines):
+    """Store ``mids`` and ``midlines`` as level n of ``doc``, encoded as
+    ``read_level`` decodes them; any shape and any value is written."""
+    entry = doc["levels"][n - 1]
+    for key, values in (("midpoints", mids), ("midlines", midlines)):
+        entry[key] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
 
 
 def _sphere_embed(p):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_level, write_level
 
 from geogasket import gasket
 from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
@@ -411,18 +412,25 @@ class TestSerialization:
             (("meta", "delta"), "meta.delta"),
             (("meta", "gauge_c"), "meta.gauge_c"),
             (("meta", "base_vertices", 1, 0), "meta.base_vertices"),
-            (("levels", 1, "midlines", 2, 2), "level 2 midlines"),
+            (("levels", 2, 1, (2, 2)), "level 2 midlines"),
             (("meta", "base_side_lengths", 2), "meta.base_side_lengths"),
-            (("levels", 1, "midpoints", 2, 1, 0), "level 2 midpoints"),
+            (("levels", 2, 0, (2, 1, 0)), "level 2 midpoints"),
         ],
     )
     def test_nonfinite_rejected(self, flat_base, path, field, value):
         doc = json.loads(system_to_json(build_system(flat_base, 2, delta=0.5)))
         system_from_json(json.dumps(doc))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        if path[0] == "levels":
+            # level n, array 0 (midpoints) or 1 (midlines), entry
+            _, n, which, entry = path
+            arrays = read_level(doc, n)
+            arrays[which][entry] = value
+            write_level(doc, n, *arrays)
+        else:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
         with pytest.raises(SceneValidationError, match=field):
             system_from_json(json.dumps(doc))
 
@@ -436,8 +444,10 @@ class TestSerialization:
         config = SceneConfig.from_path(Path(__file__).parents[1] / scene)
         system = build_system(config.base_triangle(), 3, config.delta)
         text = system_to_json(system)
-        for n, entry in enumerate(json.loads(text)["levels"], start=1):
-            assert np.size(entry["midpoints"]) + np.size(entry["midlines"]) == 9 * 3 ** (n - 1)
+        doc = json.loads(text)
+        for n in range(1, 4):
+            mids, midlines = read_level(doc, n)
+            assert mids.size + midlines.size == 9 * 3 ** (n - 1)
         back = system_from_json(text)
         assert len(back.levels) == len(system.levels) == 4
         for built, read in zip(system.levels, back.levels):

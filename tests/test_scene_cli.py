@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_level, write_level
 
 from geogasket import gasket
 from geogasket.cli import main
@@ -112,10 +113,11 @@ class TestBuildCommand:
         text = out.read_text()
         doc = json.loads(text)
         # each level is its parents' solved midpoints and midlines, with no
-        # per-cell object and no depth key
+        # per-cell object and no depth key, each array one base64 string
         assert [sorted(level) for level in doc["levels"]] == [["midlines", "midpoints"]] * 3
-        assert np.shape(doc["levels"][-1]["midpoints"]) == (9, 3, 2)
-        assert np.shape(doc["levels"][-1]["midlines"]) == (9, 3)
+        assert all(isinstance(x, str) for level in doc["levels"] for x in level.values())
+        mids, midlines = read_level(doc, 3)
+        assert mids.shape == (9, 3, 2) and midlines.shape == (9, 3)
         back = gasket.system_from_json(text)
         assert gasket.system_to_json(back) == text
 
@@ -201,7 +203,9 @@ def _corrupted_flat_system(scene_path, out_dir):
     out = out_dir / "sys.json"
     main(["build", scene_path, "--out", str(out)])
     doc = json.loads(out.read_text())
-    doc["levels"][2]["midlines"][1][2] *= 3.0
+    mids, midlines = read_level(doc, 3)
+    midlines[1][2] *= 3.0
+    write_level(doc, 3, mids, midlines)
     path = out_dir / "corrupt.json"
     path.write_text(json.dumps(doc))
     return path
@@ -386,7 +390,9 @@ class TestMalformedSystem:
 
     @staticmethod
     def missing_cell(doc):
-        doc["levels"][1]["midpoints"].pop()
+        # one value short
+        mids, midlines = read_level(doc, 2)
+        write_level(doc, 2, mids.ravel()[:-1], midlines)
 
     @staticmethod
     def degenerate_base(doc):
@@ -394,19 +400,28 @@ class TestMalformedSystem:
 
     @staticmethod
     def inf_vertex(doc):
-        doc["levels"][2]["midpoints"][7][0][0] = math.inf
+        mids, midlines = read_level(doc, 3)
+        mids[7][0][0] = math.inf
+        write_level(doc, 3, mids, midlines)
 
     @staticmethod
     def nan_side(doc):
-        doc["levels"][2]["midlines"][7][0] = math.nan
+        mids, midlines = read_level(doc, 3)
+        midlines[7][0] = math.nan
+        write_level(doc, 3, mids, midlines)
 
     @staticmethod
     def string_side(doc):
-        doc["levels"][2]["midlines"][7][0] = "0.125"
+        # an array as JSON numbers, not as its string
+        doc["levels"][2]["midlines"] = read_level(doc, 3)[1].tolist()
+
+    @staticmethod
+    def number_side(doc):
+        doc["levels"][2]["midlines"] = 0.125
 
     @staticmethod
     def true_coordinate(doc):
-        doc["levels"][2]["midpoints"][7][1][1] = True
+        doc["levels"][2]["midpoints"] = True
 
     @staticmethod
     def top_level_list(doc):
@@ -423,7 +438,22 @@ class TestMalformedSystem:
 
     @staticmethod
     def ragged_cell(doc):
-        doc["levels"][1]["midpoints"][1][2] = [0.5]
+        # a character outside the base64 alphabet, which a lenient decoder skips
+        text = doc["levels"][1]["midpoints"]
+        doc["levels"][1]["midpoints"] = text[:40] + "\n" + text[40:]
+
+    @staticmethod
+    def partial_value(doc):
+        # a byte count that is not a multiple of 8: the last four characters
+        # of the 144-byte string carry three bytes
+        doc["levels"][1]["midpoints"] = doc["levels"][1]["midpoints"][:-4]
+
+    @staticmethod
+    def list_format(doc):
+        # the format before the base64 encoding: every array as JSON numbers
+        for n, entry in enumerate(doc["levels"], start=1):
+            mids, midlines = read_level(doc, n)
+            entry.update(midpoints=mids.tolist(), midlines=midlines.tolist())
 
     @staticmethod
     def levels_not_list(doc):
@@ -440,7 +470,9 @@ class TestMalformedSystem:
 
     @staticmethod
     def zero_side(doc):
-        doc["levels"][1]["midlines"][1][2] = 0
+        mids, midlines = read_level(doc, 2)
+        midlines[1][2] = 0
+        write_level(doc, 2, mids, midlines)
 
     @staticmethod
     def delta_negative(doc):
@@ -460,7 +492,9 @@ class TestMalformedSystem:
 
     @staticmethod
     def vertex_outside_chart(doc):
-        doc["levels"][2]["midpoints"][7][0] = [0.25, -50.0]
+        mids, midlines = read_level(doc, 3)
+        mids[7][0] = [0.25, -50.0]
+        write_level(doc, 3, mids, midlines)
 
     @staticmethod
     def level_note(doc):
@@ -496,16 +530,19 @@ class TestMalformedSystem:
 
     NAMED = {
         "short_levels": "levels",
-        "missing_cell": "level 2 midpoints must hold finite numbers of shape (3, 3, 2)",
+        "missing_cell": "level 2 midpoints must hold 18 binary64 values (144 bytes), not 136 bytes",
         "degenerate_base": "meta",
-        "inf_vertex": "level 3 midpoints",
-        "nan_side": "level 3 midlines",
-        "string_side": "level 3 midlines",
-        "true_coordinate": "level 3 midpoints",
+        "inf_vertex": "level 3 midpoints must hold finite numbers",
+        "nan_side": "level 3 midlines must hold finite numbers",
+        "string_side": "level 3 midlines must be a base64 string, not list",
+        "number_side": "level 3 midlines must be a base64 string, not float",
+        "true_coordinate": "level 3 midpoints must be a base64 string, not bool",
         "top_level_list": "system must be an object",
         "extra_nu": "meta has unknown keys ['nu']",
         "extra_top_key": "unknown keys ['extra']",
-        "ragged_cell": "level 2 midpoints",
+        "ragged_cell": "level 2 midpoints must be standard padded base64",
+        "partial_value": "level 2 midpoints must hold 18 binary64 values (144 bytes), not 141 bytes",
+        "list_format": "level 1 midpoints must be a base64 string, not list",
         "levels_not_list": "levels must be a list",
         "audits_key": "system has unknown keys ['audits']",
         "gauge_c_typo": "meta has unknown keys ['gauge_C']",
@@ -531,7 +568,9 @@ class TestMalformedSystem:
         # in the parent's chart-barycentric coordinates
         doc = _built_flat_system(flat_scene_path, tmp_path)
         p1, p2, p3 = gasket.system_from_json(json.dumps(doc)).level(2).vertices[3]
-        doc["levels"][2]["midpoints"][3][1] = (p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)).tolist()
+        mids, midlines = read_level(doc, 3)
+        mids[3][1] = p1 + 0.5 * (p3 - p1) - offset * (p2 - p1)
+        write_level(doc, 3, mids, midlines)
         path = tmp_path / "outside.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()

@@ -123,6 +123,35 @@ class TestBatchIndependence:
             surface._step(fresh)
         assert np.array_equal(surface._integrate(y), fresh.out)
 
+    @pytest.mark.parametrize("kind", ["sphere", "bump"])
+    def test_one_column_view_equals_contiguous(self, kind, request):
+        # the last live column of a wide batch is a (4, 1) view whose rows
+        # lie a block width apart; numpy 2.4.6 computes some in-place ufuncs
+        # wrongly on such views (np.negative(a, out=a) with a = b[:, :1] of a
+        # (4, 8) array negates a[0, 0] only), so the kernel must give it the
+        # bits of the same column stored alone
+        surface = (
+            surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
+        pts, vels = self.mixed_batch()
+        # the longest geodesic first, so that it takes several steps
+        y = np.concatenate([pts, vels], axis=1)[::-1].T[:, :8].copy()
+        wide, alone = _Batch(y.copy()), _Batch(y[:, :1].copy())
+        wide.n = 1
+        for b in (wide, alone):
+            surface._ode_rhs(b.y[:, :1], b.k[0, :, :1])
+        assert np.array_equal(wide.k[0, :, 0], alone.k[0, :, 0])
+        steps = 0
+        while alone.n:
+            surface._step(wide)
+            surface._step(alone)
+            steps += 1
+            assert (wide.n, wide.t[0], wide.h[0]) == (alone.n, alone.t[0], alone.h[0])
+            assert np.array_equal(wide.y[:, 0], alone.y[:, 0])
+            assert np.array_equal(wide.k[0, :, 0], alone.k[0, :, 0])
+        assert steps > 1 and wide.n == 0
+        assert np.array_equal(wide.out[:, 0], alone.out[:, 0])
+
     def test_rhs_evaluations_per_step(self, sphere, monkeypatch):
         counts = {"rhs": 0, "steps": 0}
         rhs, step = sphere._ode_rhs, sphere._step
