@@ -28,11 +28,7 @@ from .gasket import (
     system_from_json,
     system_to_json,
 )
-from .measures import (
-    DiscreteMeasure,
-    kr_distance,
-    pushforward_fixpoint,
-)
+from .measures import pushforward_fixpoint
 from .metric_core import CoverRecord
 from .scene import SceneConfig
 from .surfaces import (

@@ -161,7 +161,6 @@ def cmd_measure(args) -> int:
     masses = report.masses.reshape(3**depth, -1).sum(axis=1)
     resid = float(np.max(np.abs(masses - product_masses(args.weights, depth))))
     print(f"depth-{depth} invariance residual = {resid:.6e}")
-    print(f"converged = {report.converged}")
     return EXIT_OK
 
 

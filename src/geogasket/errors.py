@@ -68,10 +68,6 @@ class InversionError(GeogasketError):
     """Parameter recovery for a subdivision map did not meet its residual bound."""
 
 
-class CapacityError(GeogasketError):
-    """An atom or cell budget was exceeded with resampling disabled."""
-
-
 class ExpressionError(GeogasketError, ValueError):
     """A metric expression failed to parse; carries line/column info."""
 

@@ -1,10 +1,4 @@
-"""Finitely supported measures, the transport distance between them, and
-the push-forward fixed point of the subdivision maps on the cell tree.
-
-``kr_distance`` is the Lipschitz-dual distance, computed as the
-optimal-transport primal with geodesic ground costs and solved exactly as a
-linear program (HiGHS).  The dense cost matrix bounds the support: over
-``EXACT_LIMIT`` atoms a side raises ``CapacityError`` on every model.
+"""The push-forward fixed point of the subdivision maps on the cell tree.
 
 ``pushforward_fixpoint`` solves no LP.  Its seed is a point mass at base
 vertex 1, and f_I(v1) is vertex 1 of cell I, so iterate n of
@@ -26,65 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .gasket import TriangleSystem
 
 WEIGHT_TOL = 1e-12
-# atoms per side of the dense transport LP
-EXACT_LIMIT = 1000
-
-
-@dataclass
-class DiscreteMeasure:
-    """A probability measure supported on finitely many chart points."""
-
-    surface: object
-    points: np.ndarray  # (N, 2)
-    weights: np.ndarray  # (N,)
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.points.shape[1:] != (2,):
-            raise DomainError(f"points must be an (N, 2) array of chart points, not {self.points.shape}")
-        if len(self.points) != len(self.weights):
-            raise DomainError("points and weights must have matching lengths")
-        # accepting comparisons, so that NaN fails them
-        if not np.all(self.weights >= -WEIGHT_TOL):
-            raise DomainError("weights must be nonnegative")
-        if not abs(float(np.sum(self.weights)) - 1.0) <= WEIGHT_TOL:
-            raise DomainError("weights must sum to 1")
-
-    @classmethod
-    def point_mass(cls, surface, p) -> "DiscreteMeasure":
-        return cls(surface, [p], [1.0])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def deduped(self) -> "DiscreteMeasure":
-        """Merge exactly coincident atoms, summing weights."""
-        uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
-        w = np.zeros(len(uniq))
-        np.add.at(w, inverse, self.weights)
-        return DiscreteMeasure(self.surface, uniq, w)
-
-
-@dataclass(frozen=True)
-class KRResult:
-    value: float
-
-
-def _ground_costs(surface, pts1, pts2):
-    n1, n2 = len(pts1), len(pts2)
-    rows = np.repeat(np.arange(n1), n2)
-    cols = np.tile(np.arange(n2), n1)
-    d = surface.distance_many(pts1[rows], pts2[cols])
-    return d.reshape(n1, n2)
 
 
 def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    # scipy loads here, not at import, so that commands without a transport LP skip it
+    """The optimal transport cost between weights ``w1`` and ``w2`` under
+    the ground costs ``cost``, by an exact LP (HiGHS).
+
+    No command calls it: it is the kernel of the tests' exact transport
+    oracle.  It stays in the package only because the benchmark's tracer
+    wraps it by this name; it moves to the tests when the benchmark stops
+    naming it.
+    """
+    # scipy is a test dependency, so it loads here and not at import
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -107,25 +58,6 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return float(res.fun)
 
 
-def kr_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> KRResult:
-    """Lipschitz-dual distance between finitely supported measures.
-
-    Computed as the optimal-transport primal with geodesic ground costs, by
-    an exact LP; a support over ``EXACT_LIMIT`` distinct atoms on either
-    side raises ``CapacityError``.
-    """
-    if getattr(mu1.surface, "kind", None) != getattr(mu2.surface, "kind", None):
-        raise DomainError("measures live on different surfaces")
-    mu1 = mu1.deduped()
-    mu2 = mu2.deduped()
-    if max(len(mu1), len(mu2)) > EXACT_LIMIT:
-        raise CapacityError(
-            f"exact transport limited to {EXACT_LIMIT} atoms a side ({len(mu1)}x{len(mu2)})"
-        )
-    cost = _ground_costs(mu1.surface, mu1.points, mu2.points)
-    return KRResult(value=_transport_lp(cost, mu1.weights, mu2.weights))
-
-
 # -- push-forward fixed point -------------------------------------------------
 
 
@@ -146,7 +78,6 @@ class PushforwardReport:
     masses: np.ndarray
     upper: list
     lower: list
-    converged: bool
 
 
 def pushforward_fixpoint(system: TriangleSystem, weights, iterations: int) -> PushforwardReport:
@@ -155,7 +86,6 @@ def pushforward_fixpoint(system: TriangleSystem, weights, iterations: int) -> Pu
 
     Iterate n has mass ``product_masses(weights, n)[c]`` at vertex 1 of
     depth-n cell c, so ``iterations`` may not exceed the stored depth.
-    ``converged`` means the last upper bound is at most 1e-12.
     """
     weights = np.asarray(weights, dtype=float)
     if not (weights.shape == (3,) and np.all(weights > 0) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_TOL):
@@ -172,8 +102,7 @@ def pushforward_fixpoint(system: TriangleSystem, weights, iterations: int) -> Pu
     integrals = [float(m @ g[:: 3 ** (iterations - n)]) for n, m in enumerate(masses)]
     upper = [float(m @ system.level_diams(n)) for n, m in enumerate(masses[:-1])]
     lower = [abs(a - b) for a, b in zip(integrals, integrals[1:])]
-    converged = bool(upper and upper[-1] <= 1e-12)
-    return PushforwardReport(masses=masses[-1], upper=upper, lower=lower, converged=converged)
+    return PushforwardReport(masses=masses[-1], upper=upper, lower=lower)
 
 
 def trace_ratios(values) -> list:

@@ -4,32 +4,43 @@ import math
 import numpy as np
 import pytest
 
-from geogasket.errors import CapacityError, DomainError
+from geogasket.errors import DomainError
 from geogasket.gasket import apply_f
 from geogasket.measures import (
-    EXACT_LIMIT,
-    DiscreteMeasure,
-    kr_distance,
+    _transport_lp,
     product_masses,
     pushforward_fixpoint,
     trace_ratios,
 )
 
 
-def uniform_measure(surface, pts):
-    pts = np.asarray(pts, dtype=float)
-    return DiscreteMeasure(surface, pts, np.full(len(pts), 1.0 / len(pts)))
+def exact_transport(surface, pts1, w1, pts2, w2):
+    """The exact transport distance between finitely supported measures:
+    coincident atoms merged, geodesic ground costs, one dense LP."""
+
+    def merged(pts, w):
+        uniq, inverse = np.unique(np.atleast_2d(np.asarray(pts, dtype=float)), axis=0, return_inverse=True)
+        mass = np.zeros(len(uniq))
+        np.add.at(mass, inverse.ravel(), np.asarray(w, dtype=float))
+        return uniq, mass
+
+    (pts1, w1), (pts2, w2) = merged(pts1, w1), merged(pts2, w2)
+    rows, cols = np.divmod(np.arange(len(pts1) * len(pts2)), len(pts2))
+    cost = surface.distance_many(pts1[rows], pts2[cols]).reshape(len(pts1), len(pts2))
+    return _transport_lp(cost, w1, w2)
+
+
+def uniform(pts):
+    return np.asarray(pts, dtype=float), np.full(len(pts), 1.0 / len(pts))
 
 
 class TestKRDistance:
     def test_identity(self, eu):
-        mu = uniform_measure(eu, [(0, 0), (1, 0), (0.5, 0.5)])
-        assert kr_distance(mu, mu).value == pytest.approx(0.0, abs=1e-12)
+        pts, w = uniform([(0, 0), (1, 0), (0.5, 0.5)])
+        assert exact_transport(eu, pts, w, pts, w) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_masses(self, eu):
-        m1 = DiscreteMeasure.point_mass(eu, (0.0, 0.0))
-        m2 = DiscreteMeasure.point_mass(eu, (3.0, 4.0))
-        assert kr_distance(m1, m2).value == pytest.approx(5.0, abs=1e-10)
+        assert exact_transport(eu, [(0.0, 0.0)], [1.0], [(3.0, 4.0)], [1.0]) == pytest.approx(5.0, abs=1e-10)
 
     def test_three_atom_permutation_oracle(self, eu):
         # uniform equal-size supports: the optimum is a best assignment
@@ -37,7 +48,7 @@ class TestKRDistance:
         for _ in range(10):
             a = rng.uniform(0, 1, size=(3, 2))
             b = rng.uniform(0, 1, size=(3, 2))
-            lp = kr_distance(uniform_measure(eu, a), uniform_measure(eu, b)).value
+            lp = exact_transport(eu, *uniform(a), *uniform(b))
             oracle = min(
                 sum(np.hypot(*(a[i] - b[p[i]])) for i in range(3)) / 3.0
                 for p in itertools.permutations(range(3))
@@ -53,8 +64,6 @@ class TestKRDistance:
             b = rng.uniform(0, 1, size=(2, 2))
             w1 = rng.uniform(0.2, 0.8)
             w2 = rng.uniform(0.2, 0.8)
-            mu = DiscreteMeasure(eu, a, np.array([w1, 1 - w1]))
-            nu = DiscreteMeasure(eu, b, np.array([w2, 1 - w2]))
             d = np.array([[np.hypot(*(a[i] - b[j])) for j in range(2)] for i in range(2)])
             lo = max(0.0, w1 + w2 - 1.0)
             hi = min(w1, w2)
@@ -66,41 +75,30 @@ class TestKRDistance:
                     + (1 - w1 - w2 + g11) * d[1, 1]
                 )
             oracle = min(plan_cost(lo), plan_cost(hi))
-            assert kr_distance(mu, nu).value == pytest.approx(oracle, abs=1e-10)
+            lp = exact_transport(eu, a, [w1, 1 - w1], b, [w2, 1 - w2])
+            assert lp == pytest.approx(oracle, abs=1e-10)
 
     def test_metric_axioms(self, eu):
         rng = np.random.default_rng(7)
-        measures = [
-            uniform_measure(eu, rng.uniform(0, 1, size=(4, 2))) for _ in range(3)
-        ]
-        d01 = kr_distance(measures[0], measures[1]).value
-        d10 = kr_distance(measures[1], measures[0]).value
-        d02 = kr_distance(measures[0], measures[2]).value
-        d12 = kr_distance(measures[1], measures[2]).value
+        measures = [uniform(rng.uniform(0, 1, size=(4, 2))) for _ in range(3)]
+        d01 = exact_transport(eu, *measures[0], *measures[1])
+        d10 = exact_transport(eu, *measures[1], *measures[0])
+        d02 = exact_transport(eu, *measures[0], *measures[2])
+        d12 = exact_transport(eu, *measures[1], *measures[2])
         assert d01 == pytest.approx(d10, abs=1e-9)
         assert d02 <= d01 + d12 + 1e-9
         assert d01 > 0
 
     def test_geodesic_ground_distance(self, sphere, closed_form_distance):
-        m1 = DiscreteMeasure.point_mass(sphere, (0.0, 0.0))
-        m2 = DiscreteMeasure.point_mass(sphere, (0.1, 0.05))
         expected = closed_form_distance(sphere, (0.0, 0.0), (0.1, 0.05))
-        assert kr_distance(m1, m2).value == pytest.approx(expected, abs=1e-8)
-
-    def test_over_exact_limit_raises(self, eu):
-        # the dense LP is the only path, on the flat model too
-        rng = np.random.default_rng(9)
-        big = uniform_measure(eu, rng.uniform(0, 1, size=(EXACT_LIMIT + 1, 2)))
-        small = uniform_measure(eu, [(0.5, 0.5)])
-        for mu, nu in ((big, small), (small, big)):
-            with pytest.raises(CapacityError, match=f"{EXACT_LIMIT} atoms a side"):
-                kr_distance(mu, nu)
+        lp = exact_transport(sphere, [(0.0, 0.0)], [1.0], [(0.1, 0.05)], [1.0])
+        assert lp == pytest.approx(expected, abs=1e-8)
 
 
 def iterate(system, weights, n):
     """Push-forward iterate n from a point mass at base vertex 1: mass
-    m(I) at vertex 1 of each depth-n cell I."""
-    return DiscreteMeasure(system.surface, system.level(n).vertices[:, 0], product_masses(weights, n))
+    m(I) at vertex 1 of each depth-n cell I, as (points, weights)."""
+    return system.level(n).vertices[:, 0], product_masses(weights, n)
 
 
 class TestPushforward:
@@ -113,7 +111,7 @@ class TestPushforward:
 
     def test_zero_iterations_echoes_seed(self, flat_system):
         report = pushforward_fixpoint(flat_system, (1 / 3, 1 / 3, 1 / 3), 0)
-        assert report.upper == [] and report.lower == [] and not report.converged
+        assert report.upper == [] and report.lower == []
         assert report.masses.tolist() == [1.0]
 
     def test_flat_trace_halves(self, flat_system):
@@ -133,10 +131,8 @@ class TestPushforward:
         with pytest.raises(DomainError):
             pushforward_fixpoint(flat_system, (0.5, 0.5, 0.5), 2)
 
-    def test_nan_weights_rejected(self, eu, flat_system):
-        # every comparison with NaN is false, so the checks must be accepting ones
-        with pytest.raises(DomainError, match="nonnegative"):
-            DiscreteMeasure(eu, [[0, 0], [1, 0]], [math.nan, 0.5])
+    def test_nan_weights_rejected(self, flat_system):
+        # every comparison with NaN is false, so the check must be an accepting one
         with pytest.raises(DomainError, match="positive"):
             pushforward_fixpoint(flat_system, (math.nan, 0.5, 0.5), 2)
 
@@ -165,7 +161,7 @@ class TestPushforward:
         ratios = trace_ratios(report.upper)
         assert len(ratios) == 2 and all(0.45 <= r <= 0.55 for r in ratios)
 
-    @pytest.mark.parametrize("name", ["flat_system", "sphere_system"])
+    @pytest.mark.parametrize("name", ["flat_system", "sphere_system", "hyperbolic_system"])
     def test_bracket_contains_exact_transport(self, name, request):
         # lower <= the exact LP transport distance <= upper, between
         # successive iterates up to depth 3
@@ -173,5 +169,5 @@ class TestPushforward:
         weights = (0.5, 0.3, 0.2)
         report = pushforward_fixpoint(system, weights, 3)
         for n in range(3):
-            exact = kr_distance(iterate(system, weights, n), iterate(system, weights, n + 1)).value
+            exact = exact_transport(system.surface, *iterate(system, weights, n), *iterate(system, weights, n + 1))
             assert report.lower[n] - 1e-9 <= exact <= report.upper[n] + 1e-9

@@ -161,7 +161,7 @@ def test_benchmark_setup_reads_scene(name, tmp_path):
 @pytest.mark.parametrize("package", ["jsonschema", "scipy"])
 def test_cli_import_skips(package):
     # scenes and stored systems are checked by the package's own readers, and
-    # scipy loads only for the exact transport LP, kr_distance
+    # scipy is a test dependency, loaded only by the tests' exact transport LP
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = f"import sys, geogasket.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
@@ -183,6 +183,37 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("scene", ["flat_unit", "sphere_small"])
+def test_cli_runs_without_scipy(scene, tmp_path):
+    # scipy is not a runtime dependency: every command runs with its import refused
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"""
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+
+sys.meta_path.insert(0, RefuseScipy())
+from geogasket.cli import main
+system = {str(tmp_path / "sys.json")!r}
+codes = [
+    main(["build", "scenes/{scene}.json", "--depth", "3", "--out", system]),
+    main(["verify", system]),
+    main(["dim", system, "--levels", "0..3"]),
+    main(["measure", system, "--weights", "0.5", "0.3", "0.2", "--iters", "3"]),
+]
+try:
+    import scipy
+except ModuleNotFoundError:
+    print(codes)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_gauge_layer_loads_no_scipy():
