@@ -50,6 +50,9 @@ def commands():
         yield f"{name}.verify", ["verify", system]
         yield f"{name}.dim", ["dim", system, "--levels", f"1..{DEPTH}", "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
         yield f"{name}.measure", ["measure", system, "--weights", *WEIGHTS, "--iters", "3", "--atom-budget", "30"]
+    # two package errors, pinning the bytes of the exit-2 handler
+    yield "flat.dim-short", ["dim", "flat.json", "--levels", "1..2"]
+    yield "flat.measure-deep", ["measure", "flat.json", "--weights", *WEIGHTS, "--iters", "9"]
 
 
 def run(workdir) -> dict:

@@ -1,13 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``moran`` (exponent solver), ``build`` (construct and export a
-system), ``verify`` (certification report), ``dim`` (box-dimension
-regression with CSV/SVG artifacts), ``measure`` (push-forward fixed point
-and its transport bracket).  Exit codes: 0 success, 2 input error,
-3 construction failure, 4 certification failure.
+system), ``verify`` (certification report), ``dim`` (box-dimension regression
+with CSV/SVG artifacts), ``measure`` (push-forward fixed point and its
+transport bracket).  Exit codes: 0 success, 2 input error, 3 construction
+failure, 4 certification failure.  ``main`` turns a package error that no
+command handles into exit 2.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -47,44 +46,32 @@ def _load_system(path):
         raise SceneValidationError(f"cannot load system {path}: {exc}") from exc
 
 
-def _write(path, text) -> bool:
-    """Write ``text`` to ``path``; False, after an error line, when it cannot."""
+def _write(path, text) -> None:
+    """Write ``text`` to ``path``; a ``DomainError`` when it cannot."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
-def _writable(path) -> bool:
-    """Whether ``path`` can be opened for writing; False, after an error line, when not.
-
-    Leaves no file behind where there was none.
-    """
+def _writable(path) -> None:
+    """A ``DomainError`` unless ``path`` can be written; leaves no file where there was none."""
     existed = os.path.lexists(path)
     try:
         open(path, "a").close()
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
+        raise DomainError(f"cannot write {path}: {exc}") from exc
     if not existed:
         os.remove(path)
-    return True
 
 
 def cmd_build(args) -> int:
-    try:
-        scene = SceneConfig.from_path(args.scene)
-        surface = scene.surface()
-    except GeogasketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scene = SceneConfig.from_path(args.scene)
+    surface = scene.surface()
     depth = args.depth if args.depth is not None else scene.depth
     # before the build, so that an unwritable path fails at once
-    if not _writable(args.out):
-        return EXIT_INPUT
+    _writable(args.out)
     try:
         base = scene.base_triangle(surface)
         system = gasket.build_system(base, depth, scene.delta)
@@ -92,19 +79,14 @@ def cmd_build(args) -> int:
     except GeogasketError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    if not _write(args.out, gasket.system_to_json(system)):
-        return EXIT_INPUT
+    _write(args.out, gasket.system_to_json(system))
     print(f"built {3**depth} cells at depth {depth}; gauge c = {system.gauge_c:.6g}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        system = _load_system(args.system)
-    except SceneValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    system = _load_system(args.system)
     checks = gasket.certify(system, seed=args.seed, cells_per_level=args.cells_per_level)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
@@ -116,24 +98,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    try:
-        system = _load_system(args.system)
-    except SceneValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    n1, n2 = args.levels
-    try:
-        est = box_dimension_estimate(system, n1, n2)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    reference = math.log(3) / math.log(2)
-    if args.csv and not _write(args.csv, dimension_report_csv(system, est)):
-        return EXIT_INPUT
-    if args.svg and not _write(args.svg, gasket.render_svg(system, n2)):
-        return EXIT_INPUT
+    system = _load_system(args.system)
+    est = box_dimension_estimate(system, *args.levels)
+    if args.csv:
+        _write(args.csv, dimension_report_csv(system, est))
+    if args.svg:
+        _write(args.svg, gasket.render_svg(system, args.levels[1]))
     print(f"slope = {est.slope:.12f}")
-    print(f"deviation from log3/log2 = {abs(est.slope - reference):.3e}")
+    print(f"deviation from log3/log2 = {abs(est.slope - math.log(3) / math.log(2)):.3e}")
     print(f"confidence band = [{est.confidence_band[0]:.6f}, {est.confidence_band[1]:.6f}]")
     if est.dropped_levels:
         print(f"dropped coarse levels: {est.dropped_levels}")
@@ -141,16 +113,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    try:
-        system = _load_system(args.system)
-    except SceneValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = pushforward_fixpoint(system, args.weights, args.iters)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    system = _load_system(args.system)
+    report = pushforward_fixpoint(system, args.weights, args.iters)
     print("kr trace:", " ".join(f"{v:.6e}" for v in report.upper))
     print("kr lower:", " ".join(f"{v:.6e}" for v in report.lower))
     ratios = trace_ratios(report.upper)
@@ -161,6 +125,10 @@ def cmd_measure(args) -> int:
     masses = report.masses.reshape(3**depth, -1).sum(axis=1)
     resid = float(np.max(np.abs(masses - product_masses(args.weights, depth))))
     print(f"depth-{depth} invariance residual = {resid:.6e}")
+    for n, (lo, up) in enumerate(zip(report.lower, report.upper)):
+        if lo > up:
+            print(f"error: inverted bracket at n = {n}: L_n = {lo:.6e} > U_n = {up:.6e}", file=sys.stderr)
+            return EXIT_CERTIFICATION
     return EXIT_OK
 
 
@@ -189,8 +157,7 @@ def _level_range(text):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="geogasket",
-        description="Geodesic gaskets on surfaces: build, certify, estimate dimension.",
+        prog="geogasket", description="Geodesic gaskets on surfaces: build, certify, estimate dimension."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -231,9 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except GeogasketError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

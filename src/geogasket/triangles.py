@@ -158,7 +158,7 @@ def _pair_distances(surface, frames, cells, ts, ss):
     return surface.distance_many(starts, ends).reshape(2, m, n)
 
 
-def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_scale=None, start=None):
+def _invert_rows(surface, frames, rows, xs, tol, image_scale=None, start=None):
     """Recover (t, s) with _phi_rows(surface, frames, rows, t, s) = xs.
 
     Seeded from ``start``, an (N, 2) array of (t, s), or by default from
@@ -196,7 +196,7 @@ def _invert_rows(surface, frames, rows, xs, tol, max_iter=INVERT_MAXITER, image_
     resid = np.full(len(xs), np.inf)
     images = None if image_scale is None else np.empty_like(xs)
     live = np.arange(len(xs))
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAXITER):
         if image_scale is None:
             cur = _phi_rows(surface, frames, rows[live], ts[live], ss[live])
         else:
@@ -300,7 +300,7 @@ class GeodesicTriangleRegion:
         rows = np.full(n, row)
         return _phi_rows(self.surface, self._frame_table(), rows, ts, ss)
 
-    def invert_phi_many(self, vertex_index: int, xs, tol=1e-9, max_iter=INVERT_MAXITER):
+    def invert_phi_many(self, vertex_index: int, xs, tol=1e-9):
         """Vectorized parameter recovery; returns (T, S, residuals).
 
         Parameters are clamped to the closed square, so points outside the
@@ -308,4 +308,4 @@ class GeodesicTriangleRegion:
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         rows = np.full(len(xs), _apex_row(vertex_index))
-        return _invert_rows(self.surface, self._frame_table(), rows, xs, tol, max_iter)[:3]
+        return _invert_rows(self.surface, self._frame_table(), rows, xs, tol)[:3]

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from geogasket import gasket
 from geogasket.cli import main
 from geogasket.errors import InversionError, SceneValidationError, ShootingConvergenceError
 from geogasket.scene import SceneConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FLAT_SCENE = {
     "surface": "euclidean",
@@ -354,6 +359,51 @@ class TestMeasureCommand:
         out = str(tmp_path / "sys.json")
         main(["build", flat_scene_path, "--out", out])
         assert main(["measure", out, "--weights", "0.5", "0.5", "0.5"]) == 2
+
+    @pytest.mark.parametrize(
+        "scene, moves",
+        [
+            ("sphere_small", {1: (-1.79, 1.79), 2: (1.79, -1.79)}),
+            ("hyperbolic_small", {1: (0.699, 0.699), 2: (-0.699, -0.699)}),
+        ],
+        ids=["sphere_small", "hyperbolic_small"],
+    )
+    def test_chart_escape_exit2(self, scene, moves, tmp_path):
+        # the reader accepts the moved midpoints, but a geodesic to them leaves the chart
+        system = _moved_midpoints(scene, moves, tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        argv = ["measure", system, "--weights", *THIRDS, "--iters", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "geogasket.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: geodesic left the chart domain")
+        assert "Traceback" not in proc.stderr
+
+    def test_inverted_bracket_exit4(self, tmp_path, capsys):
+        # a midpoint moved out of its parent's diameter puts L_0 above U_0
+        system = _moved_midpoints("sphere_small", {2: (1.7, 1.7)}, tmp_path)
+        capsys.readouterr()
+        assert main(["measure", system, "--weights", *THIRDS, "--iters", "2"]) == 4
+        out, err = capsys.readouterr()
+        upper, lower = ([float(v) for v in line.split(":")[1].split()] for line in out.splitlines()[:2])
+        assert lower[0] > upper[0]
+        assert out.splitlines()[-1].startswith("depth-2 invariance residual")
+        assert err.startswith("error: inverted bracket at n = 0: ")
+
+
+def _moved_midpoints(scene, moves, tmp_path):
+    """A depth-2 system of ``scenes/<scene>.json`` with the level-1 midpoints
+    of parent 0 moved: ``moves`` maps a midpoint index to its new chart point."""
+    out = tmp_path / "moved.json"
+    assert main(["build", str(ROOT / "scenes" / f"{scene}.json"), "--depth", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    mids, midlines = read_level(doc, 1)
+    for k, point in moves.items():
+        mids[0, k] = point
+    write_level(doc, 1, mids, midlines)
+    out.write_text(json.dumps(doc))
+    return str(out)
 
 
 

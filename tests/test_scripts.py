@@ -169,22 +169,6 @@ def test_cli_import_skips(package):
     assert proc.stdout.strip() == "[]"
 
 
-def test_measure_loads_no_scipy(tmp_path):
-    # the push-forward bracket solves no transport LP
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = f"""
-import sys
-from geogasket.cli import main
-system = {str(tmp_path / "sys.json")!r}
-assert main(["build", "scenes/flat_unit.json", "--depth", "3", "--out", system]) == 0
-assert main(["measure", system, "--weights", "0.5", "0.3", "0.2", "--iters", "3"]) == 0
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
-"""
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
 @pytest.mark.parametrize("scene", ["flat_unit", "sphere_small"])
 def test_cli_runs_without_scipy(scene, tmp_path):
     # scipy is not a runtime dependency: every command runs with its import refused
