@@ -17,6 +17,7 @@ where the current reader cannot load either file (after a format change).
 import argparse
 import contextlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -38,6 +39,8 @@ SCENES = {
     "bump": "perfbench/scenes/custom_bump.json",
 }
 DEPTH = 4
+# the bump scene with its E unclosed, which the expression parser rejects
+UNCLOSED_E = "exp(-(u*u + v*v)/8"
 WEIGHTS = ["0.3333333333333333", "0.3333333333333333", "0.3333333333333334"]
 
 
@@ -50,9 +53,10 @@ def commands():
         yield f"{name}.verify", ["verify", system]
         yield f"{name}.dim", ["dim", system, "--levels", f"1..{DEPTH}", "--csv", f"{name}.csv", "--svg", f"{name}.svg"]
         yield f"{name}.measure", ["measure", system, "--weights", *WEIGHTS, "--iters", "3", "--atom-budget", "30"]
-    # two package errors, pinning the bytes of the exit-2 handler
+    # three package errors, pinning the bytes of the exit-2 handler
     yield "flat.dim-short", ["dim", "flat.json", "--levels", "1..2"]
     yield "flat.measure-deep", ["measure", "flat.json", "--weights", *WEIGHTS, "--iters", "9"]
+    yield "bump.build-unclosed", ["build", "bump-unclosed.scene.json", "--depth", str(DEPTH), "--out", "unclosed.json"]
 
 
 def run(workdir) -> dict:
@@ -60,6 +64,9 @@ def run(workdir) -> dict:
     workdir = Path(workdir)
     for name, scene in SCENES.items():
         shutil.copyfile(ROOT / scene, workdir / f"{name}.scene.json")
+    bump = json.loads((ROOT / SCENES["bump"]).read_text())
+    bump["surface"]["metric"]["E"] = UNCLOSED_E
+    (workdir / "bump-unclosed.scene.json").write_text(json.dumps(bump))
     records = {}
     cwd = os.getcwd()
     os.chdir(workdir)

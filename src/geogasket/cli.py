@@ -107,8 +107,6 @@ def cmd_dim(args) -> int:
     print(f"slope = {est.slope:.12f}")
     print(f"deviation from log3/log2 = {abs(est.slope - math.log(3) / math.log(2)):.3e}")
     print(f"confidence band = [{est.confidence_band[0]:.6f}, {est.confidence_band[1]:.6f}]")
-    if est.dropped_levels:
-        print(f"dropped coarse levels: {est.dropped_levels}")
     return EXIT_OK
 
 

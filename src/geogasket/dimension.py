@@ -269,10 +269,7 @@ def product_bounds(gauge: GaugeSpec, nu: float, diam: float) -> ProductBounds:
 
 def hausdorff_upper_sum(system: TriangleSystem, s: float, depth: int) -> float:
     """Sum of cell diameters to the power s at one level (upper witness)."""
-    if depth == 0:
-        return system.base.diam**s
-    diams = system.level_diams(depth)
-    return float(np.sum(diams**s))
+    return float(np.sum(system.level_diams(depth) ** s))
 
 
 @dataclass
@@ -281,27 +278,13 @@ class BoxDimensionEstimate:
     stderr: float
     confidence_band: tuple
     levels_used: list
-    dropped_levels: list
     records: list
-
-
-def _fit_loglog(xs, ys):
-    coef = np.polyfit(xs, ys, 1)
-    slope, intercept = float(coef[0]), float(coef[1])
-    residuals = ys - (slope * xs + intercept)
-    dof = max(len(xs) - 2, 1)
-    sigma2 = float(np.sum(residuals**2)) / dof
-    sxx = float(np.sum((xs - np.mean(xs)) ** 2))
-    stderr = math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
-    return slope, stderr, residuals
 
 
 def box_dimension_estimate(system: TriangleSystem, n1: int, n2: int) -> BoxDimensionEstimate:
     """Least-squares slope of log(count) against -log(max cell diameter).
 
-    Counts are the 3^n cell covers (an upper cover witness).  The coarsest
-    level is dropped once if its residual exceeds three times the median
-    residual (pre-asymptotic bias).
+    Counts are the 3^n cell covers (an upper cover witness).
     """
     if n2 - n1 < 3:
         raise DomainError("need at least four levels (n2 - n1 >= 3)")
@@ -313,21 +296,18 @@ def box_dimension_estimate(system: TriangleSystem, n1: int, n2: int) -> BoxDimen
     xs = -np.log(eps)
     ys = np.log(counts)
 
-    slope, stderr, residuals = _fit_loglog(xs, ys)
-    dropped = []
-    med = float(np.median(np.abs(residuals)))
-    if med > 0 and abs(residuals[0]) > 3.0 * med:
-        dropped = [ns[0]]
-        ns = ns[1:]
-        xs, ys, eps, counts = xs[1:], ys[1:], eps[1:], counts[1:]
-        slope, stderr, _ = _fit_loglog(xs, ys)
+    coef = np.polyfit(xs, ys, 1)
+    slope, intercept = float(coef[0]), float(coef[1])
+    residuals = ys - (slope * xs + intercept)
+    sigma2 = float(np.sum(residuals**2)) / (len(xs) - 2)  # at least four levels
+    sxx = float(np.sum((xs - np.mean(xs)) ** 2))
+    stderr = math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
     records = [CoverRecord(epsilon=float(e), count=int(c)) for e, c in zip(eps, counts)]
     return BoxDimensionEstimate(
         slope=slope,
         stderr=stderr,
         confidence_band=(slope - 2 * stderr, slope + 2 * stderr),
         levels_used=ns,
-        dropped_levels=dropped,
         records=records,
     )
 

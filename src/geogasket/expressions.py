@@ -10,10 +10,12 @@ Accepted syntax (documented in the README):
     FUNC    := exp | log | sin | cos | sinh | cosh | sqrt | tanh
 
 NUMBER is a decimal literal (``2``, ``007``, ``0.5``, ``.5``, ``1e-3``) and
-newlines are whitespace.  :func:`ast.parse` reads the source, which compiles
-only if every node is in the grammar; numbers become ``np.float64`` and
-``**`` and ``pow`` call ``np.power``, so ``1/0`` is ``inf``.  Other input
-raises :class:`ExpressionError` citing a line and column of the source.
+newlines are whitespace.  :class:`_Parser` reads the source by recursive
+descent, one method per rule, and writes each node into the table as it
+reads it; numbers become ``np.float64`` and ``**`` and ``pow`` call
+``np.power``, so ``1/0`` is ``inf``.  Other input, and nesting deeper than
+the interpreter's recursion limit, raises :class:`ExpressionError` citing a
+line and column of the source.
 
 :func:`compile_metric` writes a metric's E, F and G into one straight-line
 table and differentiates it in forward mode (Griewank & Walther, Evaluating
@@ -25,9 +27,6 @@ functions of that table, and :func:`compile_expression` is its one-output
 case.
 """
 
-from __future__ import annotations
-
-import ast
 import math
 import re
 
@@ -35,15 +34,13 @@ import numpy as np
 
 from .errors import ExpressionError
 
-_NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?", re.ASCII)
-# leading zeros of a decimal integer (007), which Python rejects: blanked
-_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=[1-9]\d*(?![\w.]))", re.ASCII)
+# one token: a NUMBER, a name, '**' or any other non-blank character
+_TOKEN = re.compile(r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(\w+)|(\*\*|\S))")
 
 _FUNCS = {f: getattr(np, f) for f in ("exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")}
-_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub)
 # the ufunc each operation of the compiled code calls, to fold constants with
-_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
-           ast.USub: np.negative, "pow": np.power, **_FUNCS}
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "neg": np.negative,
+           "pow": np.power, **_FUNCS}
 
 
 def _position(source: str, index: int):
@@ -68,90 +65,98 @@ def _bind(namespace, value) -> str:
     return name
 
 
-class _Compiler(ast.NodeTransformer):
-    """Reject every node outside the grammar; bind numbers to float64 names."""
+class _Parser:
+    """The grammar by recursive descent, one method per rule.  Each method
+    writes the node it reads into the table ``jets`` and returns its name."""
 
-    def __init__(self, source: str, offset: int, text: str, namespace):
-        self.source, self.offset, self.text = source, offset, text
-        self.namespace = namespace
+    def __init__(self, source: str, jets):
+        self.source, self.jets, self.at = source, jets, 0
+        self.tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(source)]
+        # the end of the input, which errors cite at its last non-blank character
+        self.tokens.append((0, "", max(len(source.rstrip()) - 1, 0)))
 
-    def fail(self, message, node):
-        raise ExpressionError(message, *_position(self.source, self.offset + node.col_offset))
+    def fail(self, message, index=None):
+        raise ExpressionError(message, *_position(self.source, self.tokens[self.at][2] if index is None else index))
 
-    def bind(self, value, node):
-        return ast.copy_location(ast.Name(_bind(self.namespace, value), ast.Load()), node)
+    def take(self, *texts):
+        """The next token's text, consumed, if it is one of ``texts``."""
+        if (text := self.tokens[self.at][1]) in texts:
+            self.at += 1
+            return text
 
-    def visit_Constant(self, node):
-        literal = self.text[node.col_offset:node.end_col_offset]
-        if not _NUMBER.fullmatch(literal):
-            self.fail(f"unsupported literal {literal!r}", node)
-        return self.bind(float(literal), node)
+    def close(self, opening, text=")"):
+        """Consume ``text``, which closes or splits the parenthesis at index ``opening``."""
+        if not self.take(text):
+            if not self.tokens[self.at][0]:
+                self.fail("'(' was never closed", opening)
+            self.fail(f"expected {text!r}")
 
-    def visit_Name(self, node):
-        if node.id in ("pi", "e"):
-            return self.bind(getattr(math, node.id), node)
-        if node.id not in ("u", "v"):
-            self.fail(f"unknown name {node.id!r}", node)
-        return node
+    def parse(self) -> str:
+        """The name of the value of the whole input."""
+        try:
+            name = self.expr()
+        except RecursionError:
+            raise ExpressionError("expression nested too deeply", 1, 1) from None
+        if self.tokens[self.at][0]:
+            self.fail(f"unexpected {self.tokens[self.at][1]!r}")
+        return name
 
-    def generic_visit(self, node):
-        # operators pass, as do BinOp and UnaryOp nodes using one; all else fails
-        if isinstance(node, _OPS):
-            return node
-        op = getattr(node, "op", None)
-        if not isinstance(op, _OPS):
-            self.fail(f"unsupported syntax ({type(op or node).__name__})", node)
-        node = super().generic_visit(node)
-        if isinstance(op, ast.Pow):  # ndarray ** 2 would take numpy's np.square shortcut
-            return ast.copy_location(ast.Call(ast.Name("pow", ast.Load()), [node.left, node.right], []), node)
-        return node
+    def expr(self) -> str:
+        name = self.term()
+        while op := self.take("+", "-"):
+            name = self.jets.let(op, name, self.term())
+        return name
 
-    def visit_Call(self, node):
-        name = node.func.id if isinstance(node.func, ast.Name) else None
-        arity = 2 if name == "pow" else 1 if name in _FUNCS else None
-        tail = self.text[node.args[-1].end_col_offset:node.end_col_offset] if node.args else ""
-        if arity is None or node.keywords or len(node.args) != arity or "," in tail:
-            self.fail(f"{name}() takes {arity} argument(s)" if arity else "unknown function", node)
-        node.args = [self.visit(arg) for arg in node.args]
-        return node
+    def term(self) -> str:
+        name = self.factor()
+        while op := self.take("*", "/"):
+            name = self.jets.let(op, name, self.factor())
+        return name
 
+    def factor(self) -> str:
+        if self.take("-"):
+            return self.jets.let("neg", self.factor())
+        name = self.atom()
+        return self.jets.let("pow", name, self.factor()) if self.take("**") else name
 
-def _parse(source: str, namespace):
-    """The validated tree of ``source``, its numbers bound in ``namespace``.
-
-    Its nodes are ``u``, ``v``, constant names, ``+ - * /`` BinOps, unary
-    minus and calls of the grammar's functions, ``**`` among them as ``pow``.
-    """
-    # one character for one, so positions carry over (float() reads any digit)
-    text = "".join(" " if c.isspace() else str(int(c)) if c.isdecimal() else c for c in source)
-    for i, c in enumerate(text):
-        if c in "#\\" or not " " <= c <= "~":
-            raise ExpressionError(f"unexpected character {c!r}", *_position(source, i))
-    body = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), text).lstrip()
-    offset = len(text) - len(body)
-    try:
-        return _Compiler(source, offset, body, namespace).visit(ast.parse(body, mode="eval").body)
-    except SyntaxError as exc:  # offset 0 or None: at the end of the input
-        index = offset + (exc.offset or len(body) + 1) - 1
-        raise ExpressionError(exc.msg, *_position(source, index)) from None
-    except (RecursionError, MemoryError):  # the parser's stack overflows as MemoryError
-        raise ExpressionError("expression nested too deeply", 1, 1) from None
+    def atom(self) -> str:
+        kind, text, index = self.tokens[self.at]
+        self.at += 1
+        if kind == 1:
+            return _bind(self.jets.namespace, float(text))
+        if text in ("u", "v"):
+            return text
+        if text in ("pi", "e"):
+            return _bind(self.jets.namespace, getattr(math, text))
+        if text != "(" and text != "pow" and text not in _FUNCS:
+            what = f"unknown name {text!r}" if kind == 2 else f"unexpected {text!r}" if kind else "unexpected end of input"
+            self.fail(what, index)
+        # a parenthesis, or a function name and its parenthesized arguments
+        opening = index if text == "(" else self.tokens[self.at][2]
+        if text != "(" and not self.take("("):
+            self.fail(f"expected '(' after {text!r}")
+        args = [self.expr()]
+        if text == "pow":
+            self.close(opening, ",")
+            args.append(self.expr())
+        self.close(opening)
+        return args[0] if text == "(" else self.jets.let(text, *args)
 
 
-_FORMATS = {ast.Add: "{} + {}", ast.Sub: "{} - {}", ast.Mult: "{} * {}", ast.Div: "{} / {}", ast.USub: "-{}"}
+_FORMATS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "neg": "-{}"}
 
 
 def _code(op, args) -> str:
-    """The Python expression applying ``op`` (an operator class or a function name) to named operands."""
+    """The Python expression applying ``op`` (an operator or a function name) to named operands."""
     return _FORMATS[op].format(*args) if op in _FORMATS else f"{op}({', '.join(args)})"
 
 
 class _Jets:
-    """A straight-line table of validated trees and of their partials, to any order.
+    """A straight-line table of expressions and of their partials, to any order.
 
     Every quantity is a name: ``u``, ``v``, a float64 constant bound in
-    ``namespace``, or a local assigned once.  ``value`` walks a tree and
-    emits its lines; ``partials`` applies the derivative rule of the line
+    ``namespace``, or a local assigned once.  ``source`` parses an
+    expression into lines; ``partials`` applies the derivative rule of the line
     that defines a name, so a partial is a name like any other and its own
     partials are the same call.  A partial that is None is a structural
     zero, the partial of a constant, and every term with such a factor is
@@ -180,39 +185,28 @@ class _Jets:
         return self.lines[key]
 
     def add(self, a, b):
-        return b if a is None else a if b is None else self.let(ast.Add, a, b)
+        return b if a is None else a if b is None else self.let("+", a, b)
 
     def sub(self, a, b):
-        return a if b is None else self.neg(b) if a is None else self.let(ast.Sub, a, b)
+        return a if b is None else self.neg(b) if a is None else self.let("-", a, b)
 
     def neg(self, a):
-        return None if a is None else self.let(ast.USub, a)
+        return None if a is None else self.let("neg", a)
 
     def mul(self, a, b):
         if a is None or b is None:
             return None
-        return b if a == self.one else a if b == self.one else self.let(ast.Mult, a, b)
+        return b if a == self.one else a if b == self.one else self.let("*", a, b)
 
     def div(self, a, b):
-        return None if a is None else a if b == self.one else self.let(ast.Div, a, b)
+        return None if a is None else a if b == self.one else self.let("/", a, b)
 
     def pow(self, a, b):
         return a if b == self.one else self.let("pow", a, b)
 
-    def value(self, node) -> str:
-        """The name of the value of the validated tree ``node``."""
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Call):
-            op, operands = node.func.id, node.args
-        else:
-            op = type(node.op)
-            operands = [node.operand] if op is ast.USub else [node.left, node.right]
-        return self.let(op, *(self.value(x) for x in operands))
-
     def source(self, source: str) -> str:
         """The name of the value of the expression ``source``."""
-        return self.value(_parse(source, self.namespace))
+        return _Parser(source, self).parse()
 
     def partials(self, name):
         """(d/du, d/dv) of the quantity ``name`` (None, a constant or a local), each a name or None.
@@ -270,11 +264,11 @@ def _evaluator(fn, many: bool):
 # The partial of each grammar node in one direction, from the node's value y,
 # its operands a and b (b is None for a unary node) and their partials da, db.
 _RULES = {
-    ast.Add: lambda d, y, a, b, da, db: d.add(da, db),
-    ast.Sub: lambda d, y, a, b, da, db: d.sub(da, db),
-    ast.Mult: lambda d, y, a, b, da, db: d.add(d.mul(da, b), d.mul(a, db)),
-    ast.Div: lambda d, y, a, b, da, db: d.div(d.sub(da, d.mul(y, db)), b),
-    ast.USub: lambda d, y, a, b, da, db: d.neg(da),
+    "+": lambda d, y, a, b, da, db: d.add(da, db),
+    "-": lambda d, y, a, b, da, db: d.sub(da, db),
+    "*": lambda d, y, a, b, da, db: d.add(d.mul(da, b), d.mul(a, db)),
+    "/": lambda d, y, a, b, da, db: d.div(d.sub(da, d.mul(y, db)), b),
+    "neg": lambda d, y, a, b, da, db: d.neg(da),
     # b a^(b-1) da + y log(a) db: with a constant exponent, db is None and no log is taken
     "pow": lambda d, y, a, b, da, db: d.add(
         d.mul(d.mul(b, d.pow(a, d.sub(b, d.one))), da), d.mul(d.mul(y, d.let("log", a)), db)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,16 @@ SCENE_KEYS = ("surface", "vertices", "depth", "delta", "gauge", "seed", "toleran
 
 @dataclass
 class SceneConfig:
-    """Validated build configuration."""
+    """Validated build configuration; ``from_doc`` is where its defaults live."""
 
     surface_spec: object
     vertices: np.ndarray
     depth: int
     delta: float
-    gauge: GaugeSpec = field(default_factory=lambda: GaugeSpec("power", alpha=2.0))
-    seed: int = 0
-    audit_pairs: int = 100
-    cells_per_level: int = 12
+    gauge: GaugeSpec
+    seed: int
+    audit_pairs: int
+    cells_per_level: int
 
     @classmethod
     def from_doc(cls, doc) -> "SceneConfig":

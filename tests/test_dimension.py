@@ -17,6 +17,7 @@ from geogasket.dimension import (
 )
 from geogasket.errors import DomainError
 from geogasket.gasket import build_system
+from geogasket.triangles import GeodesicTriangleRegion
 
 
 def bisect_moran_oracle(lams, lo=0.0, hi=50.0, iters=200):
@@ -316,6 +317,16 @@ class TestHausdorffUpperSum:
 class TestBoxDimension:
     def test_flat_exact_slope(self, flat_system):
         est = box_dimension_estimate(flat_system, 2, 8)
+        assert est.slope == pytest.approx(math.log(3) / math.log(2), abs=1e-10)
+
+    def test_exactly_self_similar_system_fits_every_level(self, eu):
+        # a rotated flat triangle: the residuals are rounding, about 1e-15, and
+        # no level is dropped on their account
+        base = GeodesicTriangleRegion.from_vertices(
+            eu, (0.0, 0.0), (0.9620864258312992, -0.2727447693928444), (0.7172471119591812, 0.696818900709656)
+        )
+        est = box_dimension_estimate(build_system(base, 8, delta=0.5), 2, 8)
+        assert est.levels_used == list(range(2, 9)) and len(est.records) == 7
         assert est.slope == pytest.approx(math.log(3) / math.log(2), abs=1e-10)
 
     def test_insufficient_levels(self, flat_system):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geogasket.errors import ExpressionError
 from geogasket.expressions import _Jets, compile_expression
@@ -97,6 +99,10 @@ REJECTED = [
     "exp(u, v)",
     "pow(u)",
     "(" * 1200 + "u" + ")" * 1200,
+    # the grammar calls a function by its name, never by a parenthesized callee
+    "(sin)(u)",
+    "((exp))(v)",
+    "(pow)(u, 2)",
 ]
 
 
@@ -107,6 +113,16 @@ def test_rejected_syntax_cites_position_inside_input(source):
     lines = source.split("\n")
     assert 1 <= err.value.line <= len(lines)
     assert 1 <= err.value.column <= len(lines[err.value.line - 1])
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [("u +", (1, 3)), ("u + ", (1, 3)), ("u +\n\n", (1, 3)), ("pow(u,\n ", (1, 6)), ("  ", (1, 1))],
+)
+def test_end_of_input_cites_last_nonblank_character(source, position):
+    with pytest.raises(ExpressionError, match="unexpected end of input") as err:
+        compile_expression(source)
+    assert (err.value.line, err.value.column) == position
 
 
 def test_position_counts_from_original_source():
@@ -185,3 +201,93 @@ def test_constant_exponent_takes_no_log():
     assert value.tolist() == [-0.125 + 0.25, -8.0 + 4.0]
     assert du.tolist() == [3 * 0.25 + 2 * -0.5, 3 * 4.0 + 2 * -2.0]
     assert dv.tolist() == [0.0, 0.0]
+
+
+# -- properties over the grammar ------------------------------------------
+
+U = np.array([0.3, -0.7, 0.0, 1.5, -2.0, 0.25, 3.0])
+V = np.array([0.6, 0.2, 0.0, -1.25, 2.0, -0.5, 0.0])
+# every NUMBER form: integer, leading zeros, fraction, trailing and leading point, exponent
+NUMBERS = ["2", "007", "0.5", ".5", "4.", "1e-3", "2.5E+1", "3e2"]
+LEAVES = [("u", U), ("v", V), ("pi", np.float64(math.pi)), ("e", np.float64(math.e))]
+LEAVES += [(x, np.float64(float(x))) for x in NUMBERS]
+FUNCS = ["exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt"]
+BLANK = st.sampled_from(["", "", " ", "  ", "\n", " \n\t"])
+
+
+def _reference(ufunc, *values):
+    with np.errstate(all="ignore"):
+        return ufunc(*values)
+
+
+# A node is (text, rule, value): rule 0, 1, 2 or 3 is the tightest of expr,
+# term, factor and atom that its text parses as, and an operand read by a
+# still tighter rule is parenthesized.
+def _operand(node, rule, blank):
+    text, tightest, _ = node
+    return text if tightest >= rule else f"({blank}{text}{blank})"
+
+
+def _binary(op, ufunc, rule):
+    # + - * / read their left operand by their own rule and their right one by
+    # the next; ** reads an atom, then a factor (right associative)
+    left, right = (3, 2) if op == "**" else (rule, rule + 1)
+
+    def build(args):
+        a, b, s1, s2 = args
+        return f"{_operand(a, left, s1)}{s1}{op}{s2}{_operand(b, right, s2)}", rule, _reference(ufunc, a[2], b[2])
+
+    return build
+
+
+def _nodes(child):
+    pair = st.tuples(child, child, BLANK, BLANK)
+    one = st.tuples(child, BLANK)
+    return st.one_of(
+        pair.map(_binary("+", np.add, 0)),
+        pair.map(_binary("-", np.subtract, 0)),
+        pair.map(_binary("*", np.multiply, 1)),
+        pair.map(_binary("/", np.divide, 1)),
+        pair.map(_binary("**", np.power, 2)),
+        one.map(lambda x: (f"-{x[1]}{_operand(x[0], 2, x[1])}", 2, _reference(np.negative, x[0][2]))),
+        st.tuples(st.sampled_from(FUNCS), child, BLANK).map(
+            lambda x: (f"{x[0]}{x[2]}({x[2]}{x[1][0]}{x[2]})", 3, _reference(getattr(np, x[0]), x[1][2]))
+        ),
+        pair.map(lambda x: (f"pow({x[2]}{x[0][0]},{x[3]}{x[1][0]})", 3, _reference(np.power, x[0][2], x[1][2]))),
+        one.map(lambda x: (f"({x[1]}{x[0][0]}{x[1]})", 3, x[0][2])),
+    )
+
+
+TREES = st.tuples(BLANK, st.recursive(st.sampled_from(LEAVES).map(lambda x: (x[0], 3, x[1])), _nodes), BLANK).map(
+    lambda x: (f"{x[0]}{x[1][0]}{x[2]}", x[1][2])
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TREES)
+def test_grammar_tree_matches_numpy_reference(tree):
+    text, expected = tree
+    with np.errstate(all="ignore"):
+        got = compile_expression(text)(U, V)
+    assert got.shape == U.shape
+    np.testing.assert_allclose(got, np.broadcast_to(expected, U.shape), rtol=1e-12, atol=0, equal_nan=True)
+
+
+MUTATION_CHARS = st.one_of(st.sampled_from(list("uvpie0123456789.+-*/(),_ \n\tEjx#$")), st.characters())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TREES, st.integers(0, 10**6), st.sampled_from(["replace", "insert", "delete"]), MUTATION_CHARS)
+def test_mutated_text_compiles_or_cites_position(tree, at, how, char):
+    text = tree[0]
+    i = at % (len(text) + (how == "insert"))
+    if how == "delete" and len(text) == 1:
+        how = "replace"
+    mutated = text[:i] + ("" if how == "delete" else char) + text[i + (how != "insert"):]
+    try:
+        compile_expression(mutated)
+    except ExpressionError as err:
+        lines = mutated.split("\n")
+        assert 1 <= err.line <= len(lines)
+        # a column may cite the newline that ends its line
+        assert 1 <= err.column <= len(lines[err.line - 1]) + (err.line < len(lines))

@@ -798,6 +798,7 @@ class TestCustomSurfaceErrors:
         "path, value, message",
         [
             (("metric", "E"), "exp(-(u*u + v*v)/8", "was never closed"),
+            (("metric", "E"), "(exp)(-(u*u + v*v)/8)", "expected '(' after 'exp' (line 1, column 5)"),
             # a declared curvature is checked against the metric's, at the first grid point
             (("curvature",), "3.0", "declared curvature 3 differs from the metric's 0.3210063542 at (-1, -1)"),
             (("chart", "u_min"), 2.0, "chart rectangle is empty"),
@@ -807,10 +808,10 @@ class TestCustomSurfaceErrors:
             (("metric", "E"), "1 + sqrt(u*u + v*v)", "Christoffel symbols are not finite on the chart grid at (0, 0)"),
             # E_uu takes (r^2)^-0.5 (2u)^2 = inf * 0 at the chart origin
             (("metric", "E"), "1 + 0.1*(u*u + v*v)**1.5", "curvature is not finite on the chart grid at (0, 0)"),
-            # the parser's stack overflows before Python's recursion limit
+            # deeper than the interpreter's recursion limit: an input error, not a RecursionError
             (("metric", "E"), "u" + "**u" * 3000, "expression nested too deeply"),
         ],
-        ids=["unclosed", "curvature", "empty_chart", "nan_metric", "nan_symbols", "nan_curvature", "deep_nesting"],
+        ids=["unclosed", "callee", "curvature", "empty_chart", "nan_metric", "nan_symbols", "nan_curvature", "deep_nesting"],
     )
     def test_build_scene_surface_exit2(self, tmp_path, capsys, path, value, message):
         doc = copy.deepcopy(BUMP_SCENE)
