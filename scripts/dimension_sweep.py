@@ -8,7 +8,7 @@ import argparse
 import math
 import sys
 
-from geogasket.cli import _level_range
+from geogasket.cli import _int_in, _level_range
 from geogasket.dimension import box_dimension_estimate, hausdorff_upper_sum
 from geogasket.gasket import build_system
 from geogasket.scene import SceneConfig
@@ -17,13 +17,13 @@ from geogasket.scene import SceneConfig
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scene")
-    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--depth", type=_int_in(1, 14), default=None)
     parser.add_argument("--levels", type=_level_range, default=None, help="range n1..n2")
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
 
     scene = SceneConfig.from_path(args.scene)
-    depth = args.depth or scene.depth
+    depth = args.depth if args.depth is not None else scene.depth
     system = build_system(scene.base_triangle(), depth, scene.delta)
     n1, n2 = args.levels or (max(1, depth - 6), depth)
     est = box_dimension_estimate(system, n1, n2)

@@ -65,10 +65,7 @@ def solve_moran(ratios) -> MoranSolution:
     if k == 1:
         return MoranSolution(s=0.0, residual=0.0)
     hi = math.log(k) / math.log(1.0 / ratios.lambda_max)
-    lo = 0.0
-    f_lo = value(lo)  # k - 1 > 0
-    if f_lo <= 0:
-        return MoranSolution(s=0.0, residual=abs(f_lo))
+    lo = 0.0  # value(0) = k - 1 > 0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if value(mid) > 0:

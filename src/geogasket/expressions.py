@@ -9,13 +9,13 @@ Accepted syntax (documented in the README):
              | 'pow' '(' expr ',' expr ')' | '(' expr ')'
     FUNC    := exp | log | sin | cos | sinh | cosh | sqrt | tanh
 
-NUMBER is a decimal literal (``2``, ``007``, ``0.5``, ``.5``, ``1e-3``) and
-newlines are whitespace.  :class:`_Parser` reads the source by recursive
-descent, one method per rule, and writes each node into the table as it
-reads it; numbers become ``np.float64`` and ``**`` and ``pow`` call
-``np.power``, so ``1/0`` is ``inf``.  Other input, and nesting deeper than
-the interpreter's recursion limit, raises :class:`ExpressionError` citing a
-line and column of the source.
+NUMBER is a decimal literal in ASCII digits (``2``, ``007``, ``0.5``,
+``.5``, ``1e-3``) and newlines are whitespace.  :class:`_Parser` reads the
+source by recursive descent, one method per rule, and writes each node into
+the table as it reads it; numbers become ``np.float64`` and ``**`` and
+``pow`` call ``np.power``, so ``1/0`` is ``inf``.  Other input, and nesting
+deeper than the interpreter's recursion limit, raises
+:class:`ExpressionError` citing a line and column of the source.
 
 :func:`compile_metric` writes a metric's E, F and G into one straight-line
 table and differentiates it in forward mode (Griewank & Walther, Evaluating
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ExpressionError
 
 # one token: a NUMBER, a name, '**' or any other non-blank character
-_TOKEN = re.compile(r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(\w+)|(\*\*|\S))")
+_TOKEN = re.compile(r"\s*(?:((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)|(\w+)|(\*\*|\S))")
 
 _FUNCS = {f: getattr(np, f) for f in ("exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")}
 # the ufunc each operation of the compiled code calls, to fold constants with
@@ -318,10 +318,18 @@ def compile_metric(e_source: str, f_source: str, g_source: str):
     symbols and their partials by Gauss's formula (do Carmo, Differential
     Geometry of Curves and Surfaces, 4-3).  Where F is the constant 0
     every F term is dropped.  All arithmetic is elementwise, so a row's
-    values do not depend on its batch.
+    values do not depend on its batch.  An ``ExpressionError`` starts with
+    the entry it is in: ``metric.E``, ``metric.F`` or ``metric.G``.
     """
     jets = _Jets()
-    e, f, g = (jets.source(s) for s in (e_source, f_source, g_source))
+    names = []
+    for entry, source in zip("EFG", (e_source, f_source, g_source)):
+        try:
+            names.append(jets.source(source))
+        except ExpressionError as exc:
+            exc.args = (f"metric.{entry}: {exc}",)
+            raise
+    e, f, g = names
     (e_u, e_v), (f_u, f_v), (g_u, g_v) = (jets.partials(x) for x in (e, f, g))
     f_sym = None if f in jets.namespace and jets.namespace[f] == 0 else f
     entries = dict(e=e, f=f_sym, g=g, e_u=e_u, e_v=e_v, f_u=f_u, f_v=f_v, g_u=g_u, g_v=g_v)

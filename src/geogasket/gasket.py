@@ -69,29 +69,36 @@ def mi_validate(index) -> tuple:
 def mi_code(index) -> int:
     """Lexicographic cell code at the index's level (first digit most
     significant)."""
-    code = 0
-    for d in mi_validate(index):
-        code = code * 3 + (d - 1)
-    return code
+    return sum((d - 1) * 3**k for k, d in enumerate(reversed(mi_validate(index))))
+
 
 def mi_from_code(code: int, length: int) -> tuple:
-    digits = []
-    for _ in range(length):
-        digits.append(code % 3 + 1)
-        code //= 3
-    return tuple(reversed(digits))
+    return tuple(code // 3**k % 3 + 1 for k in reversed(range(length)))
 
 
 def mi_str(index) -> str:
     return "".join(str(d) for d in index) or "(base)"
 
 
-def _nonempty_indices(cells, what: str) -> list:
-    """``cells`` as validated digit tuples: at least one, none of them empty."""
+def _cell_arrays(cells, what: str):
+    """Digit tuples ``cells`` as the (levels, codes) arrays that carry cells
+    inside this module, codes those of ``mi_code``, after checking that there
+    is at least one cell and that each is a nonempty multi-index."""
     cells = [mi_validate(index) for index in cells]
     if not cells or not all(cells):
         raise DomainError(f"{what} needs at least one cell, each a nonempty multi-index")
-    return cells
+    return np.array([len(digits) for digits in cells]), np.array([mi_code(digits) for digits in cells])
+
+
+def _passes(count: int, rows_each: int) -> list:
+    """Slices splitting ``count`` items of ``rows_each`` rows each into the
+    fewest passes of at most ``_STACK_ROWS`` rows (at least one item a
+    pass), with the items spread evenly; no pass for no item."""
+    if count == 0:
+        return []
+    passes = -(-count // max(1, _STACK_ROWS // rows_each))
+    size = -(-count // passes)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 # -- level storage -------------------------------------------------------
@@ -242,45 +249,27 @@ def build_system(
 # -- subdivision maps ----------------------------------------------------
 
 
-def _parent_frames(system: TriangleSystem, cells, at_vertex1: bool = False):
-    """Frame table of the parents of ``cells``, one frame per cell, and the
-    parent diameters, read from the level arrays.
+def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = False):
+    """Frame table of the parents of the cells (levels, codes), one frame
+    per cell, and the parent diameters, read from the level arrays.
 
-    Frame r has its apex at the vertex of the parent of ``cells[r]`` named
-    by the cell's last digit, or at vertex 1 given ``at_vertex1``; its rows
-    are those of ``triangles._frames``.
+    Frame r has its apex at the vertex of cell r's parent named by the
+    cell's last digit, or at vertex 1 given ``at_vertex1``; its rows are
+    those of ``triangles._frames``.
     """
-    verts = np.empty((len(cells), 3, 2))
-    diams = np.empty(len(cells))
-    for r, digits in enumerate(cells):
-        lv = system.level(len(digits) - 1)
-        code = mi_code(digits[:-1])
-        verts[r] = lv.vertices[code]
-        diams[r] = np.max(lv.side_lengths[code])
-    apexes = np.zeros(len(cells), dtype=int) if at_vertex1 else np.array([digits[-1] - 1 for digits in cells])
-    rows = np.arange(len(cells))
-    frames = _frames(
-        system.surface, verts[rows, apexes], verts[rows, (apexes + 1) % 3], verts[rows, (apexes + 2) % 3]
-    )
-    return frames, diams
-
-
-def _invert_stacked(surface, frames, rows, xs, tol, image_scale=None, start=None):
-    """``_invert_rows`` in passes of at most ``_STACK_ROWS`` rows.
-
-    Returns the residuals and, given ``image_scale``, the images.
-    """
-    resid = np.empty(len(xs))
-    images = None if image_scale is None else np.empty_like(xs)
-    for lo in range(0, len(xs), _STACK_ROWS):
-        g = slice(lo, lo + _STACK_ROWS)
-        _, _, resid[g], pass_images = _invert_rows(
-            surface, frames, rows[g], xs[g], tol[g], image_scale=image_scale,
-            start=None if start is None else start[g],
-        )
-        if images is not None:
-            images[g] = pass_images
-    return resid, images
+    verts = np.empty((len(codes), 3, 2))
+    diams = np.empty(len(codes))
+    parents = codes // 3
+    # every level read before any index, in order of first appearance, so that
+    # the first cell past the stored depth names the error
+    parent_levels = {n: system.level(n - 1) for n in dict.fromkeys(levels.tolist())}
+    for n, lv in parent_levels.items():
+        at = np.flatnonzero(levels == n)
+        verts[at] = lv.vertices[parents[at]]
+        diams[at] = np.max(lv.side_lengths[parents[at]], axis=1)
+    apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else codes % 3
+    rows = np.arange(len(codes))
+    return _frames(system.surface, *(verts[rows, (apexes + k) % 3] for k in range(3))), diams
 
 
 def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
@@ -294,23 +283,26 @@ def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
     Raises InversionError naming the cell when a recovery residual exceeds
     ``_INVERT_TOL`` times the parent diameter.
     """
-    cells = _nonempty_indices(cells, "apply_f")
-    frames, diams = _parent_frames(system, cells)
+    levels, codes = _cell_arrays(cells, "apply_f")
+    frames, diams = _parent_frames(system, levels, codes)
     n = len(xs)
-    x = np.tile(xs, (len(cells), 1))
-    rows = np.repeat(np.arange(len(cells)), n)
+    x = np.tile(xs, (len(codes), 1))
+    rows = np.repeat(np.arange(len(codes)), n)
     tol = _INVERT_TOL * diams[rows]
     out = frames[0][rows]
     rest = np.flatnonzero(~np.all(x == out, axis=1))
-    resid, out[rest] = _invert_stacked(system.surface, frames, rows[rest], x[rest], tol[rest], image_scale=0.5)
+    resid = np.empty(len(rest))
+    for g in _passes(len(rest), 1):
+        r = rest[g]
+        _, _, resid[g], out[r] = _invert_rows(system.surface, frames, rows[r], x[r], tol[r], image_scale=0.5)
     bad = np.flatnonzero(resid > tol[rest])
     if len(bad):
         row = rest[bad[0]]
+        cell = mi_from_code(int(codes[row // n]), int(levels[row // n]))
         raise InversionError(
-            f"apply_f recovery residual {resid[bad[0]]:.3e} exceeds {tol[row]:.3e} "
-            f"on cell {mi_str(cells[row // n])}"
+            f"apply_f recovery residual {resid[bad[0]]:.3e} exceeds {tol[row]:.3e} on cell {mi_str(cell)}"
         )
-    return out.reshape(len(cells), n, 2)
+    return out.reshape(len(codes), n, 2)
 
 
 # -- similarity audits ----------------------------------------------------
@@ -360,30 +352,37 @@ def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: in
     stacked groups; a cell's result does not depend on the cells audited
     with it.
     """
-    cells = _nonempty_indices(cells, "audit")
+    return _audit(system, *_cell_arrays(cells, "audit"), n_pairs, seed)
+
+
+def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
+    """``audit_similarity`` of the cells (levels, codes)."""
     if n_pairs < 100:
         raise DomainError("the sampling budget must be at least 100 pairs")
     grid = _audit_parameter_grid(n_pairs, seed)
-    t1, s1, t2, s2 = grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3]
-    frames, diams = _parent_frames(system, cells)
-    rows = np.arange(len(cells))
+    t1, s1, t2, s2 = grid.T
+    frames, diams = _parent_frames(system, levels, codes)
+    rows = np.arange(len(codes))
     n = len(grid)
     ts = np.concatenate([t1, t2, t1, t2])
     ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
-    # fewest groups under the cap, with the cells spread evenly over them
-    groups = -(-len(cells) // max(1, _STACK_ROWS // (4 * n)))
-    group = -(-len(cells) // groups)
-    d = np.empty((len(cells), n))
-    df = np.empty((len(cells), n))
-    for lo in range(0, len(cells), group):
-        g = rows[lo:lo + group]
-        d[g], df[g] = _pair_distances(system.surface, frames, g, ts, ss)
+    d, df = np.empty((2, len(codes), n))
+    for g in _passes(len(codes), 4 * n):
+        d[g], df[g] = _pair_distances(system.surface, frames, rows[g], ts, ss)
     kept = d >= 1e-6 * diams[:, None]
     if not np.all(np.any(kept, axis=1)):
         raise DomainError("all sampled audit pairs are degenerate")
     # a left-out pair reads as ratio 1/2, deviation 0
     ratios = np.divide(df, d, out=np.full_like(d, 0.5), where=kept)
     return np.max(np.abs(ratios - 0.5), axis=1), diams
+
+
+def _level_sample(system: TriangleSystem, cells_per_level: int, pick):
+    """(levels, codes) of a sample of every level, level by level: all cells
+    of a level that has at most ``cells_per_level``, else the codes
+    ``pick(3^n)`` returns."""
+    codes = [np.arange(3**n) if 3**n <= cells_per_level else pick(3**n) for n in range(1, system.depth + 1)]
+    return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
 
 
 def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: int = 100, seed: int = 0) -> float:
@@ -393,12 +392,11 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
     whose parent sits at depth <= max_parent_depth; deeper audits then test
     the frozen value.
     """
-    cells = [
-        mi_from_code(code, n)
-        for n in range(1, min(max_parent_depth + 1, system.depth) + 1)
-        for code in range(3**n)
-    ]
-    dev, diam = audit_similarity(system, cells, n_pairs, seed)
+    top = range(1, min(max_parent_depth + 1, system.depth) + 1)
+    if not top:
+        raise DomainError("audit needs at least one cell, each a nonempty multi-index")
+    codes = np.concatenate([np.arange(3**n) for n in top])
+    dev, diam = _audit(system, np.repeat(top, [3**n for n in top]), codes, n_pairs, seed)
     system.gauge_c = 1.5 * max(0.0, float(np.max(dev / (0.5 * diam**2))))
     return system.gauge_c
 
@@ -406,17 +404,10 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
 def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
     """``audit_similarity`` of a deterministic sample of cells at every
     level: up to ``cells_per_level`` codes evenly spaced over each level."""
-    indices = []
-    for n in range(1, system.depth + 1):
-        total = 3**n
-        if total <= cells_per_level:
-            codes = range(total)
-        else:
-            codes = np.unique(
-                np.linspace(0, total - 1, cells_per_level).astype(int)
-            )
-        indices.extend(mi_from_code(int(code), n) for code in codes)
-    return audit_similarity(system, indices, n_pairs, seed)
+    levels, codes = _level_sample(
+        system, cells_per_level, lambda total: np.unique(np.linspace(0, total - 1, cells_per_level).astype(int))
+    )
+    return _audit(system, levels, codes, n_pairs, seed)
 
 
 # -- the certificate ------------------------------------------------------
@@ -447,23 +438,20 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12, seed: int =
     value <= bound.
     """
     rng = np.random.default_rng(seed)
-    cells = []
-    for n in range(1, system.depth + 1):
-        total = 3**n
-        if total <= cells_per_level:
-            codes = np.arange(total)
-        else:
-            codes = rng.choice(total, size=cells_per_level, replace=False)
-        cells.extend(mi_from_code(int(code), n) for code in codes)
+    levels, codes = _level_sample(
+        system, cells_per_level, lambda total: rng.choice(total, size=cells_per_level, replace=False)
+    )
     # one row per child vertex, in the frame of its parent's vertex 1, seeded
     # at the parameters the vertex was subdivided at
-    frames, diams = _parent_frames(system, cells, at_vertex1=True)
-    xs = np.concatenate([system.level(len(d)).vertices[mi_code(d)] for d in cells])
-    start = _SLOT_PARAMETERS[_CHILD_VERTICES[[d[-1] - 1 for d in cells]]].reshape(-1, 2)
-    rows = np.repeat(np.arange(len(cells)), 3)
+    frames, diams = _parent_frames(system, levels, codes, at_vertex1=True)
+    xs = np.concatenate([system.level(n).vertices[codes[levels == n]] for n in np.unique(levels)]).reshape(-1, 2)
+    start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % 3]].reshape(-1, 2)
+    rows = np.repeat(np.arange(len(codes)), 3)
     diam_rows = diams[rows]
     tol = _INVERT_TOL * diam_rows
-    resid, _ = _invert_stacked(system.surface, frames, rows, xs, 0.05 * tol, start=start)
+    resid = np.empty(len(rows))
+    for g in _passes(len(rows), 1):
+        _, _, resid[g], _ = _invert_rows(system.surface, frames, rows[g], xs[g], 0.05 * tol[g], start=start[g])
     worst = max(float(np.max(resid / np.maximum(diam_rows, 1e-300))), 0.0)
     return Check("nesting", bool(np.all(resid <= tol)), worst, _INVERT_TOL, f"max residual factor {worst:.3e}")
 

@@ -27,7 +27,7 @@ import json
 
 import numpy as np
 
-from .errors import ChartEscapeError, DomainError, ShootingConvergenceError, json_numbers, json_object
+from .errors import ChartEscapeError, DomainError, ExpressionError, ShootingConvergenceError, json_numbers, json_object
 from .expressions import compile_expression, compile_metric
 
 EUCLIDEAN = "euclidean"
@@ -532,6 +532,7 @@ def surface_from_json(doc) -> SurfaceModel:
     compiled from E, F and G once, here.  A declared ``curvature``
     expression is a cross-check: it must equal the compiled K within
     1e-9 max(1, |K|) on ``_chart_grid``, or ``DomainError`` names the point.
+    An ``ExpressionError`` starts with the expression it is in.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -544,7 +545,11 @@ def surface_from_json(doc) -> SurfaceModel:
         raise DomainError("custom surface name must be a string")
     if not all(isinstance(x, str) for x in sources):
         raise DomainError("custom surface metric and curvature expressions must be strings")
-    declared = compile_expression(sources[3]) if "curvature" in doc else None
+    try:
+        declared = compile_expression(sources[3]) if "curvature" in doc else None
+    except ExpressionError as exc:
+        exc.args = (f"curvature: {exc}",)
+        raise
     metric, christoffels, curvature = compile_metric(*sources[:3])
     surface = SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, spec=copy.deepcopy(doc))
     if declared is not None:

@@ -103,6 +103,9 @@ REJECTED = [
     "(sin)(u)",
     "((exp))(v)",
     "(pow)(u, 2)",
+    # NUMBER has ASCII digits only: an Arabic-Indic or a full-width digit is a name
+    "\u0663 * u",
+    "\uff13 * u",
 ]
 
 
@@ -123,6 +126,13 @@ def test_end_of_input_cites_last_nonblank_character(source, position):
     with pytest.raises(ExpressionError, match="unexpected end of input") as err:
         compile_expression(source)
     assert (err.value.line, err.value.column) == position
+
+
+@pytest.mark.parametrize("source", ["\u0663 * u", "\uff13 * u"], ids=["arabic_indic", "full_width"])
+def test_non_ascii_digit_is_unknown_name(source):
+    with pytest.raises(ExpressionError, match="unknown name") as err:
+        compile_expression(source)
+    assert (err.value.line, err.value.column) == (1, 1)
 
 
 def test_position_counts_from_original_source():

@@ -215,6 +215,12 @@ class TestAudits:
         with pytest.raises(DomainError, match="needs at least one cell, each a nonempty multi-index"):
             call(flat_system, cells)
 
+    @pytest.mark.parametrize("call", [audit_similarity, lambda system, cells: apply_f(system, cells, [(0.0, 0.0)])])
+    def test_first_cell_past_depth_named(self, flat_system, call):
+        # a stored cell first, and a cell whose code overflows 64 bits before the other deep one
+        with pytest.raises(DomainError, match="^level 59 outside stored depth"):
+            call(flat_system, [(1,), (3,) * 60, (2,) * 9])
+
     def test_sphere_all_levels_pass(self, sphere_system):
         dev, diam = audit_sweep(sphere_system, n_pairs=100, cells_per_level=6, seed=2)
         assert len(dev) and np.all(dev <= 0.5 * sphere_system.gauge_c * diam**2)
@@ -257,7 +263,11 @@ class TestAudits:
             c = calibrate_gauge(system, max_parent_depth=1, n_pairs=100, seed=4)
             dev, diam = audit_sweep(system, n_pairs=100, cells_per_level=3, seed=4)
             nest = nesting_check(system, cells_per_level=3, seed=4)
-            return c, dev.tolist(), diam.tolist(), nest
+            # points of cell 1, the first the apex of child 12, which skips the inversion
+            verts = system.level(1).vertices[0]
+            xs = [verts[1], *(w @ verts for w in ([0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]))]
+            images = apply_f(system, [(1, 1), (1, 2), (1, 3)], xs)
+            return c, dev.tolist(), diam.tolist(), nest, images.tolist()
 
         wide = run()
         monkeypatch.setattr(gasket, "_STACK_ROWS", 5)

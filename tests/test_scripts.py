@@ -70,6 +70,14 @@ def test_dimension_sweep_bad_levels(levels):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_dimension_sweep_bad_depth(depth):
+    # the range of build --depth; 0 used to fall back to the scene's depth
+    err = run_script("dimension_sweep.py", "scenes/flat_unit.json", "--depth", depth, code=2)
+    assert f"argument --depth: must be in 1..14, not {depth}" in err
+    assert "Traceback" not in err
+
+
 def test_rauch_envelope_sweep():
     out = run_script("rauch_envelope_sweep.py", "--triangles", "2")
     lines = out.splitlines()

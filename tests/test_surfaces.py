@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geogasket import expressions, surfaces
-from geogasket.errors import ChartEscapeError, DomainError, ShootingConvergenceError
+from geogasket.errors import ChartEscapeError, DomainError, ExpressionError, ShootingConvergenceError
 from geogasket.expressions import compile_expression
 from geogasket.surfaces import (
     DEFAULT_SHOOT_TOL,
@@ -583,6 +583,18 @@ class TestCustomSurface:
     def test_malformed_document(self, key, value):
         with pytest.raises(DomainError):
             surface_from_json(dict(self.DOC, **{key: value}))
+
+    @pytest.mark.parametrize("field", ["metric.E", "metric.F", "metric.G", "curvature"])
+    def test_expression_error_names_field(self, field):
+        doc = dict(self.DOC, metric=dict(self.DOC["metric"]), curvature="0.25 * exp((u*u + v*v)/8)")
+        if field == "curvature":
+            doc["curvature"] = "exp(-(u*u + v*v)/8"
+        else:
+            doc["metric"][field[-1]] = "exp(-(u*u + v*v)/8"
+        with pytest.raises(ExpressionError) as err:
+            surface_from_json(doc)
+        assert str(err.value) == f"{field}: '(' was never closed (line 1, column 4)"
+        assert (err.value.line, err.value.column) == (1, 4)
 
     def test_curvature_bound_enforced(self):
         doc = {
