@@ -689,7 +689,7 @@ def render_svg(system: TriangleSystem, level: int) -> str:
         '<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" '
         'fill="none" stroke="black" stroke-width="0.5"/>'
     )
-    body = "\n".join([polygon % tuple(row) for row in px.tolist()])
+    body = "\n".join([polygon] * len(px)) % tuple(px.ravel().tolist())
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -77,7 +77,10 @@ def _combine(coeffs, k, out, scratch):
 
     Spelled out term by term rather than as a matrix product, whose
     summation order may depend on the batch size; each product goes
-    through ``scratch`` before it is added.
+    through ``scratch`` before it is added.  ``np.add.reduce`` over the
+    stage axis is excluded too: numpy fixes no order for a reduction's
+    sum (it may sum in pairwise blocks chosen by the memory layout), so
+    a column's bits could follow its batch's shape.
     """
     np.multiply(coeffs[0], k[0], out=out)
     for c, ki in zip(coeffs[1:], k[1:]):
@@ -99,30 +102,38 @@ def _solve_2x2(jac, res):
 class _Batch:
     """Storage of one ``_integrate`` call, allocated once for its batch.
 
-    States are columns of ``(4, N)`` arrays, rows u, v, p, q, so the states
-    of the first n columns are the view ``[:, :n]``.  The first ``n`` columns
-    hold the unfinished geodesics and ``rows`` the input row of each column.
-    A finished column is copied to ``out`` and its place refilled from the
-    unfinished tail, so no step gathers its live columns.  Every geodesic's
-    first trial step spans the whole interval, h = 1: the step controller
+    States are columns of ``(4, n)`` arrays, rows u, v, p, q, one column per
+    unfinished geodesic, and ``rows`` holds the input row of each column.
+    Every such array (states, stages, trial and scratch) is the first 4n
+    values of its own slab, so numpy sees only contiguous arrays whatever
+    the number of live columns; the state slab is the caller's ``y``.  A
+    finished column is copied to ``out`` at its input row, and the live
+    columns are packed into the smaller shape.  Every geodesic's first
+    trial step spans the whole interval, h = 1: the step controller
     shrinks it where the error estimate asks, and a short geodesic finishes
     in one step.
     """
 
     def __init__(self, y):
         size = y.shape[1]
-        self.y = y  # current states, overwritten
+        self._states = y.reshape(-1)  # current states, overwritten
+        # one block, so that the allocator's adaptive thresholds keep its
+        # pages for the next call of the same size instead of returning them
+        self._block = np.empty((12, 4 * size))
+        self.out = self._block[11].reshape(4, size)  # end states, in input row order
         self.t = np.zeros(size)
         self.h = np.ones(size)
         self.rows = np.arange(size)
-        self.n = size
-        # one block, so that the allocator's adaptive thresholds keep its
-        # pages for the next call of the same size instead of returning them
-        block = np.empty((12, 4, size))
-        self.k = block[:7]  # stages; k[0] is the RHS at the current state
-        self.trial = block[7]  # stage argument; after the 7th, the new state
-        self.scratch = block[8:11]
-        self.out = block[11]  # end states, in input row order
+        self._shape(size)
+
+    def _shape(self, n):
+        """View the first 4n values of each slab as ``(4, n)``."""
+        self.n = n
+        self.y = self._states[: 4 * n].reshape(4, n)
+        work = self._block[:11, : 4 * n].reshape(11, 4, n)
+        self.k = work[:7]  # stages; k[0] is the RHS at the current state
+        self.trial = work[7]  # stage argument; after the 7th, the new state
+        self.scratch = work[8:]
 
     def first(self, mask):
         """The column, of those in ``mask``, with the earliest input row."""
@@ -130,17 +141,17 @@ class _Batch:
         return cols[np.argmin(self.rows[cols])]
 
     def retire(self, done):
-        """Store the columns ``done`` (a mask over the first n) and compact the rest."""
-        n = self.n
-        self.out[:, self.rows[:n][done]] = self.y[:, :n][:, done]
-        m = n - np.count_nonzero(done)
-        holes = np.flatnonzero(done[:m])
-        movers = m + np.flatnonzero(~done[m:])
-        for a in (self.y, self.k[0]):
-            a[:, holes] = a[:, movers]
-        for a in (self.t, self.h, self.rows):
-            a[holes] = a[movers]
-        self.n = m
+        """Store the columns ``done`` (a mask) and pack the rest."""
+        self.out[:, self.rows[done]] = self.y[:, done]
+        live = ~done
+        old = self.y, self.k[0]
+        self.t, self.h, self.rows = self.t[live], self.h[live], self.rows[live]
+        self._shape(len(self.rows))
+        # row by row, in order, so that only one row's live values are
+        # copied at a time: a packed row overlaps no old row after its own
+        for old_rows, new_rows in zip(old, (self.y, self.k[0])):
+            for src, dst in zip(old_rows, new_rows):
+                dst[...] = src[live]
 
 
 def _chart_grid(chart):
@@ -281,7 +292,9 @@ class SurfaceModel:
     def _integrate(self, y):
         """Adaptive embedded RK4(5) over t in [0, 1] for ``(4, N)`` states ``y``.
 
-        Returns the end states in the same layout; ``y`` is overwritten.
+        Returns the end states in the same layout.  ``y`` is overwritten:
+        it is the batch's state slab, whose first 4n values hold the n
+        unfinished states (see ``_Batch``).
         Every geodesic carries its own time and step size and accepts or
         rejects its own step (Hairer, Norsett & Wanner, Solving ODEs I, II.4);
         only unfinished ones are evaluated.  All arithmetic is column-wise, so
@@ -311,9 +324,8 @@ class SurfaceModel:
         are the 5th-order weights, and ``_combine`` skips their zero terms.
         So that stage is exactly the RHS at the new state.
         """
-        n = b.n
-        y, t, h, k, trial = b.y[:, :n], b.t[:n], b.h[:n], b.k[:, :, :n], b.trial[:, :n]
-        e, w1, w2 = b.scratch[:, :, :n]
+        y, t, h, k, trial = b.y, b.t, b.h, b.k, b.trial
+        e, w1, w2 = b.scratch
         rest = 1.0 - t
         last = h >= rest
         hl = np.where(last, rest, h)
@@ -352,7 +364,7 @@ class SurfaceModel:
         live = t < 1.0
         if not live.all():
             b.retire(~live)
-        stalled = b.h[:b.n] < 1e-14
+        stalled = b.h < 1e-14
         if np.any(stalled):
             col = b.first(stalled)
             raise _step_underflow("stalled at", b.y[:, col], b.t[col])

@@ -125,32 +125,52 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("kind", ["sphere", "bump"])
     def test_one_column_view_equals_contiguous(self, kind, request):
-        # the last live column of a wide batch is a (4, 1) view whose rows
-        # lie a block width apart; numpy 2.4.6 computes some in-place ufuncs
-        # wrongly on such views (np.negative(a, out=a) with a = b[:, :1] of a
-        # (4, 8) array negates a[0, 0] only), so the kernel must give it the
-        # bits of the same column stored alone
+        # a wide batch ends with one live column.  As a (4, 1) view of the
+        # wide block its rows would lie a block width apart, and numpy 2.4.6
+        # negates such a view in place wrongly: with b = np.arange(16.).reshape(2, 8)
+        # and a = b[:, :1], np.negative(a, out=a) gives [-0, -1], not [-0, -8].
+        # negative is the only unary ufunc of the kernel that does, and it is
+        # why the kernel must never hand numpy a strided column: that column
+        # must get the bits of the same column integrated alone
         surface = (
             surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
         )
         pts, vels = self.mixed_batch()
-        # the longest geodesic first, so that it takes several steps
-        y = np.concatenate([pts, vels], axis=1)[::-1].T[:, :8].copy()
-        wide, alone = _Batch(y.copy()), _Batch(y[:, :1].copy())
-        wide.n = 1
+        # the longest geodesic last, so that it runs on alone for several steps
+        y = np.concatenate([pts, vels], axis=1)[[*range(12, 19), 23]].T.copy()
+        wide, alone = _Batch(y.copy()), _Batch(y[:, -1:].copy())
         for b in (wide, alone):
-            surface._ode_rhs(b.y[:, :1], b.k[0, :, :1])
-        assert np.array_equal(wide.k[0, :, 0], alone.k[0, :, 0])
-        steps = 0
+            surface._ode_rhs(b.y, b.k[0])
+        steps = 0  # the wide batch's steps on one live column
         while alone.n:
+            steps += wide.n == 1
             surface._step(wide)
             surface._step(alone)
-            steps += 1
-            assert (wide.n, wide.t[0], wide.h[0]) == (alone.n, alone.t[0], alone.h[0])
-            assert np.array_equal(wide.y[:, 0], alone.y[:, 0])
-            assert np.array_equal(wide.k[0, :, 0], alone.k[0, :, 0])
+            col = wide.rows == 7
+            assert np.array_equal(wide.t[col], alone.t) and np.array_equal(wide.h[col], alone.h)
+            assert np.array_equal(wide.y[:, col], alone.y)
+            assert np.array_equal(wide.k[0][:, col], alone.k[0])
         assert steps > 1 and wide.n == 0
-        assert np.array_equal(wide.out[:, 0], alone.out[:, 0])
+        assert np.array_equal(wide.out[:, -1], alone.out[:, 0])
+
+    @pytest.mark.parametrize("kind", ["sphere", "bump"])
+    def test_rhs_sees_contiguous_states(self, kind, request, monkeypatch):
+        # a strided view of the live columns would cost numpy more per call
+        # and reach the in-place ufunc fault above
+        surface = (
+            surface_from_json(self.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
+        rhs = surface._ode_rhs
+        widths = []
+
+        def checking(y, out):
+            assert y.flags.c_contiguous and out.flags.c_contiguous
+            widths.append(y.shape[1])
+            return rhs(y, out)
+
+        monkeypatch.setattr(surface, "_ode_rhs", checking)
+        surface.exp_many(*self.mixed_batch())
+        assert len(set(widths)) > 1
 
     def test_rhs_evaluations_per_step(self, sphere, monkeypatch):
         counts = {"rhs": 0, "steps": 0}
