@@ -40,9 +40,11 @@ from .errors import (
 from .surfaces import SurfaceModel, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
+    _direction_table,
     _frames,
     _invert_rows,
     _pair_distances,
+    _side_logs,
     is_delta_nondegenerate,
     planar_angles_batch,
 )
@@ -91,13 +93,17 @@ def _cell_arrays(cells, what: str):
 
 
 def _passes(count: int, rows_each: int) -> list:
-    """Slices splitting ``count`` items of ``rows_each`` rows each into the
-    fewest passes of at most ``_STACK_ROWS`` rows (at least one item a
-    pass), with the items spread evenly; no pass for no item."""
-    if count == 0:
-        return []
-    passes = -(-count // max(1, _STACK_ROWS // rows_each))
-    size = -(-count // passes)
+    """Slices splitting ``count`` items of ``rows_each`` rows each, in their
+    order, into passes of at most ``_STACK_ROWS`` rows (at least one item a
+    pass): each pass takes as many items as fit, the last the rest; no pass
+    for no item.
+
+    A pass costs the integrator steps of its longest geodesics, and cells
+    come level by level, shallow levels with the longest geodesics first, so
+    filling the passes in order keeps the shallow cells in as few passes as
+    possible and never costs more steps than spreading the cells evenly.
+    """
+    size = max(1, _STACK_ROWS // rows_each)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
@@ -123,17 +129,20 @@ class LevelArrays:
         return len(self.vertices)
 
 
-def _solve_level(surface: SurfaceModel, verts: np.ndarray):
+def _solve_level(surface: SurfaceModel, verts: np.ndarray, table=None):
     """The geodesic solves of one subdivision step for a whole level.
 
     Returns the side midpoints (N, 3, 2), midpoint k on the side opposite
     vertex k, and the midlines (N, 3), midline k joining the two midpoints
-    other than midpoint k.
+    other than midpoint k.  Given the level's direction table (see
+    ``triangles._direction_table``), the midpoints start from its side
+    directions instead of solving them again.
     """
     n = len(verts)
     starts = verts[:, [1, 2, 0], :].reshape(3 * n, 2)
     ends = verts[:, [2, 0, 1], :].reshape(3 * n, 2)
-    mids = surface.midpoint_many(starts, ends).reshape(n, 3, 2)
+    logs = None if table is None else _side_logs(table).reshape(3 * n, 2)
+    mids = surface.midpoint_many(starts, ends, logs).reshape(n, 3, 2)
     m_starts = mids[:, [1, 2, 0], :].reshape(3 * n, 2)
     m_ends = mids[:, [2, 0, 1], :].reshape(3 * n, 2)
     midlines = surface.distance_many(m_starts, m_ends).reshape(n, 3)
@@ -174,7 +183,12 @@ def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: 
 
 
 class TriangleSystem:
-    """The family of subdivision cells of a base triangle up to a depth."""
+    """The family of subdivision cells of a base triangle up to a depth.
+
+    ``_directions`` maps each cell (level, code) whose frames were read to
+    its direction table (see ``triangles._direction_table``).  Each system
+    has its own.
+    """
 
     def __init__(self, base: GeodesicTriangleRegion, depth, delta, levels, gauge_c=None):
         self.base = base
@@ -183,6 +197,7 @@ class TriangleSystem:
         self.delta = float(delta)
         self.levels = levels
         self.gauge_c = gauge_c
+        self._directions = {} if base.directions is None else {(0, 0): base.directions.copy()}
         r = base.diam
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the r² correction term is curvature-driven
@@ -233,7 +248,9 @@ def build_system(
     surface = base.surface
     for n in range(depth):
         lv = levels[-1]
-        child = _children(lv.vertices, lv.side_lengths, *_solve_level(surface, lv.vertices))
+        # the base's side directions start level 1's midpoints
+        table = base.directions[None] if n == 0 and base.directions is not None else None
+        child = _children(lv.vertices, lv.side_lengths, *_solve_level(surface, lv.vertices, table))
         _, bad = _band_failures(child.side_lengths, delta)
         if len(bad):
             cell = mi_from_code(int(bad[0]), n + 1)
@@ -251,11 +268,13 @@ def build_system(
 
 def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = False):
     """Frame table of the parents of the cells (levels, codes), one frame
-    per cell, and the parent diameters, read from the level arrays.
+    per cell, and the parent diameters, read from the level arrays and the
+    system's direction tables.
 
     Frame r has its apex at the vertex of cell r's parent named by the
     cell's last digit, or at vertex 1 given ``at_vertex1``; its rows are
-    those of ``triangles._frames``.
+    those of ``triangles._frames``.  The parents whose direction tables
+    the system lacks are solved together, in one call, and kept.
     """
     verts = np.empty((len(codes), 3, 2))
     diams = np.empty(len(codes))
@@ -267,9 +286,13 @@ def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = Fal
         at = np.flatnonzero(levels == n)
         verts[at] = lv.vertices[parents[at]]
         diams[at] = np.max(lv.side_lengths[parents[at]], axis=1)
+    keys = list(zip((levels - 1).tolist(), parents.tolist()))
+    # a row of each parent without a table; the parent's cells share its vertices
+    rows = {key: row for row, key in enumerate(keys) if key not in system._directions}
+    if rows:
+        system._directions.update(zip(rows, _direction_table(system.surface, verts[list(rows.values())])))
     apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else codes % 3
-    rows = np.arange(len(codes))
-    return _frames(system.surface, *(verts[rows, (apexes + k) % 3] for k in range(3))), diams
+    return _frames(verts, np.array([system._directions[key] for key in keys]), apexes), diams
 
 
 def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:

@@ -454,12 +454,14 @@ class SurfaceModel:
         w = self.log_many(pts, targets)
         return self.norm(pts, w)
 
-    def midpoint_many(self, pts, targets):
+    def midpoint_many(self, pts, targets, logs=None):
+        """Geodesic midpoints exp_p(log_p(q) / 2); ``logs``, the rows' log_p(q)
+        when already solved, saves that solve.  The flat model reads neither."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if self.flat:
             return 0.5 * (pts + targets)
-        w = self.log_many(pts, targets)
+        w = self.log_many(pts, targets) if logs is None else logs
         return self.exp_many(pts, 0.5 * w)
 
 

@@ -1,10 +1,10 @@
 """Geodesic triangle regions, their parametrization and its inversion.
 
 A triangle region is three chart vertices joined by minimal geodesics,
-with cached side lengths.  The family parametrization ``phi(t, s)`` sweeps
-the region by cross geodesics between points at fractional arclength s on
-the two sides leaving a chosen apex; ``t`` is the affine parameter along
-each cross geodesic.
+with cached side lengths and side directions.  The family parametrization
+``phi(t, s)`` sweeps the region by cross geodesics between points at
+fractional arclength s on the two sides leaving a chosen apex; ``t`` is the
+affine parameter along each cross geodesic.
 
 Planar comparison angles, computed from the side lengths alone, drive the
 delta-non-degeneracy tests used throughout subdivision certification.
@@ -82,15 +82,34 @@ def _chart_coords(apex, p_j, p_k, xs):
     return a, b
 
 
-def _frames(surface, apex, p_j, p_k):
+def _direction_table(surface, verts) -> np.ndarray:
+    """Side directions of the triangles ``verts`` (N, 3, 2), out of one solve.
+
+    Entry [p, a, 0] of the (N, 3, 2, 2) table is log(v_a, v_a+1) and entry
+    [p, a, 1] is log(v_a, v_a+2), vertex indices mod 3, so row a holds both
+    side directions at vertex a.
+    """
+    starts = np.repeat(verts, 2, axis=1).reshape(-1, 2)
+    ends = verts[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    return surface.log_many(starts, ends).reshape(len(verts), 3, 2, 2)
+
+
+def _side_logs(table):
+    """log(v_i+1, v_i+2), the direction of side i = 0, 1, 2, of each
+    triangle of a direction table, as a (..., 3, 2) array."""
+    return table[..., [1, 2, 0], 0, :]
+
+
+def _frames(verts, table, apexes):
     """Apex frame table (apex, p_j, p_k, w_to_k, w_to_j), one frame per row.
 
-    The side directions w_to_k = log(apex, p_k) and w_to_j = log(apex, p_j)
-    of all frames come out of one solve.
+    Frame r sits at vertex apexes[r] of the triangle verts[r] with direction
+    table table[r] (see _direction_table): p_j and p_k are the next two
+    vertices, w_to_k = log(apex, p_k) and w_to_j = log(apex, p_j).
     """
-    n = len(apex)
-    w = surface.log_many(np.vstack([apex, apex]), np.vstack([p_k, p_j]))
-    return apex, p_j, p_k, w[:n], w[n:]
+    rows = np.arange(len(apexes))
+    apex, p_j, p_k = (verts[rows, (apexes + k) % 3] for k in range(3))
+    return apex, p_j, p_k, table[rows, apexes, 1], table[rows, apexes, 0]
 
 
 def _side_points(surface, frames, rows, ss):
@@ -255,9 +274,11 @@ class GeodesicTriangleRegion:
     Side ``i`` joins the two vertices other than ``p_i``; orientation is
     side1: p2->p3, side2: p3->p1, side3: p1->p2.  The diameter of a
     geodesic triangle in a convex domain is its longest side.
+    ``directions`` is the region's (3, 2, 2) side-direction table, see
+    ``_direction_table``, or None until a parametrization solves it.
     """
 
-    def __init__(self, surface: SurfaceModel, vertices, side_lengths):
+    def __init__(self, surface: SurfaceModel, vertices, side_lengths, directions=None):
         self.surface = surface
         self.vertices = _triangle_vertices(surface, vertices)
         self.side_lengths = np.asarray(side_lengths, dtype=float)
@@ -267,12 +288,16 @@ class GeodesicTriangleRegion:
                 f"triangle diameter {self.diam:.4g} exceeds the curved-surface "
                 f"guard {CONVEXITY_GUARD}"
             )
-        self._frame_cache = None
+        self.directions = directions
 
     @classmethod
     def from_vertices(cls, surface, p1, p2, p3) -> "GeodesicTriangleRegion":
+        """The region of three chart points; one solve gives its direction
+        table, and side i is the length of the direction from vertex i + 1
+        to vertex i + 2."""
         pts = _triangle_vertices(surface, (p1, p2, p3))
-        return cls(surface, pts, surface.distance_many(pts[[1, 2, 0]], pts[[2, 0, 1]]))
+        table = _direction_table(surface, pts[None])[0]
+        return cls(surface, pts, surface.norm(pts[[1, 2, 0]], _side_logs(table)), table)
 
     @property
     def diam(self) -> float:
@@ -281,11 +306,11 @@ class GeodesicTriangleRegion:
     # -- parametrization ----------------------------------------------
 
     def _frame_table(self):
-        """Cached frame table of apexes 1, 2, 3 (rows 0, 1, 2), see _frames."""
-        if self._frame_cache is None:
-            v = self.vertices
-            self._frame_cache = _frames(self.surface, v, v[[1, 2, 0]], v[[2, 0, 1]])
-        return self._frame_cache
+        """Frame table of apexes 1, 2, 3 (rows 0, 1, 2), see _frames."""
+        if self.directions is None:
+            self.directions = _direction_table(self.surface, self.vertices[None])[0]
+        verts, table = np.broadcast_to(self.vertices, (3, 3, 2)), np.broadcast_to(self.directions, (3, 3, 2, 2))
+        return _frames(verts, table, np.arange(3))
 
     def phi_many(self, vertex_index: int, ts, ss) -> np.ndarray:
         """Batched parametrization points for arrays of (t, s)."""

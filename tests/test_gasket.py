@@ -8,6 +8,7 @@ import pytest
 from conftest import read_level, write_level
 
 from geogasket import gasket
+from geogasket.cli import main
 from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
 from geogasket.gasket import (
     apply_f,
@@ -396,6 +397,95 @@ class TestKernelWork:
         system = build_system(scene.base_triangle(), 3, scene.delta)
         calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)
         assert sum(rows) <= 0.4 * 4_485_813
+
+
+    @pytest.mark.parametrize("scene, most", [("sphere_small", (332, 217, 40)), ("flat_unit", (0, 0, 0))])
+    def test_pipeline_steps(self, scene, most, tmp_path, monkeypatch, capsys):
+        # integrator steps of build, verify and measure at depth 5.  Solving
+        # each triangle's side directions once, and filling the audit passes
+        # in level order, took the sphere from 397, 260 and 40 steps to
+        # 332, 217 and 40; the flat model takes none.
+        steps = []
+        step = SurfaceModel._step
+
+        def counting(self, b):
+            steps[-1] += 1
+            return step(self, b)
+
+        monkeypatch.setattr(SurfaceModel, "_step", counting)
+        out = str(tmp_path / "system.json")
+        thirds = [repr(1 / 3), repr(1 / 3), repr(1 - 2 / 3)]
+        for argv in (
+            ["build", str(Path(__file__).parents[1] / "scenes" / f"{scene}.json"), "--depth", "5", "--out", out],
+            ["verify", out, "--seed", "7", "--cells-per-level", "2"],
+            ["measure", out, "--weights", *thirds, "--iters", "2"],
+        ):
+            steps.append(0)
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert all(n <= bound for n, bound in zip(steps, most)), steps
+
+
+class TestDirectionTables:
+    @staticmethod
+    def assert_fresh(surface, frames):
+        # each frame's side directions, bitwise those of a new solve
+        apex, p_j, p_k, w_to_k, w_to_j = frames
+        assert w_to_k.tobytes() == surface.log_many(apex, p_k).tobytes()
+        assert w_to_j.tobytes() == surface.log_many(apex, p_j).tobytes()
+
+    def test_frames_match_fresh_solves(self, sphere_base, monkeypatch):
+        system = build_system(sphere_base, 4, delta=0.4)
+        calibrate_gauge(system, max_parent_depth=1, seed=2)
+        base = sphere_base.vertices
+        assert sphere_base.side_lengths.tobytes() == sphere_base.surface.distance_many(base[[1, 2, 0]], base[[2, 0, 1]]).tobytes()
+        levels = np.repeat([1, 2, 3, 4], [3, 9, 5, 4])
+        codes = np.concatenate([np.arange(3), np.arange(9), [0, 4, 13, 20, 26], [1, 40, 41, 80]])
+        read_back = system_from_json(system_to_json(system))
+        for stored in (system, read_back):
+            frames, _ = gasket._parent_frames(stored, levels, codes)
+            self.assert_fresh(stored.surface, frames)
+            frames, _ = gasket._parent_frames(stored, levels, codes, at_vertex1=True)
+            self.assert_fresh(stored.surface, frames)
+        # the copy solved its own tables: no solve is shared between systems
+        solves = []
+        log_many = SurfaceModel.log_many
+
+        def counting(self, pts, targets, **kwargs):
+            solves.append(len(pts))
+            return log_many(self, pts, targets, **kwargs)
+
+        monkeypatch.setattr(SurfaceModel, "log_many", counting)
+        gasket._parent_frames(system_from_json(system_to_json(system)), levels, codes)
+        gasket._parent_frames(read_back, levels, codes)
+        # 1 + 3 + 5 + 3 parents, six directions each, in one solve for the new
+        # copy and none for the old
+        assert solves == [6 * 12]
+
+    def test_systems_share_no_table(self, sphere_base):
+        first, second = (build_system(sphere_base, 2, delta=0.4) for _ in range(2))
+        calibrate_gauge(first, max_parent_depth=1, seed=2)
+        assert first._directions is not second._directions
+        for table in (second._directions[0, 0], sphere_base.directions):
+            assert not np.shares_memory(first._directions[0, 0], table)
+        # the base, then the parents of levels 1 and 2 that calibration read
+        assert sorted(first._directions) == [(0, 0), (1, 0), (1, 1), (1, 2)]
+        assert list(second._directions) == [(0, 0)]
+
+    def test_audit_passes_fill_in_level_order(self, flat_base, monkeypatch):
+        # 208 pairs, 832 rows a cell: 8 cells fit in 7,000 rows, so the
+        # first pass takes levels 1 to 4 and the second level 5
+        system = build_system(flat_base, 5, delta=0.5)
+        passes = []
+        pair_distances = gasket._pair_distances
+
+        def recording(surface, frames, cells, ts, ss):
+            passes.append(len(cells))
+            return pair_distances(surface, frames, cells, ts, ss)
+
+        monkeypatch.setattr(gasket, "_pair_distances", recording)
+        audit_sweep(system, n_pairs=100, cells_per_level=2, seed=0)
+        assert passes == [8, 2]
 
 
 class TestNondegeneracySweep:

@@ -361,6 +361,15 @@ class TestMidpoint:
         assert m[0] == pytest.approx(math.tanh(math.atanh(0.5) / 2.0), abs=1e-8)
         assert m[1] == pytest.approx(0.0, abs=1e-10)
 
+    def test_solved_logs_skip_the_solve(self, eu, sphere, monkeypatch):
+        pts, targets = np.array([[0.1, 0.2], [-0.3, 0.0]]), np.array([[0.3, -0.1], [0.2, 0.4]])
+        logs = sphere.log_many(pts, targets)
+        plain = sphere.midpoint_many(pts, targets)
+        monkeypatch.setattr(sphere, "log_many", None)
+        assert sphere.midpoint_many(pts, targets, logs).tobytes() == plain.tobytes()
+        # the flat midpoint is the chord's, whatever logs it is given
+        assert eu.midpoint_many(pts, targets, np.full((2, 2), np.nan)).tolist() == (0.5 * (pts + targets)).tolist()
+
 
 class TestRoundTripAndSymmetry:
     @pytest.mark.parametrize("kind", ["eu", "sphere", "hyperbolic"])
