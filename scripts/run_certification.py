@@ -20,7 +20,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scene")
     parser.add_argument("--depth", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0, help="verify's sampling seed")
+    parser.add_argument("--seed", type=int, default=0, help="verify's --seed, which sets its audit pairs")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -99,6 +99,9 @@ def cmd_verify(args) -> int:
 
 def cmd_dim(args) -> int:
     system = _load_system(args.system)
+    # before the fit, so that one unwritable path leaves no other file behind
+    for path in filter(None, (args.csv, args.svg)):
+        _writable(path)
     est = box_dimension_estimate(system, *args.levels)
     if args.csv:
         _write(args.csv, dimension_report_csv(system, est))

@@ -400,11 +400,11 @@ def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
     return np.max(np.abs(ratios - 0.5), axis=1), diams
 
 
-def _level_sample(system: TriangleSystem, cells_per_level: int, pick):
-    """(levels, codes) of a sample of every level, level by level: all cells
-    of a level that has at most ``cells_per_level``, else the codes
-    ``pick(3^n)`` returns."""
-    codes = [np.arange(3**n) if 3**n <= cells_per_level else pick(3**n) for n in range(1, system.depth + 1)]
+def _level_sample(system: TriangleSystem, cells_per_level: int):
+    """(levels, codes) of the cells that the nesting check and the audit sweep
+    read, level by level: up to ``cells_per_level`` codes evenly spaced over
+    each level, first and last included, so a small level is read whole."""
+    codes = [np.unique(np.linspace(0, 3**n - 1, cells_per_level).astype(int)) for n in range(1, system.depth + 1)]
     return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
 
 
@@ -425,12 +425,9 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
 
 
 def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
-    """``audit_similarity`` of a deterministic sample of cells at every
-    level: up to ``cells_per_level`` codes evenly spaced over each level."""
-    levels, codes = _level_sample(
-        system, cells_per_level, lambda total: np.unique(np.linspace(0, total - 1, cells_per_level).astype(int))
-    )
-    return _audit(system, levels, codes, n_pairs, seed)
+    """``audit_similarity`` of ``_level_sample``'s cells; ``seed`` sets the
+    sampled pairs, not the cells."""
+    return _audit(system, *_level_sample(system, cells_per_level), n_pairs, seed)
 
 
 # -- the certificate ------------------------------------------------------
@@ -452,18 +449,15 @@ class Check:
     detail: str
 
 
-def nesting_check(system: TriangleSystem, cells_per_level: int = 12, seed: int = 0) -> Check:
+def nesting_check(system: TriangleSystem, cells_per_level: int = 12) -> Check:
     """Child vertices must lie in the closed parent region.
 
-    Membership is tested through the inverse parametrization on a seeded
-    sample of cells per level.  ``value`` is the worst residual relative to
-    the parent diameter and ``bound`` is ``_INVERT_TOL``: passes when
-    value <= bound.
+    Membership is tested through the inverse parametrization on
+    ``_level_sample``'s cells, the audit sweep's.  ``value`` is the worst
+    residual relative to the parent diameter and ``bound`` is
+    ``_INVERT_TOL``: passes when value <= bound.
     """
-    rng = np.random.default_rng(seed)
-    levels, codes = _level_sample(
-        system, cells_per_level, lambda total: rng.choice(total, size=cells_per_level, replace=False)
-    )
+    levels, codes = _level_sample(system, cells_per_level)
     # one row per child vertex, in the frame of its parent's vertex 1, seeded
     # at the parameters the vertex was subdivided at
     frames, diams = _parent_frames(system, levels, codes, at_vertex1=True)
@@ -592,13 +586,14 @@ def controlled_moran_check(system: TriangleSystem, max_total: int | None = None)
 def certify(system: TriangleSystem, seed: int = 0, cells_per_level: int = 12) -> list:
     """The six checks of the certificate, in ``verify``'s order.
 
-    ``seed`` and ``cells_per_level`` set the sampled cells of the nesting
-    check and the audit sweep.  A check that raises a ``GeogasketError``
-    becomes a failing ``Check`` whose detail is ``error: <message>``, with
-    NaN value and bound.
+    ``cells_per_level`` sets the cells that the nesting check and the audit
+    sweep both read (``_level_sample``), and ``seed`` only the audit's
+    sampled pairs.  A check that raises a ``GeogasketError`` becomes a
+    failing ``Check`` whose detail is ``error: <message>``, with NaN value
+    and bound.
     """
     checks = (
-        ("nesting", lambda: nesting_check(system, cells_per_level=cells_per_level, seed=seed)),
+        ("nesting", lambda: nesting_check(system, cells_per_level=cells_per_level)),
         ("nu-contraction", lambda: contraction_check(system)),
         ("non-degeneracy", lambda: nondegeneracy_sweep(system)),
         ("similarity-audits", lambda: _audit_check(system, cells_per_level, seed)),

@@ -960,6 +960,15 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {bad}: ") and "Traceback" not in err
 
+    def test_dim_writes_no_csv_when_svg_fails(self, flat_scene_path, tmp_path, capsys):
+        _built_flat_system(flat_scene_path, tmp_path)
+        csv, bad = tmp_path / "rows.csv", tmp_path / "missing" / "cells.svg"
+        capsys.readouterr()
+        argv = ["dim", str(tmp_path / "sys.json"), "--levels", "0..3", "--csv", str(csv), "--svg", str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+        assert not csv.exists()
+
 
 class TestOptionBounds:
     """Out-of-range or malformed options exit 2 before any work is done."""

@@ -208,6 +208,28 @@ except ModuleNotFoundError:
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
+def test_cli_loads_no_numpy_random(tmp_path):
+    # no command draws random numbers; a fresh process, since pytest's own
+    # has numpy.random loaded
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"""
+import sys
+from geogasket.cli import main
+system = {str(tmp_path / "sys.json")!r}
+codes = [
+    main(["build", "scenes/sphere_small.json", "--depth", "3", "--out", system]),
+    main(["verify", system]),
+    main(["dim", system, "--levels", "0..3"]),
+    main(["measure", system, "--weights", "0.5", "0.3", "0.2", "--iters", "3"]),
+]
+assert "numpy.random" not in sys.modules
+print(codes)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+
+
 def test_gauge_layer_loads_no_scipy():
     # every gauge form's decay integral is closed-form
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
