@@ -403,8 +403,12 @@ def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
 def _level_sample(system: TriangleSystem, cells_per_level: int):
     """(levels, codes) of the cells that the nesting check and the audit sweep
     read, level by level: up to ``cells_per_level`` codes evenly spaced over
-    each level, first and last included, so a small level is read whole."""
-    codes = [np.unique(np.linspace(0, 3**n - 1, cells_per_level).astype(int)) for n in range(1, system.depth + 1)]
+    each level, first and last included, so a small level is read whole,
+    from no more than its 3^n points however large ``cells_per_level`` is."""
+    codes = [
+        np.unique(np.linspace(0, 3**n - 1, min(cells_per_level, 3**n)).astype(int))
+        for n in range(1, system.depth + 1)
+    ]
     return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
 
 

@@ -5,12 +5,15 @@ Gaussian curvature, and geodesic operations: exponential map by adaptive
 Dormand-Prince integration of the geodesic ODE, logarithm map by secant
 shooting, distances and midpoints.
 
-The geodesic ODE reads the Christoffel symbols once per right-hand-side
-evaluation.  The built-in models are conformal and supply them and their
-constant curvature in closed form; a custom metric gets its entries,
-symbols and curvature exactly, from the functions that
+The geodesic ODE's right-hand side calls one acceleration callable per
+evaluation.  The built-in models are conformal, ds^2 = lam^2 (du^2 + dv^2):
+each supplies lam^2, the gradient (a, b) of log lam and its constant
+curvature in closed form, and its symbols (a, b, -a, -b, a, b) and its
+accelerations are built from that one gradient.  A custom metric gets its
+entries, symbols and curvature exactly, from the functions that
 ``expressions.compile_metric`` compiles from its E, F and G when the
-surface is built.
+surface is built, and its acceleration is the quadratic form of the
+symbols.
 
 All geodesic solvers are vectorized: every entry point (``exp_many``,
 ``log_many``, ...) operates on ``(N, 2)`` arrays of chart coordinates, one
@@ -181,12 +184,17 @@ class SurfaceModel:
         function compiled from a custom metric's expressions.
     spec : str, dict or None
         The built-in name or custom document ``make_surface`` builds it from.
+    acceleration : callable or None
+        ``acceleration(y, out)`` writes the geodesic accelerations u'' and v''
+        of the ``(4, n)`` states ``y`` (rows u, v, p, q) into rows 2 and 3 of
+        the ``(4, n)`` array ``out``, whose rows 0 and 1 it may use as
+        scratch.  By default, the quadratic form of ``christoffels``.
 
     The metric must be positive definite, the symbols finite and |K| at
     most 1 on ``_chart_grid``, or ``DomainError`` is raised.
     """
 
-    def __init__(self, kind, chart, metric, curvature, christoffels, spec=None):
+    def __init__(self, kind, chart, metric, curvature, christoffels, spec=None, acceleration=None):
         self.kind = kind
         self.chart = tuple(float(x) for x in chart)
         if not (self.chart[0] < self.chart[1] and self.chart[2] < self.chart[3]):
@@ -194,6 +202,7 @@ class SurfaceModel:
         self._metric = metric
         self._christoffels = christoffels
         self._curvature = curvature
+        self.acceleration = self._symbol_acceleration if acceleration is None else acceleration
         self.spec = spec
         self.flat = kind == EUCLIDEAN
         self._check_admissible()
@@ -266,12 +275,11 @@ class SurfaceModel:
 
     # -- geodesic ODE --------------------------------------------------
 
-    def _ode_rhs(self, y, out):
-        """Geodesic ODE right-hand side of the ``(4, n)`` states ``y``, into ``out``.
-
-        Each acceleration is -((c11 p) p + ((2 c12) p) q + (c22 q) q), summed
-        in that order; rows 0 and 1 of ``out`` serve as scratch before they
-        receive p and q.
+    def _symbol_acceleration(self, y, out):
+        """Accelerations of the ``(4, n)`` states ``y`` into rows 2 and 3 of
+        ``out``, from the symbols read once: each is
+        -((c11 p) p + ((2 c12) p) q + (c22 q) q), summed in that order; rows
+        0 and 1 of ``out`` serve as scratch.
         """
         u, v, p, q = y
         c = self.christoffels(u, v)
@@ -286,8 +294,15 @@ class SurfaceModel:
             tmp *= q
             acc += tmp
             np.negative(acc, out=acc)
-        out[0] = p
-        out[1] = q
+
+    def _ode_rhs(self, y, out):
+        """Geodesic ODE right-hand side of the ``(4, n)`` states ``y``, into
+        ``out``: the model's ``acceleration`` into rows 2 and 3, then the
+        velocities p and q into rows 0 and 1, which served it as scratch.
+        """
+        self.acceleration(y, out)
+        out[0] = y[2]
+        out[1] = y[3]
 
     def _integrate(self, y):
         """Adaptive embedded RK4(5) over t in [0, 1] for ``(4, N)`` states ``y``.
@@ -468,68 +483,96 @@ class SurfaceModel:
 # -- built-in models ---------------------------------------------------
 
 
-def _conformal_surface(kind, half_width, factor, k) -> SurfaceModel:
+def _conformal_surface(kind, half_width, lam2, grad, k) -> SurfaceModel:
     """Model of ds^2 = lam^2 (du^2 + dv^2), curvature k, on a square chart.
 
-    ``factor(u, v)`` returns lam^2 and its partials in u and v.  With
-    E = G = lam^2 and F = 0 the general Christoffel formula reduces to the
-    symbols a, b, -a, -b, a, b below, the same floats for nonzero partials.
+    ``lam2(u, v)`` returns lam^2 and ``grad(u, v)`` the gradient (a, b) of
+    log lam, as two new arrays, which the acceleration overwrites.  With E = G = lam^2 and F = 0 the general Christoffel formula
+    reduces to the symbols a, b, -a, -b, a, b, and the geodesic equations
+    to u'' = -(a s + b m) and v'' = b s - a m, with s = p^2 - q^2 and
+    m = 2 p q.
     """
 
     def metric(u, v):
-        e = factor(u, v)[0]
+        e = lam2(u, v)
         return e, np.zeros_like(e), e
 
     def christoffels(u, v):
-        e, e_u, e_v = factor(u, v)
-        w2 = 2.0 * (e * e)
-        a = (e * e_u) / w2
-        b = (e * e_v) / w2
+        a, b = grad(u, v)
         return a, b, -a, -b, a, b
+
+    def acceleration(y, out):
+        # from -s and -m, so that u'' = a (-s) + b (-m) and v'' = a (-m) - b (-s)
+        # need no negation; rows 0 and 1 of out hold them
+        u, v, p, q = y
+        a, b = grad(u, v)
+        ns, nm, acc_u, acc_v = out
+        np.multiply(q, q, out=ns)
+        np.multiply(p, p, out=nm)
+        ns -= nm
+        np.multiply(p, q, out=nm)
+        nm *= -2.0
+        np.multiply(a, ns, out=acc_u)
+        np.multiply(a, nm, out=acc_v)
+        np.multiply(b, ns, out=a)
+        acc_v -= a
+        b *= nm
+        acc_u += b
 
     def curvature(u, v):
         return np.full_like(u, k)
 
     chart = (-half_width, half_width, -half_width, half_width)
-    return SurfaceModel(kind, chart, metric, curvature, christoffels=christoffels, spec=kind)
+    return SurfaceModel(kind, chart, metric, curvature, christoffels, spec=kind, acceleration=acceleration)
 
 
 def euclidean_surface() -> SurfaceModel:
-    def factor(u, v):
-        z = np.zeros_like(np.asarray(u, dtype=float))
-        return z + 1.0, z, z
+    def lam2(u, v):
+        return np.ones_like(np.asarray(u, dtype=float))
 
-    return _conformal_surface(EUCLIDEAN, 50.0, factor, 0.0)
+    def grad(u, v):
+        u = np.asarray(u, dtype=float)
+        return np.zeros_like(u), np.zeros_like(u)
+
+    return _conformal_surface(EUCLIDEAN, 50.0, lam2, grad, 0.0)
 
 
 def unit_sphere_surface() -> SurfaceModel:
     """Unit sphere under stereographic projection from the south pole.
 
     The chart origin is the north pole; the unit chart circle is the
-    equator.  ds^2 = 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2, K = +1.
+    equator.  ds^2 = 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2, K = +1, and
+    grad log lam = -2 (u, v) / (1 + u^2 + v^2).
     """
 
-    def factor(u, v):
+    def lam2(u, v):
         d = 1.0 + u * u + v * v
-        base = -16.0 / (d * d * d)
-        return 4.0 / (d * d), base * u, base * v
+        return 4.0 / (d * d)
 
-    return _conformal_surface(SPHERE, 1.8, factor, 1.0)
+    def grad(u, v):
+        k = -2.0 / (1.0 + u * u + v * v)
+        return k * u, k * v
+
+    return _conformal_surface(SPHERE, 1.8, lam2, grad, 1.0)
 
 
 def poincare_disk_surface() -> SurfaceModel:
     """Poincare disk, chart restricted to the square of half width 0.7
     inside the unit disk.
 
-    ds^2 = 4 (du^2 + dv^2) / (1 - u^2 - v^2)^2, K = -1.
+    ds^2 = 4 (du^2 + dv^2) / (1 - u^2 - v^2)^2, K = -1, and
+    grad log lam = 2 (u, v) / (1 - u^2 - v^2).
     """
 
-    def factor(u, v):
+    def lam2(u, v):
         d = 1.0 - u * u - v * v
-        base = 16.0 / (d * d * d)
-        return 4.0 / (d * d), base * u, base * v
+        return 4.0 / (d * d)
 
-    return _conformal_surface(HYPERBOLIC, 0.7, factor, -1.0)
+    def grad(u, v):
+        k = 2.0 / (1.0 - u * u - v * v)
+        return k * u, k * v
+
+    return _conformal_surface(HYPERBOLIC, 0.7, lam2, grad, -1.0)
 
 
 _CHART_KEYS = ("u_min", "u_max", "v_min", "v_max")

@@ -305,6 +305,16 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:6] == [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
 
+    def test_huge_cells_per_level_reads_whole_levels(self, certified_files, capsys):
+        # past 3^depth every level is read whole, and no level asks for more points
+        path = str(certified_files["sphere_small"])
+        outputs = []
+        for cells in ("27", str(10**11)):
+            capsys.readouterr()
+            assert main(["verify", path, "--cells-per-level", cells]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestDimCommand:
     def test_flat_slope(self, flat_scene_path, tmp_path, capsys):

@@ -486,8 +486,28 @@ class TestChristoffels:
         got = surface.christoffels(u, v)
         assert len(got) == 6
         for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
         assert all(np.array_equal(a, b) for a, b in zip(surface.metric(u, v), (e, zero, e)))
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+    def test_acceleration_equals_general_formula(self, kind, request):
+        # u'' = -G1(w, w) and v'' = -G2(w, w) with the general formula's
+        # symbols, to 1e-12 of the sum of the magnitudes of their terms
+        surface = request.getfixturevalue(kind)
+        factor = self.sphere_factor if kind == "sphere" else self.disk_factor
+        u_min, u_max, v_min, v_max = surface.chart
+        rng = np.random.default_rng(8)
+        u, v = rng.uniform(u_min, u_max, 10**4), rng.uniform(v_min, v_max, 10**4)
+        p, q = rng.uniform(-2.0, 2.0, (2, 10**4)) * np.geomspace(1e-6, 1.0, 10**4)
+        e, e_u, e_v = factor(u, v)
+        zero = np.zeros_like(e)
+        c = general_christoffels(e, zero, e, e_u, e_v, zero, zero, e_u, e_v)
+        out = np.empty((4, 10**4))
+        surface.acceleration(np.array([u, v, p, q]), out)
+        for acc, (c11, c12, c22) in zip(out[2:], (c[:3], c[3:])):
+            terms = (c11 * p * p, 2 * c12 * p * q, c22 * q * q)
+            scale = sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(acc + sum(terms)) <= 1e-12 * scale)
 
     def test_compiled_equals_general_formula(self):
         # a metric with every entry varying, F included, against the general
@@ -508,7 +528,9 @@ class TestChristoffels:
 
     @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "bump"])
     def test_rhs_reads_closed_form_only(self, kind, request, monkeypatch):
-        # a custom metric's symbols are compiled from its expressions once, at load
+        # a built-in model's acceleration comes from its closed-form gradient
+        # of log lam alone; a custom metric's, from its symbols, compiled from
+        # its expressions once, at load, and read once per evaluation
         surface = (
             surface_from_json(TestBatchIndependence.BUMP) if kind == "bump" else request.getfixturevalue(kind)
         )
@@ -523,7 +545,7 @@ class TestChristoffels:
             monkeypatch.setattr(surface, name, counting)
         states = np.array([[0.1, -0.2, 0.3, 0.4], [0.0, 0.05, -0.2, 0.1]]).T.copy()
         surface._ode_rhs(states, np.empty_like(states))
-        assert counts == {"christoffels": 1, "metric": 0}
+        assert counts == {"christoffels": int(kind == "bump"), "metric": 0}
 
 
 class TestCustomSurface:
