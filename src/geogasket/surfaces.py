@@ -107,11 +107,16 @@ class _Batch:
 
     States are columns of ``(4, n)`` arrays, rows u, v, p, q, one column per
     unfinished geodesic, and ``rows`` holds the input row of each column.
-    Every such array (states, stages, trial and scratch) is the first 4n
-    values of its own slab, so numpy sees only contiguous arrays whatever
-    the number of live columns; the state slab is the caller's ``y``.  A
-    finished column is copied to ``out`` at its input row, and the live
-    columns are packed into the smaller shape.  Every geodesic's first
+    Every such array (states, the seven stages, trial and error estimate)
+    is the first 4n values of its own slab, so numpy sees only contiguous
+    arrays whatever the number of live columns; the state slab is the
+    caller's ``y``, and the block holds the other nine and ``out``.  No
+    slab is kept for scratch: ``_step`` writes each stage combination's
+    products through the stage about to be evaluated, the error
+    estimate's through k[1], whose error weight is 0, and |y| and |trial|
+    into k[2] and k[3], which that step reads no more.  A finished column
+    is copied to ``out`` at its input row, and the live columns are packed
+    into the smaller shape.  Every geodesic's first
     trial step spans the whole interval, h = 1: the step controller
     shrinks it where the error estimate asks, and a short geodesic finishes
     in one step.
@@ -122,8 +127,8 @@ class _Batch:
         self._states = y.reshape(-1)  # current states, overwritten
         # one block, so that the allocator's adaptive thresholds keep its
         # pages for the next call of the same size instead of returning them
-        self._block = np.empty((12, 4 * size))
-        self.out = self._block[11].reshape(4, size)  # end states, in input row order
+        self._block = np.empty((10, 4 * size))
+        self.out = self._block[9].reshape(4, size)  # end states, in input row order
         self.t = np.zeros(size)
         self.h = np.ones(size)
         self.rows = np.arange(size)
@@ -133,10 +138,10 @@ class _Batch:
         """View the first 4n values of each slab as ``(4, n)``."""
         self.n = n
         self.y = self._states[: 4 * n].reshape(4, n)
-        work = self._block[:11, : 4 * n].reshape(11, 4, n)
+        work = self._block[:9, : 4 * n].reshape(9, 4, n)
         self.k = work[:7]  # stages; k[0] is the RHS at the current state
         self.trial = work[7]  # stage argument; after the 7th, the new state
-        self.scratch = work[8:]
+        self.err = work[8]  # the error estimate
 
     def first(self, mask):
         """The column, of those in ``mask``, with the earliest input row."""
@@ -339,21 +344,22 @@ class SurfaceModel:
         are the 5th-order weights, and ``_combine`` skips their zero terms.
         So that stage is exactly the RHS at the new state.
         """
-        y, t, h, k, trial = b.y, b.t, b.h, b.k, b.trial
-        e, w1, w2 = b.scratch
+        y, t, h, k, trial, e = b.y, b.t, b.h, b.k, b.trial, b.err
         rest = 1.0 - t
         last = h >= rest
         hl = np.where(last, rest, h)
         for i in range(1, 7):
-            _combine(_DP_A[i], k, trial, w1)
+            # k[i] is free until the RHS writes it
+            _combine(_DP_A[i], k, trial, k[i])
             trial *= hl
             trial += y
             self._ode_rhs(trial, k[i])
-        _combine(_DP_E, k, e, w1)
+        # k[1], whose error weight is 0, and k[2] and k[3] are read no more
+        _combine(_DP_E, k, e, k[1])
         e *= hl
-        np.abs(y, out=w1)
-        np.abs(trial, out=w2)
-        scale = np.maximum(w1, w2, out=w1)
+        np.abs(y, out=k[2])
+        np.abs(trial, out=k[3])
+        scale = np.maximum(k[2], k[3], out=k[2])
         scale *= DEFAULT_RTOL
         scale += DEFAULT_ATOL
         e /= scale

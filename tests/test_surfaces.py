@@ -238,6 +238,12 @@ class TestKernelWork:
         sphere.exp_many([[0.01, 0.02]], [[0.01, 0.006]])
         assert len(calls) == 7
 
+    def test_batch_block_holds_ten_slabs(self):
+        # nine working arrays and the end states; scratch reuses dead stages
+        batch = _Batch(np.zeros((4, 5)))
+        assert batch._block.shape == (10, 20)
+        assert not hasattr(batch, "scratch")
+
     def test_no_jacobian_pass(self, sphere, monkeypatch):
         pts, targets = [[0.01, 0.02], [0.1, 0.1]], [[0.05, 0.03], [0.12, 0.1]]
         rows = self.count_calls(monkeypatch, sphere, "exp_many")
