@@ -22,9 +22,9 @@ table and differentiates it in forward mode (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., ch. 3): one rule per grammar node in ``_RULES`` gives
 a line's partials in u and v from its operands', and since each partial is
 a line of the same table, the second pass that Gauss's formula needs is the
-same rule.  The metric, its six Christoffel symbols and its curvature are
-functions of that table, and :func:`compile_expression` is its one-output
-case.
+same rule.  The metric, its six Christoffel symbols, their partials and
+its curvature are functions of that table, and :func:`compile_expression`
+is its one-output case.
 """
 
 import math
@@ -309,16 +309,20 @@ def compile_expression(source: str):
 
 
 def compile_metric(e_source: str, f_source: str, g_source: str):
-    """The metric with entries E, F, G, its Christoffel symbols and its curvature.
+    """The metric with entries E, F, G, its Christoffel symbols, its
+    curvature and the symbols' first partials.
 
-    Returns three functions of (u, v), compiled from one table: ``metric``
+    Returns four functions of (u, v), compiled from one table: ``metric``
     gives (E, F, G), ``christoffels`` gives (G1_11, G1_12, G1_22, G2_11,
-    G2_12, G2_22) and ``curvature`` gives the Gaussian curvature K, each a
-    float array of the broadcast shape of u and v.  K follows from the
+    G2_12, G2_22), ``curvature`` gives the Gaussian curvature K and
+    ``christoffel_partials`` gives the u-partials of the six symbols, then
+    their v-partials, each a float array of the broadcast shape of u and
+    v.  The partials are compiled on their first call, so a surface that
+    never shoots a geodesic does not pay for them.  K follows from the
     symbols and their partials by Gauss's formula (do Carmo, Differential
-    Geometry of Curves and Surfaces, 4-3).  Where F is the constant 0
-    every F term is dropped.  All arithmetic is elementwise, so a row's
-    values do not depend on its batch.  An ``ExpressionError`` starts with
+    Geometry of Curves and Surfaces, 4-3).  Where F is the constant 0 every
+    F term is dropped.  All arithmetic is elementwise, so a row's values do
+    not depend on its batch.  An ``ExpressionError`` starts with
     the entry it is in: ``metric.E``, ``metric.F`` or ``metric.G``.
     """
     jets = _Jets()
@@ -345,4 +349,13 @@ def compile_metric(e_source: str, f_source: str, g_source: str):
     for sign, i, j in _GAUSS_TERMS:
         term = jets.mul(symbols[i], symbols[j])
         rhs = jets.add(rhs, term) if sign > 0 else jets.sub(rhs, term)
-    return jets.functions([e, f, g], symbols, jets.neg(jets.div(rhs, e)))
+    compiled = []
+
+    def christoffel_partials(u, v):
+        # compiled on first use: only the log map's Jacobian reads them
+        if not compiled:
+            partials = [jets.partials(x) for x in symbols]
+            compiled.extend(jets.functions([*(du for du, _ in partials), *(dv for _, dv in partials)]))
+        return compiled[0](u, v)
+
+    return (*jets.functions([e, f, g], symbols, jets.neg(jets.div(rhs, e))), christoffel_partials)

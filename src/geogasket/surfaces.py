@@ -2,18 +2,25 @@
 
 A surface is a chart rectangle with a first fundamental form (E, F, G),
 Gaussian curvature, and geodesic operations: exponential map by adaptive
-Dormand-Prince integration of the geodesic ODE, logarithm map by secant
-shooting, distances and midpoints.
+Dormand-Prince integration of the geodesic ODE, logarithm map by
+Newton-Broyden shooting, distances and midpoints.
 
 The geodesic ODE's right-hand side calls one acceleration callable per
 evaluation.  The built-in models are conformal, ds^2 = lam^2 (du^2 + dv^2):
 each supplies lam^2, the gradient (a, b) of log lam and its constant
-curvature in closed form, and its symbols (a, b, -a, -b, a, b) and its
-accelerations are built from that one gradient.  A custom metric gets its
-entries, symbols and curvature exactly, from the functions that
+curvature in closed form, and its symbols (a, b, -a, -b, a, b), their
+partials (from the Hessian of log lam) and its accelerations are built
+from that one gradient.  A custom metric gets its entries, symbols, their
+partials and curvature exactly, from the functions that
 ``expressions.compile_metric`` compiles from its E, F and G when the
 surface is built, and its acceleration is the quadratic form of the
 symbols.
+
+The log map's shooting starts from the normal-coordinate expansion of exp
+carried one order further than the symbols alone give: a third-order seed,
+whose residual is O(|d|^4) in the chord d, and a second-order starting
+Jacobian, which reads the symbols' partials (see ``SurfaceModel.log_many``).
+Each Newton pass starts a row at the first step its previous pass accepted.
 
 All geodesic solvers are vectorized: every entry point (``exp_many``,
 ``log_many``, ...) operates on ``(N, 2)`` arrays of chart coordinates, one
@@ -102,6 +109,31 @@ def _solve_2x2(jac, res):
     return np.column_stack([d1, d2])
 
 
+def _symbol_matrices(gamma, w):
+    """The ``(2, 2, N)`` matrices Gamma(w, .), [i, j] = G^i_jk w^k, of the
+    ``(2, 3, N)`` symbols ``gamma`` ([i] = G^i_11, G^i_12, G^i_22) and the
+    ``(N, 2)`` vectors ``w``."""
+    return gamma[:, :2] * w[:, 0] + gamma[:, 1:] * w[:, 1]
+
+
+def _apply(mat, x):
+    """The ``(N, 2)`` products of ``(2, 2, N)`` matrices and ``(N, 2)`` vectors."""
+    return (mat[:, 0] * x[:, 0] + mat[:, 1] * x[:, 1]).T
+
+
+def _starting_jacobian(gamma, partials, w):
+    """The second-order Jacobian of exp at ``w`` (see ``SurfaceModel.log_many``)
+    as ``(2, 2, N)`` matrices, from the ``(2, 3, N)`` symbols ``gamma`` and
+    their ``(2, 2, 3, N)`` partials, [r] the partials along coordinate r."""
+    gw = _symbol_matrices(gamma, w)
+    gww = _apply(gw, w)
+    # column r: the partial of Gamma(w, w) along coordinate r
+    dww = np.stack([_apply(_symbol_matrices(dg, w), w).T for dg in partials], axis=1)
+    # Gamma(w, Gamma(w, .)): the product gw gw, entry-wise in N, so that no row's bits follow its batch
+    square = gw[:, :1] * gw[0] + gw[:, 1:] * gw[1]
+    return np.eye(2)[:, :, None] - gw - dww / 6 + (_symbol_matrices(gamma, gww) + 2 * square) / 3
+
+
 class _Batch:
     """Storage of one ``_integrate`` call, allocated once for its batch.
 
@@ -116,13 +148,14 @@ class _Batch:
     estimate's through k[1], whose error weight is 0, and |y| and |trial|
     into k[2] and k[3], which that step reads no more.  A finished column
     is copied to ``out`` at its input row, and the live columns are packed
-    into the smaller shape.  Every geodesic's first
-    trial step spans the whole interval, h = 1: the step controller
-    shrinks it where the error estimate asks, and a short geodesic finishes
-    in one step.
+    into the smaller shape.  Each geodesic's first trial step is its entry
+    of ``steps`` (input row order), which is overwritten with the first
+    step the geodesic accepts; without ``steps`` it spans the whole
+    interval, h = 1.  The step controller shrinks it where the error
+    estimate asks, and a short geodesic finishes in one step.
     """
 
-    def __init__(self, y):
+    def __init__(self, y, steps=None):
         size = y.shape[1]
         self._states = y.reshape(-1)  # current states, overwritten
         # one block, so that the allocator's adaptive thresholds keep its
@@ -130,7 +163,8 @@ class _Batch:
         self._block = np.empty((10, 4 * size))
         self.out = self._block[9].reshape(4, size)  # end states, in input row order
         self.t = np.zeros(size)
-        self.h = np.ones(size)
+        self.h = np.ones(size) if steps is None else steps.copy()
+        self.steps = steps  # each row's first accepted step, in input row order
         self.rows = np.arange(size)
         self._shape(size)
 
@@ -187,6 +221,9 @@ class SurfaceModel:
         ``(u, v) -> (G1_11, G1_12, G1_22, G2_11, G2_12, G2_22)``, six arrays
         of the shape of u and v: a built-in model's closed form, or the
         function compiled from a custom metric's expressions.
+    christoffel_partials : callable
+        ``(u, v) -> twelve arrays``: the u-partials of the six symbols, in
+        the order above, then their v-partials.
     spec : str, dict or None
         The built-in name or custom document ``make_surface`` builds it from.
     acceleration : callable or None
@@ -199,13 +236,15 @@ class SurfaceModel:
     most 1 on ``_chart_grid``, or ``DomainError`` is raised.
     """
 
-    def __init__(self, kind, chart, metric, curvature, christoffels, spec=None, acceleration=None):
+    def __init__(self, kind, chart, metric, curvature, christoffels, christoffel_partials, spec=None,
+                 acceleration=None):
         self.kind = kind
         self.chart = tuple(float(x) for x in chart)
         if not (self.chart[0] < self.chart[1] and self.chart[2] < self.chart[3]):
             raise DomainError("chart rectangle is empty")
         self._metric = metric
         self._christoffels = christoffels
+        self._christoffel_partials = christoffel_partials
         self._curvature = curvature
         self.acceleration = self._symbol_acceleration if acceleration is None else acceleration
         self.spec = spec
@@ -264,6 +303,11 @@ class SurfaceModel:
         """
         return self._christoffels(u, v)
 
+    def christoffel_partials(self, u, v):
+        """The symbols' first partials, twelve arrays: d/du of G1_11, ...,
+        G2_22, then d/dv of the same six."""
+        return self._christoffel_partials(u, v)
+
     def inner(self, pts, w1, w2):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w1 = np.atleast_2d(np.asarray(w1, dtype=float))
@@ -309,10 +353,12 @@ class SurfaceModel:
         out[0] = y[2]
         out[1] = y[3]
 
-    def _integrate(self, y):
+    def _integrate(self, y, steps=None):
         """Adaptive embedded RK4(5) over t in [0, 1] for ``(4, N)`` states ``y``.
 
-        Returns the end states in the same layout.  ``y`` is overwritten:
+        Returns the end states in the same layout.  ``steps``, if given,
+        holds each geodesic's first trial step, and each is overwritten with
+        the first step its geodesic accepted.  ``y`` is overwritten:
         it is the batch's state slab, whose first 4n values hold the n
         unfinished states (see ``_Batch``).
         Every geodesic carries its own time and step size and accepts or
@@ -322,13 +368,14 @@ class SurfaceModel:
         The first stage is evaluated once; after that each step reuses the
         last stage of the geodesic's previous accepted step (FSAL, Dormand &
         Prince 1980), so a trajectory of n steps costs 1 + 6 n evaluations;
-        the first trial step spans the whole interval (see ``_Batch``).
+        without ``steps`` the first trial step spans the whole interval
+        (see ``_Batch``).
         Numpy stays silent in the stage evaluations: a trial step may reach
         further than the geodesic's own steps, and a non-finite error
         estimate, from such a step or from a non-finite starting state,
         raises ``DomainError`` naming the state it came from.
         """
-        batch = _Batch(y)
+        batch = _Batch(y, steps)
         with np.errstate(all="ignore"):
             self._ode_rhs(batch.y, batch.k[0])
             while batch.n:
@@ -374,6 +421,9 @@ class SurfaceModel:
             bad = b.first(~np.isfinite(err))
             raise _step_underflow("non-finite state from", y[:, bad], t[bad])
         ok = err <= 1.0
+        if b.steps is not None:
+            opening = ok & (t == 0.0)
+            b.steps[b.rows[opening]] = hl[opening]
         np.copyto(t, np.where(last, 1.0, t + hl), where=ok)
         np.copyto(y, trial, where=ok)
         np.copyto(k[0], k[6], where=ok)
@@ -403,8 +453,12 @@ class SurfaceModel:
 
     # -- batched geodesic operations ------------------------------------
 
-    def exp_many(self, pts, vels):
-        """Geodesic endpoints exp_p(w) for a batch of (p, w)."""
+    def exp_many(self, pts, vels, *, _steps=None):
+        """Geodesic endpoints exp_p(w) for a batch of (p, w).
+
+        ``_steps``, for ``log_many``'s passes, is ``_integrate``'s ``steps``:
+        each row's first trial step, overwritten with its first accepted one.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vels = np.atleast_2d(np.asarray(vels, dtype=float))
         pts, vels = np.broadcast_arrays(pts, vels)
@@ -417,22 +471,34 @@ class SurfaceModel:
         y = np.empty((4, len(pts)))
         y[:2] = pts.T
         y[2:] = vels.T
-        return self._integrate(y)[:2].T.copy()
+        return self._integrate(y, _steps)[:2].T.copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
-        """Initial velocities w with exp_p(w) = q, batched secant shooting.
+        """Initial velocities w with exp_p(w) = q, batched Newton-Broyden shooting.
 
-        With d = q - p and the Christoffel symbols Gamma read once per row at
-        m = p + d/3, the normal-coordinate expansion exp_p(w) = p + w
-        - Gamma_p(w, w)/2 + O(|w|^3) (do Carmo, Riemannian Geometry, ch. 3)
-        gives the seed w0 = d + Gamma_m(d, d)/2 (at m, Gamma also cancels the
-        third-order term's derivative part) and the Jacobian J = I - Gamma_m(w0, .), so no exp
-        pass is spent on a Jacobian.  Each iteration corrects J by Broyden's
-        secant update (Dennis & Schnabel, Numerical Methods for Unconstrained
-        Optimization, 8.1), so long geodesics do not stall.  On the flat model
-        Gamma is 0 and the seed q - p is exact.  Rows stop once their residual
-        is within ``tol``; a row still above it after ``max_iter`` iterations
-        raises ``ShootingConvergenceError`` naming the worst one.
+        The normal-coordinate expansion of exp (do Carmo, Riemannian
+        Geometry, ch. 3) differentiates the geodesic equation x'' =
+        -Gamma(x', x') twice: exp_p(w) = p + w - Gamma_p(w, w)/2
+        - (d_w Gamma)_p(w, w)/6 + Gamma_p(w, Gamma_p(w, w))/3 + O(|w|^4).
+        With d = q - p, the symbols are read once per row at m = p + d/3,
+        where Gamma_p(w, w)/2 = Gamma_m(w, w)/2 - (d_d Gamma)(w, w)/6 + O(|w|^4)
+        cancels the derivative term.  Inverting what is left gives the seed
+        w0 = d + Gamma_m(d, d)/2 + Gamma_m(d, Gamma_m(d, d))/6, whose residual
+        is O(|d|^4), and differentiating the expansion in w, with the same
+        cancellation, gives the starting Jacobian
+        J delta = delta - Gamma_m(w, delta) - (d_delta Gamma)_m(w, w)/6
+        + [Gamma_m(delta, Gamma_m(w, w)) + 2 Gamma_m(w, Gamma_m(w, delta))]/3,
+        second order in w, from the model's ``christoffel_partials`` at m.
+        J is formed after the seed pass, for the rows still above ``tol``,
+        so no exp pass is spent on it.  Each iteration corrects J by
+        Broyden's secant update (Dennis & Schnabel, Numerical Methods for
+        Unconstrained Optimization, 8.1), so long geodesics do not stall.
+        The seed pass starts each geodesic at the whole-interval step, so a
+        short one finishes in one step; each later pass starts a row at the
+        first step its previous pass accepted.  On the flat model Gamma is 0
+        and the seed q - p is exact.  Rows stop once their residual is within
+        ``tol``; a row still above it after ``max_iter`` iterations raises
+        ``ShootingConvergenceError`` naming the worst one.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -441,25 +507,29 @@ class SurfaceModel:
         with np.errstate(all="ignore"):
             d = targets - pts
             m = pts + d / 3
-            # gamma[i] holds (G^i_11, G^i_12, G^i_22); gamma_dot(w)[i, j] = G^i_jk w^k
+            # gamma[i] holds (G^i_11, G^i_12, G^i_22)
             gamma = np.array(self.christoffels(m[:, 0], m[:, 1])).reshape(2, 3, -1)
-
-            def gamma_dot(w):
-                return gamma[:, :2] * w[:, 0] + gamma[:, 1:] * w[:, 1]
-
-            g = gamma_dot(d)
-            w = d + 0.5 * (g[:, 0] * d[:, 0] + g[:, 1] * d[:, 1]).T
-            jac = np.eye(2)[:, :, None] - gamma_dot(w)
-        res = self.exp_many(pts, w) - targets
+            g = _symbol_matrices(gamma, d)
+            gdd = _apply(g, d)
+            w = d + 0.5 * gdd + _apply(g, gdd) / 6
+        steps = np.ones(len(pts))
+        res = self.exp_many(pts, w, _steps=steps) - targets
         res_norm = np.hypot(res[:, 0], res[:, 1])
         active = res_norm > tol
         if not np.any(active):
             return w
+        idx = np.flatnonzero(active)
+        jac = np.empty((2, 2, len(pts)))
+        with np.errstate(all="ignore"):
+            partials = np.array(self.christoffel_partials(m[idx, 0], m[idx, 1])).reshape(2, 2, 3, -1)
+            jac[:, :, idx] = _starting_jacobian(gamma[:, :, idx], partials, w[idx])
         for _ in range(max_iter):
             idx = slice(None) if np.all(active) else np.flatnonzero(active)
             step = _solve_2x2(jac[:, :, idx], res[idx])
             w[idx] -= step
-            res[idx] = self.exp_many(pts[idx], w[idx]) - targets[idx]
+            h0 = steps[idx]
+            res[idx] = self.exp_many(pts[idx], w[idx], _steps=h0) - targets[idx]
+            steps[idx] = h0
             # Broyden: J step was the old residual, so J += r (-step)^T / |step|^2
             jac[:, :, idx] -= res[idx].T[:, None] * (step.T / np.sum(step * step, axis=1))
             res_norm = np.hypot(res[:, 0], res[:, 1])
@@ -489,23 +559,36 @@ class SurfaceModel:
 # -- built-in models ---------------------------------------------------
 
 
-def _conformal_surface(kind, half_width, lam2, grad, k) -> SurfaceModel:
+def _conformal_surface(kind, half_width, lam2, factor, k) -> SurfaceModel:
     """Model of ds^2 = lam^2 (du^2 + dv^2), curvature k, on a square chart.
 
-    ``lam2(u, v)`` returns lam^2 and ``grad(u, v)`` the gradient (a, b) of
-    log lam, as two new arrays, which the acceleration overwrites.  With E = G = lam^2 and F = 0 the general Christoffel formula
-    reduces to the symbols a, b, -a, -b, a, b, and the geodesic equations
-    to u'' = -(a s + b m) and v'' = b s - a m, with s = p^2 - q^2 and
-    m = 2 p q.
+    ``lam2(u, v)`` returns lam^2 and ``factor(u, v)``, as a new array, the c
+    of grad log lam = (a, b) = c (u, v).  With E = G = lam^2 and F = 0 the
+    general Christoffel formula reduces to the symbols a, b, -a, -b, a, b,
+    and the geodesic equations to u'' = -(a s + b m) and v'' = b s - a m,
+    with s = p^2 - q^2 and m = 2 p q.  Each built-in c is a function of
+    u^2 + v^2 whose gradient is c^2 (u, v), so the symbols' partials come
+    from the Hessian of log lam: a_u = c + c^2 u^2, a_v = b_u = c^2 u v and
+    b_v = c + c^2 v^2.
     """
 
     def metric(u, v):
         e = lam2(u, v)
         return e, np.zeros_like(e), e
 
+    def grad(u, v):
+        c = factor(u, v)
+        return c * u, c * v
+
     def christoffels(u, v):
         a, b = grad(u, v)
         return a, b, -a, -b, a, b
+
+    def christoffel_partials(u, v):
+        c = factor(u, v)
+        c2 = c * c
+        a_u, a_v, b_v = c + c2 * u * u, c2 * u * v, c + c2 * v * v
+        return a_u, a_v, -a_u, -a_v, a_u, a_v, a_v, b_v, -a_v, -b_v, a_v, b_v
 
     def acceleration(y, out):
         # from -s and -m, so that u'' = a (-s) + b (-m) and v'' = a (-m) - b (-s)
@@ -529,18 +612,19 @@ def _conformal_surface(kind, half_width, lam2, grad, k) -> SurfaceModel:
         return np.full_like(u, k)
 
     chart = (-half_width, half_width, -half_width, half_width)
-    return SurfaceModel(kind, chart, metric, curvature, christoffels, spec=kind, acceleration=acceleration)
+    return SurfaceModel(
+        kind, chart, metric, curvature, christoffels, christoffel_partials, spec=kind, acceleration=acceleration
+    )
 
 
 def euclidean_surface() -> SurfaceModel:
     def lam2(u, v):
         return np.ones_like(np.asarray(u, dtype=float))
 
-    def grad(u, v):
-        u = np.asarray(u, dtype=float)
-        return np.zeros_like(u), np.zeros_like(u)
+    def factor(u, v):
+        return np.zeros_like(np.asarray(u, dtype=float))
 
-    return _conformal_surface(EUCLIDEAN, 50.0, lam2, grad, 0.0)
+    return _conformal_surface(EUCLIDEAN, 50.0, lam2, factor, 0.0)
 
 
 def unit_sphere_surface() -> SurfaceModel:
@@ -548,18 +632,17 @@ def unit_sphere_surface() -> SurfaceModel:
 
     The chart origin is the north pole; the unit chart circle is the
     equator.  ds^2 = 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2, K = +1, and
-    grad log lam = -2 (u, v) / (1 + u^2 + v^2).
+    grad log lam = c (u, v) with c = -2 / (1 + u^2 + v^2).
     """
 
     def lam2(u, v):
         d = 1.0 + u * u + v * v
         return 4.0 / (d * d)
 
-    def grad(u, v):
-        k = -2.0 / (1.0 + u * u + v * v)
-        return k * u, k * v
+    def factor(u, v):
+        return -2.0 / (1.0 + u * u + v * v)
 
-    return _conformal_surface(SPHERE, 1.8, lam2, grad, 1.0)
+    return _conformal_surface(SPHERE, 1.8, lam2, factor, 1.0)
 
 
 def poincare_disk_surface() -> SurfaceModel:
@@ -567,18 +650,17 @@ def poincare_disk_surface() -> SurfaceModel:
     inside the unit disk.
 
     ds^2 = 4 (du^2 + dv^2) / (1 - u^2 - v^2)^2, K = -1, and
-    grad log lam = 2 (u, v) / (1 - u^2 - v^2).
+    grad log lam = c (u, v) with c = 2 / (1 - u^2 - v^2).
     """
 
     def lam2(u, v):
         d = 1.0 - u * u - v * v
         return 4.0 / (d * d)
 
-    def grad(u, v):
-        k = 2.0 / (1.0 - u * u - v * v)
-        return k * u, k * v
+    def factor(u, v):
+        return 2.0 / (1.0 - u * u - v * v)
 
-    return _conformal_surface(HYPERBOLIC, 0.7, lam2, grad, -1.0)
+    return _conformal_surface(HYPERBOLIC, 0.7, lam2, factor, -1.0)
 
 
 _CHART_KEYS = ("u_min", "u_max", "v_min", "v_max")
@@ -613,8 +695,8 @@ def surface_from_json(doc) -> SurfaceModel:
     except ExpressionError as exc:
         exc.args = (f"curvature: {exc}",)
         raise
-    metric, christoffels, curvature = compile_metric(*sources[:3])
-    surface = SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, spec=copy.deepcopy(doc))
+    metric, christoffels, curvature, christoffel_partials = compile_metric(*sources[:3])
+    surface = SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, christoffel_partials, spec=copy.deepcopy(doc))
     if declared is not None:
         uu, vv = _chart_grid(surface.chart)
         with np.errstate(all="ignore"):

@@ -373,7 +373,9 @@ class TestMeasureCommand:
     @pytest.mark.parametrize(
         "scene, moves",
         [
-            ("sphere_small", {1: (-1.79, 1.79), 2: (1.79, -1.79)}),
+            # the shortest great-circle arc between these two reaches u = 1.946,
+            # past the chart edge u = 1.8
+            ("sphere_small", {1: (1.79, -0.6), 2: (1.79, 0.6)}),
             ("hyperbolic_small", {1: (0.699, 0.699), 2: (-0.699, -0.699)}),
         ],
         ids=["sphere_small", "hyperbolic_small"],

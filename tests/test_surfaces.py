@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from geogasket.surfaces import (
     surface_from_json,
 )
 from geogasket.triangles import CONVEXITY_GUARD, GeodesicTriangleRegion
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestExpMap:
@@ -224,9 +227,9 @@ class TestKernelWork:
         lengths = []
         method = getattr(surface, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             lengths.append(len(args[0]))
-            return method(*args)
+            return method(*args, **kwargs)
 
         monkeypatch.setattr(surface, name, counting)
         return lengths
@@ -253,9 +256,13 @@ class TestKernelWork:
         assert max(rows) <= 2
         assert len(rows) <= 3
 
-    # exp_many passes and RHS calls of the same solves when shooting began
-    # from the chart chord with a finite-difference Jacobian pass at the seed
-    GUARD_WORK = {"sphere": (15, 2_103), "hyperbolic": (8, 626), "bump": (5, 275)}
+    # exp_many passes and RHS calls of these solves.  Shooting from the chart
+    # chord with a finite-difference Jacobian pass at the seed took (15, 2,103),
+    # (8, 626) and (5, 275); the second-order seed and Jacobian from the
+    # symbols at p + d/3, with each pass started at the step its row's last
+    # pass first accepted, take these (the first-order ones took (7, 937),
+    # (5, 395) and (4, 220))
+    GUARD_WORK = {"sphere": (6, 738), "hyperbolic": (5, 341), "bump": (3, 141)}
 
     @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "bump"])
     def test_shooting_cost_at_convexity_guard(self, kind, request, monkeypatch):
@@ -281,15 +288,41 @@ class TestKernelWork:
         assert len(calls) <= self.GUARD_WORK[kind][1]
 
     def test_long_geodesics_do_not_stall(self, sphere, hyperbolic, monkeypatch):
-        # past the guard the starting Jacobian is furthest off: held fixed, it
-        # takes 11 (sphere) and 12 (disk) passes here, with the secant update 5 and 6
-        for surface, p, q in ((sphere, (0.0, 0.0), (0.5, 0.3)), (hyperbolic, (-0.3, 0.2), (0.1, -0.2))):
+        # past the guard the starting Jacobian is furthest off: a first-order
+        # one held fixed takes 11 (sphere) and 12 (disk) passes here, with the
+        # secant update 5 and 6; the second-order one takes 4 and 6
+        for surface, p, q, most in ((sphere, (0.0, 0.0), (0.5, 0.3), 4), (hyperbolic, (-0.3, 0.2), (0.1, -0.2), 6)):
             passes = self.count_calls(monkeypatch, surface, "exp_many")
             surface.log_many([p], [q])
-            assert len(passes) <= 6
+            assert len(passes) <= most
+
+    def test_base_side_three_passes(self, sphere, monkeypatch):
+        # a side of the sphere scene's base triangle: the seed pass and two
+        # Newton passes (the first-order seed and Jacobian took four)
+        vertices = json.loads((ROOT / "scenes" / "sphere_small.json").read_text())["vertices"]
+        passes = self.count_calls(monkeypatch, sphere, "exp_many")
+        sphere.log_many(vertices[:1], vertices[1:2])
+        assert len(passes) <= 3
 
 
 class TestLogMap:
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+    def test_seed_residual_fourth_order(self, kind, request):
+        # the seed's residual |exp_p(w0) - q| is O(|d|^4): halving every d
+        # divides the worst of 200 by 16 in the limit (8 for a third-order one).
+        # An infinite tolerance returns the seed.
+        surface = request.getfixturevalue(kind)
+        rng = np.random.default_rng(4)
+        half = surface.chart[1] / 2
+        pts = rng.uniform(-half, half, (200, 2))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 200)
+        d = 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
+        worst = []
+        for chord in (d, d / 2):
+            w = surface.log_many(pts, pts + chord, tol=math.inf)
+            worst.append(np.max(np.hypot(*(surface.exp_many(pts, w) - pts - chord).T)))
+        assert worst[0] >= 12 * worst[1]
+
     def test_same_point_zero(self, sphere):
         w = sphere.log_many([(0.2, 0.1)], [(0.2, 0.1)])[0]
         assert np.allclose(w, 0.0)
@@ -552,6 +585,27 @@ class TestChristoffels:
         states = np.array([[0.1, -0.2, 0.3, 0.4], [0.0, 0.05, -0.2, 0.1]]).T.copy()
         surface._ode_rhs(states, np.empty_like(states))
         assert counts == {"christoffels": int(kind == "bump"), "metric": 0}
+
+
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "bump"])
+    def test_partials_equal_central_differences(self, kind, request):
+        # d/du of the six symbols, then d/dv, against central differences of
+        # christoffels with step 1e-6, on random points of the whole chart
+        surface = (
+            surface_from_json(TestBatchIndependence.BUMP) if kind == "bump" else request.getfixturevalue(kind)
+        )
+        u_min, u_max, v_min, v_max = surface.chart
+        rng = np.random.default_rng(3)
+        u, v = rng.uniform(u_min, u_max, 1000), rng.uniform(v_min, v_max, 1000)
+        h = 1e-6
+        symbols = surface.christoffels
+        expected = np.concatenate([
+            (np.array(symbols(u + h, v)) - np.array(symbols(u - h, v))) / (2 * h),
+            (np.array(symbols(u, v + h)) - np.array(symbols(u, v - h))) / (2 * h),
+        ])
+        got = np.array(surface.christoffel_partials(u, v))
+        assert got.shape == (12, 1000)
+        assert np.all(np.abs(got - expected) <= 1e-8 * np.maximum(1.0, np.abs(expected)))
 
 
 class TestCustomSurface:
