@@ -317,13 +317,12 @@ def compile_metric(e_source: str, f_source: str, g_source: str):
     G2_12, G2_22), ``curvature`` gives the Gaussian curvature K and
     ``christoffel_partials`` gives the u-partials of the six symbols, then
     their v-partials, each a float array of the broadcast shape of u and
-    v.  The partials are compiled on their first call, so a surface that
-    never shoots a geodesic does not pay for them.  K follows from the
-    symbols and their partials by Gauss's formula (do Carmo, Differential
-    Geometry of Curves and Surfaces, 4-3).  Where F is the constant 0 every
-    F term is dropped.  All arithmetic is elementwise, so a row's values do
-    not depend on its batch.  An ``ExpressionError`` starts with
-    the entry it is in: ``metric.E``, ``metric.F`` or ``metric.G``.
+    v.  K follows from the symbols and their partials by Gauss's formula
+    (do Carmo, Differential Geometry of Curves and Surfaces, 4-3).  Where F
+    is the constant 0 every F term is dropped.  All arithmetic is
+    elementwise, so a row's values do not depend on its batch.  An
+    ``ExpressionError`` starts with the entry it is in: ``metric.E``,
+    ``metric.F`` or ``metric.G``.
     """
     jets = _Jets()
     names = []
@@ -349,13 +348,10 @@ def compile_metric(e_source: str, f_source: str, g_source: str):
     for sign, i, j in _GAUSS_TERMS:
         term = jets.mul(symbols[i], symbols[j])
         rhs = jets.add(rhs, term) if sign > 0 else jets.sub(rhs, term)
-    compiled = []
-
-    def christoffel_partials(u, v):
-        # compiled on first use: only the log map's Jacobian reads them
-        if not compiled:
-            partials = [jets.partials(x) for x in symbols]
-            compiled.extend(jets.functions([*(du for du, _ in partials), *(dv for _, dv in partials)]))
-        return compiled[0](u, v)
-
-    return (*jets.functions([e, f, g], symbols, jets.neg(jets.div(rhs, e))), christoffel_partials)
+    partials = [jets.partials(x) for x in symbols]
+    return jets.functions(
+        [e, f, g],
+        symbols,
+        jets.neg(jets.div(rhs, e)),
+        [*(du for du, _ in partials), *(dv for _, dv in partials)],
+    )

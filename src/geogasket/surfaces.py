@@ -149,10 +149,10 @@ class _Batch:
     into k[2] and k[3], which that step reads no more.  A finished column
     is copied to ``out`` at its input row, and the live columns are packed
     into the smaller shape.  Each geodesic's first trial step is its entry
-    of ``steps`` (input row order), which is overwritten with the first
-    step the geodesic accepts; without ``steps`` it spans the whole
-    interval, h = 1.  The step controller shrinks it where the error
-    estimate asks, and a short geodesic finishes in one step.
+    of ``steps`` (input row order; without ``steps``, the whole interval,
+    h = 1), and ``steps`` then holds the first step each geodesic accepts.
+    The step controller shrinks a step where the error estimate asks, and
+    a short geodesic finishes in one step.
     """
 
     def __init__(self, y, steps=None):
@@ -163,8 +163,9 @@ class _Batch:
         self._block = np.empty((10, 4 * size))
         self.out = self._block[9].reshape(4, size)  # end states, in input row order
         self.t = np.zeros(size)
-        self.h = np.ones(size) if steps is None else steps.copy()
-        self.steps = steps  # each row's first accepted step, in input row order
+        # each row's first trial step, then its first accepted one, in input row order
+        self.steps = np.ones(size) if steps is None else steps
+        self.h = self.steps.copy()
         self.rows = np.arange(size)
         self._shape(size)
 
@@ -358,7 +359,7 @@ class SurfaceModel:
 
         Returns the end states in the same layout.  ``steps``, if given,
         holds each geodesic's first trial step, and each is overwritten with
-        the first step its geodesic accepted.  ``y`` is overwritten:
+        the first step its geodesic accepted (see ``_Batch``).  ``y`` is overwritten:
         it is the batch's state slab, whose first 4n values hold the n
         unfinished states (see ``_Batch``).
         Every geodesic carries its own time and step size and accepts or
@@ -367,9 +368,7 @@ class SurfaceModel:
         a trajectory gives bitwise the same result alone as in any batch.
         The first stage is evaluated once; after that each step reuses the
         last stage of the geodesic's previous accepted step (FSAL, Dormand &
-        Prince 1980), so a trajectory of n steps costs 1 + 6 n evaluations;
-        without ``steps`` the first trial step spans the whole interval
-        (see ``_Batch``).
+        Prince 1980), so a trajectory of n steps costs 1 + 6 n evaluations.
         Numpy stays silent in the stage evaluations: a trial step may reach
         further than the geodesic's own steps, and a non-finite error
         estimate, from such a step or from a non-finite starting state,
@@ -421,9 +420,8 @@ class SurfaceModel:
             bad = b.first(~np.isfinite(err))
             raise _step_underflow("non-finite state from", y[:, bad], t[bad])
         ok = err <= 1.0
-        if b.steps is not None:
-            opening = ok & (t == 0.0)
-            b.steps[b.rows[opening]] = hl[opening]
+        opening = ok & (t == 0.0)
+        b.steps[b.rows[opening]] = hl[opening]
         np.copyto(t, np.where(last, 1.0, t + hl), where=ok)
         np.copyto(y, trial, where=ok)
         np.copyto(k[0], k[6], where=ok)
@@ -453,15 +451,16 @@ class SurfaceModel:
 
     # -- batched geodesic operations ------------------------------------
 
-    def exp_many(self, pts, vels, *, _steps=None):
-        """Geodesic endpoints exp_p(w) for a batch of (p, w).
-
-        ``_steps``, for ``log_many``'s passes, is ``_integrate``'s ``steps``:
-        each row's first trial step, overwritten with its first accepted one.
-        """
+    def exp_many(self, pts, vels):
+        """Geodesic endpoints exp_p(w) for a batch of (p, w)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vels = np.atleast_2d(np.asarray(vels, dtype=float))
         pts, vels = np.broadcast_arrays(pts, vels)
+        return self._exp(pts, vels, np.ones(len(pts)))
+
+    def _exp(self, pts, vels, steps):
+        """``exp_many`` of ``(n, 2)`` arrays, each row started at its entry
+        of ``steps``, which then holds the first step the row accepted."""
         if self.flat:
             out = pts + vels
             bad = ~self.contains(out)
@@ -471,7 +470,7 @@ class SurfaceModel:
         y = np.empty((4, len(pts)))
         y[:2] = pts.T
         y[2:] = vels.T
-        return self._integrate(y, _steps)[:2].T.copy()
+        return self._integrate(y, steps)[:2].T.copy()
 
     def log_many(self, pts, targets, tol=DEFAULT_SHOOT_TOL, max_iter=DEFAULT_SHOOT_MAXITER):
         """Initial velocities w with exp_p(w) = q, batched Newton-Broyden shooting.
@@ -513,7 +512,7 @@ class SurfaceModel:
             gdd = _apply(g, d)
             w = d + 0.5 * gdd + _apply(g, gdd) / 6
         steps = np.ones(len(pts))
-        res = self.exp_many(pts, w, _steps=steps) - targets
+        res = self._exp(pts, w, steps) - targets
         res_norm = np.hypot(res[:, 0], res[:, 1])
         active = res_norm > tol
         if not np.any(active):
@@ -528,7 +527,7 @@ class SurfaceModel:
             step = _solve_2x2(jac[:, :, idx], res[idx])
             w[idx] -= step
             h0 = steps[idx]
-            res[idx] = self.exp_many(pts[idx], w[idx], _steps=h0) - targets[idx]
+            res[idx] = self._exp(pts[idx], w[idx], h0) - targets[idx]
             steps[idx] = h0
             # Broyden: J step was the old residual, so J += r (-step)^T / |step|^2
             jac[:, :, idx] -= res[idx].T[:, None] * (step.T / np.sum(step * step, axis=1))
