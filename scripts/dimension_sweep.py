@@ -11,13 +11,13 @@ import sys
 from geogasket.cli import _int_in, _level_range
 from geogasket.dimension import box_dimension_estimate, hausdorff_upper_sum
 from geogasket.gasket import build_system
-from geogasket.scene import SceneConfig
+from geogasket.scene import MAX_DEPTH, SceneConfig
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scene")
-    parser.add_argument("--depth", type=_int_in(1, 14), default=None)
+    parser.add_argument("--depth", type=_int_in(1, MAX_DEPTH), default=None)
     parser.add_argument("--levels", type=_level_range, default=None, help="range n1..n2")
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()

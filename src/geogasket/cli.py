@@ -20,7 +20,7 @@ from . import gasket
 from .dimension import box_dimension_estimate, dimension_report_csv, solve_moran
 from .errors import DomainError, GeogasketError, SceneValidationError
 from .measures import product_masses, pushforward_fixpoint, trace_ratios
-from .scene import SceneConfig
+from .scene import MAX_DEPTH, SceneConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -29,10 +29,10 @@ EXIT_CERTIFICATION = 4
 
 def cmd_moran(args) -> int:
     try:
-        sol = solve_moran(float(r) for r in args.ratios)
-    except (ValueError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        ratios = [float(r) for r in args.ratios]
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
+    sol = solve_moran(ratios)
     print(f"s = {sol.s:.15f}")
     print(f"residual = {sol.residual:.3e}")
     return EXIT_OK
@@ -80,7 +80,7 @@ def cmd_build(args) -> int:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     _write(args.out, gasket.system_to_json(system))
-    print(f"built {3**depth} cells at depth {depth}; gauge c = {system.gauge_c:.6g}")
+    print(f"built {len(system.level(depth))} cells at depth {depth}; gauge c = {system.gauge_c:.6g}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -123,7 +123,7 @@ def cmd_measure(args) -> int:
         print("trace ratios:", " ".join(f"{r:.4f}" for r in ratios))
     depth = min(4, args.iters)
     # each depth-d cell's mass, summed over its descendants in the last iterate
-    masses = report.masses.reshape(3**depth, -1).sum(axis=1)
+    masses = report.masses.reshape(len(system.level(depth)), -1).sum(axis=1)
     resid = float(np.max(np.abs(masses - product_masses(args.weights, depth))))
     print(f"depth-{depth} invariance residual = {resid:.6e}")
     for n, (lo, up) in enumerate(zip(report.lower, report.upper)):
@@ -168,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a system from a scene JSON")
     p_build.add_argument("scene")
-    # the scene reader's depth range
-    p_build.add_argument("--depth", type=_int_in(1, 14), default=None)
+    p_build.add_argument("--depth", type=_int_in(1, MAX_DEPTH), default=None)
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 

@@ -266,7 +266,7 @@ def product_bounds(gauge: GaugeSpec, nu: float, diam: float) -> ProductBounds:
 
 def hausdorff_upper_sum(system: TriangleSystem, s: float, depth: int) -> float:
     """Sum of cell diameters to the power s at one level (upper witness)."""
-    return float(np.sum(system.level_diams(depth) ** s))
+    return float(np.sum(system.level(depth).diams ** s))
 
 
 @dataclass
@@ -281,15 +281,15 @@ class BoxDimensionEstimate:
 def box_dimension_estimate(system: TriangleSystem, n1: int, n2: int) -> BoxDimensionEstimate:
     """Least-squares slope of log(count) against -log(max cell diameter).
 
-    Counts are the 3^n cell covers (an upper cover witness).
+    Counts are the level-n cell covers (an upper cover witness).
     """
     if n2 - n1 < 3:
         raise DomainError("need at least four levels (n2 - n1 >= 3)")
     if not (0 <= n1 < n2 <= system.depth):
         raise DomainError("levels must lie within the stored system depth")
     ns = list(range(n1, n2 + 1))
-    eps = np.array([float(np.max(system.level_diams(n))) for n in ns])
-    counts = np.array([3.0**n for n in ns])
+    eps = np.array([float(np.max(system.level(n).diams)) for n in ns])
+    counts = np.array([float(len(system.level(n))) for n in ns])
     xs = -np.log(eps)
     ys = np.log(counts)
 

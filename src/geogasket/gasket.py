@@ -40,13 +40,13 @@ from .errors import (
 from .surfaces import SurfaceModel, make_surface
 from .triangles import (
     GeodesicTriangleRegion,
+    _band_failures,
     _direction_table,
     _frames,
     _invert_rows,
     _pair_distances,
     _side_logs,
     is_delta_nondegenerate,
-    planar_angles_batch,
 )
 
 # Rows of one stacked parametrization or inversion pass.  Cells are grouped
@@ -183,17 +183,18 @@ def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: 
 
 
 class TriangleSystem:
-    """The family of subdivision cells of a base triangle up to a depth.
+    """The family of subdivision cells of a base triangle: ``levels[n]``
+    holds level n, from the base at level 0 to ``depth = len(levels) - 1``.
 
     ``_directions`` maps each cell (level, code) whose frames were read to
     its direction table (see ``triangles._direction_table``).  Each system
     has its own.
     """
 
-    def __init__(self, base: GeodesicTriangleRegion, depth, delta, levels, gauge_c=None):
+    def __init__(self, base: GeodesicTriangleRegion, delta, levels, gauge_c=None):
         self.base = base
         self.surface = base.surface
-        self.depth = int(depth)
+        self.depth = len(levels) - 1
         self.delta = float(delta)
         self.levels = levels
         self.gauge_c = gauge_c
@@ -207,18 +208,6 @@ class TriangleSystem:
         if not (0 <= n <= self.depth):
             raise DomainError(f"level {n} outside stored depth {self.depth}")
         return self.levels[n]
-
-    def level_diams(self, n: int) -> np.ndarray:
-        return self.level(n).diams
-
-
-def _band_failures(sides: np.ndarray, delta: float):
-    """Planar comparison angles of an (N, 3) side array, and the indices of
-    the cells whose angles leave the open band (delta/2, pi - delta/2)."""
-    half = delta / 2.0
-    angles = planar_angles_batch(sides)
-    bad = np.any((angles <= half) | (angles >= math.pi - half), axis=1)
-    return angles, np.flatnonzero(bad)
 
 
 def build_system(
@@ -251,7 +240,7 @@ def build_system(
         # the base's side directions start level 1's midpoints
         table = base.directions[None] if n == 0 and base.directions is not None else None
         child = _children(lv.vertices, lv.side_lengths, *_solve_level(surface, lv.vertices, table))
-        _, bad = _band_failures(child.side_lengths, delta)
+        _, bad = _band_failures(child.side_lengths, delta / 2)
         if len(bad):
             cell = mi_from_code(int(bad[0]), n + 1)
             raise NondegeneracyError(
@@ -260,7 +249,7 @@ def build_system(
                 f"(sides {child.side_lengths[bad[0]]})",
             )
         levels.append(child)
-    return TriangleSystem(base, depth, delta, levels)
+    return TriangleSystem(base, delta, levels)
 
 
 # -- subdivision maps ----------------------------------------------------
@@ -404,11 +393,9 @@ def _level_sample(system: TriangleSystem, cells_per_level: int):
     """(levels, codes) of the cells that the nesting check and the audit sweep
     read, level by level: up to ``cells_per_level`` codes evenly spaced over
     each level, first and last included, so a small level is read whole,
-    from no more than its 3^n points however large ``cells_per_level`` is."""
-    codes = [
-        np.unique(np.linspace(0, 3**n - 1, min(cells_per_level, 3**n)).astype(int))
-        for n in range(1, system.depth + 1)
-    ]
+    from no more than its cells however large ``cells_per_level`` is."""
+    sizes = [len(lv) for lv in system.levels[1:]]
+    codes = [np.unique(np.linspace(0, size - 1, min(cells_per_level, size)).astype(int)) for size in sizes]
     return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
 
 
@@ -422,8 +409,9 @@ def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: 
     top = range(1, min(max_parent_depth + 1, system.depth) + 1)
     if not top:
         raise DomainError("audit needs at least one cell, each a nonempty multi-index")
-    codes = np.concatenate([np.arange(3**n) for n in top])
-    dev, diam = _audit(system, np.repeat(top, [3**n for n in top]), codes, n_pairs, seed)
+    sizes = [len(system.level(n)) for n in top]
+    codes = np.concatenate([np.arange(size) for size in sizes])
+    dev, diam = _audit(system, np.repeat(top, sizes), codes, n_pairs, seed)
     system.gauge_c = 1.5 * max(0.0, float(np.max(dev / (0.5 * diam**2))))
     return system.gauge_c
 
@@ -484,7 +472,7 @@ def contraction_check(system: TriangleSystem) -> Check:
     1 + 1e-12, which allows rounding: passes when value <= bound.
     """
     base = system.base.diam
-    worst = max(float(np.max(system.level_diams(n))) / (system.nu**n * base) for n in range(1, system.depth + 1))
+    worst = max(float(np.max(system.level(n).diams)) / (system.nu**n * base) for n in range(1, system.depth + 1))
     bound = 1 + 1e-12
     return Check("nu-contraction", worst <= bound, worst, bound, f"nu = {system.nu:.6g}, worst margin {worst:.6g}")
 
@@ -500,7 +488,7 @@ def nondegeneracy_sweep(system: TriangleSystem) -> Check:
     mn = math.inf
     mx = -math.inf
     for n in range(1, system.depth + 1):
-        angles, bad = _band_failures(system.level(n).side_lengths, delta)
+        angles, bad = _band_failures(system.level(n).side_lengths, delta / 2)
         mn = min(mn, float(np.min(angles)))
         mx = max(mx, float(np.max(angles)))
         passed = passed and not len(bad)
@@ -571,10 +559,10 @@ def controlled_moran_check(system: TriangleSystem, max_total: int | None = None)
     center = 1.0 / system.base.diam
     lo = math.inf
     hi = -math.inf
-    diams = [system.level_diams(n) for n in range(system.depth + 1)]
+    diams = [lv.diams for lv in system.levels]
     for m in range(1, limit):
         for k in range(1, limit - m + 1):
-            ratio = diams[m + k].reshape(3**m, 3**k) / (diams[m][:, None] * diams[k][None, :])
+            ratio = diams[m + k].reshape(len(diams[m]), len(diams[k])) / (diams[m][:, None] * diams[k][None, :])
             lo = min(lo, float(np.min(ratio)))
             hi = max(hi, float(np.max(ratio)))
     if limit < 2:  # no pair fits the depth
@@ -617,8 +605,7 @@ def certify(system: TriangleSystem, seed: int = 0, cells_per_level: int = 12) ->
 
 
 def system_to_json(system: TriangleSystem) -> str:
-    """Deterministic one-line JSON export of a system, keys sorted; its
-    surface must carry a spec.
+    """Deterministic one-line JSON export of a system, keys sorted.
 
     ``meta`` is plain JSON.  Entry n - 1 of ``levels`` holds what the solver
     produced for level n, each parent's ``midpoints`` (3^(n-1), 3, 2) and
@@ -626,8 +613,6 @@ def system_to_json(system: TriangleSystem) -> str:
     one string, the padded base64 of its little-endian binary64 values in C
     order, so the reader gets every bit back.
     """
-    if system.surface.spec is None:
-        raise DomainError("the system's surface has no spec to store")
     meta = {
         "surface": system.surface.spec,
         "depth": system.depth,
@@ -676,16 +661,16 @@ def system_from_json(text: str) -> TriangleSystem:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
     for n, entry in enumerate(levels, start=1):
+        parents = arrays[-1]
         entry = json_object(entry, ("midlines", "midpoints"), f"level {n}", optional=())
-        mids = json_binary64(entry["midpoints"], (3 ** (n - 1), 3, 2), f"level {n} midpoints")
-        midlines = json_binary64(entry["midlines"], (3 ** (n - 1), 3), f"level {n} midlines")
+        mids = json_binary64(entry["midpoints"], (len(parents), 3, 2), f"level {n} midpoints")
+        midlines = json_binary64(entry["midlines"], (len(parents), 3), f"level {n} midlines")
         if not surface.contains(mids.reshape(-1, 2)).all():
             raise SceneValidationError(f"level {n} midpoints must lie inside the chart {surface.chart}")
         if np.any(midlines <= 0):
             raise SceneValidationError(f"level {n} midlines must be positive")
-        parents = arrays[-1]
         arrays.append(_children(parents.vertices, parents.side_lengths, mids, midlines))
-    return TriangleSystem(base, depth, delta, arrays, gauge_c=gauge_c)
+    return TriangleSystem(base, delta, arrays, gauge_c=gauge_c)
 
 
 # Width and height of a rendered SVG, in pixels.

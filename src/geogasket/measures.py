@@ -95,12 +95,12 @@ def pushforward_fixpoint(system: TriangleSystem, weights, iterations: int) -> Pu
             f"{iterations} iterations need cells of depth {iterations}, but the system is stored to depth {system.depth}"
         )
     # vertex 1 of cell I1 is vertex 1 of I, so the deepest iterate's atoms hold
-    # every iterate's: iterate n's are every 3^(iterations - n)-th of them
+    # every iterate's: iterate n's are evenly spaced among them, one per depth-n cell
     atoms = system.level(iterations).vertices[:, 0]
     g = system.surface.distance_many(atoms, system.base.vertices[1])
     masses = [product_masses(weights, n) for n in range(iterations + 1)]
-    integrals = [float(m @ g[:: 3 ** (iterations - n)]) for n, m in enumerate(masses)]
-    upper = [float(m @ system.level_diams(n)) for n, m in enumerate(masses[:-1])]
+    integrals = [float(m @ g[:: len(g) // len(system.level(n))]) for n, m in enumerate(masses)]
+    upper = [float(m @ system.level(n).diams) for n, m in enumerate(masses[:-1])]
     lower = [abs(a - b) for a, b in zip(integrals, integrals[1:])]
     return PushforwardReport(masses=masses[-1], upper=upper, lower=lower)
 

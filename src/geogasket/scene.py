@@ -15,6 +15,9 @@ from .triangles import GeodesicTriangleRegion
 
 SCENE_KEYS = ("surface", "vertices", "depth", "delta", "gauge", "seed", "tolerances")
 
+# The deepest system a scene or ``build --depth`` may ask for.
+MAX_DEPTH = 14
+
 
 @dataclass
 class SceneConfig:
@@ -39,7 +42,7 @@ class SceneConfig:
         """
         json_object(doc, SCENE_KEYS[:4], "scene", optional=SCENE_KEYS[4:])
         vertices = json_numbers(doc["vertices"], (3, 2), "vertices")
-        depth = json_integer(doc["depth"], "depth", 1, 14)
+        depth = json_integer(doc["depth"], "depth", 1, MAX_DEPTH)
         delta = float(json_numbers(doc["delta"], (), "delta"))
         if not 0 < delta < math.pi / 2:
             raise SceneValidationError(f"delta must lie in (0, pi/2), not {delta}")

@@ -58,8 +58,7 @@ DEFAULT_SHOOT_TOL = 1e-11
 DEFAULT_SHOOT_MAXITER = 60
 
 
-# Dormand-Prince RK45 tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince RK45 tableau; the geodesic ODE is autonomous, so no nodes.
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -149,13 +148,13 @@ class _Batch:
     into k[2] and k[3], which that step reads no more.  A finished column
     is copied to ``out`` at its input row, and the live columns are packed
     into the smaller shape.  Each geodesic's first trial step is its entry
-    of ``steps`` (input row order; without ``steps``, the whole interval,
-    h = 1), and ``steps`` then holds the first step each geodesic accepts.
+    of ``steps`` (input row order; 1 is the whole interval), and ``steps``
+    then holds the first step each geodesic accepts.
     The step controller shrinks a step where the error estimate asks, and
     a short geodesic finishes in one step.
     """
 
-    def __init__(self, y, steps=None):
+    def __init__(self, y, steps):
         size = y.shape[1]
         self._states = y.reshape(-1)  # current states, overwritten
         # one block, so that the allocator's adaptive thresholds keep its
@@ -164,7 +163,7 @@ class _Batch:
         self.out = self._block[9].reshape(4, size)  # end states, in input row order
         self.t = np.zeros(size)
         # each row's first trial step, then its first accepted one, in input row order
-        self.steps = np.ones(size) if steps is None else steps
+        self.steps = steps
         self.h = self.steps.copy()
         self.rows = np.arange(size)
         self._shape(size)
@@ -209,9 +208,9 @@ class SurfaceModel:
 
     Parameters
     ----------
-    kind : str
-        One of ``euclidean``, ``sphere_unit``, ``hyperbolic_poincare``,
-        ``custom``.
+    spec : str or dict
+        The built-in name or custom document ``make_surface`` builds it
+        from; ``kind`` is that name, or ``custom`` for a document.
     chart : tuple
         ``(u_min, u_max, v_min, v_max)`` open rectangle.
     metric : callable
@@ -225,8 +224,6 @@ class SurfaceModel:
     christoffel_partials : callable
         ``(u, v) -> twelve arrays``: the u-partials of the six symbols, in
         the order above, then their v-partials.
-    spec : str, dict or None
-        The built-in name or custom document ``make_surface`` builds it from.
     acceleration : callable or None
         ``acceleration(y, out)`` writes the geodesic accelerations u'' and v''
         of the ``(4, n)`` states ``y`` (rows u, v, p, q) into rows 2 and 3 of
@@ -237,9 +234,9 @@ class SurfaceModel:
     most 1 on ``_chart_grid``, or ``DomainError`` is raised.
     """
 
-    def __init__(self, kind, chart, metric, curvature, christoffels, christoffel_partials, spec=None,
-                 acceleration=None):
-        self.kind = kind
+    def __init__(self, spec, chart, metric, curvature, christoffels, christoffel_partials, acceleration=None):
+        self.spec = spec
+        self.kind = spec if isinstance(spec, str) else CUSTOM
         self.chart = tuple(float(x) for x in chart)
         if not (self.chart[0] < self.chart[1] and self.chart[2] < self.chart[3]):
             raise DomainError("chart rectangle is empty")
@@ -248,8 +245,7 @@ class SurfaceModel:
         self._christoffel_partials = christoffel_partials
         self._curvature = curvature
         self.acceleration = self._symbol_acceleration if acceleration is None else acceleration
-        self.spec = spec
-        self.flat = kind == EUCLIDEAN
+        self.flat = self.kind == EUCLIDEAN
         self._check_admissible()
 
     # -- validation ----------------------------------------------------
@@ -354,12 +350,12 @@ class SurfaceModel:
         out[0] = y[2]
         out[1] = y[3]
 
-    def _integrate(self, y, steps=None):
+    def _integrate(self, y, steps):
         """Adaptive embedded RK4(5) over t in [0, 1] for ``(4, N)`` states ``y``.
 
-        Returns the end states in the same layout.  ``steps``, if given,
-        holds each geodesic's first trial step, and each is overwritten with
-        the first step its geodesic accepted (see ``_Batch``).  ``y`` is overwritten:
+        Returns the end states in the same layout.  ``steps`` holds each
+        geodesic's first trial step, and each is overwritten with the first
+        step its geodesic accepted (see ``_Batch``).  ``y`` is overwritten:
         it is the batch's state slab, whose first 4n values hold the n
         unfinished states (see ``_Batch``).
         Every geodesic carries its own time and step size and accepts or
@@ -611,9 +607,7 @@ def _conformal_surface(kind, half_width, lam2, factor, k) -> SurfaceModel:
         return np.full_like(u, k)
 
     chart = (-half_width, half_width, -half_width, half_width)
-    return SurfaceModel(
-        kind, chart, metric, curvature, christoffels, christoffel_partials, spec=kind, acceleration=acceleration
-    )
+    return SurfaceModel(kind, chart, metric, curvature, christoffels, christoffel_partials, acceleration)
 
 
 def euclidean_surface() -> SurfaceModel:
@@ -695,7 +689,7 @@ def surface_from_json(doc) -> SurfaceModel:
         exc.args = (f"curvature: {exc}",)
         raise
     metric, christoffels, curvature, christoffel_partials = compile_metric(*sources[:3])
-    surface = SurfaceModel(CUSTOM, rect, metric, curvature, christoffels, christoffel_partials, spec=copy.deepcopy(doc))
+    surface = SurfaceModel(copy.deepcopy(doc), rect, metric, curvature, christoffels, christoffel_partials)
     if declared is not None:
         uu, vv = _chart_grid(surface.chart)
         with np.errstate(all="ignore"):

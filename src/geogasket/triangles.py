@@ -50,17 +50,24 @@ def planar_angles_batch(sides: np.ndarray) -> np.ndarray:
     return np.stack([al1, al2, al3], axis=1)
 
 
+def _band_failures(sides: np.ndarray, half: float):
+    """Planar comparison angles of an (N, 3) side array, and the indices of
+    the cells whose angles leave the open band (half, pi - half)."""
+    angles = planar_angles_batch(sides)
+    bad = np.any((angles <= half) | (angles >= math.pi - half), axis=1)
+    return angles, np.flatnonzero(bad)
+
+
 def is_delta_nondegenerate(sides, delta):
     """True when every planar comparison angle lies in (delta, pi - delta).
 
-    Returns ``(flag, angles)``, angle i opposite side i, from the same law
-    of cosines as every cell's test.
+    Returns ``(flag, angles)``, angle i opposite side i, from the band test
+    of every cell.
     """
     if not (0 < delta < math.pi / 2):
         raise DomainError("delta must lie in (0, pi/2)")
-    angles = planar_angles_batch(_check_sides(*sides)[None, :])[0]
-    flag = bool(np.all(angles > delta) and np.all(angles < math.pi - delta))
-    return flag, angles
+    angles, bad = _band_failures(_check_sides(*sides)[None, :], delta)
+    return not len(bad), angles[0]
 
 
 # Iteration limit of the parameter recovery behind invert_phi_many.

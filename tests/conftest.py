@@ -165,7 +165,7 @@ def first_crossing():
         stack = [()]
         while stack:
             index = stack.pop()
-            if index and system.level_diams(len(index))[mi_code(index)] <= cutoff:
+            if index and system.level(len(index)).diams[mi_code(index)] <= cutoff:
                 members.append(index)
             else:
                 stack.extend(index + (d,) for d in (3, 2, 1))

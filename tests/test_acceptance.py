@@ -99,7 +99,7 @@ def test_criterion_2_flat_gasket_oracle(flat12):
     base_diam = system.base.diam
     diam_ok = True
     for n in range(1, 13):
-        diams = system.level_diams(n)
+        diams = system.level(n).diams
         diam_ok &= bool(np.all(np.abs(diams / (base_diam * 2.0**-n) - 1.0) <= 1e-12))
     est = box_dimension_estimate(system, 4, 12)
     slope_err = abs(est.slope - LOG3_OVER_LOG2)

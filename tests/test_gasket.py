@@ -11,6 +11,9 @@ from geogasket import gasket
 from geogasket.cli import main
 from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
 from geogasket.gasket import (
+    LevelArrays,
+    TriangleSystem,
+    _children,
     apply_f,
     audit_similarity,
     audit_sweep,
@@ -28,7 +31,7 @@ from geogasket.gasket import (
     system_to_json,
 )
 from geogasket.scene import SceneConfig
-from geogasket.surfaces import EUCLIDEAN, SurfaceModel
+from geogasket.surfaces import CUSTOM, EUCLIDEAN, HYPERBOLIC, SPHERE, SurfaceModel, make_surface
 from geogasket.triangles import GeodesicTriangleRegion
 
 
@@ -86,7 +89,7 @@ class TestBuildSystem:
 
     def test_flat_exact_halving_depth10(self, flat_base):
         system = build_system(flat_base, 10, delta=0.5)
-        diams = system.level_diams(10)
+        diams = system.level(10).diams
         assert len(diams) == 3**10
         np.testing.assert_allclose(diams, flat_base.diam * 2.0**-10, rtol=1e-12)
 
@@ -204,7 +207,7 @@ class TestAudits:
     def test_flat_zero_deviation(self, flat_system):
         dev, diam = audit_similarity(flat_system, [(1, 3, 2)], n_pairs=150, seed=4)
         assert dev.tolist() == [0.0]
-        assert diam.tolist() == [flat_system.level_diams(2)[mi_code((1, 3))]]
+        assert diam.tolist() == [flat_system.level(2).diams[mi_code((1, 3))]]
 
     def test_budget_enforced(self, flat_system):
         with pytest.raises(DomainError):
@@ -508,6 +511,34 @@ class TestNondegeneracySweep:
             assert rep.passed
 
 
+def flat_corner_system(eu, depth):
+    """The flat corner system with ratio 1/2 to ``depth``, built from
+    ``LevelArrays`` through ``_children``: each midpoint is the exact mean of
+    its side's ends and each midline half the parent's side, so no solver runs."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    # side i joins the two vertices other than vertex i
+    sides = np.hypot(*(verts[[2, 0, 1]] - verts[[1, 2, 0]]).T)
+    levels = [LevelArrays(vertices=verts[None].copy(), side_lengths=sides[None].copy())]
+    for _ in range(depth):
+        lv = levels[-1]
+        mids = (lv.vertices[:, [1, 2, 0]] + lv.vertices[:, [2, 0, 1]]) / 2
+        levels.append(_children(lv.vertices, lv.side_lengths, mids, lv.side_lengths / 2))
+    return TriangleSystem(GeodesicTriangleRegion(eu, verts, sides), 0.5, levels)
+
+
+class TestFlatCornerSystem:
+    def test_certified_and_stored(self, eu):
+        system = flat_corner_system(eu, 6)
+        assert system.depth == len(system.levels) - 1 == 6
+        back = system_from_json(system_to_json(system))
+        checks = gasket.certify(system)
+        assert [(c.name, c.passed) for c in checks] == [
+            ("nesting", True), ("nu-contraction", True), ("non-degeneracy", True),
+            ("similarity-audits", True), ("ratio-products", True), ("controlled-moran", True),
+        ]
+        assert gasket.certify(back) == checks
+
+
 class TestSerialization:
     def test_roundtrip(self, sphere_system):
         text = system_to_json(sphere_system)
@@ -583,13 +614,15 @@ class TestSerialization:
         assert json.loads(text)["meta"]["surface"] == scene.surface_spec
         assert system_to_json(system_from_json(text)) == text
 
-    def test_surface_without_spec_refused(self, flat_base):
-        # a model built directly, not from a name or a document, cannot be stored
-        eu = flat_base.surface
-        surface = SurfaceModel(EUCLIDEAN, eu.chart, eu.metric, eu.curvature, eu.christoffels, eu.christoffel_partials)
-        base = GeodesicTriangleRegion(surface, flat_base.vertices, flat_base.side_lengths)
-        with pytest.raises(DomainError, match="no spec"):
-            system_to_json(build_system(base, 1, delta=0.5))
+    def test_kind_follows_spec(self):
+        # a built-in name is its own kind, and a document is custom
+        for name in (EUCLIDEAN, SPHERE, HYPERBOLIC):
+            surface = make_surface(name)
+            assert (surface.kind, surface.spec, surface.flat) == (name, name, name == EUCLIDEAN)
+        path = Path(__file__).parents[1] / "perfbench" / "scenes" / "custom_bump.json"
+        doc = SceneConfig.from_path(path).surface_spec
+        surface = make_surface(doc)
+        assert (surface.kind, surface.spec, surface.flat) == (CUSTOM, doc, False)
 
     def test_deterministic(self, sphere_base):
         s1 = build_system(sphere_base, 3, delta=0.4)

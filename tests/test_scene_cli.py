@@ -104,11 +104,13 @@ class TestMoranCommand:
         assert main(["moran", "0.5", "0.5"]) == 0
         assert "s = 1.000000000000000" in capsys.readouterr().out
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, capsys):
         assert main(["moran", "1.5"]) == 2
+        assert capsys.readouterr().err == "error: ratios must lie in (0, 1): (1.5,)\n"
 
-    def test_unparsable(self):
+    def test_unparsable(self, capsys):
         assert main(["moran", "zebra"]) == 2
+        assert capsys.readouterr().err == "error: could not convert string to float: 'zebra'\n"
 
 
 class TestBuildCommand:

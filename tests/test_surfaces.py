@@ -120,11 +120,11 @@ class TestBatchIndependence:
         pts, vels = self.mixed_batch()
         y = np.concatenate([pts, vels], axis=1).T.copy()
         # reference: every step evaluates its first stage afresh
-        fresh = _Batch(y.copy())
+        fresh = _Batch(y.copy(), np.ones(y.shape[1]))
         while fresh.n:
             surface._ode_rhs(fresh.y[:, :fresh.n], fresh.k[0, :, :fresh.n])
             surface._step(fresh)
-        assert np.array_equal(surface._integrate(y), fresh.out)
+        assert np.array_equal(surface._integrate(y, np.ones(y.shape[1])), fresh.out)
 
     @pytest.mark.parametrize("kind", ["sphere", "bump"])
     def test_one_column_view_equals_contiguous(self, kind, request):
@@ -141,7 +141,7 @@ class TestBatchIndependence:
         pts, vels = self.mixed_batch()
         # the longest geodesic last, so that it runs on alone for several steps
         y = np.concatenate([pts, vels], axis=1)[[*range(12, 19), 23]].T.copy()
-        wide, alone = _Batch(y.copy()), _Batch(y[:, -1:].copy())
+        wide, alone = _Batch(y.copy(), np.ones(8)), _Batch(y[:, -1:].copy(), np.ones(1))
         for b in (wide, alone):
             surface._ode_rhs(b.y, b.k[0])
         steps = 0  # the wide batch's steps on one live column
@@ -246,7 +246,7 @@ class TestKernelWork:
 
     def test_batch_block_holds_ten_slabs(self):
         # nine working arrays and the end states; scratch reuses dead stages
-        batch = _Batch(np.zeros((4, 5)))
+        batch = _Batch(np.zeros((4, 5)), np.ones(5))
         assert batch._block.shape == (10, 20)
         assert not hasattr(batch, "scratch")
 
