@@ -63,19 +63,22 @@ _INVERT_TOL = 1e-7
 
 def mi_validate(index) -> tuple:
     digits = tuple(int(d) for d in index)
-    if any(d not in (1, 2, 3) for d in digits):
-        raise DomainError(f"multi-index digits must be in {{1,2,3}}: {index!r}")
+    names = range(1, len(_CHILD_VERTICES) + 1)
+    if any(d not in names for d in digits):
+        raise DomainError(f"multi-index digits must be in {{{','.join(map(str, names))}}}: {index!r}")
     return digits
 
 
 def mi_code(index) -> int:
     """Lexicographic cell code at the index's level (first digit most
-    significant)."""
-    return sum((d - 1) * 3**k for k, d in enumerate(reversed(mi_validate(index))))
+    significant), in base the number of children."""
+    b = len(_CHILD_VERTICES)
+    return sum((d - 1) * b**k for k, d in enumerate(reversed(mi_validate(index))))
 
 
 def mi_from_code(code: int, length: int) -> tuple:
-    return tuple(code // 3**k % 3 + 1 for k in reversed(range(length)))
+    b = len(_CHILD_VERTICES)
+    return tuple(code // b**k % b + 1 for k in reversed(range(length)))
 
 
 def mi_str(index) -> str:
@@ -149,15 +152,14 @@ def _solve_level(surface: SurfaceModel, verts: np.ndarray, table=None):
     return mids, midlines
 
 
-# Child d of a parent keeps the parent's vertex d; its other two vertices are
-# the midpoints of the sides at d, its side opposite vertex d is midline d,
-# and its other two sides are halves of the parent's.  Row d of each table
-# picks child d's three entries from a parent's vertices followed by its
+# The tree: a parent has one child per row of these tables, digit d naming
+# row d.  Child d keeps the parent's vertex d; its other two vertices are the
+# midpoints of the sides at d, its side opposite vertex d is midline d, and
+# its other two sides are halves of the parent's.  Row d of each table picks
+# child d's three entries from a parent's vertices followed by its
 # midpoints, and from its halved sides followed by its midlines.
 _CHILD_VERTICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 _CHILD_SIDES = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5]])
-# (child, vertex slot) of midpoints 0, 1 and 2 in the tables above
-_MIDPOINT_CHILDREN = ([1, 0, 0], [2, 2, 1])
 # (t, s) of the parent's vertices and midpoints, in the order of the first
 # table, in the parametrization at the parent's vertex 1
 _SLOT_PARAMETERS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]])
@@ -165,17 +167,16 @@ _SLOT_PARAMETERS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.0], [0.
 
 def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: np.ndarray) -> LevelArrays:
     """The level below parents (verts, sides) with the given midpoints and
-    midlines: child 3p + d - 1 of parent p is the one with digit d.
+    midlines: child Bp + d - 1 of parent p, B children each, has digit d.
 
     Vertices are copies and sides exact halves or midlines, so the level
     carries no number beyond its parents' and the solved ones.
     """
-    n = len(verts)
     points = np.concatenate([verts, mids], axis=1)
     lengths = np.concatenate([sides / 2.0, midlines], axis=1)
     return LevelArrays(
-        vertices=points[:, _CHILD_VERTICES].reshape(3 * n, 3, 2),
-        side_lengths=lengths[:, _CHILD_SIDES].reshape(3 * n, 3),
+        vertices=points[:, _CHILD_VERTICES].reshape(-1, 3, 2),
+        side_lengths=lengths[:, _CHILD_SIDES].reshape(-1, 3),
     )
 
 
@@ -260,14 +261,14 @@ def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = Fal
     per cell, and the parent diameters, read from the level arrays and the
     system's direction tables.
 
-    Frame r has its apex at the vertex of cell r's parent named by the
-    cell's last digit, or at vertex 1 given ``at_vertex1``; its rows are
+    Frame r has its apex at the parent vertex that cell r's row of the
+    child tables keeps, or at vertex 1 given ``at_vertex1``; its rows are
     those of ``triangles._frames``.  The parents whose direction tables
     the system lacks are solved together, in one call, and kept.
     """
     verts = np.empty((len(codes), 3, 2))
     diams = np.empty(len(codes))
-    parents = codes // 3
+    parents = codes // len(_CHILD_VERTICES)
     # every level read before any index, in order of first appearance, so that
     # the first cell past the stored depth names the error
     parent_levels = {n: system.level(n - 1) for n in dict.fromkeys(levels.tolist())}
@@ -280,7 +281,7 @@ def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = Fal
     rows = {key: row for row, key in enumerate(keys) if key not in system._directions}
     if rows:
         system._directions.update(zip(rows, _direction_table(system.surface, verts[list(rows.values())])))
-    apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else codes % 3
+    apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else np.min(_CHILD_VERTICES, axis=1)[codes % len(_CHILD_VERTICES)]
     return _frames(verts, np.array([system._directions[key] for key in keys]), apexes), diams
 
 
@@ -399,16 +400,13 @@ def _level_sample(system: TriangleSystem, cells_per_level: int):
     return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
 
 
-def calibrate_gauge(system: TriangleSystem, max_parent_depth: int = 2, n_pairs: int = 100, seed: int = 0) -> float:
+def calibrate_gauge(system: TriangleSystem, n_pairs: int = 100, seed: int = 0) -> float:
     """Fit the constant of the square gauge phi(y) = y² on the shallow levels and freeze it.
 
-    c is 1.5 times the worst deviation-to-envelope slope over all cells
-    whose parent sits at depth <= max_parent_depth; deeper audits then test
-    the frozen value.
+    c is 1.5 times the worst deviation-to-envelope slope over all cells of
+    levels 1 to 3 (or the depth); deeper audits then test the frozen value.
     """
-    top = range(1, min(max_parent_depth + 1, system.depth) + 1)
-    if not top:
-        raise DomainError("audit needs at least one cell, each a nonempty multi-index")
+    top = range(1, min(3, system.depth) + 1)
     sizes = [len(system.level(n)) for n in top]
     codes = np.concatenate([np.arange(size) for size in sizes])
     dev, diam = _audit(system, np.repeat(top, sizes), codes, n_pairs, seed)
@@ -454,7 +452,7 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12) -> Check:
     # at the parameters the vertex was subdivided at
     frames, diams = _parent_frames(system, levels, codes, at_vertex1=True)
     xs = np.concatenate([system.level(n).vertices[codes[levels == n]] for n in np.unique(levels)]).reshape(-1, 2)
-    start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % 3]].reshape(-1, 2)
+    start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]].reshape(-1, 2)
     rows = np.repeat(np.arange(len(codes)), 3)
     diam_rows = diams[rows]
     tol = _INVERT_TOL * diam_rows
@@ -545,27 +543,25 @@ def check_ratio_products(system: TriangleSystem) -> Check:
 MORAN_BAND = 4.0
 
 
-def controlled_moran_check(system: TriangleSystem, max_total: int | None = None) -> Check:
+def controlled_moran_check(system: TriangleSystem) -> Check:
     """Diameter-product control over concatenated indices.
 
-    For index pairs (I, J) with |I| + |J| within the stored depth (or
-    ``max_total``), the ratio diam(IJ) / (diam(I) diam(J)) must stay in a
-    uniform band around 1/diam(base); on the flat model it is that
-    constant.  ``value`` is the band factor, the largest factor by which a
-    ratio strays from 1/diam(base) (1 when no pair fits the depth), and
-    ``bound`` is ``MORAN_BAND``: passes when value <= bound.
+    For index pairs (I, J) with |I| + |J| within the stored depth, the
+    ratio diam(IJ) / (diam(I) diam(J)) must stay in a uniform band around
+    1/diam(base); on the flat model it is that constant.  ``value`` is the
+    band factor, the largest factor by which a ratio strays from
+    1/diam(base) (1 when no pair fits the depth), and ``bound`` is
+    ``MORAN_BAND``: passes when value <= bound.
     """
-    limit = system.depth if max_total is None else min(max_total, system.depth)
     center = 1.0 / system.base.diam
-    lo = math.inf
-    hi = -math.inf
+    lo, hi = math.inf, -math.inf
     diams = [lv.diams for lv in system.levels]
-    for m in range(1, limit):
-        for k in range(1, limit - m + 1):
+    for m in range(1, system.depth):
+        for k in range(1, system.depth - m + 1):
             ratio = diams[m + k].reshape(len(diams[m]), len(diams[k])) / (diams[m][:, None] * diams[k][None, :])
             lo = min(lo, float(np.min(ratio)))
             hi = max(hi, float(np.max(ratio)))
-    if limit < 2:  # no pair fits the depth
+    if system.depth < 2:  # no pair fits the depth
         band, d_required = 1.0, max(1.0, center)
     else:
         band, d_required = max(hi / center, center / lo), max(hi, 1.0 / lo, 1.0)
@@ -608,10 +604,10 @@ def system_to_json(system: TriangleSystem) -> str:
     """Deterministic one-line JSON export of a system, keys sorted.
 
     ``meta`` is plain JSON.  Entry n - 1 of ``levels`` holds what the solver
-    produced for level n, each parent's ``midpoints`` (3^(n-1), 3, 2) and
-    ``midlines`` (3^(n-1), 3), read back out of its children; each array is
-    one string, the padded base64 of its little-endian binary64 values in C
-    order, so the reader gets every bit back.
+    produced for level n, read back out of each parent's children: its
+    ``midpoints`` (P, 3, 2) and its children's ``midlines`` (P, B), in child
+    order, for P parents of B children.  Each array is one string, the padded
+    base64 of its little-endian binary64 values in C order.
     """
     meta = {
         "surface": system.surface.spec,
@@ -621,13 +617,14 @@ def system_to_json(system: TriangleSystem) -> str:
         "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
     }
+    # where midpoints 0 to 2 first sit, and each child's midline, in a parent's children laid end to end
+    mid_places = np.argmax(_CHILD_VERTICES.ravel() == np.arange(3, 6)[:, None], axis=1)
+    midline_places = np.flatnonzero(_CHILD_SIDES >= 3)
     levels = []
     for lv in system.levels[1:]:
-        verts = lv.vertices.reshape(-1, 3, 3, 2)
-        sides = lv.side_lengths.reshape(-1, 3, 3)
         levels.append({
-            "midlines": binary64_text(np.diagonal(sides, axis1=1, axis2=2)),
-            "midpoints": binary64_text(verts[:, _MIDPOINT_CHILDREN[0], _MIDPOINT_CHILDREN[1]]),
+            "midlines": binary64_text(lv.side_lengths.reshape(-1, _CHILD_SIDES.size)[:, midline_places]),
+            "midpoints": binary64_text(lv.vertices.reshape(-1, _CHILD_VERTICES.size, 2)[:, mid_places]),
         })
     # no indent, so that json uses its C encoder
     return json.dumps({"meta": meta, "levels": levels}, sort_keys=True)
@@ -660,15 +657,18 @@ def system_from_json(text: str) -> TriangleSystem:
     except GeogasketError as exc:
         raise SceneValidationError(f"meta: {exc}") from exc
     arrays = [LevelArrays(vertices=base_vertices[None], side_lengths=base_sides[None].copy())]
+    numbers = np.max(_CHILD_SIDES, axis=1) - 3
     for n, entry in enumerate(levels, start=1):
         parents = arrays[-1]
         entry = json_object(entry, ("midlines", "midpoints"), f"level {n}", optional=())
         mids = json_binary64(entry["midpoints"], (len(parents), 3, 2), f"level {n} midpoints")
-        midlines = json_binary64(entry["midlines"], (len(parents), 3), f"level {n} midlines")
+        stored = json_binary64(entry["midlines"], (len(parents), len(numbers)), f"level {n} midlines")
         if not surface.contains(mids.reshape(-1, 2)).all():
             raise SceneValidationError(f"level {n} midpoints must lie inside the chart {surface.chart}")
-        if np.any(midlines <= 0):
+        if np.any(stored <= 0):
             raise SceneValidationError(f"level {n} midlines must be positive")
+        midlines = np.zeros((len(parents), 3))
+        midlines[:, numbers] = stored
         arrays.append(_children(parents.vertices, parents.side_lengths, mids, midlines))
     return TriangleSystem(base, delta, arrays, gauge_c=gauge_c)
 

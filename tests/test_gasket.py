@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+import re
 import xml.dom.minidom
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from conftest import read_level, write_level
 
 from geogasket import gasket
 from geogasket.cli import main
+from geogasket.dimension import box_dimension_estimate
 from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
 from geogasket.gasket import (
     LevelArrays,
@@ -40,15 +43,32 @@ def shoelace(tri):
     return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
 
 
-class TestMultiIndex:
-    def test_code_roundtrip(self):
-        for n in (1, 2, 5):
-            for code in range(3**n):
-                assert mi_code(mi_from_code(code, n)) == code
+def keep_children(monkeypatch, digits):
+    """Cut the child tables to the rows of ``digits``: the tree code then
+    builds, stores and reads the sub-system of those corner maps, whose
+    digits are 1 to len(digits) in the order of ``digits``."""
+    rows = [d - 1 for d in digits]
+    monkeypatch.setattr(gasket, "_CHILD_VERTICES", gasket._CHILD_VERTICES[rows])
+    monkeypatch.setattr(gasket, "_CHILD_SIDES", gasket._CHILD_SIDES[rows])
 
-    def test_bad_digit(self):
-        with pytest.raises(DomainError):
-            mi_code((1, 4))
+
+class TestMultiIndex:
+    @pytest.mark.parametrize("branching", [3, 2])
+    def test_code_roundtrip(self, monkeypatch, branching):
+        keep_children(monkeypatch, range(1, branching + 1))
+        for n in (1, 2, 5):
+            for code in range(branching**n):
+                assert mi_code(mi_from_code(code, n)) == code
+        # the first digit is the most significant
+        assert mi_from_code(branching, 2) == (2, 1)
+        assert mi_from_code(branching**5 - 1, 5) == (branching,) * 5
+
+    @pytest.mark.parametrize("branching, names", [(3, "{1,2,3}"), (2, "{1,2}")], ids=["3", "2"])
+    def test_bad_digit(self, monkeypatch, branching, names):
+        keep_children(monkeypatch, range(1, branching + 1))
+        for bad in (0, branching + 1):
+            with pytest.raises(DomainError, match=re.escape(f"multi-index digits must be in {names}: (1, {bad})")):
+                mi_code((1, bad))
 
 
 class TestSubdivide:
@@ -264,7 +284,8 @@ class TestAudits:
     def test_row_cap_does_not_change_results(self, sphere_base, monkeypatch):
         def run():
             system = build_system(sphere_base, 3, delta=0.4)
-            c = calibrate_gauge(system, max_parent_depth=1, n_pairs=100, seed=4)
+            # calibrated on levels 1 and 2 only
+            c = calibrate_gauge(TriangleSystem(sphere_base, 0.4, system.levels[:3]), n_pairs=100, seed=4)
             dev, diam = audit_sweep(system, n_pairs=100, cells_per_level=3, seed=4)
             nest = nesting_check(system, cells_per_level=3)
             # points of cell 1, the first the apex of child 12, which skips the inversion
@@ -298,7 +319,7 @@ class TestRatioProducts:
 
 class TestControlledMoran:
     def test_flat_constant(self, flat_system):
-        check = controlled_moran_check(flat_system, max_total=8)
+        check = controlled_moran_check(flat_system)
         # the spread (max - min) * diam(base) of the ratios is at most
         # twice the band factor's excess over 1
         assert check.value - 1.0 <= 0.5e-12
@@ -308,8 +329,9 @@ class TestControlledMoran:
         check = controlled_moran_check(system)
         assert check.passed and check.value == 1.0
         # on a curved system the factor is exactly 1 only when no pair fits
-        assert controlled_moran_check(sphere_system, max_total=1).value == 1.0
-        assert controlled_moran_check(sphere_system, max_total=2).value > 1.0
+        base, delta = sphere_system.base, sphere_system.delta
+        assert controlled_moran_check(TriangleSystem(base, delta, sphere_system.levels[:2])).value == 1.0
+        assert controlled_moran_check(TriangleSystem(base, delta, sphere_system.levels[:3])).value > 1.0
 
     def test_sphere_band(self, sphere_system):
         check = controlled_moran_check(sphere_system)
@@ -442,7 +464,7 @@ class TestDirectionTables:
 
     def test_frames_match_fresh_solves(self, sphere_base, monkeypatch):
         system = build_system(sphere_base, 4, delta=0.4)
-        calibrate_gauge(system, max_parent_depth=1, seed=2)
+        calibrate_gauge(system, seed=2)
         base = sphere_base.vertices
         assert sphere_base.side_lengths.tobytes() == sphere_base.surface.distance_many(base[[1, 2, 0]], base[[2, 0, 1]]).tobytes()
         levels = np.repeat([1, 2, 3, 4], [3, 9, 5, 4])
@@ -470,7 +492,7 @@ class TestDirectionTables:
 
     def test_systems_share_no_table(self, sphere_base):
         first, second = (build_system(sphere_base, 2, delta=0.4) for _ in range(2))
-        calibrate_gauge(first, max_parent_depth=1, seed=2)
+        calibrate_gauge(first, seed=2)
         assert first._directions is not second._directions
         for table in (second._directions[0, 0], sphere_base.directions):
             assert not np.shares_memory(first._directions[0, 0], table)
@@ -537,6 +559,53 @@ class TestFlatCornerSystem:
             ("similarity-audits", True), ("ratio-products", True), ("controlled-moran", True),
         ]
         assert gasket.certify(back) == checks
+
+
+class TestCornerSubsets:
+    """Sub-systems keeping two of the three corner maps, made by cutting the
+    child tables alone (``keep_children``)."""
+
+    def test_flat_side(self, flat_base, monkeypatch):
+        # corners 1 and 2 keep the side from vertex 1 to vertex 2, of dimension 1
+        keep_children(monkeypatch, (1, 2))
+        system = build_system(flat_base, 6, delta=0.5)
+        assert [len(lv) for lv in system.levels] == [2**n for n in range(7)]
+        # covers of exactly 2^n cells of diameter 2^-n, so slope 1 up to the fit's rounding
+        estimate = box_dimension_estimate(system, 0, 6)
+        assert [(r.count, r.epsilon) for r in estimate.records] == [(2**n, 2.0**-n) for n in range(7)]
+        assert estimate.slope == pytest.approx(1.0, abs=1e-15)
+        checks = gasket.certify(system)
+        assert [(c.name, c.passed) for c in checks] == [
+            ("nesting", True), ("nu-contraction", True), ("non-degeneracy", True),
+            ("similarity-audits", True), ("ratio-products", True), ("controlled-moran", True),
+        ]
+
+    def test_sphere_maps_take_parent_vertices_to_cells(self, sphere_base, monkeypatch):
+        # the map onto a cell has its apex at the parent vertex the cell keeps,
+        # here vertex 3 for digit 2, so it sends parent vertex j to the cell's vertex j
+        keep_children(monkeypatch, (1, 3))
+        system = build_system(sphere_base, 2, delta=0.4)
+        for n in (1, 2):
+            parents = system.level(n - 1)
+            for p in range(len(parents)):
+                cells = [mi_from_code(p, n - 1) + (d,) for d in (1, 2)]
+                images = apply_f(system, cells, parents.vertices[p])
+                error = np.hypot(*(images - system.level(n).vertices[2 * p : 2 * p + 2]).T)
+                assert np.max(error) <= 1e-9 * parents.diams[p], (n, p)
+
+    @pytest.mark.parametrize("digits", [(1, 2), (1, 3), (2, 3)], ids=["12", "13", "23"])
+    def test_stored_and_read_back(self, sphere_base, monkeypatch, digits):
+        keep_children(monkeypatch, digits)
+        system = build_system(sphere_base, 4, delta=0.4)
+        text = system_to_json(system)
+        # one midline per child: 2^(n-1) parents of two children on level n
+        levels = json.loads(text)["levels"]
+        assert [len(base64.b64decode(entry["midlines"])) for entry in levels] == [8 * 2**n for n in range(1, 5)]
+        back = system_from_json(text)
+        assert len(back.levels) == len(system.levels)
+        for built, read in zip(system.levels, back.levels):
+            assert built.vertices.tobytes() == read.vertices.tobytes()
+            assert built.side_lengths.tobytes() == read.side_lengths.tobytes()
 
 
 class TestSerialization:
