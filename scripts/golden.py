@@ -9,9 +9,9 @@ relative. The outputs are each command's exit code, stdout and stderr (one
 ``<scene>.<command>.txt`` per command) and every file it wrote. Without
 ``--write`` they are compared with ``tests/golden/`` and the script exits 1
 naming the files that differ. With ``--write`` they replace the corpus, and
-for each system file that changed the script prints the largest vertex,
-side and ``gauge_c`` drift against the old one, or the reader's message
-where the current reader cannot load either file (after a format change).
+for each system file that changed the script prints the largest vertex
+and side drift against the old one, or the reader's message where the
+current reader cannot load either file (after a format change).
 """
 
 import argparse
@@ -87,7 +87,7 @@ def read_corpus() -> dict:
 
 
 def drift(old: bytes, new: bytes) -> str:
-    """Largest vertex, side and gauge_c change between two system files, or
+    """Largest vertex and side change between two system files, or
     the message of the reader on the first of them it cannot load."""
     try:
         a, b = system_from_json(old.decode()), system_from_json(new.decode())
@@ -97,8 +97,7 @@ def drift(old: bytes, new: bytes) -> str:
         return f"depth {a.depth} -> {b.depth}"
     vertex = max(float(np.max(np.abs(x.vertices - y.vertices))) for x, y in zip(a.levels, b.levels))
     side = max(float(np.max(np.abs(x.side_lengths - y.side_lengths))) for x, y in zip(a.levels, b.levels))
-    gauge = abs(a.gauge_c - b.gauge_c) if None not in (a.gauge_c, b.gauge_c) else float("nan")
-    return f"vertex {vertex:.3e}, side {side:.3e}, gauge_c {gauge:.3e}"
+    return f"vertex {vertex:.3e}, side {side:.3e}"
 
 
 def main() -> int:

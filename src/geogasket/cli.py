@@ -75,12 +75,11 @@ def cmd_build(args) -> int:
     try:
         base = scene.base_triangle(surface)
         system = gasket.build_system(base, depth, scene.delta)
-        gasket.calibrate_gauge(system, n_pairs=scene.audit_pairs, seed=scene.seed)
     except GeogasketError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     _write(args.out, gasket.system_to_json(system))
-    print(f"built {len(system.level(depth))} cells at depth {depth}; gauge c = {system.gauge_c:.6g}")
+    print(f"built {len(system.level(depth))} cells at depth {depth}; gauge c = {gasket.calibrate_gauge(system):.6g}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -11,10 +11,18 @@ its parents put together by ``_children``; a stored system keeps only
 those, and its reader rebuilds the levels with the same assembly.
 
 The audits measure how far each subdivision map is from a strict
-half-ratio similarity.  ``certify`` runs the six checks of the certificate
-(nesting, contraction, non-degeneracy, the audits, side-quotient drift and
-diameter products over index concatenation) and returns them as ``Check``
-records.
+half-ratio similarity, against an envelope that the second-order law
+derives from the metric and the stored sides, with no geodesic solve.  In
+normal coordinates at a cell's apex the metric gives d(X, Y)² = |X - Y|²
+- (K/3) |X ∧ Y|² + O(r⁵) (do Carmo, *Riemannian Geometry*, ch. 3 and 10;
+Karcher 1977, CPAM 30), and the cross geodesics of the parametrization bend
+by K s³ D(t); the map (t, s) -> (t, s/2) then scales distances by
+1/2 - (3/16) K F2/F0 + O(K² d⁴), whose sup over the cell is C(shape) |K|
+diam², C a number of the parent's shape alone (3/32 for an equilateral
+one).  ``calibrate_gauge`` has the details.  ``certify`` runs the six
+checks of the certificate (nesting, contraction, non-degeneracy, the
+audits, side-quotient drift and diameter products over index
+concatenation) and returns them as ``Check`` records.
 """
 
 from __future__ import annotations
@@ -185,20 +193,22 @@ def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: 
 
 class TriangleSystem:
     """The family of subdivision cells of a base triangle: ``levels[n]``
-    holds level n, from the base at level 0 to ``depth = len(levels) - 1``.
+    holds level n, from the base at level 0 to ``depth = len(levels) - 1``,
+    which must be at least 1, or ``DomainError`` is raised.
 
     ``_directions`` maps each cell (level, code) whose frames were read to
     its direction table (see ``triangles._direction_table``).  Each system
     has its own.
     """
 
-    def __init__(self, base: GeodesicTriangleRegion, delta, levels, gauge_c=None):
+    def __init__(self, base: GeodesicTriangleRegion, delta, levels):
+        if len(levels) < 2:
+            raise DomainError(f"a system needs the base and at least one level, not {len(levels)} level(s)")
         self.base = base
         self.surface = base.surface
         self.depth = len(levels) - 1
         self.delta = float(delta)
         self.levels = levels
-        self.gauge_c = gauge_c
         self._directions = {} if base.directions is None else {(0, 0): base.directions.copy()}
         r = base.diam
         # the flat model is the classical IFS: contraction is exactly 1/2;
@@ -256,6 +266,27 @@ def build_system(
 # -- subdivision maps ----------------------------------------------------
 
 
+def _apexes(codes) -> np.ndarray:
+    """The parent vertex that each cell's row of the child tables keeps."""
+    return np.min(_CHILD_VERTICES, axis=1)[codes % len(_CHILD_VERTICES)]
+
+
+def _parents(system: TriangleSystem, levels, codes):
+    """Vertices (N, 3, 2) and side lengths (N, 3) of the parents of the
+    cells (levels, codes), read from the level arrays."""
+    verts = np.empty((len(codes), 3, 2))
+    sides = np.empty((len(codes), 3))
+    parents = codes // len(_CHILD_VERTICES)
+    # every level read before any index, in order of first appearance, so that
+    # the first cell past the stored depth names the error
+    parent_levels = {n: system.level(n - 1) for n in dict.fromkeys(levels.tolist())}
+    for n, lv in parent_levels.items():
+        at = np.flatnonzero(levels == n)
+        verts[at] = lv.vertices[parents[at]]
+        sides[at] = lv.side_lengths[parents[at]]
+    return verts, sides
+
+
 def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = False):
     """Frame table of the parents of the cells (levels, codes), one frame
     per cell, and the parent diameters, read from the level arrays and the
@@ -266,23 +297,14 @@ def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = Fal
     those of ``triangles._frames``.  The parents whose direction tables
     the system lacks are solved together, in one call, and kept.
     """
-    verts = np.empty((len(codes), 3, 2))
-    diams = np.empty(len(codes))
-    parents = codes // len(_CHILD_VERTICES)
-    # every level read before any index, in order of first appearance, so that
-    # the first cell past the stored depth names the error
-    parent_levels = {n: system.level(n - 1) for n in dict.fromkeys(levels.tolist())}
-    for n, lv in parent_levels.items():
-        at = np.flatnonzero(levels == n)
-        verts[at] = lv.vertices[parents[at]]
-        diams[at] = np.max(lv.side_lengths[parents[at]], axis=1)
-    keys = list(zip((levels - 1).tolist(), parents.tolist()))
+    verts, sides = _parents(system, levels, codes)
+    keys = list(zip((levels - 1).tolist(), (codes // len(_CHILD_VERTICES)).tolist()))
     # a row of each parent without a table; the parent's cells share its vertices
     rows = {key: row for row, key in enumerate(keys) if key not in system._directions}
     if rows:
         system._directions.update(zip(rows, _direction_table(system.surface, verts[list(rows.values())])))
-    apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else np.min(_CHILD_VERTICES, axis=1)[codes % len(_CHILD_VERTICES)]
-    return _frames(verts, np.array([system._directions[key] for key in keys]), apexes), diams
+    apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else _apexes(codes)
+    return _frames(verts, np.array([system._directions[key] for key in keys]), apexes), np.max(sides, axis=1)
 
 
 def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
@@ -400,18 +422,114 @@ def _level_sample(system: TriangleSystem, cells_per_level: int):
     return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
 
 
-def calibrate_gauge(system: TriangleSystem, n_pairs: int = 100, seed: int = 0) -> float:
-    """Fit the constant of the square gauge phi(y) = y² on the shallow levels and freeze it.
+# -- the second-order law ---------------------------------------------------
 
-    c is 1.5 times the worst deviation-to-envelope slope over all cells of
-    levels 1 to 3 (or the depth); deeper audits then test the frozen value.
+# Relative remainder of the law per unit of kappa diam², measured, not
+# derived: twice the largest |audited - law| / (C kappa diam²) over
+# kappa diam², 0.059, read on every pair of the audit grid (seed 7) for the
+# maps of the first two or three levels of nine base shapes (equilateral,
+# skew, an off-centre one and six random ones with every planar angle above
+# 0.45) at diameters 0.1 to 0.38, on the sphere and on the disk.  Below
+# diameter 0.05 the solver's rounding dominates what is read.
+_LAW_REMAINDER = 0.12
+
+# The t at which the pencil's stretch is evaluated before one parabola step
+# refines the best of them; the step takes the sup to about 1e-10 relative.
+_LAW_T = np.linspace(0.0, 1.0, 65)
+
+
+def _stretch(p, h2, c, t):
+    """The larger |eigenvalue| of the second-order pencil at (t, s = 1), of
+    planar triangles with side c opposite the apex, apex height h over it
+    (h2 = h²) and offset p of a along it (see ``_shape_constants``),
+    broadcast over the arrays given."""
+    u = p + t * c
+    w = t * (1 - t)
+    beta = 2 * w * c * c - (h2 + u * u) / 3 - 2 * (1 - 2 * t) * c * u / 3
+    q = c * c * h2 * (1 + 2 * w) / 9
+    return (np.abs(beta) + np.sqrt(beta * beta + 4 * q)) / 2
+
+
+def _shape_constants(sides, apexes) -> np.ndarray:
+    """C of the corner map at vertex apexes[r] of the planar triangle with
+    side lengths sides[r]: (3/16) sup |F2/F0| / diam² (see
+    ``calibrate_gauge``).
+
+    As in ``triangles._frames``, a runs from the apex to the vertex after
+    the next and b to the next one, so |a| = la is side apex + 1,
+    |b| = lb side apex + 2, and c = |b - a| the apex's own side.  The line
+    through a and b lies at height h from the apex (h2 = h²), a sits at the
+    offset p = <a, b - a>/c along it, and l(t) at u = p + t c.
     """
-    top = range(1, min(3, system.depth) + 1)
-    sizes = [len(system.level(n)) for n in top]
-    codes = np.concatenate([np.arange(size) for size in sizes])
-    dev, diam = _audit(system, np.repeat(top, sizes), codes, n_pairs, seed)
-    system.gauge_c = 1.5 * max(0.0, float(np.max(dev / (0.5 * diam**2))))
-    return system.gauge_c
+    rows = np.arange(len(sides))
+    c, la, lb = (sides[rows, (apexes + k) % 3][:, None] for k in range(3))
+    p = (lb * lb - la * la - c * c) / (2 * c)
+    h2 = la * la - p * p
+    lam = _stretch(p, h2, c, _LAW_T)
+    k = np.clip(np.argmax(lam, axis=1), 1, len(_LAW_T) - 2)
+    y0, y1, y2 = (lam[rows, k + j] for j in (-1, 0, 1))
+    # the vertex of the parabola through the best grid point and its neighbours
+    bend = y0 - 2 * y1 + y2
+    step = np.divide(y0 - y2, 2 * bend, out=np.zeros_like(bend), where=bend < 0)
+    peak = _stretch(p[:, 0], h2[:, 0], c[:, 0], np.clip(_LAW_T[k] + step * _LAW_T[1], 0.0, 1.0))
+    return 3 / 16 * np.maximum(np.max(lam, axis=1), peak) / np.max(sides, axis=1) ** 2
+
+
+def _envelopes(system: TriangleSystem, levels, codes) -> np.ndarray:
+    """The law's bound C kappa (1 + theta) diam² on the deviation of the map
+    onto each cell (levels, codes), C and diam its parent's: all zero where
+    kappa is 0, without evaluating C."""
+    kappa = system.surface.curvature_bound
+    if kappa == 0:
+        return np.zeros(len(codes))
+    _, sides = _parents(system, levels, codes)
+    diam2 = np.max(sides, axis=1) ** 2
+    return _shape_constants(sides, _apexes(codes)) * kappa * (1 + _LAW_REMAINDER * kappa * diam2) * diam2
+
+
+def calibrate_gauge(system: TriangleSystem) -> float:
+    """The gauge constant c of the base's corner maps, the largest of
+    2 C kappa (1 + theta): a level-1 cell passes the audit when its
+    deviation is at most c diam(base)² / 2.  Derived, with no geodesic solve.
+
+    The law.  Take normal coordinates at the apex A of the map's parent,
+    and the side vectors a and b from the apex in the parent's planar
+    comparison triangle (its three stored sides).  The parametrization's
+    cross geodesic from s a to s b solves x'' = -Γ(x', x'), and
+    Γ(v, v) = -(2/3) K (v <v, x> - x |v|²) to first order, so it bends by
+    K s³ D(t) with D(t) = (|b - a|²/3) t (1 - t) a⊥, a⊥ the part of a normal
+    to b - a.  With l(t) = (1 - t) a + t b and X(t, s) = s l(t) + K s³ D(t),
+    d(X1, X2)² = F0 + K F2 + O(K² d⁶), where
+
+        F0 = |s1 l1 - s2 l2|²,
+        F2 = 2 <s1 l1 - s2 l2, s1³ D1 - s2³ D2> - (1/3) s1² s2² (l1 × l2)².
+
+    F0 is of degree 2 in s and F2 of degree 4, so halving s gives
+    d(f x, f y)/d(x, y) = 1/2 - (3/16) K F2/F0 + O(K² d⁴).
+
+    Its sup.  sup |F2/F0| over pairs is the near-coincident limit (dense
+    pair samples bear this out; it is not proved here): the larger
+    |eigenvalue| of the pencil of the two 2 x 2 quadratic forms in
+    (dt, ds) at (t, s).  It scales as s², so it lies on s = 1, where the
+    forms are F0: [[c², c u], [c u, h² + u²]] and F2: c² h² [[-1/3,
+    (1 - 2t)/3], [(1 - 2t)/3, 2 t (1 - t)]], c = |b - a|, h the apex's
+    height over b - a and u the offset of l(t) along it (``_stretch``).  Only
+    a max over t is left, taken on a grid (``_shape_constants``), and
+    C(shape) = (3/16) sup |F2/F0| / diam².  An equilateral parent gives
+    C = 3/32 at t = 1/2 at each apex.
+
+    The envelope.  A map passes when its deviation is at most
+    C kappa (1 + theta) diam² (``_envelopes``), with kappa the largest |K|
+    on ``surfaces._chart_grid`` (``SurfaceModel.curvature_bound``) and
+    theta = ``_LAW_REMAINDER`` kappa diam² the bound of the law's relative
+    remainder.  That coefficient is measured, not derived: twice the largest
+    remainder read on the sphere and the disk.  On a chart of kappa 0, c is
+    0 and C is never evaluated.  The solver's rounding is not in theta; the
+    audit's pairs stop short of the sup and read about 0.84 of the envelope
+    on the sphere, and rounding takes that to 0.90 at depth 14.
+    """
+    codes = np.arange(len(_CHILD_VERTICES))
+    return 2 * float(np.max(_envelopes(system, np.ones_like(codes), codes))) / system.base.diam**2
 
 
 def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
@@ -497,21 +615,20 @@ def nondegeneracy_sweep(system: TriangleSystem) -> Check:
 
 
 def _audit_check(system: TriangleSystem, cells_per_level: int, seed: int) -> Check:
-    """Every sampled subdivision map must stay within its gauge envelope.
+    """Every sampled subdivision map must stay within the second-order
+    law's envelope, ``_envelopes``.
 
-    A system with no gauge constant is calibrated first.  ``value`` is the
-    worst deviation over envelope of ``audit_sweep`` (inf for a deviation
-    over a zero envelope) and ``bound`` is 1: passes when value <= bound.
+    ``value`` is the worst deviation over envelope of ``audit_sweep`` (inf
+    for a deviation over a zero envelope) and ``bound`` is 1: passes when
+    value <= bound.
     """
-    if system.gauge_c is None:
-        calibrate_gauge(system, seed=seed)
-    dev, diam = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
-    envelope = 0.5 * system.gauge_c * diam**2
+    dev, _ = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
+    envelope = _envelopes(system, *_level_sample(system, cells_per_level))
     over = np.divide(dev, envelope, out=np.where(dev > 0, math.inf, 0.0), where=envelope > 0)
     worst = float(np.max(over))
     return Check(
         "similarity-audits", bool(np.all(dev <= envelope)), worst, 1.0,
-        f"c = {system.gauge_c:.6g}, worst dev/envelope = {worst:.3f}",
+        f"kappa = {system.surface.curvature_bound:.6g}, worst dev/envelope = {worst:.3f}",
     )
 
 
@@ -613,7 +730,6 @@ def system_to_json(system: TriangleSystem) -> str:
         "surface": system.surface.spec,
         "depth": system.depth,
         "delta": system.delta,
-        "gauge_c": system.gauge_c,
         "base_vertices": system.base.vertices.tolist(),
         "base_side_lengths": [float(x) for x in system.base.side_lengths],
     }
@@ -641,14 +757,13 @@ def system_from_json(text: str) -> TriangleSystem:
     """
     doc = json_object(json.loads(text), ("meta", "levels"), "system", optional=())
     keys = ("surface", "depth", "delta", "base_vertices", "base_side_lengths")
-    meta = json_object(doc["meta"], keys, "meta", optional=("gauge_c",))
+    meta = json_object(doc["meta"], keys, "meta", optional=())
     levels, depth = doc["levels"], meta["depth"]
     if not (isinstance(levels, list) and is_json_int(depth) and depth == len(levels) and depth >= 1):
         raise SceneValidationError("levels must be a list of meta.depth levels, meta.depth a positive integer")
     delta = float(json_numbers(meta["delta"], (), "meta.delta"))
     if not 0 < delta < math.pi / 2:
         raise SceneValidationError(f"meta.delta must lie in (0, pi/2), not {delta}")
-    gauge_c = None if meta.get("gauge_c") is None else float(json_numbers(meta["gauge_c"], (), "meta.gauge_c"))
     base_vertices = json_numbers(meta["base_vertices"], (3, 2), "meta.base_vertices")
     base_sides = json_numbers(meta["base_side_lengths"], (3,), "meta.base_side_lengths")
     try:
@@ -670,7 +785,7 @@ def system_from_json(text: str) -> TriangleSystem:
         midlines = np.zeros((len(parents), 3))
         midlines[:, numbers] = stored
         arrays.append(_children(parents.vertices, parents.side_lengths, mids, midlines))
-    return TriangleSystem(base, delta, arrays, gauge_c=gauge_c)
+    return TriangleSystem(base, delta, arrays)
 
 
 # Width and height of a rendered SVG, in pixels.

@@ -232,6 +232,8 @@ class SurfaceModel:
 
     The metric must be positive definite, the symbols finite and |K| at
     most 1 on ``_chart_grid``, or ``DomainError`` is raised.
+    ``curvature_bound`` is the largest |K| on that grid, the kappa of the
+    audit's envelope (``gasket.calibrate_gauge``).
     """
 
     def __init__(self, spec, chart, metric, curvature, christoffels, christoffel_partials, acceleration=None):
@@ -246,11 +248,13 @@ class SurfaceModel:
         self._curvature = curvature
         self.acceleration = self._symbol_acceleration if acceleration is None else acceleration
         self.flat = self.kind == EUCLIDEAN
-        self._check_admissible()
+        self.curvature_bound = self._check_admissible()
 
     # -- validation ----------------------------------------------------
 
-    def _check_admissible(self):
+    def _check_admissible(self) -> float:
+        """``DomainError`` unless the surface is admissible (see the class);
+        returns the largest |K| on ``_chart_grid``."""
         uu, vv = _chart_grid(self.chart)
         # the checks below reject non-finite values, so numpy need not warn of them
         with np.errstate(all="ignore"):
@@ -269,10 +273,10 @@ class SurfaceModel:
         if not finite.all():
             i = np.argmin(finite)
             raise DomainError(f"curvature is not finite on the chart grid at ({uu[i]:.6g}, {vv[i]:.6g})")
-        if not np.all(np.abs(k) <= 1.0 + 1e-9):
-            raise DomainError(
-                f"|K| exceeds 1 on the chart grid (max {np.max(np.abs(k)):.6g})"
-            )
+        kappa = float(np.max(np.abs(k)))
+        if not kappa <= 1.0 + 1e-9:
+            raise DomainError(f"|K| exceeds 1 on the chart grid (max {kappa:.6g})")
+        return kappa
 
     def contains(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from geogasket.gasket import _children, _solve_level, build_system, calibrate_gauge, mi_code
+from geogasket.gasket import _children, _solve_level, build_system, mi_code
 from geogasket.surfaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -139,16 +139,12 @@ def flat_system(flat_base):
 
 @pytest.fixture(scope="session")
 def sphere_system(sphere_base):
-    system = build_system(sphere_base, 6, delta=0.4)
-    calibrate_gauge(system, n_pairs=100, seed=1)
-    return system
+    return build_system(sphere_base, 6, delta=0.4)
 
 
 @pytest.fixture(scope="session")
 def hyperbolic_system(hyperbolic_base):
-    system = build_system(hyperbolic_base, 6, delta=0.4)
-    calibrate_gauge(system, n_pairs=100, seed=1)
-    return system
+    return build_system(hyperbolic_base, 6, delta=0.4)
 
 
 @pytest.fixture(scope="session")

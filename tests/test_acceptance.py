@@ -21,7 +21,6 @@ from geogasket.gasket import (
     audit_similarity,
     audit_sweep,
     build_system,
-    calibrate_gauge,
     controlled_moran_check,
     mi_from_code,
     nondegeneracy_sweep,
@@ -60,7 +59,6 @@ def sphere8(sphere):
     start = time.perf_counter()
     base = equilateral_base(sphere, 0.3)
     system = build_system(base, 8, delta=0.4)
-    calibrate_gauge(system, n_pairs=100, seed=0)
     return system, time.perf_counter() - start
 
 
@@ -69,7 +67,6 @@ def hyperbolic8(hyperbolic):
     start = time.perf_counter()
     base = equilateral_base(hyperbolic, 0.3)
     system = build_system(base, 8, delta=0.4)
-    calibrate_gauge(system, n_pairs=100, seed=0)
     return system, time.perf_counter() - start
 
 

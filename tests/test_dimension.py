@@ -16,7 +16,7 @@ from geogasket.dimension import (
     solve_moran,
 )
 from geogasket.errors import DomainError
-from geogasket.gasket import build_system
+from geogasket.gasket import build_system, calibrate_gauge
 from geogasket.triangles import GeodesicTriangleRegion
 
 
@@ -304,7 +304,7 @@ class TestHausdorffUpperSum:
 
     def test_sphere_bounded_by_product_envelope(self, sphere_system):
         s = math.log(3.0) / math.log(2.0)
-        c = sphere_system.gauge_c or 1.0
+        c = calibrate_gauge(sphere_system)
         scaled = GaugeSpec("table",
                            ys=[1e-9, sphere_system.base.diam * 1.1],
                            values=[c * 1e-18, c * (sphere_system.base.diam * 1.1) ** 2])

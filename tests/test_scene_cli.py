@@ -135,7 +135,7 @@ class TestBuildCommand:
         text = out.read_text()
         indented = json.dumps(json.loads(text), sort_keys=True, indent=1)
         a, b = gasket.system_from_json(text), gasket.system_from_json(indented)
-        assert (a.depth, a.delta, a.gauge_c) == (b.depth, b.delta, b.gauge_c)
+        assert (a.depth, a.delta) == (b.depth, b.delta)
         for n in range(a.depth + 1):
             assert np.array_equal(a.level(n).vertices, b.level(n).vertices)
             assert np.array_equal(a.level(n).side_lengths, b.level(n).side_lengths)
@@ -201,6 +201,17 @@ EXPECTED_FAILURES = {
     # a nonzero deviation over a zero envelope reads inf, not 0
     "zero_gauge": ["similarity-audits"],
 }
+# The plane as a custom metric: kappa is 0, so the audit's envelope is 0,
+# while its geodesic solves leave rounding in the deviations.
+CUSTOM_FLAT_SCENE = dict(
+    FLAT_SCENE,
+    surface={
+        "chart": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
+        "metric": {"E": "1", "F": "0", "G": "1"},
+    },
+    vertices=[[0.0, 0.0866], [-0.075, -0.0433], [0.075, -0.0433]],
+    delta=0.4,
+)
 
 
 def _corrupted_flat_system(scene_path, out_dir):
@@ -221,7 +232,7 @@ def _corrupted_flat_system(scene_path, out_dir):
 @pytest.fixture(scope="module")
 def certified_files(tmp_path_factory):
     """The committed scenes built at depth 3, the corrupted flat system, and
-    the sphere system with its gauge constant set to 0."""
+    the plane as a custom metric, whose gauge constant is 0."""
     root = tmp_path_factory.mktemp("certified")
     scenes = Path(__file__).parents[1] / "scenes"
     paths = {}
@@ -231,10 +242,10 @@ def certified_files(tmp_path_factory):
     scene = root / "flat_scene.json"
     scene.write_text(json.dumps(FLAT_SCENE))
     paths["corrupt"] = _corrupted_flat_system(str(scene), root)
-    doc = json.loads(paths["sphere_small"].read_text())
-    doc["meta"]["gauge_c"] = 0.0
+    scene = root / "custom_flat_scene.json"
+    scene.write_text(json.dumps(CUSTOM_FLAT_SCENE))
     paths["zero_gauge"] = root / "zero_gauge.json"
-    paths["zero_gauge"].write_text(json.dumps(doc))
+    assert main(["build", str(scene), "--depth", "3", "--out", str(paths["zero_gauge"])]) == 0
     return paths
 
 
@@ -282,15 +293,15 @@ class TestVerifyCommand:
         assert lines[6:] == ['{"failures": ["nesting"]}']
 
     def test_null_gauge_calibrates(self, flat_scene_path, tmp_path, capsys):
+        # a file stores no gauge constant; verify derives the envelope from
+        # meta and the stored sides, which is 0 on the flat chart
         doc = _built_flat_system(flat_scene_path, tmp_path)
-        doc["meta"]["gauge_c"] = None
-        path = tmp_path / "null_gauge.json"
-        path.write_text(json.dumps(doc))
+        assert "gauge_c" not in doc["meta"]
         capsys.readouterr()
-        assert main(["verify", str(path)]) == 0
+        assert main(["verify", str(tmp_path / "sys.json")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in VERIFY_ORDER]
-        assert lines[3].startswith("PASS similarity-audits: c = 0,")
+        assert lines[3] == "PASS similarity-audits: kappa = 0, worst dev/envelope = 0.000"
 
     @pytest.mark.parametrize("name", [*COMMITTED_SCENES, "corrupt", "zero_gauge"])
     def test_records_match_output(self, certified_files, name, capsys):
@@ -530,7 +541,12 @@ class TestMalformedSystem:
 
     @staticmethod
     def gauge_c_typo(doc):
-        doc["meta"]["gauge_C"] = doc["meta"].pop("gauge_c")
+        doc["meta"]["gauge_C"] = 0.2354
+
+    @staticmethod
+    def stored_gauge_c(doc):
+        # a file written when build fitted and stored the gauge constant
+        doc["meta"]["gauge_c"] = 0.2354
 
     @staticmethod
     def zero_side(doc):
@@ -610,6 +626,7 @@ class TestMalformedSystem:
         "levels_not_list": "levels must be a list",
         "audits_key": "system has unknown keys ['audits']",
         "gauge_c_typo": "meta has unknown keys ['gauge_C']",
+        "stored_gauge_c": "meta has unknown keys ['gauge_c']",
         "zero_side": "level 2 midlines must be positive",
         "delta_negative": "meta.delta must lie in (0, pi/2)",
         "delta_zero": "meta.delta must lie in (0, pi/2)",
@@ -931,10 +948,11 @@ class TestNoTraceback:
 
 class TestSolverErrors:
     def test_build_audit_failure_exit3(self, flat_scene_path, tmp_path, capsys, monkeypatch):
+        # a solve that stalls inside build_system; build solves nothing else
         def stall(*args, **kwargs):
             raise ShootingConvergenceError(1e-3, 50, (0.0, 0.0), (0.1, 0.0))
 
-        monkeypatch.setattr(gasket, "calibrate_gauge", stall)
+        monkeypatch.setattr(gasket, "_solve_level", stall)
         out = tmp_path / "sys.json"
         assert main(["build", flat_scene_path, "--depth", "3", "--out", str(out)]) == 3
         assert "construction failed: log-map shooting stalled" in capsys.readouterr().err
