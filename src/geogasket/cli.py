@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the certification checks")
     p_verify.add_argument("system")
-    p_verify.add_argument("--seed", type=_int_in(0), default=0)
+    p_verify.add_argument("--seed", type=_int_in(0, 2**32 - 1), default=0)
     p_verify.add_argument("--cells-per-level", type=_int_in(1), default=12)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -54,6 +54,7 @@ from .triangles import (
     _invert_rows,
     _pair_distances,
     _side_logs,
+    _start_parameters,
     is_delta_nondegenerate,
 )
 
@@ -197,8 +198,10 @@ class TriangleSystem:
     which must be at least 1, or ``DomainError`` is raised.
 
     ``_directions`` maps each cell (level, code) whose frames were read to
-    its direction table (see ``triangles._direction_table``).  Each system
-    has its own.
+    its direction table (see ``triangles._direction_table``), and
+    ``_first_iterates`` each cell (level, code) that the audit's passes read
+    on a curved chart to its vertices' first nesting iterates (see
+    ``_slot_frames``).  Each system has its own.
     """
 
     def __init__(self, base: GeodesicTriangleRegion, delta, levels):
@@ -210,6 +213,7 @@ class TriangleSystem:
         self.delta = float(delta)
         self.levels = levels
         self._directions = {} if base.directions is None else {(0, 0): base.directions.copy()}
+        self._first_iterates = {}
         r = base.diam
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the r² correction term is curvature-driven
@@ -307,6 +311,18 @@ def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = Fal
     return _frames(verts, np.array([system._directions[key] for key in keys]), apexes), np.max(sides, axis=1)
 
 
+def _slot_frames(system: TriangleSystem, levels, codes):
+    """Where the nesting check starts: the frames at vertex 1 of the parents
+    of the cells (levels, codes) and their diameters, as ``_parent_frames``
+    gives them, and the parameters (t, s), (3N, 2), that each cell's three
+    vertices were subdivided at in its frame, with s as
+    ``triangles._invert_rows`` starts from it.  The parametrization points
+    at them are the first iterates of the inversions."""
+    frames, diams = _parent_frames(system, levels, codes, at_vertex1=True)
+    ts, ss = _start_parameters(_SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]].reshape(-1, 2))
+    return frames, diams, np.column_stack([ts, ss])
+
+
 def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
     """Images of the parent points ``xs`` under the map onto each of ``cells``.
 
@@ -385,7 +401,9 @@ def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: in
     1e-6 parent diameters are left out.  One side-direction solve serves
     the apexes of all cells, which then go through ``_pair_distances`` in
     stacked groups; a cell's result does not depend on the cells audited
-    with it.
+    with it.  On curved charts each group's parametrization pass also
+    solves its cells' first nesting iterates and keeps them in the system
+    (see ``nesting_check``).  ``seed`` must lie in 0..2**32 - 1.
     """
     return _audit(system, *_cell_arrays(cells, "audit"), n_pairs, seed)
 
@@ -394,16 +412,29 @@ def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
     """``audit_similarity`` of the cells (levels, codes)."""
     if n_pairs < 100:
         raise DomainError("the sampling budget must be at least 100 pairs")
+    # _low_discrepancy scales seed + 1 as a binary64; past this range its
+    # offsets lose their fractional digits
+    if not 0 <= seed <= 2**32 - 1:
+        raise DomainError(f"the audit seed must be in 0..{2**32 - 1}, not {seed}")
     grid = _audit_parameter_grid(n_pairs, seed)
     t1, s1, t2, s2 = grid.T
     frames, diams = _parent_frames(system, levels, codes)
-    rows = np.arange(len(codes))
+    # the frames at vertex 1 follow the apex frames in one table
+    slots, _, start = _slot_frames(system, levels, codes)
+    frames = tuple(np.concatenate(pair) for pair in zip(frames, slots))
+    m = len(codes)
+    rows = np.arange(m)
+    start = start.reshape(m, 3, 2)
     n = len(grid)
     ts = np.concatenate([t1, t2, t1, t2])
     ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
-    d, df = np.empty((2, len(codes), n))
-    for g in _passes(len(codes), 4 * n):
-        d[g], df[g] = _pair_distances(system.surface, frames, rows[g], ts, ss)
+    d, df = np.empty((2, m, n))
+    keys = list(zip(levels.tolist(), codes.tolist()))
+    for g in _passes(m, 4 * n + 3):
+        seeds = (np.repeat(m + rows[g], 3), *start[g].reshape(-1, 2).T)
+        (d[g], df[g]), first = _pair_distances(system.surface, frames, rows[g], ts, ss, seeds)
+        if first is not None:
+            system._first_iterates.update(zip(keys[g], first.reshape(-1, 3, 2)))
     kept = d >= 1e-6 * diams[:, None]
     if not np.all(np.any(kept, axis=1)):
         raise DomainError("all sampled audit pairs are degenerate")
@@ -415,8 +446,9 @@ def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
 def _level_sample(system: TriangleSystem, cells_per_level: int):
     """(levels, codes) of the cells that the nesting check and the audit sweep
     read, level by level: up to ``cells_per_level`` codes evenly spaced over
-    each level, first and last included, so a small level is read whole,
-    from no more than its cells however large ``cells_per_level`` is."""
+    each level, the first included and, from 2 codes a level on, the last,
+    so a small level is read whole, from no more than its cells however
+    large ``cells_per_level`` is; with 1, only code 0 of each level."""
     sizes = [len(lv) for lv in system.levels[1:]]
     codes = [np.unique(np.linspace(0, size - 1, min(cells_per_level, size)).astype(int)) for size in sizes]
     return np.repeat(np.arange(1, system.depth + 1), [len(c) for c in codes]), np.concatenate(codes)
@@ -534,7 +566,9 @@ def calibrate_gauge(system: TriangleSystem) -> float:
 
 def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
     """``audit_similarity`` of ``_level_sample``'s cells; ``seed`` sets the
-    sampled pairs, not the cells."""
+    sampled pairs, not the cells.  These are the nesting check's cells, so
+    on curved charts the sweep's passes solve and keep all of that check's
+    first iterates, with no pass of their own."""
     return _audit(system, *_level_sample(system, cells_per_level), n_pairs, seed)
 
 
@@ -564,19 +598,30 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12) -> Check:
     ``_level_sample``'s cells, the audit sweep's.  ``value`` is the worst
     residual relative to the parent diameter and ``bound`` is
     ``_INVERT_TOL``: passes when value <= bound.
+
+    Each vertex's inversion starts in the frame of its parent's vertex 1,
+    at the parameters the vertex was subdivided at (``_slot_frames``).  The
+    first iterates of the cells an audit has read on a curved chart come
+    from its passes (``_audit``); only the vertices whose first residual is
+    above the inversion's tolerance, and those of other cells, go through
+    ``triangles._invert_rows``, in passes of their own.  Either way the
+    residuals are the same.
     """
     levels, codes = _level_sample(system, cells_per_level)
-    # one row per child vertex, in the frame of its parent's vertex 1, seeded
-    # at the parameters the vertex was subdivided at
-    frames, diams = _parent_frames(system, levels, codes, at_vertex1=True)
+    frames, diams, start = _slot_frames(system, levels, codes)
     xs = np.concatenate([system.level(n).vertices[codes[levels == n]] for n in np.unique(levels)]).reshape(-1, 2)
-    start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]].reshape(-1, 2)
     rows = np.repeat(np.arange(len(codes)), 3)
     diam_rows = diams[rows]
     tol = _INVERT_TOL * diam_rows
-    resid = np.empty(len(rows))
-    for g in _passes(len(rows), 1):
-        _, _, resid[g], _ = _invert_rows(system.surface, frames, rows[g], xs[g], 0.05 * tol[g], start=start[g])
+    # a cell no audit read has inf first iterates, so its vertices go on
+    lacking = np.full((3, 2), np.inf)
+    keys = zip(levels.tolist(), codes.tolist())
+    r = np.concatenate([system._first_iterates.get(key, lacking) for key in keys]) - xs
+    resid = np.hypot(r[:, 0], r[:, 1])
+    rest = np.flatnonzero(resid > 0.05 * tol)
+    for g in _passes(len(rest), 1):
+        at = rest[g]
+        _, _, resid[at], _ = _invert_rows(system.surface, frames, rows[at], xs[at], 0.05 * tol[at], start=start[at])
     worst = max(float(np.max(resid / np.maximum(diam_rows, 1e-300))), 0.0)
     return Check("nesting", bool(np.all(resid <= tol)), worst, _INVERT_TOL, f"max residual factor {worst:.3e}")
 
@@ -693,25 +738,30 @@ def certify(system: TriangleSystem, seed: int = 0, cells_per_level: int = 12) ->
 
     ``cells_per_level`` sets the cells that the nesting check and the audit
     sweep both read (``_level_sample``), and ``seed`` only the audit's
-    sampled pairs.  A check that raises a ``GeogasketError`` becomes a
-    failing ``Check`` whose detail is ``error: <message>``, with NaN value
-    and bound.
+    sampled pairs.  The audit sweep runs first: on curved charts its
+    parametrization passes also solve the nesting check's first iterates,
+    which the nesting check then reads, so each stage of each group of
+    cells is paid once (``audit_sweep``, ``nesting_check``).  A check that
+    raises a ``GeogasketError`` becomes a failing ``Check`` whose detail is
+    ``error: <message>``, with NaN value and bound; when the audit raised,
+    the nesting check solves what its passes did not.
     """
-    checks = (
-        ("nesting", lambda: nesting_check(system, cells_per_level=cells_per_level)),
-        ("nu-contraction", lambda: contraction_check(system)),
-        ("non-degeneracy", lambda: nondegeneracy_sweep(system)),
-        ("similarity-audits", lambda: _audit_check(system, cells_per_level, seed)),
-        ("ratio-products", lambda: check_ratio_products(system)),
-        ("controlled-moran", lambda: controlled_moran_check(system)),
-    )
-    results = []
-    for name, run in checks:
+    checks = {
+        "nesting": lambda: nesting_check(system, cells_per_level=cells_per_level),
+        "nu-contraction": lambda: contraction_check(system),
+        "non-degeneracy": lambda: nondegeneracy_sweep(system),
+        "similarity-audits": lambda: _audit_check(system, cells_per_level, seed),
+        "ratio-products": lambda: check_ratio_products(system),
+        "controlled-moran": lambda: controlled_moran_check(system),
+    }
+    results = {}
+    # the audit first, so that its passes solve the nesting check's first iterates
+    for name in sorted(checks, key=lambda name: name != "similarity-audits"):
         try:
-            results.append(run())
+            results[name] = checks[name]()
         except GeogasketError as exc:
-            results.append(Check(name, False, math.nan, math.nan, f"error: {exc}"))
-    return results
+            results[name] = Check(name, False, math.nan, math.nan, f"error: {exc}")
+    return [results[name] for name in checks]
 
 
 # -- serialization and rendering -------------------------------------------

@@ -154,16 +154,20 @@ def _phi_rows(surface, frames, rows, ts, ss):
     return surface.exp_many(side_a[inv], w_cross[inv] * ts[:, None])
 
 
-def _pair_distances(surface, frames, cells, ts, ss):
-    """Distances d(x, y) and d(f x, f y), as an array (2, len(cells), pairs).
+def _pair_distances(surface, frames, cells, ts, ss, more):
+    """Distances d(x, y) and d(f x, f y), as an array (2, len(cells), pairs),
+    and the points of ``more``.
 
     ``cells`` are rows of the frame table; ``ts`` and ``ss`` list the
     parameters of x, y, f x and f y of every pair.  On curved charts each
     distinct (t, s) of every cell goes once through one parametrization
-    pass, and both distance sets through one shooting solve.  On the flat
+    pass, and both distance sets through one shooting solve.  ``more`` is
+    (rows, ts, ss) of further points of the frame table, solved in that
+    pass; ``_phi_rows`` of them is the second result.  On the flat
     model each distance is the norm of the displacement phi(x) - phi(y) in
     the apex frame; the halved-parameter displacement is then exactly half
-    of the other in floating point, so flat deviations vanish identically.
+    of the other in floating point, so flat deviations vanish identically;
+    ``more`` is not solved there, and the second result is None.
     """
     m, n = len(cells), len(ts) // 4
     if surface.flat:
@@ -175,13 +179,27 @@ def _pair_distances(surface, frames, cells, ts, ss):
         ca = s[:, 0] * (1 - t[:, 0]) - s[:, 1] * (1 - t[:, 1])
         cb = s[:, 0] * t[:, 0] - s[:, 1] * t[:, 1]
         dx = ca[..., None] * e_k + cb[..., None] * e_j
-        return np.hypot(dx[..., 0], dx[..., 1]).transpose(1, 0, 2)
+        return np.hypot(dx[..., 0], dx[..., 1]).transpose(1, 0, 2), None
     uniq, inv = np.unique(np.column_stack([ts, ss]), axis=0, return_inverse=True)
-    pts = _phi_rows(surface, frames, np.repeat(cells, len(uniq)), np.tile(uniq[:, 0], m), np.tile(uniq[:, 1], m))
-    pts = pts.reshape(m, len(uniq), 2)[:, inv.ravel()].reshape(m, 4, n, 2)
+    k = m * len(uniq)
+    more_rows, more_ts, more_ss = more
+    pts = _phi_rows(
+        surface,
+        frames,
+        np.concatenate([np.repeat(cells, len(uniq)), more_rows]),
+        np.concatenate([np.tile(uniq[:, 0], m), more_ts]),
+        np.concatenate([np.tile(uniq[:, 1], m), more_ss]),
+    )
+    pts, extra = pts[:k].reshape(m, len(uniq), 2)[:, inv.ravel()].reshape(m, 4, n, 2), pts[k:]
     starts = np.concatenate([pts[:, 0], pts[:, 2]]).reshape(-1, 2)
     ends = np.concatenate([pts[:, 1], pts[:, 3]]).reshape(-1, 2)
-    return surface.distance_many(starts, ends).reshape(2, m, n)
+    return surface.distance_many(starts, ends).reshape(2, m, n), extra
+
+
+def _start_parameters(start):
+    """(t, s) of the (N, 2) array ``start`` as ``_invert_rows`` starts from
+    them, with s clipped to [1e-12, 1]."""
+    return start[:, 0].copy(), np.clip(start[:, 1], 1e-12, 1.0)
 
 
 def _invert_rows(surface, frames, rows, xs, tol, image_scale=None, start=None):
@@ -214,8 +232,7 @@ def _invert_rows(surface, frames, rows, xs, tol, image_scale=None, start=None):
         images = None if image_scale is None else apex[rows] + image_scale * (xs - apex[rows])
         return ts, ss, np.where(inside, 0.0, np.inf), images
     if start is not None:
-        ts = start[:, 0].copy()
-        ss = np.clip(start[:, 1], 1e-12, 1.0)
+        ts, ss = _start_parameters(start)
     tol = np.broadcast_to(tol, (len(xs),))
     e_k = (p_k - apex)[rows]
     e_j = (p_j - apex)[rows]

@@ -12,7 +12,7 @@ from conftest import equilateral_base, read_level, write_level
 from geogasket import gasket
 from geogasket.cli import main
 from geogasket.dimension import box_dimension_estimate
-from geogasket.errors import DomainError, InversionError, NondegeneracyError, SceneValidationError
+from geogasket.errors import ChartEscapeError, DomainError, InversionError, NondegeneracyError, SceneValidationError
 from geogasket.gasket import (
     LevelArrays,
     TriangleSystem,
@@ -50,6 +50,19 @@ def keep_children(monkeypatch, digits):
     rows = [d - 1 for d in digits]
     monkeypatch.setattr(gasket, "_CHILD_VERTICES", gasket._CHILD_VERTICES[rows])
     monkeypatch.setattr(gasket, "_CHILD_SIDES", gasket._CHILD_SIDES[rows])
+
+
+def count_integrations(monkeypatch):
+    """The list that gets one entry per ``SurfaceModel._integrate`` call from now on."""
+    calls = []
+    integrate = SurfaceModel._integrate
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return integrate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceModel, "_integrate", counting)
+    return calls
 
 
 class TestMultiIndex:
@@ -241,6 +254,17 @@ class TestAudits:
     def test_budget_enforced(self, flat_system):
         with pytest.raises(DomainError):
             audit_similarity(flat_system, [(1,)], n_pairs=50)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**60, 10**400], ids=["-1", "2**32", "2**60", "10**400"])
+    def test_seed_range(self, flat_system, seed):
+        # the Kronecker offsets scale seed + 1 as a binary64: from 2**60 on
+        # every seed read [0, 0, 0, 0], and 10**400 overflowed
+        message = f"seed must be in 0..4294967295, not {seed}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            audit_similarity(flat_system, [(1,)], seed=seed)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            audit_sweep(flat_system, seed=seed)
+        assert audit_similarity(flat_system, [(1,)], seed=2**32 - 1)[0].tolist() == [0.0]
 
     @pytest.mark.parametrize("call", [audit_similarity, lambda system, cells: apply_f(system, cells, [(0.0, 0.0)])])
     @pytest.mark.parametrize("cells", [[], [(1,), ()]], ids=["no_cells", "empty_index"])
@@ -526,19 +550,12 @@ class TestKernelWork:
         assert sum(rows) == built <= 3_684
 
     def test_calibration_solves_nothing(self, sphere_system, monkeypatch):
-        calls = []
-        integrate = SurfaceModel._integrate
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return integrate(self, *args, **kwargs)
-
-        monkeypatch.setattr(SurfaceModel, "_integrate", counting)
+        calls = count_integrations(monkeypatch)
         fresh = system_from_json(system_to_json(sphere_system))
         assert calibrate_gauge(fresh) > 0
         assert calls == []
 
-    @pytest.mark.parametrize("scene, most", [("sphere_small", (78, 142, 26)), ("flat_unit", (0, 0, 0))])
+    @pytest.mark.parametrize("scene, most", [("sphere_small", (78, 101, 26)), ("flat_unit", (0, 0, 0))])
     def test_pipeline_steps(self, scene, most, tmp_path, monkeypatch, capsys):
         # integrator steps of build, verify and measure at depth 5.  Solving
         # each triangle's side directions once, and filling the audit passes
@@ -548,7 +565,8 @@ class TestKernelWork:
         # Jacobian and each Newton pass started at its row's last first
         # accepted step took them to 240, 142 and 26.  Deriving the gauge
         # constant instead of fitting it on an audit of levels 1 to 3 took
-        # build to 78.  The flat model takes none.
+        # build to 78.  Solving the nesting check's first iterates in the
+        # audit's passes took verify to 101.  The flat model takes none.
         steps = []
         step = SurfaceModel._step
 
@@ -568,6 +586,22 @@ class TestKernelWork:
             assert main(argv) == 0
         capsys.readouterr()
         assert all(n <= bound for n, bound in zip(steps, most)), steps
+
+    @pytest.mark.parametrize(
+        "scene, depth, most",
+        [("scenes/sphere_small.json", 5, 17), ("perfbench/scenes/custom_bump.json", 4, 8)],
+    )
+    def test_verify_passes(self, scene, depth, most, tmp_path, monkeypatch, capsys):
+        # integrator passes of verify.  The nesting check's own side exp,
+        # three cross-log and t-exp passes took the sphere to 22 and the
+        # bump to 12; its first iterates now ride the audit's passes
+        config = SceneConfig.from_path(Path(__file__).parents[1] / scene)
+        out = tmp_path / "system.json"
+        out.write_text(system_to_json(build_system(config.base_triangle(), depth, config.delta)))
+        calls = count_integrations(monkeypatch)
+        assert main(["verify", str(out), "--seed", "7", "--cells-per-level", "2"]) == 0
+        capsys.readouterr()
+        assert len(calls) <= most
 
 
 class TestDirectionTables:
@@ -618,15 +652,16 @@ class TestDirectionTables:
         assert list(second._directions) == [(0, 0)]
 
     def test_audit_passes_fill_in_level_order(self, flat_base, monkeypatch):
-        # 208 pairs, 832 rows a cell: 8 cells fit in 7,000 rows, so the
-        # first pass takes levels 1 to 4 and the second level 5
+        # 208 pairs, 832 rows a cell and 3 first nesting iterates: 8 cells
+        # fit in 7,000 rows, so the first pass takes levels 1 to 4 and the
+        # second level 5
         system = build_system(flat_base, 5, delta=0.5)
         passes = []
         pair_distances = gasket._pair_distances
 
-        def recording(surface, frames, cells, ts, ss):
+        def recording(surface, frames, cells, *rest):
             passes.append(len(cells))
-            return pair_distances(surface, frames, cells, ts, ss)
+            return pair_distances(surface, frames, cells, *rest)
 
         monkeypatch.setattr(gasket, "_pair_distances", recording)
         audit_sweep(system, n_pairs=100, cells_per_level=2, seed=0)
@@ -641,6 +676,76 @@ class TestDirectionTables:
         solved = set(system._directions)
         audit_sweep(system, cells_per_level=cells_per_level, seed=5)
         assert set(system._directions) == solved
+
+
+SHARED_PASS_SCENES = [
+    "scenes/flat_unit.json", "scenes/sphere_small.json", "scenes/hyperbolic_small.json",
+    "perfbench/scenes/custom_bump.json",
+]
+
+
+@pytest.fixture(scope="module")
+def stored_depth4():
+    """The export of each scene of ``SHARED_PASS_SCENES`` built at depth 4."""
+    texts = {}
+    for scene in SHARED_PASS_SCENES:
+        config = SceneConfig.from_path(Path(__file__).parents[1] / scene)
+        texts[scene] = system_to_json(build_system(config.base_triangle(), 4, config.delta))
+    return texts
+
+
+class TestSharedPasses:
+    """The audit's passes solve the nesting check's first iterates."""
+
+    @pytest.mark.parametrize("cells_per_level", [2, 12])
+    @pytest.mark.parametrize("scene", SHARED_PASS_SCENES)
+    def test_certify_equals_standalone_checks(self, stored_depth4, scene, cells_per_level):
+        # each on a fresh copy, so no table or first iterate carries over
+        text = stored_depth4[scene]
+        records = gasket.certify(system_from_json(text), seed=5, cells_per_level=cells_per_level)
+        assert records[0] == nesting_check(system_from_json(text), cells_per_level=cells_per_level)
+        assert records[3] == gasket._audit_check(system_from_json(text), cells_per_level, 5)
+        assert all(check.passed for check in records)
+
+    @pytest.mark.parametrize("cells_per_level", [2, 12])
+    def test_nesting_after_the_audit_makes_no_pass(self, stored_depth4, cells_per_level, monkeypatch):
+        system = system_from_json(stored_depth4["scenes/sphere_small.json"])
+        audit_sweep(system, cells_per_level=cells_per_level, seed=5)
+        levels, codes = gasket._level_sample(system, cells_per_level)
+        assert list(system._first_iterates) == list(zip(levels.tolist(), codes.tolist()))
+        calls = count_integrations(monkeypatch)
+        check = nesting_check(system, cells_per_level=cells_per_level)
+        assert calls == [] and check.passed
+
+    def test_flat_audit_solves_no_first_iterate(self, stored_depth4):
+        # flat inversion keeps its exact path, with residual 0
+        system = system_from_json(stored_depth4["scenes/flat_unit.json"])
+        audit_sweep(system, seed=5)
+        assert system._first_iterates == {}
+        assert nesting_check(system).detail == "max residual factor 0.000e+00"
+
+    def test_nesting_solves_what_a_failed_audit_left(self, stored_depth4, monkeypatch):
+        # 12 cells a level at depth 4 make 3 + 9 + 12 + 12 cells, in passes of
+        # 8; the second raises, so the first pass's cells keep their first
+        # iterates and the nesting check solves the rest itself
+        text = stored_depth4["scenes/sphere_small.json"]
+        alone = nesting_check(system_from_json(text))
+        calls = []
+        pair_distances = gasket._pair_distances
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ChartEscapeError(0.5)
+            return pair_distances(*args)
+
+        monkeypatch.setattr(gasket, "_pair_distances", failing)
+        system = system_from_json(text)
+        records = gasket.certify(system)
+        assert len(system._first_iterates) == 8
+        audit = records[3]
+        assert (audit.passed, audit.detail) == (False, "error: geodesic left the chart domain near parameter t=0.5")
+        assert records[0] == alone
 
 
 class TestNondegeneracySweep:

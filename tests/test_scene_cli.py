@@ -13,7 +13,7 @@ from conftest import read_level, write_level
 
 from geogasket import gasket
 from geogasket.cli import main
-from geogasket.errors import InversionError, SceneValidationError, ShootingConvergenceError
+from geogasket.errors import ChartEscapeError, InversionError, SceneValidationError, ShootingConvergenceError
 from geogasket.scene import SceneConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -291,6 +291,23 @@ class TestVerifyCommand:
         assert lines[0] == "FAIL nesting: error: inversion stalled in cell 2.1"
         assert [line.split(":")[0] for line in lines[1:6]] == [f"PASS {name}" for name in VERIFY_ORDER[1:]]
         assert lines[6:] == ['{"failures": ["nesting"]}']
+
+    def test_audit_error_leaves_nesting_its_own_solve(self, certified_files, capsys, monkeypatch):
+        # the audit's shared pass raises: the audit fails by name, and the
+        # nesting check solves its own first iterates and passes
+        path = str(certified_files["sphere_small"])
+        assert main(["verify", path]) == 0
+        passing = capsys.readouterr().out.splitlines()
+
+        def escaping(*args):
+            raise ChartEscapeError(0.5)
+
+        monkeypatch.setattr(gasket, "_pair_distances", escaping)
+        assert main(["verify", path]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "FAIL similarity-audits: error: geodesic left the chart domain near parameter t=0.5"
+        assert lines[:3] + lines[4:6] == passing[:3] + passing[4:6]
+        assert lines[6:] == ['{"failures": ["similarity-audits"]}']
 
     def test_null_gauge_calibrates(self, flat_scene_path, tmp_path, capsys):
         # a file stores no gauge constant; verify derives the envelope from
@@ -1014,6 +1031,8 @@ class TestOptionBounds:
             ("verify", "--cells-per-level", "-1"),
             ("measure", "--atom-budget", "0"),
             ("verify", "--seed", "-1"),
+            ("verify", "--seed", "4294967296"),
+            pytest.param("verify", "--seed", str(10**400), id="verify---seed-10**400"),
             ("measure", "--iters", "-2"),
             ("measure", "--iters", "0"),
             ("measure", "--weights", "nan 0.5 0.5"),
@@ -1045,3 +1064,12 @@ class TestOptionBounds:
         assert f"argument {option}: must be" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o.json").exists()
+
+    def test_seed_range_named(self, flat_scene_path, tmp_path, capsys):
+        # the audit scales seed + 1 as a binary64, so larger seeds would not
+        # sample pairs of their own
+        _built_flat_system(flat_scene_path, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(tmp_path / "sys.json"), "--seed", str(2**60)])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be in 0..4294967295, not {2**60}" in capsys.readouterr().err
