@@ -141,24 +141,35 @@ class LevelArrays:
         return len(self.vertices)
 
 
-def _solve_level(surface: SurfaceModel, verts: np.ndarray, table=None):
+def _side_ends(points: np.ndarray):
+    """Start and end rows (3N, 2) of the sides of the triangles ``points``
+    (N, 3, 2): side k runs from point k + 1 to point k + 2, indices mod 3."""
+    return points[:, [1, 2, 0]].reshape(-1, 2), points[:, [2, 0, 1]].reshape(-1, 2)
+
+
+def _solve_level(surface: SurfaceModel, verts: np.ndarray, logs=None, more: bool = False):
     """The geodesic solves of one subdivision step for a whole level.
 
     Returns the side midpoints (N, 3, 2), midpoint k on the side opposite
-    vertex k, and the midlines (N, 3), midline k joining the two midpoints
-    other than midpoint k.  Given the level's direction table (see
-    ``triangles._direction_table``), the midpoints start from its side
-    directions instead of solving them again.
+    vertex k, the midlines (N, 3), midline k joining the two midpoints
+    other than midpoint k, and the side directions of the level below or
+    None.  Side directions are log rows (3N, 2) in the order of
+    ``_side_ends``; given the level's, the midpoints start from them, and
+    without them its sides are shot first.  Given ``more``, the solve that
+    shoots the midlines shoots the children's sides too, so each level below
+    the first starts its midpoints from directions shot with its parents'
+    midlines; a geodesic's result does not depend on its batch.  The flat
+    model's midpoints read no directions, so it shoots none.
     """
     n = len(verts)
-    starts = verts[:, [1, 2, 0], :].reshape(3 * n, 2)
-    ends = verts[:, [2, 0, 1], :].reshape(3 * n, 2)
-    logs = None if table is None else _side_logs(table).reshape(3 * n, 2)
-    mids = surface.midpoint_many(starts, ends, logs).reshape(n, 3, 2)
-    m_starts = mids[:, [1, 2, 0], :].reshape(3 * n, 2)
-    m_ends = mids[:, [2, 0, 1], :].reshape(3 * n, 2)
-    midlines = surface.distance_many(m_starts, m_ends).reshape(n, 3)
-    return mids, midlines
+    mids = surface.midpoint_many(*_side_ends(verts), logs).reshape(n, 3, 2)
+    starts, ends = _side_ends(mids)
+    if more and not surface.flat:
+        child_starts, child_ends = _side_ends(_child_vertices(verts, mids))
+        starts, ends = np.concatenate([starts, child_starts]), np.concatenate([ends, child_ends])
+    w = surface.log_many(starts, ends)
+    midlines = surface.norm(starts[: 3 * n], w[: 3 * n]).reshape(n, 3)
+    return mids, midlines, w[3 * n :] if len(w) > 3 * n else None
 
 
 # The tree: a parent has one child per row of these tables, digit d naming
@@ -174,6 +185,12 @@ _CHILD_SIDES = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5]])
 _SLOT_PARAMETERS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]])
 
 
+def _child_vertices(verts: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Vertices (BN, 3, 2) of the children of parents ``verts`` with
+    midpoints ``mids``, in the order of ``_children``."""
+    return np.concatenate([verts, mids], axis=1)[:, _CHILD_VERTICES].reshape(-1, 3, 2)
+
+
 def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: np.ndarray) -> LevelArrays:
     """The level below parents (verts, sides) with the given midpoints and
     midlines: child Bp + d - 1 of parent p, B children each, has digit d.
@@ -181,10 +198,9 @@ def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: 
     Vertices are copies and sides exact halves or midlines, so the level
     carries no number beyond its parents' and the solved ones.
     """
-    points = np.concatenate([verts, mids], axis=1)
     lengths = np.concatenate([sides / 2.0, midlines], axis=1)
     return LevelArrays(
-        vertices=points[:, _CHILD_VERTICES].reshape(-1, 3, 2),
+        vertices=_child_vertices(verts, mids),
         side_lengths=lengths[:, _CHILD_SIDES].reshape(-1, 3),
     )
 
@@ -234,7 +250,10 @@ def build_system(
 
     The base must be delta-non-degenerate; every produced cell is required
     to stay delta/2-non-degenerate, and the first failing cell is named in
-    the raised error.
+    the raised error.  Level 1's midpoints start from the base's direction
+    table, or from its sides shot first when it has none, and every later
+    level's from the directions shot with the previous level's midlines
+    (see ``_solve_level``): one ``exp`` pass and one shooting solve a level.
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
@@ -249,12 +268,11 @@ def build_system(
             side_lengths=np.array(base.side_lengths, dtype=float)[None, :],
         )
     ]
-    surface = base.surface
+    logs = None if base.directions is None else _side_logs(base.directions)
     for n in range(depth):
         lv = levels[-1]
-        # the base's side directions start level 1's midpoints
-        table = base.directions[None] if n == 0 and base.directions is not None else None
-        child = _children(lv.vertices, lv.side_lengths, *_solve_level(surface, lv.vertices, table))
+        mids, midlines, logs = _solve_level(base.surface, lv.vertices, logs, more=n + 1 < depth)
+        child = _children(lv.vertices, lv.side_lengths, mids, midlines)
         _, bad = _band_failures(child.side_lengths, delta / 2)
         if len(bad):
             cell = mi_from_code(int(bad[0]), n + 1)

@@ -104,7 +104,7 @@ def split_cells():
 
     def split(region):
         verts, sides = region.vertices[None], np.asarray(region.side_lengths)[None]
-        mids, midlines = _solve_level(region.surface, verts)
+        mids, midlines, _ = _solve_level(region.surface, verts)
         level = _children(verts, sides, mids, midlines)
         corners = [GeodesicTriangleRegion(region.surface, v, s) for v, s in zip(level.vertices, level.side_lengths)]
         # the center's vertices are the side midpoints the corners share, its

@@ -152,6 +152,65 @@ class TestBuildSystem:
             assert check.passed
             assert check.value <= 1e-7 == check.bound
 
+    @staticmethod
+    def solved_level_by_level(base, depth):
+        # each level's sides shot by their own solve, then its midpoints
+        # started from those directions and its midlines shot alone
+        surface, verts, sides = base.surface, base.vertices[None], np.asarray(base.side_lengths)[None]
+        levels = []
+        for _ in range(depth):
+            starts, ends = verts[:, [1, 2, 0]].reshape(-1, 2), verts[:, [2, 0, 1]].reshape(-1, 2)
+            mids = surface.midpoint_many(starts, ends, surface.log_many(starts, ends)).reshape(-1, 3, 2)
+            midlines = surface.distance_many(mids[:, [1, 2, 0]].reshape(-1, 2), mids[:, [2, 0, 1]].reshape(-1, 2))
+            levels.append(_children(verts, sides, mids, midlines.reshape(-1, 3)))
+            verts, sides = levels[-1].vertices, levels[-1].side_lengths
+        return levels
+
+    @pytest.mark.parametrize("scene", ["scenes/sphere_small.json", "scenes/hyperbolic_small.json", "perfbench/scenes/custom_bump.json"])
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+    def test_levels_match_solves_level_by_level(self, scene, table):
+        # a geodesic's result does not depend on its batch, so shooting each
+        # level's sides with its parents' midlines moves no bit; a base
+        # without a table has its own sides shot first
+        config = SceneConfig.from_path(Path(__file__).parents[1] / scene)
+        base = config.base_triangle()
+        if not table:
+            base = GeodesicTriangleRegion(base.surface, base.vertices, base.side_lengths)
+        system = build_system(base, 4, config.delta)
+        assert (base.directions is None) is (not table)
+        for built, solved in zip(system.levels[1:], self.solved_level_by_level(base, 4), strict=True):
+            assert built.vertices.tobytes() == solved.vertices.tobytes()
+            assert built.side_lengths.tobytes() == solved.side_lengths.tobytes()
+
+    def test_child_band_failure_names_the_cell(self, sphere_base, monkeypatch):
+        # level 2's sides are shot with level 1's midlines, before level 2's
+        # band test; a failing level-2 cell still stops the build by name
+        band_failures = gasket._band_failures
+
+        def failing(sides, half):
+            angles, bad = band_failures(sides, half)
+            return angles, np.array([4]) if len(sides) == 9 else bad
+
+        monkeypatch.setattr(gasket, "_band_failures", failing)
+        with pytest.raises(NondegeneracyError, match=re.escape("cell 22 fails 0.2-non-degeneracy")) as err:
+            build_system(sphere_base, 4, delta=0.4)
+        assert err.value.cell == (2, 2)
+
+    def test_flat_build_shoots_midlines_alone(self, monkeypatch):
+        # the flat midpoints read no directions, so no child side is shot
+        config = SceneConfig.from_path(Path(__file__).parents[1] / "scenes" / "flat_unit.json")
+        base = config.base_triangle()
+        rows = []
+        log_many = SurfaceModel.log_many
+
+        def counting(self, pts, targets, **kwargs):
+            rows.append(len(pts))
+            return log_many(self, pts, targets, **kwargs)
+
+        monkeypatch.setattr(SurfaceModel, "log_many", counting)
+        build_system(base, 8, config.delta)
+        assert rows == [3 * 3**n for n in range(8)]
+
 
 class TestApplyF:
     def test_fixed_vertex(self, sphere_system):
@@ -534,7 +593,8 @@ class TestKernelWork:
         # first step and one finite-difference Jacobian per solve took 2.29 M;
         # the Christoffel seed and Jacobian, with no Jacobian pass, about
         # 1.51 M.  The derived gauge constant solves nothing, which leaves
-        # the build's 3,684 rows.
+        # the build's 3,684 rows.  Shooting each level's sides with its
+        # parents' midlines solves the same rows in 343 RHS calls, not 431.
         rows = []
         rhs = SurfaceModel._ode_rhs
 
@@ -548,6 +608,7 @@ class TestKernelWork:
         built = sum(rows)
         calibrate_gauge(system)
         assert sum(rows) == built <= 3_684
+        assert len(rows) <= 343
 
     def test_calibration_solves_nothing(self, sphere_system, monkeypatch):
         calls = count_integrations(monkeypatch)
@@ -555,7 +616,7 @@ class TestKernelWork:
         assert calibrate_gauge(fresh) > 0
         assert calls == []
 
-    @pytest.mark.parametrize("scene, most", [("sphere_small", (78, 101, 26)), ("flat_unit", (0, 0, 0))])
+    @pytest.mark.parametrize("scene, most", [("sphere_small", (60, 101, 26)), ("flat_unit", (0, 0, 0))])
     def test_pipeline_steps(self, scene, most, tmp_path, monkeypatch, capsys):
         # integrator steps of build, verify and measure at depth 5.  Solving
         # each triangle's side directions once, and filling the audit passes
@@ -566,7 +627,9 @@ class TestKernelWork:
         # accepted step took them to 240, 142 and 26.  Deriving the gauge
         # constant instead of fitting it on an audit of levels 1 to 3 took
         # build to 78.  Solving the nesting check's first iterates in the
-        # audit's passes took verify to 101.  The flat model takes none.
+        # audit's passes took verify to 101.  Shooting each level's sides
+        # with its parents' midlines took build to 60.  The flat model takes
+        # none.
         steps = []
         step = SurfaceModel._step
 
@@ -586,6 +649,20 @@ class TestKernelWork:
             assert main(argv) == 0
         capsys.readouterr()
         assert all(n <= bound for n, bound in zip(steps, most)), steps
+
+    @pytest.mark.parametrize(
+        "scene, depth, most",
+        [("scenes/sphere_small.json", 5, 18), ("perfbench/scenes/custom_bump.json", 4, 12)],
+    )
+    def test_build_passes(self, scene, depth, most, tmp_path, monkeypatch, capsys):
+        # integrator passes of build.  A solve of each level's sides of its
+        # own, seed and Newton passes, took the sphere to 26 and the bump to
+        # 17; they now ride the solve of the parents' midlines
+        calls = count_integrations(monkeypatch)
+        argv = ["build", str(Path(__file__).parents[1] / scene), "--depth", str(depth), "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) <= most
 
     @pytest.mark.parametrize(
         "scene, depth, most",
