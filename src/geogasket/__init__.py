@@ -12,7 +12,6 @@ from .dimension import (
     box_dimension_estimate,
     gauge_admissible,
     hausdorff_upper_sum,
-    product_bounds,
     solve_moran,
 )
 from .gasket import (

@@ -92,7 +92,7 @@ def solve_moran(ratios) -> MoranSolution:
 
 
 # The parameters of each gauge form, all required.
-_GAUGE_PARAMS = {"power": ("alpha",), "neglog_power": ("beta",), "logpower": ("n",), "table": ("ys", "values")}
+_GAUGE_PARAMS = {"power": ("alpha",), "neglog_power": ("beta",), "logpower": ("n",)}
 
 
 class GaugeSpec:
@@ -102,22 +102,15 @@ class GaugeSpec:
     phi(a nu^x) dx, where L = |log nu| and c = X L - log a = -log(a nu^X):
       - ``power(alpha)``: phi(y) = y**alpha, alpha > 0;
         T = exp(-alpha c) / (alpha L)
-      - ``neglog_power(beta)``: phi(y) = (-log y)**(-beta) on (0, 1), 0 at
-        y <= 0 and a ``DomainError`` at y >= 1;
+      - ``neglog_power(beta)``: phi(y) = (-log y)**(-beta) on (0, 1);
         T = c**(1 - beta) / ((beta - 1) L) for beta > 1, divergent for
         beta <= 1, and a ``DomainError`` unless c > 0
       - ``logpower(n)``: neglog_power with beta = 1 + 2/(2n + 1)
-      - ``table(ys, values)``: nondecreasing piecewise-linear interpolant,
-        constant above the last node, with the power law
-        v0 (y/y0)**e through the first two nodes below the first node.
-        T integrates phi(y) / (y L) over y <= a nu^X: a linear piece
-        v + s (y - yk) gives (v - s yk) log(hi/lo) + s (hi - lo), and the
-        power law gives v0 (y/y0)**e / e, divergent when e = 0
 
     The parameters are read as a scene's ``gauge`` object is: the form's
-    parameters, each a JSON number (``n`` an integer, ``ys`` and ``values``
-    lists of one length), and no other key.  ``DomainError`` names the
-    parameter at fault.
+    parameter, a JSON number (``n`` an integer), and no other key.
+    ``DomainError`` names the parameter at fault.  ``params`` holds the
+    exponent as a float, ``beta`` for both log forms.
     """
 
     def __init__(self, /, form: str, **params):
@@ -130,77 +123,27 @@ class GaugeSpec:
             alpha = float(json_numbers(params["alpha"], (), "gauge.alpha"))
             if not alpha > 0:
                 raise DomainError("power gauge needs alpha > 0")
-            self._fn = lambda y: np.power(y, alpha)
-            self._tail = lambda c, L: math.exp(-alpha * c) / (alpha * L)
-        elif form in ("neglog_power", "logpower"):
-            if form == "logpower":
-                n = json_integer(params["n"], "gauge.n", 1)
-                beta = 1.0 + 2.0 / (2 * n + 1)
-            else:
-                beta = float(json_numbers(params["beta"], (), "gauge.beta"))
-                if not beta > 0:
-                    raise DomainError("neglog_power gauge needs beta > 0")
+            self.params["alpha"] = alpha
+        elif form == "logpower":
+            n = json_integer(params["n"], "gauge.n", 1)
+            self.params["beta"] = 1.0 + 2.0 / (2 * n + 1)
+        else:
+            beta = float(json_numbers(params["beta"], (), "gauge.beta"))
+            if not beta > 0:
+                raise DomainError("neglog_power gauge needs beta > 0")
             self.params["beta"] = beta
-
-            def fn(y):
-                y = np.asarray(y, dtype=float)
-                if np.any(y >= 1):
-                    raise DomainError(f"gauge of form {form!r} is only defined below 1, not at {np.max(y):.6g}")
-                out = np.zeros_like(y)
-                pos = y > 0
-                out[pos] = np.power(-np.log(y[pos]), -beta)
-                return out
-
-            def tail(c, L):
-                if not c > 0:
-                    raise DomainError(f"gauge of form {form!r} is only defined below 1")
-                return c ** (1.0 - beta) / ((beta - 1.0) * L) if beta > 1 else math.inf
-
-            self._fn = fn
-            self._tail = tail
-        elif form == "table":
-            ys = json_numbers(params["ys"], (None,), "gauge.ys")
-            vals = json_numbers(params["values"], ys.shape, "gauge.values")
-            if len(ys) < 2 or np.any(np.diff(ys) <= 0):
-                raise DomainError("table gauge needs at least two increasing nodes")
-            if np.any(np.diff(vals) < 0) or np.any(vals <= 0):
-                raise DomainError("table gauge values must be positive nondecreasing")
-            # power-law extrapolation below the smallest node
-            expo = math.log(vals[1] / vals[0]) / math.log(ys[1] / ys[0]) if vals[1] > vals[0] else 0.0
-            # each piece [ys[k], ys[k+1]) as intercept + slope * y; constant past the last node
-            slopes = np.append(np.diff(vals) / np.diff(ys), 0.0)
-            intercepts = vals - slopes * ys
-            his = np.append(ys[1:], math.inf)
-            log_y0 = math.log(ys[0])
-
-            def fn(y):
-                y = np.asarray(y, dtype=float)
-                out = np.interp(y, ys, vals)
-                below = (y < ys[0]) & (y > 0)
-                out = np.where(below, vals[0] * np.power(y / ys[0], expo), out)
-                return np.where(y <= 0, 0.0, out)
-
-            def tail(c, L):
-                # the power law up to min(a nu^X, ys[0]), then each linear piece up to a nu^X
-                low = vals[0] * math.exp(expo * min(-c - log_y0, 0.0)) / expo if expo > 0 else math.inf
-                if -c <= log_y0:
-                    return low / L
-                y = math.exp(-c)
-                lo, hi = np.minimum(ys, y), np.minimum(his, y)
-                return (low + float(np.sum(intercepts * np.log(hi / lo) + slopes * (hi - lo)))) / L
-
-            self._fn = fn
-            self._tail = tail
-
-    def __call__(self, y):
-        scalar = np.isscalar(y)
-        out = self._fn(np.atleast_1d(np.asarray(y, dtype=float)))
-        return float(out[0]) if scalar else out
 
     def tail(self, a: float, nu: float, x: float) -> float:
         """The decay integral over [x, inf) of phi(a nu^t) dt, in closed form."""
         L = -math.log(nu)
-        return float(self._tail(x * L - math.log(a), L))
+        c = x * L - math.log(a)
+        if self.form == "power":
+            alpha = self.params["alpha"]
+            return math.exp(-alpha * c) / (alpha * L)
+        if not c > 0:
+            raise DomainError(f"gauge of form {self.form!r} is only defined below 1")
+        beta = self.params["beta"]
+        return c ** (1.0 - beta) / ((beta - 1.0) * L) if beta > 1 else math.inf
 
 
 @dataclass(frozen=True)
@@ -211,54 +154,11 @@ class GaugeAdmissibility:
 
 def gauge_admissible(gauge: GaugeSpec, a: float, nu: float) -> GaugeAdmissibility:
     """The gauge's decay integral over x >= 1 of phi(a nu^x); admissible when finite."""
-    if a <= 0 or not (0.0 < nu < 1.0):
-        raise DomainError("need a > 0 and nu in (0, 1)")
+    # accepting comparisons, so that NaN and inf fail them
+    if not (0.0 < a < math.inf and 0.0 < nu < 1.0):
+        raise DomainError("need a in (0, inf) and nu in (0, 1)")
     integral = gauge.tail(a, nu, 1.0)
     return GaugeAdmissibility(admissible=math.isfinite(integral), integral=integral)
-
-
-@dataclass(frozen=True)
-class ProductBounds:
-    upper: float
-    lower: float
-    terms_used: int
-    tail_bound: float
-
-
-# Most factors product_bounds multiplies before the decay integral takes over.
-MAX_TERMS = 200000
-
-
-def product_bounds(gauge: GaugeSpec, nu: float, diam: float) -> ProductBounds:
-    """Convergent bounds for prod(1 +/- phi(nu^i diam)).
-
-    Terms are multiplied until they fall below 1e-16 or ``MAX_TERMS`` run
-    out; the remaining tail is bounded through the decay integral, and the
-    reported values bracket the true products (log(1+x) <= x and
-    log(1-x) >= -2x for x <= 1/2).
-    """
-    if not (0.0 < nu < 1.0) or diam <= 0:
-        raise DomainError("need nu in (0, 1) and a positive diameter")
-    first = float(gauge(diam))
-    # an accepting comparison, so that NaN fails it
-    if not first < 1.0:
-        raise DomainError(
-            f"phi(diam) = {first:.3g} >= 1: the lower product degenerates"
-        )
-    log_upper = 0.0
-    log_lower = 0.0
-    i = 0
-    term = first
-    while i < MAX_TERMS and term >= 1e-16:
-        log_upper += math.log1p(term)
-        log_lower += math.log1p(-term)
-        i += 1
-        term = float(gauge(diam * nu**i))
-    # phi(diam nu^x) decreases in x, so sum_{j >= i} phi(diam nu^j) <= integral_{i-1}^inf
-    tail = gauge.tail(diam, nu, i - 1)
-    upper = math.exp(log_upper + tail)
-    lower = math.exp(log_lower - 2.0 * tail)
-    return ProductBounds(upper=upper, lower=lower, terms_used=i, tail_bound=tail)
 
 
 # -- estimators ---------------------------------------------------------------

@@ -582,12 +582,12 @@ def calibrate_gauge(system: TriangleSystem) -> float:
     return 2 * float(np.max(_envelopes(system, np.ones_like(codes), codes))) / system.base.diam**2
 
 
-def audit_sweep(system: TriangleSystem, n_pairs: int = 100, cells_per_level: int = 12, seed: int = 0):
-    """``audit_similarity`` of ``_level_sample``'s cells; ``seed`` sets the
-    sampled pairs, not the cells.  These are the nesting check's cells, so
-    on curved charts the sweep's passes solve and keep all of that check's
-    first iterates, with no pass of their own."""
-    return _audit(system, *_level_sample(system, cells_per_level), n_pairs, seed)
+def audit_sweep(system: TriangleSystem, cells_per_level: int = 12, seed: int = 0):
+    """``audit_similarity`` of ``_level_sample``'s cells at 100 pairs;
+    ``seed`` sets the sampled pairs, not the cells.  These are the nesting
+    check's cells, so on curved charts the sweep's passes solve and keep all
+    of that check's first iterates, with no pass of their own."""
+    return _audit(system, *_level_sample(system, cells_per_level), 100, seed)
 
 
 # -- the certificate ------------------------------------------------------

@@ -12,7 +12,6 @@ from geogasket.dimension import (
     dimension_report_csv,
     gauge_admissible,
     hausdorff_upper_sum,
-    product_bounds,
     solve_moran,
 )
 from geogasket.errors import DomainError
@@ -86,6 +85,12 @@ class TestSolveMoran:
         assert sol.s == pytest.approx(math.log(k) / math.log(1 / lam), abs=1e-12)
 
 
+# x-ranges for the decay-integral quadrature at a = 0.8, nu = 0.545; the log
+# forms need a nu^x < 1, that is x > log(1.25) / log(1 / 0.545) = -0.367
+POWER_RANGES = [(-1.0, 0.5), (0.5, 3.0), (1.0, 7.0), (2.5, 20.0), (0.0, 40.0)]
+LOG_RANGES = [(-0.3, 0.5), (0.5, 3.0), (1.0, 7.0), (2.5, 20.0), (0.0, 40.0)]
+
+
 class TestGauges:
     def test_square_gauge_integral(self):
         report = gauge_admissible(GaugeSpec("power", alpha=2.0), 1.0, 0.5)
@@ -98,15 +103,6 @@ class TestGauges:
 
     def test_harmonic_log_inadmissible(self):
         assert not gauge_admissible(GaugeSpec("neglog_power", beta=1.0), 1.0, 0.5).admissible
-
-    def test_non_increasing_table_rejected(self):
-        with pytest.raises(DomainError):
-            GaugeSpec("table", ys=[0.1, 0.2, 0.3], values=[1.0, 0.5, 2.0])
-
-    def test_table_gauge_works(self):
-        gauge = GaugeSpec("table", ys=[1e-6, 0.5], values=[1e-12, 0.26])
-        report = gauge_admissible(gauge, 1.0, 0.5)
-        assert report.admissible
 
     @pytest.mark.parametrize("gauge, expected", [
         (GaugeSpec("logpower", n=150), 250.758),
@@ -130,104 +126,36 @@ class TestGauges:
         assert not report.admissible
         assert report.integral == math.inf
 
-    @pytest.mark.parametrize("ys, values", [([0.1, 0.5], [0.3, 0.3]), ([0.1, 0.2, 0.5], [0.3, 0.3, 0.4])],
-                             ids=["flat", "flat-then-rising"])
-    def test_flat_start_table_inadmissible(self, ys, values):
-        # phi is constant near 0, so the integral of phi(y)/y diverges
-        report = gauge_admissible(GaugeSpec("table", ys=ys, values=values), 1.0, 0.5)
-        assert not report.admissible
-        assert report.integral == math.inf
-
     @pytest.mark.parametrize("form, param", [("neglog_power", {"beta": 2.0}), ("logpower", {"n": 1})])
     def test_log_form_outside_domain(self, form, param):
         # -log(a nu) <= 0 leaves the log forms undefined
         with pytest.raises(DomainError, match="only defined below 1"):
             gauge_admissible(GaugeSpec(form, **param), 2.0, 0.5)
 
-    @pytest.mark.parametrize("gauge", [
-        GaugeSpec("neglog_power", beta=2.0),
-        GaugeSpec("neglog_power", beta=2.5),
-        GaugeSpec("logpower", n=1),
-    ], ids=["neglog-2", "neglog-2.5", "logpower"])
-    @pytest.mark.parametrize("y", [1.0, 2.0])
-    def test_log_form_value_outside_domain(self, gauge, y):
-        # -log y <= 0: no even power of it, and no NaN, stands in for phi
-        with pytest.raises(DomainError, match="only defined below 1"):
-            gauge(y)
-        with pytest.raises(DomainError, match="only defined below 1"):
-            gauge(np.array([0.5, y]))
+    @pytest.mark.parametrize("form, param", [
+        ("power", {"alpha": 2.0}), ("neglog_power", {"beta": 2.0}), ("logpower", {"n": 1}),
+    ])
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_a_rejected(self, form, param, a):
+        with pytest.raises(DomainError, match="need a in"):
+            gauge_admissible(GaugeSpec(form, **param), a, 0.5)
 
-    @pytest.mark.parametrize("gauge", [
-        GaugeSpec("power", alpha=2.0),
-        GaugeSpec("power", alpha=0.7),
-        GaugeSpec("table", ys=[1e-6, 0.5], values=[1e-12, 0.26]),
-        GaugeSpec("table", ys=[0.01, 0.05, 0.1, 0.3], values=[1e-4, 0.004, 0.02, 0.1]),
-    ], ids=["power-2", "power-0.7", "table-2", "table-4"])
-    def test_tail_matches_quadrature(self, gauge):
+    @pytest.mark.parametrize("gauge, phi, ranges", [
+        (GaugeSpec("power", alpha=2.0), lambda y: y * y, POWER_RANGES),
+        (GaugeSpec("power", alpha=0.7), lambda y: y**0.7, POWER_RANGES),
+        (GaugeSpec("neglog_power", beta=2.0), lambda y: (-math.log(y)) ** -2, LOG_RANGES),
+        (GaugeSpec("neglog_power", beta=1.3), lambda y: (-math.log(y)) ** -1.3, LOG_RANGES),
+        (GaugeSpec("logpower", n=1), lambda y: (-math.log(y)) ** (-5 / 3), LOG_RANGES),
+        (GaugeSpec("logpower", n=3), lambda y: (-math.log(y)) ** (-9 / 7), LOG_RANGES),
+    ], ids=["power-2", "power-0.7", "neglog-2", "neglog-1.3", "logpower-1", "logpower-3"])
+    def test_tail_matches_quadrature(self, gauge, phi, ranges):
+        # phi is written out here, so the oracle shares nothing with the closed form
         from scipy.integrate import quad
 
         a, nu = 0.8, 0.545
-        ys = gauge.params.get("ys", [])
-        # the x at which a nu^x crosses each table node, where phi has a kink
-        kinks = [math.log(y / a) / math.log(nu) for y in ys]
-        for x1, x2 in [(-1.0, 0.5), (0.5, 3.0), (1.0, 7.0), (2.5, 20.0), (0.0, 40.0)]:
-            cuts = sorted({x1, x2, *(k for k in kinks if x1 < k < x2)})
-            ref = sum(quad(lambda x: gauge(a * nu**x), lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
-                      for lo, hi in zip(cuts, cuts[1:]))
+        for x1, x2 in ranges:
+            ref = quad(lambda x: phi(a * nu**x), x1, x2, epsabs=0, epsrel=1e-13, limit=200)[0]
             assert gauge.tail(a, nu, x1) - gauge.tail(a, nu, x2) == pytest.approx(ref, rel=1e-9)
-
-
-class TestProductBounds:
-    def test_square_gauge_vs_geometric_tail_oracle(self):
-        gauge = GaugeSpec("power", alpha=2.0)
-        nu, diam = 0.545, 0.3
-        bounds = product_bounds(gauge, nu, diam)
-        # oracle: log prod(1 + x_i) <= sum x_i = diam^2/(1 - nu^2)
-        cap = math.exp(diam * diam / (1.0 - nu * nu))
-        assert 1.0 < bounds.upper <= cap
-        assert 0.0 < bounds.lower < 1.0
-
-    def test_negligible_gauge_unit_products(self):
-        gauge = GaugeSpec("power", alpha=300.0)
-        bounds = product_bounds(gauge, 0.5, 0.3)
-        assert bounds.upper == pytest.approx(1.0, abs=1e-12)
-        assert bounds.lower == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("gauge", [
-        GaugeSpec("power", alpha=2.0),
-        GaugeSpec("neglog_power", beta=2.0),
-        GaugeSpec("logpower", n=1),
-        GaugeSpec("table", ys=[0.01, 0.1, 0.3], values=[1e-4, 0.02, 0.1]),
-    ], ids=["power", "neglog_power", "logpower", "table"])
-    def test_bounds_bracket_partial_products(self, gauge):
-        nu, diam = 0.545, 0.3
-        bounds = product_bounds(gauge, nu, diam)
-        phis = [gauge(diam * nu**i) for i in range(1000)]
-        # the bounds are exact in real arithmetic; allow float rounding of the products
-        assert bounds.lower <= math.prod(1 - p for p in phis) * (1 + 1e-14)
-        assert math.prod(1 + p for p in phis) <= bounds.upper * (1 + 1e-14)
-        assert 0 < bounds.lower < 1 < bounds.upper < math.inf
-
-    @pytest.mark.parametrize("alpha, diam", [(0.05, 0.3), (20.0, 0.178)], ids=["slow", "one-term"])
-    def test_tail_bound_covers_remaining_terms(self, alpha, diam):
-        # the power gauge's terms past terms_used sum geometrically
-        nu = 0.5
-        bounds = product_bounds(GaugeSpec("power", alpha=alpha), nu, diam)
-        rest = (diam * nu**bounds.terms_used) ** alpha / (1 - nu**alpha)
-        assert bounds.tail_bound >= rest
-
-    @pytest.mark.parametrize("gauge, diam", [
-        (GaugeSpec("power", alpha=2.0), math.nan),
-        (GaugeSpec("neglog_power", beta=2.5), 2.0),
-    ], ids=["nan_diam", "neglog_above_1"])
-    def test_undefined_first_value_rejected(self, gauge, diam):
-        with pytest.raises(DomainError):
-            product_bounds(gauge, 0.5, diam)
-
-    def test_unit_gauge_value_rejected(self):
-        gauge = GaugeSpec("table", ys=[0.1, 1.0], values=[1.5, 2.0])
-        with pytest.raises(DomainError):
-            product_bounds(gauge, 0.5, 0.3)
 
 
 def moran_sum(members, ratios, s):
@@ -303,13 +231,12 @@ class TestHausdorffUpperSum:
             assert hausdorff_upper_sum(flat_system, s, n) == pytest.approx(base, rel=1e-9)
 
     def test_sphere_bounded_by_product_envelope(self, sphere_system):
+        # level-n cells are at most d 2^-n prod_{i<n} (1 + c (d nu^i)^2) across,
+        # and the product is at most exp(sum_i c (d nu^i)^2) = exp(c d^2 / (1 - nu^2))
         s = math.log(3.0) / math.log(2.0)
         c = calibrate_gauge(sphere_system)
-        scaled = GaugeSpec("table",
-                           ys=[1e-9, sphere_system.base.diam * 1.1],
-                           values=[c * 1e-18, c * (sphere_system.base.diam * 1.1) ** 2])
-        bounds = product_bounds(scaled, sphere_system.nu, sphere_system.base.diam)
-        cap = bounds.upper**s * sphere_system.base.diam**s
+        d, nu = sphere_system.base.diam, sphere_system.nu
+        cap = (math.exp(c * d * d / (1.0 - nu * nu)) * d) ** s
         for n in range(1, sphere_system.depth + 1):
             assert hausdorff_upper_sum(sphere_system, s, n) <= cap
 

@@ -338,7 +338,7 @@ class TestAudits:
             call(flat_system, [(1,), (3,) * 60, (2,) * 9])
 
     def test_sphere_all_levels_pass(self, sphere_system):
-        dev, diam = audit_sweep(sphere_system, n_pairs=100, cells_per_level=6, seed=2)
+        dev, diam = audit_sweep(sphere_system, cells_per_level=6, seed=2)
         assert len(dev) and np.all(dev <= gasket._envelopes(sphere_system, *gasket._level_sample(sphere_system, 6)))
 
     def test_quadratic_decay_across_depths(self, sphere_system):
@@ -352,7 +352,7 @@ class TestAudits:
         assert slope >= 1.8
 
     def test_single_audit_matches_sweep(self, sphere_system):
-        dev, diam = audit_sweep(sphere_system, n_pairs=100, cells_per_level=2, seed=3)
+        dev, diam = audit_sweep(sphere_system, cells_per_level=2, seed=3)
         cells = sweep_cells(sphere_system.depth, 2)
         # a copy that was never audited measures each cell alone
         fresh = system_from_json(system_to_json(sphere_system))
@@ -362,7 +362,7 @@ class TestAudits:
 
     def test_envelope_follows_gauge(self, sphere_base, monkeypatch):
         system = build_system(sphere_base, 2, delta=0.4)
-        dev, _ = audit_sweep(system, n_pairs=100, cells_per_level=2, seed=5)
+        dev, _ = audit_sweep(system, cells_per_level=2, seed=5)
         cells = gasket._level_sample(system, 2)
         first = gasket._audit_check(system, cells_per_level=2, seed=5)
         envelope = gasket._envelopes(system, *cells)
@@ -379,7 +379,7 @@ class TestAudits:
             system = build_system(sphere_base, 3, delta=0.4)
             # every cell of levels 1 and 2 in one audit, as many passes as the cap needs
             whole = audit_similarity(system, [mi_from_code(code, n) for n in (1, 2) for code in range(3**n)], seed=4)
-            dev, diam = audit_sweep(system, n_pairs=100, cells_per_level=3, seed=4)
+            dev, diam = audit_sweep(system, cells_per_level=3, seed=4)
             nest = nesting_check(system, cells_per_level=3)
             # points of cell 1, the first the apex of child 12, which skips the inversion
             verts = system.level(1).vertices[0]
@@ -393,7 +393,7 @@ class TestAudits:
 
     def test_gauge_calibration_margin(self, sphere_system):
         # the law's envelope holds with a margin on cells and pairs that no fit saw
-        dev, _ = audit_sweep(sphere_system, n_pairs=100, cells_per_level=4, seed=9)
+        dev, _ = audit_sweep(sphere_system, cells_per_level=4, seed=9)
         worst = np.max(dev / gasket._envelopes(sphere_system, *gasket._level_sample(sphere_system, 4)))
         assert worst <= 1.0
 
@@ -741,7 +741,7 @@ class TestDirectionTables:
             return pair_distances(surface, frames, cells, *rest)
 
         monkeypatch.setattr(gasket, "_pair_distances", recording)
-        audit_sweep(system, n_pairs=100, cells_per_level=2, seed=0)
+        audit_sweep(system, cells_per_level=2, seed=0)
         assert passes == [8, 2]
 
     @pytest.mark.parametrize("cells_per_level", [2, 12])

@@ -89,9 +89,8 @@ class TestSceneValidation:
         assert cfg.surface().kind == "custom"
 
     def test_gauge_spec_from_scene(self):
-        cfg = SceneConfig.from_doc(FLAT_SCENE)
-        gauge = cfg.gauge
-        assert gauge(0.5) == pytest.approx(0.25)
+        gauge = SceneConfig.from_doc(FLAT_SCENE).gauge
+        assert (gauge.form, gauge.params) == ("power", {"alpha": 2.0})
 
 
 class TestMoranCommand:
@@ -938,9 +937,10 @@ class TestNoTraceback:
         "gauge_no_alpha": ({"form": "power"}, "power gauge lacks alpha"),
         "gauge_negative_alpha": ({"form": "power", "alpha": -1}, "power gauge needs alpha > 0"),
         "gauge_extra_beta": ({"form": "power", "alpha": 2, "beta": 1}, "power gauge has unknown keys ['beta']"),
-        "gauge_table_string": ({"form": "table", "ys": "x"}, "table gauge lacks values"),
-        "gauge_table_ys": ({"form": "table", "ys": "x", "values": [1, 2]}, "gauge.ys must hold finite numbers of shape (n,)"),
-        "gauge_table_lengths": ({"form": "table", "ys": [0.1, 0.2], "values": [1]}, "gauge.values must hold finite numbers of shape (2,)"),
+        # the table form is gone: whatever table parameters come with it, the form is refused
+        "gauge_table_string": ({"form": "table", "ys": "x"}, "gauge.form must be one of power, neglog_power, logpower"),
+        "gauge_table_ys": ({"form": "table", "ys": "x", "values": [1, 2]}, "gauge.form must be one of power, neglog_power, logpower"),
+        "gauge_table_lengths": ({"form": "table", "ys": [0.1, 0.2], "values": [1]}, "gauge.form must be one of power, neglog_power, logpower"),
         "gauge_form_list": ({"form": ["power"], "alpha": 2}, "gauge.form must be one of"),
         "gauge_n_half": ({"form": "logpower", "n": 0.5}, "gauge.n must be an integer in [1, inf]"),
     }
