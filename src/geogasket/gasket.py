@@ -53,8 +53,8 @@ from .triangles import (
     _frames,
     _invert_rows,
     _pair_distances,
+    _points,
     _side_logs,
-    _start_parameters,
     is_delta_nondegenerate,
 )
 
@@ -71,11 +71,11 @@ _INVERT_TOL = 1e-7
 
 
 def mi_validate(index) -> tuple:
-    digits = tuple(int(d) for d in index)
+    digits = tuple(index)
     names = range(1, len(_CHILD_VERTICES) + 1)
-    if any(d not in names for d in digits):
+    if not all(np.issubdtype(type(d), np.integer) and d in names for d in digits):
         raise DomainError(f"multi-index digits must be in {{{','.join(map(str, names))}}}: {index!r}")
-    return digits
+    return tuple(map(int, digits))
 
 
 def mi_code(index) -> int:
@@ -181,8 +181,9 @@ def _solve_level(surface: SurfaceModel, verts: np.ndarray, logs=None, more: bool
 _CHILD_VERTICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 _CHILD_SIDES = np.array([[3, 1, 2], [0, 4, 2], [0, 1, 5]])
 # (t, s) of the parent's vertices and midpoints, in the order of the first
-# table, in the parametrization at the parent's vertex 1
-_SLOT_PARAMETERS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]])
+# table, in the parametrization at the parent's vertex 1; the apex's s = 0
+# is stored as the 1e-12 that ``triangles._invert_rows`` clips s to
+_SLOT_PARAMETERS = np.array([[0.0, 1e-12], [1.0, 1.0], [0.0, 1.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]])
 
 
 def _child_vertices(verts: np.ndarray, mids: np.ndarray) -> np.ndarray:
@@ -211,13 +212,8 @@ def _children(verts: np.ndarray, sides: np.ndarray, mids: np.ndarray, midlines: 
 class TriangleSystem:
     """The family of subdivision cells of a base triangle: ``levels[n]``
     holds level n, from the base at level 0 to ``depth = len(levels) - 1``,
-    which must be at least 1, or ``DomainError`` is raised.
-
-    ``_directions`` maps each cell (level, code) whose frames were read to
-    its direction table (see ``triangles._direction_table``), and
-    ``_first_iterates`` each cell (level, code) that the audit's passes read
-    on a curved chart to its vertices' first nesting iterates (see
-    ``_slot_frames``).  Each system has its own.
+    which must be at least 1, or ``DomainError`` is raised.  It keeps no
+    solver state: every check solves what it reads from these arrays.
     """
 
     def __init__(self, base: GeodesicTriangleRegion, delta, levels):
@@ -228,8 +224,6 @@ class TriangleSystem:
         self.depth = len(levels) - 1
         self.delta = float(delta)
         self.levels = levels
-        self._directions = {} if base.directions is None else {(0, 0): base.directions.copy()}
-        self._first_iterates = {}
         r = base.diam
         # the flat model is the classical IFS: contraction is exactly 1/2;
         # the r² correction term is curvature-driven
@@ -309,36 +303,19 @@ def _parents(system: TriangleSystem, levels, codes):
     return verts, sides
 
 
-def _parent_frames(system: TriangleSystem, levels, codes, at_vertex1: bool = False):
-    """Frame table of the parents of the cells (levels, codes), one frame
-    per cell, and the parent diameters, read from the level arrays and the
-    system's direction tables.
-
-    Frame r has its apex at the parent vertex that cell r's row of the
-    child tables keeps, or at vertex 1 given ``at_vertex1``; its rows are
-    those of ``triangles._frames``.  The parents whose direction tables
-    the system lacks are solved together, in one call, and kept.
-    """
+def _parent_frames(system: TriangleSystem, levels, codes):
+    """Diameters and frame table, 2N rows of ``triangles._frames``, of the
+    parents of the N cells (levels, codes), from the level arrays and one
+    direction-table solve of the distinct parents: row r sits at the parent
+    vertex that cell r's row of the child tables keeps, row N + r at vertex
+    1 of cell r's parent."""
     verts, sides = _parents(system, levels, codes)
-    keys = list(zip((levels - 1).tolist(), (codes // len(_CHILD_VERTICES)).tolist()))
-    # a row of each parent without a table; the parent's cells share its vertices
-    rows = {key: row for row, key in enumerate(keys) if key not in system._directions}
-    if rows:
-        system._directions.update(zip(rows, _direction_table(system.surface, verts[list(rows.values())])))
-    apexes = np.zeros(len(codes), dtype=int) if at_vertex1 else _apexes(codes)
-    return _frames(verts, np.array([system._directions[key] for key in keys]), apexes), np.max(sides, axis=1)
-
-
-def _slot_frames(system: TriangleSystem, levels, codes):
-    """Where the nesting check starts: the frames at vertex 1 of the parents
-    of the cells (levels, codes) and their diameters, as ``_parent_frames``
-    gives them, and the parameters (t, s), (3N, 2), that each cell's three
-    vertices were subdivided at in its frame, with s as
-    ``triangles._invert_rows`` starts from it.  The parametrization points
-    at them are the first iterates of the inversions."""
-    frames, diams = _parent_frames(system, levels, codes, at_vertex1=True)
-    ts, ss = _start_parameters(_SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]].reshape(-1, 2))
-    return frames, diams, np.column_stack([ts, ss])
+    parents = np.column_stack([levels, codes // len(_CHILD_VERTICES)])
+    # one row of each parent, whose cells share its vertices
+    _, first, which = np.unique(parents, axis=0, return_index=True, return_inverse=True)
+    table = _direction_table(system.surface, verts[first])[which.ravel()]
+    apexes = np.concatenate([_apexes(codes), np.zeros(len(codes), dtype=int)])
+    return np.max(sides, axis=1), _frames(np.concatenate([verts, verts]), np.concatenate([table, table]), apexes)
 
 
 def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
@@ -348,12 +325,13 @@ def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
     a point in the parent (apex chosen by the last digit) and returns the
     point at (t, s/2); on the flat model this is exactly the half-ratio
     homothety at the apex.  Returns an array of shape (len(cells),
-    len(xs), 2).  The images come out of the inversion passes themselves.
-    Raises InversionError naming the cell when a recovery residual exceeds
-    ``_INVERT_TOL`` times the parent diameter.
+    len(xs), 2) for ``xs`` of shape (N, 2).  The images come out of the
+    inversion passes themselves.  Raises InversionError naming the cell when
+    a recovery residual exceeds ``_INVERT_TOL`` times the parent diameter.
     """
     levels, codes = _cell_arrays(cells, "apply_f")
-    frames, diams = _parent_frames(system, levels, codes)
+    xs = _points(xs, "apply_f")
+    diams, frames = _parent_frames(system, levels, codes)
     n = len(xs)
     x = np.tile(xs, (len(codes), 1))
     rows = np.repeat(np.arange(len(codes)), n)
@@ -419,15 +397,16 @@ def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: in
     1e-6 parent diameters are left out.  One side-direction solve serves
     the apexes of all cells, which then go through ``_pair_distances`` in
     stacked groups; a cell's result does not depend on the cells audited
-    with it.  On curved charts each group's parametrization pass also
-    solves its cells' first nesting iterates and keeps them in the system
-    (see ``nesting_check``).  ``seed`` must lie in 0..2**32 - 1.
+    with it.  ``seed`` must lie in 0..2**32 - 1.
     """
-    return _audit(system, *_cell_arrays(cells, "audit"), n_pairs, seed)
+    return _audit(system, *_cell_arrays(cells, "audit"), n_pairs, seed)[:2]
 
 
 def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
-    """``audit_similarity`` of the cells (levels, codes)."""
+    """``audit_similarity`` of the N cells (levels, codes), then their
+    parents' frame table (``_parent_frames``) and the first nesting iterates
+    of their vertices, (3N, 2), which each group's parametrization pass also
+    solves (see ``nesting_check``), or None on the flat model."""
     if n_pairs < 100:
         raise DomainError("the sampling budget must be at least 100 pairs")
     # _low_discrepancy scales seed + 1 as a binary64; past this range its
@@ -436,29 +415,26 @@ def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
         raise DomainError(f"the audit seed must be in 0..{2**32 - 1}, not {seed}")
     grid = _audit_parameter_grid(n_pairs, seed)
     t1, s1, t2, s2 = grid.T
-    frames, diams = _parent_frames(system, levels, codes)
-    # the frames at vertex 1 follow the apex frames in one table
-    slots, _, start = _slot_frames(system, levels, codes)
-    frames = tuple(np.concatenate(pair) for pair in zip(frames, slots))
-    m = len(codes)
+    diams, frames = _parent_frames(system, levels, codes)
+    m, n = len(codes), len(grid)
     rows = np.arange(m)
-    start = start.reshape(m, 3, 2)
-    n = len(grid)
+    # the parameters of each cell's vertices in its parent's frame at vertex 1
+    start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]]
     ts = np.concatenate([t1, t2, t1, t2])
     ss = np.concatenate([s1, s2, s1 / 2, s2 / 2])
     d, df = np.empty((2, m, n))
-    keys = list(zip(levels.tolist(), codes.tolist()))
+    firsts = []
     for g in _passes(m, 4 * n + 3):
         seeds = (np.repeat(m + rows[g], 3), *start[g].reshape(-1, 2).T)
         (d[g], df[g]), first = _pair_distances(system.surface, frames, rows[g], ts, ss, seeds)
-        if first is not None:
-            system._first_iterates.update(zip(keys[g], first.reshape(-1, 3, 2)))
+        firsts.append(first)
     kept = d >= 1e-6 * diams[:, None]
     if not np.all(np.any(kept, axis=1)):
         raise DomainError("all sampled audit pairs are degenerate")
     # a left-out pair reads as ratio 1/2, deviation 0
     ratios = np.divide(df, d, out=np.full_like(d, 0.5), where=kept)
-    return np.max(np.abs(ratios - 0.5), axis=1), diams
+    first = None if system.surface.flat else np.concatenate(firsts)
+    return np.max(np.abs(ratios - 0.5), axis=1), diams, frames, first
 
 
 def _level_sample(system: TriangleSystem, cells_per_level: int):
@@ -584,9 +560,10 @@ def calibrate_gauge(system: TriangleSystem) -> float:
 
 def audit_sweep(system: TriangleSystem, cells_per_level: int = 12, seed: int = 0):
     """``audit_similarity`` of ``_level_sample``'s cells at 100 pairs;
-    ``seed`` sets the sampled pairs, not the cells.  These are the nesting
-    check's cells, so on curved charts the sweep's passes solve and keep all
-    of that check's first iterates, with no pass of their own."""
+    ``seed`` sets the sampled pairs, not the cells.  Returns the deviations
+    and parent diameters, then what ``nesting_check`` reads as ``audited``:
+    the parents' frame table (``_parent_frames``) and, on curved charts, the
+    first nesting iterates that the sweep's passes solve (None if flat)."""
     return _audit(system, *_level_sample(system, cells_per_level), 100, seed)
 
 
@@ -609,7 +586,7 @@ class Check:
     detail: str
 
 
-def nesting_check(system: TriangleSystem, cells_per_level: int = 12) -> Check:
+def nesting_check(system: TriangleSystem, cells_per_level: int = 12, audited=None) -> Check:
     """Child vertices must lie in the closed parent region.
 
     Membership is tested through the inverse parametrization on
@@ -618,28 +595,27 @@ def nesting_check(system: TriangleSystem, cells_per_level: int = 12) -> Check:
     ``_INVERT_TOL``: passes when value <= bound.
 
     Each vertex's inversion starts in the frame of its parent's vertex 1,
-    at the parameters the vertex was subdivided at (``_slot_frames``).  The
-    first iterates of the cells an audit has read on a curved chart come
-    from its passes (``_audit``); only the vertices whose first residual is
-    above the inversion's tolerance, and those of other cells, go through
-    ``triangles._invert_rows``, in passes of their own.  Either way the
-    residuals are the same.
+    at the parameters the vertex was subdivided at.  ``audited``, the result
+    of ``audit_sweep`` at the same ``cells_per_level``, gives the frames and
+    the first iterates; then only the vertices whose first residual is above
+    the inversion's tolerance go through ``triangles._invert_rows``.
+    Without it every vertex does, in frames the check solves itself, to the
+    same residuals.
     """
     levels, codes = _level_sample(system, cells_per_level)
-    frames, diams, start = _slot_frames(system, levels, codes)
+    _, diams, frames, first = audited or (None, *_parent_frames(system, levels, codes), None)
+    vertex1 = tuple(column[len(codes) :] for column in frames)  # the frames at each parent's vertex 1
     xs = np.concatenate([system.level(n).vertices[codes[levels == n]] for n in np.unique(levels)]).reshape(-1, 2)
     rows = np.repeat(np.arange(len(codes)), 3)
     diam_rows = diams[rows]
     tol = _INVERT_TOL * diam_rows
-    # a cell no audit read has inf first iterates, so its vertices go on
-    lacking = np.full((3, 2), np.inf)
-    keys = zip(levels.tolist(), codes.tolist())
-    r = np.concatenate([system._first_iterates.get(key, lacking) for key in keys]) - xs
-    resid = np.hypot(r[:, 0], r[:, 1])
+    # without first iterates every vertex goes on
+    resid = np.full(len(xs), np.inf) if first is None else np.hypot(*(first - xs).T)
     rest = np.flatnonzero(resid > 0.05 * tol)
+    start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]].reshape(-1, 2)
     for g in _passes(len(rest), 1):
         at = rest[g]
-        _, _, resid[at], _ = _invert_rows(system.surface, frames, rows[at], xs[at], 0.05 * tol[at], start=start[at])
+        _, _, resid[at], _ = _invert_rows(system.surface, vertex1, rows[at], xs[at], 0.05 * tol[at], start=start[at])
     worst = max(float(np.max(resid / np.maximum(diam_rows, 1e-300))), 0.0)
     return Check("nesting", bool(np.all(resid <= tol)), worst, _INVERT_TOL, f"max residual factor {worst:.3e}")
 
@@ -677,15 +653,14 @@ def nondegeneracy_sweep(system: TriangleSystem) -> Check:
     )
 
 
-def _audit_check(system: TriangleSystem, cells_per_level: int, seed: int) -> Check:
+def _audit_check(system: TriangleSystem, cells_per_level: int, dev) -> Check:
     """Every sampled subdivision map must stay within the second-order
     law's envelope, ``_envelopes``.
 
-    ``value`` is the worst deviation over envelope of ``audit_sweep`` (inf
-    for a deviation over a zero envelope) and ``bound`` is 1: passes when
-    value <= bound.
+    ``dev`` is the deviations of ``audit_sweep`` at ``cells_per_level``.
+    ``value`` is the worst deviation over envelope (inf for a deviation over
+    a zero envelope) and ``bound`` is 1: passes when value <= bound.
     """
-    dev, _ = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
     envelope = _envelopes(system, *_level_sample(system, cells_per_level))
     over = np.divide(dev, envelope, out=np.where(dev > 0, math.inf, 0.0), where=envelope > 0)
     worst = float(np.max(over))
@@ -756,30 +731,33 @@ def certify(system: TriangleSystem, seed: int = 0, cells_per_level: int = 12) ->
 
     ``cells_per_level`` sets the cells that the nesting check and the audit
     sweep both read (``_level_sample``), and ``seed`` only the audit's
-    sampled pairs.  The audit sweep runs first: on curved charts its
-    parametrization passes also solve the nesting check's first iterates,
-    which the nesting check then reads, so each stage of each group of
-    cells is paid once (``audit_sweep``, ``nesting_check``).  A check that
-    raises a ``GeogasketError`` becomes a failing ``Check`` whose detail is
-    ``error: <message>``, with NaN value and bound; when the audit raised,
-    the nesting check solves what its passes did not.
+    sampled pairs.  The sweep runs first and hands the nesting check its
+    frames and first iterates, so each stage of each group of cells is paid
+    once (``nesting_check``).  A check that raises a ``GeogasketError``
+    becomes a failing ``Check`` whose detail is ``error: <message>``, with
+    NaN value and bound; when the sweep raised, the nesting check solves
+    what it reads itself.
     """
-    checks = {
-        "nesting": lambda: nesting_check(system, cells_per_level=cells_per_level),
-        "nu-contraction": lambda: contraction_check(system),
-        "non-degeneracy": lambda: nondegeneracy_sweep(system),
-        "similarity-audits": lambda: _audit_check(system, cells_per_level, seed),
-        "ratio-products": lambda: check_ratio_products(system),
-        "controlled-moran": lambda: controlled_moran_check(system),
-    }
-    results = {}
-    # the audit first, so that its passes solve the nesting check's first iterates
-    for name in sorted(checks, key=lambda name: name != "similarity-audits"):
+    try:
+        audited = audit_sweep(system, cells_per_level=cells_per_level, seed=seed)
+        audit = _audit_check(system, cells_per_level, audited[0])
+    except GeogasketError as exc:
+        audited, audit = None, Check("similarity-audits", False, math.nan, math.nan, f"error: {exc}")
+    checks = [
+        ("nesting", lambda: nesting_check(system, cells_per_level, audited)),
+        ("nu-contraction", lambda: contraction_check(system)),
+        ("non-degeneracy", lambda: nondegeneracy_sweep(system)),
+        ("similarity-audits", lambda: audit),
+        ("ratio-products", lambda: check_ratio_products(system)),
+        ("controlled-moran", lambda: controlled_moran_check(system)),
+    ]
+    records = []
+    for name, check in checks:
         try:
-            results[name] = checks[name]()
+            records.append(check())
         except GeogasketError as exc:
-            results[name] = Check(name, False, math.nan, math.nan, f"error: {exc}")
-    return [results[name] for name in checks]
+            records.append(Check(name, False, math.nan, math.nan, f"error: {exc}"))
+    return records
 
 
 # -- serialization and rendering -------------------------------------------

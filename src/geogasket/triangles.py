@@ -1,10 +1,10 @@
 """Geodesic triangle regions, their parametrization and its inversion.
 
 A triangle region is three chart vertices joined by minimal geodesics,
-with cached side lengths and side directions.  The family parametrization
-``phi(t, s)`` sweeps the region by cross geodesics between points at
-fractional arclength s on the two sides leaving a chosen apex; ``t`` is the
-affine parameter along each cross geodesic.
+with their side lengths and, when known, side directions.  The family
+parametrization ``phi(t, s)`` sweeps the region by cross geodesics between
+points at fractional arclength s on the two sides leaving a chosen apex;
+``t`` is the affine parameter along each cross geodesic.
 
 Planar comparison angles, computed from the side lengths alone, drive the
 delta-non-degeneracy tests used throughout subdivision certification.
@@ -196,23 +196,18 @@ def _pair_distances(surface, frames, cells, ts, ss, more):
     return surface.distance_many(starts, ends).reshape(2, m, n), extra
 
 
-def _start_parameters(start):
-    """(t, s) of the (N, 2) array ``start`` as ``_invert_rows`` starts from
-    them, with s clipped to [1e-12, 1]."""
-    return start[:, 0].copy(), np.clip(start[:, 1], 1e-12, 1.0)
-
-
 def _invert_rows(surface, frames, rows, xs, tol, image_scale=None, start=None):
     """Recover (t, s) with _phi_rows(surface, frames, rows, t, s) = xs.
 
-    Seeded from ``start``, an (N, 2) array of (t, s), or by default from
-    chart-barycentric coordinates, then a damped quasi-Newton iteration with
-    the chart-chord Jacobian: the parametrization is a mild distortion of
-    affine coordinates on the working domains, so the fixed flat Jacobian
-    contracts.  A point whose residual did not decrease takes a half step.
-    Only unconverged points are evaluated; ``tol`` may be one value or one
-    per point.  Returns (T, S, residuals, images): the images are the points
-    at (T, image_scale * S), evaluated in the same passes, or None without
+    Seeded from ``start``, an (N, 2) array of (t, s) with s in [1e-12, 1],
+    or by default from chart-barycentric coordinates, then a damped
+    quasi-Newton iteration with the chart-chord Jacobian: the
+    parametrization is a mild distortion of affine coordinates on the
+    working domains, so the fixed flat Jacobian contracts.  A point whose
+    residual did not decrease takes a half step.  Only unconverged points
+    are evaluated; ``tol`` may be one value or one per point.  Returns
+    (T, S, residuals, images): the images are the points at
+    (T, image_scale * S), evaluated in the same passes, or None without
     ``image_scale``.
 
     The flat model is exact and ignores ``start``: a point whose
@@ -232,7 +227,7 @@ def _invert_rows(surface, frames, rows, xs, tol, image_scale=None, start=None):
         images = None if image_scale is None else apex[rows] + image_scale * (xs - apex[rows])
         return ts, ss, np.where(inside, 0.0, np.inf), images
     if start is not None:
-        ts, ss = _start_parameters(start)
+        ts, ss = start.T.copy()
     tol = np.broadcast_to(tol, (len(xs),))
     e_k = (p_k - apex)[rows]
     e_j = (p_j - apex)[rows]
@@ -285,11 +280,20 @@ def _triangle_vertices(surface, vertices) -> np.ndarray:
     return verts
 
 
+def _points(xs, what: str) -> np.ndarray:
+    """``xs`` as an (N, 2) float array, ``[]`` as none, or DomainError naming ``what``."""
+    pts = np.asarray(xs, dtype=float)
+    pts = pts.reshape(0, 2) if pts.shape == (0,) else pts
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError(f"{what} needs chart points of shape (N, 2), not {pts.shape}")
+    return pts
+
+
 def _apex_row(vertex_index) -> int:
     """Row of apex ``vertex_index`` in a region's frame table."""
-    if vertex_index not in (1, 2, 3):
-        raise DomainError("vertex index must be 1, 2 or 3")
-    return vertex_index - 1
+    if not (np.issubdtype(type(vertex_index), np.integer) and vertex_index in (1, 2, 3)):
+        raise DomainError(f"vertex index must be the int 1, 2 or 3, not {vertex_index!r}")
+    return int(vertex_index) - 1
 
 
 class GeodesicTriangleRegion:
@@ -299,7 +303,7 @@ class GeodesicTriangleRegion:
     side1: p2->p3, side2: p3->p1, side3: p1->p2.  The diameter of a
     geodesic triangle in a convex domain is its longest side.
     ``directions`` is the region's (3, 2, 2) side-direction table, see
-    ``_direction_table``, or None until a parametrization solves it.
+    ``_direction_table``, or None, when each parametrization solves its own.
     """
 
     def __init__(self, surface: SurfaceModel, vertices, side_lengths, directions=None):
@@ -331,30 +335,26 @@ class GeodesicTriangleRegion:
 
     def _frame_table(self):
         """Frame table of apexes 1, 2, 3 (rows 0, 1, 2), see _frames."""
-        if self.directions is None:
-            self.directions = _direction_table(self.surface, self.vertices[None])[0]
-        verts, table = np.broadcast_to(self.vertices, (3, 3, 2)), np.broadcast_to(self.directions, (3, 3, 2, 2))
-        return _frames(verts, table, np.arange(3))
+        table = _direction_table(self.surface, self.vertices[None])[0] if self.directions is None else self.directions
+        return _frames(np.broadcast_to(self.vertices, (3, 3, 2)), np.broadcast_to(table, (3, 3, 2, 2)), np.arange(3))
 
     def phi_many(self, vertex_index: int, ts, ss) -> np.ndarray:
-        """Batched parametrization points for arrays of (t, s)."""
-        ts = np.asarray(ts, dtype=float)
-        ss = np.asarray(ss, dtype=float)
+        """Batched parametrization points for (t, s), each a number or a
+        1-D array, two arrays of one length."""
+        ts, ss = np.atleast_1d(np.asarray(ts, dtype=float), np.asarray(ss, dtype=float))
+        if ts.ndim != 1 or ss.ndim != 1 or len(ts) != len(ss) and 1 not in (len(ts), len(ss)):
+            raise DomainError(f"phi_many needs ts and ss of one length, or numbers, not {ts.shape} and {ss.shape}")
         if np.any((ts < 0) | (ts > 1)) or np.any((ss < 0) | (ss > 1)):
             raise DomainError("parameters must satisfy t in [0,1], s in [0,1]")
-        row = _apex_row(vertex_index)
-        n = max(len(np.atleast_1d(ts)), len(np.atleast_1d(ss)))
-        ts = np.broadcast_to(np.atleast_1d(ts), (n,))
-        ss = np.broadcast_to(np.atleast_1d(ss), (n,))
-        rows = np.full(n, row)
-        return _phi_rows(self.surface, self._frame_table(), rows, ts, ss)
+        ts, ss = np.broadcast_arrays(ts, ss)
+        return _phi_rows(self.surface, self._frame_table(), np.full(len(ts), _apex_row(vertex_index)), ts, ss)
 
     def invert_phi_many(self, vertex_index: int, xs, tol=1e-9):
-        """Vectorized parameter recovery; returns (T, S, residuals).
+        """Vectorized parameter recovery of the points ``xs``, (N, 2), or
+        one point (2,); returns (T, S, residuals).
 
         Parameters are clamped to the closed square, so points outside the
         region end with a nonzero residual rather than an error.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        rows = np.full(len(xs), _apex_row(vertex_index))
-        return _invert_rows(self.surface, self._frame_table(), rows, xs, tol)[:3]
+        xs = _points(np.reshape(xs, (1, 2)) if np.shape(xs) == (2,) else xs, "invert_phi_many")
+        return _invert_rows(self.surface, self._frame_table(), np.full(len(xs), _apex_row(vertex_index)), xs, tol)[:3]

@@ -79,7 +79,8 @@ class TestMultiIndex:
     @pytest.mark.parametrize("branching, names", [(3, "{1,2,3}"), (2, "{1,2}")], ids=["3", "2"])
     def test_bad_digit(self, monkeypatch, branching, names):
         keep_children(monkeypatch, range(1, branching + 1))
-        for bad in (0, branching + 1):
+        # 1.5 and 2.9 were truncated to digits and True read as 1
+        for bad in (0, branching + 1, 1.5, 2.9, True):
             with pytest.raises(DomainError, match=re.escape(f"multi-index digits must be in {names}: (1, {bad})")):
                 mi_code((1, bad))
 
@@ -268,9 +269,8 @@ class TestApplyF:
 
     @pytest.mark.parametrize("parent", [(), (2,), (3, 3)], ids=["base", "2", "33"])
     def test_deep_cells_match_region_maps(self, sphere_system, parent):
-        # the frames read from the level arrays (or, for depth-1 cells, the
-        # base region's table) give the maps of the parent built as a
-        # region from the same arrays
+        # the frames solved from the level arrays give the maps of the
+        # parent built as a region from the same arrays
         lv = sphere_system.level(len(parent))
         code = mi_code(parent)
         region = GeodesicTriangleRegion(sphere_system.surface, lv.vertices[code], lv.side_lengths[code])
@@ -292,6 +292,38 @@ class TestApplyF:
         system = request.getfixturevalue(system_name)
         with pytest.raises(InversionError, match="on cell 1"):
             apply_f(system, [(1,)], [far])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: apply_f(s, [(1,)], [0.0, 0.01]), "apply_f needs chart points of shape (N, 2), not (2,)"),
+            (lambda s: apply_f(s, [(1,)], [[0.0, 0.0, 0.0]]), "apply_f needs chart points of shape (N, 2), not (1, 3)"),
+            (
+                lambda s: s.base.phi_many(1, [0.1, 0.2, 0.3], [0.5, 0.5]),
+                "phi_many needs ts and ss of one length, or numbers, not (3,) and (2,)",
+            ),
+            (lambda s: s.base.phi_many(1.0, [0.5], [0.5]), "vertex index must be the int 1, 2 or 3, not 1.0"),
+            (lambda s: s.base.phi_many(True, [0.5], [0.5]), "vertex index must be the int 1, 2 or 3, not True"),
+            (
+                lambda s: s.base.invert_phi_many(1, [0.0, 0.0, 0.0]),
+                "invert_phi_many needs chart points of shape (N, 2), not (3,)",
+            ),
+            (lambda s: s.base.invert_phi_many(4, [[0.0, 0.0]]), "vertex index must be the int 1, 2 or 3, not 4"),
+        ],
+        ids=[
+            "apply-f-1d", "apply-f-3-columns", "phi-lengths", "phi-float-vertex", "phi-bool-vertex", "invert-1d", "invert-vertex",
+        ],
+    )
+    def test_misshaped_input_is_a_domain_error(self, sphere_system, call, message):
+        # these leaked numpy's IndexError and ValueError, or read 1.0 as a row
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(sphere_system)
+
+    def test_no_points(self, sphere_system):
+        assert apply_f(sphere_system, [(1,), (2, 3)], []).shape == (2, 0, 2)
+        # a numpy int names a vertex, and numbers are one point
+        point = sphere_system.base.phi_many(np.int64(2), 0.5, 0.5)
+        assert point.tobytes() == sphere_system.base.phi_many(2, [0.5], [0.5]).tobytes()
 
 
 def sweep_cells(depth, cells_per_level):
@@ -338,7 +370,7 @@ class TestAudits:
             call(flat_system, [(1,), (3,) * 60, (2,) * 9])
 
     def test_sphere_all_levels_pass(self, sphere_system):
-        dev, diam = audit_sweep(sphere_system, cells_per_level=6, seed=2)
+        dev, diam = audit_sweep(sphere_system, cells_per_level=6, seed=2)[:2]
         assert len(dev) and np.all(dev <= gasket._envelopes(sphere_system, *gasket._level_sample(sphere_system, 6)))
 
     def test_quadratic_decay_across_depths(self, sphere_system):
@@ -352,7 +384,7 @@ class TestAudits:
         assert slope >= 1.8
 
     def test_single_audit_matches_sweep(self, sphere_system):
-        dev, diam = audit_sweep(sphere_system, cells_per_level=2, seed=3)
+        dev, diam = audit_sweep(sphere_system, cells_per_level=2, seed=3)[:2]
         cells = sweep_cells(sphere_system.depth, 2)
         # a copy that was never audited measures each cell alone
         fresh = system_from_json(system_to_json(sphere_system))
@@ -362,12 +394,12 @@ class TestAudits:
 
     def test_envelope_follows_gauge(self, sphere_base, monkeypatch):
         system = build_system(sphere_base, 2, delta=0.4)
-        dev, _ = audit_sweep(system, cells_per_level=2, seed=5)
+        dev = audit_sweep(system, cells_per_level=2, seed=5)[0]
         cells = gasket._level_sample(system, 2)
-        first = gasket._audit_check(system, cells_per_level=2, seed=5)
+        first = gasket._audit_check(system, 2, dev)
         envelope = gasket._envelopes(system, *cells)
         monkeypatch.setattr(system.surface, "curvature_bound", 1e-9)
-        second = gasket._audit_check(system, cells_per_level=2, seed=5)
+        second = gasket._audit_check(system, 2, dev)
         # the same deviations, measured against envelopes about 1e9 times smaller
         assert np.all(dev > 0)
         assert first.value == float(np.max(dev / envelope))
@@ -379,7 +411,7 @@ class TestAudits:
             system = build_system(sphere_base, 3, delta=0.4)
             # every cell of levels 1 and 2 in one audit, as many passes as the cap needs
             whole = audit_similarity(system, [mi_from_code(code, n) for n in (1, 2) for code in range(3**n)], seed=4)
-            dev, diam = audit_sweep(system, cells_per_level=3, seed=4)
+            dev, diam = audit_sweep(system, cells_per_level=3, seed=4)[:2]
             nest = nesting_check(system, cells_per_level=3)
             # points of cell 1, the first the apex of child 12, which skips the inversion
             verts = system.level(1).vertices[0]
@@ -393,7 +425,7 @@ class TestAudits:
 
     def test_gauge_calibration_margin(self, sphere_system):
         # the law's envelope holds with a margin on cells and pairs that no fit saw
-        dev, _ = audit_sweep(sphere_system, cells_per_level=4, seed=9)
+        dev = audit_sweep(sphere_system, cells_per_level=4, seed=9)[0]
         worst = np.max(dev / gasket._envelopes(sphere_system, *gasket._level_sample(sphere_system, 4)))
         assert worst <= 1.0
 
@@ -577,7 +609,7 @@ class TestSecondOrderLaw:
         system = build_system(config.base_triangle(), 5, config.delta)
         levels, codes = gasket._level_sample(system, 3**5)
         assert len(codes) == sum(3**n for n in range(1, 6))
-        dev, _ = audit_sweep(system, cells_per_level=3**5)
+        dev = audit_sweep(system, cells_per_level=3**5)[0]
         over = dev / gasket._envelopes(system, levels, codes)
         for n in range(1, 6):
             worst = np.max(over[levels == n])
@@ -691,19 +723,19 @@ class TestDirectionTables:
 
     def test_frames_match_fresh_solves(self, sphere_base, monkeypatch):
         system = build_system(sphere_base, 4, delta=0.4)
-        # every cell of levels 1 to 3 in one audit batch, whose tables are kept
-        audit_similarity(system, [mi_from_code(code, n) for n in (1, 2, 3) for code in range(3**n)], seed=2)
         base = sphere_base.vertices
         assert sphere_base.side_lengths.tobytes() == sphere_base.surface.distance_many(base[[1, 2, 0]], base[[2, 0, 1]]).tobytes()
         levels = np.repeat([1, 2, 3, 4], [3, 9, 5, 4])
         codes = np.concatenate([np.arange(3), np.arange(9), [0, 4, 13, 20, 26], [1, 40, 41, 80]])
         read_back = system_from_json(system_to_json(system))
         for stored in (system, read_back):
-            frames, _ = gasket._parent_frames(stored, levels, codes)
+            _, frames = gasket._parent_frames(stored, levels, codes)
+            # the apex frames, then those at each parent's vertex 1
+            verts = gasket._parents(stored, levels, codes)[0]
+            apexes = verts[np.arange(len(codes)), gasket._apexes(codes)]
+            assert frames[0].tobytes() == np.concatenate([apexes, verts[:, 0]]).tobytes()
             self.assert_fresh(stored.surface, frames)
-            frames, _ = gasket._parent_frames(stored, levels, codes, at_vertex1=True)
-            self.assert_fresh(stored.surface, frames)
-        # the copy solved its own tables: no solve is shared between systems
+        # each call solves its own tables: no solve is shared between calls or systems
         solves = []
         log_many = SurfaceModel.log_many
 
@@ -714,19 +746,8 @@ class TestDirectionTables:
         monkeypatch.setattr(SurfaceModel, "log_many", counting)
         gasket._parent_frames(system_from_json(system_to_json(system)), levels, codes)
         gasket._parent_frames(read_back, levels, codes)
-        # 1 + 3 + 5 + 3 parents, six directions each, in one solve for the new
-        # copy and none for the old
-        assert solves == [6 * 12]
-
-    def test_systems_share_no_table(self, sphere_base):
-        first, second = (build_system(sphere_base, 2, delta=0.4) for _ in range(2))
-        audit_similarity(first, [mi_from_code(code, n) for n in (1, 2) for code in range(3**n)], seed=2)
-        assert first._directions is not second._directions
-        for table in (second._directions[0, 0], sphere_base.directions):
-            assert not np.shares_memory(first._directions[0, 0], table)
-        # the base, then the parents of levels 1 and 2 that the audit read
-        assert sorted(first._directions) == [(0, 0), (1, 0), (1, 1), (1, 2)]
-        assert list(second._directions) == [(0, 0)]
+        # 1 + 3 + 5 + 3 parents, six directions each, in one solve a call
+        assert solves == [6 * 12] * 2
 
     def test_audit_passes_fill_in_level_order(self, flat_base, monkeypatch):
         # 208 pairs, 832 rows a cell and 3 first nesting iterates: 8 cells
@@ -743,16 +764,6 @@ class TestDirectionTables:
         monkeypatch.setattr(gasket, "_pair_distances", recording)
         audit_sweep(system, cells_per_level=2, seed=0)
         assert passes == [8, 2]
-
-    @pytest.mark.parametrize("cells_per_level", [2, 12])
-    def test_audit_reads_the_nesting_cells(self, sphere_system, cells_per_level):
-        # both checks sample the same cells, so the audit finds every parent's
-        # table already solved by the nesting check
-        system = system_from_json(system_to_json(sphere_system))
-        nesting_check(system, cells_per_level=cells_per_level)
-        solved = set(system._directions)
-        audit_sweep(system, cells_per_level=cells_per_level, seed=5)
-        assert set(system._directions) == solved
 
 
 SHARED_PASS_SCENES = [
@@ -772,39 +783,43 @@ def stored_depth4():
 
 
 class TestSharedPasses:
-    """The audit's passes solve the nesting check's first iterates."""
+    """The audit's passes solve the nesting check's first iterates, which
+    ``certify`` hands to the nesting check."""
 
     @pytest.mark.parametrize("cells_per_level", [2, 12])
     @pytest.mark.parametrize("scene", SHARED_PASS_SCENES)
     def test_certify_equals_standalone_checks(self, stored_depth4, scene, cells_per_level):
-        # each on a fresh copy, so no table or first iterate carries over
+        # each check alone on a fresh copy, the nesting check solving all it reads
         text = stored_depth4[scene]
         records = gasket.certify(system_from_json(text), seed=5, cells_per_level=cells_per_level)
         assert records[0] == nesting_check(system_from_json(text), cells_per_level=cells_per_level)
-        assert records[3] == gasket._audit_check(system_from_json(text), cells_per_level, 5)
+        alone = system_from_json(text)
+        dev = audit_sweep(alone, cells_per_level=cells_per_level, seed=5)[0]
+        assert records[3] == gasket._audit_check(alone, cells_per_level, dev)
         assert all(check.passed for check in records)
 
     @pytest.mark.parametrize("cells_per_level", [2, 12])
     def test_nesting_after_the_audit_makes_no_pass(self, stored_depth4, cells_per_level, monkeypatch):
         system = system_from_json(stored_depth4["scenes/sphere_small.json"])
-        audit_sweep(system, cells_per_level=cells_per_level, seed=5)
-        levels, codes = gasket._level_sample(system, cells_per_level)
-        assert list(system._first_iterates) == list(zip(levels.tolist(), codes.tolist()))
+        audited = audit_sweep(system, cells_per_level=cells_per_level, seed=5)
+        _, codes = gasket._level_sample(system, cells_per_level)
+        # the 2N frames, apex and vertex 1, and three first iterates a cell
+        assert len(audited[2][0]) == 2 * len(codes) and audited[3].shape == (3 * len(codes), 2)
         calls = count_integrations(monkeypatch)
-        check = nesting_check(system, cells_per_level=cells_per_level)
+        check = nesting_check(system, cells_per_level=cells_per_level, audited=audited)
         assert calls == [] and check.passed
 
     def test_flat_audit_solves_no_first_iterate(self, stored_depth4):
         # flat inversion keeps its exact path, with residual 0
         system = system_from_json(stored_depth4["scenes/flat_unit.json"])
-        audit_sweep(system, seed=5)
-        assert system._first_iterates == {}
-        assert nesting_check(system).detail == "max residual factor 0.000e+00"
+        audited = audit_sweep(system, seed=5)
+        assert audited[3] is None
+        assert nesting_check(system, audited=audited).detail == "max residual factor 0.000e+00"
 
     def test_nesting_solves_what_a_failed_audit_left(self, stored_depth4, monkeypatch):
         # 12 cells a level at depth 4 make 3 + 9 + 12 + 12 cells, in passes of
-        # 8; the second raises, so the first pass's cells keep their first
-        # iterates and the nesting check solves the rest itself
+        # 8; the second raises, so the sweep hands nothing over and the
+        # nesting check solves all it reads itself
         text = stored_depth4["scenes/sphere_small.json"]
         alone = nesting_check(system_from_json(text))
         calls = []
@@ -817,12 +832,47 @@ class TestSharedPasses:
             return pair_distances(*args)
 
         monkeypatch.setattr(gasket, "_pair_distances", failing)
-        system = system_from_json(text)
-        records = gasket.certify(system)
-        assert len(system._first_iterates) == 8
+        records = gasket.certify(system_from_json(text))
+        assert len(calls) == 2
         audit = records[3]
         assert (audit.passed, audit.detail) == (False, "error: geodesic left the chart domain near parameter t=0.5")
         assert records[0] == alone
+
+
+    @staticmethod
+    def state(obj):
+        """Each attribute of ``obj``: arrays, also those of level lists and
+        dicts, as their bytes; other objects by identity, numbers as they are."""
+
+        def frozen(value):
+            if isinstance(value, np.ndarray):
+                return value.dtype, value.shape, value.tobytes()
+            if isinstance(value, LevelArrays):
+                return frozen(value.vertices), frozen(value.side_lengths)
+            if isinstance(value, (list, tuple)):
+                return [frozen(v) for v in value]
+            if isinstance(value, dict):
+                return {key: frozen(v) for key, v in value.items()}
+            return value if isinstance(value, (int, float, str, type(None))) else id(value)
+
+        return {key: frozen(value) for key, value in vars(obj).items()}
+
+    def test_results_do_not_depend_on_call_history(self, stored_depth4):
+        # a system keeps no solver state: maps, audits of other cells and a
+        # standalone nesting check leave it as it was, and certify as on a new copy
+        text = stored_depth4["scenes/sphere_small.json"]
+        system = system_from_json(text)
+        before = self.state(system), self.state(system.base)
+        xs = system.base.phi_many(1, [0.2, 0.5, 0.9], [0.4, 0.9, 0.7])
+        apply_f(system, [(1,), (3,)], xs)
+        outside = [mi_from_code(1, 3), mi_from_code(1, 4)]
+        levels, codes = gasket._level_sample(system, 12)
+        assert not {(3, 1), (4, 1)} & set(zip(levels.tolist(), codes.tolist()))
+        audit_similarity(system, outside, seed=3)
+        nesting_check(system)
+        records = gasket.certify(system, seed=5)
+        assert (self.state(system), self.state(system.base)) == before
+        assert records == gasket.certify(system_from_json(text), seed=5)
 
 
 class TestNondegeneracySweep:

@@ -128,6 +128,32 @@ def test_benchmark_traced_modules_import():
         )
 
 
+def test_verify_reaches_each_traced_check_once(tmp_path, monkeypatch, capsys):
+    # the tracer times `gasket.audit_sweep` and `gasket.nesting_check` by
+    # wrapping these module attributes; a verify that reached either another
+    # way, or twice, would zero or double its traced row
+    from geogasket import cli, gasket
+    from geogasket.scene import SceneConfig
+
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    labels = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    calls = []
+    for name in ("audit_sweep", "nesting_check"):
+        assert f"gasket.{name}" in labels
+
+        def counting(*args, _name=name, _fn=getattr(gasket, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(gasket, name, counting)
+    config = SceneConfig.from_path(ROOT / "scenes" / "flat_unit.json")
+    path = tmp_path / "system.json"
+    path.write_text(gasket.system_to_json(gasket.build_system(config.base_triangle(), 3, config.delta)))
+    assert cli.main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["audit_sweep", "nesting_check"]
+
+
 def public_callable(short, attr):
     """True when geogasket.<short> defines a public function or class method named attr."""
     if attr.startswith("_"):
