@@ -354,69 +354,64 @@ def apply_f(system: TriangleSystem, cells, xs) -> np.ndarray:
 
 # -- similarity audits ----------------------------------------------------
 
-_KRONECKER_ALPHAS = np.array(
-    [math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2, math.sqrt(7) - 2]
-)
+# The audit's near-pair step eps, directions (dt, ds), and pencils (s, t count)
+_NEAR_STEP = 0.01
+_NEAR_DIRECTIONS = np.array([[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.0, 1.0], [-(0.5**0.5), 0.5**0.5]])
+_PENCILS = ((1.0, 17), (0.5, 5))
 
 
-def _low_discrepancy(n: int, seed: int) -> np.ndarray:
-    """Deterministic Kronecker sequence in [0, 1)^4."""
-    offsets = np.modf(np.arange(1, 5) * 0.381966011250105 * (seed + 1))[0]
-    steps = np.arange(1, n + 1)[:, None] * _KRONECKER_ALPHAS[None, :]
-    return np.modf(steps + offsets[None, :])[0]
+def _audit_parameter_grid(seed: int) -> np.ndarray:
+    """The audit's pairs (t1, s1, t2, s2), near-coincident on s = 1, where
+    the law puts its sup (``calibrate_gauge``): each (t, s) of a pencil's
+    lattice paired with (t + eps dt, s - eps ds) for each direction, a step
+    out of [0, 1] taken with -dt.  17 t on s = 1 and a coarse interior set
+    of 5 t on s = 1/2 give 84 pairs at seed 0 on 11 distinct s, one cross
+    geodesic each; ``seed`` shifts the t lattices by up to half a spacing.
 
-
-def _audit_parameter_grid(n_pairs: int, seed: int) -> np.ndarray:
-    """Sampling lattice for dilation audits.
-
-    A fixed coarse lattice over (t, s)^2 anchors the maximum-deviation
-    estimate (identical across seeds), and a seeded Kronecker fill adds
-    coverage between the anchors.
+    eps.  A near pair reads the stretch over a chord of length eps, so the
+    sup falls short of the law's by a share about eps: 0.3%, 1% and 3% at
+    eps = 0.003, 0.01 and 0.03 on the depth-6 sphere; below 2%, a 2%
+    smaller C fails it.  A shooting error about the solver's tolerance tau
+    moves a pair's ratio by about tau/(eps d) in a parent of diameter d, a
+    share tau/(eps C kappa d³) of the envelope, eight-fold a level.  At
+    eps = 0.003 it takes level 12 of ``sphere_small`` to 1.029 of the
+    envelope; at 0.01, to 0.997.
     """
-    levels = np.array([0.1, 0.5, 0.9])
-    anchors = np.array(
-        [(t1, s1, t2, s2) for t1 in levels for s1 in levels for t2 in levels for s2 in levels]
-    )
-    # near-coincident probes capture the local dilation extremes that
-    # moderate-distance pairs average away
-    eps = 0.03
-    local = []
-    for t in levels:
-        for s in levels:
-            local.append((t, s, min(t + eps, 1.0), s))
-            local.append((t, s, t, min(s + eps, 1.0)))
-            local.append((t, s, min(t + eps, 1.0), min(s + eps, 1.0)))
-    return np.vstack([anchors, np.array(local), _low_discrepancy(n_pairs, seed)])
+    shift = (seed * 0.6180339887498949 + 0.5) % 1.0 - 0.5
+    pairs = []
+    for s, count in _PENCILS:
+        t = np.repeat(np.clip((np.arange(count) + shift) / (count - 1), 0.0, 1.0), len(_NEAR_DIRECTIONS))
+        dt, ds = np.tile(_NEAR_STEP * _NEAR_DIRECTIONS, (count, 1)).T
+        dt = np.where((t + dt < 0) | (t + dt > 1), -dt, dt)
+        pairs.append(np.column_stack([t, np.full_like(t, s), t + dt, s - ds]))
+    return np.unique(np.vstack(pairs), axis=0)
 
 
-def audit_similarity(system: TriangleSystem, cells, n_pairs: int = 100, seed: int = 0):
+def audit_similarity(system: TriangleSystem, cells, seed: int = 0):
     """Dilation deviations of the maps onto ``cells``.
 
     Returns two arrays over ``cells``: the worst |d(f x, f y)/d(x, y) - 1/2|
-    over the sampled pairs, and the parent diameter.  Pairs closer than
-    1e-6 parent diameters are left out.  One side-direction solve serves
-    the apexes of all cells, which then go through ``_pair_distances`` in
-    stacked groups; a cell's result does not depend on the cells audited
-    with it.  ``seed`` must lie in 0..2**32 - 1.
+    over the pairs of ``_audit_parameter_grid``, and the parent diameter.
+    A pair of coinciding points, which only a degenerate parent has, raises
+    DomainError.  One side-direction solve serves the apexes of all cells,
+    which then go through ``_pair_distances`` in stacked groups; a cell's
+    result does not depend on the cells audited with it.  ``seed`` must lie
+    in 0..2**32 - 1.
     """
-    return _audit(system, *_cell_arrays(cells, "audit"), n_pairs, seed)[:2]
+    return _audit(system, *_cell_arrays(cells, "audit"), seed)[:2]
 
 
-def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
+def _audit(system: TriangleSystem, levels, codes, seed: int):
     """``audit_similarity`` of the N cells (levels, codes), then their
     parents' frame table (``_parent_frames``) and the first nesting iterates
     of their vertices, (3N, 2), which each group's parametrization pass also
     solves (see ``nesting_check``), or None on the flat model."""
-    if n_pairs < 100:
-        raise DomainError("the sampling budget must be at least 100 pairs")
-    # _low_discrepancy scales seed + 1 as a binary64; past this range its
-    # offsets lose their fractional digits
+    # the lattice shift scales seed as a binary64, whose fraction thins past this range
     if not 0 <= seed <= 2**32 - 1:
         raise DomainError(f"the audit seed must be in 0..{2**32 - 1}, not {seed}")
-    grid = _audit_parameter_grid(n_pairs, seed)
-    t1, s1, t2, s2 = grid.T
+    t1, s1, t2, s2 = _audit_parameter_grid(seed).T
     diams, frames = _parent_frames(system, levels, codes)
-    m, n = len(codes), len(grid)
+    m, n = len(codes), len(t1)
     rows = np.arange(m)
     # the parameters of each cell's vertices in its parent's frame at vertex 1
     start = _SLOT_PARAMETERS[_CHILD_VERTICES[codes % len(_CHILD_VERTICES)]]
@@ -428,13 +423,10 @@ def _audit(system: TriangleSystem, levels, codes, n_pairs: int, seed: int):
         seeds = (np.repeat(m + rows[g], 3), *start[g].reshape(-1, 2).T)
         (d[g], df[g]), first = _pair_distances(system.surface, frames, rows[g], ts, ss, seeds)
         firsts.append(first)
-    kept = d >= 1e-6 * diams[:, None]
-    if not np.all(np.any(kept, axis=1)):
-        raise DomainError("all sampled audit pairs are degenerate")
-    # a left-out pair reads as ratio 1/2, deviation 0
-    ratios = np.divide(df, d, out=np.full_like(d, 0.5), where=kept)
+    if not np.all(d > 0):
+        raise DomainError("an audit pair of coinciding points: a parent is degenerate")
     first = None if system.surface.flat else np.concatenate(firsts)
-    return np.max(np.abs(ratios - 0.5), axis=1), diams, frames, first
+    return np.max(np.abs(df / d - 0.5), axis=1), diams, frames, first
 
 
 def _level_sample(system: TriangleSystem, cells_per_level: int):
@@ -452,11 +444,12 @@ def _level_sample(system: TriangleSystem, cells_per_level: int):
 
 # Relative remainder of the law per unit of kappa diam², measured, not
 # derived: twice the largest |audited - law| / (C kappa diam²) over
-# kappa diam², 0.059, read on every pair of the audit grid (seed 7) for the
-# maps of the first two or three levels of nine base shapes (equilateral,
-# skew, an off-centre one and six random ones with every planar angle above
-# 0.45) at diameters 0.1 to 0.38, on the sphere and on the disk.  Below
-# diameter 0.05 the solver's rounding dominates what is read.
+# kappa diam², 0.059, read on the former audit grid (lattice, near and seed-7
+# Kronecker pairs at s <= 0.93) for the maps of levels 1 to 3 of nine base
+# shapes (equilateral, skew, off-centre and six random ones, every planar
+# angle above 0.45) at diameters 0.1 to 0.38, on the sphere and the disk;
+# below diameter 0.05 rounding dominates.  On the near pairs of
+# ``_audit_parameter_grid`` such shapes read up to 0.124, about theta.
 _LAW_REMAINDER = 0.12
 
 # The t at which the pencil's stretch is evaluated before one parabola step
@@ -533,8 +526,9 @@ def calibrate_gauge(system: TriangleSystem) -> float:
     F0 is of degree 2 in s and F2 of degree 4, so halving s gives
     d(f x, f y)/d(x, y) = 1/2 - (3/16) K F2/F0 + O(K² d⁴).
 
-    Its sup.  sup |F2/F0| over pairs is the near-coincident limit (dense
-    pair samples bear this out; it is not proved here): the larger
+    Its sup.  sup |F2/F0| over pairs is the near-coincident limit (not
+    proved here; on the depth-6 sphere, disk and bump, 499 pairs spread
+    over the cell read at most 0.85 of the audit's near pairs): the larger
     |eigenvalue| of the pencil of the two 2 x 2 quadratic forms in
     (dt, ds) at (t, s).  It scales as s², so it lies on s = 1, where the
     forms are F0: [[c², c u], [c u, h² + u²]] and F2: c² h² [[-1/3,
@@ -545,26 +539,25 @@ def calibrate_gauge(system: TriangleSystem) -> float:
     C = 3/32 at t = 1/2 at each apex.
 
     The envelope.  A map passes when its deviation is at most
-    C kappa (1 + theta) diam² (``_envelopes``), with kappa the largest |K|
-    on ``surfaces._chart_grid`` (``SurfaceModel.curvature_bound``) and
-    theta = ``_LAW_REMAINDER`` kappa diam² the bound of the law's relative
-    remainder.  That coefficient is measured, not derived: twice the largest
-    remainder read on the sphere and the disk.  On a chart of kappa 0, c is
-    0 and C is never evaluated.  The solver's rounding is not in theta; the
-    audit's pairs stop short of the sup and read about 0.84 of the envelope
-    on the sphere, and rounding takes that to 0.90 at depth 14.
+    C kappa (1 + theta) diam² (``_envelopes``), kappa the largest |K| on
+    ``surfaces._chart_grid`` (``SurfaceModel.curvature_bound``) and
+    theta = ``_LAW_REMAINDER`` kappa diam² a measured bound of the law's
+    relative remainder.  On a chart of kappa 0, c is 0 and C is never
+    evaluated.  Rounding is not in theta: the audit's near pairs read 0.99
+    of the envelope on the sphere and the disk, and rounding takes that
+    past 1 from level 13 of ``sphere_small`` on.
     """
     codes = np.arange(len(_CHILD_VERTICES))
     return 2 * float(np.max(_envelopes(system, np.ones_like(codes), codes))) / system.base.diam**2
 
 
 def audit_sweep(system: TriangleSystem, cells_per_level: int = 12, seed: int = 0):
-    """``audit_similarity`` of ``_level_sample``'s cells at 100 pairs;
-    ``seed`` sets the sampled pairs, not the cells.  Returns the deviations
-    and parent diameters, then what ``nesting_check`` reads as ``audited``:
-    the parents' frame table (``_parent_frames``) and, on curved charts, the
+    """``audit_similarity`` of ``_level_sample``'s cells; ``seed`` sets the
+    sampled pairs, not the cells.  Returns the deviations and parent
+    diameters, then what ``nesting_check`` reads as ``audited``: the
+    parents' frame table (``_parent_frames``) and, on curved charts, the
     first nesting iterates that the sweep's passes solve (None if flat)."""
-    return _audit(system, *_level_sample(system, cells_per_level), 100, seed)
+    return _audit(system, *_level_sample(system, cells_per_level), seed)
 
 
 # -- the certificate ------------------------------------------------------

@@ -266,12 +266,17 @@ def _invert_rows(surface, frames, rows, xs, tol, image_scale=None, start=None):
     return ts, ss, resid, images
 
 
+def _floats(values, need: str) -> np.ndarray:
+    """``values`` as a new float array, or DomainError saying ``need``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{need}: {exc}") from exc
+
+
 def _triangle_vertices(surface, vertices) -> np.ndarray:
     """Three points inside the chart of ``surface``, as a read-only (3, 2) float array."""
-    try:
-        verts = np.array(vertices, dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"a triangle needs three chart points: {exc}") from exc
+    verts = _floats(vertices, "a triangle needs three chart points")
     if verts.shape != (3, 2):
         raise DomainError(f"a triangle needs three chart points, shape (3, 2), not {verts.shape}")
     if not surface.contains(verts).all():
@@ -282,7 +287,7 @@ def _triangle_vertices(surface, vertices) -> np.ndarray:
 
 def _points(xs, what: str) -> np.ndarray:
     """``xs`` as an (N, 2) float array, ``[]`` as none, or DomainError naming ``what``."""
-    pts = np.asarray(xs, dtype=float)
+    pts = _floats(xs, f"{what} needs chart points of shape (N, 2)")
     pts = pts.reshape(0, 2) if pts.shape == (0,) else pts
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"{what} needs chart points of shape (N, 2), not {pts.shape}")
@@ -341,9 +346,10 @@ class GeodesicTriangleRegion:
     def phi_many(self, vertex_index: int, ts, ss) -> np.ndarray:
         """Batched parametrization points for (t, s), each a number or a
         1-D array, two arrays of one length."""
-        ts, ss = np.atleast_1d(np.asarray(ts, dtype=float), np.asarray(ss, dtype=float))
+        need = "phi_many needs ts and ss of one length, or numbers"
+        ts, ss = np.atleast_1d(_floats(ts, need), _floats(ss, need))
         if ts.ndim != 1 or ss.ndim != 1 or len(ts) != len(ss) and 1 not in (len(ts), len(ss)):
-            raise DomainError(f"phi_many needs ts and ss of one length, or numbers, not {ts.shape} and {ss.shape}")
+            raise DomainError(f"{need}, not {ts.shape} and {ss.shape}")
         if np.any((ts < 0) | (ts > 1)) or np.any((ss < 0) | (ss > 1)):
             raise DomainError("parameters must satisfy t in [0,1], s in [0,1]")
         ts, ss = np.broadcast_arrays(ts, ss)
@@ -356,5 +362,6 @@ class GeodesicTriangleRegion:
         Parameters are clamped to the closed square, so points outside the
         region end with a nonzero residual rather than an error.
         """
-        xs = _points(np.reshape(xs, (1, 2)) if np.shape(xs) == (2,) else xs, "invert_phi_many")
+        xs = _floats(xs, "invert_phi_many needs chart points of shape (N, 2)")
+        xs = _points(xs.reshape(1, 2) if xs.shape == (2,) else xs, "invert_phi_many")
         return _invert_rows(self.surface, self._frame_table(), np.full(len(xs), _apex_row(vertex_index)), xs, tol)[:3]

@@ -103,7 +103,7 @@ def test_criterion_2_flat_gasket_oracle(flat12):
     slope_err = abs(est.slope - LOG3_OVER_LOG2)
     cells = [mi_from_code(code, n) for n in (1, 2, 3, 4) for code in range(3**n)]
     devs = np.concatenate([
-        audit_similarity(system, cells, n_pairs=100)[0],
+        audit_similarity(system, cells)[0],
         audit_sweep(system, cells_per_level=12, seed=0)[0],
     ])
     worst_dev = float(np.max(devs))
@@ -196,7 +196,7 @@ def test_criterion_5_quadratic_dilation_rate(sphere):
     for d in diams:
         base = equilateral_base(sphere, d)
         system = build_system(base, 1, delta=0.4)
-        (dev,), _ = audit_similarity(system, [(1,)], n_pairs=400, seed=0)
+        (dev,), _ = audit_similarity(system, [(1,)], seed=0)
         devs.append(dev)
     slope = np.polyfit(np.log(diams), np.log(devs), 1)[0]
     report(
