@@ -706,9 +706,12 @@ class TestKernelWork:
         assert calibrate_gauge(fresh) > 0
         assert calls == []
 
-    @pytest.mark.parametrize("scene, most", [("sphere_small", (60, 73, 26)), ("flat_unit", (0, 0, 0))])
+    @pytest.mark.parametrize(
+        "scene, most", [("sphere_small", (48, 58, 19)), ("flat_unit", (0, 0, 0)), ("custom_bump", (18, 18, 5))]
+    )
     def test_pipeline_steps(self, scene, most, tmp_path, monkeypatch, capsys):
-        # integrator steps of build, verify and measure at depth 5.  Solving
+        # integrator steps of build, verify and measure at depth 5, and at
+        # the benchmark's depth 4 for its bump.  Solving
         # each triangle's side directions once, and filling the audit passes
         # in level order, took the sphere from 397, 260 and 40 steps to
         # 332, 217 and 40; one cell sample for both verify checks took verify
@@ -720,8 +723,12 @@ class TestKernelWork:
         # audit's passes took verify to 101.  Shooting each level's sides
         # with its parents' midlines took build to 60.  Auditing 84 near
         # pairs on s = 1 and s = 1/2 in place of 208 pairs spread over the
-        # cell, in one pass instead of two, took verify to 73.  The flat
-        # model takes none.
+        # cell, in one pass instead of two, took verify to 73; the bump took
+        # 22, 23 and 7.  Each base-scale log solve then spent about 10 steps
+        # on its seed before two Newton passes of 8; taking the first Newton
+        # step from the residual that a rejected whole-interval first trial
+        # predicts took the sphere to 45, 55 and 17 and the bump to 17, 17
+        # and 4.  The flat model takes none.
         steps = []
         step = SurfaceModel._step
 
@@ -730,11 +737,12 @@ class TestKernelWork:
             return step(self, b)
 
         monkeypatch.setattr(SurfaceModel, "_step", counting)
+        folder, depth = ("perfbench/scenes", "4") if scene == "custom_bump" else ("scenes", "5")
         out = str(tmp_path / "system.json")
         thirds = [repr(1 / 3), repr(1 / 3), repr(1 - 2 / 3)]
         for argv in (
-            ["build", str(Path(__file__).parents[1] / "scenes" / f"{scene}.json"), "--depth", "5", "--out", out],
-            ["verify", out, "--seed", "7", "--cells-per-level", "2"],
+            ["build", str(Path(__file__).parents[1] / folder / f"{scene}.json"), "--depth", depth, "--out", out],
+            ["verify", out, "--seed", "0", "--cells-per-level", "2"],
             ["measure", out, "--weights", *thirds, "--iters", "2"],
         ):
             steps.append(0)

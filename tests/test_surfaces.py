@@ -263,9 +263,11 @@ class TestKernelWork:
     # chord with a finite-difference Jacobian pass at the seed took (15, 2,103),
     # (8, 626) and (5, 275); the second-order seed and Jacobian from the
     # symbols at p + d/3, with each pass started at the step its row's last
-    # pass first accepted, take these (the first-order ones took (7, 937),
-    # (5, 395) and (4, 220))
-    GUARD_WORK = {"sphere": (6, 738), "hyperbolic": (5, 341), "bump": (3, 141)}
+    # pass first accepted, took (6, 738), (5, 341) and (3, 141) (the
+    # first-order ones took (7, 937), (5, 395) and (4, 220)); the first
+    # Newton step taken from a rejected first trial's predicted residual
+    # takes these
+    GUARD_WORK = {"sphere": (6, 618), "hyperbolic": (5, 269), "bump": (3, 99)}
 
     @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "bump"])
     def test_shooting_cost_at_convexity_guard(self, kind, request, monkeypatch):
@@ -293,11 +295,22 @@ class TestKernelWork:
     def test_long_geodesics_do_not_stall(self, sphere, hyperbolic, monkeypatch):
         # past the guard the starting Jacobian is furthest off: a first-order
         # one held fixed takes 11 (sphere) and 12 (disk) passes here, with the
-        # secant update 5 and 6; the second-order one takes 4 and 6
-        for surface, p, q, most in ((sphere, (0.0, 0.0), (0.5, 0.3), 4), (hyperbolic, (-0.3, 0.2), (0.1, -0.2), 6)):
-            passes = self.count_calls(monkeypatch, surface, "_exp")
+        # secant update 5 and 6; the second-order one takes 4 and 6 passes,
+        # 110 and 147 integrator steps.  Steps are counted, not passes: the
+        # seed's first trial is a pass of one step, which the sphere's row
+        # follows with the rest of its seed (5 passes, 110 steps) and the
+        # disk's with a Newton pass from its predicted residual (6, 131)
+        for surface, p, q, most in ((sphere, (0.0, 0.0), (0.5, 0.3), 110), (hyperbolic, (-0.3, 0.2), (0.1, -0.2), 147)):
+            steps = []
+            step = surface._step
+
+            def counting(b):
+                steps.append(b.n)
+                return step(b)
+
+            monkeypatch.setattr(surface, "_step", counting)
             surface.log_many([p], [q])
-            assert len(passes) <= most
+            assert len(steps) <= most
 
     def test_base_side_three_passes(self, sphere, monkeypatch):
         # a side of the sphere scene's base triangle: the seed pass and two
@@ -325,6 +338,34 @@ class TestLogMap:
             w = surface.log_many(pts, pts + chord, tol=math.inf)
             worst.append(np.max(np.hypot(*(surface.exp_many(pts, w) - pts - chord).T)))
         assert worst[0] >= 12 * worst[1]
+
+    @pytest.mark.parametrize(
+        "p, q", [((0.09, -1.19), (1.58, -0.33)), ((1.34, -0.26), (0.3, -1.62))], ids=["estimate", "outside"]
+    )
+    def test_uninformative_trial_continues_seed(self, sphere, p, q, monkeypatch):
+        # the seed's whole-interval trial is rejected and predicts nothing:
+        # its end point's error estimate exceeds the residual it predicts,
+        # or that end point lies outside the chart
+        calls = []
+        exp = sphere._exp
+
+        def recording(pts, vels, steps, *predict):
+            calls.append(vels.copy())
+            return exp(pts, vels, steps, *predict)
+
+        monkeypatch.setattr(sphere, "_exp", recording)
+        with pytest.raises(ChartEscapeError) as info:
+            sphere.log_many([p], [q])
+        seed = calls[0]
+        end, err, est = exp(np.array([p]), seed, np.ones(1), True)
+        residual = np.hypot(*(end - q).T)
+        assert err[0] > 1 and (est[0] >= residual[0] or not sphere.contains(end)[0])
+        # so the row resumes its seed, with no Newton step, and leaves the
+        # chart where the seed's own integration does
+        assert len(calls) == 2 and np.array_equal(calls[1], seed)
+        with pytest.raises(ChartEscapeError) as alone:
+            exp(np.array([p]), seed, np.ones(1))
+        assert info.value.exit_parameter == alone.value.exit_parameter
 
     def test_same_point_zero(self, sphere):
         w = sphere.log_many([(0.2, 0.1)], [(0.2, 0.1)])[0]
